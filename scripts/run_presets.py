@@ -1,10 +1,7 @@
 #!/usr/bin/env python3
 """Realize every preset end to end and print a summary table.
 
-Usage: python scripts/run_presets.py [--out DIR] [--skip-slow]
-
-The star-10-3 and star-9-3 presets carry 20- and 18-crossing certificates,
-which take the state-sum a while; --skip-slow leaves them out.
+Usage: python scripts/run_presets.py [--out DIR]
 """
 
 import argparse
@@ -16,13 +13,10 @@ from billiardknots.pipeline import RealizationSpec, realize
 from billiardknots.presets import PRESETS
 from billiardknots.serialization import write_artifacts
 
-SLOW = {"star-10-3", "star-9-3"}
-
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default=None, help="write artifacts under this directory")
-    parser.add_argument("--skip-slow", action="store_true")
     args = parser.parse_args()
 
     header = f"{'preset':14s} {'f':>18s} {'delta':>8s} {'margin':>8s} {'certified':>9s} {'time':>7s}"
@@ -30,9 +24,6 @@ def main() -> int:
     print("-" * len(header))
     failures = 0
     for name in PRESETS:
-        if args.skip_slow and name in SLOW:
-            print(f"{name:14s} {'(skipped)':>18s}")
-            continue
         spec = RealizationSpec(pattern=PRESETS[name], preset=name)
         t0 = time.perf_counter()
         try:

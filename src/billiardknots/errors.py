@@ -33,9 +33,5 @@ class SearchExhaustedError(PipelineError):
         self.diagnostics = diagnostics
 
 
-class StateSumBudgetError(PipelineError):
-    """Diagram exceeds the state-sum crossing budget."""
-
-
 class SpecFileError(PipelineError, ValueError):
     """A realization spec file failed validation or parsing."""

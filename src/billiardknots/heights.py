@@ -593,7 +593,8 @@ def emit_trajectory(
                 x, y = verts[vi]
                 events.append((arc, TrajEvent("wall", arc, mirror_offset[ci] + vi), (x, y, z)))
             phi = _fraction_mpf(saw.phase)
-            for half in range(2 * saw.frequency + 1):
+            # extrema in t in [0, 1) sit at h/2 in [phi, f + phi), phi < 1
+            for half in range(2 * saw.frequency + 2):
                 h = mp.mpf(half) / 2
                 t_star = (h - phi) / saw.frequency
                 if 0 <= t_star < 1:

@@ -11,11 +11,12 @@ from types import SimpleNamespace
 
 import mpmath as mp
 import pytest
+from bracket_oracles import skein_bracket, state_sum_bracket
 
 from billiardknots.billiards import build_table, mirror_room_check
 from billiardknots.braids import QuasitoricPattern, pad_to_min_repetitions, toric_pattern
 from billiardknots.heights import height_pattern_feasible, signed_residue
-from billiardknots.invariants import jones_mirror, kauffman_bracket, kauffman_bracket_skein
+from billiardknots.invariants import jones_mirror, kauffman_bracket
 from billiardknots.pdcodes import braid_closure_pd
 from billiardknots.perturbation import arc_length_table, independence_check, perturb
 from billiardknots.pipeline import RealizationSpec, realize
@@ -261,10 +262,12 @@ def test_criterion_9_two_oracle_agreement():
         pd = braid_closure_pd(QuasitoricPattern(k, n, signs))
         if pd.crossing_count <= 10:
             corpus.append(pd)
-    agree = all(kauffman_bracket(pd) == kauffman_bracket_skein(pd) for pd in corpus)
+    agree = all(
+        kauffman_bracket(pd) == state_sum_bracket(pd) == skein_bracket(pd) for pd in corpus
+    )
     _report(
         9,
         agree,
-        f"state-sum and skein brackets agree exactly on {len(corpus)} diagrams "
+        f"frontier, state-sum and skein brackets agree exactly on {len(corpus)} diagrams "
         f"with <= 10 crossings",
     )

@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from billiardknots.billiards import verify_reflection
 from billiardknots.braids import toric_pattern
 from billiardknots.errors import DomainError, SearchExhaustedError
 from billiardknots.heights import (
@@ -179,6 +182,26 @@ def test_emit_frequency_one_has_two_bounces():
     assert kinds.count("floor") == 1
     assert kinds.count("ceiling") == 1
     assert kinds.count("wall") == 5
+
+
+_PHASES = st.fractions(min_value=0, max_value=1, max_denominator=997)
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_emit_every_phase_gives_2f_bounces_and_reflects(hopf_result, data):
+    """Any f and any phase off the wall vertices, including phase > 1/2."""
+    result = hopf_result
+    heights = []
+    for _ in result.poly.components:
+        phase = data.draw(_PHASES)
+        # phase 0 or 1/2 puts an extremum on the wall vertex at arc 0
+        assume(phase not in (0, Fraction(1, 2), 1))
+        heights.append(SawtoothHeight(data.draw(st.integers(1, 12)), phase))
+    traj = emit_trajectory(result.poly, tuple(heights), result.arcs, prec_bits=192)
+    for comp, saw in zip(traj.components, heights):
+        assert sum(1 for ev in comp.events if ev.kind != "wall") == 2 * saw.frequency
+    assert verify_reflection(traj, result.table, 1e-9, prec_bits=192).passed
 
 
 def test_emit_projection_recovers_polygon():

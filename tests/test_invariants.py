@@ -4,15 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bracket_oracles import StateSumBudgetError, skein_bracket, state_sum_bracket
 from billiardknots.braids import QuasitoricPattern, pad_to_min_repetitions, toric_pattern
-from billiardknots.errors import DomainError, StateSumBudgetError
+from billiardknots.errors import DomainError
 from billiardknots.invariants import (
     certify,
     jones,
     jones_mirror,
     jones_string,
     kauffman_bracket,
-    kauffman_bracket_skein,
     pattern_jones,
     unlink_jones,
 )
@@ -23,7 +23,9 @@ from billiardknots.pdcodes import (
     pd_from_json,
     pd_to_json,
     relabel_pd,
+    traversal_pd,
 )
+from billiardknots.pipeline import RealizationSpec, realize
 
 TREFOIL = toric_pattern(2, 3)
 FIGURE_EIGHT = QuasitoricPattern(3, 2, ((1, -1), (1, -1)))
@@ -82,7 +84,7 @@ def test_trefoil_bracket_and_jones():
     pd = braid_closure_pd(TREFOIL)
     expected_bracket = {5: -1, -3: -1, -7: 1}
     assert kauffman_bracket(pd) == expected_bracket
-    assert kauffman_bracket_skein(pd) == expected_bracket
+    assert skein_bracket(pd) == expected_bracket
     assert jones(pd, 3) == {2: 1, 6: 1, 8: -1}  # t + t^3 - t^4
     assert jones_string(jones(pd, 3)) == "-t^4 + t^3 + t"
 
@@ -118,6 +120,7 @@ def _random_pattern(rng, max_crossings=10):
 
 
 def test_two_bracket_oracles_agree_on_corpus():
+    """Frontier contraction, state sum and skein recursion agree exactly."""
     corpus = [
         braid_closure_pd(TREFOIL),
         braid_closure_pd(toric_pattern(2, 2)),
@@ -133,7 +136,36 @@ def test_two_bracket_oracles_agree_on_corpus():
         if pd.crossing_count <= 10:
             corpus.append(pd)
     for pd in corpus:
-        assert kauffman_bracket(pd) == kauffman_bracket_skein(pd)
+        assert kauffman_bracket(pd) == state_sum_bracket(pd) == skein_bracket(pd)
+
+
+@pytest.mark.parametrize("pattern", [toric_pattern(3, 7), toric_pattern(3, 8)], ids=["3-7", "3-8"])
+def test_three_brackets_agree_on_realized_star_pds(pattern):
+    """The 14- and 16-crossing PD codes read off realized trajectories."""
+    result = realize(RealizationSpec(pattern=pattern))
+    pd, _ = traversal_pd(result.trajectory.diagram_traversal())
+    assert pd.crossing_count == 2 * pattern.repetitions
+    assert kauffman_bracket(pd) == state_sum_bracket(pd) == skein_bracket(pd)
+
+
+def _torus_knot_jones(q, p):
+    """t^((p-1)(q-1)/2) (1 - t^(p+1) - t^(q+1) + t^(p+q)) / (1 - t^2), in t^(1/2) units."""
+    rest = {0: 1, p + 1: -1, q + 1: -1, p + q: 1}
+    quotient = {}
+    for e in range(p + q + 1):  # long division by 1 - t^2, lowest power first
+        c = rest.pop(e, 0)
+        if c:
+            quotient[e] = c
+            rest[e + 2] = rest.get(e + 2, 0) + c
+    assert not any(rest.values())
+    shift = (p - 1) * (q - 1) // 2
+    return {2 * (e + shift): c for e, c in quotient.items()}
+
+
+@pytest.mark.parametrize("q, p", [(2, 3), (2, 5), (3, 7), (3, 10), (4, 9), (5, 21), (7, 15)])
+def test_torus_knot_jones_closed_form(q, p):
+    """Up to 90 crossings, far past the 2^n state sum's reach."""
+    assert pattern_jones(toric_pattern(q, p)) == _torus_knot_jones(q, p)
 
 
 def test_mirror_inverts_jones_variable():
@@ -159,7 +191,7 @@ def test_bracket_invariant_under_relabeling(rnd):
 def test_state_sum_budget():
     pd = braid_closure_pd(toric_pattern(2, 25))
     with pytest.raises(StateSumBudgetError):
-        kauffman_bracket(pd)
+        state_sum_bracket(pd)
 
 
 @given(st.integers(2, 5), st.integers(1, 8), st.randoms(use_true_random=False))

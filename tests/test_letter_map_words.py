@@ -1,9 +1,9 @@
 """Word-level check of the sign-matrix slot map beyond 3 strands.
 
-Jones certification caps out at 24 crossings, so for 4+ strands the slot
-map (row = lower chord + ceil(q/2), column = gap - 1) is pinned here at the
-braid-word level instead: read the star's crossings in angular order to get
-the braid word the picture presents, and compare its closure against the
+For 4+ strands the slot map (row = lower chord + ceil(q/2), column =
+gap - 1) is pinned here at the braid-word level, independently of the Jones
+certificate: read the star's crossings in angular order to get the braid
+word the picture presents, and compare its closure against the
 abstract quasitoric word through the Burau representation evaluated at
 rational points.  Equal characteristic values at several (t, x) pairs is a
 sharp conjugacy test in practice; a wrong slot map fails it immediately

@@ -7,8 +7,8 @@ from billiardknots.braids import toric_pattern
 from billiardknots.cli import main
 from billiardknots.errors import SpecFileError
 from billiardknots.invariants import pattern_jones
-from billiardknots.pipeline import RealizationSpec
-from billiardknots.presets import PRESETS, preset_listing
+from billiardknots.pipeline import RealizationSpec, realize
+from billiardknots.presets import PRESETS, preset_listing, preset_pattern
 from billiardknots.serialization import verify_artifacts, write_artifacts
 from billiardknots.stars import build_star, star_diagram_json
 
@@ -58,6 +58,12 @@ def test_star_10_3_diagram_export_matches_figure():
     assert len(data["vertices"]) == 10
     assert len(data["crossings"]) == 20
     assert len(data["components"]) == 1
+
+
+def test_star_10_3_realizes_and_certifies():
+    result = realize(RealizationSpec(pattern=preset_pattern("star-10-3"), preset="star-10-3"))
+    assert result.passed
+    assert len(result.trajectory.crossing_heights) == 20
 
 
 def _write_spec(tmp_path, payload, name="spec.json"):
