@@ -13,20 +13,13 @@ reflection law lifts to 3D with the z-slope preserved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath as mp
 
 from .errors import DegenerateAngleError, DomainError, UnboundedTableError
-from .perturbation import PerturbedPolygon
+from .perturbation import PerturbedPolygon, to_mpf
 
 DEFAULT_MARGIN_FACTOR = 1e-12  # of the trajectory diameter
-
-
-def _to_mpf(x):
-    if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / x.denominator
-    return mp.mpf(x)
 
 
 def internal_bisector(prev, at, next_, prec_bits: int = 128):
@@ -35,10 +28,10 @@ def internal_bisector(prev, at, next_, prec_bits: int = 128):
     Points into the angle: u = normalize(normalize(prev-at) + normalize(next-at)).
     """
     with mp.workprec(prec_bits):
-        ax = _to_mpf(prev[0]) - _to_mpf(at[0])
-        ay = _to_mpf(prev[1]) - _to_mpf(at[1])
-        bx = _to_mpf(next_[0]) - _to_mpf(at[0])
-        by = _to_mpf(next_[1]) - _to_mpf(at[1])
+        ax = to_mpf(prev[0]) - to_mpf(at[0])
+        ay = to_mpf(prev[1]) - to_mpf(at[1])
+        bx = to_mpf(next_[0]) - to_mpf(at[0])
+        by = to_mpf(next_[1]) - to_mpf(at[1])
         na, nb = mp.hypot(ax, ay), mp.hypot(bx, by)
         if na == 0 or nb == 0:
             raise DegenerateAngleError("coincident points give no angle")
@@ -100,7 +93,7 @@ def mirror_room_check(
     mirrors = polygon_mirrors(poly, prec_bits)
     vertices = poly.all_vertices()
     with mp.workprec(prec_bits):
-        pts = [(_to_mpf(x), _to_mpf(y)) for x, y in vertices]
+        pts = [(to_mpf(x), to_mpf(y)) for x, y in vertices]
         diameter = max(
             mp.hypot(p[0] - q[0], p[1] - q[1]) for p in pts for q in pts if p != q
         )
@@ -108,7 +101,7 @@ def mirror_room_check(
         margin = None
         witness = None
         for k, mirror in enumerate(mirrors):
-            vx, vy = _to_mpf(mirror.vertex[0]), _to_mpf(mirror.vertex[1])
+            vx, vy = to_mpf(mirror.vertex[0]), to_mpf(mirror.vertex[1])
             ux, uy = mirror.direction
             for i, (px, py) in enumerate(pts):
                 if i == k:
@@ -135,9 +128,9 @@ class BilliardTable:
 
     def contains_xy(self, point, tol, prec_bits: int = 128) -> bool:
         with mp.workprec(prec_bits):
-            px, py = _to_mpf(point[0]), _to_mpf(point[1])
+            px, py = to_mpf(point[0]), to_mpf(point[1])
             for mirror in self.mirrors:
-                vx, vy = _to_mpf(mirror.vertex[0]), _to_mpf(mirror.vertex[1])
+                vx, vy = to_mpf(mirror.vertex[0]), to_mpf(mirror.vertex[1])
                 ux, uy = mirror.direction
                 if ux * (px - vx) + uy * (py - vy) < -tol:
                     return False
@@ -165,7 +158,7 @@ def build_table(poly: PerturbedPolygon, prec_bits: int = 128) -> BilliardTable:
         offs = []
         for mirror in mirrors:
             ux, uy = mirror.direction
-            vx, vy = _to_mpf(mirror.vertex[0]), _to_mpf(mirror.vertex[1])
+            vx, vy = to_mpf(mirror.vertex[0]), to_mpf(mirror.vertex[1])
             norms.append((ux, uy))
             offs.append(ux * vx + uy * vy)  # feasible: u . x >= off
 

@@ -10,9 +10,8 @@ upward.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import DomainError
 
@@ -148,14 +147,3 @@ def pad_to_min_repetitions(pattern: QuasitoricPattern) -> QuasitoricPattern:
         rows.extend(trivial_block(k))
     return QuasitoricPattern(k, len(rows), tuple(rows))
 
-
-def toric_component_count(k: int, n: int) -> int:
-    """gcd(k, n); the expected component count of the toric closure."""
-    return math.gcd(k, n)
-
-
-def iter_letters_with_rows(pattern: QuasitoricPattern) -> Iterator[tuple[int, int, int]]:
-    """Yield (row, generator_index, sign) in word order."""
-    for row, signs in enumerate(pattern.signs):
-        for col, sign in enumerate(signs):
-            yield row, col + 1, sign

@@ -5,8 +5,10 @@ frequency f and a phase phi in [0, 1); it bounces off the prism's floor
 (z = 0, at half-integer values of f t + phi) and ceiling (z = 1, at integer
 values).  Density of {frac(f t_i + phi)} over Q-independent arcs guarantees
 some (f, phi) realizes any prescribed over/under pattern; here that
-existence argument is replaced by a finite deterministic search in f
-ascending, phi on a uniform rational grid, smallest solution accepted.
+existence argument is replaced by a finite deterministic search over
+exact phase intervals: every condition below is piecewise linear in phi,
+with kinks at (-f t) mod 1 and (1/2 - f t) mod 1.  ``search_heights`` says
+in which order frequencies (shell order for links) and phases are tried.
 
 Search conditions, with a uniform ``margin``:
   (a) each crossing's two passage heights differ by at least ``margin``,
@@ -25,11 +27,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
-import numpy as np
 
 from .errors import DomainError, SearchExhaustedError
 from .pdcodes import DiagramTraversal
-from .perturbation import PerturbedPolygon, _fraction_mpf
+from .perturbation import PerturbedPolygon, to_mpf
 from .stars import ArcTable
 
 DEFAULT_MARGIN = 1e-3
@@ -60,6 +61,11 @@ class SawtoothHeight:
         return abs(2 * y - 1)
 
 
+def _sawtooth(f: int, t: float, phi: float) -> float:
+    y = f * t + phi
+    return abs(2.0 * (y - math.floor(y)) - 1.0)
+
+
 def evaluate_sawtooth(s: SawtoothHeight, t):
     """z(t) = 2 |frac(f t + phi) - 1/2|, valid for mpf, Fraction, or float t."""
     if isinstance(t, Fraction):
@@ -67,10 +73,9 @@ def evaluate_sawtooth(s: SawtoothHeight, t):
         fy = y - (y.numerator // y.denominator)
         return abs(2 * fy - 1)
     if isinstance(t, mp.mpf):
-        y = s.frequency * t + _fraction_mpf(s.phase)
+        y = s.frequency * t + to_mpf(s.phase)
         return abs(2 * (y - mp.floor(y)) - 1)
-    y = s.frequency * float(t) + float(s.phase)
-    return abs(2 * (y - math.floor(y)) - 1.0)
+    return _sawtooth(s.frequency, float(t), float(s.phase))
 
 
 def signed_residue(frequency: int, phase, t):
@@ -142,25 +147,6 @@ def _component_groups(n_components: int, constraints) -> list[list[int]]:
     return sorted(groups.values(), key=lambda g: g[0])
 
 
-def _sawtooth_array(f: int, arcs: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """z values on the outer grid arcs x phis (float64 screening)."""
-    y = f * arcs[:, None] + phis[None, :]
-    return np.abs(2.0 * (y - np.floor(y)) - 1.0)
-
-
-def _subtract_interval(segs, lo, hi):
-    out = []
-    for a, b in segs:
-        if hi <= a or lo >= b:
-            out.append((a, b))
-            continue
-        if lo > a:
-            out.append((a, lo))
-        if hi < b:
-            out.append((hi, b))
-    return out
-
-
 def _intersect_intervals(s1, s2):
     out = []
     i = j = 0
@@ -176,104 +162,94 @@ def _intersect_intervals(s1, s2):
     return out
 
 
-def _feasible_phase_intervals(f: int, event_arcs, constraints, margin: float):
-    """Exact feasible phi set for one component at frequency f.
+def _box_phases(f: int, arcs, boxes):
+    """Phases phi in [0, 1) with z(t_i) in [lo_i, hi_i] for every arc t_i at
+    frequency f, as sorted disjoint intervals.
 
-    Every condition is piecewise linear in phi with at most four kinks, so
-    the feasible set is a short list of intervals; this makes the
-    single-component search complete relative to the margin instead of
-    sampling phi.  Float64 suffices: kink positions are known to ~1e-13
-    while margins are >= 1e-6.
+    z leaves [lo, hi] exactly when frac(f t + phi) comes within (1 - hi)/2 of
+    0 (a ceiling bounce) or within lo/2 of 1/2 (a floor bounce), so the
+    forbidden phases are windows around (-f t) mod 1 and (1/2 - f t) mod 1;
+    one sort and one sweep give their complement.
     """
-    segs = [(0.0, 1.0)]
-    half = margin / 2.0
-    for t in event_arcs:
-        for center in ((-f * t) % 1.0, (0.5 - f * t) % 1.0):
+    windows = []
+    for t, (lo, hi) in zip(arcs, boxes):
+        for center, half in (((-f * t) % 1.0, (1.0 - hi) / 2.0), ((0.5 - f * t) % 1.0, lo / 2.0)):
+            if half <= 0.0:
+                continue
             for shift in (-1.0, 0.0, 1.0):
-                lo, hi = center + shift - half, center + shift + half
-                if hi > 0.0 and lo < 1.0:
-                    segs = _subtract_interval(segs, max(lo, 0.0), min(hi, 1.0))
-                if not segs:
-                    return []
+                a, b = center + shift - half, center + shift + half
+                if b > 0.0 and a < 1.0:
+                    windows.append((max(a, 0.0), min(b, 1.0)))
+    windows.sort()
+    segs = []
+    start = 0.0
+    for a, b in windows:
+        if a > start:
+            segs.append((start, a))
+        start = max(start, b)
+    if start < 1.0:
+        segs.append((start, 1.0))
+    return segs
 
-    def z_at(t, phi):
-        y = f * t + phi
-        return abs(2.0 * (y - math.floor(y)) - 1.0)
 
-    for c in constraints:
-        t1, t2 = float(c.first_arc), float(c.second_arc)
+def _crossing_phases(f: int, k: int, segs, constraints, fixed, margin: float):
+    """Intersect the phase set ``segs`` of component k at frequency f with
+    condition (a) of every constraint whose sides lie on k or on a component
+    of ``fixed`` (component -> SawtoothHeight), where a side is a constant.
+
+    ``constraints`` holds (constraint, first arc, second arc) with float
+    arcs.  Between the kinks of its sides on k a condition is linear in phi,
+    so its feasible set is a short list of intervals.  Float64 suffices:
+    kink positions are known to ~1e-13 while margins are >= 1e-6.
+    """
+    allowed = [(0.0, 1.0)]  # intersected with the long ``segs`` list last
+    for c, t1, t2 in constraints:
+        ends = {c.first_component, c.second_component}
+        if k not in ends or not ends <= fixed.keys() | {k}:
+            continue
         sign = 1.0 if c.first_over else -1.0
-        kinks = sorted(
-            {0.0, 1.0, (-f * t1) % 1.0, (0.5 - f * t1) % 1.0, (-f * t2) % 1.0, (0.5 - f * t2) % 1.0}
-        )
+        # a side on k moves with phi (None); a side on a fixed component is constant
+        z1 = None if c.first_component == k else evaluate_sawtooth(fixed[c.first_component], t1)
+        z2 = None if c.second_component == k else evaluate_sawtooth(fixed[c.second_component], t2)
+
+        def gap(phi):
+            h1 = _sawtooth(f, t1, phi) if z1 is None else z1
+            h2 = _sawtooth(f, t2, phi) if z2 is None else z2
+            return sign * (h1 - h2)
+
+        kinks = {0.0, 1.0}
+        for t, z in ((t1, z1), (t2, z2)):
+            if z is None:
+                kinks.update(((-f * t) % 1.0, (0.5 - f * t) % 1.0))
+        kinks = sorted(kinks)
         good = []
         for a, b in zip(kinks, kinks[1:]):
             width = b - a
             if width < 1e-14:
                 continue
-            da = sign * (z_at(t1, a + 1e-9 * width) - z_at(t2, a + 1e-9 * width))
-            db = sign * (z_at(t1, b - 1e-9 * width) - z_at(t2, b - 1e-9 * width))
+            da, db = gap(a + 1e-9 * width), gap(b - 1e-9 * width)
             if da >= margin and db >= margin:
                 good.append((a, b))
             elif da >= margin or db >= margin:
                 lam = (margin - da) / (db - da)
                 x = a + lam * width
                 good.append((a, x) if da >= margin else (x, b))
-        segs = _intersect_intervals(segs, good)
-        if not segs:
+        allowed = _intersect_intervals(allowed, good)
+        if not allowed:
             return []
-    return segs
+    return _intersect_intervals(segs, allowed)
 
 
-def _count_satisfied(f: int, phi: float, constraints, margin: float) -> list[int]:
-    """Constraint indices violated at (f, phi) (single component)."""
-
-    def z_at(t):
-        y = f * float(t) + phi
-        return abs(2.0 * (y - math.floor(y)) - 1.0)
-
-    bad = []
-    for i, c in enumerate(constraints):
-        z1, z2 = z_at(c.first_arc), z_at(c.second_arc)
-        if abs(z1 - z2) < margin or (z1 > z2) != c.first_over:
-            bad.append(i)
-    return bad
-
-
-def _search_single_component(comp, event_arcs, constraints, grid_count_per_f, table, f_max, margin):
-    """Complete f-ascending search via exact phase intervals.
-
-    Prefers the smallest point of the nominal phase grid inside the first
-    feasible interval, keeping the grid-index ordering of the sampled
-    search; falls back to the interval midpoint when the window is
-    narrower than the grid step.
-    """
-    best = None
-    best_bad = None
-    for f in range(1, f_max + 1):
-        segs = _feasible_phase_intervals(f, event_arcs, constraints, margin)
-        for lo, hi in segs:
-            n_grid = grid_count_per_f * f
-            j = math.ceil(lo * n_grid)
-            candidates = []
-            if j / n_grid < hi:
-                candidates.append(Fraction(j, n_grid))
-            mid = Fraction(round(((lo + hi) / 2) * (1 << DENOM_BITS)), 1 << DENOM_BITS)
-            if mid not in candidates:
-                candidates.append(mid)
-            for phi in candidates:
-                if not 0 <= phi < 1:
-                    continue
-                saw = SawtoothHeight(f, phi)
-                if _confirm({comp: saw}, constraints, table, margin):
-                    return saw, None
-        if best is None:
-            probe_phi = 0.5 / (grid_count_per_f * f)
-            bad = _count_satisfied(f, probe_phi, constraints, margin)
-            if best_bad is None or len(bad) < len(best_bad):
-                best_bad = bad
-                best = SawtoothHeight(f, Fraction(1, 2 * grid_count_per_f * f))
-    return None, (best, best_bad)
+def _interval_phases(lo: float, hi: float, n_grid: int) -> list[Fraction]:
+    """Candidate phases of the interval [lo, hi): its first point j/n_grid of
+    the phase grid, then its midpoint on the 2^-DENOM_BITS grid (the only
+    candidate when the interval is narrower than the grid step)."""
+    j = math.ceil(lo * n_grid)
+    candidates = [Fraction(j, n_grid)] if j / n_grid < hi else []
+    mid = Fraction(round(((lo + hi) / 2) * (1 << DENOM_BITS)), 1 << DENOM_BITS)
+    if mid not in candidates:
+        candidates.append(mid)
+    return [phi for phi in candidates if 0 <= phi < 1]
 
 
 def _confirm(heights: dict[int, SawtoothHeight], constraints, table: ArcTable, margin) -> bool:
@@ -303,163 +279,99 @@ def search_heights(
     f_max: int = DEFAULT_F_MAX,
     margin: float = DEFAULT_MARGIN,
 ) -> tuple[SawtoothHeight, ...]:
-    """Smallest (f, phi-grid) sawtooth per component satisfying (a), (b), (c).
+    """Smallest sawtooth per component satisfying (a), (b), (c).
 
     Components coupled by crossings are searched jointly over frequency
-    tuples by ascending maximum (lexicographic within each shell); each
-    component's phase grid has 4 * f * (#constraints in its group) samples.
-    The scan is screened in float64 (margins dwarf its roundoff) and the
-    accepted candidate is confirmed at the table's precision.  Raises
-    SearchExhaustedError with diagnostics when f_max is hit.
+    tuples in shell order (ascending maximum, lexicographic within each
+    shell); an uncoupled component is the one-component case.  At each
+    tuple the components are fixed in turn from their exact feasible phase
+    intervals given the ones already fixed: each but the last tries the
+    grid points j / (4 f #constraints) inside its intervals, and the last
+    takes, per interval, its first grid point or else its midpoint rounded
+    to 2^-31, so no feasible interval of the last component is missed.
+    Every accepted candidate is confirmed at the table's precision.  Raises
+    SearchExhaustedError with diagnostics when f_max is hit; they describe
+    the f-tuple whose fixed probe phases violate the fewest constraints.
     """
     if margin <= 0 or margin >= 0.5:
         raise DomainError(f"margin must lie in (0, 0.5), got {margin}")
+    if f_max < 1:
+        raise DomainError(f"f_max must be >= 1, got {f_max}")
     n_comp = table.component_count()
     event_arcs = {
-        ci: np.array(
-            [float(t) for t in table.vertex_arcs[ci]]
-            + [float(ps.arc) for ps in table.passages[ci]],
-            dtype=float,
-        )
+        ci: [float(t) for t in table.vertex_arcs[ci]] + [float(ps.arc) for ps in table.passages[ci]]
         for ci in range(n_comp)
     }
+    box = (margin, 1.0 - margin)
     result: dict[int, SawtoothHeight] = {}
-    best_overall: dict[int, SawtoothHeight] = {}
-    best_satisfied = -1
-    best_unsat: tuple[int, ...] = ()
-    total = len(constraints)
-
     for group in _component_groups(n_comp, constraints):
-        pos = {comp: k for k, comp in enumerate(group)}
         group_constraints = [
             c for c in constraints if c.first_component in group or c.second_component in group
         ]
-        n_constraints = max(1, len(group_constraints))
-        found = None
-        if len(group) == 1:
-            comp = group[0]
-            saw, failure = _search_single_component(
-                comp, event_arcs[comp].tolist(), group_constraints,
-                4 * n_constraints, table, f_max, margin,
-            )
-            if saw is not None:
-                result[comp] = saw
-                continue
-            best, bad = failure
-            raise SearchExhaustedError(
-                f"no sawtooth parameters with f <= {f_max} satisfy all "
-                f"{len(group_constraints)} constraints of component {comp}",
-                diagnostics=SearchDiagnostics(
-                    f_max=f_max,
-                    best=(best,) if best is not None else None,
-                    satisfied=len(group_constraints) - len(bad or []),
-                    total=total,
-                    unsatisfied=tuple(group_constraints[i].crossing for i in (bad or [])),
-                ),
-            )
-        for f_tuple in _frequency_tuples(len(group), f_max):
-            grids = [4 * f * n_constraints for f in f_tuple]
-            phis = [np.arange(n, dtype=float) / n for n in grids]
-            # (b) + (c): all event heights inside [margin, 1 - margin]
-            ok = []
-            for k, comp in enumerate(group):
-                z = _sawtooth_array(f_tuple[k], event_arcs[comp], phis[k])
-                ok.append(np.all((z >= margin) & (z <= 1.0 - margin), axis=0))
-            # per-constraint side values over the owning component's grid
-            side_vals = []
-            for c in group_constraints:
-                k1, k2 = pos[c.first_component], pos[c.second_component]
-                v1 = _sawtooth_array(f_tuple[k1], np.array([float(c.first_arc)]), phis[k1])[0]
-                v2 = _sawtooth_array(f_tuple[k2], np.array([float(c.second_arc)]), phis[k2])[0]
-                side_vals.append((k1, v1, k2, v2))
+        arcs = [(c, float(c.first_arc), float(c.second_arc)) for c in group_constraints]
+        n_grid = 4 * max(1, len(group_constraints))
+        best = None  # (f-tuple, violated crossings) at the probe phases
 
-            d = len(group)
-            last = d - 1
-            prefix_indices = [np.nonzero(ok[k])[0] for k in range(last)]
-            prefix_only = [
-                (j, s) for j, s in enumerate(side_vals) if s[0] != last and s[2] != last
+        def assign(f_tuple, segs, k, fixed):
+            comp, f = group[k], f_tuple[k]
+            n = n_grid * f
+            for lo, hi in _crossing_phases(f, comp, segs[k], arcs, fixed, margin):
+                if k == len(group) - 1:
+                    for phi in _interval_phases(lo, hi, n):
+                        heights = {**fixed, comp: SawtoothHeight(f, phi)}
+                        if _confirm(heights, group_constraints, table, margin):
+                            return heights
+                    continue
+                for j in range(math.ceil(lo * n), math.ceil(hi * n)):
+                    prefix = {**fixed, comp: SawtoothHeight(f, Fraction(j, n))}
+                    heights = assign(f_tuple, segs, k + 1, prefix)
+                    if heights:
+                        return heights
+            return None
+
+        for f_tuple in _frequency_tuples(len(group), f_max):
+            segs = [
+                _box_phases(f, event_arcs[comp], itertools.repeat(box))
+                for comp, f in zip(group, f_tuple)
             ]
-            last_involving = [
-                (j, s) for j, s in enumerate(side_vals) if s[0] == last or s[2] == last
-            ]
-            for prefix in itertools.product(*(idx.tolist() for idx in prefix_indices)):
-                sat_prefix = 0
-                for j, (k1, v1, k2, v2) in prefix_only:
-                    c = group_constraints[j]
-                    z1, z2 = v1[prefix[k1]], v2[prefix[k2]]
-                    if abs(z1 - z2) >= margin and (z1 > z2) == c.first_over:
-                        sat_prefix += 1
-                feasible = sat_prefix == len(prefix_only)
-                cond = ok[last].copy()
-                count = None
-                if feasible or len(prefix_only) == 0 or sat_prefix > best_satisfied - len(last_involving):
-                    count = np.zeros(len(phis[last]), dtype=int)
-                    for j, (k1, v1, k2, v2) in last_involving:
-                        c = group_constraints[j]
-                        z1 = v1[prefix[k1]] if k1 != last else v1
-                        z2 = v2[prefix[k2]] if k2 != last else v2
-                        rel = (z1 > z2) if c.first_over else (z2 > z1)
-                        good = (np.abs(z1 - z2) >= margin) & rel
-                        count += good.astype(int)
-                        cond &= good
-                accepted = False
-                if feasible:
-                    for hit in np.nonzero(cond)[0].tolist():
-                        candidate = {
-                            comp: SawtoothHeight(
-                                f_tuple[k],
-                                Fraction(prefix[k] if k != last else hit, grids[k]),
-                            )
-                            for k, comp in enumerate(group)
-                        }
-                        if _confirm(candidate, group_constraints, table, margin):
-                            found = candidate
-                            accepted = True
-                            break
-                if accepted:
-                    break
-                if count is not None and np.any(ok[last]):
-                    masked = np.where(ok[last], count + sat_prefix, -1)
-                    arg = int(np.argmax(masked))
-                    if masked[arg] > best_satisfied:
-                        best_satisfied = int(masked[arg])
-                        best_overall = {
-                            comp: SawtoothHeight(
-                                f_tuple[k],
-                                Fraction(prefix[k] if k != last else arg, grids[k]),
-                            )
-                            for k, comp in enumerate(group)
-                        }
-                        best_unsat = tuple(
-                            group_constraints[j].crossing
-                            for j, (k1, v1, k2, v2) in enumerate(side_vals)
-                            if not _constraint_holds_at(
-                                group_constraints[j], k1, v1, k2, v2, prefix, last, arg, margin
-                            )
-                        )
+            found = assign(f_tuple, segs, 0, {})
             if found:
                 break
-        if not found:
+            probe = {comp: (f, 0.5 / (n_grid * f)) for comp, f in zip(group, f_tuple)}
+            bad = []
+            for c, t1, t2 in arcs:
+                (f1, phi1), (f2, phi2) = probe[c.first_component], probe[c.second_component]
+                z1, z2 = _sawtooth(f1, t1, phi1), _sawtooth(f2, t2, phi2)
+                if abs(z1 - z2) < margin or (z1 > z2) != c.first_over:
+                    bad.append(c.crossing)
+            if best is None or len(bad) < len(best[1]):
+                best = (f_tuple, bad)
+        else:
             raise SearchExhaustedError(
                 f"no sawtooth parameters with f <= {f_max} satisfy all "
                 f"{len(group_constraints)} constraints of components {group}",
                 diagnostics=SearchDiagnostics(
                     f_max=f_max,
-                    best=tuple(best_overall.values()) or None,
-                    satisfied=max(best_satisfied, 0),
-                    total=total,
-                    unsatisfied=best_unsat,
+                    best=tuple(SawtoothHeight(f, Fraction(1, 2 * n_grid * f)) for f in best[0]),
+                    satisfied=len(group_constraints) - len(best[1]),
+                    total=len(constraints),
+                    unsatisfied=tuple(best[1]),
                 ),
             )
         result.update(found)
-
     return tuple(result[ci] for ci in range(n_comp))
 
 
-def _constraint_holds_at(c, k1, v1, k2, v2, prefix, last, last_idx, margin) -> bool:
-    z1 = v1[last_idx] if k1 == last else v1[prefix[k1]]
-    z2 = v2[last_idx] if k2 == last else v2[prefix[k2]]
-    return abs(z1 - z2) >= margin and (z1 > z2) == c.first_over
+def _shell(d: int, top: int):
+    """The d-tuples over [1, top] with maximum top, in lexicographic order."""
+    if d == 1:
+        yield (top,)
+        return
+    for first in range(1, top):
+        for rest in _shell(d - 1, top):
+            yield (first, *rest)
+    for rest in itertools.product(range(1, top + 1), repeat=d - 1):
+        yield (top, *rest)
 
 
 def _frequency_tuples(d: int, f_max: int):
@@ -472,9 +384,7 @@ def _frequency_tuples(d: int, f_max: int):
     accepted solution is still deterministic.
     """
     for top in range(1, f_max + 1):
-        for f_tuple in itertools.product(range(1, top + 1), repeat=d):
-            if max(f_tuple) == top:
-                yield f_tuple
+        yield from _shell(d, top)
 
 
 def height_pattern_feasible(arcs, bounds, f_max: int = 1000):
@@ -482,23 +392,15 @@ def height_pattern_feasible(arcs, bounds, f_max: int = 1000):
 
     Returns a SawtoothHeight or None; the generic solver behind the
     regular-diagram obstruction check (heights of crossings with matched
-    arc differences cannot be chosen freely).
+    arc differences cannot be chosen freely).  Phases are picked as for the
+    height search's last component.
     """
     arcs_f = [float(t) for t in arcs]
-    n = max(1, len(arcs_f))
+    n_grid = 4 * max(1, len(arcs_f))
     for f in range(1, f_max + 1):
-        grid = 4 * f * n
-        for j in range(grid):
-            phi = j / grid
-            ok = True
-            for t, (lo, hi) in zip(arcs_f, bounds):
-                y = f * t + phi
-                z = abs(2 * (y - int(y)) - 1.0)
-                if not lo <= z <= hi:
-                    ok = False
-                    break
-            if ok:
-                return SawtoothHeight(f, Fraction(j, grid))
+        for lo, hi in _box_phases(f, arcs_f, bounds):
+            for phi in _interval_phases(lo, hi, n_grid * f):
+                return SawtoothHeight(f, phi)
     return None
 
 
@@ -570,7 +472,7 @@ def emit_trajectory(
             m = len(comp.vertices)
             v_arcs = table.vertex_arcs[ci]
             total = table.total_lengths[ci]
-            verts = [(_fraction_mpf(x), _fraction_mpf(y)) for x, y in comp.vertices]
+            verts = [(to_mpf(x), to_mpf(y)) for x, y in comp.vertices]
 
             def planar_point(arc):
                 # locate the segment whose [start, end) arc interval holds ``arc``
@@ -592,7 +494,7 @@ def emit_trajectory(
                 z = evaluate_sawtooth(saw, arc)
                 x, y = verts[vi]
                 events.append((arc, TrajEvent("wall", arc, mirror_offset[ci] + vi), (x, y, z)))
-            phi = _fraction_mpf(saw.phase)
+            phi = to_mpf(saw.phase)
             # extrema in t in [0, 1) sit at h/2 in [phi, f + phi), phi < 1
             for half in range(2 * saw.frequency + 2):
                 h = mp.mpf(half) / 2

@@ -133,8 +133,9 @@ def _rational_near(value, delta: Fraction, draw: float) -> Fraction:
     return Fraction(int(mp.nint(shifted * scale)), scale)
 
 
-def _try_layout(star: StarDiagram, lines: list[tuple[Fraction, Fraction]]):
-    """Assemble polygon and crossings; return None when combinatorics differ."""
+def layout_from_lines(star: StarDiagram, lines: list[tuple[Fraction, Fraction]]):
+    """Polygon components and crossings cut out by one line per chord of the
+    star, or None when their combinatorics differ from the star's."""
     components = []
     seg_of_chord: dict[int, tuple[int, int]] = {}
     for ci, chain in enumerate(star.components):
@@ -241,7 +242,7 @@ def perturb(
                 lines.append((a, b))
             if len({a for a, _ in lines}) != star.p:
                 continue
-            layout = _try_layout(star, lines)
+            layout = layout_from_lines(star, lines)
             if layout is not None:
                 components, crossings = layout
                 return PerturbedPolygon(
@@ -253,8 +254,12 @@ def perturb(
     )
 
 
-def _fraction_mpf(x: Fraction):
-    return mp.mpf(x.numerator) / x.denominator
+def to_mpf(x):
+    """An mpf at the working precision; a Fraction is rounded once, by the
+    division of its numerator by its denominator."""
+    if isinstance(x, Fraction):
+        return mp.mpf(x.numerator) / x.denominator
+    return mp.mpf(x)
 
 
 def arc_length_table(poly: PerturbedPolygon, prec_bits: int = 256) -> ArcTable:
@@ -267,11 +272,11 @@ def arc_length_table(poly: PerturbedPolygon, prec_bits: int = 256) -> ArcTable:
     with mp.workprec(prec_bits):
         for comp in poly.components:
             m = len(comp.lines)
-            seg_factor = [mp.sqrt(1 + _fraction_mpf(a) ** 2) for a, _ in comp.lines]
+            seg_factor = [mp.sqrt(1 + to_mpf(a) ** 2) for a, _ in comp.lines]
             cumulative = [mp.mpf(0)]
             for i in range(m):
                 dx = comp.vertices[(i + 1) % m][0] - comp.vertices[i][0]
-                cumulative.append(cumulative[-1] + seg_factor[i] * abs(_fraction_mpf(dx)))
+                cumulative.append(cumulative[-1] + seg_factor[i] * abs(to_mpf(dx)))
             total = cumulative[-1]
             totals.append(total)
             factors.append(seg_factor)
@@ -284,7 +289,7 @@ def arc_length_table(poly: PerturbedPolygon, prec_bits: int = 256) -> ArcTable:
                 ci, i = place
                 comp = poly.components[ci]
                 dx = pc.point[0] - comp.vertices[i][0]
-                partial = factors[ci][i] * abs(_fraction_mpf(dx))
+                partial = factors[ci][i] * abs(to_mpf(dx))
                 arc = (cumulatives[ci][i] + partial) / totals[ci]
                 passages[ci].append(Passage(pc.index, arc, on_a))
 

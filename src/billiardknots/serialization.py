@@ -21,7 +21,7 @@ from .braids import QuasitoricPattern
 from .errors import SpecFileError
 from .heights import CrossingHeight, SawtoothHeight, SpatialTrajectory, TrajComponent, TrajEvent
 from .invariants import certify, jones_string
-from .perturbation import PerturbedPolygon, _try_layout
+from .perturbation import PerturbedPolygon, layout_from_lines
 from .pipeline import REFLECTION_TOL, RealizationResult
 from .stars import assign_braid_letters, build_star, star_diagram_json
 
@@ -327,7 +327,7 @@ def verify_artifacts(report_path) -> VerificationOutcome:
             flat_lines[chord] = (_parse_frac(a_s), _parse_frac(b_s))
     if any(line is None for line in flat_lines):
         raise SpecFileError("report lines do not cover every chord")
-    layout = _try_layout(star, flat_lines)
+    layout = layout_from_lines(star, flat_lines)
     checks = []
     if layout is None:
         checks.append(("combinatorics", False, "stored lines no longer match the star"))

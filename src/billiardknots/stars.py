@@ -95,14 +95,6 @@ class StarDiagram:
     crossings: tuple[Crossing, ...]
     signs_attached: bool = False
 
-    @property
-    def vertex_angles(self) -> tuple:
-        with mp.workprec(self.prec_bits):
-            return tuple(2 * mp.pi * k / self.p for k in range(self.p))
-
-    def crossing_by_chords(self) -> dict[tuple[int, int], Crossing]:
-        return {(c.chord_a, c.chord_b): c for c in self.crossings}
-
     def diagram_traversal(self, over_a_side: dict[int, bool]) -> DiagramTraversal:
         """Passage events per component; ``over_a_side[i]`` says whether the
         chord_a strand passes over at crossing i."""

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,6 +13,9 @@ from billiardknots.errors import DomainError, SearchExhaustedError
 from billiardknots.heights import (
     HeightConstraint,
     SawtoothHeight,
+    _box_phases,
+    _crossing_phases,
+    _frequency_tuples,
     build_height_constraints,
     emit_trajectory,
     evaluate_sawtooth,
@@ -21,6 +25,8 @@ from billiardknots.heights import (
 )
 from billiardknots.perturbation import arc_length_table, perturb
 from billiardknots.stars import ArcTable, Passage, assign_braid_letters, build_star
+
+from height_oracles import accepted_phases, first_hit, shell_order
 
 
 def test_sawtooth_anchor_values():
@@ -171,6 +177,78 @@ def test_joint_search_exhaustion_diagnostics():
     diag = err.value.diagnostics
     assert diag.satisfied == 1 and diag.total == 2
     assert len(diag.unsatisfied) == 1
+
+
+def _random_arc_table(rng, n_components, n_crossings, prec_bits=256):
+    """Crossings on random arcs; crossing 0 couples the first and the last
+    component."""
+    ends = [(0, n_components - 1)] + [
+        (rng.randrange(n_components), rng.randrange(n_components)) for _ in range(n_crossings - 1)
+    ]
+    passages = [[] for _ in range(n_components)]
+    constraints = []
+    with mp.workprec(prec_bits):
+        for i, (c1, c2) in enumerate(ends):
+            t1, t2 = mp.mpf(rng.random()), mp.mpf(rng.random())
+            passages[c1].append(Passage(i, t1, True))
+            passages[c2].append(Passage(i, t2, False))
+            constraints.append(HeightConstraint(i, c1, t1, c2, t2, rng.random() < 0.5))
+        vertex_arcs = tuple((mp.mpf(rng.random()),) for _ in range(n_components))
+    table = ArcTable(
+        prec_bits=prec_bits,
+        passages=tuple(tuple(sorted(ps, key=lambda p: p.arc)) for ps in passages),
+        vertex_arcs=vertex_arcs,
+        total_lengths=(mp.mpf(1),) * n_components,
+    )
+    return table, tuple(constraints)
+
+
+@pytest.mark.parametrize("n_components", [1, 2])
+def test_phase_engine_against_grid_oracle(n_components):
+    """Every grid phase the brute-force oracle accepts lies in the engine's
+    exact intervals, and the search stops no later in shell order than the
+    oracle's first hit."""
+    margin, f_max, slack = 0.05, 6, 1e-9
+    rng = random.Random(20261018 + n_components)
+    hits = 0
+    for _ in range(8):
+        table, cons = _random_arc_table(rng, n_components, rng.randint(3, 7 - n_components))
+        event_arcs = [
+            [float(t) for t in table.vertex_arcs[ci]] + [float(ps.arc) for ps in table.passages[ci]]
+            for ci in range(n_components)
+        ]
+        float_cons = [(c, float(c.first_arc), float(c.second_arc)) for c in cons]
+
+        def engine(f, k, fixed):
+            box = _box_phases(f, event_arcs[k], itertools.repeat((margin, 1 - margin)))
+            return _crossing_phases(f, k, box, float_cons, fixed, margin)
+
+        def inside(segs, phi):
+            return any(lo - slack <= phi <= hi + slack for lo, hi in segs)
+
+        for f_tuple in shell_order(n_components, f_max):
+            first = engine(f_tuple[0], 0, {})
+            last = {}  # the last component's intervals, per phase of the first
+            for phis in accepted_phases(f_tuple, event_arcs, cons, margin):
+                assert inside(first, phis[0]), (f_tuple, phis)
+                if n_components == 2:
+                    if phis[0] not in last:
+                        fixed = {0: SawtoothHeight(f_tuple[0], Fraction(phis[0]))}
+                        last[phis[0]] = engine(f_tuple[1], 1, fixed)
+                    assert inside(last[phis[0]], phis[1]), (f_tuple, phis)
+
+        oracle = first_hit(event_arcs, cons, f_max, margin)
+        if oracle is None:
+            continue
+        hits += 1
+        found = tuple(h.frequency for h in search_heights(cons, table, f_max=f_max, margin=margin))
+        assert (max(found), found) <= (max(oracle), oracle)
+    assert hits >= 4
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_frequency_tuples_follow_shell_order(d):
+    assert list(_frequency_tuples(d, 9)) == list(shell_order(d, 9))
 
 
 def test_emit_frequency_one_has_two_bounces():

@@ -66,6 +66,17 @@ def test_star_10_3_realizes_and_certifies():
     assert len(result.trajectory.crossing_heights) == 20
 
 
+def test_star_9_3_realizes_verifies_and_certifies(tmp_path):
+    """The only preset whose height search couples three components."""
+    result = realize(RealizationSpec(pattern=preset_pattern("star-9-3"), preset="star-9-3"))
+    assert result.passed
+    assert [h.frequency for h in result.heights] == [1, 3, 3]
+    write_artifacts(result, tmp_path, canonical=True)
+    outcome = verify_artifacts(tmp_path / "report.json")
+    assert outcome.passed, outcome.first_failure()
+    assert dict((name, ok) for name, ok, _ in outcome.checks)["certify"]
+
+
 def _write_spec(tmp_path, payload, name="spec.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
