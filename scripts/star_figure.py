@@ -12,47 +12,8 @@ import argparse
 import sys
 
 from billiardknots.braids import toric_pattern
+from billiardknots.serialization import star_svg
 from billiardknots.stars import assign_braid_letters, build_star, over_flags_from_signs
-
-
-def star_svg(p: int, q: int, plain: bool = False, gap: float = 0.035) -> str:
-    star = assign_braid_letters(build_star(p, q), toric_pattern(q, p))
-    over = over_flags_from_signs(star)
-    cuts = {c: [] for c in range(p)}
-    if not plain:
-        for cr in star.crossings:
-            chord = cr.chord_b if over[cr.index] else cr.chord_a
-            va = star.vertices[chord]
-            vb = star.vertices[(chord + q) % p]
-            dx, dy = float(vb[0] - va[0]), float(vb[1] - va[1])
-            px, py = float(cr.point[0]) - float(va[0]), float(cr.point[1]) - float(va[1])
-            cuts[chord].append((px * dx + py * dy) / (dx * dx + dy * dy))
-    parts = []
-    for chord in range(p):
-        va = star.vertices[chord]
-        vb = star.vertices[(chord + q) % p]
-        ax, ay, bx, by = float(va[0]), float(va[1]), float(vb[0]), float(vb[1])
-        spans = [(0.0, 1.0)]
-        for lam in sorted(cuts[chord]):
-            new = []
-            for lo, hi in spans:
-                if lam - gap > lo:
-                    new.append((lo, min(hi, lam - gap)))
-                if lam + gap < hi:
-                    new.append((max(lo, lam + gap), hi))
-            spans = new
-        for lo, hi in spans:
-            x0, y0 = ax + lo * (bx - ax), ay + lo * (by - ay)
-            x1, y1 = ax + hi * (bx - ax), ay + hi * (by - ay)
-            parts.append(
-                f'<path d="M {x0:.5f} {-y0:.5f} L {x1:.5f} {-y1:.5f}" '
-                'stroke="black" stroke-width="0.02" fill="none" stroke-linecap="round"/>'
-            )
-    body = "\n".join(parts)
-    return (
-        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="-1.25 -1.25 2.5 2.5">\n'
-        f"{body}\n</svg>\n"
-    )
 
 
 def main() -> int:
@@ -62,7 +23,8 @@ def main() -> int:
     parser.add_argument("outfile")
     parser.add_argument("--plain", action="store_true")
     args = parser.parse_args()
-    svg = star_svg(args.p, args.q, plain=args.plain)
+    star = assign_braid_letters(build_star(args.p, args.q), toric_pattern(args.q, args.p))
+    svg = star_svg(star, None if args.plain else over_flags_from_signs(star))
     with open(args.outfile, "w") as handle:
         handle.write(svg)
     print(f"wrote {args.outfile}")

@@ -1,22 +1,6 @@
 """Knots and links realized as closed billiard trajectories in convex prisms."""
 
-from .billiards import (
-    BilliardTable,
-    Mirror,
-    build_table,
-    internal_bisector,
-    mirror_room_check,
-    verify_reflection,
-)
-from .braids import (
-    BraidLetter,
-    QuasitoricPattern,
-    StrandPermutation,
-    closure_permutation,
-    component_count,
-    pad_to_min_repetitions,
-    toric_pattern,
-)
+from .braids import QuasitoricPattern, toric_pattern
 from .errors import (
     CombinatorialCollapseError,
     DegenerateAngleError,
@@ -27,102 +11,15 @@ from .errors import (
     SpecFileError,
     UnboundedTableError,
 )
-from .heights import (
-    HeightConstraint,
-    SawtoothHeight,
-    SpatialTrajectory,
-    build_height_constraints,
-    emit_trajectory,
-    evaluate_sawtooth,
-    height_pattern_feasible,
-    search_heights,
-    signed_residue,
-)
-from .invariants import (
-    certify,
-    diagram_jones,
-    extract_pd,
-    jones,
-    jones_mirror,
-    jones_string,
-    kauffman_bracket,
-    pattern_jones,
-    unlink_jones,
-)
-from .pdcodes import PDCode, braid_closure_pd, mirror_pd, pd_from_json, pd_to_json
-from .perturbation import (
-    PerturbedPolygon,
-    arc_length_table,
-    crossing_abscissa,
-    independence_check,
-    perturb,
-)
 from .pipeline import RealizationSpec, realize
-from .presets import PRESETS, preset_listing, preset_pattern
-from .stars import (
-    ArcTable,
-    StarDiagram,
-    assign_braid_letters,
-    build_star,
-    chords_cross,
-    star_arc_table,
-    trajectory_arc_lengths,
-)
+from .presets import PRESETS
 
 __all__ = [
-    "ArcTable",
-    "BilliardTable",
-    "BraidLetter",
-    "HeightConstraint",
-    "Mirror",
-    "PDCode",
     "PRESETS",
-    "PerturbedPolygon",
     "QuasitoricPattern",
     "RealizationSpec",
-    "SawtoothHeight",
-    "SpatialTrajectory",
-    "StarDiagram",
-    "StrandPermutation",
-    "arc_length_table",
-    "assign_braid_letters",
-    "braid_closure_pd",
-    "build_height_constraints",
-    "build_star",
-    "build_table",
-    "certify",
-    "chords_cross",
-    "closure_permutation",
-    "component_count",
-    "crossing_abscissa",
-    "diagram_jones",
-    "emit_trajectory",
-    "evaluate_sawtooth",
-    "extract_pd",
-    "height_pattern_feasible",
-    "independence_check",
-    "internal_bisector",
-    "jones",
-    "jones_mirror",
-    "jones_string",
-    "kauffman_bracket",
-    "mirror_pd",
-    "mirror_room_check",
-    "pad_to_min_repetitions",
-    "pattern_jones",
-    "pd_from_json",
-    "pd_to_json",
-    "perturb",
-    "preset_listing",
-    "preset_pattern",
     "realize",
-    "search_heights",
-    "signed_residue",
-    "star_arc_table",
     "toric_pattern",
-    "trajectory_arc_lengths",
-    "unlink_jones",
-    "verify_reflection",
     # errors
     "PipelineError",
     "DomainError",

@@ -124,15 +124,14 @@ class BilliardTable:
     floor: tuple                       # convex polygon vertices, CCW (mpf pairs)
     mirrors: tuple[Mirror, ...]
     edge_of_mirror: tuple[tuple[tuple, tuple], ...]  # edge endpoints per mirror
-    height: tuple[int, int] = (0, 1)
+    half_planes: tuple                 # (ux, uy, offset) per mirror: u . x >= offset
 
     def contains_xy(self, point, tol, prec_bits: int = 128) -> bool:
+        """Whether ``point`` lies in every mirror half-plane, up to ``tol``."""
         with mp.workprec(prec_bits):
             px, py = to_mpf(point[0]), to_mpf(point[1])
-            for mirror in self.mirrors:
-                vx, vy = to_mpf(mirror.vertex[0]), to_mpf(mirror.vertex[1])
-                ux, uy = mirror.direction
-                if ux * (px - vx) + uy * (py - vy) < -tol:
+            for ux, uy, offset in self.half_planes:
+                if ux * px + uy * py < offset - tol:
                     return False
             return True
 
@@ -140,72 +139,59 @@ class BilliardTable:
 def build_table(poly: PerturbedPolygon, prec_bits: int = 128) -> BilliardTable:
     """Intersect the mirror half-planes into the convex floor polygon.
 
-    Precondition: mirror_room_check passes.  Raises UnboundedTableError when
-    the half-planes do not bound a polygon (a failed precondition in
-    disguise).
+    Every trajectory vertex touches the floor, so each mirror line carries one
+    edge: ordered by outward-normal angle, consecutive lines meet at the
+    corners, counterclockwise from the smallest angle about their centroid.
+    Precondition: mirror_room_check passes.  Raises UnboundedTableError (a
+    failed precondition in disguise) when the normals span less than a
+    half-turn, two consecutive lines are parallel, or a corner leaves another
+    half-plane (that mirror would carry no edge).
     """
     mirrors = polygon_mirrors(poly, prec_bits)
     n = len(mirrors)
     with mp.workprec(prec_bits):
         # boundedness: outward normals (-u) must not fit in an open half-plane
-        angles = sorted(mp.atan2(-uy, -ux) for ux, uy in (m.direction for m in mirrors))
-        gaps = [angles[(i + 1) % n] - angles[i] for i in range(n - 1)]
-        gaps.append(angles[0] + 2 * mp.pi - angles[-1])
+        angle = [mp.atan2(-uy, -ux) for ux, uy in (m.direction for m in mirrors)]
+        order = sorted(range(n), key=angle.__getitem__)
+        gaps = [angle[order[k + 1]] - angle[order[k]] for k in range(n - 1)]
+        gaps.append(angle[order[0]] + 2 * mp.pi - angle[order[-1]])
         if max(gaps) >= mp.pi:
             raise UnboundedTableError("mirror normals span less than a half-turn")
 
-        norms = []
-        offs = []
+        half_planes = []
         for mirror in mirrors:
             ux, uy = mirror.direction
             vx, vy = to_mpf(mirror.vertex[0]), to_mpf(mirror.vertex[1])
-            norms.append((ux, uy))
-            offs.append(ux * vx + uy * vy)  # feasible: u . x >= off
-
-        scale = max(abs(o) for o in offs) + 1
+            half_planes.append((ux, uy, ux * vx + uy * vy))
+        scale = max(abs(offset) for _, _, offset in half_planes) + 1
         slack = scale * mp.mpf(2) ** (12 - prec_bits // 2)
 
-        candidates = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                (ax, ay), (bx, by) = norms[i], norms[j]
-                den = ax * by - ay * bx
-                if abs(den) < mp.mpf(2) ** (-prec_bits // 2):
-                    continue
-                x = (offs[i] * by - offs[j] * ay) / den
-                y = (ax * offs[j] - bx * offs[i]) / den
-                if all(norms[k][0] * x + norms[k][1] * y >= offs[k] - slack for k in range(n)):
-                    candidates.append((x, y, i, j))
-        if len(candidates) < 3:
-            raise UnboundedTableError("half-plane intersection degenerates")
-
-        cx = mp.fsum(c[0] for c in candidates) / len(candidates)
-        cy = mp.fsum(c[1] for c in candidates) / len(candidates)
-        ordered = sorted(candidates, key=lambda c: mp.atan2(c[1] - cy, c[0] - cx))
-        floor = []
-        for x, y, _, _ in ordered:
-            if floor and mp.hypot(x - floor[-1][0], y - floor[-1][1]) < slack:
-                continue
-            floor.append((x, y))
-        if len(floor) > 1 and mp.hypot(floor[0][0] - floor[-1][0], floor[0][1] - floor[-1][1]) < slack:
-            floor.pop()
-
-        edge_of_mirror = []
+        corners = []  # corners[k] is where the lines of order[k] and order[k + 1] meet
         for k in range(n):
-            on_line = [
-                (x, y)
-                for x, y in floor
-                if abs(norms[k][0] * x + norms[k][1] * y - offs[k]) <= 2 * slack
-            ]
-            if len(on_line) != 2:
-                raise UnboundedTableError(
-                    f"mirror {k} supports {len(on_line)} polygon vertices, expected an edge"
-                )
-            edge_of_mirror.append((on_line[0], on_line[1]))
+            i, j = sorted((order[k], order[(k + 1) % n]))
+            ax, ay, a_off = half_planes[i]
+            bx, by, b_off = half_planes[j]
+            den = ax * by - ay * bx
+            if abs(den) < mp.mpf(2) ** (-prec_bits // 2):
+                raise UnboundedTableError(f"consecutive mirrors {i} and {j} are parallel")
+            corners.append(((a_off * by - b_off * ay) / den, (ax * b_off - bx * a_off) / den))
 
-    return BilliardTable(
-        floor=tuple(floor), mirrors=tuple(mirrors), edge_of_mirror=tuple(edge_of_mirror)
-    )
+        cx = mp.fsum(x for x, _ in corners) / n
+        cy = mp.fsum(y for _, y in corners) / n
+        start = min(range(n), key=lambda k: mp.atan2(corners[k][1] - cy, corners[k][0] - cx))
+        edge_of_mirror = [None] * n
+        for k in range(n):
+            edge_of_mirror[order[k]] = (corners[k - 1], corners[k])
+        table = BilliardTable(
+            floor=tuple(corners[start:] + corners[:start]),
+            mirrors=tuple(mirrors),
+            edge_of_mirror=tuple(edge_of_mirror),
+            half_planes=tuple(half_planes),
+        )
+    for corner in corners:
+        if not table.contains_xy(corner, slack, prec_bits):
+            raise UnboundedTableError("a mirror carries no edge of the floor polygon")
+    return table
 
 
 @dataclass(frozen=True)
@@ -228,7 +214,6 @@ def verify_reflection(traj, table: BilliardTable, tol: float, prec_bits: int = 1
     violations = []
     with mp.workprec(prec_bits):
         tol_m = mp.mpf(tol)
-        mirror_list = table.mirrors
         for ci, comp in enumerate(traj.components):
             pts = comp.points
             n = len(pts)
@@ -261,7 +246,7 @@ def verify_reflection(traj, table: BilliardTable, tol: float, prec_bits: int = 1
                             f"component {ci} event {i}: {event.kind} bounce at z={mp.nstr(here[2], 8)}"
                         )
                 elif event.kind == "wall":
-                    mirror = mirror_list[event.mirror_index]
+                    mirror = table.mirrors[event.mirror_index]
                     ux, uy = mirror.direction
                     dot = d_in[0] * ux + d_in[1] * uy
                     expect = (d_in[0] - 2 * dot * ux, d_in[1] - 2 * dot * uy, d_in[2])

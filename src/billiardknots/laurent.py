@@ -63,11 +63,6 @@ def lp_pow(p: Laurent, k: int) -> Laurent:
     return res
 
 
-def lp_substitute_inverse(p: Laurent) -> Laurent:
-    """The image under variable -> variable^-1 (exponent negation)."""
-    return {-e: c for e, c in p.items()}
-
-
 def lp_to_string(p: Laurent, variable: str = "A", denominator: int = 1) -> str:
     """Render with exponents divided by ``denominator`` (2 for t^(1/2) units)."""
     if not p:

@@ -121,6 +121,23 @@ class DiagramTraversal:
     components: list[list[PassageEvent]] = field(default_factory=list)
 
 
+def passage_traversal(n_components: int, passages, over_a_side: dict[int, bool]) -> DiagramTraversal:
+    """Passage events per component, each component sorted by its keys.
+
+    ``passages`` holds one (component, sort key, crossing id, on chord_a,
+    direction) per strand passage; ``over_a_side[i]`` says whether the
+    chord_a strand passes over at crossing i.
+    """
+    per_comp: list[list[tuple]] = [[] for _ in range(n_components)]
+    for comp, key, crossing, on_a, direction in passages:
+        per_comp[comp].append((key, PassageEvent(crossing, over_a_side[crossing] == on_a, direction)))
+    traversal = DiagramTraversal()
+    for items in per_comp:
+        items.sort(key=lambda pair: pair[0])
+        traversal.components.append([ev for _, ev in items])
+    return traversal
+
+
 def traversal_pd(traversal: DiagramTraversal) -> tuple[PDCode, dict[int, int]]:
     """Build the PD code of a traversed diagram.
 

@@ -27,8 +27,8 @@ from fractions import Fraction
 import mpmath as mp
 
 from .errors import CombinatorialCollapseError, DomainError, PrecisionError
-from .pdcodes import DiagramTraversal, PassageEvent
-from .stars import ArcTable, Passage, StarDiagram
+from .pdcodes import DiagramTraversal, passage_traversal
+from .stars import ArcTable, Passage, StarDiagram, sorted_passages
 
 DENOMINATOR_BITS = 31
 MAX_HALVINGS = 60
@@ -71,9 +71,6 @@ class PerturbedPolygon:
     components: tuple[PolyComponent, ...]
     crossings: tuple[PolyCrossing, ...]
 
-    def crossing_map(self) -> dict[int, PolyCrossing]:
-        return {c.index: c for c in self.crossings}
-
     def all_vertices(self) -> list[tuple[Fraction, Fraction]]:
         return [v for comp in self.components for v in comp.vertices]
 
@@ -85,20 +82,13 @@ class PerturbedPolygon:
 
     def diagram_traversal(self, over_a_side: dict[int, bool]) -> DiagramTraversal:
         """Passage events in traversal order, with exact rational directions."""
-        per_comp: list[list[tuple]] = [[] for _ in self.components]
+        passages = []
         for pc in self.crossings:
-            for place, on_a in ((pc.a_place, True), (pc.b_place, False)):
-                comp, seg = place
+            for (comp, seg), on_a in ((pc.a_place, True), (pc.b_place, False)):
                 direction = self.segment_direction(comp, seg)
-                forward = direction[0] > 0
-                key = (seg, pc.point[0] if forward else -pc.point[0])
-                is_over = over_a_side[pc.index] == on_a
-                per_comp[comp].append((key, PassageEvent(pc.index, is_over, direction)))
-        traversal = DiagramTraversal()
-        for items in per_comp:
-            items.sort(key=lambda pair: pair[0])
-            traversal.components.append([ev for _, ev in items])
-        return traversal
+                key = (seg, pc.point[0] if direction[0] > 0 else -pc.point[0])
+                passages.append((comp, key, pc.index, on_a, direction))
+        return passage_traversal(len(self.components), passages, over_a_side)
 
 
 def _star_chord_geometry(star: StarDiagram):
@@ -293,17 +283,9 @@ def arc_length_table(poly: PerturbedPolygon, prec_bits: int = 256) -> ArcTable:
                 arc = (cumulatives[ci][i] + partial) / totals[ci]
                 passages[ci].append(Passage(pc.index, arc, on_a))
 
-        for per_comp in passages:
-            per_comp.sort(key=lambda ps: ps.arc)
-            for p1, p2 in zip(per_comp, per_comp[1:]):
-                if not p1.arc < p2.arc:
-                    raise DomainError(
-                        f"coincident passage arcs at crossings {p1.crossing}, {p2.crossing}"
-                    )
-
     return ArcTable(
         prec_bits=prec_bits,
-        passages=tuple(tuple(ps) for ps in passages),
+        passages=sorted_passages(passages),
         vertex_arcs=tuple(vertex_arcs),
         total_lengths=tuple(totals),
     )

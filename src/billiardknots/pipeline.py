@@ -90,33 +90,21 @@ class RealizationSpec:
                 pattern = QuasitoricPattern(strands, repetitions, signs)
             except DomainError as exc:
                 raise SpecFileError(str(exc)) from exc
+        kinds = {"seed": int, "delta": lambda v: Fraction(str(v)), "f_max": int,
+                 "margin": float, "precision_bits": int}
         try:
-            delta = Fraction(str(merged.get("delta", "1/1000")))
-            seed = int(merged.get("seed", 42))
-            f_max = int(merged.get("f_max", 10_000))
-            margin = float(merged.get("margin", 1e-3))
-            precision_bits = int(merged.get("precision_bits", 192))
-            arc_precision_bits = int(merged.get("arc_precision_bits", max(256, precision_bits)))
-        except (ValueError, ZeroDivisionError) as exc:
+            values = {name: kind(merged.get(name, getattr(cls, name))) for name, kind in kinds.items()}
+            values["arc_precision_bits"] = int(
+                merged.get("arc_precision_bits", max(cls.arc_precision_bits, values["precision_bits"]))
+            )
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise SpecFileError(f"malformed numeric field: {exc}") from exc
-        for name, value in (
-            ("delta", delta), ("f_max", f_max), ("margin", margin),
-            ("precision_bits", precision_bits),
-        ):
-            if value <= 0:
+        for name in ("delta", "f_max", "margin", "precision_bits"):
+            if values[name] <= 0:
                 raise SpecFileError(f"{name} must be positive")
-        if margin >= 0.5:
+        if values["margin"] >= 0.5:
             raise SpecFileError("margin must be below 1/2")
-        return cls(
-            pattern=pattern,
-            preset=merged.get("preset"),
-            seed=seed,
-            delta=delta,
-            f_max=f_max,
-            margin=margin,
-            precision_bits=precision_bits,
-            arc_precision_bits=arc_precision_bits,
-        )
+        return cls(pattern=pattern, preset=merged.get("preset"), **values)
 
 
 @dataclass

@@ -132,19 +132,17 @@ def prism_obj(result: RealizationResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def diagram_svg(result: RealizationResult, gap_fraction: float = 0.035) -> str:
-    """Star-polygon figure with the under strand broken at each crossing."""
-    star = result.star
-    over_flags = result.trajectory.over_flags()
+def star_svg(star, over_flags: dict[int, bool] | None = None, gap_fraction: float = 0.035) -> str:
+    """Star-polygon figure, one path per component; with ``over_flags``
+    (crossing id -> whether the chord_a strand is over) the under strand is
+    broken at each crossing."""
     cuts: dict[int, list[float]] = {c: [] for c in range(star.p)}
-    for cr in star.crossings:
-        under_on_a = not over_flags[cr.index]
-        chord = cr.chord_a if under_on_a else cr.chord_b
+    for cr in (star.crossings if over_flags is not None else ()):
+        chord = cr.chord_b if over_flags[cr.index] else cr.chord_a
         va, vb = star.vertices[chord], star.vertices[(chord + star.q) % star.p]
         dx, dy = float(vb[0] - va[0]), float(vb[1] - va[1])
         px, py = float(cr.point[0]) - float(va[0]), float(cr.point[1]) - float(va[1])
-        lam = (px * dx + py * dy) / (dx * dx + dy * dy)
-        cuts[chord].append(lam)
+        cuts[chord].append((px * dx + py * dy) / (dx * dx + dy * dy))
     paths = []
     for comp in star.components:
         parts = []
@@ -287,7 +285,7 @@ def write_artifacts(result: RealizationResult, outdir, canonical: bool = False) 
     _write_json(files["trajectory"], trajectory_json(result))
     _write_json(files["table"], table_json(result))
     _write_json(files["diagram"], star_diagram_json(result.star))
-    files["diagram_svg"].write_text(diagram_svg(result))
+    files["diagram_svg"].write_text(star_svg(result.star, result.trajectory.over_flags()))
     files["mesh"].write_text(prism_obj(result))
     return files
 
@@ -317,14 +315,13 @@ def verify_artifacts(report_path) -> VerificationOutcome:
         delta = _parse_frac(report["chosen_delta"])
         seed = int(report["spec"]["seed"])
         traj_file = report_path.parent / report["files"]["trajectory"]
-    except (KeyError, TypeError, ValueError) as exc:
+        star = assign_braid_letters(build_star(p, q, prec), pattern)
+        flat_lines: list[tuple[Fraction, Fraction] | None] = [None] * p
+        for comp_lines, chain in zip(lines_by_comp, star.components):
+            for chord, (a_s, b_s) in zip(chain, comp_lines):
+                flat_lines[chord] = (_parse_frac(a_s), _parse_frac(b_s))
+    except (KeyError, TypeError, ValueError) as exc:  # DomainError is a ValueError
         raise SpecFileError(f"malformed report: {exc}") from exc
-
-    star = assign_braid_letters(build_star(p, q, prec), pattern)
-    flat_lines: list[tuple[Fraction, Fraction] | None] = [None] * p
-    for comp_lines, chain in zip(lines_by_comp, star.components):
-        for chord, (a_s, b_s) in zip(chain, comp_lines):
-            flat_lines[chord] = (_parse_frac(a_s), _parse_frac(b_s))
     if any(line is None for line in flat_lines):
         raise SpecFileError("report lines do not cover every chord")
     layout = layout_from_lines(star, flat_lines)
@@ -340,6 +337,7 @@ def verify_artifacts(report_path) -> VerificationOutcome:
     )
 
     traj_data = _load_json(traj_file)
+    mirror_ids = range(len(poly.all_vertices()))
     try:
         components = []
         for comp in traj_data["components"]:
@@ -351,11 +349,20 @@ def verify_artifacts(report_path) -> VerificationOutcome:
                 TrajEvent(ev["kind"], mp.mpf(ev["arc"]), ev.get("mirror"))
                 for ev in comp["events"]
             )
+            if len(points) != len(events):
+                raise ValueError(f"{len(points)} points for {len(events)} events")
+            for m in (ev.mirror_index for ev in events if ev.kind == "wall"):
+                if type(m) is not int or m not in mirror_ids:
+                    raise ValueError(f"wall event at mirror {m!r}, not in {mirror_ids}")
             components.append(TrajComponent(points=points, events=events, sawtooth=saw))
         crossing_heights = tuple(
             CrossingHeight(int(ch["crossing"]), mp.mpf(ch["z_a"]), mp.mpf(ch["z_b"]))
             for ch in traj_data["crossing_heights"]
         )
+        if len(components) != len(poly.components):
+            raise ValueError(f"{len(components)} components, expected {len(poly.components)}")
+        if sorted(ch.crossing for ch in crossing_heights) != [c.index for c in star.crossings]:
+            raise ValueError("crossing_heights must name every crossing exactly once")
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecFileError(f"malformed trajectory file: {exc}") from exc
     trajectory = SpatialTrajectory(

@@ -34,7 +34,7 @@ import mpmath as mp
 
 from .braids import QuasitoricPattern
 from .errors import DomainError
-from .pdcodes import DiagramTraversal, PassageEvent
+from .pdcodes import DiagramTraversal, passage_traversal
 
 ROTATION_TANGENT = (1, 17)
 
@@ -98,26 +98,16 @@ class StarDiagram:
     def diagram_traversal(self, over_a_side: dict[int, bool]) -> DiagramTraversal:
         """Passage events per component; ``over_a_side[i]`` says whether the
         chord_a strand passes over at crossing i."""
-        directions = {}
-        for cid, (va, vb) in enumerate(self.chords):
-            ax, ay = self.vertices[va]
-            bx, by = self.vertices[vb]
-            directions[cid] = (bx - ax, by - ay)
-        events: list[list[tuple]] = [[] for _ in self.components]
+        passages = []
         for c in self.crossings:
             for comp, arc, on_a in (
                 (c.first_component, c.first_arc, c.a_side_is_first),
                 (c.second_component, c.second_arc, not c.a_side_is_first),
             ):
-                chord = c.chord_a if on_a else c.chord_b
-                events[comp].append(
-                    (arc, PassageEvent(c.index, over_a_side[c.index] == on_a, directions[chord]))
-                )
-        traversal = DiagramTraversal()
-        for per_comp in events:
-            per_comp.sort(key=lambda pair: pair[0])
-            traversal.components.append([ev for _, ev in per_comp])
-        return traversal
+                va, vb = self.chords[c.chord_a if on_a else c.chord_b]
+                (ax, ay), (bx, by) = self.vertices[va], self.vertices[vb]
+                passages.append((comp, arc, c.index, on_a, (bx - ax, by - ay)))
+        return passage_traversal(len(self.components), passages, over_a_side)
 
 
 def _component_layout(p: int, q: int) -> tuple[tuple[tuple[int, ...], ...], dict[int, tuple[int, int]]]:
@@ -223,28 +213,27 @@ def build_star(p: int, q: int, prec_bits: int = 128) -> StarDiagram:
     )
 
 
-def trajectory_arc_lengths(diagram: StarDiagram) -> tuple[tuple[tuple[int, object], ...], ...]:
-    """Per-component passage lists (crossing id, arc), strictly increasing.
-
-    Each component is traversed chord by chord at unit speed and normalized
-    to total length 1; every crossing contributes two passages overall.
-    """
-    per_comp: list[list[tuple[int, object]]] = [[] for _ in diagram.components]
-    for c in diagram.crossings:
-        per_comp[c.first_component].append((c.index, c.first_arc))
-        per_comp[c.second_component].append((c.index, c.second_arc))
+def sorted_passages(per_comp: list[list[Passage]]) -> tuple[tuple[Passage, ...], ...]:
+    """Each component's passages by increasing arc; raises DomainError when
+    two passages of one component share an arc."""
     out = []
     for passages in per_comp:
-        passages.sort(key=lambda pair: pair[1])
-        for (i1, a1), (i2, a2) in zip(passages, passages[1:]):
-            if not a1 < a2:
-                raise DomainError(f"coincident passages at crossings {i1}, {i2}")
+        passages = sorted(passages, key=lambda ps: ps.arc)
+        for p1, p2 in zip(passages, passages[1:]):
+            if not p1.arc < p2.arc:
+                raise DomainError(
+                    f"coincident passage arcs at crossings {p1.crossing}, {p2.crossing}"
+                )
         out.append(tuple(passages))
     return tuple(out)
 
 
 def star_arc_table(diagram: StarDiagram) -> ArcTable:
-    """Arc table of the unperturbed star (all chords have equal length)."""
+    """Arc table of the unperturbed star (all chords have equal length).
+
+    Each component is traversed chord by chord at unit speed and normalized
+    to total length 1; every crossing contributes two passages overall.
+    """
     per_comp: list[list[Passage]] = [[] for _ in diagram.components]
     for c in diagram.crossings:
         per_comp[c.first_component].append(Passage(c.index, c.first_arc, c.a_side_is_first))
@@ -256,11 +245,9 @@ def star_arc_table(diagram: StarDiagram) -> ArcTable:
             tuple(mp.mpf(j) / span for j in range(span)) for _ in diagram.components
         )
         totals = tuple(span * chord_len for _ in diagram.components)
-    for passages in per_comp:
-        passages.sort(key=lambda ps: ps.arc)
     return ArcTable(
         prec_bits=diagram.prec_bits,
-        passages=tuple(tuple(ps) for ps in per_comp),
+        passages=sorted_passages(per_comp),
         vertex_arcs=vertex_arcs,
         total_lengths=totals,
     )

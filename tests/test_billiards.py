@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import mpmath as mp
 import pytest
+from table_oracles import pairwise_floor
 
 from billiardknots.billiards import (
     build_table,
@@ -14,7 +15,8 @@ from billiardknots.billiards import (
     verify_reflection,
 )
 from billiardknots.errors import DegenerateAngleError, UnboundedTableError
-from billiardknots.perturbation import perturb
+from billiardknots.heights import SawtoothHeight, emit_trajectory
+from billiardknots.perturbation import arc_length_table, perturb
 from billiardknots.stars import build_star
 
 
@@ -145,6 +147,21 @@ def test_build_table_degenerate_raises():
                          (Fraction(2), Fraction(3)), (Fraction(2), Fraction(1))]])
     with pytest.raises(UnboundedTableError):
         build_table(bad)
+    with pytest.raises(UnboundedTableError):
+        pairwise_floor(bad)
+
+
+@pytest.mark.parametrize("p,q", [(5, 2), (7, 3), (10, 2), (10, 3), (9, 4)])
+def test_build_table_matches_pairwise_oracle(p, q):
+    """Consecutive mirror lines give the oracle's floor, bit for bit and in
+    the same order."""
+    star = build_star(p, q, prec_bits=192)
+    for seed in (1, 2, 3):
+        poly = perturb(star, Fraction(1, 1000), seed=seed)
+        assert mirror_room_check(poly, prec_bits=192).passed
+        floor = build_table(poly, prec_bits=192).floor
+        assert len(floor) == p
+        assert floor == pairwise_floor(poly, prec_bits=192)
 
 
 def make_simple_traj(points, events):
@@ -189,6 +206,20 @@ def test_verify_reflection_emitted_trajectory_and_corruption():
     report = verify_reflection(broken, table, 1e-9, prec_bits=192)
     assert not report.passed
     assert any("event 2" in v or "event 1" in v or "event 3" in v for v in report.violations)
+
+
+def test_verify_reflection_names_bounce_point_outside_floor():
+    poly = pentagram_polygon()
+    table = build_table(poly, prec_bits=192)
+    arcs = arc_length_table(poly, 256)
+    comp = emit_trajectory(poly, (SawtoothHeight(1, Fraction(1, 3)),), arcs, 192).components[0]
+    for kind in ("floor", "ceiling"):
+        i = next(i for i, ev in enumerate(comp.events) if ev.kind == kind)
+        pts = list(comp.points)
+        x, y, z = pts[i]
+        pts[i] = (x + 10, y, z)
+        report = verify_reflection(make_simple_traj(pts, comp.events), table, 1e-9, 192)
+        assert f"component 0 point {i}: leaves the floor polygon" in report.violations
 
 
 def test_lemma1_jitter_stability_pentagram():

@@ -1,3 +1,4 @@
+from billiardknots.invariants import jones_mirror
 from billiardknots.laurent import (
     lp,
     lp_add,
@@ -5,7 +6,6 @@ from billiardknots.laurent import (
     lp_pow,
     lp_scale,
     lp_shift,
-    lp_substitute_inverse,
     lp_to_string,
 )
 
@@ -29,7 +29,7 @@ def test_pow_and_shift():
     assert lp_pow(delta, 2) == {4: 1, 0: 2, -4: 1}
     assert lp_shift(delta, 3) == {5: -1, 1: -1}
     assert lp_scale(delta, -2) == {2: 2, -2: 2}
-    assert lp_substitute_inverse(lp((3, 1), (-1, 4))) == {-3: 1, 1: 4}
+    assert jones_mirror(lp((3, 1), (-1, 4))) == {-3: 1, 1: 4}
 
 
 def test_string_rendering():

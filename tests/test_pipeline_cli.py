@@ -32,6 +32,8 @@ def test_spec_validation_errors():
         )
     with pytest.raises(SpecFileError):
         RealizationSpec.from_dict({"preset": "trefoil", "margin": 0.6})
+    with pytest.raises(SpecFileError):
+        RealizationSpec.from_dict({"preset": "trefoil", "seed": None})
 
 
 def test_spec_from_dict_defaults_and_overrides():
@@ -166,6 +168,56 @@ def test_cli_verify_detects_flipped_crossing(tmp_path, capsys):
     assert main(["verify", str(out / "report.json")]) == 4
     printed = capsys.readouterr()
     assert "certify: FAIL" in printed.out
+
+
+def _first_wall(component):
+    return next(ev for ev in component["events"] if ev["kind"] == "wall")
+
+
+TRAJECTORY_CORRUPTIONS = {
+    "extra-event": lambda d: d["components"][0]["events"].append(
+        dict(d["components"][0]["events"][-1])
+    ),
+    "dropped-point": lambda d: d["components"][0]["points"].pop(),
+    "mirror-999": lambda d: _first_wall(d["components"][0]).update(mirror=999),
+    "mirror-null": lambda d: _first_wall(d["components"][0]).update(mirror=None),
+    "mirror-negative": lambda d: _first_wall(d["components"][0]).update(mirror=-1),
+    "missing-crossing-height": lambda d: d["crossing_heights"].pop(),
+    "dropped-component": lambda d: d["components"].pop(),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(TRAJECTORY_CORRUPTIONS))
+def test_cli_verify_malformed_trajectory_is_a_parse_error(
+    tmp_path, trefoil_result, capsys, corruption
+):
+    files = write_artifacts(trefoil_result, tmp_path, canonical=True)
+    data = json.loads(files["trajectory"].read_text())
+    TRAJECTORY_CORRUPTIONS[corruption](data)
+    files["trajectory"].write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(files["report"])]) == 3
+    assert "parse error" in capsys.readouterr().err
+
+
+REPORT_CORRUPTIONS = {
+    "star-p-mismatch": lambda d: d["star"].update(p=d["star"]["p"] + 2),
+    "star-below-regime": lambda d: d["star"].update(q=d["star"]["q"] + 1),
+    "line-not-a-pair": lambda d: d["lines"][0].__setitem__(0, d["lines"][0][0][:1]),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(REPORT_CORRUPTIONS))
+def test_cli_verify_malformed_report_is_a_parse_error(
+    tmp_path, trefoil_result, capsys, corruption
+):
+    files = write_artifacts(trefoil_result, tmp_path, canonical=True)
+    data = json.loads(files["report"].read_text())
+    REPORT_CORRUPTIONS[corruption](data)
+    files["report"].write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(files["report"])]) == 3
+    assert "parse error" in capsys.readouterr().err
 
 
 def test_verify_artifacts_reports_checks(tmp_path, trefoil_result):

@@ -8,12 +8,13 @@ from billiardknots.braids import QuasitoricPattern, toric_pattern
 from billiardknots.errors import DomainError
 from billiardknots.invariants import diagram_jones, pattern_jones
 from billiardknots.stars import (
+    Passage,
     assign_braid_letters,
     build_star,
     chords_cross,
     over_flags_from_signs,
+    sorted_passages,
     star_arc_table,
-    trajectory_arc_lengths,
 )
 
 
@@ -100,9 +101,9 @@ def test_rotational_symmetry_of_crossings():
 
 def test_pentagram_arc_lengths():
     d = build_star(5, 2)
-    (passages,) = trajectory_arc_lengths(d)
+    (passages,) = star_arc_table(d).passages
     assert len(passages) == 10
-    arcs = [a for _, a in passages]
+    arcs = [ps.arc for ps in passages]
     assert all(0 < a < 1 for a in arcs)
     assert all(a1 < a2 for a1, a2 in zip(arcs, arcs[1:]))
     # 5-fold symmetry: the arc multiset is invariant under t -> t + 1/5
@@ -114,11 +115,19 @@ def test_pentagram_arc_lengths():
 def test_every_crossing_has_two_passages():
     d = build_star(10, 3)
     seen = {}
-    for passages in trajectory_arc_lengths(d):
-        for idx, _ in passages:
-            seen[idx] = seen.get(idx, 0) + 1
+    for passages in star_arc_table(d).passages:
+        for ps in passages:
+            seen[ps.crossing] = seen.get(ps.crossing, 0) + 1
     assert all(v == 2 for v in seen.values())
     assert len(seen) == 20
+
+
+def test_coincident_passage_arcs_raise():
+    arc = mp.mpf(1) / 3
+    with pytest.raises(DomainError, match="coincident passage arcs at crossings 0, 1"):
+        sorted_passages(
+            [[Passage(2, mp.mpf(1) / 2, True), Passage(0, arc, False), Passage(1, arc, True)]]
+        )
 
 
 def test_pentagram_total_length():
@@ -139,12 +148,12 @@ def test_same_component_passage_order():
 
 def test_link_components_normalized_separately():
     d = build_star(10, 2)
-    tables = trajectory_arc_lengths(d)
+    star_table = star_arc_table(d)
+    tables = star_table.passages
     assert len(tables) == 2
     for passages in tables:
-        arcs = [float(a) for _, a in passages]
+        arcs = [float(ps.arc) for ps in passages]
         assert all(0 < a < 1 for a in arcs)
-    star_table = star_arc_table(d)
     assert len(star_table.total_lengths) == 2
     assert mp.almosteq(star_table.total_lengths[0], star_table.total_lengths[1])
 
