@@ -224,6 +224,8 @@ def report_json(result: RealizationResult, canonical: bool = False) -> dict:
             "passed": result.independence.passed,
             "witness": list(result.independence.witness) if result.independence.witness else None,
             "component": result.independence.component,
+            "steps": list(result.independence.steps),
+            "exits": list(result.independence.exits),
         },
         "heights": [
             {
@@ -311,6 +313,8 @@ def verify_artifacts(report_path) -> VerificationOutcome:
         pattern = _pattern_from_json(report["padded_pattern"])
         p, q = int(report["star"]["p"]), int(report["star"]["q"])
         prec = int(report["spec"]["precision_bits"])
+        if prec < 1:
+            raise ValueError(f"precision_bits must be positive, got {prec}")
         lines_by_comp = report["lines"]
         delta = _parse_frac(report["chosen_delta"])
         seed = int(report["spec"]["seed"])

@@ -204,6 +204,8 @@ REPORT_CORRUPTIONS = {
     "star-p-mismatch": lambda d: d["star"].update(p=d["star"]["p"] + 2),
     "star-below-regime": lambda d: d["star"].update(q=d["star"]["q"] + 1),
     "line-not-a-pair": lambda d: d["lines"][0].__setitem__(0, d["lines"][0][0][:1]),
+    "precision-zero": lambda d: d["spec"].update(precision_bits=0),
+    "precision-negative": lambda d: d["spec"].update(precision_bits=-5),
 }
 
 
