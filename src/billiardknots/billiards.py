@@ -17,9 +17,11 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .errors import DegenerateAngleError, DomainError, UnboundedTableError
+from .heights import component_events, passage_heights
 from .perturbation import PerturbedPolygon, to_mpf
+from .stars import ArcTable
 
-DEFAULT_MARGIN_FACTOR = 1e-12  # of the trajectory diameter
+MARGIN_FACTOR = 1e-12  # of the trajectory diameter
 
 
 def internal_bisector(prev, at, next_, prec_bits: int = 128):
@@ -78,14 +80,10 @@ def polygon_mirrors(poly: PerturbedPolygon, prec_bits: int = 128) -> list[Mirror
     return mirrors
 
 
-def mirror_room_check(
-    poly: PerturbedPolygon,
-    margin_factor: float = DEFAULT_MARGIN_FACTOR,
-    prec_bits: int = 128,
-) -> MirrorRoomReport:
+def mirror_room_check(poly: PerturbedPolygon, prec_bits: int = 128) -> MirrorRoomReport:
     """Strict mirror-room condition: u_k . (P_i - P_k) > margin for all i != k.
 
-    The margin is ``margin_factor`` times the trajectory diameter, guarding
+    The margin is ``MARGIN_FACTOR`` times the trajectory diameter, guarding
     the square roots inside the bisector normalization; everything else is
     exact.  All vertices of all components count, so for links every mirror
     room must contain the whole union.
@@ -97,7 +95,7 @@ def mirror_room_check(
         diameter = max(
             mp.hypot(p[0] - q[0], p[1] - q[1]) for p in pts for q in pts if p != q
         )
-        threshold = mp.mpf(margin_factor) * diameter
+        threshold = mp.mpf(MARGIN_FACTOR) * diameter
         margin = None
         witness = None
         for k, mirror in enumerate(mirrors):
@@ -203,60 +201,91 @@ class ReflectionReport:
         return self.passed
 
 
-def verify_reflection(traj, table: BilliardTable, tol: float, prec_bits: int = 128) -> ReflectionReport:
-    """Check the reflection law at every bounce and containment in the prism.
+def verify_reflection(
+    traj, table: BilliardTable, arcs: ArcTable, tol: float, prec_bits: int = 128
+) -> ReflectionReport:
+    """Check a trajectory against its closed form, and the planar law at
+    every wall vertex.
 
-    ``traj`` provides per-component 3D points with event tags ('wall' with a
-    mirror index, 'floor', 'ceiling').  Wall bounces must reflect the
-    horizontal direction across the mirror line with z-slope carried
-    through; floor and ceiling bounces flip the vertical component.
+    A path in the prism is a planar billiard path times a sawtooth bounce
+    in [0, 1], so the table's vertices, their arcs and one (f, phi) per
+    component fix it.  Each component's events are regenerated from its own
+    sawtooth (``heights.component_events``) and zipped against the stored
+    ones: kinds and mirrors must be equal, arcs and points within ``tol``,
+    and so must every crossing's passage heights.  A component with other
+    than m + 2f events is rejected before anything is generated.
+
+    Why the regenerated path obeys the 3D law, so that the stored one is
+    within ``tol`` of a billiard path: between consecutive events the
+    planar position is linear in arc length (one segment), and so is z (no
+    extremum in between), with planar speed the component's length and
+    vertical speed 2f throughout.  At a wall vertex the planar direction
+    reflects in the mirror, because the mirror's normal is the internal
+    angle bisector there (checked once per vertex below), while dz/dt
+    carries through; at a floor or ceiling event the planar direction
+    carries through and dz/dt flips.  Containment needs no per-point test:
+    the mirror-room check, a precondition here, puts every vertex in every
+    mirror half-plane, hence in the convex floor, and so every point of a
+    segment between consecutive vertices; z is a sawtooth value in [0, 1].
     """
+    n_comp = arcs.component_count()
+    if len(traj.components) != n_comp:
+        return ReflectionReport(False, (f"{len(traj.components)} components, expected {n_comp}",))
     violations = []
     with mp.workprec(prec_bits):
         tol_m = mp.mpf(tol)
+        end = 0
         for ci, comp in enumerate(traj.components):
-            pts = comp.points
-            n = len(pts)
-            if n < 3:
-                violations.append(f"component {ci}: fewer than 3 points")
-                continue
-            for i, (x, y, z) in enumerate(pts):
-                if z < -tol_m or z > 1 + tol_m:
-                    violations.append(f"component {ci} point {i}: z={mp.nstr(z, 8)} outside [0,1]")
-                if not table.contains_xy((x, y), tol_m, prec_bits):
-                    violations.append(f"component {ci} point {i}: leaves the floor polygon")
-            for i, event in enumerate(comp.events):
-                prev_pt = pts[(i - 1) % n]
-                here = pts[i]
-                next_pt = pts[(i + 1) % n]
-                d_in = [here[j] - prev_pt[j] for j in range(3)]
-                d_out = [next_pt[j] - here[j] for j in range(3)]
-                nin = mp.sqrt(mp.fsum(c * c for c in d_in))
-                nout = mp.sqrt(mp.fsum(c * c for c in d_out))
-                if nin == 0 or nout == 0:
-                    violations.append(f"component {ci} event {i}: repeated point")
-                    continue
-                d_in = [c / nin for c in d_in]
-                d_out = [c / nout for c in d_out]
-                if event.kind in ("floor", "ceiling"):
-                    expect = (d_in[0], d_in[1], -d_in[2])
-                    z_expect = mp.mpf(0) if event.kind == "floor" else mp.mpf(1)
-                    if abs(here[2] - z_expect) > tol_m:
-                        violations.append(
-                            f"component {ci} event {i}: {event.kind} bounce at z={mp.nstr(here[2], 8)}"
-                        )
-                elif event.kind == "wall":
-                    mirror = table.mirrors[event.mirror_index]
-                    ux, uy = mirror.direction
-                    dot = d_in[0] * ux + d_in[1] * uy
-                    expect = (d_in[0] - 2 * dot * ux, d_in[1] - 2 * dot * uy, d_in[2])
-                else:
-                    violations.append(f"component {ci} event {i}: unknown kind {event.kind}")
-                    continue
-                err = max(abs(d_out[j] - expect[j]) for j in range(3))
+            v_arcs = arcs.vertex_arcs[ci]
+            m = len(v_arcs)
+            first, end = end, end + m
+            mirrors = table.mirrors[first:end]
+            vertices = [mirror.vertex for mirror in mirrors]
+            for i, mirror in enumerate(mirrors):
+                u = internal_bisector(vertices[i - 1], vertices[i], vertices[(i + 1) % m], prec_bits)
+                err = max(abs(a - b) for a, b in zip(u, mirror.direction))
                 if err > tol_m:
                     violations.append(
-                        f"reflection law violated at component {ci} event {i} "
-                        f"({event.kind}, vertex {getattr(event, 'mirror_index', '-')}): err={mp.nstr(err, 6)}"
+                        f"reflection law violated at component {ci} vertex {i}: mirror "
+                        f"{first + i} is off the angle bisector by {mp.nstr(err, 6)}"
                     )
+            saw = comp.sawtooth
+            if not len(comp.events) == len(comp.points) == m + 2 * saw.frequency:
+                violations.append(
+                    f"component {ci}: {len(comp.events)} events and {len(comp.points)} points, "
+                    f"expected {m} walls + {2 * saw.frequency} bounces"
+                )
+                continue
+            stream = component_events(vertices, v_arcs, first, saw)
+            try:
+                for i, ((want, at), event, point) in enumerate(zip(stream, comp.events, comp.points)):
+                    arc_err = abs(event.arc - want.arc)
+                    point_err = max(abs(point[j] - at[j]) for j in range(3))
+                    if (event.kind, event.mirror_index) != (want.kind, want.mirror_index):
+                        problem = (
+                            f"stored {event.kind} event (mirror {event.mirror_index}), "
+                            f"closed form {want.kind} (mirror {want.mirror_index})"
+                        )
+                    elif max(arc_err, point_err) > tol_m:
+                        problem = (
+                            f"arc off the closed form by {mp.nstr(arc_err, 6)}, "
+                            f"point by {mp.nstr(point_err, 6)}"
+                        )
+                    else:
+                        continue
+                    violations.append(f"reflection law violated at component {ci} event {i}: {problem}")
+                    break
+            except DomainError as exc:
+                violations.append(f"component {ci}: {exc}")
+
+        expected = passage_heights([comp.sawtooth for comp in traj.components], arcs)
+        stored = sorted(traj.crossing_heights, key=lambda ch: ch.crossing)
+        if [ch.crossing for ch in stored] != [ch.crossing for ch in expected]:
+            violations.append("the crossing heights do not name every crossing once")
+        for got, want in zip(stored, expected):
+            err = max(abs(got.z_a - want.z_a), abs(got.z_b - want.z_b))
+            if err > tol_m:
+                violations.append(
+                    f"crossing {want.crossing}: passage heights off the sawtooth by {mp.nstr(err, 6)}"
+                )
     return ReflectionReport(passed=not violations, violations=tuple(violations))

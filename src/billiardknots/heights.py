@@ -444,6 +444,51 @@ class SpatialTrajectory:
         return self.poly.diagram_traversal(self.over_flags())
 
 
+def component_events(vertices, vertex_arcs, first_mirror: int, saw: SawtoothHeight):
+    """Yield one component's events in arc order, each with its 3D point.
+
+    Wall vertex i sits at arc ``vertex_arcs[i]`` and height z(arc); the 2f
+    sawtooth extrema sit at arcs (h/2 - phi)/f in [0, 1), at height 1
+    (ceiling, integer h) or 0 (floor), on the planar segment whose arc
+    interval holds them.  The walk goes segment by segment, so it is linear
+    in m + 2f.  Rounds at the caller's working precision; raises
+    DomainError when two events coincide.
+    """
+    m = len(vertices)
+    phi = to_mpf(saw.phase)
+    verts = [(to_mpf(x), to_mpf(y)) for x, y in vertices]
+    # extrema in t in [0, 1) sit at h/2 in [phi, f + phi), phi < 1
+    extrema = itertools.dropwhile(
+        lambda extremum: extremum[0] < 0,
+        (((mp.mpf(half) / 2 - phi) / saw.frequency, half % 2 == 0) for half in itertools.count()),
+    )
+    t_star, ceiling = next(extrema)
+    for i in range(m):
+        start = vertex_arcs[i]
+        end = vertex_arcs[i + 1] if i + 1 < m else mp.mpf(1)
+        (x0, y0), (x1, y1) = verts[i], verts[(i + 1) % m]
+        yield TrajEvent("wall", start, first_mirror + i), (x0, y0, evaluate_sawtooth(saw, start))
+        previous, span, dx, dy = start, end - start, x1 - x0, y1 - y0
+        while t_star < end:
+            if not previous < t_star:
+                raise DomainError("coincident trajectory events; margin too small")
+            lam = (t_star - start) / span
+            point = (x0 + lam * dx, y0 + lam * dy, mp.mpf(1 if ceiling else 0))
+            yield TrajEvent("ceiling" if ceiling else "floor", t_star), point
+            previous = t_star
+            t_star, ceiling = next(extrema)
+
+
+def passage_heights(heights, table: ArcTable) -> tuple[CrossingHeight, ...]:
+    """Both passage heights of every crossing, by crossing index, at the
+    caller's working precision."""
+    sides: dict[int, dict[bool, object]] = {}
+    for saw, passages in zip(heights, table.passages):
+        for ps in passages:
+            sides.setdefault(ps.crossing, {})[ps.is_a_side] = evaluate_sawtooth(saw, ps.arc)
+    return tuple(CrossingHeight(cid, z[True], z[False]) for cid, z in sorted(sides.items()))
+
+
 def emit_trajectory(
     poly: PerturbedPolygon,
     heights,
@@ -451,7 +496,8 @@ def emit_trajectory(
     prec_bits: int = 128,
 ) -> SpatialTrajectory:
     """Assemble the closed 3D polyline: wall vertices at sawtooth heights,
-    floor/ceiling bounce points inserted at the sawtooth extrema.
+    floor/ceiling bounce points inserted at the sawtooth extrema (the
+    events of ``component_events``).
 
     Projecting the result to the floor recovers the polygon exactly; between
     consecutive events both the planar position and the height are linear in
@@ -459,82 +505,13 @@ def emit_trajectory(
     """
     if len(heights) != len(poly.components):
         raise DomainError("one sawtooth per component required")
-    mirror_offset = []
-    offset = 0
-    for comp in poly.components:
-        mirror_offset.append(offset)
-        offset += len(comp.vertices)
-
     components = []
+    first_mirror = 0
     with mp.workprec(prec_bits):
-        for ci, comp in enumerate(poly.components):
-            saw = heights[ci]
-            m = len(comp.vertices)
-            v_arcs = table.vertex_arcs[ci]
-            total = table.total_lengths[ci]
-            verts = [(to_mpf(x), to_mpf(y)) for x, y in comp.vertices]
-
-            def planar_point(arc):
-                # locate the segment whose [start, end) arc interval holds ``arc``
-                seg = m - 1
-                for i in range(m - 1):
-                    if v_arcs[i] <= arc < v_arcs[i + 1]:
-                        seg = i
-                        break
-                x0, y0 = verts[seg]
-                x1, y1 = verts[(seg + 1) % m]
-                seg_end = v_arcs[seg + 1] if seg + 1 < m else mp.mpf(1)
-                span = seg_end - v_arcs[seg]
-                lam = (arc - v_arcs[seg]) / span
-                return (x0 + lam * (x1 - x0), y0 + lam * (y1 - y0))
-
-            events = []
-            for vi in range(m):
-                arc = v_arcs[vi]
-                z = evaluate_sawtooth(saw, arc)
-                x, y = verts[vi]
-                events.append((arc, TrajEvent("wall", arc, mirror_offset[ci] + vi), (x, y, z)))
-            phi = to_mpf(saw.phase)
-            # extrema in t in [0, 1) sit at h/2 in [phi, f + phi), phi < 1
-            for half in range(2 * saw.frequency + 2):
-                h = mp.mpf(half) / 2
-                t_star = (h - phi) / saw.frequency
-                if 0 <= t_star < 1:
-                    kind = "ceiling" if half % 2 == 0 else "floor"
-                    z = mp.mpf(1) if kind == "ceiling" else mp.mpf(0)
-                    x, y = planar_point(t_star)
-                    events.append((t_star, TrajEvent(kind, t_star), (x, y, z)))
-            events.sort(key=lambda item: item[0])
-            for (a1, _, _), (a2, _, _) in zip(events, events[1:]):
-                if not a1 < a2:
-                    raise DomainError("coincident trajectory events; margin too small")
-            components.append(
-                TrajComponent(
-                    points=tuple(pt for _, _, pt in events),
-                    events=tuple(ev for _, ev, _ in events),
-                    sawtooth=saw,
-                )
-            )
-
-        crossing_heights = []
-        arcs_by_crossing: dict[int, dict[bool, tuple[int, object]]] = {}
-        for ci, passages in enumerate(table.passages):
-            for ps in passages:
-                arcs_by_crossing.setdefault(ps.crossing, {})[ps.is_a_side] = (ci, ps.arc)
-        for cid in sorted(arcs_by_crossing):
-            sides = arcs_by_crossing[cid]
-            ca, ta = sides[True]
-            cb, tb = sides[False]
-            crossing_heights.append(
-                CrossingHeight(
-                    crossing=cid,
-                    z_a=evaluate_sawtooth(heights[ca], ta),
-                    z_b=evaluate_sawtooth(heights[cb], tb),
-                )
-            )
-
-    return SpatialTrajectory(
-        components=tuple(components),
-        crossing_heights=tuple(crossing_heights),
-        poly=poly,
-    )
+        for comp, saw, v_arcs in zip(poly.components, heights, table.vertex_arcs):
+            stream = list(component_events(comp.vertices, v_arcs, first_mirror, saw))
+            first_mirror += len(comp.vertices)
+            points = tuple(pt for _, pt in stream)
+            components.append(TrajComponent(points, tuple(ev for ev, _ in stream), saw))
+        crossing_heights = passage_heights(heights, table)
+    return SpatialTrajectory(tuple(components), crossing_heights, poly)

@@ -5,9 +5,6 @@ counterclockwise order starting from the incoming under-strand.  Edge labels
 are the segments between consecutive crossing passages along the curve, so
 every label occurs exactly twice over all records.  Closed components without
 any crossing are carried separately in ``free_loops``.
-
-JSON layout (import/export, bit-exact): ``{"crossings": [[a, b, c, d], ...],
-"free_loops": L}`` with 0-based integer labels.
 """
 
 from __future__ import annotations
@@ -37,22 +34,6 @@ class PDCode:
     @property
     def crossing_count(self) -> int:
         return len(self.crossings)
-
-
-def pd_to_json(pd: PDCode) -> dict:
-    return {"crossings": [list(rec) for rec in pd.crossings], "free_loops": pd.free_loops}
-
-
-def pd_from_json(data: dict) -> PDCode:
-    try:
-        crossings = tuple(tuple(int(x) for x in rec) for rec in data["crossings"])
-        free_loops = int(data.get("free_loops", 0))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DomainError(f"malformed PD JSON: {exc}") from exc
-    for rec in crossings:
-        if len(rec) != 4:
-            raise DomainError(f"crossing record must have 4 labels, got {rec}")
-    return PDCode(crossings, free_loops)
 
 
 def mirror_pd(pd: PDCode) -> PDCode:

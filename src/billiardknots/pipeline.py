@@ -3,8 +3,9 @@
 Stages, in order: pad the pattern into the star regime, build and sign the
 star, perturb to rational lines (redrawing until the mirror-room condition
 holds as well), assemble the prism table, compute arcs, run the bounded
-independence check, search sawtooth heights, emit the 3D trajectory, verify
-the reflection law, and certify the knot type against the abstract closure.
+independence check, build the crossing constraints, search sawtooth
+heights, emit the 3D trajectory, verify the reflection law, and certify the
+knot type against the abstract closure.
 
 Everything is deterministic in (spec, seed).
 """
@@ -26,6 +27,8 @@ from .billiards import (
 from .braids import QuasitoricPattern, pad_to_min_repetitions
 from .errors import DomainError, PipelineError, SpecFileError
 from .heights import (
+    DEFAULT_F_MAX,
+    DEFAULT_MARGIN,
     SawtoothHeight,
     SpatialTrajectory,
     build_height_constraints,
@@ -50,8 +53,8 @@ class RealizationSpec:
     preset: str | None = None
     seed: int = 42
     delta: Fraction = Fraction(1, 1000)
-    f_max: int = 10_000
-    margin: float = 1e-3
+    f_max: int = DEFAULT_F_MAX
+    margin: float = DEFAULT_MARGIN
     precision_bits: int = 192
     arc_precision_bits: int = 256
 
@@ -173,7 +176,7 @@ def realize(spec: RealizationSpec) -> RealizationResult:
         "independence",
         lambda: independence_check(arcs, INDEPENDENCE_MAX_COEFF, INDEPENDENCE_TOL),
     )
-    constraints = build_height_constraints(star, arcs)
+    constraints = timed("constraints", lambda: build_height_constraints(star, arcs))
     heights = timed(
         "heights", lambda: search_heights(constraints, arcs, spec.f_max, spec.margin)
     )
@@ -182,7 +185,7 @@ def realize(spec: RealizationSpec) -> RealizationResult:
     )
     reflection = timed(
         "reflection",
-        lambda: verify_reflection(trajectory, table, REFLECTION_TOL, spec.precision_bits),
+        lambda: verify_reflection(trajectory, table, arcs, REFLECTION_TOL, spec.precision_bits),
     )
     certification = timed("certify", lambda: certify(trajectory, padded))
 

@@ -21,11 +21,12 @@ from .braids import QuasitoricPattern
 from .errors import SpecFileError
 from .heights import CrossingHeight, SawtoothHeight, SpatialTrajectory, TrajComponent, TrajEvent
 from .invariants import certify, jones_string
-from .perturbation import PerturbedPolygon, layout_from_lines
+from .perturbation import PerturbedPolygon, arc_length_table, layout_from_lines
 from .pipeline import REFLECTION_TOL, RealizationResult
 from .stars import assign_braid_letters, build_star, star_diagram_json
 
 MPF_DIGITS = 40
+GAP_FRACTION = 0.035  # of a chord, cut from the under strand on each side of a crossing
 
 
 def _frac_str(x: Fraction) -> str:
@@ -132,7 +133,7 @@ def prism_obj(result: RealizationResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def star_svg(star, over_flags: dict[int, bool] | None = None, gap_fraction: float = 0.035) -> str:
+def star_svg(star, over_flags: dict[int, bool] | None = None) -> str:
     """Star-polygon figure, one path per component; with ``over_flags``
     (crossing id -> whether the chord_a strand is over) the under strand is
     broken at each crossing."""
@@ -154,10 +155,10 @@ def star_svg(star, over_flags: dict[int, bool] | None = None, gap_fraction: floa
             for lam in sorted(cuts[chord]):
                 new = []
                 for lo, hi in spans:
-                    if lam - gap_fraction > lo:
-                        new.append((lo, min(hi, lam - gap_fraction)))
-                    if lam + gap_fraction < hi:
-                        new.append((max(lo, lam + gap_fraction), hi))
+                    if lam - GAP_FRACTION > lo:
+                        new.append((lo, min(hi, lam - GAP_FRACTION)))
+                    if lam + GAP_FRACTION < hi:
+                        new.append((max(lo, lam + GAP_FRACTION), hi))
                 spans = new
             for lo, hi in spans:
                 x0, y0 = ax + lo * (bx - ax), ay + lo * (by - ay)
@@ -306,15 +307,18 @@ class VerificationOutcome:
 
 def verify_artifacts(report_path) -> VerificationOutcome:
     """Independently re-run the mirror-room, reflection, and certification
-    checks on stored artifacts."""
+    checks on stored artifacts; the reflection check compares the stored
+    trajectory with the closed form its lines and sawtooths fix."""
     report_path = Path(report_path)
     report = _load_json(report_path)
     try:
         pattern = _pattern_from_json(report["padded_pattern"])
         p, q = int(report["star"]["p"]), int(report["star"]["q"])
         prec = int(report["spec"]["precision_bits"])
-        if prec < 1:
-            raise ValueError(f"precision_bits must be positive, got {prec}")
+        arc_prec = int(report["spec"]["arc_precision_bits"])
+        for name, bits in (("precision_bits", prec), ("arc_precision_bits", arc_prec)):
+            if bits < 1:
+                raise ValueError(f"{name} must be positive, got {bits}")
         lines_by_comp = report["lines"]
         delta = _parse_frac(report["chosen_delta"])
         seed = int(report["spec"]["seed"])
@@ -375,7 +379,8 @@ def verify_artifacts(report_path) -> VerificationOutcome:
 
     if mirror.passed:
         table = build_table(poly, prec_bits=prec)
-        reflection = verify_reflection(trajectory, table, REFLECTION_TOL, prec)
+        arcs = arc_length_table(poly, arc_prec)
+        reflection = verify_reflection(trajectory, table, arcs, REFLECTION_TOL, prec)
         detail = "" if reflection.passed else reflection.violations[0]
         checks.append(("verify_reflection", reflection.passed, detail))
     else:

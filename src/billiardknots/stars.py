@@ -37,6 +37,7 @@ from .errors import DomainError
 from .pdcodes import DiagramTraversal, passage_traversal
 
 ROTATION_TANGENT = (1, 17)
+JSON_DIGITS = 17  # round-trips a float64
 
 
 class Passage(NamedTuple):
@@ -286,10 +287,10 @@ def over_flags_from_signs(diagram: StarDiagram) -> dict[int, bool]:
     return {c.index: c.sign > 0 for c in diagram.crossings}
 
 
-def star_diagram_json(diagram: StarDiagram, digits: int = 17) -> dict:
+def star_diagram_json(diagram: StarDiagram) -> dict:
     """Plot/debug export: vertices, chords, crossings with labels and arcs."""
     def num(x) -> str:
-        return mp.nstr(x, digits)
+        return mp.nstr(x, JSON_DIGITS)
 
     return {
         "p": diagram.p,

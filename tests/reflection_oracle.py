@@ -1,0 +1,88 @@
+"""Reference reflection check, point by point.
+
+At every stored event it normalizes the incoming and outgoing 3D
+directions, reflects the incoming one (across the mirror for a wall, in z
+for a floor or ceiling) and compares; every point must also lie in the
+floor polygon and in 0 <= z <= 1.  It shares no logic with
+``billiardknots.billiards.verify_reflection``, which regenerates the
+trajectory from its closed form instead, and serves as the oracle that
+check is compared against.
+"""
+
+import mpmath as mp
+
+from billiardknots.billiards import BilliardTable, ReflectionReport
+from billiardknots.heights import evaluate_sawtooth
+
+
+def pointwise_reflection(traj, table: BilliardTable, tol: float, prec_bits: int = 128) -> ReflectionReport:
+    """Check the reflection law at every bounce and containment in the prism.
+
+    ``traj`` provides per-component 3D points with event tags ('wall' with a
+    mirror index, 'floor', 'ceiling').  Wall bounces must reflect the
+    horizontal direction across the mirror line with z-slope carried
+    through; floor and ceiling bounces flip the vertical component.
+    """
+    violations = []
+    with mp.workprec(prec_bits):
+        tol_m = mp.mpf(tol)
+        for ci, comp in enumerate(traj.components):
+            pts = comp.points
+            n = len(pts)
+            if n < 3:
+                violations.append(f"component {ci}: fewer than 3 points")
+                continue
+            for i, (x, y, z) in enumerate(pts):
+                if z < -tol_m or z > 1 + tol_m:
+                    violations.append(f"component {ci} point {i}: z={mp.nstr(z, 8)} outside [0,1]")
+                if not table.contains_xy((x, y), tol_m, prec_bits):
+                    violations.append(f"component {ci} point {i}: leaves the floor polygon")
+            for i, event in enumerate(comp.events):
+                prev_pt = pts[(i - 1) % n]
+                here = pts[i]
+                next_pt = pts[(i + 1) % n]
+                d_in = [here[j] - prev_pt[j] for j in range(3)]
+                d_out = [next_pt[j] - here[j] for j in range(3)]
+                nin = mp.sqrt(mp.fsum(c * c for c in d_in))
+                nout = mp.sqrt(mp.fsum(c * c for c in d_out))
+                if nin == 0 or nout == 0:
+                    violations.append(f"component {ci} event {i}: repeated point")
+                    continue
+                d_in = [c / nin for c in d_in]
+                d_out = [c / nout for c in d_out]
+                if event.kind in ("floor", "ceiling"):
+                    expect = (d_in[0], d_in[1], -d_in[2])
+                    z_expect = mp.mpf(0) if event.kind == "floor" else mp.mpf(1)
+                    if abs(here[2] - z_expect) > tol_m:
+                        violations.append(
+                            f"component {ci} event {i}: {event.kind} bounce at z={mp.nstr(here[2], 8)}"
+                        )
+                elif event.kind == "wall":
+                    mirror = table.mirrors[event.mirror_index]
+                    ux, uy = mirror.direction
+                    dot = d_in[0] * ux + d_in[1] * uy
+                    expect = (d_in[0] - 2 * dot * ux, d_in[1] - 2 * dot * uy, d_in[2])
+                else:
+                    violations.append(f"component {ci} event {i}: unknown kind {event.kind}")
+                    continue
+                err = max(abs(d_out[j] - expect[j]) for j in range(3))
+                if err > tol_m:
+                    violations.append(
+                        f"reflection law violated at component {ci} event {i} "
+                        f"({event.kind}, vertex {getattr(event, 'mirror_index', '-')}): err={mp.nstr(err, 6)}"
+                    )
+    return ReflectionReport(passed=not violations, violations=tuple(violations))
+
+
+def crossing_heights_match(traj, arcs, tol: float, prec_bits: int = 128) -> bool:
+    """Whether every stored passage height is within ``tol`` of the
+    component's sawtooth at that passage's arc."""
+    stored = {ch.crossing: ch for ch in traj.crossing_heights}
+    with mp.workprec(prec_bits):
+        for comp, passages in zip(traj.components, arcs.passages):
+            for ps in passages:
+                ch = stored[ps.crossing]
+                z = ch.z_a if ps.is_a_side else ch.z_b
+                if abs(z - evaluate_sawtooth(comp.sawtooth, ps.arc)) > tol:
+                    return False
+    return True

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import mpmath as mp
 import pytest
+from reflection_oracle import pointwise_reflection as verify_reflection
 from table_oracles import pairwise_floor
 
 from billiardknots.billiards import (
@@ -12,7 +13,6 @@ from billiardknots.billiards import (
     internal_bisector,
     mirror_room_check,
     polygon_mirrors,
-    verify_reflection,
 )
 from billiardknots.errors import DegenerateAngleError, UnboundedTableError
 from billiardknots.heights import SawtoothHeight, emit_trajectory

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -27,6 +28,7 @@ from billiardknots.perturbation import arc_length_table, perturb
 from billiardknots.stars import ArcTable, Passage, assign_braid_letters, build_star
 
 from height_oracles import accepted_phases, first_hit, shell_order
+from reflection_oracle import crossing_heights_match, pointwise_reflection
 
 
 def test_sawtooth_anchor_values():
@@ -279,7 +281,37 @@ def test_emit_every_phase_gives_2f_bounces_and_reflects(hopf_result, data):
     traj = emit_trajectory(result.poly, tuple(heights), result.arcs, prec_bits=192)
     for comp, saw in zip(traj.components, heights):
         assert sum(1 for ev in comp.events if ev.kind != "wall") == 2 * saw.frequency
-    assert verify_reflection(traj, result.table, 1e-9, prec_bits=192).passed
+    assert verify_reflection(traj, result.table, result.arcs, 1e-9, prec_bits=192).passed
+    assert pointwise_reflection(traj, result.table, 1e-9, prec_bits=192).passed
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_closed_form_check_and_oracle_reject_the_same_moves(trefoil_result, data):
+    """Moving one stored point coordinate or one crossing height by 1e-6 or
+    more makes both the closed-form check and the pointwise oracle reject."""
+    result = trefoil_result
+    traj = result.trajectory
+    shift = mp.mpf(data.draw(st.floats(1e-6, 1e-2))) * data.draw(st.sampled_from((-1, 1)))
+    if data.draw(st.booleans()):
+        comp = traj.components[0]
+        i = data.draw(st.integers(0, len(comp.points) - 1))
+        j = data.draw(st.integers(0, 2))
+        points = list(comp.points)
+        points[i] = tuple(c + shift if k == j else c for k, c in enumerate(points[i]))
+        moved = replace(traj, components=(replace(comp, points=tuple(points)),))
+    else:
+        heights = list(traj.crossing_heights)
+        i = data.draw(st.integers(0, len(heights) - 1))
+        side = data.draw(st.sampled_from(("z_a", "z_b")))
+        heights[i] = replace(heights[i], **{side: getattr(heights[i], side) + shift})
+        moved = replace(traj, crossing_heights=tuple(heights))
+    new_accepts = verify_reflection(moved, result.table, result.arcs, 1e-9, prec_bits=192).passed
+    oracle_accepts = pointwise_reflection(moved, result.table, 1e-9, prec_bits=192).passed and (
+        crossing_heights_match(moved, result.arcs, 1e-9, prec_bits=192)
+    )
+    assert not new_accepts
+    assert not oracle_accepts
 
 
 def test_emit_projection_recovers_polygon():

@@ -20,8 +20,6 @@ from billiardknots.pdcodes import (
     PDCode,
     braid_closure_pd,
     mirror_pd,
-    pd_from_json,
-    pd_to_json,
     relabel_pd,
     traversal_pd,
 )
@@ -204,16 +202,6 @@ def test_braid_closure_pd_structure(k, n, rnd):
     assert sorted(set(labels)) == list(range(2 * n * (k - 1)))
     counts = {x: labels.count(x) for x in set(labels)}
     assert set(counts.values()) == {2}
-
-
-def test_pd_json_round_trip():
-    pd = braid_closure_pd(TREFOIL)
-    data = pd_to_json(pd)
-    assert pd_from_json(data) == pd
-    with pytest.raises(DomainError):
-        pd_from_json({"crossings": [[0, 1, 2]]})
-    with pytest.raises(DomainError):
-        pd_from_json({"nope": 1})
 
 
 def test_certify_passes_on_pipeline_output(torus25_result):

@@ -206,6 +206,7 @@ REPORT_CORRUPTIONS = {
     "line-not-a-pair": lambda d: d["lines"][0].__setitem__(0, d["lines"][0][0][:1]),
     "precision-zero": lambda d: d["spec"].update(precision_bits=0),
     "precision-negative": lambda d: d["spec"].update(precision_bits=-5),
+    "arc-precision-zero": lambda d: d["spec"].update(arc_precision_bits=0),
 }
 
 
@@ -231,8 +232,37 @@ def test_verify_artifacts_reports_checks(tmp_path, trefoil_result):
     ]
 
 
+def test_verify_rejects_forged_crossing_heights(tmp_path, trefoil_result, capsys):
+    """The unknot's components under the trefoil's crossing heights: the
+    same (2, 5) star and seed, so the same lines, and a trajectory that
+    certifies as a trefoil, but its heights are not its sawtooth's."""
+    unknot = realize(RealizationSpec(pattern=preset_pattern("unknot"), preset="unknot"))
+    assert unknot.heights[0].frequency == 2
+    files = write_artifacts(trefoil_result, tmp_path / "trefoil", canonical=True)
+    own = write_artifacts(unknot, tmp_path / "unknot", canonical=True)
+    forged = json.loads(files["trajectory"].read_text())
+    forged["components"] = json.loads(own["trajectory"].read_text())["components"]
+    files["trajectory"].write_text(json.dumps(forged))
+    capsys.readouterr()
+    assert main(["verify", str(files["report"])]) == 4
+    out = capsys.readouterr().out
+    assert "mirror_room_check: pass" in out
+    assert "verify_reflection: FAIL (crossing" in out
+    assert "certify: pass" in out
+
+
+def test_verify_rejects_a_huge_stored_frequency_without_generating_it(tmp_path, trefoil_result, capsys):
+    files = write_artifacts(trefoil_result, tmp_path, canonical=True)
+    data = json.loads(files["trajectory"].read_text())
+    data["components"][0]["frequency"] = 10**9
+    files["trajectory"].write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(files["report"])]) == 4
+    assert "expected 5 walls + 2000000000 bounces" in capsys.readouterr().out
+
+
 def test_pipeline_records_stages(torus25_result):
     stages = set(torus25_result.stage_seconds)
-    assert {"pad", "star", "perturb", "table", "arcs",
-            "independence", "heights", "emit", "reflection", "certify"} <= stages
+    assert {"pad", "star", "perturb", "table", "arcs", "independence",
+            "constraints", "heights", "emit", "reflection", "certify"} <= stages
     assert torus25_result.passed
