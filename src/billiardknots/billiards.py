@@ -204,8 +204,7 @@ class ReflectionReport:
 def verify_reflection(
     traj, table: BilliardTable, arcs: ArcTable, tol: float, prec_bits: int = 128
 ) -> ReflectionReport:
-    """Check a trajectory against its closed form, and the planar law at
-    every wall vertex.
+    """Check a trajectory against its closed form.
 
     A path in the prism is a planar billiard path times a sawtooth bounce
     in [0, 1], so the table's vertices, their arcs and one (f, phi) per
@@ -220,13 +219,15 @@ def verify_reflection(
     planar position is linear in arc length (one segment), and so is z (no
     extremum in between), with planar speed the component's length and
     vertical speed 2f throughout.  At a wall vertex the planar direction
-    reflects in the mirror, because the mirror's normal is the internal
-    angle bisector there (checked once per vertex below), while dz/dt
-    carries through; at a floor or ceiling event the planar direction
-    carries through and dz/dt flips.  Containment needs no per-point test:
-    the mirror-room check, a precondition here, puts every vertex in every
-    mirror half-plane, hence in the convex floor, and so every point of a
-    segment between consecutive vertices; z is a sawtooth value in [0, 1].
+    reflects in the mirror, because the table's mirrors are defined as the
+    lines through the trajectory vertices normal to the internal angle
+    bisector (``polygon_mirrors``), and the zip pins each stored wall
+    point to its mirror's vertex; dz/dt carries through.  At a floor or
+    ceiling event the planar direction carries through and dz/dt flips.
+    Containment needs no per-point test: the mirror-room check, a
+    precondition here, puts every vertex in every mirror half-plane, hence
+    in the convex floor, and so every point of a segment between
+    consecutive vertices; z is a sawtooth value in [0, 1].
     """
     n_comp = arcs.component_count()
     if len(traj.components) != n_comp:
@@ -239,16 +240,7 @@ def verify_reflection(
             v_arcs = arcs.vertex_arcs[ci]
             m = len(v_arcs)
             first, end = end, end + m
-            mirrors = table.mirrors[first:end]
-            vertices = [mirror.vertex for mirror in mirrors]
-            for i, mirror in enumerate(mirrors):
-                u = internal_bisector(vertices[i - 1], vertices[i], vertices[(i + 1) % m], prec_bits)
-                err = max(abs(a - b) for a, b in zip(u, mirror.direction))
-                if err > tol_m:
-                    violations.append(
-                        f"reflection law violated at component {ci} vertex {i}: mirror "
-                        f"{first + i} is off the angle bisector by {mp.nstr(err, 6)}"
-                    )
+            vertices = [mirror.vertex for mirror in table.mirrors[first:end]]
             saw = comp.sawtooth
             if not len(comp.events) == len(comp.points) == m + 2 * saw.frequency:
                 violations.append(

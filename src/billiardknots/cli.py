@@ -48,11 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_realize(args) -> int:
-    try:
-        raw = json.loads(Path(args.spec).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"spec error: {exc}", file=sys.stderr)
-        return EXIT_SPEC
     overrides = {
         "seed": args.seed,
         "f_max": args.fmax,
@@ -60,8 +55,8 @@ def cmd_realize(args) -> int:
         "precision_bits": args.precision,
     }
     try:
-        spec = RealizationSpec.from_dict(raw, overrides)
-    except SpecFileError as exc:
+        spec = RealizationSpec.from_dict(json.loads(Path(args.spec).read_text()), overrides)
+    except (OSError, json.JSONDecodeError, SpecFileError) as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC
     try:
@@ -76,32 +71,22 @@ def cmd_realize(args) -> int:
                 file=sys.stderr,
             )
         return EXIT_SEARCH
-    except SpecFileError as exc:
-        print(f"spec error: {exc}", file=sys.stderr)
-        return EXIT_SPEC
     except PipelineError as exc:
         print(f"pipeline failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
 
     files = write_artifacts(result, args.out, canonical=args.canonical)
-    cert = result.certification
     print(f"wrote {files['report']}")
     print(f"mirror margin: {result.mirror_report.margin}")
     print(
         "heights: "
         + ", ".join(f"f={h.frequency} phi={h.phase}" for h in result.heights)
     )
-    print(cert.summary())
-    if not result.passed:
-        for name, ok in (
-            ("mirror_room_check", result.mirror_report.passed),
-            ("independence_check", result.independence.passed),
-            ("verify_reflection", result.reflection.passed),
-            ("certify", cert.passed),
-        ):
-            if not ok:
-                print(f"verification failure: {name}", file=sys.stderr)
-                return EXIT_VERIFY
+    print(result.certification.summary())
+    failure = result.verdict.first_failure()
+    if failure:
+        print(f"verification failure: {failure}", file=sys.stderr)
+        return EXIT_VERIFY
     return EXIT_OK
 
 

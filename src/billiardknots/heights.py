@@ -122,29 +122,9 @@ def build_height_constraints(diagram, table: ArcTable) -> tuple[HeightConstraint
 @dataclass(frozen=True)
 class SearchDiagnostics:
     f_max: int
-    best: tuple[SawtoothHeight, ...] | None
     satisfied: int
     total: int
     unsatisfied: tuple[int, ...]
-
-
-def _component_groups(n_components: int, constraints) -> list[list[int]]:
-    parent = list(range(n_components))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for c in constraints:
-        ra, rb = find(c.first_component), find(c.second_component)
-        if ra != rb:
-            parent[ra] = rb
-    groups: dict[int, list[int]] = {}
-    for i in range(n_components):
-        groups.setdefault(find(i), []).append(i)
-    return sorted(groups.values(), key=lambda g: g[0])
 
 
 def _intersect_intervals(s1, s2):
@@ -281,9 +261,10 @@ def search_heights(
 ) -> tuple[SawtoothHeight, ...]:
     """Smallest sawtooth per component satisfying (a), (b), (c).
 
-    Components coupled by crossings are searched jointly over frequency
-    tuples in shell order (ascending maximum, lexicographic within each
-    shell); an uncoupled component is the one-component case.  At each
+    The components are searched jointly over frequency tuples in shell
+    order (ascending maximum, lexicographic within each shell).  A star
+    has no uncoupled components to split off: chords c and c + 1 always
+    cross, which chains every component to every other.  At each
     tuple the components are fixed in turn from their exact feasible phase
     intervals given the ones already fixed: each but the last tries the
     grid points j / (4 f #constraints) inside its intervals, and the last
@@ -303,63 +284,53 @@ def search_heights(
         for ci in range(n_comp)
     }
     box = (margin, 1.0 - margin)
-    result: dict[int, SawtoothHeight] = {}
-    for group in _component_groups(n_comp, constraints):
-        group_constraints = [
-            c for c in constraints if c.first_component in group or c.second_component in group
-        ]
-        arcs = [(c, float(c.first_arc), float(c.second_arc)) for c in group_constraints]
-        n_grid = 4 * max(1, len(group_constraints))
-        best = None  # (f-tuple, violated crossings) at the probe phases
+    arcs = [(c, float(c.first_arc), float(c.second_arc)) for c in constraints]
+    n_grid = 4 * max(1, len(constraints))
+    fewest_bad = None  # violated crossings at the probe phases of the best f-tuple
 
-        def assign(f_tuple, segs, k, fixed):
-            comp, f = group[k], f_tuple[k]
-            n = n_grid * f
-            for lo, hi in _crossing_phases(f, comp, segs[k], arcs, fixed, margin):
-                if k == len(group) - 1:
-                    for phi in _interval_phases(lo, hi, n):
-                        heights = {**fixed, comp: SawtoothHeight(f, phi)}
-                        if _confirm(heights, group_constraints, table, margin):
-                            return heights
-                    continue
-                for j in range(math.ceil(lo * n), math.ceil(hi * n)):
-                    prefix = {**fixed, comp: SawtoothHeight(f, Fraction(j, n))}
-                    heights = assign(f_tuple, segs, k + 1, prefix)
-                    if heights:
+    def assign(f_tuple, segs, k, fixed):
+        f = f_tuple[k]
+        n = n_grid * f
+        for lo, hi in _crossing_phases(f, k, segs[k], arcs, fixed, margin):
+            if k == n_comp - 1:
+                for phi in _interval_phases(lo, hi, n):
+                    heights = {**fixed, k: SawtoothHeight(f, phi)}
+                    if _confirm(heights, constraints, table, margin):
                         return heights
-            return None
+                continue
+            for j in range(math.ceil(lo * n), math.ceil(hi * n)):
+                prefix = {**fixed, k: SawtoothHeight(f, Fraction(j, n))}
+                heights = assign(f_tuple, segs, k + 1, prefix)
+                if heights:
+                    return heights
+        return None
 
-        for f_tuple in _frequency_tuples(len(group), f_max):
-            segs = [
-                _box_phases(f, event_arcs[comp], itertools.repeat(box))
-                for comp, f in zip(group, f_tuple)
-            ]
-            found = assign(f_tuple, segs, 0, {})
-            if found:
-                break
-            probe = {comp: (f, 0.5 / (n_grid * f)) for comp, f in zip(group, f_tuple)}
-            bad = []
-            for c, t1, t2 in arcs:
-                (f1, phi1), (f2, phi2) = probe[c.first_component], probe[c.second_component]
-                z1, z2 = _sawtooth(f1, t1, phi1), _sawtooth(f2, t2, phi2)
-                if abs(z1 - z2) < margin or (z1 > z2) != c.first_over:
-                    bad.append(c.crossing)
-            if best is None or len(bad) < len(best[1]):
-                best = (f_tuple, bad)
-        else:
-            raise SearchExhaustedError(
-                f"no sawtooth parameters with f <= {f_max} satisfy all "
-                f"{len(group_constraints)} constraints of components {group}",
-                diagnostics=SearchDiagnostics(
-                    f_max=f_max,
-                    best=tuple(SawtoothHeight(f, Fraction(1, 2 * n_grid * f)) for f in best[0]),
-                    satisfied=len(group_constraints) - len(best[1]),
-                    total=len(constraints),
-                    unsatisfied=tuple(best[1]),
-                ),
-            )
-        result.update(found)
-    return tuple(result[ci] for ci in range(n_comp))
+    for f_tuple in _frequency_tuples(n_comp, f_max):
+        segs = [
+            _box_phases(f, event_arcs[ci], itertools.repeat(box)) for ci, f in enumerate(f_tuple)
+        ]
+        found = assign(f_tuple, segs, 0, {})
+        if found:
+            return tuple(found[ci] for ci in range(n_comp))
+        probe = [(f, 0.5 / (n_grid * f)) for f in f_tuple]
+        bad = []
+        for c, t1, t2 in arcs:
+            (f1, phi1), (f2, phi2) = probe[c.first_component], probe[c.second_component]
+            z1, z2 = _sawtooth(f1, t1, phi1), _sawtooth(f2, t2, phi2)
+            if abs(z1 - z2) < margin or (z1 > z2) != c.first_over:
+                bad.append(c.crossing)
+        if fewest_bad is None or len(bad) < len(fewest_bad):
+            fewest_bad = bad
+    raise SearchExhaustedError(
+        f"no sawtooth parameters with f <= {f_max} satisfy all "
+        f"{len(constraints)} constraints of {n_comp} components",
+        diagnostics=SearchDiagnostics(
+            f_max=f_max,
+            satisfied=len(constraints) - len(fewest_bad),
+            total=len(constraints),
+            unsatisfied=tuple(fewest_bad),
+        ),
+    )
 
 
 def _shell(d: int, top: int):

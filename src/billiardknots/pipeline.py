@@ -56,7 +56,10 @@ class RealizationSpec:
     f_max: int = DEFAULT_F_MAX
     margin: float = DEFAULT_MARGIN
     precision_bits: int = 192
-    arc_precision_bits: int = 256
+
+    @property
+    def arc_precision_bits(self) -> int:  # >= 4x the independence tolerance's digits
+        return max(256, self.precision_bits)
 
     @classmethod
     def from_dict(cls, data: dict, overrides: dict | None = None) -> "RealizationSpec":
@@ -85,10 +88,6 @@ class RealizationSpec:
                 signs = tuple(tuple(int(s) for s in row) for row in spec["signs"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise SpecFileError(f"malformed pattern: {exc}") from exc
-            if strands < 2:
-                raise SpecFileError("strands must be >= 2")
-            if repetitions < 1:
-                raise SpecFileError("repetitions must be >= 1")
             try:
                 pattern = QuasitoricPattern(strands, repetitions, signs)
             except DomainError as exc:
@@ -97,9 +96,6 @@ class RealizationSpec:
                  "margin": float, "precision_bits": int}
         try:
             values = {name: kind(merged.get(name, getattr(cls, name))) for name, kind in kinds.items()}
-            values["arc_precision_bits"] = int(
-                merged.get("arc_precision_bits", max(cls.arc_precision_bits, values["precision_bits"]))
-            )
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise SpecFileError(f"malformed numeric field: {exc}") from exc
         for name in ("delta", "f_max", "margin", "precision_bits"):
@@ -108,6 +104,38 @@ class RealizationSpec:
         if values["margin"] >= 0.5:
             raise SpecFileError("margin must be below 1/2")
         return cls(pattern=pattern, preset=merged.get("preset"), **values)
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """The certificate's checks, in order, as (name, passed, detail)."""
+
+    checks: tuple[tuple[str, bool, str], ...]
+
+    @property
+    def passed(self) -> bool:
+        return all(ok for _, ok, _ in self.checks)
+
+    def first_failure(self) -> str | None:
+        for name, ok, detail in self.checks:
+            if not ok:
+                return f"{name}: {detail}" if detail else name
+        return None
+
+
+def verdict(
+    mirror: MirrorRoomReport, reflection: ReflectionReport, certification: CertificationReport
+) -> Verdict:
+    """The three checks that certify a billiard knot, for realize and verify
+    alike.  The independence check is only the existence argument behind the
+    height search: its result is recorded, and gates nothing."""
+    return Verdict(
+        (
+            ("mirror_room_check", mirror.passed, "" if mirror.passed else f"witness {mirror.witness}"),
+            ("verify_reflection", reflection.passed, "" if reflection.passed else reflection.violations[0]),
+            ("certify", certification.passed, "" if certification.passed else certification.summary()),
+        )
+    )
 
 
 @dataclass
@@ -129,13 +157,12 @@ class RealizationResult:
     stage_seconds: dict[str, float] = field(default_factory=dict)
 
     @property
+    def verdict(self) -> Verdict:
+        return verdict(self.mirror_report, self.reflection, self.certification)
+
+    @property
     def passed(self) -> bool:
-        return (
-            self.mirror_report.passed
-            and self.reflection.passed
-            and self.certification.passed
-            and self.independence.passed
-        )
+        return self.verdict.passed
 
 
 MAX_MIRROR_RETRIES = 8

@@ -10,19 +10,18 @@ projection figures.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
 
-from .billiards import build_table, mirror_room_check, verify_reflection
-from .braids import QuasitoricPattern
+from .billiards import ReflectionReport, build_table, mirror_room_check, verify_reflection
+from .braids import QuasitoricPattern, pad_to_min_repetitions
 from .errors import SpecFileError
 from .heights import CrossingHeight, SawtoothHeight, SpatialTrajectory, TrajComponent, TrajEvent
 from .invariants import certify, jones_string
 from .perturbation import PerturbedPolygon, arc_length_table, layout_from_lines
-from .pipeline import REFLECTION_TOL, RealizationResult
+from .pipeline import REFLECTION_TOL, RealizationResult, RealizationSpec, Verdict, verdict
 from .stars import assign_braid_letters, build_star, star_diagram_json
 
 MPF_DIGITS = 40
@@ -54,17 +53,6 @@ def _pattern_json(pattern: QuasitoricPattern) -> dict:
         "repetitions": pattern.repetitions,
         "signs": [list(row) for row in pattern.signs],
     }
-
-
-def _pattern_from_json(data: dict) -> QuasitoricPattern:
-    try:
-        return QuasitoricPattern(
-            int(data["strands"]),
-            int(data["repetitions"]),
-            tuple(tuple(int(s) for s in row) for row in data["signs"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecFileError(f"malformed pattern block: {exc}") from exc
 
 
 def _write_json(path: Path, data) -> None:
@@ -177,29 +165,14 @@ def star_svg(star, over_flags: dict[int, bool] | None = None) -> str:
 
 def report_json(result: RealizationResult, canonical: bool = False) -> dict:
     spec = result.spec
-    over_flags = result.trajectory.over_flags()
-    heights_by_crossing = {ch.crossing: ch for ch in result.trajectory.crossing_heights}
     passages_by_crossing: dict[int, list] = {}
     for ci, passages in enumerate(result.arcs.passages):
         for ps in passages:
             passages_by_crossing.setdefault(ps.crossing, []).append(
                 {"component": ci, "arc": _num(ps.arc), "side": "a" if ps.is_a_side else "b"}
             )
-    stages = {
-        "pad": "ok",
-        "star": "ok",
-        "perturb": "ok",
-        "mirror_room_check": "pass" if result.mirror_report.passed else "fail",
-        "table": "ok",
-        "arcs": "ok",
-        "independence_check": "pass" if result.independence.passed else "fail",
-        "heights": "ok",
-        "emit": "ok",
-        "verify_reflection": "pass" if result.reflection.passed else "fail",
-        "certify": "pass" if result.certification.passed else "fail",
-    }
     report = {
-        "stages": stages,
+        "stages": {name: "pass" if ok else "fail" for name, ok, _ in result.verdict.checks},
         "spec": {
             "preset": spec.preset,
             "pattern": _pattern_json(spec.pattern),
@@ -208,7 +181,6 @@ def report_json(result: RealizationResult, canonical: bool = False) -> dict:
             "f_max": spec.f_max,
             "margin": spec.margin,
             "precision_bits": spec.precision_bits,
-            "arc_precision_bits": spec.arc_precision_bits,
         },
         "padded_pattern": _pattern_json(result.padded),
         "star": {"p": result.star.p, "q": result.star.q},
@@ -228,14 +200,6 @@ def report_json(result: RealizationResult, canonical: bool = False) -> dict:
             "steps": list(result.independence.steps),
             "exits": list(result.independence.exits),
         },
-        "heights": [
-            {
-                "frequency": h.frequency,
-                "phase": _frac_str(h.phase),
-                "start_height": _frac_str(h.start_height()),
-            }
-            for h in result.heights
-        ],
         "crossings": [
             {
                 "index": c.index,
@@ -244,9 +208,6 @@ def report_json(result: RealizationResult, canonical: bool = False) -> dict:
                 "braid_col": c.braid_col,
                 "sign": c.sign,
                 "passages": passages_by_crossing[c.index],
-                "z_a": _num(heights_by_crossing[c.index].z_a),
-                "z_b": _num(heights_by_crossing[c.index].z_b),
-                "over_side": "a" if over_flags[c.index] else "b",
             }
             for c in result.star.crossings
         ],
@@ -293,38 +254,33 @@ def write_artifacts(result: RealizationResult, outdir, canonical: bool = False) 
     return files
 
 
-@dataclass(frozen=True)
-class VerificationOutcome:
-    passed: bool
-    checks: tuple[tuple[str, bool, str], ...]  # (name, passed, detail)
-
-    def first_failure(self) -> str | None:
-        for name, ok, detail in self.checks:
-            if not ok:
-                return f"{name}: {detail}" if detail else name
-        return None
-
-
-def verify_artifacts(report_path) -> VerificationOutcome:
+def verify_artifacts(report_path) -> Verdict:
     """Independently re-run the mirror-room, reflection, and certification
-    checks on stored artifacts; the reflection check compares the stored
-    trajectory with the closed form its lines and sawtooths fix."""
+    checks on stored artifacts.
+
+    The report's spec echo is parsed as a spec, and the padded pattern and
+    signed star are derived from it as ``realize`` derives them; a report
+    whose ``padded_pattern`` or ``star`` disagrees is malformed.  The
+    reflection check compares the stored trajectory with the closed form
+    its lines and sawtooths fix."""
     report_path = Path(report_path)
     report = _load_json(report_path)
     try:
-        pattern = _pattern_from_json(report["padded_pattern"])
-        p, q = int(report["star"]["p"]), int(report["star"]["q"])
-        prec = int(report["spec"]["precision_bits"])
-        arc_prec = int(report["spec"]["arc_precision_bits"])
-        for name, bits in (("precision_bits", prec), ("arc_precision_bits", arc_prec)):
-            if bits < 1:
-                raise ValueError(f"{name} must be positive, got {bits}")
+        echo = dict(report["spec"])
+        echo.pop("preset", None)
+        spec = RealizationSpec.from_dict(echo)
+        padded = pad_to_min_repetitions(spec.pattern)
+        star = assign_braid_letters(
+            build_star(padded.repetitions, padded.strands, spec.precision_bits), padded
+        )
+        if report["padded_pattern"] != _pattern_json(padded):
+            raise ValueError("padded_pattern does not follow from the spec")
+        if report["star"] != {"p": star.p, "q": star.q}:
+            raise ValueError("star does not follow from the spec")
         lines_by_comp = report["lines"]
         delta = _parse_frac(report["chosen_delta"])
-        seed = int(report["spec"]["seed"])
         traj_file = report_path.parent / report["files"]["trajectory"]
-        star = assign_braid_letters(build_star(p, q, prec), pattern)
-        flat_lines: list[tuple[Fraction, Fraction] | None] = [None] * p
+        flat_lines: list[tuple[Fraction, Fraction] | None] = [None] * star.p
         for comp_lines, chain in zip(lines_by_comp, star.components):
             for chord, (a_s, b_s) in zip(chain, comp_lines):
                 flat_lines[chord] = (_parse_frac(a_s), _parse_frac(b_s))
@@ -333,16 +289,11 @@ def verify_artifacts(report_path) -> VerificationOutcome:
     if any(line is None for line in flat_lines):
         raise SpecFileError("report lines do not cover every chord")
     layout = layout_from_lines(star, flat_lines)
-    checks = []
     if layout is None:
-        checks.append(("combinatorics", False, "stored lines no longer match the star"))
-        return VerificationOutcome(False, tuple(checks))
-    poly = PerturbedPolygon(star, delta, seed, layout[0], layout[1])
-
+        return Verdict((("combinatorics", False, "stored lines no longer match the star"),))
+    poly = PerturbedPolygon(star, delta, spec.seed, layout[0], layout[1])
+    prec = spec.precision_bits
     mirror = mirror_room_check(poly, prec_bits=prec)
-    checks.append(
-        ("mirror_room_check", mirror.passed, "" if mirror.passed else f"witness {mirror.witness}")
-    )
 
     traj_data = _load_json(traj_file)
     mirror_ids = range(len(poly.all_vertices()))
@@ -379,19 +330,8 @@ def verify_artifacts(report_path) -> VerificationOutcome:
 
     if mirror.passed:
         table = build_table(poly, prec_bits=prec)
-        arcs = arc_length_table(poly, arc_prec)
+        arcs = arc_length_table(poly, spec.arc_precision_bits)
         reflection = verify_reflection(trajectory, table, arcs, REFLECTION_TOL, prec)
-        detail = "" if reflection.passed else reflection.violations[0]
-        checks.append(("verify_reflection", reflection.passed, detail))
     else:
-        checks.append(("verify_reflection", False, "skipped: no valid table"))
-
-    certification = certify(trajectory, pattern)
-    checks.append(
-        (
-            "certify",
-            certification.passed,
-            "" if certification.passed else certification.summary(),
-        )
-    )
-    return VerificationOutcome(all(ok for _, ok, _ in checks), tuple(checks))
+        reflection = ReflectionReport(False, ("skipped: no valid table",))
+    return verdict(mirror, reflection, certify(trajectory, padded))

@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from billiardknots import pipeline
 from billiardknots.braids import toric_pattern
 from billiardknots.cli import main
 from billiardknots.errors import SpecFileError
 from billiardknots.invariants import pattern_jones
+from billiardknots.perturbation import IndependenceResult
 from billiardknots.pipeline import RealizationSpec, realize
 from billiardknots.presets import PRESETS, preset_listing, preset_pattern
-from billiardknots.serialization import verify_artifacts, write_artifacts
+from billiardknots.serialization import report_json, verify_artifacts, write_artifacts
 from billiardknots.stars import build_star, star_diagram_json
 
 
@@ -101,7 +103,9 @@ def test_cli_realize_verify_round_trip(tmp_path, torus25_result, capsys):
     assert report["certified"] is True
     assert report["spec"]["seed"] == 42
     assert "timings" not in report
-    assert report["stages"]["certify"] == "pass"
+    assert report["stages"] == {
+        "mirror_room_check": "pass", "verify_reflection": "pass", "certify": "pass",
+    }
     assert all(len(c["passages"]) == 2 for c in report["crossings"])
     expected = {str(e): c for e, c in pattern_jones(toric_pattern(2, 5)).items()}
     assert report["jones"]["constructed"] == expected
@@ -206,7 +210,6 @@ REPORT_CORRUPTIONS = {
     "line-not-a-pair": lambda d: d["lines"][0].__setitem__(0, d["lines"][0][0][:1]),
     "precision-zero": lambda d: d["spec"].update(precision_bits=0),
     "precision-negative": lambda d: d["spec"].update(precision_bits=-5),
-    "arc-precision-zero": lambda d: d["spec"].update(arc_precision_bits=0),
 }
 
 
@@ -230,6 +233,48 @@ def test_verify_artifacts_reports_checks(tmp_path, trefoil_result):
     assert [name for name, _, _ in outcome.checks] == [
         "mirror_room_check", "verify_reflection", "certify",
     ]
+
+
+def test_verify_rejects_a_report_whose_spec_names_another_pattern(tmp_path, trefoil_result, capsys):
+    """The trefoil's artifacts under the unknot's pattern: the same (2, 5)
+    star, so only the spec ties the stored padded pattern to a knot type."""
+    files = write_artifacts(trefoil_result, tmp_path, canonical=True)
+    data = json.loads(files["report"].read_text())
+    unknot = PRESETS["unknot"]
+    data["spec"]["pattern"] = {
+        "strands": unknot.strands,
+        "repetitions": unknot.repetitions,
+        "signs": [list(row) for row in unknot.signs],
+    }
+    files["report"].write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(files["report"])]) == 3
+    assert "padded_pattern does not follow from the spec" in capsys.readouterr().err
+
+
+def test_independence_relation_is_recorded_but_does_not_fail_the_run(tmp_path, monkeypatch):
+    relation = IndependenceResult(
+        passed=False, component=0, witness=(1, -2, 1), steps=(3,), exits=("relation",)
+    )
+    monkeypatch.setattr(pipeline, "independence_check", lambda *args, **kwargs: relation)
+    result = realize(RealizationSpec(pattern=preset_pattern("unknot"), preset="unknot"))
+    assert result.passed
+    assert report_json(result, canonical=True)["independence"]["passed"] is False
+    spec = _write_spec(tmp_path, {"preset": "unknot"})
+    out = tmp_path / "out"
+    assert main(["realize", str(spec), "--out", str(out), "--canonical"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["independence"]["passed"] is False
+    assert main(["verify", str(out / "report.json")]) == 0
+
+
+def test_arc_precision_is_derived_not_read_from_the_spec(tmp_path):
+    spec = _write_spec(tmp_path, {"preset": "trefoil", "arc_precision_bits": 100})
+    assert RealizationSpec.from_dict(json.loads(spec.read_text())).arc_precision_bits == 256
+    out = tmp_path / "out"
+    assert main(["realize", str(spec), "--out", str(out), "--canonical"]) == 0
+    assert main(["verify", str(out / "report.json")]) == 0
+    assert RealizationSpec.from_dict({"preset": "trefoil", "precision_bits": 300}).arc_precision_bits == 300
 
 
 def test_verify_rejects_forged_crossing_heights(tmp_path, trefoil_result, capsys):
