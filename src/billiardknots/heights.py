@@ -49,17 +49,6 @@ class SawtoothHeight:
         if not 0 <= self.phase < 1:
             raise DomainError(f"phase must lie in [0, 1), got {self.phase}")
 
-    @classmethod
-    def anchored(cls, frequency: int, z0: Fraction) -> "SawtoothHeight":
-        """Phase from a prescribed start height via phi = 1/2 + z0/2."""
-        if not 0 < z0 < 1:
-            raise DomainError(f"start height must lie in (0, 1), got {z0}")
-        return cls(frequency, Fraction(1, 2) + Fraction(z0) / 2)
-
-    def start_height(self) -> Fraction:
-        y = self.phase - Fraction(int(self.phase))
-        return abs(2 * y - 1)
-
 
 def _sawtooth(f: int, t: float, phi: float) -> float:
     y = f * t + phi
@@ -220,6 +209,64 @@ def _crossing_phases(f: int, k: int, segs, constraints, fixed, margin: float):
     return _intersect_intervals(segs, allowed)
 
 
+# Widening of the screen's windows.  ``_crossing_phases`` samples each linear
+# piece 1e-9 * width inside its ends and treats the samples as end values; a
+# moving side's gap has phase slope 2, so its intervals stretch at most about
+# 2e-9 beyond the true feasible set (float64 rounding adds ~1e-12).  1e-8
+# covers that five times over.
+_SCREEN_SLACK = 1e-8
+
+
+def _cyclic_window(center: float, half: float):
+    """The phases within ``half`` of ``center`` on the circle [0, 1), as
+    sorted disjoint intervals."""
+    if half >= 0.5:
+        return [(0.0, 1.0)]
+    a, b = center - half, center + half
+    if a < 0.0:
+        return [(0.0, b), (a + 1.0, 1.0)]
+    if b > 1.0:
+        return [(0.0, b - 1.0), (a, 1.0)]
+    return [(a, b)]
+
+
+def _phase_windows(f: int, k: int, constraints):
+    """Condition (a) of every constraint between component k at frequency f
+    and a component j < k, as (j, arc on j, window centre, k below).
+
+    With j's height z fixed, k's passage at arc t must lie below z - margin,
+    which holds on the phases within (z - margin)/2 of (1/2 - f t) mod 1, or
+    above z + margin, which holds within (1 - z - margin)/2 of (-f t) mod 1.
+    """
+    windows = []
+    for c, t1, t2 in constraints:
+        if c.first_component == k and c.second_component < k:
+            j, t_j, t_k, below = c.second_component, t2, t1, not c.first_over
+        elif c.second_component == k and c.first_component < k:
+            j, t_j, t_k, below = c.first_component, t1, t2, c.first_over
+        else:
+            continue
+        windows.append((j, t_j, ((0.5 - f * t_k) if below else (-f * t_k)) % 1.0, below))
+    return windows
+
+
+def _screen(windows, f_tuple, phases, own, margin: float) -> bool:
+    """False only if ``_crossing_phases`` finds no phase for component k
+    after components 0 .. k-1 are fixed at ``phases``: the intersection of
+    k's ``_phase_windows``, each widened by _SCREEN_SLACK, with ``own``, its
+    phases under the box and its own crossings, is empty."""
+    allowed = [(0.0, 1.0)]  # the short window lists first, ``own`` last
+    for j, t_j, center, below in windows:
+        z = _sawtooth(f_tuple[j], t_j, phases[j])
+        half = ((z if below else 1.0 - z) - margin) / 2.0 + _SCREEN_SLACK
+        if half <= 0.0:
+            return False
+        allowed = _intersect_intervals(allowed, _cyclic_window(center, half))
+        if not allowed:
+            return False
+    return bool(_intersect_intervals(allowed, own))
+
+
 def _interval_phases(lo: float, hi: float, n_grid: int) -> list[Fraction]:
     """Candidate phases of the interval [lo, hi): its first point j/n_grid of
     the phase grid, then its midpoint on the 2^-DENOM_BITS grid (the only
@@ -270,7 +317,16 @@ def search_heights(
     grid points j / (4 f #constraints) inside its intervals, and the last
     takes, per interval, its first grid point or else its midpoint rounded
     to 2^-31, so no feasible interval of the last component is missed.
-    Every accepted candidate is confirmed at the table's precision.  Raises
+    Every accepted candidate is confirmed at the table's precision.
+
+    A grid point of component k - 1 is first screened for component k: with
+    components 0 .. k-1 fixed, each crossing between k and a fixed component
+    allows k's phases in one cyclic window (``_phase_windows``, centred at
+    a kink, its half-width set by the fixed height).  When these windows,
+    widened by _SCREEN_SLACK, miss k's phases under its own crossings
+    (cached per (k, f)), the exact phase set is empty too and the point is
+    skipped.  The screen only skips, so the result is the same as without
+    it; single-component searches never reach it.  Raises
     SearchExhaustedError with diagnostics when f_max is hit; they describe
     the f-tuple whose fixed probe phases violate the fewest constraints.
     """
@@ -287,8 +343,9 @@ def search_heights(
     arcs = [(c, float(c.first_arc), float(c.second_arc)) for c in constraints]
     n_grid = 4 * max(1, len(constraints))
     fewest_bad = None  # violated crossings at the probe phases of the best f-tuple
+    own_phases = {}  # (k, f) -> k's phases under the box and its own crossings
 
-    def assign(f_tuple, segs, k, fixed):
+    def assign(f_tuple, segs, windows, k, fixed, phases):
         f = f_tuple[k]
         n = n_grid * f
         for lo, hi in _crossing_phases(f, k, segs[k], arcs, fixed, margin):
@@ -298,9 +355,15 @@ def search_heights(
                     if _confirm(heights, constraints, table, margin):
                         return heights
                 continue
+            key = (k + 1, f_tuple[k + 1])
+            if key not in own_phases:
+                own_phases[key] = _crossing_phases(key[1], k + 1, segs[k + 1], arcs, {}, margin)
             for j in range(math.ceil(lo * n), math.ceil(hi * n)):
+                grid = (*phases, j / n)
+                if not _screen(windows[k + 1], f_tuple, grid, own_phases[key], margin):
+                    continue
                 prefix = {**fixed, k: SawtoothHeight(f, Fraction(j, n))}
-                heights = assign(f_tuple, segs, k + 1, prefix)
+                heights = assign(f_tuple, segs, windows, k + 1, prefix, grid)
                 if heights:
                     return heights
         return None
@@ -309,7 +372,8 @@ def search_heights(
         segs = [
             _box_phases(f, event_arcs[ci], itertools.repeat(box)) for ci, f in enumerate(f_tuple)
         ]
-        found = assign(f_tuple, segs, 0, {})
+        windows = {k: _phase_windows(f_tuple[k], k, arcs) for k in range(1, n_comp)}
+        found = assign(f_tuple, segs, windows, 0, {}, ())
         if found:
             return tuple(found[ci] for ci in range(n_comp))
         probe = [(f, 0.5 / (n_grid * f)) for f in f_tuple]

@@ -43,6 +43,7 @@ from .stars import ArcTable, StarDiagram, assign_braid_letters, build_star
 REFLECTION_TOL = 1e-9
 INDEPENDENCE_MAX_COEFF = 10
 INDEPENDENCE_TOL = 1e-12
+MIN_PRECISION_BITS = 53
 
 
 @dataclass(frozen=True)
@@ -98,11 +99,14 @@ class RealizationSpec:
             values = {name: kind(merged.get(name, getattr(cls, name))) for name, kind in kinds.items()}
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise SpecFileError(f"malformed numeric field: {exc}") from exc
-        for name in ("delta", "f_max", "margin", "precision_bits"):
+        for name in ("delta", "f_max", "margin"):
             if values[name] <= 0:
                 raise SpecFileError(f"{name} must be positive")
         if values["margin"] >= 0.5:
             raise SpecFileError("margin must be below 1/2")
+        if values["precision_bits"] < MIN_PRECISION_BITS:
+            # the height search picks phases in float64; confirming them below that proves nothing
+            raise SpecFileError(f"precision_bits must be at least {MIN_PRECISION_BITS}")
         return cls(pattern=pattern, preset=merged.get("preset"), **values)
 
 

@@ -17,6 +17,8 @@ from billiardknots.heights import (
     _box_phases,
     _crossing_phases,
     _frequency_tuples,
+    _phase_windows,
+    _screen,
     build_height_constraints,
     emit_trajectory,
     evaluate_sawtooth,
@@ -25,6 +27,8 @@ from billiardknots.heights import (
     signed_residue,
 )
 from billiardknots.perturbation import arc_length_table, perturb
+from billiardknots.pipeline import RealizationSpec, realize
+from billiardknots.presets import preset_pattern
 from billiardknots.stars import ArcTable, Passage, assign_braid_letters, build_star
 
 from height_oracles import accepted_phases, first_hit, shell_order
@@ -36,9 +40,7 @@ def test_sawtooth_anchor_values():
     assert evaluate_sawtooth(SawtoothHeight(1, Fraction(1, 2)), Fraction(0)) == 0
     assert evaluate_sawtooth(SawtoothHeight(1, Fraction(3, 4)), Fraction(0)) == Fraction(1, 2)
     assert evaluate_sawtooth(SawtoothHeight(1, Fraction(0)), Fraction(1, 4)) == Fraction(1, 2)
-    anchored = SawtoothHeight.anchored(3, Fraction(2, 5))
-    assert anchored.start_height() == Fraction(2, 5)
-    assert evaluate_sawtooth(anchored, Fraction(0)) == Fraction(2, 5)
+    assert evaluate_sawtooth(SawtoothHeight(3, Fraction(7, 10)), Fraction(0)) == Fraction(2, 5)
 
 
 def test_sawtooth_range_and_slope():
@@ -246,6 +248,56 @@ def test_phase_engine_against_grid_oracle(n_components):
         found = tuple(h.frequency for h in search_heights(cons, table, f_max=f_max, margin=margin))
         assert (max(found), found) <= (max(oracle), oracle)
     assert hits >= 4
+
+
+@pytest.mark.parametrize("n_components, f_max", [(2, 5), (3, 2)])
+def test_screen_passes_every_point_with_exact_phases(n_components, f_max):
+    """At every f-tuple, component k >= 1 and grid prefix of components
+    0 .. k-1, the screen passes the prefix whenever the exact phase set of k
+    is non-empty, and it rejects at least a quarter of the prefixes."""
+    margin = 0.05
+    rng = random.Random(20261019 + n_components)
+    passed = rejected = 0
+    for _ in range(3):
+        table, cons = _random_arc_table(rng, n_components, rng.randint(3, 8 - n_components))
+        arcs = [(c, float(c.first_arc), float(c.second_arc)) for c in cons]
+        n_grid = 4 * len(cons)
+        for f_tuple in _frequency_tuples(n_components, f_max):
+            for k in range(1, n_components):
+                f = f_tuple[k]
+                event_arcs = [float(t) for t in table.vertex_arcs[k]]
+                event_arcs += [float(ps.arc) for ps in table.passages[k]]
+                segs = _box_phases(f, event_arcs, itertools.repeat((margin, 1 - margin)))
+                own = _crossing_phases(f, k, segs, arcs, {}, margin)
+                windows = _phase_windows(f, k, arcs)
+                dens = [n_grid * fj for fj in f_tuple[:k]]
+                for js in itertools.product(*map(range, dens)):
+                    fixed = {
+                        j: SawtoothHeight(fj, Fraction(num, den))
+                        for j, (fj, num, den) in enumerate(zip(f_tuple, js, dens))
+                    }
+                    phases = tuple(num / den for num, den in zip(js, dens))
+                    exact = _crossing_phases(f, k, segs, arcs, fixed, margin)
+                    if _screen(windows, f_tuple, phases, own, margin):
+                        passed += 1
+                    else:
+                        assert not exact, (f_tuple, k, js, exact)
+                        rejected += 1
+    assert rejected >= (passed + rejected) // 4
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        ("hopf", [(2, Fraction(19, 48)), (1, Fraction(111981649, 2147483648))]),
+        ("star-10-2", [(1, Fraction(1, 40)), (5, Fraction(1, 5))]),
+        ("star-9-3", [(1, Fraction(1, 36)), (3, Fraction(4, 27)), (3, Fraction(17, 72))]),
+    ],
+)
+def test_joint_search_results_are_pinned(name, expected):
+    """The accepted (f, phi) of the presets with several components."""
+    result = realize(RealizationSpec(pattern=preset_pattern(name), preset=name))
+    assert [(h.frequency, h.phase) for h in result.heights] == expected
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

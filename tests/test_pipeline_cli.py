@@ -136,6 +136,12 @@ def test_cli_spec_errors(tmp_path):
     trunc.write_text('{"preset": "tref')
     assert main(["realize", str(trunc)]) == 3
     assert main(["verify", str(trunc)]) == 3
+    low = _write_spec(tmp_path, {"preset": "trefoil", "precision_bits": 8}, name="low.json")
+    assert main(["realize", str(low), "--out", str(tmp_path / "x")]) == 3
+
+
+def test_float64_precision_realizes_trefoil():
+    assert realize(RealizationSpec.from_dict({"preset": "trefoil", "precision_bits": 53})).passed
 
 
 def test_cli_search_exhaustion_exit_code(tmp_path):
@@ -210,6 +216,7 @@ REPORT_CORRUPTIONS = {
     "line-not-a-pair": lambda d: d["lines"][0].__setitem__(0, d["lines"][0][0][:1]),
     "precision-zero": lambda d: d["spec"].update(precision_bits=0),
     "precision-negative": lambda d: d["spec"].update(precision_bits=-5),
+    "precision-eight": lambda d: d["spec"].update(precision_bits=8),
 }
 
 
