@@ -10,6 +10,13 @@ exact phase intervals: every condition below is piecewise linear in phi,
 with kinks at (-f t) mod 1 and (1/2 - f t) mod 1.  ``search_heights`` says
 in which order frequencies (shell order for links) and phases are tried.
 
+Most frequencies admit no phase, and a closed form says which before any
+interval is built: a crossing with both passages on one component holds on
+one cyclic phase window of half-width (1 - margin)/4, or on none when
+2 min(d, 1 - d) < margin for d = f (t2 - t1) mod 1 (``_own_window``).  The
+search builds exact intervals only where these windows, slightly widened,
+intersect, so it skips only frequencies with no feasible phase.
+
 Search conditions, with a uniform ``margin``:
   (a) each crossing's two passage heights differ by at least ``margin``,
       ordered as prescribed;
@@ -65,14 +72,6 @@ def evaluate_sawtooth(s: SawtoothHeight, t):
         y = s.frequency * t + to_mpf(s.phase)
         return abs(2 * (y - mp.floor(y)) - 1)
     return _sawtooth(s.frequency, float(t), float(s.phase))
-
-
-def signed_residue(frequency: int, phase, t):
-    """The quantity 2 frac(f t + phi) - 1, whose sign resolves z into a
-    signed height (the parity-obstruction bookkeeping)."""
-    y = frequency * t + phase
-    fy = y - mp.floor(y) if isinstance(y, mp.mpf) else y - int(y)
-    return 2 * fy - 1
 
 
 @dataclass(frozen=True)
@@ -230,6 +229,43 @@ def _cyclic_window(center: float, half: float):
     return [(a, b)]
 
 
+def _own_window(f: int, t1: float, t2: float, first_over: bool):
+    """(g, centre) for a crossing with both passages on one component, at
+    float arcs t1 (the first passage) and t2: condition (a) holds on no
+    phase when g < margin, and otherwise exactly on the phases within
+    (1 - margin)/4 of ``centre``.
+
+    With u = f t1 + phi, d = f (t2 - t1) mod 1 and ||.|| the distance to the
+    nearest integer, z = 1 - 2 ||f t + phi|| makes the gap z1 - z2 equal
+    2 (||u + d|| - ||u||), a trapezoid in u with plateaus at +-g, g =
+    2 min(d, 1 - d), and slopes +-4 in between.  It reaches ``margin``
+    only if g does, and then on the u within (1 - margin)/4 of 1/4 - d/2;
+    a first passage under shifts the window by 1/2.
+    """
+    d = (f * (t2 - t1)) % 1.0
+    centre = (0.25 - d / 2 - f * t1 + (0.0 if first_over else 0.5)) % 1.0
+    return 2.0 * min(d, 1.0 - d), centre
+
+
+def _own_screen(f: int, k: int, constraints, margin: float) -> bool:
+    """False only if ``_crossing_phases`` finds no phase for component k at
+    frequency f under k's own crossings (both passages on k): one of their
+    ``_own_window`` tests fails, or the windows' intersection is empty, with
+    the test and the windows widened by _SCREEN_SLACK."""
+    half = (1.0 - margin) / 4.0 + _SCREEN_SLACK
+    allowed = [(0.0, 1.0)]
+    for c, t1, t2 in constraints:
+        if c.first_component != k or c.second_component != k:
+            continue
+        g, centre = _own_window(f, t1, t2, c.first_over)
+        if g + _SCREEN_SLACK < margin:
+            return False
+        allowed = _intersect_intervals(allowed, _cyclic_window(centre, half))
+        if not allowed:
+            return False
+    return True
+
+
 def _phase_windows(f: int, k: int, constraints):
     """Condition (a) of every constraint between component k at frequency f
     and a component j < k, as (j, arc on j, window centre, k below).
@@ -319,16 +355,24 @@ def search_heights(
     to 2^-31, so no feasible interval of the last component is missed.
     Every accepted candidate is confirmed at the table's precision.
 
-    A grid point of component k - 1 is first screened for component k: with
-    components 0 .. k-1 fixed, each crossing between k and a fixed component
-    allows k's phases in one cyclic window (``_phase_windows``, centred at
-    a kink, its half-width set by the fixed height).  When these windows,
-    widened by _SCREEN_SLACK, miss k's phases under its own crossings
-    (cached per (k, f)), the exact phase set is empty too and the point is
-    skipped.  The screen only skips, so the result is the same as without
-    it; single-component searches never reach it.  Raises
-    SearchExhaustedError with diagnostics when f_max is hit; they describe
-    the f-tuple whose fixed probe phases violate the fewest constraints.
+    Two screens skip work whose exact phase set is empty; they only skip,
+    so the result is the same as without them.  First, each (component k,
+    frequency f) is screened once: each crossing with both passages on k
+    allows k's phases in one cyclic window of half-width (1 - margin)/4,
+    or none when 2 min(d, 1 - d) < margin for d = f (t2 - t1) mod 1
+    (``_own_window``).  Only when these windows, widened by _SCREEN_SLACK
+    to cover the float error of the exact intervals, intersect is the
+    exact set of k's phases under its own crossings built, and its box
+    phases (conditions (b), (c)) only when that set is non-empty.  The
+    result is cached per (k, f), and an f-tuple in which some component
+    has no phase is skipped.  Second, a grid point of component k - 1 is
+    screened for component k: with components 0 .. k-1 fixed, each
+    crossing between k and a fixed component allows k's phases in one
+    cyclic window (``_phase_windows``, centred at a kink, its half-width
+    set by the fixed height); when these, widened likewise, miss k's
+    cached phases, the point is skipped.  Raises SearchExhaustedError when f_max is hit, with
+    diagnostics from a second walk over the f-tuples: they describe the
+    f-tuple whose fixed probe phases violate the fewest constraints.
     """
     if margin <= 0 or margin >= 0.5:
         raise DomainError(f"margin must lie in (0, 0.5), got {margin}")
@@ -342,40 +386,61 @@ def search_heights(
     box = (margin, 1.0 - margin)
     arcs = [(c, float(c.first_arc), float(c.second_arc)) for c in constraints]
     n_grid = 4 * max(1, len(constraints))
-    fewest_bad = None  # violated crossings at the probe phases of the best f-tuple
     own_phases = {}  # (k, f) -> k's phases under the box and its own crossings
 
-    def assign(f_tuple, segs, windows, k, fixed, phases):
+    def own(k, f):
+        if (k, f) not in own_phases:
+            segs = []
+            if _own_screen(f, k, arcs, margin):
+                segs = _crossing_phases(f, k, [(0.0, 1.0)], arcs, {}, margin)
+            if segs:
+                segs = _intersect_intervals(
+                    _box_phases(f, event_arcs[k], itertools.repeat(box)), segs
+                )
+            own_phases[k, f] = segs
+        return own_phases[k, f]
+
+    def assign(f_tuple, windows, k, fixed, phases):
         f = f_tuple[k]
         n = n_grid * f
-        for lo, hi in _crossing_phases(f, k, segs[k], arcs, fixed, margin):
+        segs = _crossing_phases(f, k, own(k, f), arcs, fixed, margin) if fixed else own(k, f)
+        for lo, hi in segs:
             if k == n_comp - 1:
                 for phi in _interval_phases(lo, hi, n):
                     heights = {**fixed, k: SawtoothHeight(f, phi)}
                     if _confirm(heights, constraints, table, margin):
                         return heights
                 continue
-            key = (k + 1, f_tuple[k + 1])
-            if key not in own_phases:
-                own_phases[key] = _crossing_phases(key[1], k + 1, segs[k + 1], arcs, {}, margin)
+            next_own = own(k + 1, f_tuple[k + 1])
             for j in range(math.ceil(lo * n), math.ceil(hi * n)):
                 grid = (*phases, j / n)
-                if not _screen(windows[k + 1], f_tuple, grid, own_phases[key], margin):
+                if not _screen(windows[k + 1], f_tuple, grid, next_own, margin):
                     continue
                 prefix = {**fixed, k: SawtoothHeight(f, Fraction(j, n))}
-                heights = assign(f_tuple, segs, windows, k + 1, prefix, grid)
+                heights = assign(f_tuple, windows, k + 1, prefix, grid)
                 if heights:
                     return heights
         return None
 
     for f_tuple in _frequency_tuples(n_comp, f_max):
-        segs = [
-            _box_phases(f, event_arcs[ci], itertools.repeat(box)) for ci, f in enumerate(f_tuple)
-        ]
+        if not all(own(k, f) for k, f in enumerate(f_tuple)):
+            continue
         windows = {k: _phase_windows(f_tuple[k], k, arcs) for k in range(1, n_comp)}
-        found = assign(f_tuple, segs, windows, 0, {}, ())
+        found = assign(f_tuple, windows, 0, {}, ())
         if found:
             return tuple(found[ci] for ci in range(n_comp))
+    raise SearchExhaustedError(
+        f"no sawtooth parameters with f <= {f_max} satisfy all "
+        f"{len(constraints)} constraints of {n_comp} components",
+        diagnostics=_probe_diagnostics(arcs, n_comp, f_max, n_grid, margin),
+    )
+
+
+def _probe_diagnostics(arcs, n_comp: int, f_max: int, n_grid: int, margin: float):
+    """The crossings violated at the probe phases 0.5 / (n_grid f) of the
+    first f-tuple, in shell order, that violates the fewest of them."""
+    fewest_bad = None
+    for f_tuple in _frequency_tuples(n_comp, f_max):
         probe = [(f, 0.5 / (n_grid * f)) for f in f_tuple]
         bad = []
         for c, t1, t2 in arcs:
@@ -385,15 +450,11 @@ def search_heights(
                 bad.append(c.crossing)
         if fewest_bad is None or len(bad) < len(fewest_bad):
             fewest_bad = bad
-    raise SearchExhaustedError(
-        f"no sawtooth parameters with f <= {f_max} satisfy all "
-        f"{len(constraints)} constraints of {n_comp} components",
-        diagnostics=SearchDiagnostics(
-            f_max=f_max,
-            satisfied=len(constraints) - len(fewest_bad),
-            total=len(constraints),
-            unsatisfied=tuple(fewest_bad),
-        ),
+    return SearchDiagnostics(
+        f_max=f_max,
+        satisfied=len(arcs) - len(fewest_bad),
+        total=len(arcs),
+        unsatisfied=tuple(fewest_bad),
     )
 
 
@@ -420,23 +481,6 @@ def _frequency_tuples(d: int, f_max: int):
     """
     for top in range(1, f_max + 1):
         yield from _shell(d, top)
-
-
-def height_pattern_feasible(arcs, bounds, f_max: int = 1000):
-    """Search (f, phi) driving z(t_i) into the boxes [lo_i, hi_i].
-
-    Returns a SawtoothHeight or None; the generic solver behind the
-    regular-diagram obstruction check (heights of crossings with matched
-    arc differences cannot be chosen freely).  Phases are picked as for the
-    height search's last component.
-    """
-    arcs_f = [float(t) for t in arcs]
-    n_grid = 4 * max(1, len(arcs_f))
-    for f in range(1, f_max + 1):
-        for lo, hi in _box_phases(f, arcs_f, bounds):
-            for phi in _interval_phases(lo, hi, n_grid * f):
-                return SawtoothHeight(f, phi)
-    return None
 
 
 @dataclass(frozen=True)

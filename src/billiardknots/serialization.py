@@ -10,6 +10,7 @@ projection figures.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -41,6 +42,17 @@ def _parse_frac(s: str) -> Fraction:
 
 def _num(x) -> str:
     return mp.nstr(mp.mpf(x), MPF_DIGITS)
+
+
+def _parse_real(s) -> mp.mpf:
+    """A stored decimal read at float64: the value ``mp.mpf(s)`` gives at
+    53 bits, but parsed by ``float`` and exact at any working precision of
+    53 bits or more.  A non-finite value is malformed: NaN would pass every
+    tolerance comparison."""
+    x = float(s)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite value {s!r}")
+    return mp.mpf(x)
 
 
 def _laurent_json(poly: dict[int, int]) -> dict:
@@ -262,7 +274,9 @@ def verify_artifacts(report_path) -> Verdict:
     signed star are derived from it as ``realize`` derives them; a report
     whose ``padded_pattern`` or ``star`` disagrees is malformed.  The
     reflection check compares the stored trajectory with the closed form
-    its lines and sawtooths fix."""
+    its lines and sawtooths fix.  Stored points, arcs and crossing heights
+    are read at float64 (``_parse_real``), whose rounding (~1e-16) lies
+    about 7 orders of magnitude below REFLECTION_TOL."""
     report_path = Path(report_path)
     report = _load_json(report_path)
     try:
@@ -302,10 +316,10 @@ def verify_artifacts(report_path) -> Verdict:
         for comp in traj_data["components"]:
             saw = SawtoothHeight(int(comp["frequency"]), _parse_frac(comp["phase"]))
             points = tuple(
-                (mp.mpf(x), mp.mpf(y), mp.mpf(z)) for x, y, z in comp["points"]
+                (_parse_real(x), _parse_real(y), _parse_real(z)) for x, y, z in comp["points"]
             )
             events = tuple(
-                TrajEvent(ev["kind"], mp.mpf(ev["arc"]), ev.get("mirror"))
+                TrajEvent(ev["kind"], _parse_real(ev["arc"]), ev.get("mirror"))
                 for ev in comp["events"]
             )
             if len(points) != len(events):
@@ -315,7 +329,7 @@ def verify_artifacts(report_path) -> Verdict:
                     raise ValueError(f"wall event at mirror {m!r}, not in {mirror_ids}")
             components.append(TrajComponent(points=points, events=events, sawtooth=saw))
         crossing_heights = tuple(
-            CrossingHeight(int(ch["crossing"]), mp.mpf(ch["z_a"]), mp.mpf(ch["z_b"]))
+            CrossingHeight(int(ch["crossing"]), _parse_real(ch["z_a"]), _parse_real(ch["z_b"]))
             for ch in traj_data["crossing_heights"]
         )
         if len(components) != len(poly.components):

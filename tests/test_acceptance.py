@@ -12,10 +12,10 @@ from types import SimpleNamespace
 import mpmath as mp
 import pytest
 from bracket_oracles import skein_bracket, state_sum_bracket
+from obstruction_helpers import height_pattern_feasible, signed_residue
 
 from billiardknots.billiards import build_table, mirror_room_check
 from billiardknots.braids import QuasitoricPattern, pad_to_min_repetitions, toric_pattern
-from billiardknots.heights import height_pattern_feasible, signed_residue
 from billiardknots.invariants import jones_mirror, kauffman_bracket
 from billiardknots.pdcodes import braid_closure_pd
 from billiardknots.perturbation import arc_length_table, independence_check, perturb

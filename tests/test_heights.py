@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -9,22 +10,25 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from billiardknots.billiards import verify_reflection
-from billiardknots.braids import toric_pattern
+from billiardknots.braids import QuasitoricPattern, pad_to_min_repetitions, toric_pattern
 from billiardknots.errors import DomainError, SearchExhaustedError
 from billiardknots.heights import (
     HeightConstraint,
     SawtoothHeight,
+    SearchDiagnostics,
     _box_phases,
     _crossing_phases,
+    _cyclic_window,
     _frequency_tuples,
+    _intersect_intervals,
+    _own_screen,
+    _own_window,
     _phase_windows,
     _screen,
     build_height_constraints,
     emit_trajectory,
     evaluate_sawtooth,
-    height_pattern_feasible,
     search_heights,
-    signed_residue,
 )
 from billiardknots.perturbation import arc_length_table, perturb
 from billiardknots.pipeline import RealizationSpec, realize
@@ -32,6 +36,7 @@ from billiardknots.presets import preset_pattern
 from billiardknots.stars import ArcTable, Passage, assign_braid_letters, build_star
 
 from height_oracles import accepted_phases, first_hit, shell_order
+from obstruction_helpers import height_pattern_feasible, signed_residue
 from reflection_oracle import crossing_heights_match, pointwise_reflection
 
 
@@ -129,11 +134,9 @@ def test_search_exhaustion_diagnostics():
     )
     with pytest.raises(SearchExhaustedError) as err:
         search_heights(cons, table, f_max=12, margin=1e-3)
-    diag = err.value.diagnostics
-    assert diag.f_max == 12
-    assert diag.total == 2
-    assert diag.satisfied == 1
-    assert len(diag.unsatisfied) == 1
+    assert err.value.diagnostics == SearchDiagnostics(
+        f_max=12, satisfied=1, total=2, unsatisfied=(0,)
+    )
 
 
 def test_search_margin_validation():
@@ -178,9 +181,9 @@ def test_joint_search_exhaustion_diagnostics():
     )
     with pytest.raises(SearchExhaustedError) as err:
         search_heights(cons, table, f_max=4, margin=1e-3)
-    diag = err.value.diagnostics
-    assert diag.satisfied == 1 and diag.total == 2
-    assert len(diag.unsatisfied) == 1
+    assert err.value.diagnostics == SearchDiagnostics(
+        f_max=4, satisfied=1, total=2, unsatisfied=(1,)
+    )
 
 
 def _random_arc_table(rng, n_components, n_crossings, prec_bits=256):
@@ -284,6 +287,119 @@ def test_screen_passes_every_point_with_exact_phases(n_components, f_max):
                         assert not exact, (f_tuple, k, js, exact)
                         rejected += 1
     assert rejected >= (passed + rejected) // 4
+
+
+def _measure(segs):
+    return sum(b - a for a, b in segs)
+
+
+def test_own_window_is_the_exact_phase_set():
+    """For one crossing with both passages on a component, the exact phase
+    set of ``_crossing_phases`` is empty when the window test fails and lies
+    between the window narrowed and widened by 1e-8 when it passes."""
+    rng = random.Random(20261020)
+    tol = 1e-8
+    for _ in range(4000):
+        f = rng.randint(1, 5000)
+        margin = 10 ** rng.uniform(-6, math.log10(0.05))
+        t1, t2, first_over = rng.random(), rng.random(), rng.random() < 0.5
+        con = HeightConstraint(0, 0, t1, 0, t2, first_over)
+        exact = _crossing_phases(f, 0, [(0.0, 1.0)], [(con, t1, t2)], {}, margin)
+        g, centre = _own_window(f, t1, t2, first_over)
+        half = (1.0 - margin) / 4.0
+        if g < margin - tol:
+            assert not exact, (f, margin, t1, t2, first_over)
+            continue
+        wide = _cyclic_window(centre, half + tol)
+        assert _measure(_intersect_intervals(exact, wide)) == pytest.approx(_measure(exact), abs=1e-12)
+        if g > margin + tol:
+            narrow = _cyclic_window(centre, half - tol)
+            covered = _measure(_intersect_intervals(exact, narrow))
+            assert covered == pytest.approx(_measure(narrow), abs=1e-12), (f, margin, t1, t2)
+            assert _measure(exact) == pytest.approx(2 * half, abs=1e-9)
+
+
+@pytest.mark.parametrize("n_components", [1, 2, 3])
+def test_own_screen_passes_every_frequency_with_exact_phases(n_components):
+    """At every component k and f <= 60, the screen passes (k, f) whenever
+    k's exact phase set under its own crossings is non-empty, and it rejects
+    at least a quarter of the pairs."""
+    margin = 1e-3
+    rng = random.Random(20261021 + n_components)
+    passed = rejected = 0
+    for _ in range(4):
+        # about six crossings with both passages on each component
+        table, cons = _random_arc_table(rng, n_components, 6 * n_components**2 + rng.randint(0, 3))
+        arcs = [(c, float(c.first_arc), float(c.second_arc)) for c in cons]
+        for k in range(n_components):
+            for f in range(1, 61):
+                if _own_screen(f, k, arcs, margin):
+                    passed += 1
+                else:
+                    assert not _crossing_phases(f, k, [(0.0, 1.0)], arcs, {}, margin), (k, f)
+                    rejected += 1
+    assert rejected >= (passed + rejected) // 4
+
+
+def test_own_screen_passes_at_the_edges():
+    """Exact phase sets that only just exist: a gap plateau 2e-12 above the
+    margin, and two windows that overlap by 1e-9."""
+    margin = 1e-3
+    half = (1.0 - margin) / 4.0
+    shift = 2 * half - 1e-9
+    cases = [
+        [(0.0, margin / 2 + 1e-12)],
+        [(0.0, 0.25), (shift, shift + 0.25)],
+    ]
+    for pairs in cases:
+        arcs = [(HeightConstraint(i, 0, t1, 0, t2, True), t1, t2) for i, (t1, t2) in enumerate(pairs)]
+        assert _crossing_phases(1, 0, [(0.0, 1.0)], arcs, {}, margin), pairs
+        assert _own_screen(1, 0, arcs, margin), pairs
+
+
+# The knots benchmark inputs: (strands, repetitions, signs, perturbation seed)
+_KNOTS = {
+    "trefoil": (2, 5, ((1,), (1,), (1,), (1,), (-1,)), 42),
+    "random-2-11-0": (
+        2, 11, ((-1,), (1,), (-1,), (-1,), (1,), (-1,), (-1,), (1,), (1,), (-1,), (-1,)), 1022406
+    ),
+    "random-2-11-1": (
+        2, 11, ((-1,), (-1,), (-1,), (-1,), (1,), (1,), (-1,), (-1,), (-1,), (1,), (1,)), 1021694124
+    ),
+    "random-2-13-0": (
+        2, 13, ((1,), (-1,), (1,), (-1,), (1,), (1,), (1,), (-1,), (1,), (-1,), (-1,), (-1,), (1,)),
+        1885846324,
+    ),
+    "random-3-7-0": (
+        3, 7, ((1, -1), (-1, 1), (-1, -1), (1, 1), (-1, 1), (-1, -1), (1, -1)), 968923797
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, mirrored, expected",
+    [
+        ("trefoil", False, (76, Fraction(153, 380))),
+        ("trefoil", True, (76, Fraction(1, 1520))),
+        ("random-2-11-0", False, (391, Fraction(409, 782))),
+        ("random-2-11-0", True, (391, Fraction(9, 391))),
+        ("random-2-11-1", False, (258, Fraction(293, 1892))),
+        ("random-2-11-1", True, (258, Fraction(1239, 1892))),
+        ("random-2-13-0", False, (1903, Fraction(23305, 49478))),
+        ("random-2-13-0", True, (1903, Fraction(24022, 24739))),
+        ("random-3-7-0", False, (583, Fraction(6557, 32648))),
+        ("random-3-7-0", True, (583, Fraction(22881, 32648))),
+    ],
+)
+def test_knot_search_results_are_pinned(name, mirrored, expected):
+    """The accepted (f, phi) of single-component inputs with f from 76 to
+    1903, as given and mirrored."""
+    strands, repetitions, signs, seed = _KNOTS[name]
+    pattern = QuasitoricPattern(strands, repetitions, signs)
+    if mirrored:
+        pattern = pad_to_min_repetitions(pattern).mirrored()
+    (saw,) = realize(RealizationSpec(pattern=pattern, seed=seed)).heights
+    assert (saw.frequency, saw.phase) == expected
 
 
 @pytest.mark.parametrize(

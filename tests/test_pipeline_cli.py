@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from billiardknots import pipeline
@@ -11,7 +12,7 @@ from billiardknots.invariants import pattern_jones
 from billiardknots.perturbation import IndependenceResult
 from billiardknots.pipeline import RealizationSpec, realize
 from billiardknots.presets import PRESETS, preset_listing, preset_pattern
-from billiardknots.serialization import report_json, verify_artifacts, write_artifacts
+from billiardknots.serialization import _parse_real, report_json, verify_artifacts, write_artifacts
 from billiardknots.stars import build_star, star_diagram_json
 
 
@@ -194,6 +195,9 @@ TRAJECTORY_CORRUPTIONS = {
     "mirror-negative": lambda d: _first_wall(d["components"][0]).update(mirror=-1),
     "missing-crossing-height": lambda d: d["crossing_heights"].pop(),
     "dropped-component": lambda d: d["components"].pop(),
+    "nan-point": lambda d: d["components"][0]["points"][3].__setitem__(2, "nan"),
+    "inf-arc": lambda d: d["components"][0]["events"][5].update(arc="inf"),
+    "nan-crossing-height": lambda d: d["crossing_heights"][0].update(z_a="nan"),
 }
 
 
@@ -240,6 +244,24 @@ def test_verify_artifacts_reports_checks(tmp_path, trefoil_result):
     assert [name for name, _, _ in outcome.checks] == [
         "mirror_room_check", "verify_reflection", "certify",
     ]
+
+
+def test_stored_decimals_parse_as_mpf_does_at_53_bits(tmp_path, figure_eight_result):
+    """``_parse_real`` gives bit for bit what ``mp.mpf`` gave at mpmath's
+    default 53 bits on every decimal of a realized trajectory, whatever the
+    caller's working precision."""
+    files = write_artifacts(figure_eight_result, tmp_path / "f8", canonical=True)
+    data = json.loads(files["trajectory"].read_text())
+    strings = [ch[side] for ch in data["crossing_heights"] for side in ("z_a", "z_b")]
+    for comp in data["components"]:
+        strings += [x for point in comp["points"] for x in point]
+        strings += [ev["arc"] for ev in comp["events"]]
+    assert len(strings) > 10_000
+    with mp.workprec(53):
+        expected = [mp.mpf(s)._mpf_ for s in strings]
+    for prec in (53, 192):
+        with mp.workprec(prec):
+            assert [_parse_real(s)._mpf_ for s in strings] == expected
 
 
 def test_verify_rejects_a_report_whose_spec_names_another_pattern(tmp_path, trefoil_result, capsys):
