@@ -9,6 +9,7 @@ import sys
 import time
 from pathlib import Path
 
+from billiardknots.errors import PipelineError
 from billiardknots.pipeline import RealizationSpec, realize
 from billiardknots.presets import PRESETS
 from billiardknots.serialization import write_artifacts
@@ -28,7 +29,7 @@ def main() -> int:
         t0 = time.perf_counter()
         try:
             result = realize(spec)
-        except Exception as exc:  # noqa: BLE001 - reporting script
+        except PipelineError as exc:  # any other exception is a bug: let it raise
             print(f"{name:14s} FAILED: {exc}")
             failures += 1
             continue

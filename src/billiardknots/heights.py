@@ -17,6 +17,15 @@ one cyclic phase window of half-width (1 - margin)/4, or on none when
 search builds exact intervals only where these windows, slightly widened,
 intersect, so it skips only frequencies with no feasible phase.
 
+In a link, the phase of component k - 1 sets the heights its crossings
+with component k must clear, and almost every phase leaves k no phase at
+all.  Each such crossing confines k's phase to one cyclic window centred at
+a kink of k, with a half-width linear in k - 1's phase between k - 1's
+kinks; two windows meet only if their half-widths add up to the cyclic
+distance of their centres.  So the phases of k - 1 worth walking are found
+pair by pair as intervals (``_reach_phases``), again widened so that only
+phases with no feasible phase for k are skipped.
+
 Search conditions, with a uniform ``margin``:
   (a) each crossing's two passage heights differ by at least ``margin``,
       ordered as prescribed;
@@ -286,21 +295,65 @@ def _phase_windows(f: int, k: int, constraints):
     return windows
 
 
-def _screen(windows, f_tuple, phases, own, margin: float) -> bool:
-    """False only if ``_crossing_phases`` finds no phase for component k
-    after components 0 .. k-1 are fixed at ``phases``: the intersection of
-    k's ``_phase_windows``, each widened by _SCREEN_SLACK, with ``own``, its
-    phases under the box and its own crossings, is empty."""
-    allowed = [(0.0, 1.0)]  # the short window lists first, ``own`` last
-    for j, t_j, center, below in windows:
-        z = _sawtooth(f_tuple[j], t_j, phases[j])
-        half = ((z if below else 1.0 - z) - margin) / 2.0 + _SCREEN_SLACK
-        if half <= 0.0:
-            return False
-        allowed = _intersect_intervals(allowed, _cyclic_window(center, half))
+def _reach_phases(f_tuple, k: int, windows, phases, margin: float):
+    """The phases of component k, as sorted disjoint intervals, outside
+    which ``_crossing_phases`` finds no phase for component k + 1 once
+    components 0 .. k-1 are fixed at ``phases``.
+
+    ``windows`` are k + 1's ``_phase_windows``.  Widened by _SCREEN_SLACK,
+    each has half-width h = ((z or 1 - z) - margin)/2 + _SCREEN_SLACK: a
+    constant when its fixed side lies before k, and linear in k's phase
+    between the kinks (-f t) mod 1 and (1/2 - f t) mod 1 of its arc t when
+    it lies on k.  Two cyclic windows meet only if h_i + h_l reaches the
+    cyclic distance of their centres (a window meets itself only if h >= 0),
+    so each pair allows the phases where that piecewise linear sum does,
+    widened by _SCREEN_SLACK.  The pairs are taken farthest centres first;
+    the first empty intersection ends the screen.
+    """
+    f = f_tuple[k]
+    sides = [
+        (t_j, None, centre, below) if j == k
+        else (None, _sawtooth(f_tuple[j], t_j, phases[j]), centre, below)
+        for j, t_j, centre, below in windows
+    ]
+
+    def half(side, phi):
+        t, z, _, below = side
+        if z is None:
+            z = _sawtooth(f, t, phi)
+        return ((z if below else 1.0 - z) - margin) / 2.0 + _SCREEN_SLACK
+
+    pairs = []
+    for a, b in itertools.combinations_with_replacement(sides, 2):
+        d = abs(a[2] - b[2])
+        pairs.append((min(d, 1.0 - d), a, b))
+    pairs.sort(key=lambda pair: -pair[0])
+    allowed = [(0.0, 1.0)]
+    for dist, a, b in pairs:
+        kinks = {0.0, 1.0}
+        for t, z, _, _ in (a, b):
+            if z is None:
+                kinks.update(((-f * t) % 1.0, (0.5 - f * t) % 1.0))
+        kinks = sorted(kinks)
+        good = []
+        for lo, hi in zip(kinks, kinks[1:]):
+            g_lo = half(a, lo) + half(b, lo) - dist
+            g_hi = half(a, hi) + half(b, hi) - dist
+            if g_lo < 0.0 and g_hi < 0.0:
+                continue
+            if g_lo < 0.0:
+                lo += (hi - lo) * g_lo / (g_lo - g_hi)
+            elif g_hi < 0.0:
+                hi = lo + (hi - lo) * g_lo / (g_lo - g_hi)
+            lo, hi = max(lo - _SCREEN_SLACK, 0.0), min(hi + _SCREEN_SLACK, 1.0)
+            if good and lo <= good[-1][1]:
+                good[-1] = (good[-1][0], hi)
+            else:
+                good.append((lo, hi))
+        allowed = _intersect_intervals(allowed, good)
         if not allowed:
-            return False
-    return bool(_intersect_intervals(allowed, own))
+            return []
+    return allowed
 
 
 def _interval_phases(lo: float, hi: float, n_grid: int) -> list[Fraction]:
@@ -365,14 +418,18 @@ def search_heights(
     exact set of k's phases under its own crossings built, and its box
     phases (conditions (b), (c)) only when that set is non-empty.  The
     result is cached per (k, f), and an f-tuple in which some component
-    has no phase is skipped.  Second, a grid point of component k - 1 is
-    screened for component k: with components 0 .. k-1 fixed, each
-    crossing between k and a fixed component allows k's phases in one
-    cyclic window (``_phase_windows``, centred at a kink, its half-width
-    set by the fixed height); when these, widened likewise, miss k's
-    cached phases, the point is skipped.  Raises SearchExhaustedError when f_max is hit, with
-    diagnostics from a second walk over the f-tuples: they describe the
-    f-tuple whose fixed probe phases violate the fewest constraints.
+    has no phase is skipped.  Second, before component k walks its grid
+    points, the phases of k under which component k + 1 can still get a
+    phase are found as intervals (``_reach_phases``), and only the grid
+    points inside them are walked.  With components 0 .. k fixed, each
+    crossing between k + 1 and a fixed component allows k + 1's phases in
+    one cyclic window (``_phase_windows``, centred at a kink, its
+    half-width set by the fixed height, which is piecewise linear in k's
+    phase); two windows meet only if their half-widths, widened likewise,
+    add up to the cyclic distance of their centres.  Raises
+    SearchExhaustedError when f_max is hit, with diagnostics from a second
+    walk over the f-tuples: they describe the f-tuple whose fixed probe
+    phases violate the fewest constraints.
     """
     if margin <= 0 or margin >= 0.5:
         raise DomainError(f"margin must lie in (0, 0.5), got {margin}")
@@ -404,20 +461,20 @@ def search_heights(
         f = f_tuple[k]
         n = n_grid * f
         segs = _crossing_phases(f, k, own(k, f), arcs, fixed, margin) if fixed else own(k, f)
-        for lo, hi in segs:
-            if k == n_comp - 1:
+        if k == n_comp - 1:
+            for lo, hi in segs:
                 for phi in _interval_phases(lo, hi, n):
                     heights = {**fixed, k: SawtoothHeight(f, phi)}
                     if _confirm(heights, constraints, table, margin):
                         return heights
-                continue
-            next_own = own(k + 1, f_tuple[k + 1])
+            return None
+        if segs:
+            reach = _reach_phases(f_tuple, k, windows[k + 1], phases, margin)
+            segs = _intersect_intervals(segs, reach)
+        for lo, hi in segs:
             for j in range(math.ceil(lo * n), math.ceil(hi * n)):
-                grid = (*phases, j / n)
-                if not _screen(windows[k + 1], f_tuple, grid, next_own, margin):
-                    continue
                 prefix = {**fixed, k: SawtoothHeight(f, Fraction(j, n))}
-                heights = assign(f_tuple, windows, k + 1, prefix, grid)
+                heights = assign(f_tuple, windows, k + 1, prefix, (*phases, j / n))
                 if heights:
                     return heights
         return None

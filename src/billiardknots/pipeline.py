@@ -128,16 +128,23 @@ class Verdict:
 
 
 def verdict(
-    mirror: MirrorRoomReport, reflection: ReflectionReport, certification: CertificationReport
+    mirror: MirrorRoomReport,
+    reflection: ReflectionReport,
+    certification: CertificationReport | str,
 ) -> Verdict:
     """The three checks that certify a billiard knot, for realize and verify
-    alike.  The independence check is only the existence argument behind the
-    height search: its result is recorded, and gates nothing."""
+    alike; ``certification`` is a string when no certificate could be made,
+    naming why.  The independence check is only the existence argument
+    behind the height search: its result is recorded, and gates nothing."""
+    if isinstance(certification, str):
+        certified = ("certify", False, certification)
+    else:
+        certified = ("certify", certification.passed, "" if certification.passed else certification.summary())
     return Verdict(
         (
             ("mirror_room_check", mirror.passed, "" if mirror.passed else f"witness {mirror.witness}"),
             ("verify_reflection", reflection.passed, "" if reflection.passed else reflection.violations[0]),
-            ("certify", certification.passed, "" if certification.passed else certification.summary()),
+            certified,
         )
     )
 

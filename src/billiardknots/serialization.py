@@ -18,7 +18,7 @@ import mpmath as mp
 
 from .billiards import ReflectionReport, build_table, mirror_room_check, verify_reflection
 from .braids import QuasitoricPattern, pad_to_min_repetitions
-from .errors import SpecFileError
+from .errors import DomainError, SpecFileError
 from .heights import CrossingHeight, SawtoothHeight, SpatialTrajectory, TrajComponent, TrajEvent
 from .invariants import certify, jones_string
 from .perturbation import PerturbedPolygon, arc_length_table, layout_from_lines
@@ -38,6 +38,14 @@ def _parse_frac(s: str) -> Fraction:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise SpecFileError(f"bad rational {s!r}") from exc
+
+
+def _parse_int(x) -> int:
+    """A stored JSON integer.  A float, a string or a bool is malformed:
+    ``int()`` would truncate or convert it, and the check would pass."""
+    if type(x) is not int:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
 
 
 def _num(x) -> str:
@@ -314,7 +322,7 @@ def verify_artifacts(report_path) -> Verdict:
     try:
         components = []
         for comp in traj_data["components"]:
-            saw = SawtoothHeight(int(comp["frequency"]), _parse_frac(comp["phase"]))
+            saw = SawtoothHeight(_parse_int(comp["frequency"]), _parse_frac(comp["phase"]))
             points = tuple(
                 (_parse_real(x), _parse_real(y), _parse_real(z)) for x, y, z in comp["points"]
             )
@@ -325,11 +333,11 @@ def verify_artifacts(report_path) -> Verdict:
             if len(points) != len(events):
                 raise ValueError(f"{len(points)} points for {len(events)} events")
             for m in (ev.mirror_index for ev in events if ev.kind == "wall"):
-                if type(m) is not int or m not in mirror_ids:
+                if _parse_int(m) not in mirror_ids:
                     raise ValueError(f"wall event at mirror {m!r}, not in {mirror_ids}")
             components.append(TrajComponent(points=points, events=events, sawtooth=saw))
         crossing_heights = tuple(
-            CrossingHeight(int(ch["crossing"]), _parse_real(ch["z_a"]), _parse_real(ch["z_b"]))
+            CrossingHeight(_parse_int(ch["crossing"]), _parse_real(ch["z_a"]), _parse_real(ch["z_b"]))
             for ch in traj_data["crossing_heights"]
         )
         if len(components) != len(poly.components):
@@ -348,4 +356,8 @@ def verify_artifacts(report_path) -> Verdict:
         reflection = verify_reflection(trajectory, table, arcs, REFLECTION_TOL, prec)
     else:
         reflection = ReflectionReport(False, ("skipped: no valid table",))
-    return verdict(mirror, reflection, certify(trajectory, padded))
+    try:
+        certification = certify(trajectory, padded)
+    except DomainError as exc:  # equal passage heights leave a crossing without an over strand
+        certification = f"no diagram: {exc}"
+    return verdict(mirror, reflection, certification)

@@ -24,7 +24,7 @@ from billiardknots.heights import (
     _own_screen,
     _own_window,
     _phase_windows,
-    _screen,
+    _reach_phases,
     build_height_constraints,
     emit_trajectory,
     evaluate_sawtooth,
@@ -254,10 +254,11 @@ def test_phase_engine_against_grid_oracle(n_components):
 
 
 @pytest.mark.parametrize("n_components, f_max", [(2, 5), (3, 2)])
-def test_screen_passes_every_point_with_exact_phases(n_components, f_max):
+def test_reach_phases_hold_every_point_with_exact_phases(n_components, f_max):
     """At every f-tuple, component k >= 1 and grid prefix of components
-    0 .. k-1, the screen passes the prefix whenever the exact phase set of k
-    is non-empty, and it rejects at least a quarter of the prefixes."""
+    0 .. k-1, the prefix's last phase lies inside the intervals of
+    ``_reach_phases`` whenever the exact phase set of k is non-empty, and at
+    least a quarter of the prefixes lie outside them."""
     margin = 0.05
     rng = random.Random(20261019 + n_components)
     passed = rejected = 0
@@ -271,22 +272,41 @@ def test_screen_passes_every_point_with_exact_phases(n_components, f_max):
                 event_arcs = [float(t) for t in table.vertex_arcs[k]]
                 event_arcs += [float(ps.arc) for ps in table.passages[k]]
                 segs = _box_phases(f, event_arcs, itertools.repeat((margin, 1 - margin)))
-                own = _crossing_phases(f, k, segs, arcs, {}, margin)
                 windows = _phase_windows(f, k, arcs)
                 dens = [n_grid * fj for fj in f_tuple[:k]]
+                reach = {}
                 for js in itertools.product(*map(range, dens)):
                     fixed = {
                         j: SawtoothHeight(fj, Fraction(num, den))
                         for j, (fj, num, den) in enumerate(zip(f_tuple, js, dens))
                     }
                     phases = tuple(num / den for num, den in zip(js, dens))
+                    if js[:-1] not in reach:
+                        reach[js[:-1]] = _reach_phases(f_tuple, k - 1, windows, phases[:-1], margin)
                     exact = _crossing_phases(f, k, segs, arcs, fixed, margin)
-                    if _screen(windows, f_tuple, phases, own, margin):
+                    if any(lo <= phases[-1] < hi for lo, hi in reach[js[:-1]]):
                         passed += 1
                     else:
                         assert not exact, (f_tuple, k, js, exact)
                         rejected += 1
     assert rejected >= (passed + rejected) // 4
+
+
+def test_reach_phases_hold_at_the_edge():
+    """Component 1 must pass below component 0 at two crossings whose
+    windows, at component 0's phase 0, overlap by 1e-9: the exact phase set
+    only just exists, and phase 0 lies inside the reach intervals."""
+    margin = 1e-3
+    # at phase 0 and f = 1 both passages of component 0 sit at z = 1/2
+    dist = 0.5 - margin - 1e-9
+    arcs = [
+        (HeightConstraint(0, 0, 0.25, 1, 0.0, True), 0.25, 0.0),
+        (HeightConstraint(1, 0, 0.25, 1, dist, True), 0.25, dist),
+    ]
+    fixed = {0: SawtoothHeight(1, Fraction(0))}
+    assert _crossing_phases(1, 1, [(0.0, 1.0)], arcs, fixed, margin)
+    reach = _reach_phases((1, 1), 0, _phase_windows(1, 1, arcs), (), margin)
+    assert any(lo <= 0.0 < hi for lo, hi in reach), reach
 
 
 def _measure(segs):

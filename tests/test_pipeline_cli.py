@@ -181,6 +181,27 @@ def test_cli_verify_detects_flipped_crossing(tmp_path, capsys):
     assert "certify: FAIL" in printed.out
 
 
+def test_cli_verify_equal_crossing_heights_fail_certify(tmp_path, trefoil_result, capsys):
+    """A crossing whose stored passage heights are equal has no over strand:
+    the verdict keeps its three checks, certify names the crossing, and
+    verify exits 4."""
+    files = write_artifacts(trefoil_result, tmp_path, canonical=True)
+    data = json.loads(files["trajectory"].read_text())
+    ch = data["crossing_heights"][0]
+    ch["z_b"] = ch["z_a"]
+    files["trajectory"].write_text(json.dumps(data))
+    outcome = verify_artifacts(files["report"])
+    assert [name for name, _, _ in outcome.checks] == [
+        "mirror_room_check", "verify_reflection", "certify",
+    ]
+    _, certified, detail = outcome.checks[2]
+    assert not certified
+    assert f"crossing {ch['crossing']} has equal passage heights" in detail
+    capsys.readouterr()
+    assert main(["verify", str(files["report"])]) == 4
+    assert "certify: FAIL (no diagram" in capsys.readouterr().out
+
+
 def _first_wall(component):
     return next(ev for ev in component["events"] if ev["kind"] == "wall")
 
@@ -198,6 +219,15 @@ TRAJECTORY_CORRUPTIONS = {
     "nan-point": lambda d: d["components"][0]["points"][3].__setitem__(2, "nan"),
     "inf-arc": lambda d: d["components"][0]["events"][5].update(arc="inf"),
     "nan-crossing-height": lambda d: d["crossing_heights"][0].update(z_a="nan"),
+    "frequency-float": lambda d: d["components"][0].update(
+        frequency=d["components"][0]["frequency"] + 0.5
+    ),
+    "frequency-string": lambda d: d["components"][0].update(
+        frequency=str(d["components"][0]["frequency"])
+    ),
+    "crossing-float": lambda d: d["crossing_heights"][0].update(
+        crossing=d["crossing_heights"][0]["crossing"] + 0.7
+    ),
 }
 
 
