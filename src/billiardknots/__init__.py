@@ -2,6 +2,7 @@
 
 from .braids import QuasitoricPattern, toric_pattern
 from .errors import (
+    CoincidentEventsError,
     CombinatorialCollapseError,
     DegenerateAngleError,
     DomainError,
@@ -23,6 +24,7 @@ __all__ = [
     # errors
     "PipelineError",
     "DomainError",
+    "CoincidentEventsError",
     "CombinatorialCollapseError",
     "PrecisionError",
     "DegenerateAngleError",

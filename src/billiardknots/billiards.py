@@ -201,6 +201,21 @@ class ReflectionReport:
         return self.passed
 
 
+def walk_error_bound(vertices, length) -> float:
+    """2^-49 (L + R + 1): how far any arc, point coordinate or height of the
+    float walk (``heights.component_events``, ``heights.passage_heights``)
+    is from the exact path of a component with planar length L (in the
+    plane's units) and largest vertex coordinate R in absolute value.  The
+    derivation is in ``verify_reflection``."""
+    size = max(max(abs(float(x)), abs(float(y))) for x, y in vertices)
+    return 2.0 ** -49 * (float(length) + size + 1.0)
+
+
+def _within(tol: float, eps: float) -> float:
+    """The float comparison limit that proves a distance below tol - eps."""
+    return (tol - eps) * (1 - 2.0 ** -50)
+
+
 def verify_reflection(
     traj, table: BilliardTable, arcs: ArcTable, tol: float, prec_bits: int = 128
 ) -> ReflectionReport:
@@ -210,13 +225,40 @@ def verify_reflection(
     in [0, 1], so the table's vertices, their arcs and one (f, phi) per
     component fix it.  Each component's events are regenerated from its own
     sawtooth (``heights.component_events``) and zipped against the stored
-    ones: kinds and mirrors must be equal, arcs and points within ``tol``,
-    and so must every crossing's passage heights.  A component with other
-    than m + 2f events is rejected before anything is generated.
+    ones: kinds and mirrors must be equal, arcs and points within
+    ``tol - eps``, and so must every crossing's passage heights.  A
+    component with other than m + 2f events is rejected before anything is
+    generated, and so is one whose ``eps`` is not below ``tol``.
 
-    Why the regenerated path obeys the 3D law, so that the stored one is
-    within ``tol`` of a billiard path: between consecutive events the
-    planar position is linear in arc length (one segment), and so is z (no
+    The regeneration runs in float64, and eps = ``walk_error_bound`` =
+    2^-49 (L + R + 1) bounds its distance from the exact path through the
+    arc table's arcs, with L the component's planar length and R its
+    largest vertex coordinate.  With u = 2^-53, each rounding is off by
+    at most u relative:
+      - phi, the vertices and the vertex arcs are rounded once: off by at
+        most u, u R and u;
+      - an extremum arc fl(fl(h/2 - phi)/f) is off by at most
+        u/f + 2.01 u <= 3.01 u, since h/2 is exact and the arc is below 1;
+      - a wall or passage height is evaluated at the working precision
+        plus the bits of f, so f t is off by at most u, and z = |2 frac(f t
+        + phi) - 1| by at most 4.01 u before its rounding and 5.01 u after;
+      - consecutive float events are more than 2^-48 apart in arc (else
+        the walk raises), so the exact events come in the same order and
+        each extremum lies on the same segment, and that segment spans
+        S > 2^-48 - 3 u in arc;
+      - an extremum's point x0 + lam dx, with lam = (t - t0)/S, has
+        (t - t0) off by at most 5.02 u and S by 3.01 u, so lam is off by
+        at most 8.03 u/S + u lam; dx is at most S L, because t is arc
+        length over L, and u/S < 1/31, so the point is off by at most
+        12 u L from lam and 5 u R from the rounding of x0, dx and the sum.
+    Every error is thus below 16 u (L + R + 1) = eps, whatever f is.  The
+    comparison's own roundings (three, each relative u) are covered by the
+    factor 1 - 2^-50 = 1 - 8 u on ``tol - eps``.  So a stored value that
+    passes is within ``tol`` of the exact path.
+
+    Why the exact path obeys the 3D law, so that the stored one is within
+    ``tol`` of a billiard path: between consecutive events the planar
+    position is linear in arc length (one segment), and so is z (no
     extremum in between), with planar speed the component's length and
     vertical speed 2f throughout.  At a wall vertex the planar direction
     reflects in the mirror, because the table's mirrors are defined as the
@@ -234,7 +276,6 @@ def verify_reflection(
         return ReflectionReport(False, (f"{len(traj.components)} components, expected {n_comp}",))
     violations = []
     with mp.workprec(prec_bits):
-        tol_m = mp.mpf(tol)
         end = 0
         for ci, comp in enumerate(traj.components):
             v_arcs = arcs.vertex_arcs[ci]
@@ -248,36 +289,45 @@ def verify_reflection(
                     f"expected {m} walls + {2 * saw.frequency} bounces"
                 )
                 continue
+            eps = walk_error_bound(vertices, arcs.total_lengths[ci])
+            if not eps < tol:
+                violations.append(
+                    f"component {ci}: the float walk's error bound {eps:.3g} "
+                    f"is not below the tolerance {tol:g}"
+                )
+                continue
+            limit = _within(tol, eps)
             stream = component_events(vertices, v_arcs, first, saw)
             try:
                 for i, ((want, at), event, point) in enumerate(zip(stream, comp.events, comp.points)):
-                    arc_err = abs(event.arc - want.arc)
-                    point_err = max(abs(point[j] - at[j]) for j in range(3))
-                    if (event.kind, event.mirror_index) != (want.kind, want.mirror_index):
+                    if event.kind != want.kind or event.mirror_index != want.mirror_index:
                         problem = (
                             f"stored {event.kind} event (mirror {event.mirror_index}), "
                             f"closed form {want.kind} (mirror {want.mirror_index})"
                         )
-                    elif max(arc_err, point_err) > tol_m:
-                        problem = (
-                            f"arc off the closed form by {mp.nstr(arc_err, 6)}, "
-                            f"point by {mp.nstr(point_err, 6)}"
-                        )
                     else:
-                        continue
+                        arc_err = abs(event.arc - want.arc)
+                        point_err = max(abs(point[0] - at[0]), abs(point[1] - at[1]), abs(point[2] - at[2]))
+                        if arc_err <= limit and point_err <= limit:
+                            continue
+                        problem = (
+                            f"arc off the closed form by {float(arc_err):.6g}, "
+                            f"point by {float(point_err):.6g}"
+                        )
                     violations.append(f"reflection law violated at component {ci} event {i}: {problem}")
                     break
             except DomainError as exc:
                 violations.append(f"component {ci}: {exc}")
 
         expected = passage_heights([comp.sawtooth for comp in traj.components], arcs)
+        limit = _within(tol, 2.0 ** -49)  # a height's bound: eps with L = R = 0
         stored = sorted(traj.crossing_heights, key=lambda ch: ch.crossing)
         if [ch.crossing for ch in stored] != [ch.crossing for ch in expected]:
             violations.append("the crossing heights do not name every crossing once")
         for got, want in zip(stored, expected):
             err = max(abs(got.z_a - want.z_a), abs(got.z_b - want.z_b))
-            if err > tol_m:
+            if err > limit:
                 violations.append(
-                    f"crossing {want.crossing}: passage heights off the sawtooth by {mp.nstr(err, 6)}"
+                    f"crossing {want.crossing}: passage heights off the sawtooth by {float(err):.6g}"
                 )
     return ReflectionReport(passed=not violations, violations=tuple(violations))

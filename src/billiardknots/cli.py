@@ -1,7 +1,8 @@
 """Command-line interface: realize, verify, presets.
 
 Exit codes: 0 success, 2 height-search exhaustion, 3 spec/parse error,
-4 verification or certification failure.
+4 verification or certification failure, 5 coincident trajectory events
+(a realized bounce on a wall vertex).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import PipelineError, SearchExhaustedError, SpecFileError
+from .errors import CoincidentEventsError, PipelineError, SearchExhaustedError, SpecFileError
 from .pipeline import RealizationSpec, realize
 from .presets import preset_listing
 from .serialization import verify_artifacts, write_artifacts
@@ -20,6 +21,7 @@ EXIT_OK = 0
 EXIT_SEARCH = 2
 EXIT_SPEC = 3
 EXIT_VERIFY = 4
+EXIT_COINCIDENT = 5
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,6 +73,9 @@ def cmd_realize(args) -> int:
                 file=sys.stderr,
             )
         return EXIT_SEARCH
+    except CoincidentEventsError as exc:
+        print(f"coincident trajectory events: {exc}", file=sys.stderr)
+        return EXIT_COINCIDENT
     except PipelineError as exc:
         print(f"pipeline failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY

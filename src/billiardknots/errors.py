@@ -9,6 +9,10 @@ class DomainError(PipelineError, ValueError):
     """Input outside an operation's domain (bad strand count, regime, shapes)."""
 
 
+class CoincidentEventsError(DomainError):
+    """Two events of a trajectory fall on (or too near) the same arc."""
+
+
 class CombinatorialCollapseError(PipelineError):
     """No perturbation magnitude preserved the diagram combinatorics."""
 

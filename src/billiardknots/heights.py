@@ -44,7 +44,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .errors import DomainError, SearchExhaustedError
+from .errors import CoincidentEventsError, DomainError, SearchExhaustedError
 from .pdcodes import DiagramTraversal
 from .perturbation import PerturbedPolygon, to_mpf
 from .stars import ArcTable
@@ -549,7 +549,7 @@ class TrajEvent:
 
 @dataclass(frozen=True)
 class TrajComponent:
-    points: tuple               # (x, y, z) triples, mpf
+    points: tuple               # (x, y, z) triples, float
     events: tuple[TrajEvent, ...]
     sawtooth: SawtoothHeight
 
@@ -557,8 +557,8 @@ class TrajComponent:
 @dataclass(frozen=True)
 class CrossingHeight:
     crossing: int
-    z_a: object                 # height of the chord_a passage
-    z_b: object
+    z_a: float                  # height of the chord_a passage
+    z_b: float
 
 
 @dataclass(frozen=True)
@@ -580,6 +580,20 @@ class SpatialTrajectory:
         return self.poly.diagram_traversal(self.over_flags())
 
 
+# Least arc gap between consecutive events of the float walk.  Each float
+# arc is within 4 * 2^-53 of its exact value, so events further apart than
+# this come in the exact order, and a planar segment holding an extremum
+# spans more than this in arc.
+EVENT_GAP = 2.0 ** -48
+
+
+def _float_heights(saw: SawtoothHeight, arcs) -> list[float]:
+    """z at each arc, at the working precision plus the bits of f, rounded
+    once to float: the error of f t then stays below 2^-53 whatever f is."""
+    with mp.workprec(mp.mp.prec + saw.frequency.bit_length()):
+        return [float(evaluate_sawtooth(saw, t)) for t in arcs]
+
+
 def component_events(vertices, vertex_arcs, first_mirror: int, saw: SawtoothHeight):
     """Yield one component's events in arc order, each with its 3D point.
 
@@ -587,41 +601,54 @@ def component_events(vertices, vertex_arcs, first_mirror: int, saw: SawtoothHeig
     sawtooth extrema sit at arcs (h/2 - phi)/f in [0, 1), at height 1
     (ceiling, integer h) or 0 (floor), on the planar segment whose arc
     interval holds them.  The walk goes segment by segment, so it is linear
-    in m + 2f.  Rounds at the caller's working precision; raises
-    DomainError when two events coincide.
+    in m + 2f.
+
+    The walk runs in float64.  Vertices, vertex arcs and phi are rounded to
+    float once, and the extremum arcs and their points are computed in
+    float.  The m wall heights are evaluated at the caller's working
+    precision plus the bits of f and rounded once.  So every arc, point
+    and height is within ``billiards.walk_error_bound`` of the exact path,
+    however large f is.  Raises CoincidentEventsError when two consecutive
+    events come within EVENT_GAP in arc (the closing wall sits at arc 1).
     """
     m = len(vertices)
-    phi = to_mpf(saw.phase)
-    verts = [(to_mpf(x), to_mpf(y)) for x, y in vertices]
-    # extrema in t in [0, 1) sit at h/2 in [phi, f + phi), phi < 1
-    extrema = itertools.dropwhile(
-        lambda extremum: extremum[0] < 0,
-        (((mp.mpf(half) / 2 - phi) / saw.frequency, half % 2 == 0) for half in itertools.count()),
-    )
-    t_star, ceiling = next(extrema)
+    f = saw.frequency
+    phi = float(saw.phase)
+    verts = [(float(x), float(y)) for x, y in vertices]
+    arcs = [float(t) for t in vertex_arcs] + [1.0]
+    wall_z = _float_heights(saw, vertex_arcs)
+    h = math.ceil(2 * phi)  # the first extremum at an arc >= 0
+    stop = h + 2 * f
+    t_star = (h / 2 - phi) / f
+    previous = -1.0
     for i in range(m):
-        start = vertex_arcs[i]
-        end = vertex_arcs[i + 1] if i + 1 < m else mp.mpf(1)
+        start, end = arcs[i], arcs[i + 1]
+        if not start - previous > EVENT_GAP:
+            raise CoincidentEventsError(f"wall vertex {i} coincides with a bounce; margin too small")
         (x0, y0), (x1, y1) = verts[i], verts[(i + 1) % m]
-        yield TrajEvent("wall", start, first_mirror + i), (x0, y0, evaluate_sawtooth(saw, start))
+        yield TrajEvent("wall", start, first_mirror + i), (x0, y0, wall_z[i])
         previous, span, dx, dy = start, end - start, x1 - x0, y1 - y0
-        while t_star < end:
-            if not previous < t_star:
-                raise DomainError("coincident trajectory events; margin too small")
+        while h < stop and t_star < end:
+            if not t_star - previous > EVENT_GAP:
+                raise CoincidentEventsError("coincident trajectory events; margin too small")
             lam = (t_star - start) / span
-            point = (x0 + lam * dx, y0 + lam * dy, mp.mpf(1 if ceiling else 0))
+            ceiling = h % 2 == 0
+            point = (x0 + lam * dx, y0 + lam * dy, 1.0 if ceiling else 0.0)
             yield TrajEvent("ceiling" if ceiling else "floor", t_star), point
             previous = t_star
-            t_star, ceiling = next(extrema)
+            h += 1
+            t_star = (h / 2 - phi) / f
+    if h < stop or not 1.0 - previous > EVENT_GAP:
+        raise CoincidentEventsError("a bounce coincides with wall vertex 0; margin too small")
 
 
 def passage_heights(heights, table: ArcTable) -> tuple[CrossingHeight, ...]:
-    """Both passage heights of every crossing, by crossing index, at the
-    caller's working precision."""
-    sides: dict[int, dict[bool, object]] = {}
+    """Both passage heights of every crossing, by crossing index, each
+    evaluated as ``component_events`` evaluates wall heights."""
+    sides: dict[int, dict[bool, float]] = {}
     for saw, passages in zip(heights, table.passages):
-        for ps in passages:
-            sides.setdefault(ps.crossing, {})[ps.is_a_side] = evaluate_sawtooth(saw, ps.arc)
+        for ps, z in zip(passages, _float_heights(saw, [ps.arc for ps in passages])):
+            sides.setdefault(ps.crossing, {})[ps.is_a_side] = z
     return tuple(CrossingHeight(cid, z[True], z[False]) for cid, z in sorted(sides.items()))
 
 
@@ -635,9 +662,13 @@ def emit_trajectory(
     floor/ceiling bounce points inserted at the sawtooth extrema (the
     events of ``component_events``).
 
-    Projecting the result to the floor recovers the polygon exactly; between
-    consecutive events both the planar position and the height are linear in
-    arc length, so straight 3D segments represent the trajectory exactly.
+    Points, arcs and crossing heights are floats.  Only the wall and
+    passage heights are evaluated at ``prec_bits`` (plus the bits of f),
+    which is O(m + n) work; the 2f bounces cost float arithmetic.
+    Projecting the result to the floor recovers the polygon to float
+    rounding; between consecutive events both the planar position and the
+    height are linear in arc length, so straight 3D segments represent the
+    trajectory.
     """
     if len(heights) != len(poly.components):
         raise DomainError("one sawtooth per component required")

@@ -46,6 +46,14 @@ INDEPENDENCE_TOL = 1e-12
 MIN_PRECISION_BITS = 53
 
 
+def json_int(x) -> int:
+    """A JSON integer.  A float, a string or a bool is malformed: ``int()``
+    would truncate or convert it, and a bad value would pass."""
+    if type(x) is not int:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class RealizationSpec:
     """Validated input for one realization run."""
@@ -84,17 +92,17 @@ class RealizationSpec:
         else:
             spec = merged["pattern"]
             try:
-                strands = int(spec["strands"])
-                repetitions = int(spec["repetitions"])
-                signs = tuple(tuple(int(s) for s in row) for row in spec["signs"])
+                strands = json_int(spec["strands"])
+                repetitions = json_int(spec["repetitions"])
+                signs = tuple(tuple(json_int(s) for s in row) for row in spec["signs"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise SpecFileError(f"malformed pattern: {exc}") from exc
             try:
                 pattern = QuasitoricPattern(strands, repetitions, signs)
             except DomainError as exc:
                 raise SpecFileError(str(exc)) from exc
-        kinds = {"seed": int, "delta": lambda v: Fraction(str(v)), "f_max": int,
-                 "margin": float, "precision_bits": int}
+        kinds = {"seed": json_int, "delta": lambda v: Fraction(str(v)), "f_max": json_int,
+                 "margin": float, "precision_bits": json_int}
         try:
             values = {name: kind(merged.get(name, getattr(cls, name))) for name, kind in kinds.items()}
         except (TypeError, ValueError, ZeroDivisionError) as exc:

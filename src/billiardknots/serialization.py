@@ -2,6 +2,7 @@
 
 JSON is the single interchange format (rationals serialized as "num/den"
 strings to keep exactness across the boundary, high-precision reals as
+decimal strings, the trajectory's floats as their shortest round-trip
 decimal strings); the prism additionally ships as an OBJ mesh and the
 diagram as an SVG with under-strand gaps, in the style of star-polygon
 projection figures.
@@ -22,7 +23,7 @@ from .errors import DomainError, SpecFileError
 from .heights import CrossingHeight, SawtoothHeight, SpatialTrajectory, TrajComponent, TrajEvent
 from .invariants import certify, jones_string
 from .perturbation import PerturbedPolygon, arc_length_table, layout_from_lines
-from .pipeline import REFLECTION_TOL, RealizationResult, RealizationSpec, Verdict, verdict
+from .pipeline import REFLECTION_TOL, RealizationResult, RealizationSpec, Verdict, json_int, verdict
 from .stars import assign_braid_letters, build_star, star_diagram_json
 
 MPF_DIGITS = 40
@@ -40,27 +41,24 @@ def _parse_frac(s: str) -> Fraction:
         raise SpecFileError(f"bad rational {s!r}") from exc
 
 
-def _parse_int(x) -> int:
-    """A stored JSON integer.  A float, a string or a bool is malformed:
-    ``int()`` would truncate or convert it, and the check would pass."""
-    if type(x) is not int:
-        raise ValueError(f"expected an integer, got {x!r}")
-    return x
-
-
 def _num(x) -> str:
     return mp.nstr(mp.mpf(x), MPF_DIGITS)
 
 
-def _parse_real(s) -> mp.mpf:
-    """A stored decimal read at float64: the value ``mp.mpf(s)`` gives at
-    53 bits, but parsed by ``float`` and exact at any working precision of
-    53 bits or more.  A non-finite value is malformed: NaN would pass every
-    tolerance comparison."""
+def _float_str(x) -> str:
+    """The shortest decimal that reads back as the float ``x``."""
+    return repr(float(x))
+
+
+def _parse_real(s) -> float:
+    """A stored decimal as a float: bit for bit the float it was written
+    from by ``_float_str``, and the nearest float for any other decimal.  A
+    non-finite value is malformed: NaN would pass every tolerance
+    comparison."""
     x = float(s)
     if not math.isfinite(x):
         raise ValueError(f"non-finite value {s!r}")
-    return mp.mpf(x)
+    return x
 
 
 def _laurent_json(poly: dict[int, int]) -> dict:
@@ -92,16 +90,16 @@ def trajectory_json(result: RealizationResult) -> dict:
             {
                 "frequency": comp.sawtooth.frequency,
                 "phase": _frac_str(comp.sawtooth.phase),
-                "points": [[_num(x), _num(y), _num(z)] for x, y, z in comp.points],
+                "points": [[_float_str(c) for c in point] for point in comp.points],
                 "events": [
-                    {"kind": ev.kind, "arc": _num(ev.arc), "mirror": ev.mirror_index}
+                    {"kind": ev.kind, "arc": _float_str(ev.arc), "mirror": ev.mirror_index}
                     for ev in comp.events
                 ],
             }
             for comp in result.trajectory.components
         ],
         "crossing_heights": [
-            {"crossing": ch.crossing, "z_a": _num(ch.z_a), "z_b": _num(ch.z_b)}
+            {"crossing": ch.crossing, "z_a": _float_str(ch.z_a), "z_b": _float_str(ch.z_b)}
             for ch in result.trajectory.crossing_heights
         ],
     }
@@ -283,8 +281,8 @@ def verify_artifacts(report_path) -> Verdict:
     whose ``padded_pattern`` or ``star`` disagrees is malformed.  The
     reflection check compares the stored trajectory with the closed form
     its lines and sawtooths fix.  Stored points, arcs and crossing heights
-    are read at float64 (``_parse_real``), whose rounding (~1e-16) lies
-    about 7 orders of magnitude below REFLECTION_TOL."""
+    are floats written as their shortest round-trip decimals, and
+    ``_parse_real`` reads them back bit for bit."""
     report_path = Path(report_path)
     report = _load_json(report_path)
     try:
@@ -322,7 +320,7 @@ def verify_artifacts(report_path) -> Verdict:
     try:
         components = []
         for comp in traj_data["components"]:
-            saw = SawtoothHeight(_parse_int(comp["frequency"]), _parse_frac(comp["phase"]))
+            saw = SawtoothHeight(json_int(comp["frequency"]), _parse_frac(comp["phase"]))
             points = tuple(
                 (_parse_real(x), _parse_real(y), _parse_real(z)) for x, y, z in comp["points"]
             )
@@ -333,11 +331,11 @@ def verify_artifacts(report_path) -> Verdict:
             if len(points) != len(events):
                 raise ValueError(f"{len(points)} points for {len(events)} events")
             for m in (ev.mirror_index for ev in events if ev.kind == "wall"):
-                if _parse_int(m) not in mirror_ids:
+                if json_int(m) not in mirror_ids:
                     raise ValueError(f"wall event at mirror {m!r}, not in {mirror_ids}")
             components.append(TrajComponent(points=points, events=events, sawtooth=saw))
         crossing_heights = tuple(
-            CrossingHeight(_parse_int(ch["crossing"]), _parse_real(ch["z_a"]), _parse_real(ch["z_b"]))
+            CrossingHeight(json_int(ch["crossing"]), _parse_real(ch["z_a"]), _parse_real(ch["z_b"]))
             for ch in traj_data["crossing_heights"]
         )
         if len(components) != len(poly.components):

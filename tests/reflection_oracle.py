@@ -27,7 +27,7 @@ def pointwise_reflection(traj, table: BilliardTable, tol: float, prec_bits: int 
     with mp.workprec(prec_bits):
         tol_m = mp.mpf(tol)
         for ci, comp in enumerate(traj.components):
-            pts = comp.points
+            pts = [tuple(mp.mpf(c) for c in point) for point in comp.points]
             n = len(pts)
             if n < 3:
                 violations.append(f"component {ci}: fewer than 3 points")

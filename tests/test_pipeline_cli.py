@@ -141,6 +141,32 @@ def test_cli_spec_errors(tmp_path):
     assert main(["realize", str(low), "--out", str(tmp_path / "x")]) == 3
 
 
+@pytest.mark.parametrize(
+    "pattern",
+    [
+        {"strands": 2.7, "repetitions": 3, "signs": [[1], [1], [1]]},
+        {"strands": 2, "repetitions": "5", "signs": [[1], [1], [1], [1], [-1]]},
+        {"strands": 2, "repetitions": 3, "signs": [[1], [1.0], [1]]},
+    ],
+)
+def test_cli_realize_rejects_non_integer_pattern_fields(tmp_path, pattern, capsys):
+    spec = _write_spec(tmp_path, {"pattern": pattern})
+    assert main(["realize", str(spec), "--out", str(tmp_path / "x")]) == 3
+    assert "expected an integer" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("field, value", [("seed", 42.9), ("f_max", "10000"), ("precision_bits", True)])
+def test_cli_verify_rejects_a_non_integer_spec_echo(tmp_path, trefoil_result, capsys, field, value):
+    files = write_artifacts(trefoil_result, tmp_path, canonical=True)
+    data = json.loads(files["report"].read_text())
+    data["spec"][field] = value
+    files["report"].write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(files["report"])]) == 3
+    assert "expected an integer" in capsys.readouterr().err
+
+
 def test_float64_precision_realizes_trefoil():
     assert realize(RealizationSpec.from_dict({"preset": "trefoil", "precision_bits": 53})).passed
 
@@ -277,21 +303,29 @@ def test_verify_artifacts_reports_checks(tmp_path, trefoil_result):
 
 
 def test_stored_decimals_parse_as_mpf_does_at_53_bits(tmp_path, figure_eight_result):
-    """``_parse_real`` gives bit for bit what ``mp.mpf`` gave at mpmath's
-    default 53 bits on every decimal of a realized trajectory, whatever the
-    caller's working precision."""
+    """Every decimal of a realized trajectory is the shortest repr of the
+    float realize computed, and ``_parse_real`` reads it back bit for bit;
+    at any working precision that is also what ``mp.mpf`` gives at mpmath's
+    default 53 bits."""
     files = write_artifacts(figure_eight_result, tmp_path / "f8", canonical=True)
     data = json.loads(files["trajectory"].read_text())
+    traj = figure_eight_result.trajectory
     strings = [ch[side] for ch in data["crossing_heights"] for side in ("z_a", "z_b")]
-    for comp in data["components"]:
+    values = [z for ch in traj.crossing_heights for z in (ch.z_a, ch.z_b)]
+    for comp, stored in zip(data["components"], traj.components):
         strings += [x for point in comp["points"] for x in point]
+        values += [x for point in stored.points for x in point]
         strings += [ev["arc"] for ev in comp["events"]]
-    assert len(strings) > 10_000
+        values += [ev.arc for ev in stored.events]
+    assert len(strings) == len(values) > 10_000
+    assert all(type(v) is float for v in values)
+    assert [_parse_real(s).hex() for s in strings] == [v.hex() for v in values]
+    assert [repr(_parse_real(s)) for s in strings] == strings
     with mp.workprec(53):
         expected = [mp.mpf(s)._mpf_ for s in strings]
     for prec in (53, 192):
         with mp.workprec(prec):
-            assert [_parse_real(s)._mpf_ for s in strings] == expected
+            assert [mp.mpf(_parse_real(s))._mpf_ for s in strings] == expected
 
 
 def test_verify_rejects_a_report_whose_spec_names_another_pattern(tmp_path, trefoil_result, capsys):
