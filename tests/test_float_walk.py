@@ -10,6 +10,7 @@ knot at f >= 3,000.
 import functools
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -30,18 +31,17 @@ from test_sweep import F_MAX as SWEEP_F_MAX
 from test_sweep import sweep_slice
 
 
-def _random_knot(strands: int, repetitions: int) -> QuasitoricPattern:
+def _random_2_11() -> QuasitoricPattern:
     """The (2, 11) knot drawn first from ``random.Random(7)``, one sign per
-    row: f = 3,226 at seed 42."""
+    row: f = 3,226 at seed 42, the first row of ROADMAP's frequency wall."""
     rng = random.Random(7)
-    signs = tuple(tuple(rng.choice((1, -1)) for _ in range(strands - 1)) for _ in range(repetitions))
-    return QuasitoricPattern(strands, repetitions, signs)
+    return QuasitoricPattern(2, 11, tuple((rng.choice((1, -1)),) for _ in range(11)))
 
 
 INPUTS = {
     **{name: dict(pattern=PRESETS[name], preset=name) for name in PRESETS},
     **{f"sweep-{i}": dict(pattern=p, f_max=SWEEP_F_MAX) for i, p in enumerate(sweep_slice())},
-    "random-2-11": dict(pattern=_random_knot(2, 11)),
+    "random-2-11": dict(pattern=_random_2_11()),
 }
 
 
@@ -130,3 +130,16 @@ def test_an_error_bound_at_the_tolerance_is_rejected_by_name():
     assert not report.passed
     assert report.violations[0].startswith("component 0: the float walk's error bound")
     assert verify_reflection(result.trajectory, result.table, result.arcs, 2 * eps, prec_bits=192).passed
+
+
+@pytest.mark.parametrize("shift, accepted", [(0.5e-9, True), (1.01e-9, False)])
+def test_a_moved_point_is_judged_against_the_tolerance(shift, accepted):
+    result = _realized("trefoil")
+    traj = result.trajectory
+    (comp,) = traj.components
+    points = list(comp.points)
+    x, y, z = points[5]
+    points[5] = (x + shift, y, z)
+    moved = replace(traj, components=(replace(comp, points=tuple(points)),))
+    report = verify_reflection(moved, result.table, result.arcs, REFLECTION_TOL, prec_bits=192)
+    assert report.passed == accepted
