@@ -6,25 +6,24 @@ frequency f and a phase phi in [0, 1); it bounces off the prism's floor
 values).  Density of {frac(f t_i + phi)} over Q-independent arcs guarantees
 some (f, phi) realizes any prescribed over/under pattern; here that
 existence argument is replaced by a finite deterministic search over
-exact phase intervals: every condition below is piecewise linear in phi,
-with kinks at (-f t) mod 1 and (1/2 - f t) mod 1.  ``search_heights`` says
-in which order frequencies (shell order for links) and phases are tried.
+exact phase intervals.  ``search_heights`` says in which order frequencies
+(shell order for links) and phases are tried.
 
-Most frequencies admit no phase, and a closed form says which before any
-interval is built: a crossing with both passages on one component holds on
-one cyclic phase window of half-width (1 - margin)/4, or on none when
-2 min(d, 1 - d) < margin for d = f (t2 - t1) mod 1 (``_own_window``).  The
-search builds exact intervals only where these windows, slightly widened,
-intersect, so it skips only frequencies with no feasible phase.
-
-In a link, the phase of component k - 1 sets the heights its crossings
-with component k must clear, and almost every phase leaves k no phase at
-all.  Each such crossing confines k's phase to one cyclic window centred at
-a kink of k, with a half-width linear in k - 1's phase between k - 1's
-kinks; two windows meet only if their half-widths add up to the cyclic
-distance of their centres.  So the phases of k - 1 worth walking are found
-pair by pair as intervals (``_reach_phases``), again widened so that only
-phases with no feasible phase for k are skipped.
+Each condition below is a sawtooth inequality, and with the heights of the
+components fixed earlier it holds for a component's phase on one cyclic
+window given in closed form, or off such windows:
+  - a crossing with both passages on the component, within (1 - margin)/4
+    of a centre, or nowhere when 2 min(d, 1 - d) < margin for
+    d = f (t2 - t1) mod 1 (``_own_window``, ``_own_phases``);
+  - a crossing with a component fixed at height z, within (z - margin)/2
+    of the floor kink (1/2 - f t) mod 1 when the passage at arc t must be
+    under, or within (1 - z - margin)/2 of the ceiling kink (-f t) mod 1
+    when it must be over (``_phase_windows``, ``_fixed_phases``);
+  - the floor and ceiling conditions, off windows of half-width margin/2
+    around the kinks (``_box_phases``).
+Their intersections are the exact phase sets.  In a link one screen,
+``_reach_phases``, picks the phases of a component worth walking: those
+under which the next component's windows still meet pair by pair.
 
 Search conditions, with a uniform ``margin``:
   (a) each crossing's two passage heights differ by at least ``margin``,
@@ -139,6 +138,19 @@ def _intersect_intervals(s1, s2):
     return out
 
 
+def _cyclic_window(center: float, half: float):
+    """The phases within ``half`` of ``center`` on the circle [0, 1), as
+    sorted disjoint intervals."""
+    if half >= 0.5:
+        return [(0.0, 1.0)]
+    a, b = center - half, center + half
+    if a < 0.0:
+        return [(0.0, b), (a + 1.0, 1.0)]
+    if b > 1.0:
+        return [(0.0, b - 1.0), (a, 1.0)]
+    return [(a, b)]
+
+
 def _box_phases(f: int, arcs, boxes):
     """Phases phi in [0, 1) with z(t_i) in [lo_i, hi_i] for every arc t_i at
     frequency f, as sorted disjoint intervals.
@@ -151,12 +163,8 @@ def _box_phases(f: int, arcs, boxes):
     windows = []
     for t, (lo, hi) in zip(arcs, boxes):
         for center, half in (((-f * t) % 1.0, (1.0 - hi) / 2.0), ((0.5 - f * t) % 1.0, lo / 2.0)):
-            if half <= 0.0:
-                continue
-            for shift in (-1.0, 0.0, 1.0):
-                a, b = center + shift - half, center + shift + half
-                if b > 0.0 and a < 1.0:
-                    windows.append((max(a, 0.0), min(b, 1.0)))
+            if half > 0.0:
+                windows += _cyclic_window(center, half)
     windows.sort()
     segs = []
     start = 0.0
@@ -167,75 +175,6 @@ def _box_phases(f: int, arcs, boxes):
     if start < 1.0:
         segs.append((start, 1.0))
     return segs
-
-
-def _crossing_phases(f: int, k: int, segs, constraints, fixed, margin: float):
-    """Intersect the phase set ``segs`` of component k at frequency f with
-    condition (a) of every constraint whose sides lie on k or on a component
-    of ``fixed`` (component -> SawtoothHeight), where a side is a constant.
-
-    ``constraints`` holds (constraint, first arc, second arc) with float
-    arcs.  Between the kinks of its sides on k a condition is linear in phi,
-    so its feasible set is a short list of intervals.  Float64 suffices:
-    kink positions are known to ~1e-13 while margins are >= 1e-6.
-    """
-    allowed = [(0.0, 1.0)]  # intersected with the long ``segs`` list last
-    for c, t1, t2 in constraints:
-        ends = {c.first_component, c.second_component}
-        if k not in ends or not ends <= fixed.keys() | {k}:
-            continue
-        sign = 1.0 if c.first_over else -1.0
-        # a side on k moves with phi (None); a side on a fixed component is constant
-        z1 = None if c.first_component == k else evaluate_sawtooth(fixed[c.first_component], t1)
-        z2 = None if c.second_component == k else evaluate_sawtooth(fixed[c.second_component], t2)
-
-        def gap(phi):
-            h1 = _sawtooth(f, t1, phi) if z1 is None else z1
-            h2 = _sawtooth(f, t2, phi) if z2 is None else z2
-            return sign * (h1 - h2)
-
-        kinks = {0.0, 1.0}
-        for t, z in ((t1, z1), (t2, z2)):
-            if z is None:
-                kinks.update(((-f * t) % 1.0, (0.5 - f * t) % 1.0))
-        kinks = sorted(kinks)
-        good = []
-        for a, b in zip(kinks, kinks[1:]):
-            width = b - a
-            if width < 1e-14:
-                continue
-            da, db = gap(a + 1e-9 * width), gap(b - 1e-9 * width)
-            if da >= margin and db >= margin:
-                good.append((a, b))
-            elif da >= margin or db >= margin:
-                lam = (margin - da) / (db - da)
-                x = a + lam * width
-                good.append((a, x) if da >= margin else (x, b))
-        allowed = _intersect_intervals(allowed, good)
-        if not allowed:
-            return []
-    return _intersect_intervals(segs, allowed)
-
-
-# Widening of the screen's windows.  ``_crossing_phases`` samples each linear
-# piece 1e-9 * width inside its ends and treats the samples as end values; a
-# moving side's gap has phase slope 2, so its intervals stretch at most about
-# 2e-9 beyond the true feasible set (float64 rounding adds ~1e-12).  1e-8
-# covers that five times over.
-_SCREEN_SLACK = 1e-8
-
-
-def _cyclic_window(center: float, half: float):
-    """The phases within ``half`` of ``center`` on the circle [0, 1), as
-    sorted disjoint intervals."""
-    if half >= 0.5:
-        return [(0.0, 1.0)]
-    a, b = center - half, center + half
-    if a < 0.0:
-        return [(0.0, b), (a + 1.0, 1.0)]
-    if b > 1.0:
-        return [(0.0, b - 1.0), (a, 1.0)]
-    return [(a, b)]
 
 
 def _own_window(f: int, t1: float, t2: float, first_over: bool):
@@ -256,23 +195,24 @@ def _own_window(f: int, t1: float, t2: float, first_over: bool):
     return 2.0 * min(d, 1.0 - d), centre
 
 
-def _own_screen(f: int, k: int, constraints, margin: float) -> bool:
-    """False only if ``_crossing_phases`` finds no phase for component k at
-    frequency f under k's own crossings (both passages on k): one of their
-    ``_own_window`` tests fails, or the windows' intersection is empty, with
-    the test and the windows widened by _SCREEN_SLACK."""
-    half = (1.0 - margin) / 4.0 + _SCREEN_SLACK
+def _own_phases(f: int, k: int, constraints, margin: float):
+    """The phases of component k at frequency f, as sorted disjoint
+    intervals, under condition (a) of k's own crossings (both passages on
+    k): the intersection of their ``_own_window``s, or none as soon as one
+    has g < margin.  ``constraints`` holds (constraint, first arc, second
+    arc) with float arcs."""
+    half = (1.0 - margin) / 4.0
     allowed = [(0.0, 1.0)]
     for c, t1, t2 in constraints:
         if c.first_component != k or c.second_component != k:
             continue
         g, centre = _own_window(f, t1, t2, c.first_over)
-        if g + _SCREEN_SLACK < margin:
-            return False
+        if g < margin:
+            return []
         allowed = _intersect_intervals(allowed, _cyclic_window(centre, half))
         if not allowed:
-            return False
-    return True
+            return []
+    return allowed
 
 
 def _phase_windows(f: int, k: int, constraints):
@@ -295,9 +235,36 @@ def _phase_windows(f: int, k: int, constraints):
     return windows
 
 
+def _fixed_phases(f_tuple, windows, phases, margin: float):
+    """The phases of component k, as sorted disjoint intervals, under
+    condition (a) of its crossings with components 0 .. k-1, which have the
+    frequencies ``f_tuple`` and the phases ``phases``: the intersection of
+    k's ``_phase_windows`` ``windows``.  At the fixed height z a window has
+    half-width (z - margin)/2 when k passes below and (1 - z - margin)/2
+    when it passes above; a negative half-width leaves no phase."""
+    allowed = [(0.0, 1.0)]
+    for j, t_j, centre, below in windows:
+        z = _sawtooth(f_tuple[j], t_j, phases[j])
+        half = ((z if below else 1.0 - z) - margin) / 2.0
+        if half < 0.0:
+            return []
+        allowed = _intersect_intervals(allowed, _cyclic_window(centre, half))
+        if not allowed:
+            return []
+    return allowed
+
+
+# Widening of ``_reach_phases``.  Its half-widths and interval ends come from
+# the same closed forms as ``_fixed_phases``, by other float operations
+# (interpolation between kinks, sums of two half-widths), so the two differ
+# by float rounding only, of the order of f * 2^-52 (2e-12 at f = 10^4); 1e-8
+# covers that many times over.
+_SCREEN_SLACK = 1e-8
+
+
 def _reach_phases(f_tuple, k: int, windows, phases, margin: float):
     """The phases of component k, as sorted disjoint intervals, outside
-    which ``_crossing_phases`` finds no phase for component k + 1 once
+    which ``_fixed_phases`` finds no phase for component k + 1 once
     components 0 .. k-1 are fixed at ``phases``.
 
     ``windows`` are k + 1's ``_phase_windows``.  Widened by _SCREEN_SLACK,
@@ -368,7 +335,7 @@ def _interval_phases(lo: float, hi: float, n_grid: int) -> list[Fraction]:
     return [phi for phi in candidates if 0 <= phi < 1]
 
 
-def _confirm(heights: dict[int, SawtoothHeight], constraints, table: ArcTable, margin) -> bool:
+def _confirm(heights: tuple[SawtoothHeight, ...], constraints, table: ArcTable, margin) -> bool:
     """Re-evaluate a float-screened candidate at the table's precision."""
     with mp.workprec(table.prec_bits):
         m = mp.mpf(margin)
@@ -377,7 +344,7 @@ def _confirm(heights: dict[int, SawtoothHeight], constraints, table: ArcTable, m
             z2 = evaluate_sawtooth(heights[c.second_component], c.second_arc)
             if abs(z1 - z2) < m or (z1 > z2) != c.first_over:
                 return False
-        for comp, saw in heights.items():
+        for comp, saw in enumerate(heights):
             for t in table.vertex_arcs[comp]:
                 z = evaluate_sawtooth(saw, t)
                 if z < m or z > 1 - m:
@@ -408,30 +375,22 @@ def search_heights(
     to 2^-31, so no feasible interval of the last component is missed.
     Every accepted candidate is confirmed at the table's precision.
 
-    Two screens skip work whose exact phase set is empty; they only skip,
-    so the result is the same as without them.  First, each (component k,
-    frequency f) is screened once: each crossing with both passages on k
-    allows k's phases in one cyclic window of half-width (1 - margin)/4,
-    or none when 2 min(d, 1 - d) < margin for d = f (t2 - t1) mod 1
-    (``_own_window``).  Only when these windows, widened by _SCREEN_SLACK
-    to cover the float error of the exact intervals, intersect is the
-    exact set of k's phases under its own crossings built, and its box
-    phases (conditions (b), (c)) only when that set is non-empty.  The
-    result is cached per (k, f), and an f-tuple in which some component
-    has no phase is skipped.  Second, before component k walks its grid
-    points, the phases of k under which component k + 1 can still get a
-    phase are found as intervals (``_reach_phases``), and only the grid
-    points inside them are walked.  With components 0 .. k fixed, each
-    crossing between k + 1 and a fixed component allows k + 1's phases in
-    one cyclic window (``_phase_windows``, centred at a kink, its
-    half-width set by the fixed height, which is piecewise linear in k's
-    phase); two windows meet only if their half-widths, widened likewise,
-    add up to the cyclic distance of their centres.  Raises
-    SearchExhaustedError when f_max is hit, with diagnostics from a second
-    walk over the f-tuples: they describe the f-tuple whose fixed probe
-    phases violate the fewest constraints.
+    The exact phase sets are intersections of closed-form windows (see
+    the module docstring).  Component k's set under its own crossings and
+    the box is built once per (k, f), and an f-tuple in which some
+    component has none is skipped.  At a tuple, k's set is that one cut by
+    the windows of its crossings with the fixed components 0 .. k-1.  One
+    screen skips only phases whose exact set downstream is empty, so the
+    result is the same as without it: before component k walks its grid
+    points, the phases of k under which k + 1's windows still meet pair by
+    pair are found as intervals (``_reach_phases``), and only the grid
+    points inside them are walked.
+
+    Raises SearchExhaustedError when f_max is hit, with diagnostics from a
+    second walk over the f-tuples: they describe the f-tuple whose fixed
+    probe phases violate the fewest constraints.
     """
-    if margin <= 0 or margin >= 0.5:
+    if not 0 < margin < 0.5:  # NaN fails this too
         raise DomainError(f"margin must lie in (0, 0.5), got {margin}")
     if f_max < 1:
         raise DomainError(f"f_max must be >= 1, got {f_max}")
@@ -447,24 +406,25 @@ def search_heights(
 
     def own(k, f):
         if (k, f) not in own_phases:
-            segs = []
-            if _own_screen(f, k, arcs, margin):
-                segs = _crossing_phases(f, k, [(0.0, 1.0)], arcs, {}, margin)
+            segs = _own_phases(f, k, arcs, margin)
             if segs:
-                segs = _intersect_intervals(
-                    _box_phases(f, event_arcs[k], itertools.repeat(box)), segs
-                )
+                segs = _intersect_intervals(_box_phases(f, event_arcs[k], itertools.repeat(box)), segs)
             own_phases[k, f] = segs
         return own_phases[k, f]
 
-    def assign(f_tuple, windows, k, fixed, phases):
+    def assign(f_tuple, windows, phases):
+        """The first confirmed heights at ``f_tuple`` whose components
+        0 .. k-1 have the phases ``phases`` (k = len(phases)), or None."""
+        k = len(phases)
         f = f_tuple[k]
         n = n_grid * f
-        segs = _crossing_phases(f, k, own(k, f), arcs, fixed, margin) if fixed else own(k, f)
+        segs = own(k, f)
+        if k:
+            segs = _intersect_intervals(segs, _fixed_phases(f_tuple, windows[k], phases, margin))
         if k == n_comp - 1:
             for lo, hi in segs:
                 for phi in _interval_phases(lo, hi, n):
-                    heights = {**fixed, k: SawtoothHeight(f, phi)}
+                    heights = tuple(map(SawtoothHeight, f_tuple, (*phases, phi)))
                     if _confirm(heights, constraints, table, margin):
                         return heights
             return None
@@ -473,8 +433,7 @@ def search_heights(
             segs = _intersect_intervals(segs, reach)
         for lo, hi in segs:
             for j in range(math.ceil(lo * n), math.ceil(hi * n)):
-                prefix = {**fixed, k: SawtoothHeight(f, Fraction(j, n))}
-                heights = assign(f_tuple, windows, k + 1, prefix, (*phases, j / n))
+                heights = assign(f_tuple, windows, (*phases, Fraction(j, n)))
                 if heights:
                     return heights
         return None
@@ -483,9 +442,9 @@ def search_heights(
         if not all(own(k, f) for k, f in enumerate(f_tuple)):
             continue
         windows = {k: _phase_windows(f_tuple[k], k, arcs) for k in range(1, n_comp)}
-        found = assign(f_tuple, windows, 0, {}, ())
+        found = assign(f_tuple, windows, ())
         if found:
-            return tuple(found[ci] for ci in range(n_comp))
+            return found
     raise SearchExhaustedError(
         f"no sawtooth parameters with f <= {f_max} satisfy all "
         f"{len(constraints)} constraints of {n_comp} components",

@@ -107,11 +107,11 @@ class RealizationSpec:
             values = {name: kind(merged.get(name, getattr(cls, name))) for name, kind in kinds.items()}
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise SpecFileError(f"malformed numeric field: {exc}") from exc
-        for name in ("delta", "f_max", "margin"):
+        for name in ("delta", "f_max"):
             if values[name] <= 0:
                 raise SpecFileError(f"{name} must be positive")
-        if values["margin"] >= 0.5:
-            raise SpecFileError("margin must be below 1/2")
+        if not 0 < values["margin"] < 0.5:  # NaN fails this too
+            raise SpecFileError(f"margin must lie in (0, 1/2), got {values['margin']}")
         if values["precision_bits"] < MIN_PRECISION_BITS:
             # the height search picks phases in float64; confirming them below that proves nothing
             raise SpecFileError(f"precision_bits must be at least {MIN_PRECISION_BITS}")

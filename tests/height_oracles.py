@@ -1,9 +1,12 @@
-"""Brute-force grid-scan oracle for the sawtooth height search.
+"""Reference oracles for the sawtooth height search.
 
-It shares no code with ``billiardknots.heights``: every phase tuple of the
-search's phase grid (j / (4 f #constraints) per component) is tested directly
-against conditions (a), (b) and (c) in float64, and f-tuples are walked in
-the reference shell order, a filtered Cartesian product.
+They share no code with ``billiardknots.heights``.  The brute-force grid scan
+tests every phase tuple of the search's phase grid (j / (4 f #constraints)
+per component) directly against conditions (a), (b) and (c) in float64, and
+walks f-tuples in the reference shell order, a filtered Cartesian product.
+The kink sweep (``crossing_phases``) finds condition (a)'s exact phase
+intervals piece by piece between the sawtooth kinks, where the search uses
+closed-form windows.
 """
 
 import itertools
@@ -54,3 +57,71 @@ def first_hit(event_arcs, constraints, f_max, margin):
         if next(accepted_phases(f_tuple, event_arcs, constraints, margin), None) is not None:
             return f_tuple
     return None
+
+
+def intersect_intervals(s1, s2):
+    out = []
+    i = j = 0
+    while i < len(s1) and j < len(s2):
+        a = max(s1[i][0], s2[j][0])
+        b = min(s1[i][1], s2[j][1])
+        if a < b:
+            out.append((a, b))
+        if s1[i][1] < s2[j][1]:
+            i += 1
+        else:
+            j += 1
+    return out
+
+
+def crossing_phases(f: int, k: int, segs, constraints, fixed, margin: float):
+    """Intersect the phase set ``segs`` of component k at frequency f with
+    condition (a) of every constraint whose sides lie on k or on a component
+    of ``fixed`` (component -> SawtoothHeight), where a side is a constant.
+
+    ``constraints`` holds (constraint, first arc, second arc) with float
+    arcs.  Between the kinks of its sides on k a condition is linear in phi,
+    so its feasible set is a short list of intervals.  Each piece is sampled
+    1e-9 of its width inside its ends, so an interval end may sit about
+    2e-9 beyond the true one.
+    """
+    allowed = [(0.0, 1.0)]  # intersected with the long ``segs`` list last
+    for c, t1, t2 in constraints:
+        ends = {c.first_component, c.second_component}
+        if k not in ends or not ends <= fixed.keys() | {k}:
+            continue
+        sign = 1.0 if c.first_over else -1.0
+        # a side on k moves with phi (None); a side on a fixed component is constant
+        z1 = None if c.first_component == k else _fixed_height(fixed[c.first_component], t1)
+        z2 = None if c.second_component == k else _fixed_height(fixed[c.second_component], t2)
+
+        def gap(phi):
+            h1 = sawtooth(f, t1, phi) if z1 is None else z1
+            h2 = sawtooth(f, t2, phi) if z2 is None else z2
+            return sign * (h1 - h2)
+
+        kinks = {0.0, 1.0}
+        for t, z in ((t1, z1), (t2, z2)):
+            if z is None:
+                kinks.update(((-f * t) % 1.0, (0.5 - f * t) % 1.0))
+        kinks = sorted(kinks)
+        good = []
+        for a, b in zip(kinks, kinks[1:]):
+            width = b - a
+            if width < 1e-14:
+                continue
+            da, db = gap(a + 1e-9 * width), gap(b - 1e-9 * width)
+            if da >= margin and db >= margin:
+                good.append((a, b))
+            elif da >= margin or db >= margin:
+                lam = (margin - da) / (db - da)
+                x = a + lam * width
+                good.append((a, x) if da >= margin else (x, b))
+        allowed = intersect_intervals(allowed, good)
+        if not allowed:
+            return []
+    return intersect_intervals(segs, allowed)
+
+
+def _fixed_height(saw, t: float) -> float:
+    return sawtooth(saw.frequency, t, float(saw.phase))

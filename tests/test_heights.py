@@ -17,11 +17,11 @@ from billiardknots.heights import (
     SawtoothHeight,
     SearchDiagnostics,
     _box_phases,
-    _crossing_phases,
     _cyclic_window,
+    _fixed_phases,
     _frequency_tuples,
     _intersect_intervals,
-    _own_screen,
+    _own_phases,
     _own_window,
     _phase_windows,
     _reach_phases,
@@ -35,7 +35,7 @@ from billiardknots.pipeline import RealizationSpec, realize
 from billiardknots.presets import preset_pattern
 from billiardknots.stars import ArcTable, Passage, assign_braid_letters, build_star
 
-from height_oracles import accepted_phases, first_hit, shell_order
+from height_oracles import accepted_phases, crossing_phases, first_hit, shell_order
 from obstruction_helpers import height_pattern_feasible, signed_residue
 from reflection_oracle import crossing_heights_match, pointwise_reflection
 
@@ -141,8 +141,9 @@ def test_search_exhaustion_diagnostics():
 
 def test_search_margin_validation():
     table = _table_from_arcs([0.2, 0.7])
-    with pytest.raises(DomainError):
-        search_heights((), table, f_max=5, margin=0.7)
+    for margin in (0.7, 0.0, float("nan")):
+        with pytest.raises(DomainError):
+            search_heights((), table, f_max=5, margin=margin)
 
 
 def _two_component_table(prec_bits=256):
@@ -226,22 +227,24 @@ def test_phase_engine_against_grid_oracle(n_components):
         ]
         float_cons = [(c, float(c.first_arc), float(c.second_arc)) for c in cons]
 
-        def engine(f, k, fixed):
+        def engine(f_tuple, k, phases):
+            f = f_tuple[k]
             box = _box_phases(f, event_arcs[k], itertools.repeat((margin, 1 - margin)))
-            return _crossing_phases(f, k, box, float_cons, fixed, margin)
+            segs = _intersect_intervals(box, _own_phases(f, k, float_cons, margin))
+            windows = _phase_windows(f, k, float_cons)
+            return _intersect_intervals(segs, _fixed_phases(f_tuple, windows, phases, margin))
 
         def inside(segs, phi):
             return any(lo - slack <= phi <= hi + slack for lo, hi in segs)
 
         for f_tuple in shell_order(n_components, f_max):
-            first = engine(f_tuple[0], 0, {})
+            first = engine(f_tuple, 0, ())
             last = {}  # the last component's intervals, per phase of the first
             for phis in accepted_phases(f_tuple, event_arcs, cons, margin):
                 assert inside(first, phis[0]), (f_tuple, phis)
                 if n_components == 2:
                     if phis[0] not in last:
-                        fixed = {0: SawtoothHeight(f_tuple[0], Fraction(phis[0]))}
-                        last[phis[0]] = engine(f_tuple[1], 1, fixed)
+                        last[phis[0]] = engine(f_tuple, 1, phis[:1])
                     assert inside(last[phis[0]], phis[1]), (f_tuple, phis)
 
         oracle = first_hit(event_arcs, cons, f_max, margin)
@@ -257,8 +260,9 @@ def test_phase_engine_against_grid_oracle(n_components):
 def test_reach_phases_hold_every_point_with_exact_phases(n_components, f_max):
     """At every f-tuple, component k >= 1 and grid prefix of components
     0 .. k-1, the prefix's last phase lies inside the intervals of
-    ``_reach_phases`` whenever the exact phase set of k is non-empty, and at
-    least a quarter of the prefixes lie outside them."""
+    ``_reach_phases`` whenever the exact phase set of k (``_own_phases`` and
+    ``_fixed_phases`` within the box) is non-empty, and at least a quarter of
+    the prefixes lie outside them."""
     margin = 0.05
     rng = random.Random(20261019 + n_components)
     passed = rejected = 0
@@ -272,18 +276,15 @@ def test_reach_phases_hold_every_point_with_exact_phases(n_components, f_max):
                 event_arcs = [float(t) for t in table.vertex_arcs[k]]
                 event_arcs += [float(ps.arc) for ps in table.passages[k]]
                 segs = _box_phases(f, event_arcs, itertools.repeat((margin, 1 - margin)))
+                segs = _intersect_intervals(segs, _own_phases(f, k, arcs, margin))
                 windows = _phase_windows(f, k, arcs)
                 dens = [n_grid * fj for fj in f_tuple[:k]]
                 reach = {}
                 for js in itertools.product(*map(range, dens)):
-                    fixed = {
-                        j: SawtoothHeight(fj, Fraction(num, den))
-                        for j, (fj, num, den) in enumerate(zip(f_tuple, js, dens))
-                    }
                     phases = tuple(num / den for num, den in zip(js, dens))
                     if js[:-1] not in reach:
                         reach[js[:-1]] = _reach_phases(f_tuple, k - 1, windows, phases[:-1], margin)
-                    exact = _crossing_phases(f, k, segs, arcs, fixed, margin)
+                    exact = _intersect_intervals(segs, _fixed_phases(f_tuple, windows, phases, margin))
                     if any(lo <= phases[-1] < hi for lo, hi in reach[js[:-1]]):
                         passed += 1
                     else:
@@ -303,9 +304,10 @@ def test_reach_phases_hold_at_the_edge():
         (HeightConstraint(0, 0, 0.25, 1, 0.0, True), 0.25, 0.0),
         (HeightConstraint(1, 0, 0.25, 1, dist, True), 0.25, dist),
     ]
-    fixed = {0: SawtoothHeight(1, Fraction(0))}
-    assert _crossing_phases(1, 1, [(0.0, 1.0)], arcs, fixed, margin)
-    reach = _reach_phases((1, 1), 0, _phase_windows(1, 1, arcs), (), margin)
+    windows = _phase_windows(1, 1, arcs)
+    assert _fixed_phases((1, 1), windows, (0.0,), margin)
+    assert crossing_phases(1, 1, [(0.0, 1.0)], arcs, {0: SawtoothHeight(1, Fraction(0))}, margin)
+    reach = _reach_phases((1, 1), 0, windows, (), margin)
     assert any(lo <= 0.0 < hi for lo, hi in reach), reach
 
 
@@ -315,7 +317,7 @@ def _measure(segs):
 
 def test_own_window_is_the_exact_phase_set():
     """For one crossing with both passages on a component, the exact phase
-    set of ``_crossing_phases`` is empty when the window test fails and lies
+    set of the kink sweep is empty when the window test fails and lies
     between the window narrowed and widened by 1e-8 when it passes."""
     rng = random.Random(20261020)
     tol = 1e-8
@@ -324,7 +326,7 @@ def test_own_window_is_the_exact_phase_set():
         margin = 10 ** rng.uniform(-6, math.log10(0.05))
         t1, t2, first_over = rng.random(), rng.random(), rng.random() < 0.5
         con = HeightConstraint(0, 0, t1, 0, t2, first_over)
-        exact = _crossing_phases(f, 0, [(0.0, 1.0)], [(con, t1, t2)], {}, margin)
+        exact = crossing_phases(f, 0, [(0.0, 1.0)], [(con, t1, t2)], {}, margin)
         g, centre = _own_window(f, t1, t2, first_over)
         half = (1.0 - margin) / 4.0
         if g < margin - tol:
@@ -339,11 +341,62 @@ def test_own_window_is_the_exact_phase_set():
             assert _measure(exact) == pytest.approx(2 * half, abs=1e-9)
 
 
+def _covered(inner, outer, tol):
+    """Every interval of ``inner`` lies in one interval of ``outer`` widened
+    by ``tol``."""
+    wide = []
+    for lo, hi in outer:
+        if wide and lo - tol <= wide[-1][1]:
+            wide[-1] = (wide[-1][0], hi + tol)
+        else:
+            wide.append((lo - tol, hi + tol))
+    return all(any(a <= lo and hi <= b for a, b in wide) for lo, hi in inner)
+
+
+def test_closed_form_phases_match_the_kink_sweep():
+    """``_own_phases`` (one component, its own crossings) and
+    ``_fixed_phases`` (component 1 against component 0 at a fixed height)
+    agree with the kink sweep within 1e-8 both ways, on random arcs whose
+    windows wrap around phase 0 and whose half-widths are often negative."""
+    rng = random.Random(20261022)
+    tol = 1e-8
+    wraps = negative = nonempty = 0
+    for _ in range(3000):
+        f = rng.randint(1, 300)
+        margin = rng.uniform(1e-3, 0.2)
+        arcs = []
+        for i in range(rng.randint(1, 3)):
+            t1, t2 = rng.random(), rng.random()
+            arcs.append((HeightConstraint(i, 0, t1, 0, t2, rng.random() < 0.5), t1, t2))
+        own = _own_phases(f, 0, arcs, margin)
+        sweep = crossing_phases(f, 0, [(0.0, 1.0)], arcs, {}, margin)
+        assert _covered(own, sweep, tol) and _covered(sweep, own, tol), (f, margin, arcs)
+        nonempty += bool(own)
+
+        fixed = SawtoothHeight(rng.randint(1, 300), Fraction(rng.randrange(1 << 20), 1 << 20))
+        arcs = []
+        for i in range(rng.randint(1, 3)):
+            t0, t1 = rng.random(), rng.random()
+            arcs.append((HeightConstraint(i, 0, t0, 1, t1, rng.random() < 0.5), t0, t1))
+        f_tuple, phases = (fixed.frequency, f), (fixed.phase,)
+        windows = _phase_windows(f, 1, arcs)
+        closed = _fixed_phases(f_tuple, windows, phases, margin)
+        sweep = crossing_phases(f, 1, [(0.0, 1.0)], arcs, {0: fixed}, margin)
+        assert _covered(closed, sweep, tol) and _covered(sweep, closed, tol), (f_tuple, phases, arcs)
+        nonempty += bool(closed)
+        for _, t0, centre, below in windows:
+            z = float(evaluate_sawtooth(fixed, t0))
+            half = ((z if below else 1.0 - z) - margin) / 2.0
+            negative += half < 0.0
+            wraps += half >= 0.0 and not half <= centre <= 1.0 - half
+    assert min(wraps, negative) >= 300 and nonempty >= 1000, (wraps, negative, nonempty)
+
+
 @pytest.mark.parametrize("n_components", [1, 2, 3])
 def test_own_screen_passes_every_frequency_with_exact_phases(n_components):
-    """At every component k and f <= 60, the screen passes (k, f) whenever
-    k's exact phase set under its own crossings is non-empty, and it rejects
-    at least a quarter of the pairs."""
+    """At every component k and f <= 60, ``_own_phases`` keeps (k, f)
+    whenever the kink sweep finds phases for k under its own crossings, and
+    it rejects at least a quarter of the pairs."""
     margin = 1e-3
     rng = random.Random(20261021 + n_components)
     passed = rejected = 0
@@ -353,10 +406,10 @@ def test_own_screen_passes_every_frequency_with_exact_phases(n_components):
         arcs = [(c, float(c.first_arc), float(c.second_arc)) for c in cons]
         for k in range(n_components):
             for f in range(1, 61):
-                if _own_screen(f, k, arcs, margin):
+                if _own_phases(f, k, arcs, margin):
                     passed += 1
                 else:
-                    assert not _crossing_phases(f, k, [(0.0, 1.0)], arcs, {}, margin), (k, f)
+                    assert not crossing_phases(f, k, [(0.0, 1.0)], arcs, {}, margin), (k, f)
                     rejected += 1
     assert rejected >= (passed + rejected) // 4
 
@@ -373,8 +426,8 @@ def test_own_screen_passes_at_the_edges():
     ]
     for pairs in cases:
         arcs = [(HeightConstraint(i, 0, t1, 0, t2, True), t1, t2) for i, (t1, t2) in enumerate(pairs)]
-        assert _crossing_phases(1, 0, [(0.0, 1.0)], arcs, {}, margin), pairs
-        assert _own_screen(1, 0, arcs, margin), pairs
+        assert crossing_phases(1, 0, [(0.0, 1.0)], arcs, {}, margin), pairs
+        assert _own_phases(1, 0, arcs, margin), pairs
 
 
 # The knots benchmark inputs: (strands, repetitions, signs, perturbation seed)
@@ -422,17 +475,54 @@ def test_knot_search_results_are_pinned(name, mirrored, expected):
     assert (saw.frequency, saw.phase) == expected
 
 
+# The links benchmark inputs that are not presets, as _KNOTS
+_LINKS = {
+    "random-2-8-0": (2, 8, ((-1,), (-1,), (1,), (1,), (1,), (1,), (-1,), (1,)), 635214972),
+    "random-2-10-0": (
+        2, 10, ((-1,), (1,), (1,), (-1,), (-1,), (-1,), (-1,), (1,), (-1,), (-1,)), 509735314
+    ),
+    "random-2-12-0": (
+        2, 12, ((-1,), (-1,), (-1,), (1,), (-1,), (1,), (-1,), (1,), (-1,), (1,), (-1,), (-1,)),
+        1788354109,
+    ),
+    "random-2-12-1": (
+        2, 12, ((-1,), (1,), (1,), (-1,), (-1,), (1,), (-1,), (-1,), (-1,), (-1,), (1,), (-1,)),
+        1317624796,
+    ),
+}
+
+
 @pytest.mark.parametrize(
     "name, expected",
     [
         ("hopf", [(2, Fraction(19, 48)), (1, Fraction(111981649, 2147483648))]),
         ("star-10-2", [(1, Fraction(1, 40)), (5, Fraction(1, 5))]),
         ("star-9-3", [(1, Fraction(1, 36)), (3, Fraction(4, 27)), (3, Fraction(17, 72))]),
+        ("hopf~", [(2, Fraction(1, 48)), (1, Fraction(466140441, 1073741824))]),
+        ("star-10-2~", [(1, Fraction(1, 8)), (5, Fraction(7, 10))]),
+        ("random-2-8-0", [(1, Fraction(3, 32)), (3, Fraction(1095544729, 2147483648))]),
+        ("random-2-8-0~", [(1, Fraction(19, 32)), (3, Fraction(21802905, 2147483648))]),
+        ("random-2-10-0", [(3, Fraction(79, 120)), (1, Fraction(111954249, 134217728))]),
+        ("random-2-10-0~", [(3, Fraction(19, 120)), (1, Fraction(44845385, 134217728))]),
+        ("random-2-12-0", [(5, Fraction(4, 5)), (12, Fraction(11, 192))]),
+        ("random-2-12-0~", [(5, Fraction(3, 10)), (12, Fraction(107, 192))]),
+        ("random-2-12-1", [(2, Fraction(85, 96)), (3, Fraction(530393329, 1073741824))]),
+        ("random-2-12-1~", [(2, Fraction(37, 96)), (3, Fraction(1067264241, 1073741824))]),
     ],
 )
 def test_joint_search_results_are_pinned(name, expected):
-    """The accepted (f, phi) of the presets with several components."""
-    result = realize(RealizationSpec(pattern=preset_pattern(name), preset=name))
+    """The accepted (f, phi) of the presets with several components and of
+    the links benchmark inputs; a trailing ``~`` mirrors the padded
+    pattern."""
+    base = name.rstrip("~")
+    if base in _LINKS:
+        strands, repetitions, signs, seed = _LINKS[base]
+        spec = RealizationSpec(pattern=QuasitoricPattern(strands, repetitions, signs), seed=seed)
+    else:
+        spec = RealizationSpec(pattern=preset_pattern(base), preset=base)
+    if name.endswith("~"):
+        spec = RealizationSpec(pattern=pad_to_min_repetitions(spec.pattern).mirrored(), seed=spec.seed)
+    result = realize(spec)
     assert [(h.frequency, h.phase) for h in result.heights] == expected
 
 

@@ -36,6 +36,8 @@ def test_spec_validation_errors():
     with pytest.raises(SpecFileError):
         RealizationSpec.from_dict({"preset": "trefoil", "margin": 0.6})
     with pytest.raises(SpecFileError):
+        RealizationSpec.from_dict(json.loads('{"preset": "trefoil", "margin": NaN}'))
+    with pytest.raises(SpecFileError):
         RealizationSpec.from_dict({"preset": "trefoil", "seed": None})
 
 
