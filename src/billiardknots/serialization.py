@@ -73,8 +73,8 @@ def _pattern_json(pattern: QuasitoricPattern) -> dict:
     }
 
 
-def _write_json(path: Path, data) -> None:
-    path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+def _write_json(path: Path, data, indent: int | None = 1) -> None:
+    path.write_text(json.dumps(data, indent=indent, sort_keys=True) + "\n")
 
 
 def _load_json(path: Path) -> dict:
@@ -264,7 +264,8 @@ def write_artifacts(result: RealizationResult, outdir, canonical: bool = False) 
         "mesh": out / "prism.obj",
     }
     _write_json(files["report"], report_json(result, canonical))
-    _write_json(files["trajectory"], trajectory_json(result))
+    # no indent: json's C encoder, which an indent would turn off, writes the large file
+    _write_json(files["trajectory"], trajectory_json(result), indent=None)
     _write_json(files["table"], table_json(result))
     _write_json(files["diagram"], star_diagram_json(result.star))
     files["diagram_svg"].write_text(star_svg(result.star, result.trajectory.over_flags()))

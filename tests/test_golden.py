@@ -18,39 +18,39 @@ from billiardknots.serialization import write_artifacts
 GOLDEN = {
     "unknot": (
         "e84dc3a1589bcbd49ca3acc5712f5387bd739ab849d08d16f4644bc9e96db004",
-        "947c5ff367e1cc29cbad1a62c151716977c361ce3189da68f27235537dd7b399",
+        "4058d80a3e2a33108958d1e93c1da8b41184f06b3f3d31c38857add517321e04",
     ),
     "trefoil": (
         "3d3c13c9fd04b011d49eab07c0c5ce823c6bf2c4f8be23213d60b9b22b3db38f",
-        "131c50ff605abdc62bc8e575ddae626de7d9091418b43609c32a8df844fc0e86",
+        "a64e4fc358294c28bc97e5d724a07417b681a13cb5c4ba7564366730d8baac08",
     ),
     "figure-eight": (
         "7011d984ee2dbfa65149ffa32ba2dc3961171b427d5a2927b5f928654ab0e8cb",
-        "7af4aae5a57fe9e530397c3b773c4558f05ce67896bcc90b70c12093dd7a5f31",
+        "4b051ad7b8d741ab9c5ad432302f5feda9fb95dfe7bb95b515a260bad4269377",
     ),
     "torus-2-5": (
         "1072a86ee6dd9a2df46252e793f447ac48353dfad717409dda6a557a8ae5fa93",
-        "2e4b317a3bc7bd6c888a44edc8df6d4f2bfa46a2cb1e0f88e61e9de6c43d1d62",
+        "29d8327a439ee840ccabf93cce372d2c916b97d730eb2ec35ed8be4c30cca05a",
     ),
     "torus-3-7": (
         "7cd41eb5e50a1368a7ad14c387096e8195c2332ddf22d318780e19856bc281ee",
-        "158dc9b4d746c34ccbe1aecab731ab1f7ce79419ae8414878b378b5947fc9deb",
+        "1a19bf6e29a9632c65bb9e0ec6b4cb9c157053477179521845c5756c6ec03158",
     ),
     "star-10-3": (
         "76a60c4f3dc10ef785b21340e608fdb3d3ae9a199d9525ca7796cafb39d5412b",
-        "68cf99c525ead24c73cc1a80010aa33f5a9eb7f14b16a7c2521d1be09caa65e7",
+        "d7a4ead6d4e0f4f69336d2ff110f267708c3c527a520c26581c9bf1a8842389e",
     ),
     "star-10-2": (
         "ea85761e44af64eb61c3ffcadcff35de42d36d23a1a733b743e37c70c5d2f454",
-        "f462ab7d2d6a86f7f82009ca47265f341e357138d9e76c341959676c72867885",
+        "25bc7bf59c6f3440fcdfb3b5894f8ac7f33a81a3aad8b0445b4c1c936add39d8",
     ),
     "star-9-3": (
         "17ed0f07031388c917a26892dd98e6dd6ef37cfb91a420ff8fba31966df6a3e0",
-        "589c75b3507a12c0d0b976a25f4e5744a093e00916dc962a66eca6c7350430a5",
+        "4e22d062cfbc14e6a07028a0f3eae76a7cd731077f81f8066940e7440e2276da",
     ),
     "hopf": (
         "0277e3cb02ad5449a7ceb4ceced8a8846a12f82989909931567ff6c525c6a1ca",
-        "abe2e0562f3a1fb0c6699cfc2204ca92e846c0d2e0ea8a4d964dfddadbd9f92c",
+        "2d64c348a42e9e2fd1c20df0df4107eb697e0bd5d75826a9f11f23355c74d9ee",
     ),
 }
 

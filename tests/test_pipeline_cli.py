@@ -132,6 +132,15 @@ def test_cli_determinism(tmp_path):
     assert (out1 / "trajectory.json").read_bytes() == (out2 / "trajectory.json").read_bytes()
 
 
+def test_cli_verify_reads_an_indented_trajectory(tmp_path, trefoil_result):
+    """verify parses trajectory.json as JSON, so one re-dumped with an
+    indent still verifies."""
+    paths = write_artifacts(trefoil_result, tmp_path, canonical=True)
+    data = json.loads(paths["trajectory"].read_text())
+    paths["trajectory"].write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    assert main(["verify", str(paths["report"])]) == 0
+
+
 def test_cli_spec_errors(tmp_path):
     bad = _write_spec(tmp_path, {"pattern": {"strands": 1, "repetitions": 3, "signs": []}})
     assert main(["realize", str(bad)]) == 3
