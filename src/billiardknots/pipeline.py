@@ -54,6 +54,14 @@ def json_int(x) -> int:
     return x
 
 
+def json_real(x) -> float:
+    """A JSON number, integer or not.  A string or a bool is malformed:
+    ``float()`` would convert it, and a bad value would pass."""
+    if type(x) not in (int, float):
+        raise ValueError(f"expected a number, got {x!r}")
+    return float(x)
+
+
 @dataclass(frozen=True)
 class RealizationSpec:
     """Validated input for one realization run."""
@@ -102,7 +110,7 @@ class RealizationSpec:
             except DomainError as exc:
                 raise SpecFileError(str(exc)) from exc
         kinds = {"seed": json_int, "delta": lambda v: Fraction(str(v)), "f_max": json_int,
-                 "margin": float, "precision_bits": json_int}
+                 "margin": json_real, "precision_bits": json_int}
         try:
             values = {name: kind(merged.get(name, getattr(cls, name))) for name, kind in kinds.items()}
         except (TypeError, ValueError, ZeroDivisionError) as exc:

@@ -9,7 +9,10 @@ import pytest
 
 from billiardknots.braids import QuasitoricPattern
 from billiardknots.errors import DomainError, PrecisionError
+from billiardknots import pipeline
 from billiardknots.perturbation import (
+    _norm_bound,
+    _norm_bound_reached,
     _pslq,
     arc_length_table,
     crossing_abscissa,
@@ -26,6 +29,7 @@ from billiardknots.pipeline import (
 from billiardknots.presets import PRESETS
 from billiardknots.serialization import report_json
 from billiardknots.stars import ArcTable, Passage, build_star, star_arc_table
+from pslq_oracle import pslq as pslq_oracle
 
 
 def test_crossing_abscissa_formula():
@@ -297,3 +301,63 @@ def test_pslq_kernel_matches_mpmath_on_pipeline_arcs(name):
     assert len(vector) in (27, 29)
     assert relation == expected is not None
     assert exit == "relation" and 0 < steps < maxsteps
+
+
+def test_pslq_kernel_matches_the_reference_loop_step_for_step():
+    """(relation, steps, exit) equal the plain loop's on seeded draws with n
+    up to 30 and on the zero-pivot pairs, through all four exits."""
+    rng = random.Random(20261019)
+    cases = [
+        (rng.choice((96, 160, 256)), rng.randint(2, 30), rng.choice((10, 100, 1000)),
+         rng.choice((5, 50, 200)), rng.choice(("generic", "planted", "rational", "tiny")))
+        for _ in range(300)
+    ]
+    cases += [(prec, 2, 1000, 50, pair) for prec in (96, 160, 256) for pair in ((4, 4), (2, 1))]
+    exits = Counter()
+    for prec, n, maxcoeff, maxsteps, kind in cases:
+        with mp.workprec(prec):
+            if isinstance(kind, tuple):
+                vector = [mp.mpf(v) for v in kind]
+            else:
+                vector = _oracle_vector(rng, kind, n, prec)
+            tol = mp.mpf(2) ** -int(0.75 * prec)
+            expected = pslq_oracle(vector, tol, maxcoeff, maxsteps)
+            assert _pslq(vector, tol, maxcoeff, maxsteps) == expected, (prec, n, maxcoeff, maxsteps, kind)
+        exits[expected[2]] += 1
+    assert set(exits) == {"relation", "bound", "step_cap", "tiny"}, exits
+
+
+class _ArcsBuilt(Exception):
+    pass
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_pslq_kernel_matches_the_reference_loop_on_preset_arcs(name, monkeypatch):
+    def stop(arcs, max_coeff, tol):
+        raise _ArcsBuilt(arcs)
+
+    monkeypatch.setattr(pipeline, "independence_check", stop)
+    with pytest.raises(_ArcsBuilt) as built:
+        realize(RealizationSpec(pattern=PRESETS[name], preset=name))
+    arcs = built.value.args[0]
+    for passages in arcs.passages:
+        with mp.workprec(arcs.prec_bits):
+            vector = [mp.mpf(1)] + [ps.arc for ps in passages]
+            args = (
+                vector,
+                mp.mpf(INDEPENDENCE_TOL),
+                max(1000, 100 * INDEPENDENCE_MAX_COEFF),
+                2000 + 20 * len(vector) ** 2,
+            )
+            assert _pslq(*args) == pslq_oracle(*args)
+
+
+@pytest.mark.parametrize("prec", [113, 220, 316])
+def test_norm_bound_threshold_is_mpmaths_test(prec):
+    for maxcoeff in (1, 3, 1000, 10**6):
+        bound = _norm_bound(prec, maxcoeff)
+        for norm in (0, bound - 1, bound, bound + 1):
+            mpmath_exit = not norm or (((1 << (2 * prec)) // norm) >> prec) // 100 >= maxcoeff
+            assert mpmath_exit == (norm <= bound)
+            for H in ([[norm]], [[-norm]], [[0, 0], [1, norm]], [[0, 0], [-norm, 1]]):
+                assert _norm_bound_reached(H, bound) == mpmath_exit, (maxcoeff, norm, H)

@@ -37,6 +37,9 @@ def test_spec_validation_errors():
         RealizationSpec.from_dict({"preset": "trefoil", "margin": 0.6})
     with pytest.raises(SpecFileError):
         RealizationSpec.from_dict(json.loads('{"preset": "trefoil", "margin": NaN}'))
+    for margin in ("0.01", True):
+        with pytest.raises(SpecFileError, match="malformed numeric field"):
+            RealizationSpec.from_dict({"preset": "trefoil", "margin": margin})
     with pytest.raises(SpecFileError):
         RealizationSpec.from_dict({"preset": "trefoil", "seed": None})
 
@@ -176,6 +179,17 @@ def test_cli_verify_rejects_a_non_integer_spec_echo(tmp_path, trefoil_result, ca
     capsys.readouterr()
     assert main(["verify", str(files["report"])]) == 3
     assert "expected an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0.01", True])
+def test_cli_verify_rejects_a_non_numeric_margin_echo(tmp_path, trefoil_result, capsys, value):
+    files = write_artifacts(trefoil_result, tmp_path, canonical=True)
+    data = json.loads(files["report"].read_text())
+    data["spec"]["margin"] = value
+    files["report"].write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(files["report"])]) == 3
+    assert "expected a number" in capsys.readouterr().err
 
 
 def test_float64_precision_realizes_trefoil():
