@@ -7,9 +7,9 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from billiardknots import pipeline
 from billiardknots.braids import QuasitoricPattern
 from billiardknots.errors import DomainError, PrecisionError
-from billiardknots import pipeline
 from billiardknots.perturbation import (
     _norm_bound,
     _norm_bound_reached,
@@ -333,6 +333,8 @@ class _ArcsBuilt(Exception):
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_pslq_kernel_matches_the_reference_loop_on_preset_arcs(name, monkeypatch):
+    """Every component vector of every preset, as ``realize`` builds it; the
+    run stops once the arc table exists."""
     def stop(arcs, max_coeff, tol):
         raise _ArcsBuilt(arcs)
 
@@ -361,3 +363,6 @@ def test_norm_bound_threshold_is_mpmaths_test(prec):
             assert mpmath_exit == (norm <= bound)
             for H in ([[norm]], [[-norm]], [[0, 0], [1, norm]], [[0, 0], [-norm, 1]]):
                 assert _norm_bound_reached(H, bound) == mpmath_exit, (maxcoeff, norm, H)
+    # below 1 the equivalence fails, and the kernel refuses it
+    with mp.workprec(prec), pytest.raises(ValueError, match="maxcoeff"):
+        _pslq([mp.mpf(1), mp.sqrt(2)], mp.mpf(2) ** -60, 0, 10)
