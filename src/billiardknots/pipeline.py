@@ -2,10 +2,11 @@
 
 Stages, in order: pad the pattern into the star regime, build and sign the
 star, perturb to rational lines (redrawing until the mirror-room condition
-holds as well), assemble the prism table, compute arcs, run the bounded
-independence check, build the crossing constraints, search sawtooth
-heights, emit the 3D trajectory, verify the reflection law, and certify the
-knot type against the abstract closure.
+holds as well), assemble the prism table, compute arcs, build the crossing
+constraints, search sawtooth heights, emit the 3D trajectory, verify the
+reflection law, and certify the knot type against the abstract closure.
+The bounded independence check of the arc lengths is not a stage: it gates
+nothing, and ``RealizationResult.independence`` runs it on demand.
 
 Everything is deterministic in (spec, seed).
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .billiards import (
     BilliardTable,
@@ -36,7 +38,8 @@ from .heights import (
     search_heights,
 )
 from .invariants import CertificationReport, certify
-from .perturbation import PerturbedPolygon, arc_length_table, independence_check, perturb
+from . import perturbation
+from .perturbation import PerturbedPolygon, arc_length_table, perturb
 from .presets import PRESETS
 from .stars import ArcTable, StarDiagram, assign_braid_letters, build_star
 
@@ -75,7 +78,7 @@ class RealizationSpec:
     precision_bits: int = 192
 
     @property
-    def arc_precision_bits(self) -> int:  # >= 4x the independence tolerance's digits
+    def arc_precision_bits(self) -> int:  # >= 4x the on-demand independence check's tolerance digits
         return max(256, self.precision_bits)
 
     @classmethod
@@ -92,6 +95,8 @@ class RealizationSpec:
             raise SpecFileError("exactly one of 'pattern' or 'preset' must be given")
         if has_preset:
             name = merged["preset"]
+            if not isinstance(name, str):
+                raise SpecFileError(f"preset must be a string, got {name!r}")
             if name not in PRESETS:
                 raise SpecFileError(
                     f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
@@ -151,7 +156,8 @@ def verdict(
     """The three checks that certify a billiard knot, for realize and verify
     alike; ``certification`` is a string when no certificate could be made,
     naming why.  The independence check is only the existence argument
-    behind the height search: its result is recorded, and gates nothing."""
+    behind the height search: it gates nothing, and is computed on demand
+    as ``RealizationResult.independence``."""
     if isinstance(certification, str):
         certified = ("certify", False, certification)
     else:
@@ -176,7 +182,6 @@ class RealizationResult:
     mirror_report: MirrorRoomReport
     table: BilliardTable
     arcs: ArcTable
-    independence: object
     heights: tuple[SawtoothHeight, ...]
     trajectory: SpatialTrajectory
     reflection: ReflectionReport
@@ -190,6 +195,15 @@ class RealizationResult:
     @property
     def passed(self) -> bool:
         return self.verdict.passed
+
+    @cached_property
+    def independence(self) -> perturbation.IndependenceResult:
+        """The bounded PSLQ check that each component's {1, t_i} has no
+        small integer relation, the paper's premise behind the height
+        search.  It is computed on first read and then kept: it gates
+        nothing (``passed`` is the verdict's), no code in the package reads
+        it, and it costs more than the rest of a small run."""
+        return perturbation.independence_check(self.arcs, INDEPENDENCE_MAX_COEFF, INDEPENDENCE_TOL)
 
 
 MAX_MIRROR_RETRIES = 8
@@ -226,10 +240,6 @@ def realize(spec: RealizationSpec) -> RealizationResult:
     poly, mirror_report = timed("perturb", perturb_until_mirrors)
     table = timed("table", lambda: build_table(poly, prec_bits=spec.precision_bits))
     arcs = timed("arcs", lambda: arc_length_table(poly, spec.arc_precision_bits))
-    independence = timed(
-        "independence",
-        lambda: independence_check(arcs, INDEPENDENCE_MAX_COEFF, INDEPENDENCE_TOL),
-    )
     constraints = timed("constraints", lambda: build_height_constraints(star, arcs))
     heights = timed(
         "heights", lambda: search_heights(constraints, arcs, spec.f_max, spec.margin)
@@ -251,7 +261,6 @@ def realize(spec: RealizationSpec) -> RealizationResult:
         mirror_report=mirror_report,
         table=table,
         arcs=arcs,
-        independence=independence,
         heights=heights,
         trajectory=trajectory,
         reflection=reflection,

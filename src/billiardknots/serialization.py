@@ -211,13 +211,6 @@ def report_json(result: RealizationResult, canonical: bool = False) -> dict:
             "passed": result.mirror_report.passed,
             "margin": _num(result.mirror_report.margin),
         },
-        "independence": {
-            "passed": result.independence.passed,
-            "witness": list(result.independence.witness) if result.independence.witness else None,
-            "component": result.independence.component,
-            "steps": list(result.independence.steps),
-            "exits": list(result.independence.exits),
-        },
         "crossings": [
             {
                 "index": c.index,

@@ -7,7 +7,6 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from billiardknots import pipeline
 from billiardknots.braids import QuasitoricPattern
 from billiardknots.errors import DomainError, PrecisionError
 from billiardknots.perturbation import (
@@ -209,9 +208,7 @@ def test_independence_run_record_in_report(hopf_result):
     assert len(record.steps) == len(record.exits) == len(hopf_result.poly.components)
     assert all(steps > 0 for steps in record.steps)
     assert set(record.exits) <= {"screened", "bound", "step_cap", "tiny"}
-    block = report_json(hopf_result, canonical=True)["independence"]
-    assert block["steps"] == list(record.steps)
-    assert block["exits"] == list(record.exits)
+    assert "independence" not in report_json(hopf_result, canonical=True)
 
 
 def _statement_after(func, marker: str) -> int:
@@ -327,21 +324,10 @@ def test_pslq_kernel_matches_the_reference_loop_step_for_step():
     assert set(exits) == {"relation", "bound", "step_cap", "tiny"}, exits
 
 
-class _ArcsBuilt(Exception):
-    pass
-
-
 @pytest.mark.parametrize("name", sorted(PRESETS))
-def test_pslq_kernel_matches_the_reference_loop_on_preset_arcs(name, monkeypatch):
-    """Every component vector of every preset, as ``realize`` builds it; the
-    run stops once the arc table exists."""
-    def stop(arcs, max_coeff, tol):
-        raise _ArcsBuilt(arcs)
-
-    monkeypatch.setattr(pipeline, "independence_check", stop)
-    with pytest.raises(_ArcsBuilt) as built:
-        realize(RealizationSpec(pattern=PRESETS[name], preset=name))
-    arcs = built.value.args[0]
+def test_pslq_kernel_matches_the_reference_loop_on_preset_arcs(name):
+    """Every component vector of every preset, from the arc table ``realize`` builds."""
+    arcs = realize(RealizationSpec(pattern=PRESETS[name], preset=name)).arcs
     for passages in arcs.passages:
         with mp.workprec(arcs.prec_bits):
             vector = [mp.mpf(1)] + [ps.arc for ps in passages]

@@ -4,7 +4,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from billiardknots import pipeline
+from billiardknots import perturbation, pipeline
 from billiardknots.braids import toric_pattern
 from billiardknots.cli import main
 from billiardknots.errors import SpecFileError
@@ -12,7 +12,7 @@ from billiardknots.invariants import pattern_jones
 from billiardknots.perturbation import IndependenceResult
 from billiardknots.pipeline import RealizationSpec, realize
 from billiardknots.presets import PRESETS, preset_listing, preset_pattern
-from billiardknots.serialization import _parse_real, report_json, verify_artifacts, write_artifacts
+from billiardknots.serialization import _parse_real, verify_artifacts, write_artifacts
 from billiardknots.stars import build_star, star_diagram_json
 
 
@@ -27,6 +27,9 @@ def test_spec_validation_errors():
         RealizationSpec.from_dict({})
     with pytest.raises(SpecFileError):
         RealizationSpec.from_dict({"preset": "not-a-preset"})
+    for preset in (["trefoil"], {"name": "trefoil"}):
+        with pytest.raises(SpecFileError, match="preset must be a string"):
+            RealizationSpec.from_dict({"preset": preset})
     with pytest.raises(SpecFileError):
         RealizationSpec.from_dict({"preset": "trefoil", "delta": "0"})
     with pytest.raises(SpecFileError):
@@ -153,6 +156,8 @@ def test_cli_spec_errors(tmp_path):
     assert main(["verify", str(trunc)]) == 3
     low = _write_spec(tmp_path, {"preset": "trefoil", "precision_bits": 8}, name="low.json")
     assert main(["realize", str(low), "--out", str(tmp_path / "x")]) == 3
+    listed = _write_spec(tmp_path, {"preset": ["trefoil"]}, name="listed.json")
+    assert main(["realize", str(listed), "--out", str(tmp_path / "x")]) == 3
 
 
 @pytest.mark.parametrize(
@@ -370,20 +375,28 @@ def test_verify_rejects_a_report_whose_spec_names_another_pattern(tmp_path, tref
     assert "padded_pattern does not follow from the spec" in capsys.readouterr().err
 
 
-def test_independence_relation_is_recorded_but_does_not_fail_the_run(tmp_path, monkeypatch):
+def test_independence_check_runs_only_when_read(tmp_path, monkeypatch):
+    """realize, the canonical artifacts and verify never run the check;
+    the result runs it once, on the first read, and its outcome moves no
+    verdict."""
     relation = IndependenceResult(
         passed=False, component=0, witness=(1, -2, 1), steps=(3,), exits=("relation",)
     )
-    monkeypatch.setattr(pipeline, "independence_check", lambda *args, **kwargs: relation)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return relation
+
+    monkeypatch.setattr(perturbation, "independence_check", counted)
     result = realize(RealizationSpec(pattern=preset_pattern("unknot"), preset="unknot"))
+    files = write_artifacts(result, tmp_path / "out", canonical=True)
+    assert main(["verify", str(files["report"])]) == 0
+    assert calls == []
+    assert result.independence is relation
+    assert result.independence is relation
+    assert calls == [(result.arcs, pipeline.INDEPENDENCE_MAX_COEFF, pipeline.INDEPENDENCE_TOL)]
     assert result.passed
-    assert report_json(result, canonical=True)["independence"]["passed"] is False
-    spec = _write_spec(tmp_path, {"preset": "unknot"})
-    out = tmp_path / "out"
-    assert main(["realize", str(spec), "--out", str(out), "--canonical"]) == 0
-    report = json.loads((out / "report.json").read_text())
-    assert report["independence"]["passed"] is False
-    assert main(["verify", str(out / "report.json")]) == 0
 
 
 def test_arc_precision_is_derived_not_read_from_the_spec(tmp_path):
@@ -426,6 +439,7 @@ def test_verify_rejects_a_huge_stored_frequency_without_generating_it(tmp_path, 
 
 def test_pipeline_records_stages(torus25_result):
     stages = set(torus25_result.stage_seconds)
-    assert {"pad", "star", "perturb", "table", "arcs", "independence",
+    assert {"pad", "star", "perturb", "table", "arcs",
             "constraints", "heights", "emit", "reflection", "certify"} <= stages
+    assert "independence" not in stages
     assert torus25_result.passed
