@@ -8,11 +8,22 @@ and then the intersection of those half-planes is a convex table whose
 boundary touches the trajectory at every vertex.  The prism is that floor
 times the height interval [0, 1]; its walls are vertical, so the planar
 reflection law lifts to 3D with the z-slope preserved.
+
+The mirrors are built once, each vertex rounded once to the working
+precision, by ``mirror_room_check``, which hands them to ``build_table``.
+The pairwise work (the diameter, the n^2 mirror-room values, and a point
+against every half-plane) is screened in float64: a proven bound eps =
+2^7 v (R + 1), with v the larger of the float64 and the working
+precision's unit roundoff and R the size of the inputs, covers how far a
+float value can be from its working-precision one.  Only the candidates
+the screen cannot rule out are evaluated in mpf, in the unscreened order,
+so every result is the unscreened loops' bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import mpmath as mp
 
@@ -52,6 +63,7 @@ class Mirror:
     direction: tuple                 # unit internal bisector (mpf), points inward
     component: int
     vertex_index: int
+    point: tuple                     # the vertex as mpf, rounded once at the working precision
 
 
 @dataclass(frozen=True)
@@ -60,6 +72,7 @@ class MirrorRoomReport:
     margin: object                        # min over (k, i) of u_k . (P_i - P_k)
     witness: tuple[int, int] | None = None  # flat (k, i) vertex indices on failure
     threshold: object = None
+    mirrors: tuple[Mirror, ...] = ()      # the checked mirrors, in flat vertex order
 
     def __bool__(self) -> bool:
         return self.passed
@@ -67,17 +80,31 @@ class MirrorRoomReport:
 
 def polygon_mirrors(poly: PerturbedPolygon, prec_bits: int = 128) -> list[Mirror]:
     mirrors = []
-    for ci, comp in enumerate(poly.components):
-        m = len(comp.vertices)
-        if m < 3:
-            raise DomainError(f"component {ci} has fewer than 3 vertices")
-        for i in range(m):
-            u = internal_bisector(
-                comp.vertices[(i - 1) % m], comp.vertices[i], comp.vertices[(i + 1) % m],
-                prec_bits,
-            )
-            mirrors.append(Mirror(comp.vertices[i], u, ci, i))
+    with mp.workprec(prec_bits):
+        for ci, comp in enumerate(poly.components):
+            m = len(comp.vertices)
+            if m < 3:
+                raise DomainError(f"component {ci} has fewer than 3 vertices")
+            points = [(to_mpf(x), to_mpf(y)) for x, y in comp.vertices]
+            for i in range(m):
+                u = internal_bisector(points[i - 1], points[i], points[(i + 1) % m], prec_bits)
+                mirrors.append(Mirror(comp.vertices[i], u, ci, i, points[i]))
     return mirrors
+
+
+def _screen_bound(size: float, prec_bits: int) -> float:
+    """2^7 v (size + 1), with v = 2^-min(prec_bits, 53): how far apart a
+    float64 and a working-precision evaluation of a screened value can be,
+    when ``size`` bounds its inputs as ``mirror_room_check`` and
+    ``BilliardTable.contains_xy`` derive.  The 1 covers underflow, where a
+    rounding may be off by 2^-1074 absolutely."""
+    return 2.0 ** (7 - min(prec_bits, 53)) * (size + 1.0)
+
+
+def _near_least(values, eps: float) -> list[int]:
+    """Indices, in order, of the values within 2 eps of the least."""
+    cut = min(values) + 2 * eps
+    return [j for j, value in enumerate(values) if value <= cut]
 
 
 def mirror_room_check(poly: PerturbedPolygon, prec_bits: int = 128) -> MirrorRoomReport:
@@ -86,34 +113,82 @@ def mirror_room_check(poly: PerturbedPolygon, prec_bits: int = 128) -> MirrorRoo
     The margin is ``MARGIN_FACTOR`` times the trajectory diameter, guarding
     the square roots inside the bisector normalization; everything else is
     exact.  All vertices of all components count, so for links every mirror
-    room must contain the whole union.
+    room must contain the whole union.  The report carries the mirrors it
+    checked, for ``build_table``.
+
+    The diameter and the least value are found by a float64 screen and
+    confirmed at the working precision.  One float pass evaluates every
+    unordered pair's distance (``hypot`` is symmetric under negation, so
+    the ordered pairs add nothing) and every ordered pair's value; only
+    the candidates, the pairs within 2 eps of the float extreme, are
+    evaluated in mpf, in the unscreened (k, i) order.  With v = 2^-min(p,
+    53) for p = prec_bits, each rounding of either evaluation (a float op,
+    a rational or mpf rounded to float, an mpf op) is off by at most v
+    relative; ``to_mpf`` rounds a rational twice when its numerator has
+    more than p bits, so by at most 2.01 v.  With R the largest vertex
+    coordinate in absolute value and u_k the stored mpf bisector (|u_k| <=
+    1 + 4 * 2^-p), each evaluation is within 20 v R of the exact value:
+      - a coordinate difference of two vertices, rounded to float once
+        each (to mpf at most twice) and then subtracted, is off by at most
+        4.01 v R in float (6.03 v R in mpf) and is at most 2.01 R;
+      - a product u . d adds its own rounding and, in float, the rounding
+        of u (1.01 v times 2.01 R): either way it is off by at most
+        8.2 v R, and the sum, at most 2.9 R, is rounded once more:
+        2 * 8.2 v R + 2.9 v R < 20 v R;
+      - a distance has an argument off by at most sqrt(2) * 6.03 v R <
+        8.6 v R, and hypot rounds once more (math.hypot within one ulp,
+        2 v of at most 2.9 R in float; mp.hypot correctly rounded but for
+        4 guard bits in mpf), so it is off by less than 15 v R.
+    The two evaluations of a pair are thus within 40 v R of each other,
+    less than eps = ``_screen_bound(R, p)`` = 2^7 v (R + 1).  So the pair
+    that attains the mpf least value M has a float value within eps of M,
+    and M is at most the mpf value of the float least pair, within eps of
+    the float least: every pair that attains M is a candidate (for the
+    diameter likewise, with signs flipped).  The mpf values, the first
+    pair that attains M in (k, i) order, the threshold and the verdict are
+    therefore those of the unscreened loops, bit for bit.
     """
     mirrors = polygon_mirrors(poly, prec_bits)
-    vertices = poly.all_vertices()
+    n = len(mirrors)
+    floats = [(float(x), float(y)) for x, y in (m.vertex for m in mirrors)]
+    eps = _screen_bound(max(max(abs(x), abs(y)) for x, y in floats), prec_bits)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    far = _near_least(
+        [-math.hypot(floats[i][0] - floats[j][0], floats[i][1] - floats[j][1]) for i, j in pairs],
+        eps,
+    )
+    values = []
+    for k, mirror in enumerate(mirrors):
+        ux, uy = float(mirror.direction[0]), float(mirror.direction[1])
+        vx, vy = floats[k]
+        values.extend(ux * (px - vx) + uy * (py - vy) for px, py in floats[:k] + floats[k + 1:])
     with mp.workprec(prec_bits):
-        pts = [(to_mpf(x), to_mpf(y)) for x, y in vertices]
+        pts = [m.point for m in mirrors]
         diameter = max(
-            mp.hypot(p[0] - q[0], p[1] - q[1]) for p in pts for q in pts if p != q
+            mp.hypot(pts[i][0] - pts[j][0], pts[i][1] - pts[j][1])
+            for i, j in (pairs[c] for c in far)
+            if pts[i] != pts[j]
         )
         threshold = mp.mpf(MARGIN_FACTOR) * diameter
         margin = None
         witness = None
-        for k, mirror in enumerate(mirrors):
-            vx, vy = to_mpf(mirror.vertex[0]), to_mpf(mirror.vertex[1])
-            ux, uy = mirror.direction
-            for i, (px, py) in enumerate(pts):
-                if i == k:
-                    continue
-                value = ux * (px - vx) + uy * (py - vy)
-                if margin is None or value < margin:
-                    margin = value
-                    witness = (k, i)
+        for c in _near_least(values, eps):
+            k, i = divmod(c, n - 1)
+            i += i >= k
+            vx, vy = pts[k]
+            ux, uy = mirrors[k].direction
+            px, py = pts[i]
+            value = ux * (px - vx) + uy * (py - vy)
+            if margin is None or value < margin:
+                margin = value
+                witness = (k, i)
         passed = margin is not None and margin > threshold
         return MirrorRoomReport(
             passed=passed,
             margin=margin,
             witness=None if passed else witness,
             threshold=threshold,
+            mirrors=tuple(mirrors),
         )
 
 
@@ -123,29 +198,71 @@ class BilliardTable:
     mirrors: tuple[Mirror, ...]
     edge_of_mirror: tuple[tuple[tuple, tuple], ...]  # edge endpoints per mirror
     half_planes: tuple                 # (ux, uy, offset) per mirror: u . x >= offset
+    float_half_planes: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        floats = tuple(tuple(float(c) for c in plane) for plane in self.half_planes)
+        object.__setattr__(self, "float_half_planes", floats)
 
     def contains_xy(self, point, tol, prec_bits: int = 128) -> bool:
-        """Whether ``point`` lies in every mirror half-plane, up to ``tol``."""
+        """Whether ``point`` lies in every mirror half-plane, up to ``tol``.
+
+        The test per half-plane is fl(ux x + uy y) < fl(offset - tol) at
+        p = prec_bits, with x and y rounded to p bits.  A float64 screen
+        skips a half-plane whose float slack s = ux x + uy y - offset + tol
+        exceeds eps = ``_screen_bound(A + O + T, p)``, with A = |x| + |y|,
+        O = |offset| and T = |tol|; every other half-plane is decided by
+        that mpf test, so the answer is the unscreened one.  Why a skip is
+        right: with v = 2^-min(p, 53) as in ``mirror_room_check`` and
+        |ux|, |uy| <= 1.01, both sides evaluate S = ux x + uy y - offset +
+        tol for the stored mpf (ux, uy, offset) and the given point and
+        tolerance.
+          - mpf: each product is off by at most 3.1 v |x| (x rounded,
+            twice for a rational, and the product rounded), their sum by
+            4.2 v A after its own rounding, and offset - tol by v (O + T):
+            fl(ux x + uy y) - fl(offset - tol) is within 4.2 v A + v (O +
+            T) of S;
+          - float: each product is off by at most 3.1 v |x| (ux and x
+            rounded, the product rounded), the sum by 4.2 v A; subtracting
+            offset (rounded) and adding tol (rounded) adds v O + v T and
+            two roundings of at most v (1.03 A + 1.01 O + T): s is within
+            6.3 v (A + O + T) of S.
+        So s > eps = 2^7 v (A + O + T + 1) makes S, and then the mpf left
+        side minus the right side, positive: the mpf test would not fail.
+        A NaN or an infinity makes the screen's comparison false, and the
+        mpf test decides.
+        """
+        x, y, t = float(point[0]), float(point[1]), float(tol)
+        size = abs(x) + abs(y) + abs(t)
         with mp.workprec(prec_bits):
-            px, py = to_mpf(point[0]), to_mpf(point[1])
-            for ux, uy, offset in self.half_planes:
+            px = None
+            for (fx, fy, f_off), (ux, uy, offset) in zip(self.float_half_planes, self.half_planes):
+                if fx * x + fy * y - f_off + t > _screen_bound(size + abs(f_off), prec_bits):
+                    continue
+                if px is None:
+                    px, py = to_mpf(point[0]), to_mpf(point[1])
                 if ux * px + uy * py < offset - tol:
                     return False
             return True
 
 
-def build_table(poly: PerturbedPolygon, prec_bits: int = 128) -> BilliardTable:
+def build_table(mirrors, prec_bits: int = 128) -> BilliardTable:
     """Intersect the mirror half-planes into the convex floor polygon.
 
-    Every trajectory vertex touches the floor, so each mirror line carries one
-    edge: ordered by outward-normal angle, consecutive lines meet at the
+    ``mirrors`` are the ones a passed ``mirror_room_check`` returns (its
+    ``mirrors``), or ``polygon_mirrors`` at the same precision: the check
+    is the table's precondition, and the mirrors are built once for both.
+    Every trajectory vertex touches the floor, so each mirror line carries
+    one edge: ordered by outward-normal angle, consecutive lines meet at the
     corners, counterclockwise from the smallest angle about their centroid.
-    Precondition: mirror_room_check passes.  Raises UnboundedTableError (a
-    failed precondition in disguise) when the normals span less than a
-    half-turn, two consecutive lines are parallel, or a corner leaves another
-    half-plane (that mirror would carry no edge).
+    Raises UnboundedTableError (a failed precondition in disguise) when the
+    normals span less than a half-turn, two consecutive lines are parallel,
+    or a corner leaves another half-plane (that mirror would carry no
+    edge).  That last test is ``contains_xy``, whose float screen decides
+    only the half-planes far from the corner; a corner's own two lines are
+    always decided in mpf.
     """
-    mirrors = polygon_mirrors(poly, prec_bits)
+    mirrors = tuple(mirrors)
     n = len(mirrors)
     with mp.workprec(prec_bits):
         # boundedness: outward normals (-u) must not fit in an open half-plane
@@ -159,7 +276,7 @@ def build_table(poly: PerturbedPolygon, prec_bits: int = 128) -> BilliardTable:
         half_planes = []
         for mirror in mirrors:
             ux, uy = mirror.direction
-            vx, vy = to_mpf(mirror.vertex[0]), to_mpf(mirror.vertex[1])
+            vx, vy = mirror.point
             half_planes.append((ux, uy, ux * vx + uy * vy))
         scale = max(abs(offset) for _, _, offset in half_planes) + 1
         slack = scale * mp.mpf(2) ** (12 - prec_bits // 2)
@@ -182,7 +299,7 @@ def build_table(poly: PerturbedPolygon, prec_bits: int = 128) -> BilliardTable:
             edge_of_mirror[order[k]] = (corners[k - 1], corners[k])
         table = BilliardTable(
             floor=tuple(corners[start:] + corners[:start]),
-            mirrors=tuple(mirrors),
+            mirrors=mirrors,
             edge_of_mirror=tuple(edge_of_mirror),
             half_planes=tuple(half_planes),
         )

@@ -238,7 +238,9 @@ def realize(spec: RealizationSpec) -> RealizationResult:
         raise PipelineError("mirror-room condition kept failing at shrinking delta")
 
     poly, mirror_report = timed("perturb", perturb_until_mirrors)
-    table = timed("table", lambda: build_table(poly, prec_bits=spec.precision_bits))
+    table = timed(
+        "table", lambda: build_table(mirror_report.mirrors, prec_bits=spec.precision_bits)
+    )
     arcs = timed("arcs", lambda: arc_length_table(poly, spec.arc_precision_bits))
     constraints = timed("constraints", lambda: build_height_constraints(star, arcs))
     heights = timed(

@@ -294,14 +294,20 @@ def verify_artifacts(report_path) -> Verdict:
         lines_by_comp = report["lines"]
         delta = _parse_frac(report["chosen_delta"])
         traj_file = report_path.parent / report["files"]["trajectory"]
+        if len(lines_by_comp) != len(star.components):
+            raise ValueError(
+                f"lines for {len(lines_by_comp)} components, expected {len(star.components)}"
+            )
         flat_lines: list[tuple[Fraction, Fraction] | None] = [None] * star.p
-        for comp_lines, chain in zip(lines_by_comp, star.components):
+        for ci, (comp_lines, chain) in enumerate(zip(lines_by_comp, star.components)):
+            if len(comp_lines) != len(chain):
+                raise ValueError(
+                    f"component {ci} has {len(comp_lines)} lines, expected one per chord: {len(chain)}"
+                )
             for chord, (a_s, b_s) in zip(chain, comp_lines):
                 flat_lines[chord] = (_parse_frac(a_s), _parse_frac(b_s))
     except (KeyError, TypeError, ValueError) as exc:  # DomainError is a ValueError
         raise SpecFileError(f"malformed report: {exc}") from exc
-    if any(line is None for line in flat_lines):
-        raise SpecFileError("report lines do not cover every chord")
     layout = layout_from_lines(star, flat_lines)
     if layout is None:
         return Verdict((("combinatorics", False, "stored lines no longer match the star"),))
@@ -343,7 +349,7 @@ def verify_artifacts(report_path) -> Verdict:
     )
 
     if mirror.passed:
-        table = build_table(poly, prec_bits=prec)
+        table = build_table(mirror.mirrors, prec_bits=prec)
         arcs = arc_length_table(poly, spec.arc_precision_bits)
         reflection = verify_reflection(trajectory, table, arcs, REFLECTION_TOL, prec)
     else:

@@ -1,0 +1,56 @@
+"""Reference mirror-room check and half-plane test, all in mpf.
+
+These are the unscreened loops: the trajectory diameter over all ordered
+vertex pairs, the margin over all n^2 values u_k . (P_i - P_k), and every
+mirror half-plane tested for a point.
+``billiardknots.billiards.mirror_room_check`` and
+``BilliardTable.contains_xy`` screen the same values in float64 and
+confirm the candidates at the working precision; these serve as the
+oracles they are compared against, bit for bit.
+"""
+
+import mpmath as mp
+
+from billiardknots.billiards import MARGIN_FACTOR, MirrorRoomReport, polygon_mirrors
+from billiardknots.perturbation import to_mpf
+
+
+def pairwise_mirror_room(poly, prec_bits: int = 128) -> MirrorRoomReport:
+    """Strict mirror-room condition: u_k . (P_i - P_k) > margin for all i != k."""
+    mirrors = polygon_mirrors(poly, prec_bits)
+    vertices = poly.all_vertices()
+    with mp.workprec(prec_bits):
+        pts = [(to_mpf(x), to_mpf(y)) for x, y in vertices]
+        diameter = max(
+            mp.hypot(p[0] - q[0], p[1] - q[1]) for p in pts for q in pts if p != q
+        )
+        threshold = mp.mpf(MARGIN_FACTOR) * diameter
+        margin = None
+        witness = None
+        for k, mirror in enumerate(mirrors):
+            vx, vy = to_mpf(mirror.vertex[0]), to_mpf(mirror.vertex[1])
+            ux, uy = mirror.direction
+            for i, (px, py) in enumerate(pts):
+                if i == k:
+                    continue
+                value = ux * (px - vx) + uy * (py - vy)
+                if margin is None or value < margin:
+                    margin = value
+                    witness = (k, i)
+        passed = margin is not None and margin > threshold
+        return MirrorRoomReport(
+            passed=passed,
+            margin=margin,
+            witness=None if passed else witness,
+            threshold=threshold,
+        )
+
+
+def plain_contains_xy(table, point, tol, prec_bits: int = 128) -> bool:
+    """Whether ``point`` lies in every mirror half-plane, up to ``tol``."""
+    with mp.workprec(prec_bits):
+        px, py = to_mpf(point[0]), to_mpf(point[1])
+        for ux, uy, offset in table.half_planes:
+            if ux * px + uy * py < offset - tol:
+                return False
+        return True

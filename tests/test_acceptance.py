@@ -87,7 +87,7 @@ def test_criterion_2_pentagram_sanity():
         all_vertices=lambda: list(vertices),
     )
     check = mirror_room_check(poly)
-    table = build_table(poly)
+    table = build_table(check.mirrors)
     tips_on_boundary = True
     for mirror, (e1, e2) in zip(table.mirrors, table.edge_of_mirror):
         vx, vy = float(mirror.vertex[0]), float(mirror.vertex[1])

@@ -5,18 +5,23 @@ from types import SimpleNamespace
 
 import mpmath as mp
 import pytest
+from mirror_room_oracle import pairwise_mirror_room, plain_contains_xy
 from reflection_oracle import pointwise_reflection as verify_reflection
 from table_oracles import pairwise_floor
 
 from billiardknots.billiards import (
+    _near_least,
+    _screen_bound,
     build_table,
     internal_bisector,
     mirror_room_check,
     polygon_mirrors,
 )
+from billiardknots.braids import pad_to_min_repetitions
 from billiardknots.errors import DegenerateAngleError, UnboundedTableError
 from billiardknots.heights import SawtoothHeight, emit_trajectory
-from billiardknots.perturbation import arc_length_table, perturb
+from billiardknots.perturbation import arc_length_table, perturb, to_mpf
+from billiardknots.presets import PRESETS
 from billiardknots.stars import build_star
 
 
@@ -100,7 +105,7 @@ def test_convex_polygon_is_its_own_trajectory():
 
 def test_build_table_pentagram_touches_tips():
     poly = pentagram_polygon()
-    table = build_table(poly)
+    table = build_table(mirror_room_check(poly).mirrors)
     assert len(table.floor) == 5
     # every trajectory vertex lies on its mirror's edge of the table
     for mirror, (e1, e2) in zip(table.mirrors, table.edge_of_mirror):
@@ -133,8 +138,9 @@ def test_build_table_orthic_triangle_recovers_original():
 
     ha, hb, hc = foot(A, B, C), foot(B, A, C), foot(C, A, B)
     orbit = fake_polygon([[ha, hb, hc]])
-    assert mirror_room_check(orbit).passed
-    table = build_table(orbit)
+    check = mirror_room_check(orbit)
+    assert check.passed
+    table = build_table(check.mirrors)
     assert len(table.floor) == 3
     floor = [(float(x), float(y)) for x, y in table.floor]
     expected = [(float(v[0]), float(v[1])) for v in (A, B, C)]
@@ -146,7 +152,7 @@ def test_build_table_degenerate_raises():
     bad = fake_polygon([[(Fraction(0), Fraction(0)), (Fraction(4), Fraction(0)),
                          (Fraction(2), Fraction(3)), (Fraction(2), Fraction(1))]])
     with pytest.raises(UnboundedTableError):
-        build_table(bad)
+        build_table(polygon_mirrors(bad))
     with pytest.raises(UnboundedTableError):
         pairwise_floor(bad)
 
@@ -158,8 +164,9 @@ def test_build_table_matches_pairwise_oracle(p, q):
     star = build_star(p, q, prec_bits=192)
     for seed in (1, 2, 3):
         poly = perturb(star, Fraction(1, 1000), seed=seed)
-        assert mirror_room_check(poly, prec_bits=192).passed
-        floor = build_table(poly, prec_bits=192).floor
+        check = mirror_room_check(poly, prec_bits=192)
+        assert check.passed
+        floor = build_table(check.mirrors, prec_bits=192).floor
         assert len(floor) == p
         assert floor == pairwise_floor(poly, prec_bits=192)
 
@@ -171,7 +178,7 @@ def make_simple_traj(points, events):
 
 def test_verify_reflection_floor_bounce():
     poly = pentagram_polygon()
-    table = build_table(poly)
+    table = build_table(polygon_mirrors(poly))
     # synthetic V-shaped bounce on the floor inside the table, closed by a
     # ceiling bounce directly above
     ev = [
@@ -192,7 +199,7 @@ def test_verify_reflection_emitted_trajectory_and_corruption():
     from billiardknots.perturbation import arc_length_table
 
     poly = pentagram_polygon()
-    table = build_table(poly, prec_bits=192)
+    table = build_table(polygon_mirrors(poly, 192), prec_bits=192)
     arcs = arc_length_table(poly, 256)
     traj = emit_trajectory(poly, (SawtoothHeight(1, F(1, 3)),), arcs, prec_bits=192)
     assert verify_reflection(traj, table, 1e-9, prec_bits=192).passed
@@ -210,7 +217,7 @@ def test_verify_reflection_emitted_trajectory_and_corruption():
 
 def test_verify_reflection_names_bounce_point_outside_floor():
     poly = pentagram_polygon()
-    table = build_table(poly, prec_bits=192)
+    table = build_table(polygon_mirrors(poly, 192), prec_bits=192)
     arcs = arc_length_table(poly, 256)
     comp = emit_trajectory(poly, (SawtoothHeight(1, Fraction(1, 3)),), arcs, 192).components[0]
     for kind in ("floor", "ceiling"):
@@ -237,3 +244,179 @@ def test_lemma1_jitter_stability_pentagram():
                 vs.append((float(x) + r * math.cos(ang), float(y) + r * math.sin(ang)))
             jittered.append(vs)
         assert mirror_room_check(fake_polygon(jittered), prec_bits=64).passed
+
+
+SCREEN_PRECISIONS = (53, 64, 128, 192)
+STAR_SHAPES = [(5, 2), (7, 3), (10, 2), (10, 3), (9, 4)]
+
+
+def preset_polygon(name, prec_bits=192):
+    padded = pad_to_min_repetitions(PRESETS[name])
+    star = build_star(padded.repetitions, padded.strands, prec_bits)
+    return perturb(star, Fraction(1, 1000), seed=42)
+
+
+def random_polygons(seed):
+    """Seeded polygons with small rational vertices; most fail the check."""
+    rng = random.Random(seed)
+    polys = []
+    for _ in range(12):
+        comps = [
+            [
+                (Fraction(rng.randint(-900, 900), rng.randint(1, 97)),
+                 Fraction(rng.randint(-900, 900), rng.randint(1, 97)))
+                for _ in range(rng.randint(3, 7))
+            ]
+            for _ in range(rng.randint(1, 2))
+        ]
+        polys.append(fake_polygon(comps))
+    return polys
+
+
+def jittered_polygons(seed):
+    """A perturbed star moved by up to 1/4, 2 and 20 times its margin: the
+    first pass the check, the last fail it."""
+    poly = perturb(build_star(7, 3), Fraction(1, 1000), seed=seed)
+    margin = float(mirror_room_check(poly).margin)
+    rng = random.Random(seed)
+    polys = []
+    for scale in (0.25, 2.0, 20.0):
+        for _ in range(3):
+            comps = []
+            for comp in poly.components:
+                vs = []
+                for x, y in comp.vertices:
+                    r = rng.uniform(0, margin * scale)
+                    ang = rng.uniform(0, 2 * math.pi)
+                    vs.append((float(x) + r * math.cos(ang), float(y) + r * math.sin(ang)))
+                comps.append(vs)
+            polys.append(fake_polygon(comps))
+    return polys
+
+
+def tied_polygons():
+    """Polygons whose pair values tie exactly: a square, a large and a tiny
+    rectangle, a symmetric hexagon, the failing kite with an inner vertex,
+    and two 9-pointed stars through rational points of a circle (scaled by
+    7/11), on which a float64 screen that keeps only the float least pair
+    picks another pair than the mpf loop at 128 bits."""
+    F = Fraction
+    circle_stars = [
+        [(F(x) * F(7, 11), F(y) * F(7, 11)) for x, y in star]
+        for star in (
+            [("-8/17", "-15/17"), ("12/13", "-5/13"), ("12/13", "5/13"), ("-8/17", "15/17"),
+             ("-24/25", "7/25"), ("8/17", "-15/17"), ("24/25", "-7/25"), ("8/17", "15/17"),
+             ("-4/5", "3/5")],
+            [("-15/17", "-8/17"), ("-8/17", "-15/17"), ("21/29", "-20/29"), ("-7/25", "24/25"),
+             ("-24/25", "7/25"), ("-3/5", "-4/5"), ("7/25", "-24/25"), ("15/17", "8/17"),
+             ("-15/17", "8/17")],
+        )
+    ]
+    square = [(F(0), F(0)), (F(1), F(0)), (F(1), F(1)), (F(0), F(1))]
+    big = [(F(-3) * 10**6, F(-2) * 10**6), (F(3) * 10**6, F(-2) * 10**6),
+           (F(3) * 10**6, F(2) * 10**6), (F(-3) * 10**6, F(2) * 10**6)]
+    tiny = [(x / 10**12, y / 10**12) for x, y in big]
+    hexagon = [
+        (F(2), F(0)), (F(1), F(2)), (F(-1), F(2)), (F(-2), F(0)), (F(-1), F(-2)), (F(1), F(-2))
+    ]
+    kite = [(F(0), F(0)), (F(4), F(0)), (F(2), F(3)), (F(2), F(1))]
+    return [fake_polygon([vs]) for vs in [square, big, tiny, hexagon, kite] + circle_stars]
+
+
+def assert_same_mirror_room(poly, prec_bits):
+    """The screened check's verdict, margin, witness and threshold are the
+    unscreened loops', bit for bit."""
+    got = mirror_room_check(poly, prec_bits)
+    want = pairwise_mirror_room(poly, prec_bits)
+    assert (got.passed, got.witness) == (want.passed, want.witness)
+    assert got.margin._mpf_ == want.margin._mpf_
+    assert got.threshold._mpf_ == want.threshold._mpf_
+    return got
+
+
+@pytest.mark.parametrize("prec", SCREEN_PRECISIONS)
+def test_mirror_room_screen_matches_oracle_on_presets_and_stars(prec):
+    for name in PRESETS:
+        assert_same_mirror_room(preset_polygon(name), prec)
+    for p, q in STAR_SHAPES:
+        star = build_star(p, q, prec_bits=192)
+        for seed in (1, 2, 3):
+            assert_same_mirror_room(perturb(star, Fraction(1, 1000), seed=seed), prec)
+
+
+@pytest.mark.parametrize("prec", SCREEN_PRECISIONS)
+def test_mirror_room_screen_matches_oracle_on_fake_polygons(prec):
+    verdicts = []
+    for poly in tied_polygons() + jittered_polygons(1) + jittered_polygons(2):
+        verdicts.append(assert_same_mirror_room(poly, prec).passed)
+    for seed in (1, 2, 3):
+        for poly in random_polygons(seed):
+            try:
+                want = pairwise_mirror_room(poly, prec)
+            except DegenerateAngleError:
+                with pytest.raises(DegenerateAngleError):
+                    mirror_room_check(poly, prec)
+                continue
+            verdicts.append(assert_same_mirror_room(poly, prec).passed)
+            assert verdicts[-1] == want.passed
+    assert True in verdicts and False in verdicts
+
+
+def test_mirror_room_check_returns_the_mirrors_it_checked():
+    poly = preset_polygon("hopf")
+    report = mirror_room_check(poly, prec_bits=192)
+    assert report.mirrors == tuple(polygon_mirrors(poly, 192))
+    with mp.workprec(192):
+        for mirror in report.mirrors:
+            assert mirror.point == (to_mpf(mirror.vertex[0]), to_mpf(mirror.vertex[1]))
+
+
+@pytest.mark.parametrize("prec", SCREEN_PRECISIONS)
+def test_screen_bound_covers_float_and_mpf_evaluations(prec):
+    """Every pair's float64 distance and value are within the screen's
+    bound of the working-precision ones (the derivation in
+    ``mirror_room_check``)."""
+    polys = [preset_polygon(name) for name in PRESETS] + tied_polygons() + jittered_polygons(3)
+    for poly in polys:
+        mirrors = polygon_mirrors(poly, prec)
+        floats = [(float(x), float(y)) for x, y in (m.vertex for m in mirrors)]
+        eps = _screen_bound(max(max(abs(x), abs(y)) for x, y in floats), prec)
+        with mp.workprec(prec):
+            for k, mirror in enumerate(mirrors):
+                ux, uy = mirror.direction
+                fx, fy = float(ux), float(uy)
+                (vx, vy), (gx, gy) = mirror.point, floats[k]
+                for i, other in enumerate(mirrors):
+                    (px, py), (hx, hy) = other.point, floats[i]
+                    value = ux * (px - vx) + uy * (py - vy)
+                    assert abs(fx * (hx - gx) + fy * (hy - gy) - value) <= eps
+                    dist = mp.hypot(px - vx, py - vy)
+                    assert abs(math.hypot(hx - gx, hy - gy) - dist) <= eps
+
+
+def test_near_least_keeps_everything_within_twice_the_bound():
+    assert _near_least([3.0, 1.0, 3.0, 2.0, 1.5], 0.5) == [1, 3, 4]
+    assert _near_least([0.0, 0.0], 0.0) == [0, 1]
+
+
+@pytest.mark.parametrize("prec", SCREEN_PRECISIONS)
+def test_contains_xy_matches_oracle_at_and_near_every_line(prec):
+    """Points on each mirror line (its vertex and its edge's corners) and
+    moved off it along the normal by 1e-14 and 1e-20, both ways."""
+    outcomes = set()
+    for poly in (pentagram_polygon(), preset_polygon("star-9-3")):
+        table = build_table(mirror_room_check(poly, 192).mirrors, prec_bits=192)
+        with mp.workprec(256):
+            points = []
+            for mirror, edge in zip(table.mirrors, table.edge_of_mirror):
+                ux, uy = mirror.direction
+                for x, y in (mirror.point,) + edge:
+                    for shift in (0, 1e-14, -1e-14, 1e-20, -1e-20):
+                        s = mp.mpf(shift)
+                        points.append((x + s * ux, y + s * uy))
+        for point in points:
+            for tol in (0, mp.mpf("1e-20"), 1e-14):
+                got = table.contains_xy(point, tol, prec)
+                assert got == plain_contains_xy(table, point, tol, prec)
+                outcomes.add(got)
+    assert outcomes == {True, False}

@@ -307,6 +307,8 @@ REPORT_CORRUPTIONS = {
     "precision-zero": lambda d: d["spec"].update(precision_bits=0),
     "precision-negative": lambda d: d["spec"].update(precision_bits=-5),
     "precision-eight": lambda d: d["spec"].update(precision_bits=8),
+    "extra-component-lines": lambda d: d["lines"].append([["1/2", "1/3"]]),
+    "extra-line": lambda d: d["lines"][0].append(["1/2", "1/3"]),
 }
 
 
