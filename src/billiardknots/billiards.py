@@ -123,22 +123,22 @@ def mirror_room_check(poly: PerturbedPolygon, prec_bits: int = 128) -> MirrorRoo
     the candidates, the pairs within 2 eps of the float extreme, are
     evaluated in mpf, in the unscreened (k, i) order.  With v = 2^-min(p,
     53) for p = prec_bits, each rounding of either evaluation (a float op,
-    a rational or mpf rounded to float, an mpf op) is off by at most v
-    relative; ``to_mpf`` rounds a rational twice when its numerator has
-    more than p bits, so by at most 2.01 v.  With R the largest vertex
-    coordinate in absolute value and u_k the stored mpf bisector (|u_k| <=
-    1 + 4 * 2^-p), each evaluation is within 20 v R of the exact value:
-      - a coordinate difference of two vertices, rounded to float once
-        each (to mpf at most twice) and then subtracted, is off by at most
-        4.01 v R in float (6.03 v R in mpf) and is at most 2.01 R;
+    a rational or mpf rounded to float, a rational rounded to mpf by
+    ``to_mpf``, an mpf op) is off by at most v relative.  With R the
+    largest vertex coordinate in absolute value and u_k the stored mpf
+    bisector (|u_k| <= 1 + 4 * 2^-p), each evaluation is within 20 v R of
+    the exact value:
+      - a coordinate difference of two vertices, rounded once each (to
+        float or to mpf) and then subtracted, is off by at most 4.01 v R
+        and is at most 2.01 R;
       - a product u . d adds its own rounding and, in float, the rounding
         of u (1.01 v times 2.01 R): either way it is off by at most
         8.2 v R, and the sum, at most 2.9 R, is rounded once more:
         2 * 8.2 v R + 2.9 v R < 20 v R;
-      - a distance has an argument off by at most sqrt(2) * 6.03 v R <
-        8.6 v R, and hypot rounds once more (math.hypot within one ulp,
+      - a distance has an argument off by at most sqrt(2) * 4.01 v R <
+        5.7 v R, and hypot rounds once more (math.hypot within one ulp,
         2 v of at most 2.9 R in float; mp.hypot correctly rounded but for
-        4 guard bits in mpf), so it is off by less than 15 v R.
+        4 guard bits in mpf), so it is off by less than 12 v R.
     The two evaluations of a pair are thus within 40 v R of each other,
     less than eps = ``_screen_bound(R, p)`` = 2^7 v (R + 1).  So the pair
     that attains the mpf least value M has a float value within eps of M,
@@ -217,11 +217,10 @@ class BilliardTable:
         |ux|, |uy| <= 1.01, both sides evaluate S = ux x + uy y - offset +
         tol for the stored mpf (ux, uy, offset) and the given point and
         tolerance.
-          - mpf: each product is off by at most 3.1 v |x| (x rounded,
-            twice for a rational, and the product rounded), their sum by
-            4.2 v A after its own rounding, and offset - tol by v (O + T):
-            fl(ux x + uy y) - fl(offset - tol) is within 4.2 v A + v (O +
-            T) of S;
+          - mpf: each product is off by at most 2.1 v |x| (x rounded
+            once and the product rounded), their sum by 3.2 v A after its
+            own rounding, and offset - tol by v (O + T): fl(ux x + uy y) -
+            fl(offset - tol) is within 3.2 v A + v (O + T) of S;
           - float: each product is off by at most 3.1 v |x| (ux and x
             rounded, the product rounded), the sum by 4.2 v A; subtracting
             offset (rounded) and adding tol (rounded) adds v O + v T and

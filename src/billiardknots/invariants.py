@@ -142,11 +142,9 @@ def kauffman_bracket(pd: PDCode) -> Laurent:
     return lp_mul(_divide_by_delta(total), lp_pow(DELTA, pd.free_loops))
 
 
-def jones(pd: PDCode, writhe: int, bracket: Laurent | None = None) -> Laurent:
+def jones(pd: PDCode, writhe: int) -> Laurent:
     """Jones polynomial in t^(1/2) units: keys are doubled exponents."""
-    if bracket is None:
-        bracket = kauffman_bracket(pd)
-    normalized = lp_scale(lp_shift(bracket, -3 * writhe), (-1) ** (writhe % 2))
+    normalized = lp_scale(lp_shift(kauffman_bracket(pd), -3 * writhe), (-1) ** (writhe % 2))
     out: Laurent = {}
     for exp_a, coeff in normalized.items():
         if exp_a % 2:

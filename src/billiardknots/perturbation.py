@@ -17,13 +17,14 @@ crossing pairs, same crossing order along every segment); the perturbation
 is redrawn with halved delta until that holds.
 
 Heuristic Q-independence of {1, t_i} is checked per component by PSLQ at
-tolerance tol (``_pslq``, which reproduces mpmath 1.3.0's fixed-point PSLQ
-exactly: the same relations, step counts and exits).  The check takes the
-search's first hit; it reports that hit as a relation only if its
-coefficients are at most ``max_coeff`` and its residual at most tol^2.  The
-component passes when the hit fails that screen and when the search ends
-without a hit (norm bound, step cap, or an entry or pivot too tiny for the
-precision).
+tolerance tol (``_pslq``: mpmath 1.3.0's fixed-point PSLQ as a plain loop
+that also returns its step count and exit).  The check takes the search's
+first hit; it reports that hit as a relation only if its coefficients are
+at most ``max_coeff`` and its residual at most tol^2.  The component passes
+when the hit fails that screen and when the search ends without a hit
+(norm bound, step cap, or an entry or pivot too tiny for the precision).
+The check is not a pipeline stage: ``RealizationResult.independence`` runs
+it on demand, on arcs of its own at the precision tol needs.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
-from mpmath.libmp import sqrt_fixed
+from mpmath.libmp import from_rational, round_nearest, sqrt_fixed
 
 from .errors import CombinatorialCollapseError, DomainError, PrecisionError
 from .pdcodes import DiagramTraversal, passage_traversal
@@ -254,14 +255,14 @@ def perturb(
 
 
 def to_mpf(x):
-    """An mpf at the working precision; a Fraction is rounded once, by the
-    division of its numerator by its denominator."""
+    """An mpf at the working precision; a Fraction is rounded once, to the
+    nearest."""
     if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / x.denominator
+        return mp.mp.make_mpf(from_rational(x.numerator, x.denominator, mp.mp.prec, round_nearest))
     return mp.mpf(x)
 
 
-def arc_length_table(poly: PerturbedPolygon, prec_bits: int = 256) -> ArcTable:
+def arc_length_table(poly: PerturbedPolygon, prec_bits: int) -> ArcTable:
     """Passage and vertex arcs, normalized so each component has length 1."""
     passages: list[list[Passage]] = []
     vertex_arcs = []
@@ -318,22 +319,6 @@ def required_precision_bits(tol: float) -> int:
     return int(mp.ceil(4 * digits * mp.log(10) / mp.log(2)))
 
 
-def _norm_bound(prec: int, maxcoeff: int) -> int:
-    """The largest max|H| at which mpmath's norm-bound exit fires.
-
-    For integers R >= 0 and maxcoeff >= 1, mpmath's test
-    ``not R or ((2^(2 prec) // R) >> prec) // 100 >= maxcoeff`` holds exactly
-    when R <= 2^prec // (100 maxcoeff): the nested floors are one floor of
-    2^prec / (100 R).
-    """
-    return (1 << prec) // (100 * maxcoeff)
-
-
-def _norm_bound_reached(H, bound: int) -> bool:
-    """Every |H_ij| <= bound; stops at the first row with a larger entry."""
-    return all(max(row) <= bound and -min(row) <= bound for row in H)
-
-
 def _pslq(x, tol, maxcoeff: int, maxsteps: int) -> tuple[list[int] | None, int, str]:
     """Integer relation search on ``x`` at the working precision, step for
     step the fixed-point PSLQ of mpmath 1.3.0 (``mp.pslq``).
@@ -346,40 +331,20 @@ def _pslq(x, tol, maxcoeff: int, maxsteps: int) -> tuple[list[int] | None, int, 
 
     The integer arithmetic is mpmath's (prec + 60 guard bits, the same
     initial reduction, pivot, rotation, rounding and exits), so relations,
-    step counts and exits are identical.  The bookkeeping differs:
+    step counts and exits are identical.  Only the bookkeeping differs:
 
     * H is a list of rows and B is kept transposed, so an exchange is a list
-      swap; mpmath's matrix A, which it updates but never reads, is not kept;
+      swap;
     * a reduction multiplier is a rounded multiple of 2^prec, so mpmath's
       (t*v) >> prec is exactly (t >> prec)*v, B only ever holds multiples of
       2^prec and is kept divided by 2^prec, and a zero multiplier, which
-      changes nothing, is skipped.
-
-    It also skips three kinds of work whose result is already known:
-
-    * pivot weights g^(i+1) |H_ii| >> prec*i are cached.  Only the exchange
-      and the rotation change a diagonal, that of rows m and m + 1, so only
-      those two weights are recomputed.  The pivot is the first maximum, as
-      in mpmath;
-    * reduction multipliers known to be zero are not recomputed.  After row
-      i is reduced by t at column j, (H_ij << prec) // H_jj drops by exactly
-      t * 2^prec, so the multiplier there is 0 until H_ij or H_jj changes.
-      H_jj changes only for j in {m, m + 1}; H_ij changes when row i is
-      reduced or when the rotation rewrites columns m and m + 1.  So each
-      row keeps a count of leading columns known to be zero: the exchange
-      swaps the two rows' counts and caps both at m, the rotation caps every
-      row below at m, and mpmath's zero-pivot break resets the row to 0.  A
-      sweep stops at the count unless it has just reduced, which changes
-      every column to its left;
-    * the norm-bound exit compares each |H_ij| with ``_norm_bound``, the
-      threshold equivalent to mpmath's test, and stops at the first entry
-      above it instead of taking max|H| every step.
+      changes nothing, is skipped;
+    * mpmath's matrix A, which it updates but never reads, is not kept;
+    * the pivot weights g**i are computed once.
     """
     n = len(x)
     if n < 2:
         raise ValueError("n cannot be less than 2")
-    if maxcoeff < 1:
-        raise ValueError("maxcoeff must be at least 1")
     prec = mp.mp.prec
     if prec < 53:
         raise ValueError("prec cannot be less than 53")
@@ -394,9 +359,8 @@ def _pslq(x, tol, maxcoeff: int, maxsteps: int) -> tuple[list[int] | None, int, 
     if minx < tol // 100:
         return None, 0, "tiny"
     half = 1 << (prec - 1)
-    bound = _norm_bound(prec, maxcoeff)
     g = sqrt_fixed((4 << prec) // 3, prec)
-    powers = [g ** (i + 1) for i in range(n - 1)]
+    weights = [(g ** (i + 1), prec * i) for i in range(n - 1)]
 
     s = [0] * n
     total = 0
@@ -424,28 +388,18 @@ def _pslq(x, tol, maxcoeff: int, maxsteps: int) -> tuple[list[int] | None, int, 
             row[k] -= t * pivot_row[k]
         Bt[j] = [b + t * c for b, c in zip(Bt[j], Bt[i])]
 
-    def weight(i: int) -> int:
-        return powers[i] * abs(H[i][i]) >> prec * i
-
     for i in range(1, n):
         for j in range(i - 1, -1, -1):
             if H[j][j]:
                 t = ((H[i][j] << prec) // H[j][j] + half) >> prec
                 if t:
                     reduce(i, j, t)
-    # reduced[i]: how many leading columns of row i have a zero multiplier over
-    # a nonzero pivot; the initial reduction zeroed every one before the first
-    # zero pivot
-    pivots = next((j for j in range(n - 1) if not H[j][j]), n - 1)
-    reduced = [min(i, pivots) for i in range(n)]
-    weights = [weight(i) for i in range(n - 1)]
 
     for step in range(1, maxsteps + 1):
-        m = weights.index(max(weights))
+        m = max(range(n - 1), key=lambda i: weights[i][0] * abs(H[i][i]) >> weights[i][1])
         y[m], y[m + 1] = y[m + 1], y[m]
         H[m], H[m + 1] = H[m + 1], H[m]
         Bt[m], Bt[m + 1] = Bt[m + 1], Bt[m]
-        reduced[m], reduced[m + 1] = min(reduced[m + 1], m), min(reduced[m], m)
         if m < n - 2:
             a, b = H[m][m], H[m][m + 1]
             t0 = sqrt_fixed((a ** 2 + b ** 2) >> prec, prec)
@@ -457,30 +411,18 @@ def _pslq(x, tol, maxcoeff: int, maxsteps: int) -> tuple[list[int] | None, int, 
                 t3, t4 = row[m], row[m + 1]
                 row[m] = (t1 * t3 + t2 * t4) >> prec
                 row[m + 1] = (-t2 * t3 + t1 * t4) >> prec
-            for i in range(m + 2, n):
-                reduced[i] = min(reduced[i], m)
-            weights[m + 1] = weight(m + 1)
-        weights[m] = weight(m)
         for i in range(m + 1, n):
-            row = H[i]
-            top = min(i - 1, m + 1)
-            low = reduced[i]
-            reduced[i] = top + 1
-            for j in range(top, -1, -1):
-                if j < low:
+            for j in range(min(i - 1, m + 1), -1, -1):
+                if not H[j][j]:  # mpmath's ZeroDivisionError break
                     break
-                pivot = H[j][j]
-                if not pivot:  # mpmath's ZeroDivisionError break
-                    reduced[i] = 0
-                    break
-                t = ((row[j] << prec) // pivot + half) >> prec
+                t = ((H[i][j] << prec) // H[j][j] + half) >> prec
                 if t:
                     reduce(i, j, t)
-                    low = 0
         for i in range(n):
             if abs(y[i]) < tol and max(map(abs, Bt[i])) < maxcoeff:
                 return list(Bt[i]), step, "relation"
-        if _norm_bound_reached(H, bound):
+        recnorm = max(max(map(abs, row)) for row in H)
+        if not recnorm or (((1 << (2 * prec)) // recnorm) >> prec) // 100 >= maxcoeff:
             return None, step, "bound"
     return None, maxsteps, "step_cap"
 
@@ -488,8 +430,8 @@ def _pslq(x, tol, maxcoeff: int, maxsteps: int) -> tuple[list[int] | None, int, 
 def independence_check(table: ArcTable, max_coeff: int, tol: float) -> IndependenceResult:
     """Bounded integer-relation rejection test on {1, t_i}, per component.
 
-    Runs PSLQ (``_pslq``, which reproduces mpmath's fixed-point PSLQ exactly)
-    on each component's vector and takes its first hit at ``tol``.  That hit
+    Runs PSLQ (``_pslq``, mpmath's fixed-point PSLQ step for step) on each
+    component's vector and takes its first hit at ``tol``.  That hit
     is reported as a relation lambda_0 + sum lambda_i t_i = 0 (index 0
     belongs to the constant 1) only if every |lambda_i| <= max_coeff and the
     residual is <= tol^2.  Otherwise the component passes, as it does when
@@ -509,7 +451,7 @@ def independence_check(table: ArcTable, max_coeff: int, tol: float) -> Independe
     lower bound on the norm of any relation, 2^prec / max|H|, is small (1-23
     on the benchmark workloads' components), so relations with every
     |lambda_i| <= max_coeff are not excluded.  Nothing gates on the result;
-    ROADMAP item 1 takes the check out of the pipeline.
+    ROADMAP item 6 moves the check into the tests.
     """
     needed = required_precision_bits(tol)
     if table.prec_bits < needed:

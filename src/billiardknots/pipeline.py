@@ -77,10 +77,6 @@ class RealizationSpec:
     margin: float = DEFAULT_MARGIN
     precision_bits: int = 192
 
-    @property
-    def arc_precision_bits(self) -> int:  # >= 4x the on-demand independence check's tolerance digits
-        return max(256, self.precision_bits)
-
     @classmethod
     def from_dict(cls, data: dict, overrides: dict | None = None) -> "RealizationSpec":
         if not isinstance(data, dict):
@@ -202,8 +198,12 @@ class RealizationResult:
         small integer relation, the paper's premise behind the height
         search.  It is computed on first read and then kept: it gates
         nothing (``passed`` is the verdict's), no code in the package reads
-        it, and it costs more than the rest of a small run."""
-        return perturbation.independence_check(self.arcs, INDEPENDENCE_MAX_COEFF, INDEPENDENCE_TOL)
+        it, and it costs more than the rest of a small run.  It builds its
+        own arcs, at ``precision_bits`` or at the 4x the tolerance's digits
+        the check needs, whichever is more."""
+        bits = max(self.spec.precision_bits, perturbation.required_precision_bits(INDEPENDENCE_TOL))
+        arcs = perturbation.arc_length_table(self.poly, bits)
+        return perturbation.independence_check(arcs, INDEPENDENCE_MAX_COEFF, INDEPENDENCE_TOL)
 
 
 MAX_MIRROR_RETRIES = 8
@@ -241,7 +241,7 @@ def realize(spec: RealizationSpec) -> RealizationResult:
     table = timed(
         "table", lambda: build_table(mirror_report.mirrors, prec_bits=spec.precision_bits)
     )
-    arcs = timed("arcs", lambda: arc_length_table(poly, spec.arc_precision_bits))
+    arcs = timed("arcs", lambda: arc_length_table(poly, spec.precision_bits))
     constraints = timed("constraints", lambda: build_height_constraints(star, arcs))
     heights = timed(
         "heights", lambda: search_heights(constraints, arcs, spec.f_max, spec.margin)

@@ -25,10 +25,6 @@ PRESETS: dict[str, QuasitoricPattern] = {
 }
 
 
-def preset_pattern(name: str) -> QuasitoricPattern:
-    return PRESETS[name]
-
-
 def preset_listing() -> list[str]:
     """One line per preset: name, type, padding, component count."""
     lines = []

@@ -350,7 +350,7 @@ def verify_artifacts(report_path) -> Verdict:
 
     if mirror.passed:
         table = build_table(mirror.mirrors, prec_bits=prec)
-        arcs = arc_length_table(poly, spec.arc_precision_bits)
+        arcs = arc_length_table(poly, prec)
         reflection = verify_reflection(trajectory, table, arcs, REFLECTION_TOL, prec)
     else:
         reflection = ReflectionReport(False, ("skipped: no valid table",))

@@ -1,11 +1,11 @@
 import pytest
 
 from billiardknots.pipeline import RealizationSpec, realize
-from billiardknots.presets import preset_pattern
+from billiardknots.presets import PRESETS
 
 
 def _run(preset_name, **kw):
-    spec = RealizationSpec(pattern=preset_pattern(preset_name), preset=preset_name, **kw)
+    spec = RealizationSpec(pattern=PRESETS[preset_name], preset=preset_name, **kw)
     return realize(spec)
 
 

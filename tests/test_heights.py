@@ -32,7 +32,7 @@ from billiardknots.heights import (
 )
 from billiardknots.perturbation import arc_length_table, perturb
 from billiardknots.pipeline import RealizationSpec, realize
-from billiardknots.presets import preset_pattern
+from billiardknots.presets import PRESETS
 from billiardknots.stars import ArcTable, Passage, assign_braid_letters, build_star
 
 from height_oracles import accepted_phases, crossing_phases, first_hit, shell_order
@@ -519,7 +519,7 @@ def test_joint_search_results_are_pinned(name, expected):
         strands, repetitions, signs, seed = _LINKS[base]
         spec = RealizationSpec(pattern=QuasitoricPattern(strands, repetitions, signs), seed=seed)
     else:
-        spec = RealizationSpec(pattern=preset_pattern(base), preset=base)
+        spec = RealizationSpec(pattern=PRESETS[base], preset=base)
     if name.endswith("~"):
         spec = RealizationSpec(pattern=pad_to_min_repetitions(spec.pattern).mirrored(), seed=spec.seed)
     result = realize(spec)

@@ -11,7 +11,7 @@ from billiardknots.errors import SpecFileError
 from billiardknots.invariants import pattern_jones
 from billiardknots.perturbation import IndependenceResult
 from billiardknots.pipeline import RealizationSpec, realize
-from billiardknots.presets import PRESETS, preset_listing, preset_pattern
+from billiardknots.presets import PRESETS, preset_listing
 from billiardknots.serialization import _parse_real, verify_artifacts, write_artifacts
 from billiardknots.stars import build_star, star_diagram_json
 
@@ -74,14 +74,14 @@ def test_star_10_3_diagram_export_matches_figure():
 
 
 def test_star_10_3_realizes_and_certifies():
-    result = realize(RealizationSpec(pattern=preset_pattern("star-10-3"), preset="star-10-3"))
+    result = realize(RealizationSpec(pattern=PRESETS["star-10-3"], preset="star-10-3"))
     assert result.passed
     assert len(result.trajectory.crossing_heights) == 20
 
 
 def test_star_9_3_realizes_verifies_and_certifies(tmp_path):
     """The only preset whose height search couples three components."""
-    result = realize(RealizationSpec(pattern=preset_pattern("star-9-3"), preset="star-9-3"))
+    result = realize(RealizationSpec(pattern=PRESETS["star-9-3"], preset="star-9-3"))
     assert result.passed
     assert [h.frequency for h in result.heights] == [1, 3, 3]
     write_artifacts(result, tmp_path, canonical=True)
@@ -197,8 +197,16 @@ def test_cli_verify_rejects_a_non_numeric_margin_echo(tmp_path, trefoil_result, 
     assert "expected a number" in capsys.readouterr().err
 
 
-def test_float64_precision_realizes_trefoil():
-    assert realize(RealizationSpec.from_dict({"preset": "trefoil", "precision_bits": 53})).passed
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_float64_precision_realizes_every_preset(tmp_path, name):
+    """Arcs are built at the spec's precision, even 53 bits; the on-demand
+    independence check builds its own at the bits its tolerance needs."""
+    result = realize(RealizationSpec.from_dict({"preset": name, "precision_bits": 53}))
+    assert result.passed
+    assert result.arcs.prec_bits == 53
+    files = write_artifacts(result, tmp_path, canonical=True)
+    assert verify_artifacts(files["report"]).passed
+    assert result.independence.exits  # no PrecisionError below 160 bits
 
 
 def test_cli_search_exhaustion_exit_code(tmp_path):
@@ -391,7 +399,7 @@ def test_independence_check_runs_only_when_read(tmp_path, monkeypatch):
         return relation
 
     monkeypatch.setattr(perturbation, "independence_check", counted)
-    result = realize(RealizationSpec(pattern=preset_pattern("unknot"), preset="unknot"))
+    result = realize(RealizationSpec(pattern=PRESETS["unknot"], preset="unknot"))
     files = write_artifacts(result, tmp_path / "out", canonical=True)
     assert main(["verify", str(files["report"])]) == 0
     assert calls == []
@@ -402,19 +410,21 @@ def test_independence_check_runs_only_when_read(tmp_path, monkeypatch):
 
 
 def test_arc_precision_is_derived_not_read_from_the_spec(tmp_path):
-    spec = _write_spec(tmp_path, {"preset": "trefoil", "arc_precision_bits": 100})
-    assert RealizationSpec.from_dict(json.loads(spec.read_text())).arc_precision_bits == 256
-    out = tmp_path / "out"
-    assert main(["realize", str(spec), "--out", str(out), "--canonical"]) == 0
-    assert main(["verify", str(out / "report.json")]) == 0
-    assert RealizationSpec.from_dict({"preset": "trefoil", "precision_bits": 300}).arc_precision_bits == 300
+    """A spec key ``arc_precision_bits`` is ignored like any unknown key:
+    arcs are built at ``precision_bits``."""
+    for bits in (192, 300):
+        spec = _write_spec(tmp_path, {"preset": "trefoil", "arc_precision_bits": 100, "precision_bits": bits})
+        out = tmp_path / f"out-{bits}"
+        assert main(["realize", str(spec), "--out", str(out), "--canonical"]) == 0
+        assert main(["verify", str(out / "report.json")]) == 0
+        assert realize(RealizationSpec.from_dict(json.loads(spec.read_text()))).arcs.prec_bits == bits
 
 
 def test_verify_rejects_forged_crossing_heights(tmp_path, trefoil_result, capsys):
     """The unknot's components under the trefoil's crossing heights: the
     same (2, 5) star and seed, so the same lines, and a trajectory that
     certifies as a trefoil, but its heights are not its sawtooth's."""
-    unknot = realize(RealizationSpec(pattern=preset_pattern("unknot"), preset="unknot"))
+    unknot = realize(RealizationSpec(pattern=PRESETS["unknot"], preset="unknot"))
     assert unknot.heights[0].frequency == 2
     files = write_artifacts(trefoil_result, tmp_path / "trefoil", canonical=True)
     own = write_artifacts(unknot, tmp_path / "unknot", canonical=True)
