@@ -22,13 +22,15 @@ so every result is the unscreened loops' bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import mpmath as mp
 
 from .errors import DegenerateAngleError, DomainError, UnboundedTableError
-from .heights import component_events, passage_heights
+from .heights import KIND_NAMES, WALL, component_events, passage_heights
 from .perturbation import PerturbedPolygon, to_mpf
 from .stars import ArcTable
 
@@ -332,6 +334,42 @@ def _within(tol: float, eps: float) -> float:
     return (tol - eps) * (1 - 2.0 ** -50)
 
 
+COLUMNS = ("arc", "x", "y", "z")
+
+
+def _all_within(stored, regenerated, limit: float) -> bool:
+    """Whether every |stored - regenerated| is at most ``limit``, in one
+    C-level pass over the two columns; a NaN difference fails."""
+    errors = map(abs, map(operator.sub, stored, regenerated))
+    return all(map(operator.le, errors, itertools.repeat(limit)))
+
+
+def _event_mirrors(comp) -> list:
+    """The mirror of each event, None off the walls."""
+    walls = iter(comp.mirrors)
+    return [next(walls, None) if kind == WALL else None for kind in comp.kinds]
+
+
+def _first_bad_event(comp, want, limit: float) -> str:
+    """Name the first event of ``comp`` that is off the regenerated ``want``
+    (same lengths, one wall mirror per wall), for the failure message."""
+    rows = zip(comp.kinds, _event_mirrors(comp), comp.arc, comp.x, comp.y, comp.z)
+    wanted = zip(want.kinds, _event_mirrors(want), want.arc, want.x, want.y, want.z)
+    for i, ((kind, mirror, *got), (want_kind, want_mirror, *at)) in enumerate(zip(rows, wanted)):
+        if kind != want_kind or mirror != want_mirror:
+            return (
+                f"event {i}: stored {KIND_NAMES.get(kind, kind)} event (mirror {mirror}), "
+                f"closed form {KIND_NAMES[want_kind]} (mirror {want_mirror})"
+            )
+        errors = [abs(g - a) for g, a in zip(got, at)]
+        if not all(error <= limit for error in errors):
+            return (
+                f"event {i}: arc off the closed form by {float(errors[0]):.6g}, "
+                f"point by {float(max(errors[1:])):.6g}"
+            )
+    raise AssertionError("no event differs")
+
+
 def verify_reflection(
     traj, table: BilliardTable, arcs: ArcTable, tol: float, prec_bits: int = 128
 ) -> ReflectionReport:
@@ -339,12 +377,16 @@ def verify_reflection(
 
     A path in the prism is a planar billiard path times a sawtooth bounce
     in [0, 1], so the table's vertices, their arcs and one (f, phi) per
-    component fix it.  Each component's events are regenerated from its own
-    sawtooth (``heights.component_events``) and zipped against the stored
-    ones: kinds and mirrors must be equal, arcs and points within
-    ``tol - eps``, and so must every crossing's passage heights.  A
-    component with other than m + 2f events is rejected before anything is
-    generated, and so is one whose ``eps`` is not below ``tol``.
+    component fix it.  Each component's columns are regenerated from its own
+    sawtooth (``heights.component_events``) and compared with the stored
+    ones, each in one C-level pass: the ``kinds`` strings and the
+    ``mirrors`` lists must be equal, every ``arc``, ``x``, ``y`` and ``z``
+    value within ``tol - eps`` of its regenerated one, and so must every
+    crossing's passage heights.  Only on a failure does a Python loop find
+    the first bad event to name it.  A component with other than m + 2f
+    events in any column, or other than m wall mirrors, is rejected before
+    anything is generated, and so is one whose ``eps`` is not below
+    ``tol``.
 
     The regeneration runs in float64, and eps = ``walk_error_bound`` =
     2^-49 (L + R + 1) bounds its distance from the exact path through the
@@ -379,7 +421,7 @@ def verify_reflection(
     vertical speed 2f throughout.  At a wall vertex the planar direction
     reflects in the mirror, because the table's mirrors are defined as the
     lines through the trajectory vertices normal to the internal angle
-    bisector (``polygon_mirrors``), and the zip pins each stored wall
+    bisector (``polygon_mirrors``), and the comparison pins each stored wall
     point to its mirror's vertex; dz/dt carries through.  At a floor or
     ceiling event the planar direction carries through and dz/dt flips.
     Containment needs no per-point test: the mirror-room check, a
@@ -399,9 +441,12 @@ def verify_reflection(
             first, end = end, end + m
             vertices = [mirror.vertex for mirror in table.mirrors[first:end]]
             saw = comp.sawtooth
-            if not len(comp.events) == len(comp.points) == m + 2 * saw.frequency:
+            n = m + 2 * saw.frequency
+            lengths = [len(comp.kinds), *map(len, (comp.arc, comp.x, comp.y, comp.z))]
+            if lengths != [n] * 5 or len(comp.mirrors) != m:
                 violations.append(
-                    f"component {ci}: {len(comp.events)} events and {len(comp.points)} points, "
+                    f"component {ci}: {len(comp.mirrors)} wall mirrors and columns of "
+                    f"{'/'.join(map(str, lengths))} events (kinds/arc/x/y/z), "
                     f"expected {m} walls + {2 * saw.frequency} bounces"
                 )
                 continue
@@ -413,27 +458,19 @@ def verify_reflection(
                 )
                 continue
             limit = _within(tol, eps)
-            stream = component_events(vertices, v_arcs, first, saw)
             try:
-                for i, ((want, at), event, point) in enumerate(zip(stream, comp.events, comp.points)):
-                    if event.kind != want.kind or event.mirror_index != want.mirror_index:
-                        problem = (
-                            f"stored {event.kind} event (mirror {event.mirror_index}), "
-                            f"closed form {want.kind} (mirror {want.mirror_index})"
-                        )
-                    else:
-                        arc_err = abs(event.arc - want.arc)
-                        point_err = max(abs(point[0] - at[0]), abs(point[1] - at[1]), abs(point[2] - at[2]))
-                        if arc_err <= limit and point_err <= limit:
-                            continue
-                        problem = (
-                            f"arc off the closed form by {float(arc_err):.6g}, "
-                            f"point by {float(point_err):.6g}"
-                        )
-                    violations.append(f"reflection law violated at component {ci} event {i}: {problem}")
-                    break
+                want = component_events(vertices, v_arcs, first, saw)
             except DomainError as exc:
                 violations.append(f"component {ci}: {exc}")
+                continue
+            if not (
+                comp.kinds == want.kinds
+                and comp.mirrors == want.mirrors
+                and all(_all_within(getattr(comp, c), getattr(want, c), limit) for c in COLUMNS)
+            ):
+                violations.append(
+                    f"reflection law violated at component {ci} {_first_bad_event(comp, want, limit)}"
+                )
 
         expected = passage_heights([comp.sawtooth for comp in traj.components], arcs)
         limit = _within(tol, 2.0 ** -49)  # a height's bound: eps with L = R = 0

@@ -36,6 +36,7 @@ Search conditions, with a uniform ``margin``:
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -499,18 +500,29 @@ def _frequency_tuples(d: int, f_max: int):
         yield from _shell(d, top)
 
 
-@dataclass(frozen=True)
-class TrajEvent:
-    kind: str                   # 'wall' | 'floor' | 'ceiling'
-    arc: object
-    mirror_index: int | None = None
+# One letter per event in ``TrajComponent.kinds``, and the event it names.
+WALL, FLOOR, CEILING = "w", "f", "c"
+KIND_NAMES = {WALL: "wall", FLOOR: "floor", CEILING: "ceiling"}
 
 
 @dataclass(frozen=True)
 class TrajComponent:
-    points: tuple               # (x, y, z) triples, float
-    events: tuple[TrajEvent, ...]
+    """One component's events in arc order, as columns.  ``kinds`` has one
+    letter per event (``w`` wall, ``f`` floor, ``c`` ceiling), ``mirrors``
+    the mirror of each wall event in order, and ``arc``, ``x``, ``y`` and
+    ``z`` one float per event."""
     sawtooth: SawtoothHeight
+    kinds: str
+    mirrors: list
+    arc: list
+    x: list
+    y: list
+    z: list
+
+    @property
+    def points(self) -> list:
+        """The (x, y, z) triples, one per event."""
+        return list(zip(self.x, self.y, self.z))
 
 
 @dataclass(frozen=True)
@@ -553,14 +565,14 @@ def _float_heights(saw: SawtoothHeight, arcs) -> list[float]:
         return [float(evaluate_sawtooth(saw, t)) for t in arcs]
 
 
-def component_events(vertices, vertex_arcs, first_mirror: int, saw: SawtoothHeight):
-    """Yield one component's events in arc order, each with its 3D point.
+def component_events(vertices, vertex_arcs, first_mirror: int, saw: SawtoothHeight) -> TrajComponent:
+    """One component's events in arc order, as the columns of a TrajComponent.
 
     Wall vertex i sits at arc ``vertex_arcs[i]`` and height z(arc); the 2f
     sawtooth extrema sit at arcs (h/2 - phi)/f in [0, 1), at height 1
     (ceiling, integer h) or 0 (floor), on the planar segment whose arc
-    interval holds them.  The walk goes segment by segment, so it is linear
-    in m + 2f.
+    interval holds them.  The walk goes segment by segment, each segment's
+    extrema a slice of the sorted extremum arcs, so it is linear in m + 2f.
 
     The walk runs in float64.  Vertices, vertex arcs and phi are rounded to
     float once, and the extremum arcs and their points are computed in
@@ -569,36 +581,52 @@ def component_events(vertices, vertex_arcs, first_mirror: int, saw: SawtoothHeig
     and height is within ``billiards.walk_error_bound`` of the exact path,
     however large f is.  Raises CoincidentEventsError when two consecutive
     events come within EVENT_GAP in arc (the closing wall sits at arc 1).
+    Consecutive extrema are 1/(2f) apart up to 4 units of 2^-53, more than
+    EVENT_GAP for f below 2^46, so only the first extremum after each wall
+    is tested against the event before it.
     """
     m = len(vertices)
     f = saw.frequency
+    if not f < 2 ** 46:
+        raise CoincidentEventsError("consecutive bounces within EVENT_GAP; frequency too large")
     phi = float(saw.phase)
     verts = [(float(x), float(y)) for x, y in vertices]
     arcs = [float(t) for t in vertex_arcs] + [1.0]
     wall_z = _float_heights(saw, vertex_arcs)
-    h = math.ceil(2 * phi)  # the first extremum at an arc >= 0
-    stop = h + 2 * f
-    t_star = (h / 2 - phi) / f
+    h0 = math.ceil(2 * phi)  # the first extremum at an arc >= 0
+    # each rounding is monotone, so the extremum arcs are sorted
+    extrema = [(h / 2 - phi) / f for h in range(h0, h0 + 2 * f)]
+    extremum_kinds = (CEILING + FLOOR if h0 % 2 == 0 else FLOOR + CEILING) * f
+    extremum_z = [1.0, 0.0] * f if h0 % 2 == 0 else [0.0, 1.0] * f
+    kinds, arc, x, y, z = [], [], [], [], []
     previous = -1.0
+    lo = 0
     for i in range(m):
         start, end = arcs[i], arcs[i + 1]
         if not start - previous > EVENT_GAP:
             raise CoincidentEventsError(f"wall vertex {i} coincides with a bounce; margin too small")
+        hi = bisect.bisect_left(extrema, end, lo)
+        seg = extrema[lo:hi]
+        if seg and not seg[0] - start > EVENT_GAP:
+            raise CoincidentEventsError("coincident trajectory events; margin too small")
         (x0, y0), (x1, y1) = verts[i], verts[(i + 1) % m]
-        yield TrajEvent("wall", start, first_mirror + i), (x0, y0, wall_z[i])
-        previous, span, dx, dy = start, end - start, x1 - x0, y1 - y0
-        while h < stop and t_star < end:
-            if not t_star - previous > EVENT_GAP:
-                raise CoincidentEventsError("coincident trajectory events; margin too small")
-            lam = (t_star - start) / span
-            ceiling = h % 2 == 0
-            point = (x0 + lam * dx, y0 + lam * dy, 1.0 if ceiling else 0.0)
-            yield TrajEvent("ceiling" if ceiling else "floor", t_star), point
-            previous = t_star
-            h += 1
-            t_star = (h / 2 - phi) / f
-    if h < stop or not 1.0 - previous > EVENT_GAP:
+        span, dx, dy = end - start, x1 - x0, y1 - y0
+        lam = [(t - start) / span for t in seg]
+        kinds += WALL, extremum_kinds[lo:hi]
+        arc.append(start)
+        arc += seg
+        x.append(x0)
+        x += [x0 + c * dx for c in lam]
+        y.append(y0)
+        y += [y0 + c * dy for c in lam]
+        z.append(wall_z[i])
+        z += extremum_z[lo:hi]
+        previous = seg[-1] if seg else start
+        lo = hi
+    if lo < len(extrema) or not 1.0 - previous > EVENT_GAP:
         raise CoincidentEventsError("a bounce coincides with wall vertex 0; margin too small")
+    mirrors = list(range(first_mirror, first_mirror + m))
+    return TrajComponent(saw, "".join(kinds), mirrors, arc, x, y, z)
 
 
 def passage_heights(heights, table: ArcTable) -> tuple[CrossingHeight, ...]:
@@ -635,9 +663,7 @@ def emit_trajectory(
     first_mirror = 0
     with mp.workprec(prec_bits):
         for comp, saw, v_arcs in zip(poly.components, heights, table.vertex_arcs):
-            stream = list(component_events(comp.vertices, v_arcs, first_mirror, saw))
+            components.append(component_events(comp.vertices, v_arcs, first_mirror, saw))
             first_mirror += len(comp.vertices)
-            points = tuple(pt for _, pt in stream)
-            components.append(TrajComponent(points, tuple(ev for ev, _ in stream), saw))
         crossing_heights = passage_heights(heights, table)
     return SpatialTrajectory(tuple(components), crossing_heights, poly)

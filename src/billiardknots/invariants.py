@@ -31,22 +31,6 @@ from .laurent import Laurent, lp_mul, lp_pow, lp_scale, lp_shift, lp_to_string
 from .pdcodes import PDCode, braid_closure_pd, traversal_pd
 
 
-def extract_pd(diagram, over_data: dict[int, bool]) -> PDCode:
-    """PD code of a star or perturbed-polygon diagram.
-
-    ``over_data[i]`` says whether the chord_a strand passes over at crossing
-    i; arcs are labeled by traversal order.
-    """
-    pd, _ = traversal_pd(diagram.diagram_traversal(over_data))
-    return pd
-
-
-def diagram_jones(diagram, over_data: dict[int, bool]) -> Laurent:
-    """Jones polynomial of a planar diagram with prescribed over/under data."""
-    pd, sign_map = traversal_pd(diagram.diagram_traversal(over_data))
-    return jones(pd, sum(sign_map.values()))
-
-
 DELTA: Laurent = {2: -1, -2: -1}  # -A^2 - A^(-2)
 
 
@@ -153,11 +137,6 @@ def jones(pd: PDCode, writhe: int) -> Laurent:
     return out
 
 
-def jones_mirror(poly: Laurent) -> Laurent:
-    """Jones of the mirror image: t -> t^(-1)."""
-    return {-e: c for e, c in poly.items()}
-
-
 def jones_string(poly: Laurent) -> str:
     return lp_to_string(poly, variable="t", denominator=2)
 
@@ -165,11 +144,6 @@ def jones_string(poly: Laurent) -> str:
 def pattern_jones(pattern: QuasitoricPattern) -> Laurent:
     """Jones polynomial of the closure of a quasitoric pattern."""
     return jones(braid_closure_pd(pattern), pattern.writhe())
-
-
-def unlink_jones(components: int) -> Laurent:
-    """Jones polynomial of the crossing-free unlink."""
-    return jones(PDCode((), free_loops=components), 0)
 
 
 @dataclass(frozen=True)

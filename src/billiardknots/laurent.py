@@ -11,23 +11,6 @@ from __future__ import annotations
 Laurent = dict[int, int]  # exponent (or doubled half-exponent) -> coefficient
 
 
-def lp(*pairs: tuple[int, int]) -> Laurent:
-    """Build a Laurent dict from (exponent, coefficient) pairs."""
-    out: Laurent = {}
-    for e, c in pairs:
-        out[e] = out.get(e, 0) + c
-    return {e: c for e, c in out.items() if c != 0}
-
-
-def lp_add(p: Laurent, q: Laurent) -> Laurent:
-    r = dict(p)
-    for e, c in q.items():
-        r[e] = r.get(e, 0) + c
-        if r[e] == 0:
-            del r[e]
-    return r
-
-
 def lp_mul(p: Laurent, q: Laurent) -> Laurent:
     if not p or not q:
         return {}

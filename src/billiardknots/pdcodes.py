@@ -36,18 +36,6 @@ class PDCode:
         return len(self.crossings)
 
 
-def mirror_pd(pd: PDCode) -> PDCode:
-    """Reflect the diagram in the plane (switches every crossing)."""
-    return PDCode(tuple((a, d, c, b) for a, b, c, d in pd.crossings), pd.free_loops)
-
-
-def relabel_pd(pd: PDCode, mapping: dict[int, int]) -> PDCode:
-    """Apply a bijective relabeling of edge labels."""
-    return PDCode(
-        tuple(tuple(mapping[x] for x in rec) for rec in pd.crossings), pd.free_loops
-    )
-
-
 def _compress_labels(records: list[list[int]]) -> tuple[tuple[int, int, int, int], ...]:
     labels = sorted({x for rec in records for x in rec})
     remap = {old: new for new, old in enumerate(labels)}

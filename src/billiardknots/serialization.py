@@ -1,11 +1,16 @@
 """Artifact files written by a realization run and re-read by verification.
 
-JSON is the single interchange format (rationals serialized as "num/den"
-strings to keep exactness across the boundary, high-precision reals as
-decimal strings, the trajectory's floats as their shortest round-trip
-decimal strings); the prism additionally ships as an OBJ mesh and the
-diagram as an SVG with under-strand gaps, in the style of star-polygon
-projection figures.
+JSON is the single interchange format: rationals are serialized as "num/den"
+strings to keep exactness across the boundary, and high-precision reals as
+decimal strings.  ``trajectory.json`` stores each component as columns:
+a ``kinds`` string with one letter per event (``w`` wall, ``f`` floor,
+``c`` ceiling), a ``mirrors`` array with the mirror of each wall event,
+and JSON-number arrays ``arc``, ``x``, ``y`` and ``z``, one value per event;
+the crossing heights are JSON numbers too.  json's C encoder writes each
+float as ``float.__repr__``, its shortest round-trip decimal, and its C
+decoder reads it back bit for bit.  The prism additionally ships as an OBJ
+mesh and the diagram as an SVG with under-strand gaps, in the style of
+star-polygon projection figures.
 """
 
 from __future__ import annotations
@@ -17,10 +22,10 @@ from pathlib import Path
 
 import mpmath as mp
 
-from .billiards import ReflectionReport, build_table, mirror_room_check, verify_reflection
+from .billiards import COLUMNS, ReflectionReport, build_table, mirror_room_check, verify_reflection
 from .braids import QuasitoricPattern, pad_to_min_repetitions
 from .errors import DomainError, SpecFileError
-from .heights import CrossingHeight, SawtoothHeight, SpatialTrajectory, TrajComponent, TrajEvent
+from .heights import KIND_NAMES, WALL, CrossingHeight, SawtoothHeight, SpatialTrajectory, TrajComponent
 from .invariants import certify, jones_string
 from .perturbation import PerturbedPolygon, arc_length_table, layout_from_lines
 from .pipeline import REFLECTION_TOL, RealizationResult, RealizationSpec, Verdict, json_int, verdict
@@ -45,20 +50,27 @@ def _num(x) -> str:
     return mp.nstr(mp.mpf(x), MPF_DIGITS)
 
 
-def _float_str(x) -> str:
-    """The shortest decimal that reads back as the float ``x``."""
-    return repr(float(x))
+def _float_column(values) -> list[float]:
+    """A stored column as a list of floats.  Every element must be a JSON
+    number: a bool, string or null is malformed, since ``float()`` would
+    convert it and a bad value would pass.  So is a literal such as 1e999
+    that overflows to inf (``_load_json`` already rejects NaN and Infinity
+    tokens)."""
+    if type(values) is not list:
+        raise ValueError(f"expected an array of numbers, got {type(values).__name__}")
+    types = set(map(type, values))
+    if not types <= {float, int}:
+        names = ", ".join(sorted(t.__name__ for t in types - {float, int}))
+        raise ValueError(f"expected numbers, got {names}")
+    if int in types:
+        values = [float(v) for v in values]  # OverflowError past the float range
+    if values and not math.isfinite(max(map(abs, values))):
+        raise ValueError("non-finite value")
+    return values
 
 
-def _parse_real(s) -> float:
-    """A stored decimal as a float: bit for bit the float it was written
-    from by ``_float_str``, and the nearest float for any other decimal.  A
-    non-finite value is malformed: NaN would pass every tolerance
-    comparison."""
-    x = float(s)
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite value {s!r}")
-    return x
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name}")
 
 
 def _laurent_json(poly: dict[int, int]) -> dict:
@@ -78,28 +90,31 @@ def _write_json(path: Path, data, indent: int | None = 1) -> None:
 
 
 def _load_json(path: Path) -> dict:
+    """A JSON file; a NaN or Infinity token is malformed."""
     try:
-        return json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        return json.loads(path.read_text(), parse_constant=_reject_constant)
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise SpecFileError(f"cannot read {path}: {exc}") from exc
 
 
 def trajectory_json(result: RealizationResult) -> dict:
+    """The trajectory's columns as they are in memory, no copy per value."""
     return {
         "components": [
             {
                 "frequency": comp.sawtooth.frequency,
                 "phase": _frac_str(comp.sawtooth.phase),
-                "points": [[_float_str(c) for c in point] for point in comp.points],
-                "events": [
-                    {"kind": ev.kind, "arc": _float_str(ev.arc), "mirror": ev.mirror_index}
-                    for ev in comp.events
-                ],
+                "kinds": comp.kinds,
+                "mirrors": comp.mirrors,
+                "arc": comp.arc,
+                "x": comp.x,
+                "y": comp.y,
+                "z": comp.z,
             }
             for comp in result.trajectory.components
         ],
         "crossing_heights": [
-            {"crossing": ch.crossing, "z_a": _float_str(ch.z_a), "z_b": _float_str(ch.z_b)}
+            {"crossing": ch.crossing, "z_a": ch.z_a, "z_b": ch.z_b}
             for ch in result.trajectory.crossing_heights
         ],
     }
@@ -274,9 +289,14 @@ def verify_artifacts(report_path) -> Verdict:
     signed star are derived from it as ``realize`` derives them; a report
     whose ``padded_pattern`` or ``star`` disagrees is malformed.  The
     reflection check compares the stored trajectory with the closed form
-    its lines and sawtooths fix.  Stored points, arcs and crossing heights
-    are floats written as their shortest round-trip decimals, and
-    ``_parse_real`` reads them back bit for bit."""
+    its lines and sawtooths fix.  The trajectory's ``kinds`` string,
+    ``mirrors`` array and JSON-number columns are read back as they were
+    written, every float bit for bit, and their shape is checked here: one
+    component per polygon component, columns as long as ``kinds``, one
+    mirror per wall event, each an existing mirror, and one height pair per
+    crossing.  A missing column (as in a file of the earlier
+    point-and-event layout), an element that is not a finite JSON number,
+    or an unknown kind letter is a parse error."""
     report_path = Path(report_path)
     report = _load_json(report_path)
     try:
@@ -321,28 +341,31 @@ def verify_artifacts(report_path) -> Verdict:
         components = []
         for comp in traj_data["components"]:
             saw = SawtoothHeight(json_int(comp["frequency"]), _parse_frac(comp["phase"]))
-            points = tuple(
-                (_parse_real(x), _parse_real(y), _parse_real(z)) for x, y, z in comp["points"]
-            )
-            events = tuple(
-                TrajEvent(ev["kind"], _parse_real(ev["arc"]), ev.get("mirror"))
-                for ev in comp["events"]
-            )
-            if len(points) != len(events):
-                raise ValueError(f"{len(points)} points for {len(events)} events")
-            for m in (ev.mirror_index for ev in events if ev.kind == "wall"):
+            kinds, mirrors = comp["kinds"], comp["mirrors"]
+            if type(kinds) is not str or not set(kinds) <= KIND_NAMES.keys():
+                raise ValueError(f"kinds must be a string of the letters {''.join(KIND_NAMES)}")
+            columns = [_float_column(comp[name]) for name in COLUMNS]
+            if any(len(column) != len(kinds) for column in columns):
+                raise ValueError(
+                    f"columns of {[len(column) for column in columns]} values for {len(kinds)} events"
+                )
+            if type(mirrors) is not list or len(mirrors) != kinds.count(WALL):
+                raise ValueError("mirrors must list one mirror per wall event")
+            for m in mirrors:
                 if json_int(m) not in mirror_ids:
                     raise ValueError(f"wall event at mirror {m!r}, not in {mirror_ids}")
-            components.append(TrajComponent(points=points, events=events, sawtooth=saw))
+            components.append(TrajComponent(saw, kinds, mirrors, *columns))
         crossing_heights = tuple(
-            CrossingHeight(json_int(ch["crossing"]), _parse_real(ch["z_a"]), _parse_real(ch["z_b"]))
+            CrossingHeight(json_int(ch["crossing"]), *_float_column([ch["z_a"], ch["z_b"]]))
             for ch in traj_data["crossing_heights"]
         )
         if len(components) != len(poly.components):
             raise ValueError(f"{len(components)} components, expected {len(poly.components)}")
         if sorted(ch.crossing for ch in crossing_heights) != [c.index for c in star.crossings]:
             raise ValueError("crossing_heights must name every crossing exactly once")
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise SpecFileError(f"malformed trajectory file: missing {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SpecFileError(f"malformed trajectory file: {exc}") from exc
     trajectory = SpatialTrajectory(
         components=tuple(components), crossing_heights=crossing_heights, poly=poly

@@ -59,12 +59,6 @@ class ArcTable:
         return len(self.passages)
 
 
-def chords_cross(p: int, q: int, c1: int, c2: int) -> bool:
-    """Exact crossing predicate from the cyclic gap rule."""
-    g = (c2 - c1) % p
-    return 1 <= g <= q - 1 or p - q + 1 <= g <= p - 1
-
-
 @dataclass(frozen=True)
 class Crossing:
     index: int
@@ -227,31 +221,6 @@ def sorted_passages(per_comp: list[list[Passage]]) -> tuple[tuple[Passage, ...],
                 )
         out.append(tuple(passages))
     return tuple(out)
-
-
-def star_arc_table(diagram: StarDiagram) -> ArcTable:
-    """Arc table of the unperturbed star (all chords have equal length).
-
-    Each component is traversed chord by chord at unit speed and normalized
-    to total length 1; every crossing contributes two passages overall.
-    """
-    per_comp: list[list[Passage]] = [[] for _ in diagram.components]
-    for c in diagram.crossings:
-        per_comp[c.first_component].append(Passage(c.index, c.first_arc, c.a_side_is_first))
-        per_comp[c.second_component].append(Passage(c.index, c.second_arc, not c.a_side_is_first))
-    span = diagram.p // math.gcd(diagram.p, diagram.q)
-    with mp.workprec(diagram.prec_bits):
-        chord_len = 2 * mp.sin(mp.pi * diagram.q / diagram.p)
-        vertex_arcs = tuple(
-            tuple(mp.mpf(j) / span for j in range(span)) for _ in diagram.components
-        )
-        totals = tuple(span * chord_len for _ in diagram.components)
-    return ArcTable(
-        prec_bits=diagram.prec_bits,
-        passages=sorted_passages(per_comp),
-        vertex_arcs=vertex_arcs,
-        total_lengths=totals,
-    )
 
 
 def assign_braid_letters(diagram: StarDiagram, pattern: QuasitoricPattern) -> StarDiagram:

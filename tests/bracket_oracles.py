@@ -7,8 +7,10 @@ resolves one crossing at a time.
 """
 
 from billiardknots.invariants import DELTA
-from billiardknots.laurent import Laurent, lp_add, lp_pow, lp_scale, lp_shift
+from billiardknots.laurent import Laurent, lp_pow, lp_scale, lp_shift
 from billiardknots.pdcodes import PDCode, _compress_labels
+
+from diagram_helpers import lp_add
 
 STATE_SUM_MAX_CROSSINGS = 24
 

@@ -1,0 +1,99 @@
+"""Helpers that only the tests use: star, Laurent, PD-code and Jones
+utilities that build expected values or transform inputs for the checks
+in ``billiardknots``.
+"""
+
+import math
+
+import mpmath as mp
+
+from billiardknots.invariants import jones
+from billiardknots.laurent import Laurent
+from billiardknots.pdcodes import PDCode, traversal_pd
+from billiardknots.stars import ArcTable, Passage, StarDiagram, sorted_passages
+
+
+def chords_cross(p: int, q: int, c1: int, c2: int) -> bool:
+    """Exact crossing predicate from the cyclic gap rule."""
+    g = (c2 - c1) % p
+    return 1 <= g <= q - 1 or p - q + 1 <= g <= p - 1
+
+
+def star_arc_table(diagram: StarDiagram) -> ArcTable:
+    """Arc table of the unperturbed star (all chords have equal length).
+
+    Each component is traversed chord by chord at unit speed and normalized
+    to total length 1; every crossing contributes two passages overall.
+    """
+    per_comp: list[list[Passage]] = [[] for _ in diagram.components]
+    for c in diagram.crossings:
+        per_comp[c.first_component].append(Passage(c.index, c.first_arc, c.a_side_is_first))
+        per_comp[c.second_component].append(Passage(c.index, c.second_arc, not c.a_side_is_first))
+    span = diagram.p // math.gcd(diagram.p, diagram.q)
+    with mp.workprec(diagram.prec_bits):
+        chord_len = 2 * mp.sin(mp.pi * diagram.q / diagram.p)
+        vertex_arcs = tuple(
+            tuple(mp.mpf(j) / span for j in range(span)) for _ in diagram.components
+        )
+        totals = tuple(span * chord_len for _ in diagram.components)
+    return ArcTable(
+        prec_bits=diagram.prec_bits,
+        passages=sorted_passages(per_comp),
+        vertex_arcs=vertex_arcs,
+        total_lengths=totals,
+    )
+
+
+def lp(*pairs: tuple[int, int]) -> Laurent:
+    """Build a Laurent dict from (exponent, coefficient) pairs."""
+    out: Laurent = {}
+    for e, c in pairs:
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def lp_add(p: Laurent, q: Laurent) -> Laurent:
+    r = dict(p)
+    for e, c in q.items():
+        r[e] = r.get(e, 0) + c
+        if r[e] == 0:
+            del r[e]
+    return r
+
+
+def mirror_pd(pd: PDCode) -> PDCode:
+    """Reflect the diagram in the plane (switches every crossing)."""
+    return PDCode(tuple((a, d, c, b) for a, b, c, d in pd.crossings), pd.free_loops)
+
+
+def relabel_pd(pd: PDCode, mapping: dict[int, int]) -> PDCode:
+    """Apply a bijective relabeling of edge labels."""
+    return PDCode(
+        tuple(tuple(mapping[x] for x in rec) for rec in pd.crossings), pd.free_loops
+    )
+
+
+def extract_pd(diagram, over_data: dict[int, bool]) -> PDCode:
+    """PD code of a star or perturbed-polygon diagram.
+
+    ``over_data[i]`` says whether the chord_a strand passes over at crossing
+    i; arcs are labeled by traversal order.
+    """
+    pd, _ = traversal_pd(diagram.diagram_traversal(over_data))
+    return pd
+
+
+def diagram_jones(diagram, over_data: dict[int, bool]) -> Laurent:
+    """Jones polynomial of a planar diagram with prescribed over/under data."""
+    pd, sign_map = traversal_pd(diagram.diagram_traversal(over_data))
+    return jones(pd, sum(sign_map.values()))
+
+
+def jones_mirror(poly: Laurent) -> Laurent:
+    """Jones of the mirror image: t -> t^(-1)."""
+    return {-e: c for e, c in poly.items()}
+
+
+def unlink_jones(components: int) -> Laurent:
+    """Jones polynomial of the crossing-free unlink."""
+    return jones(PDCode((), free_loops=components), 0)

@@ -12,22 +12,23 @@ check is compared against.
 import mpmath as mp
 
 from billiardknots.billiards import BilliardTable, ReflectionReport
-from billiardknots.heights import evaluate_sawtooth
+from billiardknots.heights import CEILING, FLOOR, KIND_NAMES, WALL, evaluate_sawtooth
 
 
 def pointwise_reflection(traj, table: BilliardTable, tol: float, prec_bits: int = 128) -> ReflectionReport:
     """Check the reflection law at every bounce and containment in the prism.
 
-    ``traj`` provides per-component 3D points with event tags ('wall' with a
-    mirror index, 'floor', 'ceiling').  Wall bounces must reflect the
-    horizontal direction across the mirror line with z-slope carried
-    through; floor and ceiling bounces flip the vertical component.
+    ``traj`` provides per-component columns: ``kinds`` (one letter per
+    event, ``w`` wall, ``f`` floor, ``c`` ceiling), ``mirrors`` (one per
+    wall event) and the 3D points ``x``, ``y``, ``z``.  Wall bounces must
+    reflect the horizontal direction across the mirror line with z-slope
+    carried through; floor and ceiling bounces flip the vertical component.
     """
     violations = []
     with mp.workprec(prec_bits):
         tol_m = mp.mpf(tol)
         for ci, comp in enumerate(traj.components):
-            pts = [tuple(mp.mpf(c) for c in point) for point in comp.points]
+            pts = [tuple(mp.mpf(c) for c in point) for point in zip(comp.x, comp.y, comp.z)]
             n = len(pts)
             if n < 3:
                 violations.append(f"component {ci}: fewer than 3 points")
@@ -37,7 +38,10 @@ def pointwise_reflection(traj, table: BilliardTable, tol: float, prec_bits: int 
                     violations.append(f"component {ci} point {i}: z={mp.nstr(z, 8)} outside [0,1]")
                 if not table.contains_xy((x, y), tol_m, prec_bits):
                     violations.append(f"component {ci} point {i}: leaves the floor polygon")
-            for i, event in enumerate(comp.events):
+            walls = iter(comp.mirrors)
+            for i, kind in enumerate(comp.kinds):
+                mirror_index = next(walls) if kind == WALL else None
+                name = KIND_NAMES.get(kind, kind)
                 prev_pt = pts[(i - 1) % n]
                 here = pts[i]
                 next_pt = pts[(i + 1) % n]
@@ -50,26 +54,26 @@ def pointwise_reflection(traj, table: BilliardTable, tol: float, prec_bits: int 
                     continue
                 d_in = [c / nin for c in d_in]
                 d_out = [c / nout for c in d_out]
-                if event.kind in ("floor", "ceiling"):
+                if kind in (FLOOR, CEILING):
                     expect = (d_in[0], d_in[1], -d_in[2])
-                    z_expect = mp.mpf(0) if event.kind == "floor" else mp.mpf(1)
+                    z_expect = mp.mpf(0) if kind == FLOOR else mp.mpf(1)
                     if abs(here[2] - z_expect) > tol_m:
                         violations.append(
-                            f"component {ci} event {i}: {event.kind} bounce at z={mp.nstr(here[2], 8)}"
+                            f"component {ci} event {i}: {name} bounce at z={mp.nstr(here[2], 8)}"
                         )
-                elif event.kind == "wall":
-                    mirror = table.mirrors[event.mirror_index]
+                elif kind == WALL:
+                    mirror = table.mirrors[mirror_index]
                     ux, uy = mirror.direction
                     dot = d_in[0] * ux + d_in[1] * uy
                     expect = (d_in[0] - 2 * dot * ux, d_in[1] - 2 * dot * uy, d_in[2])
                 else:
-                    violations.append(f"component {ci} event {i}: unknown kind {event.kind}")
+                    violations.append(f"component {ci} event {i}: unknown kind {kind}")
                     continue
                 err = max(abs(d_out[j] - expect[j]) for j in range(3))
                 if err > tol_m:
                     violations.append(
                         f"reflection law violated at component {ci} event {i} "
-                        f"({event.kind}, vertex {getattr(event, 'mirror_index', '-')}): err={mp.nstr(err, 6)}"
+                        f"({name}, vertex {'-' if mirror_index is None else mirror_index}): err={mp.nstr(err, 6)}"
                     )
     return ReflectionReport(passed=not violations, violations=tuple(violations))
 

@@ -16,12 +16,13 @@ from obstruction_helpers import height_pattern_feasible, signed_residue
 
 from billiardknots.billiards import build_table, mirror_room_check
 from billiardknots.braids import QuasitoricPattern, pad_to_min_repetitions, toric_pattern
-from billiardknots.invariants import jones_mirror, kauffman_bracket
+from billiardknots.invariants import kauffman_bracket
 from billiardknots.pdcodes import braid_closure_pd
 from billiardknots.perturbation import arc_length_table, independence_check, perturb
 from billiardknots.pipeline import RealizationSpec, realize
 from billiardknots.presets import PRESETS
-from billiardknots.stars import build_star, star_arc_table
+from billiardknots.stars import build_star
+from diagram_helpers import jones_mirror, star_arc_table
 
 mp.mp.pretty = True
 

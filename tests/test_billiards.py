@@ -171,8 +171,9 @@ def test_build_table_matches_pairwise_oracle(p, q):
         assert floor == pairwise_floor(poly, prec_bits=192)
 
 
-def make_simple_traj(points, events):
-    comp = SimpleNamespace(points=tuple(points), events=tuple(events))
+def make_simple_traj(points, kinds, mirrors=()):
+    x, y, z = (list(column) for column in zip(*points))
+    comp = SimpleNamespace(kinds=kinds, mirrors=list(mirrors), x=x, y=y, z=z)
     return SimpleNamespace(components=(comp,))
 
 
@@ -181,12 +182,8 @@ def test_verify_reflection_floor_bounce():
     table = build_table(polygon_mirrors(poly))
     # synthetic V-shaped bounce on the floor inside the table, closed by a
     # ceiling bounce directly above
-    ev = [
-        SimpleNamespace(kind="floor", arc=0, mirror_index=None),
-        SimpleNamespace(kind="ceiling", arc=1, mirror_index=None),
-    ]
     traj = make_simple_traj(
-        [(mp.mpf(0), mp.mpf(0), mp.mpf(0)), (mp.mpf(0), mp.mpf(0), mp.mpf(1))], ev
+        [(mp.mpf(0), mp.mpf(0), mp.mpf(0)), (mp.mpf(0), mp.mpf(0), mp.mpf(1))], "fc"
     )
     report = verify_reflection(traj, table, 1e-9)
     assert not report.passed  # degenerate 2-point component is rejected
@@ -209,7 +206,7 @@ def test_verify_reflection_emitted_trajectory_and_corruption():
     pts = list(comp.points)
     x, y, z = pts[2]
     pts[2] = (x, y, z + mp.mpf("0.05"))
-    broken = make_simple_traj(pts, comp.events)
+    broken = make_simple_traj(pts, comp.kinds, comp.mirrors)
     report = verify_reflection(broken, table, 1e-9, prec_bits=192)
     assert not report.passed
     assert any("event 2" in v or "event 1" in v or "event 3" in v for v in report.violations)
@@ -221,11 +218,11 @@ def test_verify_reflection_names_bounce_point_outside_floor():
     arcs = arc_length_table(poly, 256)
     comp = emit_trajectory(poly, (SawtoothHeight(1, Fraction(1, 3)),), arcs, 192).components[0]
     for kind in ("floor", "ceiling"):
-        i = next(i for i, ev in enumerate(comp.events) if ev.kind == kind)
+        i = comp.kinds.index(kind[0])
         pts = list(comp.points)
         x, y, z = pts[i]
         pts[i] = (x + 10, y, z)
-        report = verify_reflection(make_simple_traj(pts, comp.events), table, 1e-9, 192)
+        report = verify_reflection(make_simple_traj(pts, comp.kinds, comp.mirrors), table, 1e-9, 192)
         assert f"component 0 point {i}: leaves the floor polygon" in report.violations
 
 

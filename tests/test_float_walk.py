@@ -25,7 +25,7 @@ from billiardknots.heights import SawtoothHeight, component_events, evaluate_saw
 from billiardknots.pipeline import REFLECTION_TOL, RealizationSpec, realize
 from billiardknots.presets import PRESETS
 
-from event_oracle import mpf_component_events
+from event_oracle import float_component_events, mpf_component_events
 from reflection_oracle import pointwise_reflection
 from test_sweep import F_MAX as SWEEP_F_MAX
 from test_sweep import sweep_slice
@@ -63,13 +63,15 @@ def test_float_walk_is_within_its_bound_of_the_mpf_walk(name):
         eps = walk_error_bound(comp.vertices, result.arcs.total_lengths[ci])
         assert eps < 1e-12
         with mp.workprec(192):
-            walk = list(component_events(comp.vertices, v_arcs, first, saw))
-            oracle = list(mpf_component_events(comp.vertices, v_arcs, first, saw))
-            assert len(walk) == len(oracle) == len(v_arcs) + 2 * saw.frequency
-            for (event, point), (want, at) in zip(walk, oracle):
-                assert (event.kind, event.mirror_index) == (want.kind, want.mirror_index)
-                assert abs(event.arc - want.arc) <= eps
-                assert max(abs(point[j] - at[j]) for j in range(3)) <= eps
+            walk = component_events(comp.vertices, v_arcs, first, saw)
+            oracle = mpf_component_events(comp.vertices, v_arcs, first, saw)
+            n = len(v_arcs) + 2 * saw.frequency
+            assert len(walk.kinds) == len(oracle.kinds) == n
+            assert (walk.kinds, walk.mirrors) == (oracle.kinds, oracle.mirrors)
+            for column in ("arc", "x", "y", "z"):
+                got, want = getattr(walk, column), getattr(oracle, column)
+                assert len(got) == len(want) == n
+                assert all(abs(a - b) <= eps for a, b in zip(got, want))
         first += len(comp.vertices)
     with mp.workprec(192):
         exact = {
@@ -82,6 +84,23 @@ def test_float_walk_is_within_its_bound_of_the_mpf_walk(name):
             assert abs(ch.z_b - exact[ch.crossing, False]) <= 2.0 ** -49
 
 
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_column_walk_equals_the_event_by_event_walk(name):
+    """Slicing the sorted extremum arcs per segment gives every column bit
+    for bit as the walk that places one extremum at a time."""
+    result = _realized(name)
+    first = 0
+    for ci, (comp, saw) in enumerate(zip(result.poly.components, result.heights)):
+        v_arcs = result.arcs.vertex_arcs[ci]
+        walk = component_events(comp.vertices, v_arcs, first, saw)
+        loop = float_component_events(comp.vertices, v_arcs, first, saw)
+        assert (walk.kinds, walk.mirrors) == (loop.kinds, loop.mirrors)
+        for column in ("arc", "x", "y", "z"):
+            got, want = getattr(walk, column), getattr(loop, column)
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+        first += len(comp.vertices)
+
+
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_pointwise_oracle_accepts_every_float_trajectory(name):
     result = _realized(name)
@@ -92,9 +111,12 @@ def test_phase_zero_puts_an_extremum_on_the_wall_at_arc_zero():
     result = _realized("trefoil")
     (comp,) = result.poly.components
     for phase in (Fraction(0), Fraction(1, 2)):
-        events = component_events(comp.vertices, result.arcs.vertex_arcs[0], 0, SawtoothHeight(3, phase))
-        with pytest.raises(CoincidentEventsError):
-            list(events)
+        args = (comp.vertices, result.arcs.vertex_arcs[0], 0, SawtoothHeight(3, phase))
+        with pytest.raises(CoincidentEventsError) as walk_error:
+            component_events(*args)
+        with pytest.raises(CoincidentEventsError) as loop_error:
+            float_component_events(*args)
+        assert str(walk_error.value) == str(loop_error.value)
 
 
 def test_coincident_events_exit_with_their_own_code(tmp_path, monkeypatch, capsys):
@@ -115,7 +137,7 @@ def test_coincident_stored_phase_is_a_verification_failure(tmp_path, capsys):
     traj_path = out / "trajectory.json"
     data = json.loads(traj_path.read_text())
     data["components"][0]["phase"] = "0/1"
-    data["components"][0]["points"][0][2] = "1.0"  # the wall at arc 0, where z(0) = 1
+    data["components"][0]["z"][0] = 1.0  # the wall at arc 0, where z(0) = 1
     traj_path.write_text(json.dumps(data))
     capsys.readouterr()
     assert main(["verify", str(out / "report.json")]) == 4
@@ -137,9 +159,21 @@ def test_a_moved_point_is_judged_against_the_tolerance(shift, accepted):
     result = _realized("trefoil")
     traj = result.trajectory
     (comp,) = traj.components
-    points = list(comp.points)
-    x, y, z = points[5]
-    points[5] = (x + shift, y, z)
-    moved = replace(traj, components=(replace(comp, points=tuple(points)),))
+    x = list(comp.x)
+    x[5] += shift
+    moved = replace(traj, components=(replace(comp, x=x),))
     report = verify_reflection(moved, result.table, result.arcs, REFLECTION_TOL, prec_bits=192)
     assert report.passed == accepted
+
+
+@pytest.mark.parametrize("column", ["arc", "x", "y", "z"])
+def test_a_nan_in_any_column_is_rejected_and_named(column):
+    result = _realized("trefoil")
+    traj = result.trajectory
+    (comp,) = traj.components
+    values = list(getattr(comp, column))
+    values[5] = float("nan")
+    moved = replace(traj, components=(replace(comp, **{column: values}),))
+    report = verify_reflection(moved, result.table, result.arcs, REFLECTION_TOL, prec_bits=192)
+    assert not report.passed
+    assert report.violations[0].startswith("reflection law violated at component 0 event 5: ")

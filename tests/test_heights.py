@@ -13,6 +13,7 @@ from billiardknots.billiards import verify_reflection
 from billiardknots.braids import QuasitoricPattern, pad_to_min_repetitions, toric_pattern
 from billiardknots.errors import DomainError, SearchExhaustedError
 from billiardknots.heights import (
+    KIND_NAMES,
     HeightConstraint,
     SawtoothHeight,
     SearchDiagnostics,
@@ -536,7 +537,7 @@ def test_emit_frequency_one_has_two_bounces():
     saw = SawtoothHeight(1, Fraction(1, 3))
     traj = emit_trajectory(poly, (saw,), table, prec_bits=192)
     comp = traj.components[0]
-    kinds = [ev.kind for ev in comp.events]
+    kinds = [KIND_NAMES[kind] for kind in comp.kinds]
     assert kinds.count("floor") == 1
     assert kinds.count("ceiling") == 1
     assert kinds.count("wall") == 5
@@ -558,7 +559,7 @@ def test_emit_every_phase_gives_2f_bounces_and_reflects(hopf_result, data):
         heights.append(SawtoothHeight(data.draw(st.integers(1, 12)), phase))
     traj = emit_trajectory(result.poly, tuple(heights), result.arcs, prec_bits=192)
     for comp, saw in zip(traj.components, heights):
-        assert sum(1 for ev in comp.events if ev.kind != "wall") == 2 * saw.frequency
+        assert sum(1 for kind in comp.kinds if KIND_NAMES[kind] != "wall") == 2 * saw.frequency
     assert verify_reflection(traj, result.table, result.arcs, 1e-9, prec_bits=192).passed
     assert pointwise_reflection(traj, result.table, 1e-9, prec_bits=192).passed
 
@@ -573,11 +574,11 @@ def test_closed_form_check_and_oracle_reject_the_same_moves(trefoil_result, data
     shift = mp.mpf(data.draw(st.floats(1e-6, 1e-2))) * data.draw(st.sampled_from((-1, 1)))
     if data.draw(st.booleans()):
         comp = traj.components[0]
-        i = data.draw(st.integers(0, len(comp.points) - 1))
-        j = data.draw(st.integers(0, 2))
-        points = list(comp.points)
-        points[i] = tuple(c + shift if k == j else c for k, c in enumerate(points[i]))
-        moved = replace(traj, components=(replace(comp, points=tuple(points)),))
+        i = data.draw(st.integers(0, len(comp.kinds) - 1))
+        column = ("x", "y", "z")[data.draw(st.integers(0, 2))]
+        values = list(getattr(comp, column))
+        values[i] += shift
+        moved = replace(traj, components=(replace(comp, **{column: values}),))
     else:
         heights = list(traj.crossing_heights)
         i = data.draw(st.integers(0, len(heights) - 1))
@@ -599,13 +600,13 @@ def test_emit_projection_recovers_polygon():
     traj = emit_trajectory(poly, heights, table, prec_bits=192)
     comp = traj.components[0]
     wall_points = [
-        pt for pt, ev in zip(comp.points, comp.events) if ev.kind == "wall"
+        pt for pt, kind in zip(comp.points, comp.kinds) if KIND_NAMES[kind] == "wall"
     ]
     for (x, y, z), (vx, vy) in zip(wall_points, poly.components[0].vertices):
         assert mp.almosteq(x, mp.mpf(vx.numerator) / vx.denominator)
         assert mp.almosteq(y, mp.mpf(vy.numerator) / vy.denominator)
         assert 0 < z < 1
-    bounce_count = sum(1 for ev in comp.events if ev.kind != "wall")
+    bounce_count = sum(1 for kind in comp.kinds if KIND_NAMES[kind] != "wall")
     assert bounce_count == 2 * heights[0].frequency
 
 
@@ -616,8 +617,8 @@ def test_emitted_height_slope_is_twice_frequency():
     traj = emit_trajectory(poly, heights, table, prec_bits=192)
     comp = traj.components[0]
     f = heights[0].frequency
-    arcs = [ev.arc for ev in comp.events]
-    zs = [pt[2] for pt in comp.points]
+    arcs = comp.arc
+    zs = comp.z
     for (a1, z1), (a2, z2) in zip(zip(arcs, zs), zip(arcs[1:], zs[1:])):
         slope = abs(float((z2 - z1) / (a2 - a1)))
         assert slope == pytest.approx(2 * f, rel=1e-25)

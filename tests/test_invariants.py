@@ -10,19 +10,12 @@ from billiardknots.errors import DomainError
 from billiardknots.invariants import (
     certify,
     jones,
-    jones_mirror,
     jones_string,
     kauffman_bracket,
     pattern_jones,
-    unlink_jones,
 )
-from billiardknots.pdcodes import (
-    PDCode,
-    braid_closure_pd,
-    mirror_pd,
-    relabel_pd,
-    traversal_pd,
-)
+from billiardknots.pdcodes import PDCode, braid_closure_pd, traversal_pd
+from diagram_helpers import jones_mirror, mirror_pd, relabel_pd, unlink_jones
 from billiardknots.pipeline import RealizationSpec, realize
 
 TREFOIL = toric_pattern(2, 3)
@@ -45,7 +38,7 @@ def test_pd_structure_of_braid_closure():
 
 
 def test_extract_pd_from_star_diagrams():
-    from billiardknots.invariants import extract_pd
+    from diagram_helpers import extract_pd
     from billiardknots.stars import assign_braid_letters, build_star, over_flags_from_signs
 
     signed = assign_braid_letters(build_star(5, 2), toric_pattern(2, 5))

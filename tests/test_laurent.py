@@ -1,7 +1,6 @@
-from billiardknots.invariants import jones_mirror
+from diagram_helpers import jones_mirror, lp, lp_add
+
 from billiardknots.laurent import (
-    lp,
-    lp_add,
     lp_mul,
     lp_pow,
     lp_scale,

@@ -26,7 +26,8 @@ from billiardknots.pipeline import (
 )
 from billiardknots.presets import PRESETS
 from billiardknots.serialization import report_json
-from billiardknots.stars import ArcTable, Passage, build_star, star_arc_table
+from billiardknots.stars import ArcTable, Passage, build_star
+from diagram_helpers import star_arc_table
 
 
 def test_crossing_abscissa_formula():

@@ -12,7 +12,7 @@ from billiardknots.invariants import pattern_jones
 from billiardknots.perturbation import IndependenceResult
 from billiardknots.pipeline import RealizationSpec, realize
 from billiardknots.presets import PRESETS, preset_listing
-from billiardknots.serialization import _parse_real, verify_artifacts, write_artifacts
+from billiardknots.serialization import verify_artifacts, write_artifacts
 from billiardknots.stars import build_star, star_diagram_json
 
 
@@ -222,12 +222,25 @@ def test_cli_verify_detects_corruption(tmp_path, capsys):
     assert main(["realize", str(spec), "--out", str(out), "--canonical"]) == 0
     traj_path = out / "trajectory.json"
     data = json.loads(traj_path.read_text())
-    data["components"][0]["points"][0][2] = "0.77777"
+    data["components"][0]["z"][0] = 0.77777
     traj_path.write_text(json.dumps(data))
     capsys.readouterr()
     assert main(["verify", str(out / "report.json")]) == 4
     printed = capsys.readouterr()
     assert "reflection law violated" in printed.out + printed.err
+
+
+def test_cli_verify_detects_swapped_wall_mirrors(tmp_path, trefoil_result, capsys):
+    """Mirrors that exist but belong to other walls fail the reflection
+    check, which names the first wall event off its mirror."""
+    files = write_artifacts(trefoil_result, tmp_path, canonical=True)
+    data = json.loads(files["trajectory"].read_text())
+    mirrors = data["components"][0]["mirrors"]
+    mirrors[0], mirrors[1] = mirrors[1], mirrors[0]
+    files["trajectory"].write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(files["report"])]) == 4
+    assert "event 0: stored wall event (mirror 1), closed form wall (mirror 0)" in capsys.readouterr().out
 
 
 def test_cli_verify_detects_flipped_crossing(tmp_path, capsys):
@@ -266,23 +279,50 @@ def test_cli_verify_equal_crossing_heights_fail_certify(tmp_path, trefoil_result
     assert "certify: FAIL (no diagram" in capsys.readouterr().out
 
 
-def _first_wall(component):
-    return next(ev for ev in component["events"] if ev["kind"] == "wall")
+def _old_layout(data):
+    """The trajectory in the layout before the columns: per component a
+    list of point triples and a list of event records, every value a
+    decimal string."""
+    names = {"w": "wall", "f": "floor", "c": "ceiling"}
+    for comp in data["components"]:
+        walls = iter(comp.pop("mirrors"))
+        comp["events"] = [
+            {"kind": names[k], "arc": repr(t), "mirror": next(walls) if k == "w" else None}
+            for k, t in zip(comp.pop("kinds"), comp.pop("arc"))
+        ]
+        comp["points"] = [[repr(c) for c in p] for p in zip(comp.pop("x"), comp.pop("y"), comp.pop("z"))]
+    for ch in data["crossing_heights"]:
+        ch.update(z_a=repr(ch["z_a"]), z_b=repr(ch["z_b"]))
+
+
+def _set(column, index, value):
+    return lambda d: d["components"][0][column].__setitem__(index, value)
 
 
 TRAJECTORY_CORRUPTIONS = {
-    "extra-event": lambda d: d["components"][0]["events"].append(
-        dict(d["components"][0]["events"][-1])
-    ),
-    "dropped-point": lambda d: d["components"][0]["points"].pop(),
-    "mirror-999": lambda d: _first_wall(d["components"][0]).update(mirror=999),
-    "mirror-null": lambda d: _first_wall(d["components"][0]).update(mirror=None),
-    "mirror-negative": lambda d: _first_wall(d["components"][0]).update(mirror=-1),
+    "extra-event": lambda d: d["components"][0].update(kinds=d["components"][0]["kinds"] + "f"),
+    "dropped-point": lambda d: d["components"][0]["z"].pop(),
+    "unequal-columns": lambda d: d["components"][0]["arc"].append(0.5),
+    "unknown-kind": lambda d: d["components"][0].update(kinds=d["components"][0]["kinds"][:-1] + "q"),
+    "kinds-not-a-string": lambda d: d["components"][0].update(kinds=list(d["components"][0]["kinds"])),
+    "column-not-an-array": lambda d: d["components"][0].update(x=0.5),
+    "mirror-999": _set("mirrors", 0, 999),
+    "mirror-null": _set("mirrors", 0, None),
+    "mirror-negative": _set("mirrors", 0, -1),
+    "mirror-float": _set("mirrors", 0, 0.0),
+    "extra-mirror": lambda d: d["components"][0]["mirrors"].append(0),
+    "dropped-mirror": lambda d: d["components"][0]["mirrors"].pop(),
     "missing-crossing-height": lambda d: d["crossing_heights"].pop(),
     "dropped-component": lambda d: d["components"].pop(),
-    "nan-point": lambda d: d["components"][0]["points"][3].__setitem__(2, "nan"),
-    "inf-arc": lambda d: d["components"][0]["events"][5].update(arc="inf"),
-    "nan-crossing-height": lambda d: d["crossing_heights"][0].update(z_a="nan"),
+    "nan-point": _set("z", 3, float("nan")),
+    "inf-arc": _set("arc", 5, float("inf")),
+    "bool-point": _set("z", 0, True),
+    "string-point": _set("x", 1, "0.5"),
+    "null-point": _set("y", 2, None),
+    "integer-past-float-range": _set("x", 1, 10**400),
+    "nan-crossing-height": lambda d: d["crossing_heights"][0].update(z_a=float("nan")),
+    "string-crossing-height": lambda d: d["crossing_heights"][0].update(z_a="0.5"),
+    "old-layout": _old_layout,
     "frequency-float": lambda d: d["components"][0].update(
         frequency=d["components"][0]["frequency"] + 0.5
     ),
@@ -342,30 +382,78 @@ def test_verify_artifacts_reports_checks(tmp_path, trefoil_result):
     ]
 
 
-def test_stored_decimals_parse_as_mpf_does_at_53_bits(tmp_path, figure_eight_result):
-    """Every decimal of a realized trajectory is the shortest repr of the
-    float realize computed, and ``_parse_real`` reads it back bit for bit;
-    at any working precision that is also what ``mp.mpf`` gives at mpmath's
-    default 53 bits."""
-    files = write_artifacts(figure_eight_result, tmp_path / "f8", canonical=True)
+def test_integer_literals_read_as_floats(tmp_path, trefoil_result):
+    """A JSON integer is a JSON number: a ceiling written as 1 and a wall
+    arc written as 0 read as 1.0 and 0.0."""
+    files = write_artifacts(trefoil_result, tmp_path, canonical=True)
     data = json.loads(files["trajectory"].read_text())
-    traj = figure_eight_result.trajectory
-    strings = [ch[side] for ch in data["crossing_heights"] for side in ("z_a", "z_b")]
-    values = [z for ch in traj.crossing_heights for z in (ch.z_a, ch.z_b)]
-    for comp, stored in zip(data["components"], traj.components):
-        strings += [x for point in comp["points"] for x in point]
-        values += [x for point in stored.points for x in point]
-        strings += [ev["arc"] for ev in comp["events"]]
-        values += [ev.arc for ev in stored.events]
-    assert len(strings) == len(values) > 10_000
-    assert all(type(v) is float for v in values)
-    assert [_parse_real(s).hex() for s in strings] == [v.hex() for v in values]
-    assert [repr(_parse_real(s)) for s in strings] == strings
-    with mp.workprec(53):
-        expected = [mp.mpf(s)._mpf_ for s in strings]
-    for prec in (53, 192):
-        with mp.workprec(prec):
-            assert [mp.mpf(_parse_real(s))._mpf_ for s in strings] == expected
+    comp = data["components"][0]
+    ceiling = comp["kinds"].index("c")
+    assert (comp["z"][ceiling], comp["arc"][0]) == (1.0, 0.0)
+    comp["z"][ceiling], comp["arc"][0] = 1, 0
+    files["trajectory"].write_text(json.dumps(data))
+    assert verify_artifacts(files["report"]).passed
+
+
+def test_old_layout_is_a_parse_error_naming_the_missing_column(tmp_path, trefoil_result, capsys):
+    files = write_artifacts(trefoil_result, tmp_path, canonical=True)
+    data = json.loads(files["trajectory"].read_text())
+    _old_layout(data)
+    files["trajectory"].write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(files["report"])]) == 3
+    assert "malformed trajectory file: missing 'kinds'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("column", ["arc", "x", "y", "z"])
+@pytest.mark.parametrize("literal", ["1e999", "-1e999"])
+def test_overflowing_literal_is_a_parse_error(tmp_path, trefoil_result, capsys, column, literal):
+    """A decimal past the float range reads as inf, which would pass a
+    tolerance comparison no more than NaN; it is malformed."""
+    files = write_artifacts(trefoil_result, tmp_path, canonical=True)
+    data = json.loads(files["trajectory"].read_text())
+    data["components"][0][column][2] = 123456.75  # a value no column holds
+    text = json.dumps(data)
+    assert text.count("123456.75") == 1
+    files["trajectory"].write_text(text.replace("123456.75", literal))
+    capsys.readouterr()
+    assert main(["verify", str(files["report"])]) == 3
+    assert "non-finite value" in capsys.readouterr().err
+
+
+def test_stored_decimals_parse_as_mpf_does_at_53_bits(tmp_path):
+    """For every preset, each stored column holds the floats realize
+    computed, bit for bit, and the kinds and mirrors it walked.  Every
+    stored decimal is the shortest repr of its float, so at any working
+    precision it is also what ``mp.mpf`` gives for the decimal at mpmath's
+    default 53 bits."""
+    total = 0
+    for name in sorted(PRESETS):
+        result = realize(RealizationSpec(pattern=PRESETS[name], preset=name))
+        files = write_artifacts(result, tmp_path / name, canonical=True)
+        text = files["trajectory"].read_text()
+        data, decimals = json.loads(text), json.loads(text, parse_float=str)
+        traj = result.trajectory
+        stored = [ch[side] for ch in data["crossing_heights"] for side in ("z_a", "z_b")]
+        strings = [ch[side] for ch in decimals["crossing_heights"] for side in ("z_a", "z_b")]
+        values = [z for ch in traj.crossing_heights for z in (ch.z_a, ch.z_b)]
+        for comp, comp_decimals, walked in zip(data["components"], decimals["components"], traj.components):
+            assert (comp["kinds"], comp["mirrors"]) == (walked.kinds, walked.mirrors)
+            for column in ("arc", "x", "y", "z"):
+                stored += comp[column]
+                strings += comp_decimals[column]
+                values += getattr(walked, column)
+        assert len(stored) == len(strings) == len(values)
+        assert all(type(v) is float for v in stored + values)
+        assert [v.hex() for v in stored] == [v.hex() for v in values]
+        assert [repr(v) for v in stored] == strings
+        with mp.workprec(53):
+            expected = [mp.mpf(s)._mpf_ for s in strings]
+        for prec in (53, 192):
+            with mp.workprec(prec):
+                assert [mp.mpf(v)._mpf_ for v in stored] == expected
+        total += len(values)
+    assert total > 10_000
 
 
 def test_verify_rejects_a_report_whose_spec_names_another_pattern(tmp_path, trefoil_result, capsys):

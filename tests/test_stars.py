@@ -6,16 +6,16 @@ import pytest
 
 from billiardknots.braids import QuasitoricPattern, toric_pattern
 from billiardknots.errors import DomainError
-from billiardknots.invariants import diagram_jones, pattern_jones
+from billiardknots.invariants import pattern_jones
 from billiardknots.stars import (
     Passage,
     assign_braid_letters,
     build_star,
-    chords_cross,
     over_flags_from_signs,
     sorted_passages,
-    star_arc_table,
 )
+
+from diagram_helpers import chords_cross, diagram_jones, star_arc_table
 
 
 def segments_intersect(p1, p2, p3, p4):
