@@ -322,7 +322,6 @@ TRAJECTORY_CORRUPTIONS = {
     "integer-past-float-range": _set("x", 1, 10**400),
     "nan-crossing-height": lambda d: d["crossing_heights"][0].update(z_a=float("nan")),
     "string-crossing-height": lambda d: d["crossing_heights"][0].update(z_a="0.5"),
-    "old-layout": _old_layout,
     "frequency-float": lambda d: d["components"][0].update(
         frequency=d["components"][0]["frequency"] + 0.5
     ),
