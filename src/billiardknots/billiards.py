@@ -370,14 +370,18 @@ def _first_bad_event(comp, want, limit: float) -> str:
     raise AssertionError("no event differs")
 
 
-def verify_reflection(
-    traj, table: BilliardTable, arcs: ArcTable, tol: float, prec_bits: int = 128
-) -> ReflectionReport:
+def verify_reflection(traj, arcs: ArcTable, tol: float) -> ReflectionReport:
     """Check a trajectory against its closed form.
 
     A path in the prism is a planar billiard path times a sawtooth bounce
-    in [0, 1], so the table's vertices, their arcs and one (f, phi) per
-    component fix it.  Each component's columns are regenerated from its own
+    in [0, 1], so the polygon's vertices, their arcs and one (f, phi) per
+    component fix it.  The inputs are the trajectory (its columns, its
+    crossing heights and ``traj.poly``, the polygon it was emitted from) and
+    ``arcs``, that polygon's arc table; the check works at the arc table's
+    precision.  The wall vertices are ``traj.poly``'s exact rational
+    vertices, in flat component order: the very values ``polygon_mirrors``
+    builds the mirrors from, so wall event k is at mirror k's vertex and no
+    table is needed.  Each component's columns are regenerated from its own
     sawtooth (``heights.component_events``) and compared with the stored
     ones, each in one C-level pass: the ``kinds`` strings and the
     ``mirrors`` lists must be equal, every ``arc``, ``x``, ``y`` and ``z``
@@ -424,22 +428,22 @@ def verify_reflection(
     bisector (``polygon_mirrors``), and the comparison pins each stored wall
     point to its mirror's vertex; dz/dt carries through.  At a floor or
     ceiling event the planar direction carries through and dz/dt flips.
-    Containment needs no per-point test: the mirror-room check, a
-    precondition here, puts every vertex in every mirror half-plane, hence
-    in the convex floor, and so every point of a segment between
-    consecutive vertices; z is a sawtooth value in [0, 1].
+    Containment needs no per-point test: the mirror-room check, which the
+    verdict puts ahead of this one, puts every vertex in every mirror
+    half-plane, hence in the convex floor, and so every point of a segment
+    between consecutive vertices; z is a sawtooth value in [0, 1].
     """
     n_comp = arcs.component_count()
     if len(traj.components) != n_comp:
         return ReflectionReport(False, (f"{len(traj.components)} components, expected {n_comp}",))
     violations = []
-    with mp.workprec(prec_bits):
+    with mp.workprec(arcs.prec_bits):
         end = 0
         for ci, comp in enumerate(traj.components):
             v_arcs = arcs.vertex_arcs[ci]
             m = len(v_arcs)
             first, end = end, end + m
-            vertices = [mirror.vertex for mirror in table.mirrors[first:end]]
+            vertices = traj.poly.components[ci].vertices
             saw = comp.sawtooth
             n = m + 2 * saw.frequency
             lengths = [len(comp.kinds), *map(len, (comp.arc, comp.x, comp.y, comp.z))]

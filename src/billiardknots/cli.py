@@ -58,7 +58,7 @@ def cmd_realize(args) -> int:
     }
     try:
         spec = RealizationSpec.from_dict(json.loads(Path(args.spec).read_text()), overrides)
-    except (OSError, json.JSONDecodeError, SpecFileError) as exc:
+    except (OSError, ValueError) as exc:  # JSONDecodeError, UnicodeDecodeError, SpecFileError
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC
     try:

@@ -639,20 +639,16 @@ def passage_heights(heights, table: ArcTable) -> tuple[CrossingHeight, ...]:
     return tuple(CrossingHeight(cid, z[True], z[False]) for cid, z in sorted(sides.items()))
 
 
-def emit_trajectory(
-    poly: PerturbedPolygon,
-    heights,
-    table: ArcTable,
-    prec_bits: int = 128,
-) -> SpatialTrajectory:
+def emit_trajectory(poly: PerturbedPolygon, heights, table: ArcTable) -> SpatialTrajectory:
     """Assemble the closed 3D polyline: wall vertices at sawtooth heights,
     floor/ceiling bounce points inserted at the sawtooth extrema (the
     events of ``component_events``).
 
-    Points, arcs and crossing heights are floats.  Only the wall and
-    passage heights are evaluated at ``prec_bits`` (plus the bits of f),
-    which is O(m + n) work; the 2f bounces cost float arithmetic.
-    Projecting the result to the floor recovers the polygon to float
+    ``table`` is the arc table of ``poly``.  Points, arcs and crossing
+    heights are floats.  Only the wall and passage heights are evaluated at
+    the arc table's precision (plus the bits of f), as
+    ``billiards.verify_reflection`` regenerates them, which is O(m + n)
+    work; the 2f bounces cost float arithmetic.  Projecting the result to the floor recovers the polygon to float
     rounding; between consecutive events both the planar position and the
     height are linear in arc length, so straight 3D segments represent the
     trajectory.
@@ -661,7 +657,7 @@ def emit_trajectory(
         raise DomainError("one sawtooth per component required")
     components = []
     first_mirror = 0
-    with mp.workprec(prec_bits):
+    with mp.workprec(table.prec_bits):
         for comp, saw, v_arcs in zip(poly.components, heights, table.vertex_arcs):
             components.append(component_events(comp.vertices, v_arcs, first_mirror, saw))
             first_mirror += len(comp.vertices)

@@ -135,15 +135,19 @@ def _rational_near(value, delta: Fraction, draw: float) -> Fraction:
 
 def layout_from_lines(star: StarDiagram, lines: list[tuple[Fraction, Fraction]]):
     """Polygon components and crossings cut out by one line per chord of the
-    star, or None when their combinatorics differ from the star's."""
+    star, or None when their combinatorics differ from the star's, as when
+    two consecutive lines of a component are parallel and have no corner."""
     components = []
     seg_of_chord: dict[int, tuple[int, int]] = {}
     for ci, chain in enumerate(star.components):
         comp_lines = tuple(lines[ch] for ch in chain)
         m = len(chain)
-        vertices = tuple(
-            line_intersection(comp_lines[(i - 1) % m], comp_lines[i]) for i in range(m)
-        )
+        try:
+            vertices = tuple(
+                line_intersection(comp_lines[(i - 1) % m], comp_lines[i]) for i in range(m)
+            )
+        except DomainError:
+            return None
         components.append(PolyComponent(tuple(chain), comp_lines, vertices))
         for i, ch in enumerate(chain):
             seg_of_chord[ch] = (ci, i)

@@ -246,13 +246,8 @@ def realize(spec: RealizationSpec) -> RealizationResult:
     heights = timed(
         "heights", lambda: search_heights(constraints, arcs, spec.f_max, spec.margin)
     )
-    trajectory = timed(
-        "emit", lambda: emit_trajectory(poly, heights, arcs, spec.precision_bits)
-    )
-    reflection = timed(
-        "reflection",
-        lambda: verify_reflection(trajectory, table, arcs, REFLECTION_TOL, spec.precision_bits),
-    )
+    trajectory = timed("emit", lambda: emit_trajectory(poly, heights, arcs))
+    reflection = timed("reflection", lambda: verify_reflection(trajectory, arcs, REFLECTION_TOL))
     certification = timed("certify", lambda: certify(trajectory, padded))
 
     return RealizationResult(

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import mpmath as mp
 
-from .billiards import COLUMNS, ReflectionReport, build_table, mirror_room_check, verify_reflection
+from .billiards import COLUMNS, mirror_room_check, verify_reflection
 from .braids import QuasitoricPattern, pad_to_min_repetitions
 from .errors import DomainError, SpecFileError
 from .heights import KIND_NAMES, WALL, CrossingHeight, SawtoothHeight, SpatialTrajectory, TrajComponent
@@ -287,9 +287,15 @@ def verify_artifacts(report_path) -> Verdict:
 
     The report's spec echo is parsed as a spec, and the padded pattern and
     signed star are derived from it as ``realize`` derives them; a report
-    whose ``padded_pattern`` or ``star`` disagrees is malformed.  The
-    reflection check compares the stored trajectory with the closed form
-    its lines and sawtooths fix.  The trajectory's ``kinds`` string,
+    whose ``padded_pattern`` or ``star`` disagrees is malformed.  Stored
+    lines that no longer cut out the star's combinatorics (two consecutive
+    lines parallel among them) fail as ``combinatorics``.  The reflection
+    check compares the stored trajectory with the closed form its lines and
+    sawtooths fix; it reads only the polygon the lines cut out and that
+    polygon's arc table, so the floor polygon is not rebuilt (``table.json``
+    is written for viewers and is not re-read).  All three checks run on
+    every report, and one that fails the mirror-room check fails on it
+    first.  The trajectory's ``kinds`` string,
     ``mirrors`` array and JSON-number columns are read back as they were
     written, every float bit for bit, and their shape is checked here: one
     component per polygon component, columns as long as ``kinds``, one
@@ -371,12 +377,7 @@ def verify_artifacts(report_path) -> Verdict:
         components=tuple(components), crossing_heights=crossing_heights, poly=poly
     )
 
-    if mirror.passed:
-        table = build_table(mirror.mirrors, prec_bits=prec)
-        arcs = arc_length_table(poly, prec)
-        reflection = verify_reflection(trajectory, table, arcs, REFLECTION_TOL, prec)
-    else:
-        reflection = ReflectionReport(False, ("skipped: no valid table",))
+    reflection = verify_reflection(trajectory, arc_length_table(poly, prec), REFLECTION_TOL)
     try:
         certification = certify(trajectory, padded)
     except DomainError as exc:  # equal passage heights leave a crossing without an over strand

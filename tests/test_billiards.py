@@ -198,7 +198,7 @@ def test_verify_reflection_emitted_trajectory_and_corruption():
     poly = pentagram_polygon()
     table = build_table(polygon_mirrors(poly, 192), prec_bits=192)
     arcs = arc_length_table(poly, 256)
-    traj = emit_trajectory(poly, (SawtoothHeight(1, F(1, 3)),), arcs, prec_bits=192)
+    traj = emit_trajectory(poly, (SawtoothHeight(1, F(1, 3)),), arcs)
     assert verify_reflection(traj, table, 1e-9, prec_bits=192).passed
 
     comp = traj.components[0]
@@ -216,7 +216,7 @@ def test_verify_reflection_names_bounce_point_outside_floor():
     poly = pentagram_polygon()
     table = build_table(polygon_mirrors(poly, 192), prec_bits=192)
     arcs = arc_length_table(poly, 256)
-    comp = emit_trajectory(poly, (SawtoothHeight(1, Fraction(1, 3)),), arcs, 192).components[0]
+    comp = emit_trajectory(poly, (SawtoothHeight(1, Fraction(1, 3)),), arcs).components[0]
     for kind in ("floor", "ceiling"):
         i = comp.kinds.index(kind[0])
         pts = list(comp.points)

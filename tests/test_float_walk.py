@@ -148,10 +148,10 @@ def test_an_error_bound_at_the_tolerance_is_rejected_by_name():
     result = _realized("trefoil")
     (comp,) = result.poly.components
     eps = walk_error_bound(comp.vertices, result.arcs.total_lengths[0])
-    report = verify_reflection(result.trajectory, result.table, result.arcs, eps, prec_bits=192)
+    report = verify_reflection(result.trajectory, result.arcs, eps)
     assert not report.passed
     assert report.violations[0].startswith("component 0: the float walk's error bound")
-    assert verify_reflection(result.trajectory, result.table, result.arcs, 2 * eps, prec_bits=192).passed
+    assert verify_reflection(result.trajectory, result.arcs, 2 * eps).passed
 
 
 @pytest.mark.parametrize("shift, accepted", [(0.5e-9, True), (1.01e-9, False)])
@@ -162,7 +162,7 @@ def test_a_moved_point_is_judged_against_the_tolerance(shift, accepted):
     x = list(comp.x)
     x[5] += shift
     moved = replace(traj, components=(replace(comp, x=x),))
-    report = verify_reflection(moved, result.table, result.arcs, REFLECTION_TOL, prec_bits=192)
+    report = verify_reflection(moved, result.arcs, REFLECTION_TOL)
     assert report.passed == accepted
 
 
@@ -174,6 +174,6 @@ def test_a_nan_in_any_column_is_rejected_and_named(column):
     values = list(getattr(comp, column))
     values[5] = float("nan")
     moved = replace(traj, components=(replace(comp, **{column: values}),))
-    report = verify_reflection(moved, result.table, result.arcs, REFLECTION_TOL, prec_bits=192)
+    report = verify_reflection(moved, result.arcs, REFLECTION_TOL)
     assert not report.passed
     assert report.violations[0].startswith("reflection law violated at component 0 event 5: ")

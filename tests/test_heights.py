@@ -535,7 +535,7 @@ def test_frequency_tuples_follow_shell_order(d):
 def test_emit_frequency_one_has_two_bounces():
     star, poly, table = _pentagram_setup()
     saw = SawtoothHeight(1, Fraction(1, 3))
-    traj = emit_trajectory(poly, (saw,), table, prec_bits=192)
+    traj = emit_trajectory(poly, (saw,), table)
     comp = traj.components[0]
     kinds = [KIND_NAMES[kind] for kind in comp.kinds]
     assert kinds.count("floor") == 1
@@ -557,10 +557,10 @@ def test_emit_every_phase_gives_2f_bounces_and_reflects(hopf_result, data):
         # phase 0 or 1/2 puts an extremum on the wall vertex at arc 0
         assume(phase not in (0, Fraction(1, 2), 1))
         heights.append(SawtoothHeight(data.draw(st.integers(1, 12)), phase))
-    traj = emit_trajectory(result.poly, tuple(heights), result.arcs, prec_bits=192)
+    traj = emit_trajectory(result.poly, tuple(heights), result.arcs)
     for comp, saw in zip(traj.components, heights):
         assert sum(1 for kind in comp.kinds if KIND_NAMES[kind] != "wall") == 2 * saw.frequency
-    assert verify_reflection(traj, result.table, result.arcs, 1e-9, prec_bits=192).passed
+    assert verify_reflection(traj, result.arcs, 1e-9).passed
     assert pointwise_reflection(traj, result.table, 1e-9, prec_bits=192).passed
 
 
@@ -585,7 +585,7 @@ def test_closed_form_check_and_oracle_reject_the_same_moves(trefoil_result, data
         side = data.draw(st.sampled_from(("z_a", "z_b")))
         heights[i] = replace(heights[i], **{side: getattr(heights[i], side) + shift})
         moved = replace(traj, crossing_heights=tuple(heights))
-    new_accepts = verify_reflection(moved, result.table, result.arcs, 1e-9, prec_bits=192).passed
+    new_accepts = verify_reflection(moved, result.arcs, 1e-9).passed
     oracle_accepts = pointwise_reflection(moved, result.table, 1e-9, prec_bits=192).passed and (
         crossing_heights_match(moved, result.arcs, 1e-9, prec_bits=192)
     )
@@ -597,7 +597,7 @@ def test_emit_projection_recovers_polygon():
     star, poly, table = _pentagram_setup()
     constraints = build_height_constraints(star, table)
     heights = search_heights(constraints, table, f_max=200, margin=1e-3)
-    traj = emit_trajectory(poly, heights, table, prec_bits=192)
+    traj = emit_trajectory(poly, heights, table)
     comp = traj.components[0]
     wall_points = [
         pt for pt, kind in zip(comp.points, comp.kinds) if KIND_NAMES[kind] == "wall"
@@ -614,7 +614,7 @@ def test_emitted_height_slope_is_twice_frequency():
     star, poly, table = _pentagram_setup()
     constraints = build_height_constraints(star, table)
     heights = search_heights(constraints, table, f_max=200, margin=1e-3)
-    traj = emit_trajectory(poly, heights, table, prec_bits=192)
+    traj = emit_trajectory(poly, heights, table)
     comp = traj.components[0]
     f = heights[0].frequency
     arcs = comp.arc

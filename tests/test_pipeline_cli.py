@@ -5,9 +5,10 @@ import mpmath as mp
 import pytest
 
 from billiardknots import perturbation, pipeline
+from billiardknots.billiards import MirrorRoomReport, mirror_room_check
 from billiardknots.braids import toric_pattern
 from billiardknots.cli import main
-from billiardknots.errors import SpecFileError
+from billiardknots.errors import PipelineError, SpecFileError
 from billiardknots.invariants import pattern_jones
 from billiardknots.perturbation import IndependenceResult
 from billiardknots.pipeline import RealizationSpec, realize
@@ -158,6 +159,10 @@ def test_cli_spec_errors(tmp_path):
     assert main(["realize", str(low), "--out", str(tmp_path / "x")]) == 3
     listed = _write_spec(tmp_path, {"preset": ["trefoil"]}, name="listed.json")
     assert main(["realize", str(listed), "--out", str(tmp_path / "x")]) == 3
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b'\xff\xfe{"preset": "trefoil"}')  # not UTF-8
+    assert main(["realize", str(binary), "--out", str(tmp_path / "x")]) == 3
+    assert main(["verify", str(binary)]) == 3
 
 
 @pytest.mark.parametrize(
@@ -214,6 +219,67 @@ def test_cli_search_exhaustion_exit_code(tmp_path):
     # required separation: unsatisfiable, so the search must exhaust
     spec = _write_spec(tmp_path, {"preset": "torus-2-5", "seed": 42, "margin": 0.45, "f_max": 3})
     assert main(["realize", str(spec), "--out", str(tmp_path / "x")]) == 2
+
+
+def test_realize_halves_delta_after_a_failed_mirror_room_check(tmp_path, monkeypatch):
+    """At delta 1 the torus-3-7 lines (perturb halves to 1/8 for the
+    combinatorics) fail the mirror-room check; realize halves delta, passes
+    at 1/16, and the artifacts verify."""
+    checked = []
+
+    def recorded(poly, **kwargs):
+        report = mirror_room_check(poly, **kwargs)
+        checked.append((poly.delta, report.passed))
+        return report
+
+    monkeypatch.setattr(pipeline, "mirror_room_check", recorded)
+    result = realize(RealizationSpec.from_dict({"preset": "torus-3-7", "delta": "1"}))
+    assert checked == [(Fraction(1, 8), False), (Fraction(1, 16), True)]
+    assert result.passed
+    files = write_artifacts(result, tmp_path, canonical=True)
+    assert json.loads(files["report"].read_text())["chosen_delta"] == "1/16"
+    assert verify_artifacts(files["report"]).passed
+
+
+def test_mirror_room_retries_exhausted_are_a_pipeline_failure(tmp_path, monkeypatch, capsys):
+    deltas = []
+
+    def failing(poly, **kwargs):
+        deltas.append(poly.delta)
+        return MirrorRoomReport(passed=False, margin=None)
+
+    monkeypatch.setattr(pipeline, "mirror_room_check", failing)
+    with pytest.raises(PipelineError, match="mirror-room condition kept failing"):
+        realize(RealizationSpec.from_dict({"preset": "trefoil"}))
+    assert len(deltas) == pipeline.MAX_MIRROR_RETRIES
+    spec = _write_spec(tmp_path, {"preset": "trefoil"})
+    capsys.readouterr()
+    assert main(["realize", str(spec), "--out", str(tmp_path / "x")]) == 4
+    assert "pipeline failure: mirror-room condition kept failing" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def _raise_intercept(lines):
+    a, b = lines[0][0]
+    lines[0][0] = [a, str(Fraction(b) + 3)]
+
+
+def _parallel_consecutive(lines):
+    lines[0][1][0] = lines[0][0][0]
+
+
+@pytest.mark.parametrize("edit", [_raise_intercept, _parallel_consecutive], ids=["moved-line", "parallel-lines"])
+def test_cli_verify_reports_broken_combinatorics(tmp_path, trefoil_result, capsys, edit):
+    """Stored lines that no longer cut out the star, including two
+    consecutive parallel lines with no corner between them, fail the
+    combinatorics check with exit 4."""
+    files = write_artifacts(trefoil_result, tmp_path, canonical=True)
+    report = json.loads(files["report"].read_text())
+    edit(report["lines"])
+    files["report"].write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["verify", str(files["report"])]) == 4
+    assert "combinatorics: FAIL (stored lines no longer match the star)" in capsys.readouterr().out
 
 
 def test_cli_verify_detects_corruption(tmp_path, capsys):
