@@ -375,13 +375,12 @@ def verify_reflection(traj, arcs: ArcTable, tol: float) -> ReflectionReport:
 
     A path in the prism is a planar billiard path times a sawtooth bounce
     in [0, 1], so the polygon's vertices, their arcs and one (f, phi) per
-    component fix it.  The inputs are the trajectory (its columns, its
-    crossing heights and ``traj.poly``, the polygon it was emitted from) and
-    ``arcs``, that polygon's arc table; the check works at the arc table's
-    precision.  The wall vertices are ``traj.poly``'s exact rational
-    vertices, in flat component order: the very values ``polygon_mirrors``
-    builds the mirrors from, so wall event k is at mirror k's vertex and no
-    table is needed.  Each component's columns are regenerated from its own
+    component fix it.  It reads the trajectory's columns, its crossing
+    heights and ``traj.poly``, and ``arcs``, that polygon's arc table, at
+    whose precision it works.  The wall vertices are ``traj.poly``'s exact
+    rationals in flat order, the values ``polygon_mirrors`` builds the
+    mirrors from, so wall event k sits at mirror k's vertex and no table is
+    needed.  Each component's columns are regenerated from its own
     sawtooth (``heights.component_events``) and compared with the stored
     ones, each in one C-level pass: the ``kinds`` strings and the
     ``mirrors`` lists must be equal, every ``arc``, ``x``, ``y`` and ``z``

@@ -646,9 +646,9 @@ def emit_trajectory(poly: PerturbedPolygon, heights, table: ArcTable) -> Spatial
 
     ``table`` is the arc table of ``poly``.  Points, arcs and crossing
     heights are floats.  Only the wall and passage heights are evaluated at
-    the arc table's precision (plus the bits of f), as
-    ``billiards.verify_reflection`` regenerates them, which is O(m + n)
-    work; the 2f bounces cost float arithmetic.  Projecting the result to the floor recovers the polygon to float
+    the arc table's precision (plus the bits of f), as ``verify_reflection``
+    regenerates them: O(m + n) work; the 2f bounces cost float arithmetic.
+    Projecting the result to the floor recovers the polygon to float
     rounding; between consecutive events both the planar position and the
     height are linear in arc length, so straight 3D segments represent the
     trajectory.

@@ -289,13 +289,12 @@ def verify_artifacts(report_path) -> Verdict:
     signed star are derived from it as ``realize`` derives them; a report
     whose ``padded_pattern`` or ``star`` disagrees is malformed.  Stored
     lines that no longer cut out the star's combinatorics (two consecutive
-    lines parallel among them) fail as ``combinatorics``.  The reflection
-    check compares the stored trajectory with the closed form its lines and
-    sawtooths fix; it reads only the polygon the lines cut out and that
-    polygon's arc table, so the floor polygon is not rebuilt (``table.json``
-    is written for viewers and is not re-read).  All three checks run on
-    every report, and one that fails the mirror-room check fails on it
-    first.  The trajectory's ``kinds`` string,
+    ones parallel, say) fail as ``combinatorics``.  The reflection check
+    compares the stored trajectory with the closed form its lines and
+    sawtooths fix; it reads only their polygon and its arc table, so no
+    floor polygon is built (``table.json`` is for viewers, not re-read).
+    All three checks run on every report; one that fails the mirror-room
+    check fails on it first.  The trajectory's ``kinds`` string,
     ``mirrors`` array and JSON-number columns are read back as they were
     written, every float bit for bit, and their shape is checked here: one
     component per polygon component, columns as long as ``kinds``, one
