@@ -11,13 +11,15 @@ reflection law lifts to 3D with the z-slope preserved.
 
 The mirrors are built once, each vertex rounded once to the working
 precision, by ``mirror_room_check``, which hands them to ``build_table``.
-The pairwise work (the diameter, the n^2 mirror-room values, and a point
-against every half-plane) is screened in float64: a proven bound eps =
-2^7 v (R + 1), with v the larger of the float64 and the working
-precision's unit roundoff and R the size of the inputs, covers how far a
-float value can be from its working-precision one.  Only the candidates
-the screen cannot rule out are evaluated in mpf, in the unscreened order,
-so every result is the unscreened loops' bit for bit.
+The pairwise work of that check (the diameter and the n^2 mirror-room
+values) is screened in float64: a proven bound eps = 2^7 v (R + 1), with
+v the larger of the float64 and the working precision's unit roundoff and
+R the size of the inputs, covers how far a float value can be from its
+working-precision one.  Only the candidates the screen cannot rule out are
+evaluated in mpf, in the unscreened order, so every result is the
+unscreened loops' bit for bit.  ``build_table`` is not screened: it checks
+the floor with one exact mpf test per edge, that the edge runs
+counterclockwise along its mirror line.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import mpmath as mp
 
@@ -97,8 +99,8 @@ def polygon_mirrors(poly: PerturbedPolygon, prec_bits: int = 128) -> list[Mirror
 def _screen_bound(size: float, prec_bits: int) -> float:
     """2^7 v (size + 1), with v = 2^-min(prec_bits, 53): how far apart a
     float64 and a working-precision evaluation of a screened value can be,
-    when ``size`` bounds its inputs as ``mirror_room_check`` and
-    ``BilliardTable.contains_xy`` derive.  The 1 covers underflow, where a
+    when ``size`` bounds its inputs as ``mirror_room_check`` derives; that
+    check is the only screened one.  The 1 covers underflow, where a
     rounding may be off by 2^-1074 absolutely."""
     return 2.0 ** (7 - min(prec_bits, 53)) * (size + 1.0)
 
@@ -199,52 +201,6 @@ class BilliardTable:
     floor: tuple                       # convex polygon vertices, CCW (mpf pairs)
     mirrors: tuple[Mirror, ...]
     edge_of_mirror: tuple[tuple[tuple, tuple], ...]  # edge endpoints per mirror
-    half_planes: tuple                 # (ux, uy, offset) per mirror: u . x >= offset
-    float_half_planes: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        floats = tuple(tuple(float(c) for c in plane) for plane in self.half_planes)
-        object.__setattr__(self, "float_half_planes", floats)
-
-    def contains_xy(self, point, tol, prec_bits: int = 128) -> bool:
-        """Whether ``point`` lies in every mirror half-plane, up to ``tol``.
-
-        The test per half-plane is fl(ux x + uy y) < fl(offset - tol) at
-        p = prec_bits, with x and y rounded to p bits.  A float64 screen
-        skips a half-plane whose float slack s = ux x + uy y - offset + tol
-        exceeds eps = ``_screen_bound(A + O + T, p)``, with A = |x| + |y|,
-        O = |offset| and T = |tol|; every other half-plane is decided by
-        that mpf test, so the answer is the unscreened one.  Why a skip is
-        right: with v = 2^-min(p, 53) as in ``mirror_room_check`` and
-        |ux|, |uy| <= 1.01, both sides evaluate S = ux x + uy y - offset +
-        tol for the stored mpf (ux, uy, offset) and the given point and
-        tolerance.
-          - mpf: each product is off by at most 2.1 v |x| (x rounded
-            once and the product rounded), their sum by 3.2 v A after its
-            own rounding, and offset - tol by v (O + T): fl(ux x + uy y) -
-            fl(offset - tol) is within 3.2 v A + v (O + T) of S;
-          - float: each product is off by at most 3.1 v |x| (ux and x
-            rounded, the product rounded), the sum by 4.2 v A; subtracting
-            offset (rounded) and adding tol (rounded) adds v O + v T and
-            two roundings of at most v (1.03 A + 1.01 O + T): s is within
-            6.3 v (A + O + T) of S.
-        So s > eps = 2^7 v (A + O + T + 1) makes S, and then the mpf left
-        side minus the right side, positive: the mpf test would not fail.
-        A NaN or an infinity makes the screen's comparison false, and the
-        mpf test decides.
-        """
-        x, y, t = float(point[0]), float(point[1]), float(tol)
-        size = abs(x) + abs(y) + abs(t)
-        with mp.workprec(prec_bits):
-            px = None
-            for (fx, fy, f_off), (ux, uy, offset) in zip(self.float_half_planes, self.half_planes):
-                if fx * x + fy * y - f_off + t > _screen_bound(size + abs(f_off), prec_bits):
-                    continue
-                if px is None:
-                    px, py = to_mpf(point[0]), to_mpf(point[1])
-                if ux * px + uy * py < offset - tol:
-                    return False
-            return True
 
 
 def build_table(mirrors, prec_bits: int = 128) -> BilliardTable:
@@ -258,10 +214,13 @@ def build_table(mirrors, prec_bits: int = 128) -> BilliardTable:
     corners, counterclockwise from the smallest angle about their centroid.
     Raises UnboundedTableError (a failed precondition in disguise) when the
     normals span less than a half-turn, two consecutive lines are parallel,
-    or a corner leaves another half-plane (that mirror would carry no
-    edge).  That last test is ``contains_xy``, whose float screen decides
-    only the half-planes far from the corner; a corner's own two lines are
-    always decided in mpf.
+    or a mirror's edge, from the corner before it to its own, does not run
+    counterclockwise along its line (that mirror would carry no edge).  The
+    last is the edge-order test, exact and O(n), in mpf: with every gap
+    between consecutive normal angles below a half-turn, a closed chain of
+    positive-length edges turns once through a full turn, so it is a
+    convex polygon, and a convex polygon is the intersection of its edges'
+    half-planes.
     """
     mirrors = tuple(mirrors)
     n = len(mirrors)
@@ -274,40 +233,33 @@ def build_table(mirrors, prec_bits: int = 128) -> BilliardTable:
         if max(gaps) >= mp.pi:
             raise UnboundedTableError("mirror normals span less than a half-turn")
 
-        half_planes = []
-        for mirror in mirrors:
-            ux, uy = mirror.direction
-            vx, vy = mirror.point
-            half_planes.append((ux, uy, ux * vx + uy * vy))
-        scale = max(abs(offset) for _, _, offset in half_planes) + 1
-        slack = scale * mp.mpf(2) ** (12 - prec_bits // 2)
-
+        offsets = [m.direction[0] * m.point[0] + m.direction[1] * m.point[1] for m in mirrors]
         corners = []  # corners[k] is where the lines of order[k] and order[k + 1] meet
         for k in range(n):
             i, j = sorted((order[k], order[(k + 1) % n]))
-            ax, ay, a_off = half_planes[i]
-            bx, by, b_off = half_planes[j]
+            (ax, ay), a_off = mirrors[i].direction, offsets[i]
+            (bx, by), b_off = mirrors[j].direction, offsets[j]
             den = ax * by - ay * bx
             if abs(den) < mp.mpf(2) ** (-prec_bits // 2):
                 raise UnboundedTableError(f"consecutive mirrors {i} and {j} are parallel")
             corners.append(((a_off * by - b_off * ay) / den, (ax * b_off - bx * a_off) / den))
 
+        edge_of_mirror = [None] * n
+        for k in range(n):
+            ux, uy = mirrors[order[k]].direction
+            (x0, y0), (x1, y1) = corners[k - 1], corners[k]
+            if not uy * (x1 - x0) - ux * (y1 - y0) > 0:
+                raise UnboundedTableError("a mirror carries no edge of the floor polygon")
+            edge_of_mirror[order[k]] = (corners[k - 1], corners[k])
+
         cx = mp.fsum(x for x, _ in corners) / n
         cy = mp.fsum(y for _, y in corners) / n
         start = min(range(n), key=lambda k: mp.atan2(corners[k][1] - cy, corners[k][0] - cx))
-        edge_of_mirror = [None] * n
-        for k in range(n):
-            edge_of_mirror[order[k]] = (corners[k - 1], corners[k])
-        table = BilliardTable(
-            floor=tuple(corners[start:] + corners[:start]),
-            mirrors=mirrors,
-            edge_of_mirror=tuple(edge_of_mirror),
-            half_planes=tuple(half_planes),
-        )
-    for corner in corners:
-        if not table.contains_xy(corner, slack, prec_bits):
-            raise UnboundedTableError("a mirror carries no edge of the floor polygon")
-    return table
+    return BilliardTable(
+        floor=tuple(corners[start:] + corners[:start]),
+        mirrors=mirrors,
+        edge_of_mirror=tuple(edge_of_mirror),
+    )
 
 
 @dataclass(frozen=True)

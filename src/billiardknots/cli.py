@@ -1,6 +1,7 @@
 """Command-line interface: realize, verify, presets.
 
-Exit codes: 0 success, 2 height-search exhaustion, 3 spec/parse error,
+Exit codes: 0 success, 2 height-search exhaustion, 3 spec/parse error or
+artifacts that cannot be written (``--out`` names a file, say),
 4 verification or certification failure, 5 coincident trajectory events
 (a realized bounce on a wall vertex).
 """
@@ -80,7 +81,11 @@ def cmd_realize(args) -> int:
         print(f"pipeline failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
 
-    files = write_artifacts(result, args.out, canonical=args.canonical)
+    try:
+        files = write_artifacts(result, args.out, canonical=args.canonical)
+    except OSError as exc:
+        print(f"cannot write artifacts: {exc}", file=sys.stderr)
+        return EXIT_SPEC
     print(f"wrote {files['report']}")
     print(f"mirror margin: {result.mirror_report.margin}")
     print(

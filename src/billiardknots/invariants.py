@@ -153,8 +153,6 @@ class CertificationReport:
     jones_intended: Laurent
     components_constructed: int
     components_intended: int
-    writhe_constructed: int
-    writhe_intended: int
 
     def summary(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -174,8 +172,7 @@ def certify(traj, pattern: QuasitoricPattern) -> CertificationReport:
     """
     traversal = traj.diagram_traversal()
     pd, sign_map = traversal_pd(traversal)
-    writhe_constructed = sum(sign_map.values())
-    constructed = jones(pd, writhe_constructed)
+    constructed = jones(pd, sum(sign_map.values()))
     intended = pattern_jones(pattern)
     comp_constructed = len(traversal.components)
     comp_intended = component_count(pattern)
@@ -185,6 +182,4 @@ def certify(traj, pattern: QuasitoricPattern) -> CertificationReport:
         jones_intended=intended,
         components_constructed=comp_constructed,
         components_intended=comp_intended,
-        writhe_constructed=writhe_constructed,
-        writhe_intended=pattern.writhe(),
     )

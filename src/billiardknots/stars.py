@@ -34,7 +34,6 @@ import mpmath as mp
 
 from .braids import QuasitoricPattern
 from .errors import DomainError
-from .pdcodes import DiagramTraversal, passage_traversal
 
 ROTATION_TANGENT = (1, 17)
 JSON_DIGITS = 17  # round-trips a float64
@@ -89,20 +88,6 @@ class StarDiagram:
     components: tuple[tuple[int, ...], ...]  # chord ids in traversal order
     crossings: tuple[Crossing, ...]
     signs_attached: bool = False
-
-    def diagram_traversal(self, over_a_side: dict[int, bool]) -> DiagramTraversal:
-        """Passage events per component; ``over_a_side[i]`` says whether the
-        chord_a strand passes over at crossing i."""
-        passages = []
-        for c in self.crossings:
-            for comp, arc, on_a in (
-                (c.first_component, c.first_arc, c.a_side_is_first),
-                (c.second_component, c.second_arc, not c.a_side_is_first),
-            ):
-                va, vb = self.chords[c.chord_a if on_a else c.chord_b]
-                (ax, ay), (bx, by) = self.vertices[va], self.vertices[vb]
-                passages.append((comp, arc, c.index, on_a, (bx - ax, by - ay)))
-        return passage_traversal(len(self.components), passages, over_a_side)
 
 
 def _component_layout(p: int, q: int) -> tuple[tuple[tuple[int, ...], ...], dict[int, tuple[int, int]]]:

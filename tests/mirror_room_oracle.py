@@ -3,10 +3,11 @@
 These are the unscreened loops: the trajectory diameter over all ordered
 vertex pairs, the margin over all n^2 values u_k . (P_i - P_k), and every
 mirror half-plane tested for a point.
-``billiardknots.billiards.mirror_room_check`` and
-``BilliardTable.contains_xy`` screen the same values in float64 and
-confirm the candidates at the working precision; these serve as the
-oracles they are compared against, bit for bit.
+``billiardknots.billiards.mirror_room_check`` screens the first two in
+float64 and confirms the candidates at the working precision;
+``pairwise_mirror_room`` serves as the oracle it is compared against, bit
+for bit.  ``plain_contains_xy`` is the containment test of the reference
+reflection check and of the table tests.
 """
 
 import mpmath as mp
@@ -47,10 +48,12 @@ def pairwise_mirror_room(poly, prec_bits: int = 128) -> MirrorRoomReport:
 
 
 def plain_contains_xy(table, point, tol, prec_bits: int = 128) -> bool:
-    """Whether ``point`` lies in every mirror half-plane, up to ``tol``."""
+    """Whether ``point`` lies in every mirror half-plane u . x >= u . P of
+    ``table.mirrors``, up to ``tol``."""
     with mp.workprec(prec_bits):
         px, py = to_mpf(point[0]), to_mpf(point[1])
-        for ux, uy, offset in table.half_planes:
-            if ux * px + uy * py < offset - tol:
+        for mirror in table.mirrors:
+            (ux, uy), (vx, vy) = mirror.direction, mirror.point
+            if ux * px + uy * py < ux * vx + uy * vy - tol:
                 return False
         return True

@@ -10,6 +10,7 @@ check is compared against.
 """
 
 import mpmath as mp
+from mirror_room_oracle import plain_contains_xy
 
 from billiardknots.billiards import BilliardTable, ReflectionReport
 from billiardknots.heights import CEILING, FLOOR, KIND_NAMES, WALL, evaluate_sawtooth
@@ -36,7 +37,7 @@ def pointwise_reflection(traj, table: BilliardTable, tol: float, prec_bits: int 
             for i, (x, y, z) in enumerate(pts):
                 if z < -tol_m or z > 1 + tol_m:
                     violations.append(f"component {ci} point {i}: z={mp.nstr(z, 8)} outside [0,1]")
-                if not table.contains_xy((x, y), tol_m, prec_bits):
+                if not plain_contains_xy(table, (x, y), tol_m, prec_bits):
                     violations.append(f"component {ci} point {i}: leaves the floor polygon")
             walls = iter(comp.mirrors)
             for i, kind in enumerate(comp.kinds):

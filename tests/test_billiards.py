@@ -120,9 +120,9 @@ def test_build_table_pentagram_touches_tips():
         assert -1e-12 < lam < 1 + 1e-12
     # and inside the table: vertices and crossings
     for v in poly.all_vertices():
-        assert table.contains_xy(v, mp.mpf("1e-20"))
+        assert plain_contains_xy(table, v, mp.mpf("1e-20"))
     for pc in poly.crossings:
-        assert table.contains_xy(pc.point, mp.mpf("1e-20"))
+        assert plain_contains_xy(table, pc.point, mp.mpf("1e-20"))
 
 
 def test_build_table_orthic_triangle_recovers_original():
@@ -396,24 +396,64 @@ def test_near_least_keeps_everything_within_twice_the_bound():
     assert _near_least([0.0, 0.0], 0.0) == [0, 1]
 
 
-@pytest.mark.parametrize("prec", SCREEN_PRECISIONS)
-def test_contains_xy_matches_oracle_at_and_near_every_line(prec):
-    """Points on each mirror line (its vertex and its edge's corners) and
-    moved off it along the normal by 1e-14 and 1e-20, both ways."""
+def random_closed_polygons(seed, count):
+    """Seeded closed polygons with rational vertices, alternately: random
+    point sets (half of them sorted by angle about their centroid, so that
+    some bound a table) and {p/q} stars through the unit circle with each
+    vertex moved by up to 10^-6 to 1/2."""
+    rng = random.Random(seed)
+    polys = []
+    for index in range(count):
+        if index % 2:
+            p, q = rng.choice(STAR_SHAPES + [(6, 2), (7, 2), (8, 3)])
+            jitter = Fraction(1, rng.choice((10**6, 1000, 100, 20, 5, 2)))
+
+            def point(k):
+                angle = 2 * math.pi * k / p
+                return tuple(
+                    Fraction(c) + jitter * Fraction(rng.randint(-1000, 1000), 1000)
+                    for c in (math.cos(angle), math.sin(angle))
+                )
+
+            d = math.gcd(p, q)
+            comps = [[point(m + j * q) for j in range(p // d)] for m in range(d)]
+        else:
+            comps = []
+            for _ in range(rng.randint(1, 2)):
+                pts = [
+                    (Fraction(rng.randint(-900, 900), rng.randint(1, 97)),
+                     Fraction(rng.randint(-900, 900), rng.randint(1, 97)))
+                    for _ in range(rng.randint(3, 8))
+                ]
+                if rng.random() < 0.5:
+                    cx = sum(x for x, _ in pts) / len(pts)
+                    cy = sum(y for _, y in pts) / len(pts)
+                    pts.sort(key=lambda v: math.atan2(v[1] - cy, v[0] - cx))
+                comps.append(pts)
+        polys.append(fake_polygon(comps))
+    return polys
+
+
+def test_build_table_rejects_and_accepts_as_the_pairwise_oracle():
+    """On random polygons the edge-order test raises exactly when the
+    pairwise half-plane intersection does, and otherwise gives its floor
+    bit for bit, at 53, 64, 128 and 192 bits."""
     outcomes = set()
-    for poly in (pentagram_polygon(), preset_polygon("star-9-3")):
-        table = build_table(mirror_room_check(poly, 192).mirrors, prec_bits=192)
-        with mp.workprec(256):
-            points = []
-            for mirror, edge in zip(table.mirrors, table.edge_of_mirror):
-                ux, uy = mirror.direction
-                for x, y in (mirror.point,) + edge:
-                    for shift in (0, 1e-14, -1e-14, 1e-20, -1e-20):
-                        s = mp.mpf(shift)
-                        points.append((x + s * ux, y + s * uy))
-        for point in points:
-            for tol in (0, mp.mpf("1e-20"), 1e-14):
-                got = table.contains_xy(point, tol, prec)
-                assert got == plain_contains_xy(table, point, tol, prec)
-                outcomes.add(got)
+    for index, poly in enumerate(random_closed_polygons(19, 200)):
+        prec = SCREEN_PRECISIONS[index % 4]
+        try:
+            mirrors = polygon_mirrors(poly, prec)
+        except DegenerateAngleError:
+            with pytest.raises(DegenerateAngleError):
+                pairwise_floor(poly, prec)
+            continue
+        try:
+            want = pairwise_floor(poly, prec)
+        except UnboundedTableError:
+            with pytest.raises(UnboundedTableError):
+                build_table(mirrors, prec)
+            outcomes.add(False)
+            continue
+        assert build_table(mirrors, prec).floor == want
+        outcomes.add(True)
     assert outcomes == {True, False}

@@ -165,6 +165,16 @@ def test_cli_spec_errors(tmp_path):
     assert main(["verify", str(binary)]) == 3
 
 
+def test_cli_realize_into_a_file_is_exit_3(tmp_path, capsys):
+    spec = _write_spec(tmp_path, {"preset": "unknot"})
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    assert main(["realize", str(spec), "--out", str(taken)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write artifacts: ") and err.count("\n") == 1
+    assert taken.read_text() == "not a directory"
+
+
 @pytest.mark.parametrize(
     "pattern",
     [
