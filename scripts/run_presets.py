@@ -2,6 +2,9 @@
 """Realize every preset end to end and print a summary table.
 
 Usage: python scripts/run_presets.py [--out DIR]
+
+Exits 0 when every preset passes, 1 when one fails, and 3 when its
+artifacts cannot be written under DIR (for instance, DIR is a file).
 """
 
 import argparse
@@ -15,10 +18,10 @@ from billiardknots.presets import PRESETS
 from billiardknots.serialization import write_artifacts
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default=None, help="write artifacts under this directory")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     header = f"{'preset':14s} {'f':>18s} {'delta':>8s} {'margin':>8s} {'certified':>9s} {'time':>7s}"
     print(header)
@@ -43,7 +46,11 @@ def main() -> int:
         if not result.passed:
             failures += 1
         if args.out:
-            write_artifacts(result, Path(args.out) / name, canonical=True)
+            try:
+                write_artifacts(result, Path(args.out) / name, canonical=True)
+            except OSError as exc:
+                print(f"cannot write artifacts: {exc}", file=sys.stderr)
+                return 3
     return 1 if failures else 0
 
 

@@ -14,7 +14,8 @@ components fixed earlier it holds for a component's phase on one cyclic
 window given in closed form, or off such windows:
   - a crossing with both passages on the component, within (1 - margin)/4
     of a centre, or nowhere when 2 min(d, 1 - d) < margin for
-    d = f (t2 - t1) mod 1 (``_own_window``, ``_own_phases``);
+    d = f (t2 - t1) mod 1 (``_own_window``, ``_own_phases``, which first
+    checks that the centres fit in an arc of twice that half-width);
   - a crossing with a component fixed at height z, within (z - margin)/2
     of the floor kink (1/2 - f t) mod 1 when the passage at arc t must be
     under, or within (1 - z - margin)/2 of the ceiling kink (-f t) mod 1
@@ -178,10 +179,20 @@ def _box_phases(f: int, arcs, boxes):
     return segs
 
 
-def _own_window(f: int, t1: float, t2: float, first_over: bool):
+# Widening of the screens in ``_own_phases`` and ``_reach_phases``.  Their
+# bounds come from the same closed forms as the exact phase sets, by other
+# float operations (offsets between centres, interpolation between kinks,
+# sums of two half-widths), so the two differ by float rounding only, at
+# most of the order of f * 2^-52 (2e-12 at f = 10^4); 1e-8 covers that
+# many times over.
+_SCREEN_SLACK = 1e-8
+
+
+def _own_window(f: int, delta: float, t1: float, shift: float):
     """(g, centre) for a crossing with both passages on one component, at
-    float arcs t1 (the first passage) and t2: condition (a) holds on no
-    phase when g < margin, and otherwise exactly on the phases within
+    float arcs t1 (the first passage) and t2 = t1 + delta, with shift 0 when
+    the first passage is over and 1/2 when it is under: condition (a) holds
+    on no phase when g < margin, and otherwise exactly on the phases within
     (1 - margin)/4 of ``centre``.
 
     With u = f t1 + phi, d = f (t2 - t1) mod 1 and ||.|| the distance to the
@@ -191,25 +202,54 @@ def _own_window(f: int, t1: float, t2: float, first_over: bool):
     only if g does, and then on the u within (1 - margin)/4 of 1/4 - d/2;
     a first passage under shifts the window by 1/2.
     """
-    d = (f * (t2 - t1)) % 1.0
-    centre = (0.25 - d / 2 - f * t1 + (0.0 if first_over else 0.5)) % 1.0
+    d = (f * delta) % 1.0
+    centre = (0.25 - d / 2 - f * t1 + shift) % 1.0
     return 2.0 * min(d, 1.0 - d), centre
 
 
-def _own_phases(f: int, k: int, constraints, margin: float):
+def _own_crossings(k: int, constraints):
+    """The crossings with both passages on component k, in order, as the
+    ``_own_window`` arguments (t2 - t1, t1, shift)."""
+    return [(t2 - t1, t1, 0.0 if c.first_over else 0.5)
+            for c, t1, t2 in constraints if c.first_component == k == c.second_component]
+
+
+def _own_phases(f: int, k: int, constraints, margin: float, own=None):
     """The phases of component k at frequency f, as sorted disjoint
-    intervals, under condition (a) of k's own crossings (both passages on
-    k): the intersection of their ``_own_window``s, or none as soon as one
-    has g < margin.  ``constraints`` holds (constraint, first arc, second
-    arc) with float arcs."""
+    intervals, under condition (a) of k's own crossings: the intersection
+    of their ``_own_window``s.  ``constraints`` holds (constraint, first
+    arc, second arc) with float arcs; ``own``, if given, is
+    ``_own_crossings(k, constraints)``.
+
+    A first pass, with no allocation, takes each g and centre c by
+    ``_own_window``'s expressions, inlined, and returns none as soon as g <
+    margin or the offsets o = (c - c0 + 1/2) mod 1 from the first centre
+    spread over more than 2h + _SCREEN_SLACK, h = (1 - margin)/4.  Windows
+    of one half-width h < 1/4 meet iff their centres fit in an arc of
+    length 2h, whose offsets do not wrap; the offsets and the window ends
+    round the same float centres by a few units of 2^-53.  So the pass is
+    exact, and the intersection after it gives the same floats as alone.
+    """
+    if own is None:
+        own = _own_crossings(k, constraints)
     half = (1.0 - margin) / 4.0
-    allowed = [(0.0, 1.0)]
-    for c, t1, t2 in constraints:
-        if c.first_component != k or c.second_component != k:
-            continue
-        g, centre = _own_window(f, t1, t2, c.first_over)
-        if g < margin:
+    spread = 2.0 * half + _SCREEN_SLACK
+    lo = hi = 0.5
+    c0 = None
+    for delta, t1, shift in own:
+        d = (f * delta) % 1.0
+        if 2.0 * (d if d < 0.5 else 1.0 - d) < margin:
             return []
+        centre = (0.25 - d / 2 - f * t1 + shift) % 1.0
+        if c0 is None:
+            c0 = centre
+        o = (centre - c0 + 0.5) % 1.0
+        lo, hi = (o if o < lo else lo), (o if o > hi else hi)
+        if hi - lo > spread:
+            return []
+    allowed = [(0.0, 1.0)]
+    for delta, t1, shift in own:
+        centre = _own_window(f, delta, t1, shift)[1]
         allowed = _intersect_intervals(allowed, _cyclic_window(centre, half))
         if not allowed:
             return []
@@ -253,14 +293,6 @@ def _fixed_phases(f_tuple, windows, phases, margin: float):
         if not allowed:
             return []
     return allowed
-
-
-# Widening of ``_reach_phases``.  Its half-widths and interval ends come from
-# the same closed forms as ``_fixed_phases``, by other float operations
-# (interpolation between kinks, sums of two half-widths), so the two differ
-# by float rounding only, of the order of f * 2^-52 (2e-12 at f = 10^4); 1e-8
-# covers that many times over.
-_SCREEN_SLACK = 1e-8
 
 
 def _reach_phases(f_tuple, k: int, windows, phases, margin: float):
@@ -378,7 +410,8 @@ def search_heights(
 
     The exact phase sets are intersections of closed-form windows (see
     the module docstring).  Component k's set under its own crossings and
-    the box is built once per (k, f), and an f-tuple in which some
+    the box is built per (k, f) and kept only when non-empty (an empty
+    one is cheaper to find again), and an f-tuple in which some
     component has none is skipped.  At a tuple, k's set is that one cut by
     the windows of its crossings with the fixed components 0 .. k-1.  One
     screen skips only phases whose exact set downstream is empty, so the
@@ -403,15 +436,18 @@ def search_heights(
     box = (margin, 1.0 - margin)
     arcs = [(c, float(c.first_arc), float(c.second_arc)) for c in constraints]
     n_grid = 4 * max(1, len(constraints))
-    own_phases = {}  # (k, f) -> k's phases under the box and its own crossings
+    own_crossings = [_own_crossings(k, arcs) for k in range(n_comp)]
+    own_phases = {}  # (k, f) -> k's phases under the box and its own crossings, if any
 
     def own(k, f):
-        if (k, f) not in own_phases:
-            segs = _own_phases(f, k, arcs, margin)
+        segs = own_phases.get((k, f))
+        if segs is None:
+            segs = _own_phases(f, k, arcs, margin, own_crossings[k])
             if segs:
                 segs = _intersect_intervals(_box_phases(f, event_arcs[k], itertools.repeat(box)), segs)
-            own_phases[k, f] = segs
-        return own_phases[k, f]
+            if segs:
+                own_phases[k, f] = segs
+        return segs
 
     def assign(f_tuple, windows, phases):
         """The first confirmed heights at ``f_tuple`` whose components

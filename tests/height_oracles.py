@@ -6,7 +6,9 @@ per component) directly against conditions (a), (b) and (c) in float64, and
 walks f-tuples in the reference shell order, a filtered Cartesian product.
 The kink sweep (``crossing_phases``) finds condition (a)'s exact phase
 intervals piece by piece between the sawtooth kinks, where the search uses
-closed-form windows.
+closed-form windows.  ``sequential_own_phases`` intersects a component's
+own-crossing windows one by one, with no screen in front, by the same float
+expressions as the search.
 """
 
 import itertools
@@ -125,3 +127,36 @@ def crossing_phases(f: int, k: int, segs, constraints, fixed, margin: float):
 
 def _fixed_height(saw, t: float) -> float:
     return sawtooth(saw.frequency, t, float(saw.phase))
+
+
+def _cyclic_window(center: float, half: float):
+    if half >= 0.5:
+        return [(0.0, 1.0)]
+    a, b = center - half, center + half
+    if a < 0.0:
+        return [(0.0, b), (a + 1.0, 1.0)]
+    if b > 1.0:
+        return [(0.0, b - 1.0), (a, 1.0)]
+    return [(a, b)]
+
+
+def sequential_own_phases(f: int, k: int, constraints, margin: float):
+    """The phases of component k at frequency f under condition (a) of its
+    own crossings, as sorted disjoint intervals: each crossing's window of
+    half-width (1 - margin)/4 around 1/4 - d/2 - f t1 (+ 1/2 when the first
+    passage is under), d = f (t2 - t1) mod 1, intersected in constraint
+    order, or none as soon as 2 min(d, 1 - d) < margin.  ``constraints``
+    holds (constraint, first arc, second arc) with float arcs."""
+    half = (1.0 - margin) / 4.0
+    allowed = [(0.0, 1.0)]
+    for c, t1, t2 in constraints:
+        if c.first_component != k or c.second_component != k:
+            continue
+        d = (f * (t2 - t1)) % 1.0
+        centre = (0.25 - d / 2 - f * t1 + (0.0 if c.first_over else 0.5)) % 1.0
+        if 2.0 * min(d, 1.0 - d) < margin:
+            return []
+        allowed = intersect_intervals(allowed, _cyclic_window(centre, half))
+        if not allowed:
+            return []
+    return allowed

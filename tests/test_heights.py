@@ -36,7 +36,13 @@ from billiardknots.pipeline import RealizationSpec, realize
 from billiardknots.presets import PRESETS
 from billiardknots.stars import ArcTable, Passage, assign_braid_letters, build_star
 
-from height_oracles import accepted_phases, crossing_phases, first_hit, shell_order
+from height_oracles import (
+    accepted_phases,
+    crossing_phases,
+    first_hit,
+    sequential_own_phases,
+    shell_order,
+)
 from obstruction_helpers import height_pattern_feasible, signed_residue
 from reflection_oracle import crossing_heights_match, pointwise_reflection
 
@@ -328,7 +334,7 @@ def test_own_window_is_the_exact_phase_set():
         t1, t2, first_over = rng.random(), rng.random(), rng.random() < 0.5
         con = HeightConstraint(0, 0, t1, 0, t2, first_over)
         exact = crossing_phases(f, 0, [(0.0, 1.0)], [(con, t1, t2)], {}, margin)
-        g, centre = _own_window(f, t1, t2, first_over)
+        g, centre = _own_window(f, t2 - t1, t1, 0.0 if first_over else 0.5)
         half = (1.0 - margin) / 4.0
         if g < margin - tol:
             assert not exact, (f, margin, t1, t2, first_over)
@@ -431,7 +437,69 @@ def test_own_screen_passes_at_the_edges():
         assert _own_phases(1, 0, arcs, margin), pairs
 
 
-# The knots benchmark inputs: (strands, repetitions, signs, perturbation seed)
+def _own_crossings_with_spread(rng, f, margin, offsets):
+    """Crossings on component 0 whose windows at frequency f have g >= margin
+    and centres at a random start plus ``offsets``, in order."""
+    start = rng.random()
+    arcs = []
+    for i, offset in enumerate(offsets):
+        shift = rng.choice((0.0, 0.5))
+        d = rng.uniform(margin / 2, 1 - margin / 2)
+        x = (0.25 - d / 2 + shift - (start + offset)) % 1.0  # f t1 mod 1
+        t1 = (x + rng.randrange(f)) / f
+        t2 = ((x + d + rng.randrange(f)) / f) % 1.0
+        arcs.append((HeightConstraint(i, 0, t1, 0, t2, shift == 0.0), t1, t2))
+    return arcs
+
+
+def test_own_phases_match_the_sequential_intersection(monkeypatch):
+    """``_own_phases`` returns the same floats as intersecting the windows
+    one by one, on random arcs and on windows whose centres spread over
+    2h - 1e-7, 2h - 1e-9, 2h + 1e-9 and 2h + 1e-7 (h the half-width) or
+    less, with crossings of other components mixed in.  At 2h + 1e-7 it
+    builds no window."""
+    built = []
+    monkeypatch.setattr(
+        "billiardknots.heights._cyclic_window", lambda *a: built.append(a) or _cyclic_window(*a)
+    )
+    rng = random.Random(20261023)
+    edges = (-1e-7, -1e-9, 1e-9, 1e-7)
+    nonempty = 0
+    for case in range(2400):
+        f = rng.randint(1, 5000)
+        margin = 10 ** rng.uniform(-6, math.log10(0.05))
+        n = rng.randint(4, 30)
+        kind = case % 6
+        if kind == 5:
+            arcs = []
+            for i in range(n):
+                t1, t2 = rng.random(), rng.random()
+                arcs.append((HeightConstraint(i, 0, t1, 0, t2, rng.random() < 0.5), t1, t2))
+        else:
+            width = 2 * (1.0 - margin) / 4.0
+            width = width + edges[kind] if kind < 4 else rng.uniform(0, width)
+            offsets = [0.0, width] + [rng.uniform(0, width) for _ in range(n - 2)]
+            rng.shuffle(offsets)
+            arcs = _own_crossings_with_spread(rng, f, margin, offsets)
+        for i in range(rng.randint(0, 3)):
+            t1, t2 = rng.random(), rng.random()
+            ends = rng.choice(((0, 1), (1, 1)))
+            foreign = HeightConstraint(n + i, ends[0], t1, ends[1], t2, rng.random() < 0.5)
+            arcs.insert(rng.randint(0, len(arcs)), (foreign, t1, t2))
+        expected = sequential_own_phases(f, 0, arcs, margin)
+        built.clear()
+        assert _own_phases(f, 0, arcs, margin) == expected, (f, margin, arcs)
+        if kind < 4:
+            assert bool(expected) == (edges[kind] < 0), (kind, f, margin)
+            assert bool(built) == (kind < 3), (kind, f, margin)
+        nonempty += bool(expected)
+    assert nonempty >= 1200, nonempty
+
+
+# The knots benchmark inputs, then the (2, 17) knot whose signs are the
+# fifth draw of one random.Random(7) stream, one rng.choice((1, -1)) per
+# sign, after (2, 11), (2, 13), (2, 15) and (3, 8): (strands, repetitions,
+# signs, perturbation seed)
 _KNOTS = {
     "trefoil": (2, 5, ((1,), (1,), (1,), (1,), (-1,)), 42),
     "random-2-11-0": (
@@ -446,6 +514,12 @@ _KNOTS = {
     ),
     "random-3-7-0": (
         3, 7, ((1, -1), (-1, 1), (-1, -1), (1, 1), (-1, 1), (-1, -1), (1, -1)), 968923797
+    ),
+    "random7-2-17": (
+        2, 17,
+        ((1,), (1,), (-1,), (1,), (-1,), (1,), (-1,), (-1,), (1,),
+         (1,), (-1,), (-1,), (-1,), (-1,), (-1,), (1,), (1,)),
+        42,
     ),
 }
 
@@ -463,16 +537,18 @@ _KNOTS = {
         ("random-2-13-0", True, (1903, Fraction(24022, 24739))),
         ("random-3-7-0", False, (583, Fraction(6557, 32648))),
         ("random-3-7-0", True, (583, Fraction(22881, 32648))),
+        ("random7-2-17", False, (26114, Fraction(10749, 161432))),
+        ("random7-2-17", True, (26114, Fraction(91465, 161432))),
     ],
 )
 def test_knot_search_results_are_pinned(name, mirrored, expected):
     """The accepted (f, phi) of single-component inputs with f from 76 to
-    1903, as given and mirrored."""
+    26,114, as given and mirrored, at f_max 60,000."""
     strands, repetitions, signs, seed = _KNOTS[name]
     pattern = QuasitoricPattern(strands, repetitions, signs)
     if mirrored:
         pattern = pad_to_min_repetitions(pattern).mirrored()
-    (saw,) = realize(RealizationSpec(pattern=pattern, seed=seed)).heights
+    (saw,) = realize(RealizationSpec(pattern=pattern, seed=seed, f_max=60_000)).heights
     assert (saw.frequency, saw.phase) == expected
 
 

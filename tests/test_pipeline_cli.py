@@ -1,5 +1,7 @@
+import importlib.util
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -170,6 +172,19 @@ def test_cli_realize_into_a_file_is_exit_3(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("not a directory")
     assert main(["realize", str(spec), "--out", str(taken)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write artifacts: ") and err.count("\n") == 1
+    assert taken.read_text() == "not a directory"
+
+
+def test_run_presets_into_a_file_is_exit_3(tmp_path, capsys):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_presets.py"
+    loader = importlib.util.spec_from_file_location("run_presets", script)
+    run_presets = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(run_presets)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    assert run_presets.main(["--out", str(taken)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("cannot write artifacts: ") and err.count("\n") == 1
     assert taken.read_text() == "not a directory"
