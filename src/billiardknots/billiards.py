@@ -78,9 +78,6 @@ class MirrorRoomReport:
     threshold: object = None
     mirrors: tuple[Mirror, ...] = ()      # the checked mirrors, in flat vertex order
 
-    def __bool__(self) -> bool:
-        return self.passed
-
 
 def polygon_mirrors(poly: PerturbedPolygon, prec_bits: int = 128) -> list[Mirror]:
     mirrors = []
@@ -266,9 +263,6 @@ def build_table(mirrors, prec_bits: int = 128) -> BilliardTable:
 class ReflectionReport:
     passed: bool
     violations: tuple[str, ...]
-
-    def __bool__(self) -> bool:
-        return self.passed
 
 
 def walk_error_bound(vertices, length) -> float:

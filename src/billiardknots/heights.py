@@ -7,7 +7,10 @@ values).  Density of {frac(f t_i + phi)} over Q-independent arcs guarantees
 some (f, phi) realizes any prescribed over/under pattern; here that
 existence argument is replaced by a finite deterministic search over
 exact phase intervals.  ``search_heights`` says in which order frequencies
-(shell order for links) and phases are tried.
+(shell order for links) and phases are tried.  It walks the shells of
+ascending maximum frequency top, computes each component's phase set under
+its own crossings and the box once, at f = top, as the shell opens, and
+walks only the f-tuples whose every component has such phases.
 
 Each condition below is a sawtooth inequality, and with the heights of the
 components fixed earlier it holds for a component's phase on one cyclic
@@ -409,10 +412,12 @@ def search_heights(
     Every accepted candidate is confirmed at the table's precision.
 
     The exact phase sets are intersections of closed-form windows (see
-    the module docstring).  Component k's set under its own crossings and
-    the box is built per (k, f) and kept only when non-empty (an empty
-    one is cheaper to find again), and an f-tuple in which some
-    component has none is skipped.  At a tuple, k's set is that one cut by
+    the module docstring).  The walk goes shell by shell.  When shell top
+    opens, each component k's set under its own crossings and the box is
+    built at f = top, once per (k, f); a non-empty one is kept with k's
+    ``_phase_windows`` at top.  A shell in which no component gained a
+    set is skipped, and otherwise only the tuples over kept frequencies
+    are walked (``_shell``).  At a tuple, k's set is its kept one cut by
     the windows of its crossings with the fixed components 0 .. k-1.  One
     screen skips only phases whose exact set downstream is empty, so the
     result is the same as without it: before component k walks its grid
@@ -421,8 +426,8 @@ def search_heights(
     points inside them are walked.
 
     Raises SearchExhaustedError when f_max is hit, with diagnostics from a
-    second walk over the f-tuples: they describe the f-tuple whose fixed
-    probe phases violate the fewest constraints.
+    second walk over every shell's f-tuples (``_shell``): they describe the
+    f-tuple whose fixed probe phases violate the fewest constraints.
     """
     if not 0 < margin < 0.5:  # NaN fails this too
         raise DomainError(f"margin must lie in (0, 0.5), got {margin}")
@@ -437,27 +442,19 @@ def search_heights(
     arcs = [(c, float(c.first_arc), float(c.second_arc)) for c in constraints]
     n_grid = 4 * max(1, len(constraints))
     own_crossings = [_own_crossings(k, arcs) for k in range(n_comp)]
-    own_phases = {}  # (k, f) -> k's phases under the box and its own crossings, if any
+    # per component, f -> (its phases under the box and its own crossings,
+    # its _phase_windows), for the f so far whose phases are non-empty
+    own = [{} for _ in range(n_comp)]
 
-    def own(k, f):
-        segs = own_phases.get((k, f))
-        if segs is None:
-            segs = _own_phases(f, k, arcs, margin, own_crossings[k])
-            if segs:
-                segs = _intersect_intervals(_box_phases(f, event_arcs[k], itertools.repeat(box)), segs)
-            if segs:
-                own_phases[k, f] = segs
-        return segs
-
-    def assign(f_tuple, windows, phases):
+    def assign(f_tuple, phases):
         """The first confirmed heights at ``f_tuple`` whose components
         0 .. k-1 have the phases ``phases`` (k = len(phases)), or None."""
         k = len(phases)
         f = f_tuple[k]
         n = n_grid * f
-        segs = own(k, f)
+        segs, windows = own[k][f]
         if k:
-            segs = _intersect_intervals(segs, _fixed_phases(f_tuple, windows[k], phases, margin))
+            segs = _intersect_intervals(segs, _fixed_phases(f_tuple, windows, phases, margin))
         if k == n_comp - 1:
             for lo, hi in segs:
                 for phi in _interval_phases(lo, hi, n):
@@ -466,22 +463,29 @@ def search_heights(
                         return heights
             return None
         if segs:
-            reach = _reach_phases(f_tuple, k, windows[k + 1], phases, margin)
+            reach = _reach_phases(f_tuple, k, own[k + 1][f_tuple[k + 1]][1], phases, margin)
             segs = _intersect_intervals(segs, reach)
         for lo, hi in segs:
             for j in range(math.ceil(lo * n), math.ceil(hi * n)):
-                heights = assign(f_tuple, windows, (*phases, Fraction(j, n)))
+                heights = assign(f_tuple, (*phases, Fraction(j, n)))
                 if heights:
                     return heights
         return None
 
-    for f_tuple in _frequency_tuples(n_comp, f_max):
-        if not all(own(k, f) for k, f in enumerate(f_tuple)):
-            continue
-        windows = {k: _phase_windows(f_tuple[k], k, arcs) for k in range(1, n_comp)}
-        found = assign(f_tuple, windows, ())
-        if found:
-            return found
+    for top in range(1, f_max + 1):
+        gained = False
+        for k in range(n_comp):
+            segs = _own_phases(top, k, arcs, margin, own_crossings[k])
+            if segs:
+                segs = _intersect_intervals(_box_phases(top, event_arcs[k], itertools.repeat(box)), segs)
+            if segs:
+                own[k][top] = segs, _phase_windows(top, k, arcs)
+                gained = True
+        if gained:
+            for f_tuple in _shell(own, top):
+                found = assign(f_tuple, ())
+                if found:
+                    return found
     raise SearchExhaustedError(
         f"no sawtooth parameters with f <= {f_max} satisfy all "
         f"{len(constraints)} constraints of {n_comp} components",
@@ -491,18 +495,23 @@ def search_heights(
 
 def _probe_diagnostics(arcs, n_comp: int, f_max: int, n_grid: int, margin: float):
     """The crossings violated at the probe phases 0.5 / (n_grid f) of the
-    first f-tuple, in shell order, that violates the fewest of them."""
+    first f-tuple, in shell order, that violates the fewest of them.  A
+    tuple's count stops once it reaches the fewest so far: only a smaller
+    one replaces them."""
     fewest_bad = None
-    for f_tuple in _frequency_tuples(n_comp, f_max):
-        probe = [(f, 0.5 / (n_grid * f)) for f in f_tuple]
-        bad = []
-        for c, t1, t2 in arcs:
-            (f1, phi1), (f2, phi2) = probe[c.first_component], probe[c.second_component]
-            z1, z2 = _sawtooth(f1, t1, phi1), _sawtooth(f2, t2, phi2)
-            if abs(z1 - z2) < margin or (z1 > z2) != c.first_over:
-                bad.append(c.crossing)
-        if fewest_bad is None or len(bad) < len(fewest_bad):
-            fewest_bad = bad
+    for top in range(1, f_max + 1):
+        for f_tuple in _shell([range(1, top + 1)] * n_comp, top):
+            probe = [(f, 0.5 / (n_grid * f)) for f in f_tuple]
+            bad = []
+            for c, t1, t2 in arcs:
+                (f1, phi1), (f2, phi2) = probe[c.first_component], probe[c.second_component]
+                z1, z2 = _sawtooth(f1, t1, phi1), _sawtooth(f2, t2, phi2)
+                if abs(z1 - z2) < margin or (z1 > z2) != c.first_over:
+                    bad.append(c.crossing)
+                    if fewest_bad is not None and len(bad) == len(fewest_bad):
+                        break
+            if fewest_bad is None or len(bad) < len(fewest_bad):
+                fewest_bad = bad
     return SearchDiagnostics(
         f_max=f_max,
         satisfied=len(arcs) - len(fewest_bad),
@@ -511,29 +520,25 @@ def _probe_diagnostics(arcs, n_comp: int, f_max: int, n_grid: int, margin: float
     )
 
 
-def _shell(d: int, top: int):
-    """The d-tuples over [1, top] with maximum top, in lexicographic order."""
-    if d == 1:
-        yield (top,)
-        return
-    for first in range(1, top):
-        for rest in _shell(d - 1, top):
-            yield (first, *rest)
-    for rest in itertools.product(range(1, top + 1), repeat=d - 1):
-        yield (top, *rest)
+def _shell(choices, top: int):
+    """The tuples with maximum top whose entry k lies in ``choices[k]``, an
+    ascending collection of frequencies up to top, in lexicographic order.
 
-
-def _frequency_tuples(d: int, f_max: int):
-    """All f-tuples in [1, f_max]^d, by ascending maximum, lexicographic
-    within each shell.
-
-    Plain lexicographic order would sweep the last component all the way to
-    f_max before touching the others, which is unusable at the default
-    f_max; shell order reaches every tuple with small maximum first and the
-    accepted solution is still deterministic.
+    Shells of ascending top make up shell order.  Plain lexicographic order
+    would sweep the last component all the way to f_max before touching the
+    others, which is unusable at the default f_max; shell order reaches
+    every tuple with small maximum first and the accepted solution is still
+    deterministic.
     """
-    for top in range(1, f_max + 1):
-        yield from _shell(d, top)
+    first, *rest = choices
+    if not rest:
+        if top in first:
+            yield (top,)
+        return
+    for f in first:
+        tails = itertools.product(*rest) if f == top else _shell(rest, top)
+        for tail in tails:
+            yield (f, *tail)
 
 
 # One letter per event in ``TrajComponent.kinds``, and the event it names.

@@ -314,9 +314,6 @@ class IndependenceResult:
     steps: tuple[int, ...] = ()           # PSLQ iterations, per component searched
     exits: tuple[str, ...] = ()           # PSLQ outcome, per component searched
 
-    def __bool__(self) -> bool:
-        return self.passed
-
 
 def required_precision_bits(tol: float) -> int:
     digits = -mp.log10(mp.mpf(tol))

@@ -20,12 +20,12 @@ from billiardknots.heights import (
     _box_phases,
     _cyclic_window,
     _fixed_phases,
-    _frequency_tuples,
     _intersect_intervals,
     _own_phases,
     _own_window,
     _phase_windows,
     _reach_phases,
+    _shell,
     build_height_constraints,
     emit_trajectory,
     evaluate_sawtooth,
@@ -40,6 +40,7 @@ from height_oracles import (
     accepted_phases,
     crossing_phases,
     first_hit,
+    probe_violations,
     sequential_own_phases,
     shell_order,
 )
@@ -277,7 +278,8 @@ def test_reach_phases_hold_every_point_with_exact_phases(n_components, f_max):
         table, cons = _random_arc_table(rng, n_components, rng.randint(3, 8 - n_components))
         arcs = [(c, float(c.first_arc), float(c.second_arc)) for c in cons]
         n_grid = 4 * len(cons)
-        for f_tuple in _frequency_tuples(n_components, f_max):
+        shells = (_shell([range(1, top + 1)] * n_components, top) for top in range(1, f_max + 1))
+        for f_tuple in itertools.chain.from_iterable(shells):
             for k in range(1, n_components):
                 f = f_tuple[k]
                 event_arcs = [float(t) for t in table.vertex_arcs[k]]
@@ -604,8 +606,63 @@ def test_joint_search_results_are_pinned(name, expected):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_frequency_tuples_follow_shell_order(d):
-    assert list(_frequency_tuples(d, 9)) == list(shell_order(d, 9))
+def test_shell_is_shell_order_over_the_choice_sets(d):
+    """``_shell`` over ascending choice sets, some empty and some without
+    top, walks the shell of ``shell_order`` filtered to those sets."""
+    rng = random.Random(20261024 + d)
+    empty = without_top = 0
+    for top in range(1, 8):
+        full = [f_tuple for f_tuple in shell_order(d, top) if max(f_tuple) == top]
+        assert list(_shell([range(1, top + 1)] * d, top)) == full
+        for _ in range(30):
+            choices = [sorted(rng.sample(range(1, top + 1), rng.randint(0, top))) for _ in range(d)]
+            expected = [t for t in full if all(f in fs for f, fs in zip(t, choices))]
+            assert list(_shell(choices, top)) == expected, (top, choices)
+            empty += sum(not fs for fs in choices)
+            without_top += sum(top not in fs for fs in choices)
+    assert empty >= 10 and without_top >= 50, (empty, without_top)
+
+
+@pytest.mark.parametrize("name", ["trefoil", "hopf", "star-9-3"])
+def test_search_builds_each_own_phase_set_once(monkeypatch, name):
+    """``_own_phases`` runs once per (f, component), for every f up to the
+    largest frequency of the accepted tuple."""
+    calls = []
+
+    def recorded(f, k, *args):
+        calls.append((f, k))
+        return _own_phases(f, k, *args)
+
+    monkeypatch.setattr("billiardknots.heights._own_phases", recorded)
+    result = realize(RealizationSpec(pattern=PRESETS[name], preset=name))
+    assert len(set(calls)) == len(calls)
+    assert len(calls) == len(result.heights) * max(h.frequency for h in result.heights)
+
+
+@pytest.mark.parametrize("n_components", [1, 2, 3])
+def test_probe_diagnostics_match_the_full_count(n_components):
+    """On unsatisfiable tables (a crossing and its reverse on the same two
+    passages) the exhaustion diagnostics name the first f-tuple in shell
+    order whose probe phases violate the fewest crossings, as counted in
+    full by the oracle, and ties for the fewest occur."""
+    margin = 0.05
+    rng = random.Random(20261025 + n_components)
+    tied = 0
+    for _ in range(6):
+        table, cons = _random_arc_table(rng, n_components, rng.randint(2, 6))
+        flipped = rng.choice(cons)
+        cons += (replace(flipped, crossing=len(cons), first_over=not flipped.first_over),)
+        f_max = rng.randint(9 - 2 * n_components, 8)
+        arcs = [(c, float(c.first_arc), float(c.second_arc)) for c in cons]
+        counts = list(probe_violations(arcs, n_components, f_max, margin))
+        fewest = min(counts, key=len)
+        tied += sum(len(bad) == len(fewest) for bad in counts) > 1
+        with pytest.raises(SearchExhaustedError) as err:
+            search_heights(cons, table, f_max=f_max, margin=margin)
+        assert err.value.diagnostics == SearchDiagnostics(
+            f_max=f_max, satisfied=len(cons) - len(fewest), total=len(cons), unsatisfied=tuple(fewest)
+        )
+    assert tied >= 3, tied
 
 
 def test_emit_frequency_one_has_two_bounces():

@@ -239,11 +239,13 @@ def test_float64_precision_realizes_every_preset(tmp_path, name):
     assert result.independence.exits  # no PrecisionError below 160 bits
 
 
-def test_cli_search_exhaustion_exit_code(tmp_path):
+def test_cli_search_exhaustion_exit_code(tmp_path, capsys):
     # margin 0.45 forces crossing heights into a band thinner than their
     # required separation: unsatisfiable, so the search must exhaust
     spec = _write_spec(tmp_path, {"preset": "torus-2-5", "seed": 42, "margin": 0.45, "f_max": 3})
     assert main(["realize", str(spec), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "best attempt satisfied 1/5 constraints; unsatisfied crossings: [0, 1, 2, 4]" in err
 
 
 def test_realize_halves_delta_after_a_failed_mirror_room_check(tmp_path, monkeypatch):
