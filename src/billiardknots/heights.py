@@ -82,9 +82,15 @@ def evaluate_sawtooth(s: SawtoothHeight, t):
         fy = y - (y.numerator // y.denominator)
         return abs(2 * fy - 1)
     if isinstance(t, mp.mpf):
-        y = s.frequency * t + to_mpf(s.phase)
-        return abs(2 * (y - mp.floor(y)) - 1)
+        return _mpf_sawtooth(s.frequency, t, to_mpf(s.phase))
     return _sawtooth(s.frequency, float(t), float(s.phase))
+
+
+def _mpf_sawtooth(f: int, t, phi):
+    """z(t) for an mpf arc t, with phi already an mpf at the working
+    precision: a caller evaluating many arcs converts its phase once."""
+    y = f * t + phi
+    return abs(2 * (y - mp.floor(y)) - 1)
 
 
 @dataclass(frozen=True)
@@ -375,18 +381,20 @@ def _confirm(heights: tuple[SawtoothHeight, ...], constraints, table: ArcTable, 
     """Re-evaluate a float-screened candidate at the table's precision."""
     with mp.workprec(table.prec_bits):
         m = mp.mpf(margin)
+        phis = [to_mpf(saw.phase) for saw in heights]
         for c in constraints:
-            z1 = evaluate_sawtooth(heights[c.first_component], c.first_arc)
-            z2 = evaluate_sawtooth(heights[c.second_component], c.second_arc)
+            k1, k2 = c.first_component, c.second_component
+            z1 = _mpf_sawtooth(heights[k1].frequency, c.first_arc, phis[k1])
+            z2 = _mpf_sawtooth(heights[k2].frequency, c.second_arc, phis[k2])
             if abs(z1 - z2) < m or (z1 > z2) != c.first_over:
                 return False
-        for comp, saw in enumerate(heights):
+        for comp, (saw, phi) in enumerate(zip(heights, phis)):
             for t in table.vertex_arcs[comp]:
-                z = evaluate_sawtooth(saw, t)
+                z = _mpf_sawtooth(saw.frequency, t, phi)
                 if z < m or z > 1 - m:
                     return False
             for ps in table.passages[comp]:
-                z = evaluate_sawtooth(saw, ps.arc)
+                z = _mpf_sawtooth(saw.frequency, ps.arc, phi)
                 if z < m or z > 1 - m:
                     return False
     return True
@@ -600,10 +608,12 @@ EVENT_GAP = 2.0 ** -48
 
 
 def _float_heights(saw: SawtoothHeight, arcs) -> list[float]:
-    """z at each arc, at the working precision plus the bits of f, rounded
+    """z at each mpf arc, at the working precision plus the bits of f, rounded
     once to float: the error of f t then stays below 2^-53 whatever f is."""
-    with mp.workprec(mp.mp.prec + saw.frequency.bit_length()):
-        return [float(evaluate_sawtooth(saw, t)) for t in arcs]
+    f = saw.frequency
+    with mp.workprec(mp.mp.prec + f.bit_length()):
+        phi = to_mpf(saw.phase)
+        return [float(_mpf_sawtooth(f, t, phi)) for t in arcs]
 
 
 def component_events(vertices, vertex_arcs, first_mirror: int, saw: SawtoothHeight) -> TrajComponent:

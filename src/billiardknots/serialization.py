@@ -5,18 +5,25 @@ strings to keep exactness across the boundary, and high-precision reals as
 decimal strings.  ``trajectory.json`` stores each component as columns:
 a ``kinds`` string with one letter per event (``w`` wall, ``f`` floor,
 ``c`` ceiling), a ``mirrors`` array with the mirror of each wall event,
-and JSON-number arrays ``arc``, ``x``, ``y`` and ``z``, one value per event;
-the crossing heights are JSON numbers too.  json's C encoder writes each
-float as ``float.__repr__``, its shortest round-trip decimal, and its C
-decoder reads it back bit for bit.  The prism additionally ships as an OBJ
-mesh and the diagram as an SVG with under-strand gaps, in the style of
-star-polygon projection figures.
+and the float columns ``arc``, ``x``, ``y`` and ``z``, one value per event,
+each a base64 string of little-endian float64 (8 bytes per event).  The
+bytes are the floats themselves, so every value reads back bit for bit,
+and no float is turned into decimal text and back.  The crossing heights,
+two per crossing, stay JSON numbers: json's C encoder writes each as
+``float.__repr__``, its shortest round-trip decimal, and its C decoder
+reads it back bit for bit.  This module is the only one that encodes or
+decodes the columns.  The prism additionally ships as an OBJ mesh and the
+diagram as an SVG with under-strand gaps, in the style of star-polygon
+projection figures.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
+import sys
+from array import array
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,7 +35,9 @@ from .errors import DomainError, SpecFileError
 from .heights import KIND_NAMES, WALL, CrossingHeight, SawtoothHeight, SpatialTrajectory, TrajComponent
 from .invariants import certify, jones_string
 from .perturbation import PerturbedPolygon, arc_length_table, layout_from_lines
-from .pipeline import REFLECTION_TOL, RealizationResult, RealizationSpec, Verdict, json_int, verdict
+from .pipeline import (
+    REFLECTION_TOL, RealizationResult, RealizationSpec, Verdict, json_int, json_real, verdict,
+)
 from .stars import assign_braid_letters, build_star, star_diagram_json
 
 MPF_DIGITS = 40
@@ -50,23 +59,48 @@ def _num(x) -> str:
     return mp.nstr(mp.mpf(x), MPF_DIGITS)
 
 
-def _float_column(values) -> list[float]:
-    """A stored column as a list of floats.  Every element must be a JSON
-    number: a bool, string or null is malformed, since ``float()`` would
-    convert it and a bad value would pass.  So is a literal such as 1e999
-    that overflows to inf (``_load_json`` already rejects NaN and Infinity
-    tokens)."""
-    if type(values) is not list:
-        raise ValueError(f"expected an array of numbers, got {type(values).__name__}")
-    types = set(map(type, values))
-    if not types <= {float, int}:
-        names = ", ".join(sorted(t.__name__ for t in types - {float, int}))
-        raise ValueError(f"expected numbers, got {names}")
-    if int in types:
-        values = [float(v) for v in values]  # OverflowError past the float range
-    if values and not math.isfinite(max(map(abs, values))):
+# a float column's bytes are little-endian float64; array('d') holds the host's order
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _finite(values: list[float]) -> list[float]:
+    """``values``, unless one of them is NaN or infinite (one C-level pass
+    over all of them)."""
+    if not all(map(math.isfinite, values)):
         raise ValueError("non-finite value")
     return values
+
+
+def _encode_column(values) -> str:
+    """A float column as base64 of little-endian float64."""
+    packed = array("d", values)
+    if _BIG_ENDIAN:
+        packed.byteswap()
+    return base64.b64encode(packed).decode("ascii")
+
+
+def _decode_column(name: str, text, events: int) -> list[float]:
+    """A stored float column of ``events`` values.  It must be a base64
+    string of exactly 8 bytes per event, and every value finite; a JSON
+    array of numbers (the previous layout) is malformed."""
+    if type(text) is not str:
+        raise ValueError(
+            f"column {name!r} must be a base64 string of float64, got {type(text).__name__}"
+        )
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a character past ASCII
+        raise ValueError(f"column {name!r} is not base64: {exc}") from exc
+    if len(raw) != 8 * events:
+        raise ValueError(f"column {name!r} holds {len(raw)} bytes, expected 8 x {events} events")
+    values = array("d")
+    values.frombytes(raw)
+    if _BIG_ENDIAN:
+        values.byteswap()
+    try:
+        return _finite(values.tolist())
+    except ValueError as exc:
+        raise ValueError(f"column {name!r}: {exc}") from exc
 
 
 def _reject_constant(name: str):
@@ -98,7 +132,8 @@ def _load_json(path: Path) -> dict:
 
 
 def trajectory_json(result: RealizationResult) -> dict:
-    """The trajectory's columns as they are in memory, no copy per value."""
+    """The trajectory as stored: each float column packed into one base64
+    string, the rest as it is in memory."""
     return {
         "components": [
             {
@@ -106,10 +141,7 @@ def trajectory_json(result: RealizationResult) -> dict:
                 "phase": _frac_str(comp.sawtooth.phase),
                 "kinds": comp.kinds,
                 "mirrors": comp.mirrors,
-                "arc": comp.arc,
-                "x": comp.x,
-                "y": comp.y,
-                "z": comp.z,
+                **{name: _encode_column(getattr(comp, name)) for name in COLUMNS},
             }
             for comp in result.trajectory.components
         ],
@@ -294,14 +326,18 @@ def verify_artifacts(report_path) -> Verdict:
     sawtooths fix; it reads only their polygon and its arc table, so no
     floor polygon is built (``table.json`` is for viewers, not re-read).
     All three checks run on every report; one that fails the mirror-room
-    check fails on it first.  The trajectory's ``kinds`` string,
-    ``mirrors`` array and JSON-number columns are read back as they were
-    written, every float bit for bit, and their shape is checked here: one
-    component per polygon component, columns as long as ``kinds``, one
-    mirror per wall event, each an existing mirror, and one height pair per
-    crossing.  A missing column (as in a file of the earlier
-    point-and-event layout), an element that is not a finite JSON number,
-    or an unknown kind letter is a parse error."""
+    check fails on it first.  The trajectory's ``kinds`` string and
+    ``mirrors`` array are read as JSON, each float column is decoded from
+    its base64 string of little-endian float64 and every crossing height
+    from its JSON number, every float bit for bit as it was written, and
+    their shape is checked here: one component per polygon component, each
+    column exactly 8 bytes per letter of ``kinds``, one mirror per wall
+    event, each an existing mirror, and one height pair per crossing.  A
+    missing column (as in a file of the earlier point-and-event layout), a
+    column that is not a base64 string (as in the previous layout of JSON
+    numbers, named by its column), a payload of the wrong length, a NaN or
+    infinite value in a column or a crossing height, a crossing height that
+    is not a JSON number, or an unknown kind letter is a parse error."""
     report_path = Path(report_path)
     report = _load_json(report_path)
     try:
@@ -349,11 +385,7 @@ def verify_artifacts(report_path) -> Verdict:
             kinds, mirrors = comp["kinds"], comp["mirrors"]
             if type(kinds) is not str or not set(kinds) <= KIND_NAMES.keys():
                 raise ValueError(f"kinds must be a string of the letters {''.join(KIND_NAMES)}")
-            columns = [_float_column(comp[name]) for name in COLUMNS]
-            if any(len(column) != len(kinds) for column in columns):
-                raise ValueError(
-                    f"columns of {[len(column) for column in columns]} values for {len(kinds)} events"
-                )
+            columns = [_decode_column(name, comp[name], len(kinds)) for name in COLUMNS]
             if type(mirrors) is not list or len(mirrors) != kinds.count(WALL):
                 raise ValueError("mirrors must list one mirror per wall event")
             for m in mirrors:
@@ -361,7 +393,9 @@ def verify_artifacts(report_path) -> Verdict:
                     raise ValueError(f"wall event at mirror {m!r}, not in {mirror_ids}")
             components.append(TrajComponent(saw, kinds, mirrors, *columns))
         crossing_heights = tuple(
-            CrossingHeight(json_int(ch["crossing"]), *_float_column([ch["z_a"], ch["z_b"]]))
+            CrossingHeight(
+                json_int(ch["crossing"]), *_finite([json_real(ch["z_a"]), json_real(ch["z_b"])])
+            )
             for ch in traj_data["crossing_heights"]
         )
         if len(components) != len(poly.components):

@@ -29,6 +29,7 @@ from event_oracle import float_component_events, mpf_component_events
 from reflection_oracle import pointwise_reflection
 from test_sweep import F_MAX as SWEEP_F_MAX
 from test_sweep import sweep_slice
+from trajectory_columns import edit_column
 
 
 def _random_2_11() -> QuasitoricPattern:
@@ -137,7 +138,7 @@ def test_coincident_stored_phase_is_a_verification_failure(tmp_path, capsys):
     traj_path = out / "trajectory.json"
     data = json.loads(traj_path.read_text())
     data["components"][0]["phase"] = "0/1"
-    data["components"][0]["z"][0] = 1.0  # the wall at arc 0, where z(0) = 1
+    edit_column(data, "z", lambda z: z.__setitem__(0, 1.0))  # the wall at arc 0, where z(0) = 1
     traj_path.write_text(json.dumps(data))
     capsys.readouterr()
     assert main(["verify", str(out / "report.json")]) == 4

@@ -1,5 +1,8 @@
+import base64
+import functools
 import importlib.util
 import json
+import struct
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,8 +18,10 @@ from billiardknots.invariants import pattern_jones
 from billiardknots.perturbation import IndependenceResult
 from billiardknots.pipeline import RealizationSpec, realize
 from billiardknots.presets import PRESETS, preset_listing
-from billiardknots.serialization import verify_artifacts, write_artifacts
+from billiardknots.serialization import _finite, verify_artifacts, write_artifacts
 from billiardknots.stars import build_star, star_diagram_json
+
+from trajectory_columns import COLUMNS, decode_column, edit_column
 
 
 def test_spec_validation_errors():
@@ -315,7 +320,7 @@ def test_cli_verify_detects_corruption(tmp_path, capsys):
     assert main(["realize", str(spec), "--out", str(out), "--canonical"]) == 0
     traj_path = out / "trajectory.json"
     data = json.loads(traj_path.read_text())
-    data["components"][0]["z"][0] = 0.77777
+    edit_column(data, "z", _put(0, 0.77777))
     traj_path.write_text(json.dumps(data))
     capsys.readouterr()
     assert main(["verify", str(out / "report.json")]) == 4
@@ -379,11 +384,12 @@ def _old_layout(data):
     names = {"w": "wall", "f": "floor", "c": "ceiling"}
     for comp in data["components"]:
         walls = iter(comp.pop("mirrors"))
+        arc, x, y, z = (decode_column(comp.pop(column)) for column in COLUMNS)
         comp["events"] = [
             {"kind": names[k], "arc": repr(t), "mirror": next(walls) if k == "w" else None}
-            for k, t in zip(comp.pop("kinds"), comp.pop("arc"))
+            for k, t in zip(comp.pop("kinds"), arc)
         ]
-        comp["points"] = [[repr(c) for c in p] for p in zip(comp.pop("x"), comp.pop("y"), comp.pop("z"))]
+        comp["points"] = [[repr(c) for c in p] for p in zip(x, y, z)]
     for ch in data["crossing_heights"]:
         ch.update(z_a=repr(ch["z_a"]), z_b=repr(ch["z_b"]))
 
@@ -392,13 +398,31 @@ def _set(column, index, value):
     return lambda d: d["components"][0][column].__setitem__(index, value)
 
 
+def _put(index, value):
+    return lambda values: values.__setitem__(index, value)
+
+
+def _set_float(column, index, value):
+    """Component 0's stored ``column`` with one value replaced."""
+    return lambda d: edit_column(d, column, _put(index, value))
+
+
+def _swap_in_non_base64(d):
+    text = d["components"][0]["x"]
+    d["components"][0]["x"] = text[:8] + "*" + text[9:]
+
+
 TRAJECTORY_CORRUPTIONS = {
     "extra-event": lambda d: d["components"][0].update(kinds=d["components"][0]["kinds"] + "f"),
-    "dropped-point": lambda d: d["components"][0]["z"].pop(),
-    "unequal-columns": lambda d: d["components"][0]["arc"].append(0.5),
+    "dropped-point": lambda d: edit_column(d, "z", list.pop),  # a payload 8 bytes short
+    "unequal-columns": lambda d: edit_column(d, "arc", lambda values: values.append(0.5)),
     "unknown-kind": lambda d: d["components"][0].update(kinds=d["components"][0]["kinds"][:-1] + "q"),
     "kinds-not-a-string": lambda d: d["components"][0].update(kinds=list(d["components"][0]["kinds"])),
     "column-not-an-array": lambda d: d["components"][0].update(x=0.5),
+    "bool-column": lambda d: d["components"][0].update(z=True),
+    "number-array-column": lambda d: d["components"][0].update(x=decode_column(d["components"][0]["x"])),
+    "non-base64-character": _swap_in_non_base64,
+    "one-byte-payload": lambda d: d["components"][0].update(y="AA=="),
     "mirror-999": _set("mirrors", 0, 999),
     "mirror-null": _set("mirrors", 0, None),
     "mirror-negative": _set("mirrors", 0, -1),
@@ -407,12 +431,10 @@ TRAJECTORY_CORRUPTIONS = {
     "dropped-mirror": lambda d: d["components"][0]["mirrors"].pop(),
     "missing-crossing-height": lambda d: d["crossing_heights"].pop(),
     "dropped-component": lambda d: d["components"].pop(),
-    "nan-point": _set("z", 3, float("nan")),
-    "inf-arc": _set("arc", 5, float("inf")),
-    "bool-point": _set("z", 0, True),
-    "string-point": _set("x", 1, "0.5"),
-    "null-point": _set("y", 2, None),
-    "integer-past-float-range": _set("x", 1, 10**400),
+    "nan-point": _set_float("z", 3, float("nan")),
+    "inf-arc": _set_float("arc", 5, float("inf")),
+    "nan-last-event": _set_float("y", -1, float("nan")),
+    "minus-inf-last-event": _set_float("x", -1, float("-inf")),
     "nan-crossing-height": lambda d: d["crossing_heights"][0].update(z_a=float("nan")),
     "string-crossing-height": lambda d: d["crossing_heights"][0].update(z_a="0.5"),
     "frequency-float": lambda d: d["components"][0].update(
@@ -474,17 +496,19 @@ def test_verify_artifacts_reports_checks(tmp_path, trefoil_result):
     ]
 
 
-def test_integer_literals_read_as_floats(tmp_path, trefoil_result):
-    """A JSON integer is a JSON number: a ceiling written as 1 and a wall
-    arc written as 0 read as 1.0 and 0.0."""
+def test_integer_literals_read_as_floats(tmp_path, trefoil_result, capsys):
+    """A JSON integer is a JSON number: a crossing height written as 1
+    reads as 1.0, so verify compares it with the sawtooth (exit 4) instead
+    of rejecting the file."""
     files = write_artifacts(trefoil_result, tmp_path, canonical=True)
     data = json.loads(files["trajectory"].read_text())
-    comp = data["components"][0]
-    ceiling = comp["kinds"].index("c")
-    assert (comp["z"][ceiling], comp["arc"][0]) == (1.0, 0.0)
-    comp["z"][ceiling], comp["arc"][0] = 1, 0
+    ch = data["crossing_heights"][0]
+    ch["z_a"] = 1
     files["trajectory"].write_text(json.dumps(data))
-    assert verify_artifacts(files["report"]).passed
+    assert '"z_a": 1,' in files["trajectory"].read_text()
+    capsys.readouterr()
+    assert main(["verify", str(files["report"])]) == 4
+    assert f"crossing {ch['crossing']}: passage heights off the sawtooth" in capsys.readouterr().out
 
 
 def test_old_layout_is_a_parse_error_naming_the_missing_column(tmp_path, trefoil_result, capsys):
@@ -497,55 +521,105 @@ def test_old_layout_is_a_parse_error_naming_the_missing_column(tmp_path, trefoil
     assert "malformed trajectory file: missing 'kinds'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("column", ["arc", "x", "y", "z"])
+def test_previous_layout_is_a_parse_error_naming_the_column(tmp_path, trefoil_result, capsys):
+    """A file whose float columns are JSON-number arrays, as every file was
+    before the columns were stored as float64 bytes, is not read."""
+    files = write_artifacts(trefoil_result, tmp_path, canonical=True)
+    data = json.loads(files["trajectory"].read_text())
+    for comp in data["components"]:
+        comp.update({column: decode_column(comp[column]) for column in COLUMNS})
+    files["trajectory"].write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(files["report"])]) == 3
+    assert "column 'arc' must be a base64 string of float64, got list" in capsys.readouterr().err
+
+
+def test_finite_check_reads_every_value():
+    """A NaN or an infinity after the first value is found: ``max`` of a
+    list that holds a NaN can be a finite number."""
+    assert _finite([0.5, 1.0]) == [0.5, 1.0]
+    for bad in (float("nan"), float("-inf"), float("inf")):
+        with pytest.raises(ValueError, match="non-finite value"):
+            _finite([0.5, 1.0, bad])
+
+
+@pytest.mark.parametrize("column", ["arc", "x", "y", "z", "z_a", "z_b"])
 @pytest.mark.parametrize("literal", ["1e999", "-1e999"])
 def test_overflowing_literal_is_a_parse_error(tmp_path, trefoil_result, capsys, column, literal):
     """A decimal past the float range reads as inf, which would pass a
-    tolerance comparison no more than NaN; it is malformed."""
+    tolerance comparison no more than NaN; it is malformed.  A crossing
+    height is a JSON number, so the literal itself is written there; a
+    float column holds float64 bytes, so its last event gets the infinity
+    the literal reads as."""
     files = write_artifacts(trefoil_result, tmp_path, canonical=True)
     data = json.loads(files["trajectory"].read_text())
-    data["components"][0][column][2] = 123456.75  # a value no column holds
-    text = json.dumps(data)
-    assert text.count("123456.75") == 1
-    files["trajectory"].write_text(text.replace("123456.75", literal))
+    if column in COLUMNS:
+        edit_column(data, column, _put(-1, float(literal)))
+        text = json.dumps(data)
+    else:
+        data["crossing_heights"][0][column] = 123456.75  # a value no height holds
+        text = json.dumps(data)
+        assert text.count("123456.75") == 1
+        text = text.replace("123456.75", literal)
+    files["trajectory"].write_text(text)
     capsys.readouterr()
     assert main(["verify", str(files["report"])]) == 3
     assert "non-finite value" in capsys.readouterr().err
 
 
+@functools.lru_cache(maxsize=None)
+def _realized_preset(name):
+    return realize(RealizationSpec(pattern=PRESETS[name], preset=name))
+
+
 def test_stored_decimals_parse_as_mpf_does_at_53_bits(tmp_path):
-    """For every preset, each stored column holds the floats realize
-    computed, bit for bit, and the kinds and mirrors it walked.  Every
-    stored decimal is the shortest repr of its float, so at any working
-    precision it is also what ``mp.mpf`` gives for the decimal at mpmath's
-    default 53 bits."""
+    """For every preset, each stored column decodes to the floats realize
+    computed, bit for bit, and the kinds and mirrors it walked.  The
+    crossing heights are stored as decimals: each is the shortest repr of
+    its float, so at any working precision it is also what ``mp.mpf``
+    gives for the decimal at mpmath's default 53 bits."""
     total = 0
     for name in sorted(PRESETS):
-        result = realize(RealizationSpec(pattern=PRESETS[name], preset=name))
+        result = _realized_preset(name)
         files = write_artifacts(result, tmp_path / name, canonical=True)
         text = files["trajectory"].read_text()
         data, decimals = json.loads(text), json.loads(text, parse_float=str)
         traj = result.trajectory
-        stored = [ch[side] for ch in data["crossing_heights"] for side in ("z_a", "z_b")]
+        heights = [ch[side] for ch in data["crossing_heights"] for side in ("z_a", "z_b")]
         strings = [ch[side] for ch in decimals["crossing_heights"] for side in ("z_a", "z_b")]
         values = [z for ch in traj.crossing_heights for z in (ch.z_a, ch.z_b)]
-        for comp, comp_decimals, walked in zip(data["components"], decimals["components"], traj.components):
-            assert (comp["kinds"], comp["mirrors"]) == (walked.kinds, walked.mirrors)
-            for column in ("arc", "x", "y", "z"):
-                stored += comp[column]
-                strings += comp_decimals[column]
-                values += getattr(walked, column)
-        assert len(stored) == len(strings) == len(values)
-        assert all(type(v) is float for v in stored + values)
-        assert [v.hex() for v in stored] == [v.hex() for v in values]
-        assert [repr(v) for v in stored] == strings
+        assert all(type(v) is float for v in heights + values)
+        assert [v.hex() for v in heights] == [v.hex() for v in values]
+        assert [repr(v) for v in heights] == strings
         with mp.workprec(53):
             expected = [mp.mpf(s)._mpf_ for s in strings]
         for prec in (53, 192):
             with mp.workprec(prec):
-                assert [mp.mpf(v)._mpf_ for v in stored] == expected
+                assert [mp.mpf(v)._mpf_ for v in heights] == expected
         total += len(values)
+        for comp, walked in zip(data["components"], traj.components):
+            assert (comp["kinds"], comp["mirrors"]) == (walked.kinds, walked.mirrors)
+            for column in COLUMNS:
+                stored = decode_column(comp[column])
+                assert [v.hex() for v in stored] == [v.hex() for v in getattr(walked, column)]
+                total += len(stored)
     assert total > 10_000
+
+
+def test_stored_columns_are_little_endian_float64(tmp_path):
+    """Byte-order pin: on every preset, each stored column is 8 bytes of
+    little-endian float64 per event, read here with ``struct`` (not the
+    host-order ``array`` the writer packs with)."""
+    for name in sorted(PRESETS):
+        result = _realized_preset(name)
+        files = write_artifacts(result, tmp_path / name, canonical=True)
+        data = json.loads(files["trajectory"].read_text())
+        for comp, walked in zip(data["components"], result.trajectory.components):
+            n = len(comp["kinds"])
+            for column in COLUMNS:
+                raw = base64.b64decode(comp[column], validate=True)
+                stored = struct.unpack("<%dd" % n, raw)
+                assert [v.hex() for v in stored] == [v.hex() for v in getattr(walked, column)]
 
 
 def test_verify_rejects_a_report_whose_spec_names_another_pattern(tmp_path, trefoil_result, capsys):
