@@ -63,11 +63,11 @@ def _num(x) -> str:
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
-def _finite(values: list[float]) -> list[float]:
+def _finite(values: list[float], where: str) -> list[float]:
     """``values``, unless one of them is NaN or infinite (one C-level pass
     over all of them)."""
     if not all(map(math.isfinite, values)):
-        raise ValueError("non-finite value")
+        raise ValueError(f"non-finite value in {where}")
     return values
 
 
@@ -97,10 +97,7 @@ def _decode_column(name: str, text, events: int) -> list[float]:
     values.frombytes(raw)
     if _BIG_ENDIAN:
         values.byteswap()
-    try:
-        return _finite(values.tolist())
-    except ValueError as exc:
-        raise ValueError(f"column {name!r}: {exc}") from exc
+    return _finite(values.tolist(), f"column {name!r}")
 
 
 def _reject_constant(name: str):
@@ -394,7 +391,8 @@ def verify_artifacts(report_path) -> Verdict:
             components.append(TrajComponent(saw, kinds, mirrors, *columns))
         crossing_heights = tuple(
             CrossingHeight(
-                json_int(ch["crossing"]), *_finite([json_real(ch["z_a"]), json_real(ch["z_b"])])
+                json_int(ch["crossing"]),
+                *_finite([json_real(ch["z_a"]), json_real(ch["z_b"])], "a crossing height"),
             )
             for ch in traj_data["crossing_heights"]
         )

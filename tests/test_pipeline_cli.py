@@ -537,10 +537,10 @@ def test_previous_layout_is_a_parse_error_naming_the_column(tmp_path, trefoil_re
 def test_finite_check_reads_every_value():
     """A NaN or an infinity after the first value is found: ``max`` of a
     list that holds a NaN can be a finite number."""
-    assert _finite([0.5, 1.0]) == [0.5, 1.0]
+    assert _finite([0.5, 1.0], "a column") == [0.5, 1.0]
     for bad in (float("nan"), float("-inf"), float("inf")):
-        with pytest.raises(ValueError, match="non-finite value"):
-            _finite([0.5, 1.0, bad])
+        with pytest.raises(ValueError, match="non-finite value in a column"):
+            _finite([0.5, 1.0, bad], "a column")
 
 
 @pytest.mark.parametrize("column", ["arc", "x", "y", "z", "z_a", "z_b"])
@@ -573,43 +573,39 @@ def _realized_preset(name):
 
 
 def test_stored_decimals_parse_as_mpf_does_at_53_bits(tmp_path):
-    """For every preset, each stored column decodes to the floats realize
-    computed, bit for bit, and the kinds and mirrors it walked.  The
-    crossing heights are stored as decimals: each is the shortest repr of
-    its float, so at any working precision it is also what ``mp.mpf``
-    gives for the decimal at mpmath's default 53 bits."""
-    total = 0
+    """For every preset, the stored kinds and mirrors are the ones realize
+    walked, and the crossing heights, stored as decimals, are its floats
+    bit for bit.  Each is the shortest repr of its float, so at any working
+    precision it is also what ``mp.mpf`` gives for the decimal at mpmath's
+    default 53 bits.  (The float columns are bytes, pinned below.)"""
     for name in sorted(PRESETS):
         result = _realized_preset(name)
         files = write_artifacts(result, tmp_path / name, canonical=True)
         text = files["trajectory"].read_text()
         data, decimals = json.loads(text), json.loads(text, parse_float=str)
         traj = result.trajectory
-        heights = [ch[side] for ch in data["crossing_heights"] for side in ("z_a", "z_b")]
+        for comp, walked in zip(data["components"], traj.components):
+            assert (comp["kinds"], comp["mirrors"]) == (walked.kinds, walked.mirrors)
+        stored = [ch[side] for ch in data["crossing_heights"] for side in ("z_a", "z_b")]
         strings = [ch[side] for ch in decimals["crossing_heights"] for side in ("z_a", "z_b")]
         values = [z for ch in traj.crossing_heights for z in (ch.z_a, ch.z_b)]
-        assert all(type(v) is float for v in heights + values)
-        assert [v.hex() for v in heights] == [v.hex() for v in values]
-        assert [repr(v) for v in heights] == strings
+        assert len(stored) == len(strings) == len(values) == 2 * len(result.star.crossings)
+        assert all(type(v) is float for v in stored + values)
+        assert [v.hex() for v in stored] == [v.hex() for v in values]
+        assert [repr(v) for v in stored] == strings
         with mp.workprec(53):
             expected = [mp.mpf(s)._mpf_ for s in strings]
         for prec in (53, 192):
             with mp.workprec(prec):
-                assert [mp.mpf(v)._mpf_ for v in heights] == expected
-        total += len(values)
-        for comp, walked in zip(data["components"], traj.components):
-            assert (comp["kinds"], comp["mirrors"]) == (walked.kinds, walked.mirrors)
-            for column in COLUMNS:
-                stored = decode_column(comp[column])
-                assert [v.hex() for v in stored] == [v.hex() for v in getattr(walked, column)]
-                total += len(stored)
-    assert total > 10_000
+                assert [mp.mpf(v)._mpf_ for v in stored] == expected
 
 
 def test_stored_columns_are_little_endian_float64(tmp_path):
     """Byte-order pin: on every preset, each stored column is 8 bytes of
     little-endian float64 per event, read here with ``struct`` (not the
-    host-order ``array`` the writer packs with)."""
+    host-order ``array`` the writer packs with), and holds the floats
+    realize computed, bit for bit."""
+    total = 0
     for name in sorted(PRESETS):
         result = _realized_preset(name)
         files = write_artifacts(result, tmp_path / name, canonical=True)
@@ -620,6 +616,8 @@ def test_stored_columns_are_little_endian_float64(tmp_path):
                 raw = base64.b64decode(comp[column], validate=True)
                 stored = struct.unpack("<%dd" % n, raw)
                 assert [v.hex() for v in stored] == [v.hex() for v in getattr(walked, column)]
+                total += n
+    assert total > 10_000
 
 
 def test_verify_rejects_a_report_whose_spec_names_another_pattern(tmp_path, trefoil_result, capsys):
