@@ -10,7 +10,7 @@ import mpmath as mp
 import pytest
 
 from billiardknots import perturbation, pipeline
-from billiardknots.billiards import MirrorRoomReport, mirror_room_check
+from billiardknots.billiards import COLUMNS, MirrorRoomReport, mirror_room_check
 from billiardknots.braids import toric_pattern
 from billiardknots.cli import main
 from billiardknots.errors import PipelineError, SpecFileError
@@ -21,7 +21,7 @@ from billiardknots.presets import PRESETS, preset_listing
 from billiardknots.serialization import _finite, verify_artifacts, write_artifacts
 from billiardknots.stars import build_star, star_diagram_json
 
-from trajectory_columns import COLUMNS, decode_column, edit_column
+from trajectory_columns import decode_column, edit_column
 
 
 def test_spec_validation_errors():

@@ -10,8 +10,6 @@ decode/re-encode path.
 import base64
 import struct
 
-COLUMNS = ("arc", "x", "y", "z")
-
 
 def decode_column(text: str) -> list[float]:
     raw = base64.b64decode(text, validate=True)
