@@ -27,7 +27,10 @@ window given in closed form, or off such windows:
     around the kinks (``_box_phases``).
 Their intersections are the exact phase sets.  In a link one screen,
 ``_reach_phases``, picks the phases of a component worth walking: those
-under which the next component's windows still meet pair by pair.
+under which the next component's windows still meet pair by pair.  It
+reads tables built once per frequency: the next component's pair order
+(``_pair_order``) and the half-widths, at this component's kinks, of the
+windows whose fixed side lies on it (``_kink_table``).
 
 Search conditions, with a uniform ``margin``:
   (a) each crossing's two passage heights differ by at least ``margin``,
@@ -135,17 +138,23 @@ class SearchDiagnostics:
 
 
 def _intersect_intervals(s1, s2):
+    """The intersection of two lists of sorted disjoint intervals, as one
+    such list: a merge that steps past whichever interval ends first."""
     out = []
     i = j = 0
-    while i < len(s1) and j < len(s2):
-        a = max(s1[i][0], s2[j][0])
-        b = min(s1[i][1], s2[j][1])
-        if a < b:
-            out.append((a, b))
-        if s1[i][1] < s2[j][1]:
+    n1, n2 = len(s1), len(s2)
+    while i < n1 and j < n2:
+        a1, b1 = s1[i]
+        a2, b2 = s2[j]
+        if b1 < b2:
+            b = b1
             i += 1
         else:
+            b = b2
             j += 1
+        a = a2 if a2 > a1 else a1
+        if a < b:
+            out.append((a, b))
     return out
 
 
@@ -304,57 +313,99 @@ def _fixed_phases(f_tuple, windows, phases, margin: float):
     return allowed
 
 
-def _reach_phases(f_tuple, k: int, windows, phases, margin: float):
+def _pair_order(windows):
+    """The pairs of ``windows``, one component's ``_phase_windows``, as
+    (cyclic distance of their centres, i, l) with indices i <= l into
+    ``windows``, farthest first; pairs at one distance keep the order of
+    ``itertools.combinations_with_replacement``."""
+    pairs = []
+    for (i, a), (l, b) in itertools.combinations_with_replacement(enumerate(windows), 2):
+        d = abs(a[2] - b[2])
+        pairs.append((min(d, 1.0 - d), i, l))
+    pairs.sort(key=lambda pair: -pair[0])
+    return pairs
+
+
+def _kink_table(f: int, k: int, windows, margin: float):
+    """For each of ``windows``, component k + 1's ``_phase_windows``, whose
+    fixed side lies on k, with k at frequency f: its kinks (-f t) mod 1 and
+    (1/2 - f t) mod 1 at its arc t on k, and a dict of its half-width
+    ((z or 1 - z) - margin)/2 + _SCREEN_SLACK at k's phase x, for x = 0, 1
+    and every kink of these windows; None for a window on an earlier
+    component.  The windows' components, arcs and sides are the same at
+    every frequency of k + 1, so one table serves them all."""
+    kinks = [((-f * t) % 1.0, (0.5 - f * t) % 1.0) if j == k else None for j, t, _, _ in windows]
+    points = {0.0, 1.0}.union(*filter(None, kinks))
+    table = []
+    for (j, t, _, below), ends in zip(windows, kinks):
+        if j != k:
+            table.append(None)
+            continue
+        halves = {}
+        for x in points:
+            z = _sawtooth(f, t, x)
+            halves[x] = ((z if below else 1.0 - z) - margin) / 2.0 + _SCREEN_SLACK
+        table.append((ends, halves))
+    return table
+
+
+def _reach_phases(f_tuple, windows, order, table, phases, margin: float):
     """The phases of component k, as sorted disjoint intervals, outside
     which ``_fixed_phases`` finds no phase for component k + 1 once
-    components 0 .. k-1 are fixed at ``phases``.
+    components 0 .. k-1 (k = len(phases)) are fixed at the float
+    ``phases``.
 
-    ``windows`` are k + 1's ``_phase_windows``.  Widened by _SCREEN_SLACK,
-    each has half-width h = ((z or 1 - z) - margin)/2 + _SCREEN_SLACK: a
-    constant when its fixed side lies before k, and linear in k's phase
-    between the kinks (-f t) mod 1 and (1/2 - f t) mod 1 of its arc t when
-    it lies on k.  Two cyclic windows meet only if h_i + h_l reaches the
-    cyclic distance of their centres (a window meets itself only if h >= 0),
-    so each pair allows the phases where that piecewise linear sum does,
-    widened by _SCREEN_SLACK.  The pairs are taken farthest centres first;
-    the first empty intersection ends the screen.
+    ``windows`` are k + 1's ``_phase_windows`` at f_tuple[k + 1], ``order``
+    their ``_pair_order`` and ``table`` their ``_kink_table`` at
+    f_tuple[k].  Widened by _SCREEN_SLACK, each window has half-width h =
+    ((z or 1 - z) - margin)/2 + _SCREEN_SLACK: a constant when its fixed
+    side lies before k, and linear in k's phase between its kinks when it
+    lies on k.  Two cyclic windows meet only if h_i + h_l reaches the
+    cyclic distance of their centres (a window meets itself only if h >=
+    0), so each pair allows the phases where that piecewise linear sum
+    does, found by one sweep over the pair's kinks and widened by
+    _SCREEN_SLACK.  The pairs are taken in ``order``; the first empty
+    intersection ends the screen.
     """
-    f = f_tuple[k]
-    sides = [
-        (t_j, None, centre, below) if j == k
-        else (None, _sawtooth(f_tuple[j], t_j, phases[j]), centre, below)
-        for j, t_j, centre, below in windows
-    ]
-
-    def half(side, phi):
-        t, z, _, below = side
-        if z is None:
-            z = _sawtooth(f, t, phi)
-        return ((z if below else 1.0 - z) - margin) / 2.0 + _SCREEN_SLACK
-
-    pairs = []
-    for a, b in itertools.combinations_with_replacement(sides, 2):
-        d = abs(a[2] - b[2])
-        pairs.append((min(d, 1.0 - d), a, b))
-    pairs.sort(key=lambda pair: -pair[0])
+    sides = []
+    for row, (j, t_j, _, below) in zip(table, windows):
+        if row is None:
+            z = _sawtooth(f_tuple[j], t_j, phases[j])
+            row = ((z if below else 1.0 - z) - margin) / 2.0 + _SCREEN_SLACK
+        sides.append(row)
     allowed = [(0.0, 1.0)]
-    for dist, a, b in pairs:
-        kinks = {0.0, 1.0}
-        for t, z, _, _ in (a, b):
-            if z is None:
-                kinks.update(((-f * t) % 1.0, (0.5 - f * t) % 1.0))
-        kinks = sorted(kinks)
+    for dist, i, l in order:
+        a, b = sides[i], sides[l]
+        if isinstance(a, float):
+            if isinstance(b, float):
+                if a + b - dist < 0.0:
+                    return []
+                continue  # the pair allows every phase
+            kinks = sorted({0.0, 1.0, *b[0]})
+            b = b[1]
+            gaps = [a + b[x] - dist for x in kinks]
+        elif isinstance(b, float):
+            kinks = sorted({0.0, 1.0, *a[0]})
+            a = a[1]
+            gaps = [a[x] + b - dist for x in kinks]
+        else:
+            kinks = sorted({0.0, 1.0, *a[0], *b[0]})
+            a, b = a[1], b[1]
+            gaps = [a[x] + b[x] - dist for x in kinks]
         good = []
-        for lo, hi in zip(kinks, kinks[1:]):
-            g_lo = half(a, lo) + half(b, lo) - dist
-            g_hi = half(a, hi) + half(b, hi) - dist
+        for lo, hi, g_lo, g_hi in zip(kinks, kinks[1:], gaps, gaps[1:]):
             if g_lo < 0.0 and g_hi < 0.0:
                 continue
             if g_lo < 0.0:
                 lo += (hi - lo) * g_lo / (g_lo - g_hi)
             elif g_hi < 0.0:
                 hi = lo + (hi - lo) * g_lo / (g_lo - g_hi)
-            lo, hi = max(lo - _SCREEN_SLACK, 0.0), min(hi + _SCREEN_SLACK, 1.0)
+            lo -= _SCREEN_SLACK
+            hi += _SCREEN_SLACK
+            if lo < 0.0:
+                lo = 0.0
+            if hi > 1.0:
+                hi = 1.0
             if good and lo <= good[-1][1]:
                 good[-1] = (good[-1][0], hi)
             else:
@@ -431,7 +482,15 @@ def search_heights(
     result is the same as without it: before component k walks its grid
     points, the phases of k under which k + 1's windows still meet pair by
     pair are found as intervals (``_reach_phases``), and only the grid
-    points inside them are walked.
+    points inside them are walked.  What the screen reads is built once:
+    per (k + 1, f), with k + 1's kept set, its pairs of windows farthest
+    centres first (``_pair_order``); per (k, f), at the first screen that
+    needs it, the kinks and half-widths of the windows whose fixed side
+    lies on k (``_kink_table``).  Per grid prefix of 0 .. k-1 the screen
+    only evaluates the constant half-widths of the windows on earlier
+    components and sweeps the pairs.  The walked grid phases are carried
+    as floats for the phase sets and the screen, and as Fractions for the
+    heights.
 
     Raises SearchExhaustedError when f_max is hit, with diagnostics from a
     second walk over every shell's f-tuples (``_shell``): they describe the
@@ -451,49 +510,63 @@ def search_heights(
     n_grid = 4 * max(1, len(constraints))
     own_crossings = [_own_crossings(k, arcs) for k in range(n_comp)]
     # per component, f -> (its phases under the box and its own crossings,
-    # its _phase_windows), for the f so far whose phases are non-empty
+    # its _phase_windows, their _pair_order), for the f so far whose phases
+    # are non-empty
     own = [{} for _ in range(n_comp)]
+    # per component k but the last, f -> the _kink_table of k + 1's windows
+    # with k at f, built at the first screen that needs it
+    tables = [{} for _ in range(n_comp - 1)]
 
-    def assign(f_tuple, phases):
+    def assign(f_tuple, phases, grid):
         """The first confirmed heights at ``f_tuple`` whose components
-        0 .. k-1 have the phases ``phases`` (k = len(phases)), or None."""
+        0 .. k-1 have the phases ``grid``, as Fractions, and ``phases``, the
+        same as floats (k = len(phases)), or None."""
         k = len(phases)
         f = f_tuple[k]
         n = n_grid * f
-        segs, windows = own[k][f]
+        segs, windows, _ = own[k][f]
         if k:
             segs = _intersect_intervals(segs, _fixed_phases(f_tuple, windows, phases, margin))
         if k == n_comp - 1:
             for lo, hi in segs:
                 for phi in _interval_phases(lo, hi, n):
-                    heights = tuple(map(SawtoothHeight, f_tuple, (*phases, phi)))
+                    heights = tuple(map(SawtoothHeight, f_tuple, (*grid, phi)))
                     if _confirm(heights, constraints, table, margin):
                         return heights
             return None
         if segs:
-            reach = _reach_phases(f_tuple, k, own[k + 1][f_tuple[k + 1]][1], phases, margin)
+            _, after, order = own[k + 1][f_tuple[k + 1]]
+            if f not in tables[k]:
+                tables[k][f] = _kink_table(f, k, after, margin)
+            reach = _reach_phases(f_tuple, after, order, tables[k][f], phases, margin)
             segs = _intersect_intervals(segs, reach)
         for lo, hi in segs:
             for j in range(math.ceil(lo * n), math.ceil(hi * n)):
-                heights = assign(f_tuple, (*phases, Fraction(j, n)))
+                heights = assign(f_tuple, (*phases, j / n), (*grid, Fraction(j, n)))
                 if heights:
                     return heights
         return None
 
-    for top in range(1, f_max + 1):
-        gained = False
-        for k in range(n_comp):
-            segs = _own_phases(top, k, arcs, margin, own_crossings[k])
-            if segs:
-                segs = _intersect_intervals(_box_phases(top, event_arcs[k], itertools.repeat(box)), segs)
-            if segs:
-                own[k][top] = segs, _phase_windows(top, k, arcs)
-                gained = True
-        if gained:
-            for f_tuple in _shell(own, top):
-                found = assign(f_tuple, ())
-                if found:
-                    return found
+    try:
+        for top in range(1, f_max + 1):
+            gained = False
+            for k in range(n_comp):
+                segs = _own_phases(top, k, arcs, margin, own_crossings[k])
+                if segs:
+                    segs = _intersect_intervals(_box_phases(top, event_arcs[k], itertools.repeat(box)), segs)
+                if segs:
+                    windows = _phase_windows(top, k, arcs)
+                    own[k][top] = segs, windows, _pair_order(windows)
+                    gained = True
+            if gained:
+                for f_tuple in _shell(own, top):
+                    found = assign(f_tuple, (), ())
+                    if found:
+                        return found
+    finally:
+        # assign reaches itself through its closure; unbinding it frees the
+        # phase sets and tables on return, not at the next garbage collection
+        del assign
     raise SearchExhaustedError(
         f"no sawtooth parameters with f <= {f_max} satisfy all "
         f"{len(constraints)} constraints of {n_comp} components",

@@ -10,6 +10,9 @@ closed-form windows.  ``sequential_own_phases`` intersects a component's
 own-crossing windows one by one, with no screen in front, by the same float
 expressions as the search.  ``probe_violations`` counts every violated
 crossing at the exhaustion probe phases of every f-tuple in shell order.
+``reach_phases`` is the link screen as one self-contained call: it sorts
+the window pairs and evaluates every half-width anew on each call, where
+the search reads them from tables built once per frequency.
 """
 
 import itertools
@@ -169,6 +172,71 @@ def sequential_own_phases(f: int, k: int, constraints, margin: float):
         if 2.0 * min(d, 1.0 - d) < margin:
             return []
         allowed = intersect_intervals(allowed, _cyclic_window(centre, half))
+        if not allowed:
+            return []
+    return allowed
+
+
+# Widening of the screen's half-widths and interval ends, as in the search
+SCREEN_SLACK = 1e-8
+
+
+def reach_phases(f_tuple, k: int, windows, phases, margin: float):
+    """The phases of component k, as sorted disjoint intervals, outside
+    which ``_fixed_phases`` finds no phase for component k + 1 once
+    components 0 .. k-1 are fixed at ``phases``.
+
+    ``windows`` are k + 1's ``_phase_windows``.  Widened by SCREEN_SLACK,
+    each has half-width h = ((z or 1 - z) - margin)/2 + SCREEN_SLACK: a
+    constant when its fixed side lies before k, and linear in k's phase
+    between the kinks (-f t) mod 1 and (1/2 - f t) mod 1 of its arc t when
+    it lies on k.  Two cyclic windows meet only if h_i + h_l reaches the
+    cyclic distance of their centres (a window meets itself only if h >= 0),
+    so each pair allows the phases where that piecewise linear sum does,
+    widened by SCREEN_SLACK.  The pairs are taken farthest centres first;
+    the first empty intersection ends the screen.
+    """
+    f = f_tuple[k]
+    sides = [
+        (t_j, None, centre, below) if j == k
+        else (None, sawtooth(f_tuple[j], t_j, phases[j]), centre, below)
+        for j, t_j, centre, below in windows
+    ]
+
+    def half(side, phi):
+        t, z, _, below = side
+        if z is None:
+            z = sawtooth(f, t, phi)
+        return ((z if below else 1.0 - z) - margin) / 2.0 + SCREEN_SLACK
+
+    pairs = []
+    for a, b in itertools.combinations_with_replacement(sides, 2):
+        d = abs(a[2] - b[2])
+        pairs.append((min(d, 1.0 - d), a, b))
+    pairs.sort(key=lambda pair: -pair[0])
+    allowed = [(0.0, 1.0)]
+    for dist, a, b in pairs:
+        kinks = {0.0, 1.0}
+        for t, z, _, _ in (a, b):
+            if z is None:
+                kinks.update(((-f * t) % 1.0, (0.5 - f * t) % 1.0))
+        kinks = sorted(kinks)
+        good = []
+        for lo, hi in zip(kinks, kinks[1:]):
+            g_lo = half(a, lo) + half(b, lo) - dist
+            g_hi = half(a, hi) + half(b, hi) - dist
+            if g_lo < 0.0 and g_hi < 0.0:
+                continue
+            if g_lo < 0.0:
+                lo += (hi - lo) * g_lo / (g_lo - g_hi)
+            elif g_hi < 0.0:
+                hi = lo + (hi - lo) * g_lo / (g_lo - g_hi)
+            lo, hi = max(lo - SCREEN_SLACK, 0.0), min(hi + SCREEN_SLACK, 1.0)
+            if good and lo <= good[-1][1]:
+                good[-1] = (good[-1][0], hi)
+            else:
+                good.append((lo, hi))
+        allowed = intersect_intervals(allowed, good)
         if not allowed:
             return []
     return allowed

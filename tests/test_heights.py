@@ -21,8 +21,10 @@ from billiardknots.heights import (
     _cyclic_window,
     _fixed_phases,
     _intersect_intervals,
+    _kink_table,
     _own_phases,
     _own_window,
+    _pair_order,
     _phase_windows,
     _reach_phases,
     _shell,
@@ -41,6 +43,7 @@ from height_oracles import (
     crossing_phases,
     first_hit,
     probe_violations,
+    reach_phases,
     sequential_own_phases,
     shell_order,
 )
@@ -195,9 +198,10 @@ def test_joint_search_exhaustion_diagnostics():
     )
 
 
-def _random_arc_table(rng, n_components, n_crossings, prec_bits=256):
-    """Crossings on random arcs; crossing 0 couples the first and the last
-    component."""
+def _random_arc_table(rng, n_components, n_crossings, prec_bits=256, arc=None):
+    """Crossings on random arcs (``arc()``, by default ``rng.random()``);
+    crossing 0 couples the first and the last component."""
+    arc = arc or rng.random
     ends = [(0, n_components - 1)] + [
         (rng.randrange(n_components), rng.randrange(n_components)) for _ in range(n_crossings - 1)
     ]
@@ -205,7 +209,7 @@ def _random_arc_table(rng, n_components, n_crossings, prec_bits=256):
     constraints = []
     with mp.workprec(prec_bits):
         for i, (c1, c2) in enumerate(ends):
-            t1, t2 = mp.mpf(rng.random()), mp.mpf(rng.random())
+            t1, t2 = mp.mpf(arc()), mp.mpf(arc())
             passages[c1].append(Passage(i, t1, True))
             passages[c2].append(Passage(i, t2, False))
             constraints.append(HeightConstraint(i, c1, t1, c2, t2, rng.random() < 0.5))
@@ -264,6 +268,13 @@ def test_phase_engine_against_grid_oracle(n_components):
     assert hits >= 4
 
 
+def _screen(f_tuple, k, windows, phases, margin):
+    """``_reach_phases`` for component k, with the pair order and the kink
+    table of k + 1's ``windows`` built for this call alone."""
+    table = _kink_table(f_tuple[k], k, windows, margin)
+    return _reach_phases(f_tuple, windows, _pair_order(windows), table, phases, margin)
+
+
 @pytest.mark.parametrize("n_components, f_max", [(2, 5), (3, 2)])
 def test_reach_phases_hold_every_point_with_exact_phases(n_components, f_max):
     """At every f-tuple, component k >= 1 and grid prefix of components
@@ -292,7 +303,7 @@ def test_reach_phases_hold_every_point_with_exact_phases(n_components, f_max):
                 for js in itertools.product(*map(range, dens)):
                     phases = tuple(num / den for num, den in zip(js, dens))
                     if js[:-1] not in reach:
-                        reach[js[:-1]] = _reach_phases(f_tuple, k - 1, windows, phases[:-1], margin)
+                        reach[js[:-1]] = _screen(f_tuple, k - 1, windows, phases[:-1], margin)
                     exact = _intersect_intervals(segs, _fixed_phases(f_tuple, windows, phases, margin))
                     if any(lo <= phases[-1] < hi for lo, hi in reach[js[:-1]]):
                         passed += 1
@@ -316,8 +327,55 @@ def test_reach_phases_hold_at_the_edge():
     windows = _phase_windows(1, 1, arcs)
     assert _fixed_phases((1, 1), windows, (0.0,), margin)
     assert crossing_phases(1, 1, [(0.0, 1.0)], arcs, {0: SawtoothHeight(1, Fraction(0))}, margin)
-    reach = _reach_phases((1, 1), 0, windows, (), margin)
+    reach = _screen((1, 1), 0, windows, (), margin)
     assert any(lo <= 0.0 < hi for lo, hi in reach), reach
+    assert reach == reach_phases((1, 1), 0, windows, (), margin)
+
+
+@pytest.mark.parametrize("dyadic", [False, True])
+@pytest.mark.parametrize("n_components, f_max, n_tables", [(2, 5, 8), (3, 3, 2), (4, 2, 2)])
+def test_reach_phases_match_the_oracle(n_components, f_max, n_tables, dyadic):
+    """At every f-tuple, component k and grid prefix of components 0 ..
+    k-1, the screen returns the oracle's intervals, compared with ==, and
+    its pairs come farthest first by a stable sort.  As in the search, each
+    (k, f_k) kink table is built once, from k + 1's windows at the first
+    f_{k+1} met, and serves every later one.  Arcs on the grid of
+    sixteenths put windows at equal centre distances, whose order the
+    stable sort decides, and make kinks coincide."""
+    margin = 0.05
+    rng = random.Random(20261030 + 2 * n_components + dyadic)
+    arc = (lambda: rng.randrange(16) / 16) if dyadic else None
+    calls = passing = ties = earlier = 0
+    for _ in range(n_tables):
+        table, cons = _random_arc_table(rng, n_components, 3 + n_components // 2, arc=arc)
+        arcs = [(c, float(c.first_arc), float(c.second_arc)) for c in cons]
+        n_grid = 4 * len(cons)
+        tables = {}
+        for f_tuple in shell_order(n_components, f_max):
+            for k in range(n_components - 1):
+                windows = _phase_windows(f_tuple[k + 1], k + 1, arcs)
+                order = _pair_order(windows)
+                # farthest first by a stable sort is ascending (-distance, i, l),
+                # as combinations_with_replacement yields (i, l) in ascending order
+                pairs = list(itertools.combinations_with_replacement(range(len(windows)), 2))
+                dists = [abs(windows[i][2] - windows[l][2]) for i, l in pairs]
+                expected = sorted((-min(d, 1.0 - d), i, l) for d, (i, l) in zip(dists, pairs))
+                assert [(-d, i, l) for d, i, l in order] == expected
+                ties += sum(a[0] == b[0] > 0.0 for a, b in zip(order, order[1:]))
+                if (k, f_tuple[k]) not in tables:
+                    tables[k, f_tuple[k]] = _kink_table(f_tuple[k], k, windows, margin)
+                kink_table = tables[k, f_tuple[k]]
+                earlier += sum(row is None for row in kink_table)
+                dens = [n_grid * f for f in f_tuple[:k]]
+                for js in itertools.product(*map(range, dens)):
+                    phases = tuple(num / den for num, den in zip(js, dens))
+                    got = _reach_phases(f_tuple, windows, order, kink_table, phases, margin)
+                    assert got == reach_phases(f_tuple, k, windows, phases, margin), (f_tuple, k, js)
+                    calls += 1
+                    passing += bool(got)
+    assert calls >= 150 and 0 < passing < calls, (calls, passing)
+    assert not dyadic or ties >= 5, ties
+    assert (earlier > 0) == (n_components > 2), earlier
 
 
 def _measure(segs):
@@ -605,6 +663,22 @@ def test_joint_search_results_are_pinned(name, expected):
     assert [(h.frequency, h.phase) for h in result.heights] == expected
 
 
+def test_four_component_link_exhaustion_is_pinned():
+    """The 4-component (4, 12) link, signs from ``random.Random("4/12")``
+    (one ``choice((1, -1))`` per sign, row by row) and perturbation seed 42:
+    its 36 crossings all join two components, so its screens at k = 1 and
+    2 hold windows on earlier components.  Exhausting f_max 3 takes about
+    0.4 s (2-core x86-64, CPython 3.11)."""
+    rng = random.Random("4/12")
+    signs = tuple(tuple(rng.choice((1, -1)) for _ in range(3)) for _ in range(12))
+    spec = RealizationSpec(pattern=QuasitoricPattern(4, 12, signs), seed=42, f_max=3)
+    with pytest.raises(SearchExhaustedError) as err:
+        realize(spec)
+    assert err.value.diagnostics == SearchDiagnostics(
+        f_max=3, satisfied=24, total=36, unsatisfied=(2, 4, 6, 8, 10, 14, 15, 16, 19, 20, 27, 29)
+    )
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_shell_is_shell_order_over_the_choice_sets(d):
     """``_shell`` over ascending choice sets, some empty and some without
@@ -637,6 +711,40 @@ def test_search_builds_each_own_phase_set_once(monkeypatch, name):
     result = realize(RealizationSpec(pattern=PRESETS[name], preset=name))
     assert len(set(calls)) == len(calls)
     assert len(calls) == len(result.heights) * max(h.frequency for h in result.heights)
+
+
+@pytest.mark.parametrize("name", ["hopf", "star-9-3"])
+def test_search_builds_each_kink_table_and_pair_order_once(monkeypatch, name):
+    """Each (k, f) kink table is built at most once, and the tables are
+    fewer than the screens that read them.  Each (k, f)'s windows are built
+    once, and one pair order is built from each."""
+    windows_built, keys, orders, tables, screens = [], [], [], [], []
+
+    def windows(f, k, *args):
+        keys.append((f, k))
+        windows_built.append(_phase_windows(f, k, *args))
+        return windows_built[-1]
+
+    def order(ws):
+        orders.append(ws)
+        return _pair_order(ws)
+
+    def table(f, k, *args):
+        tables.append((f, k))
+        return _kink_table(f, k, *args)
+
+    def screen(*args):
+        screens.append(args)
+        return _reach_phases(*args)
+
+    monkeypatch.setattr("billiardknots.heights._phase_windows", windows)
+    monkeypatch.setattr("billiardknots.heights._pair_order", order)
+    monkeypatch.setattr("billiardknots.heights._kink_table", table)
+    monkeypatch.setattr("billiardknots.heights._reach_phases", screen)
+    realize(RealizationSpec(pattern=PRESETS[name], preset=name))
+    assert len(set(keys)) == len(keys)
+    assert [id(ws) for ws in orders] == [id(ws) for ws in windows_built]
+    assert len(set(tables)) == len(tables) < len(screens)
 
 
 @pytest.mark.parametrize("n_components", [1, 2, 3])
