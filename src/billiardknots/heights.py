@@ -232,12 +232,11 @@ def _own_crossings(k: int, constraints):
             for c, t1, t2 in constraints if c.first_component == k == c.second_component]
 
 
-def _own_phases(f: int, k: int, constraints, margin: float, own=None):
-    """The phases of component k at frequency f, as sorted disjoint
-    intervals, under condition (a) of k's own crossings: the intersection
-    of their ``_own_window``s.  ``constraints`` holds (constraint, first
-    arc, second arc) with float arcs; ``own``, if given, is
-    ``_own_crossings(k, constraints)``.
+def _own_phases(f: int, own, margin: float):
+    """The phases of a component at frequency f, as sorted disjoint
+    intervals, under condition (a) of its own crossings ``own``, the
+    component's ``_own_crossings``: the intersection of their
+    ``_own_window``s.
 
     A first pass, with no allocation, takes each g and centre c by
     ``_own_window``'s expressions, inlined, and returns none as soon as g <
@@ -248,8 +247,6 @@ def _own_phases(f: int, k: int, constraints, margin: float, own=None):
     round the same float centres by a few units of 2^-53.  So the pass is
     exact, and the intersection after it gives the same floats as alone.
     """
-    if own is None:
-        own = _own_crossings(k, constraints)
     half = (1.0 - margin) / 4.0
     spread = 2.0 * half + _SCREEN_SLACK
     lo = hi = 0.5
@@ -428,26 +425,34 @@ def _interval_phases(lo: float, hi: float, n_grid: int) -> list[Fraction]:
     return [phi for phi in candidates if 0 <= phi < 1]
 
 
-def _confirm(heights: tuple[SawtoothHeight, ...], constraints, table: ArcTable, margin) -> bool:
-    """Re-evaluate a float-screened candidate at the table's precision."""
+def confirm_heights(heights: tuple[SawtoothHeight, ...], constraints, table: ArcTable, margin) -> bool:
+    """Conditions (a)-(c) for ``heights`` on the exact closed form, at the
+    table's precision: every passage and wall-vertex height in [margin,
+    1 - margin], and each crossing's passage heights ordered as
+    ``constraints`` prescribe, at least ``margin`` apart.  Each passage
+    height is evaluated once, for (c) and then for (a).  The search runs it
+    on every float-screened candidate, and ``verify`` on the stored heights.
+    """
     with mp.workprec(table.prec_bits):
-        m = mp.mpf(margin)
-        phis = [to_mpf(saw.phase) for saw in heights]
-        for c in constraints:
-            k1, k2 = c.first_component, c.second_component
-            z1 = _mpf_sawtooth(heights[k1].frequency, c.first_arc, phis[k1])
-            z2 = _mpf_sawtooth(heights[k2].frequency, c.second_arc, phis[k2])
-            if abs(z1 - z2) < m or (z1 > z2) != c.first_over:
-                return False
-        for comp, (saw, phi) in enumerate(zip(heights, phis)):
+        low = mp.mpf(margin)
+        high = 1 - low
+        passage_z = {}
+        for comp, saw in enumerate(heights):
+            f, phi = saw.frequency, to_mpf(saw.phase)
             for t in table.vertex_arcs[comp]:
-                z = _mpf_sawtooth(saw.frequency, t, phi)
-                if z < m or z > 1 - m:
+                z = _mpf_sawtooth(f, t, phi)
+                if z < low or z > high:
                     return False
             for ps in table.passages[comp]:
-                z = _mpf_sawtooth(saw.frequency, ps.arc, phi)
-                if z < m or z > 1 - m:
+                z = _mpf_sawtooth(f, ps.arc, phi)
+                if z < low or z > high:
                     return False
+                passage_z[comp, ps.arc] = z
+        for c in constraints:
+            z1 = passage_z[c.first_component, c.first_arc]
+            z2 = passage_z[c.second_component, c.second_arc]
+            if abs(z1 - z2) < low or (z1 > z2) != c.first_over:
+                return False
     return True
 
 
@@ -531,7 +536,7 @@ def search_heights(
             for lo, hi in segs:
                 for phi in _interval_phases(lo, hi, n):
                     heights = tuple(map(SawtoothHeight, f_tuple, (*grid, phi)))
-                    if _confirm(heights, constraints, table, margin):
+                    if confirm_heights(heights, constraints, table, margin):
                         return heights
             return None
         if segs:
@@ -551,7 +556,7 @@ def search_heights(
         for top in range(1, f_max + 1):
             gained = False
             for k in range(n_comp):
-                segs = _own_phases(top, k, arcs, margin, own_crossings[k])
+                segs = _own_phases(top, own_crossings[k], margin)
                 if segs:
                     segs = _intersect_intervals(_box_phases(top, event_arcs[k], itertools.repeat(box)), segs)
                 if segs:

@@ -16,13 +16,11 @@ The perturbed polygon must be combinatorially equivalent to the star (same
 crossing pairs, same crossing order along every segment); the perturbation
 is redrawn with halved delta until that holds.
 
-Heuristic Q-independence of {1, t_i} is checked per component by PSLQ at
-tolerance tol (``_pslq``: mpmath 1.3.0's fixed-point PSLQ as a plain loop
-that also returns its step count and exit).  The check takes the search's
-first hit; it reports that hit as a relation only if its coefficients are
-at most ``max_coeff`` and its residual at most tol^2.  The component passes
-when the hit fails that screen and when the search ends without a hit
-(norm bound, step cap, or an entry or pivot too tiny for the precision).
+Heuristic Q-independence of {1, t_i} is checked per component by
+mpmath's PSLQ at tolerance tol.  The check takes the search's first hit; it
+reports that hit as a relation only if its coefficients are at most
+``max_coeff`` and its residual at most tol^2.  The component passes when
+the hit fails that screen and when the search ends without a hit.
 The check is not a pipeline stage: ``RealizationResult.independence`` runs
 it on demand, on arcs of its own at the precision tol needs.
 """
@@ -34,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
-from mpmath.libmp import from_rational, round_nearest, sqrt_fixed
+from mpmath.libmp import from_rational, round_nearest
 
 from .errors import CombinatorialCollapseError, DomainError, PrecisionError
 from .pdcodes import DiagramTraversal, passage_traversal
@@ -311,8 +309,6 @@ class IndependenceResult:
     component: int | None = None          # first failing component
     witness: tuple[int, ...] | None = None  # coefficients for (1, t_1, t_2, ...)
     residual: object = None               # |lambda_0 + sum lambda_i t_i| for the witness
-    steps: tuple[int, ...] = ()           # PSLQ iterations, per component searched
-    exits: tuple[str, ...] = ()           # PSLQ outcome, per component searched
 
 
 def required_precision_bits(tol: float) -> int:
@@ -320,123 +316,14 @@ def required_precision_bits(tol: float) -> int:
     return int(mp.ceil(4 * digits * mp.log(10) / mp.log(2)))
 
 
-def _pslq(x, tol, maxcoeff: int, maxsteps: int) -> tuple[list[int] | None, int, str]:
-    """Integer relation search on ``x`` at the working precision, step for
-    step the fixed-point PSLQ of mpmath 1.3.0 (``mp.pslq``).
-
-    Returns (relation or None, iterations run, exit), where exit is
-    "relation" (some |y_i| < tol with every coefficient below ``maxcoeff``),
-    "bound" (the norm bound reached ``maxcoeff``), "step_cap" (``maxsteps``
-    ran out) or "tiny" (an entry below tol/100, or a zero rotation norm: the
-    precision is exhausted).
-
-    The integer arithmetic is mpmath's (prec + 60 guard bits, the same
-    initial reduction, pivot, rotation, rounding and exits), so relations,
-    step counts and exits are identical.  Only the bookkeeping differs:
-
-    * H is a list of rows and B is kept transposed, so an exchange is a list
-      swap;
-    * a reduction multiplier is a rounded multiple of 2^prec, so mpmath's
-      (t*v) >> prec is exactly (t >> prec)*v, B only ever holds multiples of
-      2^prec and is kept divided by 2^prec, and a zero multiplier, which
-      changes nothing, is skipped;
-    * mpmath's matrix A, which it updates but never reads, is not kept;
-    * the pivot weights g**i are computed once.
-    """
-    n = len(x)
-    if n < 2:
-        raise ValueError("n cannot be less than 2")
-    prec = mp.mp.prec
-    if prec < 53:
-        raise ValueError("prec cannot be less than 53")
-    prec += 60
-    tol = mp.convert(tol).to_fixed(prec)
-    if not tol:
-        raise ValueError("tol is zero at the working precision")
-    x = [mp.mpf(v).to_fixed(prec) for v in x]
-    minx = min(map(abs, x))
-    if not minx:
-        raise ValueError("PSLQ requires a vector of nonzero numbers")
-    if minx < tol // 100:
-        return None, 0, "tiny"
-    half = 1 << (prec - 1)
-    g = sqrt_fixed((4 << prec) // 3, prec)
-    weights = [(g ** (i + 1), prec * i) for i in range(n - 1)]
-
-    s = [0] * n
-    total = 0
-    for k in range(n - 1, -1, -1):
-        total += x[k] ** 2 >> prec
-        s[k] = sqrt_fixed(total, prec)
-    y = [(v << prec) // s[0] for v in x]
-    s = [(v << prec) // s[0] for v in s]
-    # H is n x (n-1); mpmath's n-th column is never written and stays zero
-    H = [[0] * (n - 1) for _ in range(n)]
-    for i in range(n):
-        if i < n - 1 and s[i]:
-            H[i][i] = (s[i + 1] << prec) // s[i]
-        for j in range(i):
-            sjj1 = s[j] * s[j + 1]
-            if sjj1:
-                H[i][j] = ((-y[i] * y[j]) << prec) // sjj1
-    Bt = [[int(i == j) for j in range(n)] for i in range(n)]  # Bt[j] is column j of B
-
-    def reduce(i: int, j: int, t: int) -> None:
-        """Row i of H and y minus t times row j; column j of B plus t times column i."""
-        y[j] += t * y[i]
-        row, pivot_row = H[i], H[j]
-        for k in range(j + 1):
-            row[k] -= t * pivot_row[k]
-        Bt[j] = [b + t * c for b, c in zip(Bt[j], Bt[i])]
-
-    for i in range(1, n):
-        for j in range(i - 1, -1, -1):
-            if H[j][j]:
-                t = ((H[i][j] << prec) // H[j][j] + half) >> prec
-                if t:
-                    reduce(i, j, t)
-
-    for step in range(1, maxsteps + 1):
-        m = max(range(n - 1), key=lambda i: weights[i][0] * abs(H[i][i]) >> weights[i][1])
-        y[m], y[m + 1] = y[m + 1], y[m]
-        H[m], H[m + 1] = H[m + 1], H[m]
-        Bt[m], Bt[m + 1] = Bt[m + 1], Bt[m]
-        if m < n - 2:
-            a, b = H[m][m], H[m][m + 1]
-            t0 = sqrt_fixed((a ** 2 + b ** 2) >> prec, prec)
-            if not t0:
-                return None, step, "tiny"
-            t1 = (a << prec) // t0
-            t2 = (b << prec) // t0
-            for row in H[m:]:
-                t3, t4 = row[m], row[m + 1]
-                row[m] = (t1 * t3 + t2 * t4) >> prec
-                row[m + 1] = (-t2 * t3 + t1 * t4) >> prec
-        for i in range(m + 1, n):
-            for j in range(min(i - 1, m + 1), -1, -1):
-                if not H[j][j]:  # mpmath's ZeroDivisionError break
-                    break
-                t = ((H[i][j] << prec) // H[j][j] + half) >> prec
-                if t:
-                    reduce(i, j, t)
-        for i in range(n):
-            if abs(y[i]) < tol and max(map(abs, Bt[i])) < maxcoeff:
-                return list(Bt[i]), step, "relation"
-        recnorm = max(max(map(abs, row)) for row in H)
-        if not recnorm or (((1 << (2 * prec)) // recnorm) >> prec) // 100 >= maxcoeff:
-            return None, step, "bound"
-    return None, maxsteps, "step_cap"
-
-
 def independence_check(table: ArcTable, max_coeff: int, tol: float) -> IndependenceResult:
     """Bounded integer-relation rejection test on {1, t_i}, per component.
 
-    Runs PSLQ (``_pslq``, mpmath's fixed-point PSLQ step for step) on each
-    component's vector and takes its first hit at ``tol``.  That hit
-    is reported as a relation lambda_0 + sum lambda_i t_i = 0 (index 0
-    belongs to the constant 1) only if every |lambda_i| <= max_coeff and the
-    residual is <= tol^2.  Otherwise the component passes, as it does when
-    the search ends without a hit.
+    Runs mpmath's PSLQ (``mp.pslq``) on each component's vector and takes
+    its first hit at ``tol``.  That hit is reported as a relation lambda_0 +
+    sum lambda_i t_i = 0 (index 0 belongs to the constant 1) only if every
+    |lambda_i| <= max_coeff and the residual is <= tol^2.  Otherwise the
+    component passes, as it does when the search ends without a hit.
 
     Among 30+ generic arcs there always exist integer combinations that are
     merely *small* (pigeonhole puts them near tol for modest coefficient
@@ -444,43 +331,32 @@ def independence_check(table: ArcTable, max_coeff: int, tol: float) -> Independe
     evaluates to roundoff at working precision, far below that screen; this
     is why the arcs must carry at least 4x tol's digits.
 
-    Each component's iteration count and outcome are recorded in ``steps``
-    and ``exits``: "relation" (reported), "screened" (a hit failed the
-    screen), or the search's own "bound", "step_cap" or "tiny" exit.
-
     A pass is not a proof of independence.  At a screened hit, PSLQ's proven
     lower bound on the norm of any relation, 2^prec / max|H|, is small (1-23
     on the benchmark workloads' components), so relations with every
     |lambda_i| <= max_coeff are not excluded.  Nothing gates on the result;
-    ROADMAP item 6 moves the check into the tests.
+    ROADMAP item 9 moves the check into the tests.
     """
     needed = required_precision_bits(tol)
     if table.prec_bits < needed:
         raise PrecisionError(
             f"arc table at {table.prec_bits} bits; tolerance {tol} needs >= {needed}"
         )
-    steps: list[int] = []
-    exits: list[str] = []
     with mp.workprec(table.prec_bits):
         genuine = mp.mpf(tol) ** 2
         for ci, passages in enumerate(table.passages):
             vector = [mp.mpf(1)] + [ps.arc for ps in passages]
             # mpmath's maxcoeff cutoff is conservative; search wider, filter after
-            relation, n_steps, outcome = _pslq(
+            relation = mp.pslq(
                 vector,
                 tol=mp.mpf(tol),
                 maxcoeff=max(1000, 100 * max_coeff),
                 maxsteps=2000 + 20 * len(vector) ** 2,
             )
-            steps.append(n_steps)
             if relation is not None:
                 residual = abs(mp.fsum(c * v for c, v in zip(relation, vector)))
                 if max(abs(c) for c in relation) <= max_coeff and residual <= genuine:
-                    exits.append("relation")
                     return IndependenceResult(
-                        passed=False, component=ci, witness=tuple(relation),
-                        residual=residual, steps=tuple(steps), exits=tuple(exits),
+                        passed=False, component=ci, witness=tuple(relation), residual=residual,
                     )
-                outcome = "screened"
-            exits.append(outcome)
-    return IndependenceResult(passed=True, steps=tuple(steps), exits=tuple(exits))
+    return IndependenceResult(passed=True)

@@ -47,6 +47,7 @@ REFLECTION_TOL = 1e-9
 INDEPENDENCE_MAX_COEFF = 10
 INDEPENDENCE_TOL = 1e-12
 MIN_PRECISION_BITS = 53
+MAX_PRECISION_BITS = 4096
 
 
 def json_int(x) -> int:
@@ -124,6 +125,9 @@ class RealizationSpec:
         if values["precision_bits"] < MIN_PRECISION_BITS:
             # the height search picks phases in float64; confirming them below that proves nothing
             raise SpecFileError(f"precision_bits must be at least {MIN_PRECISION_BITS}")
+        if values["precision_bits"] > MAX_PRECISION_BITS:
+            # the cost of every mpf stage grows with the bits, so a larger spec echo would stall verify
+            raise SpecFileError(f"precision_bits must be at most {MAX_PRECISION_BITS}")
         return cls(pattern=pattern, preset=merged.get("preset"), **values)
 
 

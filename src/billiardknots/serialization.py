@@ -32,7 +32,10 @@ import mpmath as mp
 from .billiards import COLUMNS, mirror_room_check, verify_reflection
 from .braids import QuasitoricPattern, pad_to_min_repetitions
 from .errors import DomainError, SpecFileError
-from .heights import KIND_NAMES, WALL, CrossingHeight, SawtoothHeight, SpatialTrajectory, TrajComponent
+from .heights import (
+    KIND_NAMES, WALL, CrossingHeight, SawtoothHeight, SpatialTrajectory, TrajComponent,
+    build_height_constraints, confirm_heights,
+)
 from .invariants import certify, jones_string
 from .perturbation import PerturbedPolygon, arc_length_table, layout_from_lines
 from .pipeline import (
@@ -322,12 +325,17 @@ def verify_artifacts(report_path) -> Verdict:
     compares the stored trajectory with the closed form its lines and
     sawtooths fix; it reads only their polygon and its arc table, so no
     floor polygon is built (``table.json`` is for viewers, not re-read).
-    All three checks run on every report; one that fails the mirror-room
-    check fails on it first.  The trajectory's ``kinds`` string and
-    ``mirrors`` array are read as JSON, each float column is decoded from
-    its base64 string of little-endian float64 and every crossing height
-    from its JSON number, every float bit for bit as it was written, and
-    their shape is checked here: one component per polygon component, each
+    Before ``certify`` reads the stored crossing heights, the trajectory's
+    own (f, phi) must satisfy conditions (a)-(c) exactly, on that arc table
+    at the spec's margin (``confirm_heights``); a miss fails as
+    ``certify``.  With every exact gap at least the margin and every stored
+    height within the reflection tolerance of the exact one, the stored
+    heights come in the exact order.  All three checks run on every report;
+    one that fails the mirror-room check fails on it first.  The
+    trajectory's ``kinds`` string and ``mirrors`` array are read as JSON,
+    each float column is decoded from its base64 string of little-endian
+    float64 and every crossing height from its JSON number, every float bit
+    for bit as it was written, and their shape is checked here: one component per polygon component, each
     column exactly 8 bytes per letter of ``kinds``, one mirror per wall
     event, each an existing mirror, and one height pair per crossing.  A
     missing column (as in a file of the earlier point-and-event layout), a
@@ -408,9 +416,14 @@ def verify_artifacts(report_path) -> Verdict:
         components=tuple(components), crossing_heights=crossing_heights, poly=poly
     )
 
-    reflection = verify_reflection(trajectory, arc_length_table(poly, prec), REFLECTION_TOL)
-    try:
-        certification = certify(trajectory, padded)
-    except DomainError as exc:  # equal passage heights leave a crossing without an over strand
-        certification = f"no diagram: {exc}"
+    arcs = arc_length_table(poly, prec)
+    reflection = verify_reflection(trajectory, arcs, REFLECTION_TOL)
+    heights = tuple(comp.sawtooth for comp in components)
+    if not confirm_heights(heights, build_height_constraints(star, arcs), arcs, spec.margin):
+        certification = f"the exact heights miss conditions (a)-(c) at margin {spec.margin}"
+    else:
+        try:
+            certification = certify(trajectory, padded)
+        except DomainError as exc:  # equal passage heights leave a crossing without an over strand
+            certification = f"no diagram: {exc}"
     return verdict(mirror, reflection, certification)

@@ -22,6 +22,7 @@ from billiardknots.heights import (
     _fixed_phases,
     _intersect_intervals,
     _kink_table,
+    _own_crossings,
     _own_phases,
     _own_window,
     _pair_order,
@@ -242,7 +243,7 @@ def test_phase_engine_against_grid_oracle(n_components):
         def engine(f_tuple, k, phases):
             f = f_tuple[k]
             box = _box_phases(f, event_arcs[k], itertools.repeat((margin, 1 - margin)))
-            segs = _intersect_intervals(box, _own_phases(f, k, float_cons, margin))
+            segs = _intersect_intervals(box, _own_phases(f, _own_crossings(k, float_cons), margin))
             windows = _phase_windows(f, k, float_cons)
             return _intersect_intervals(segs, _fixed_phases(f_tuple, windows, phases, margin))
 
@@ -296,7 +297,7 @@ def test_reach_phases_hold_every_point_with_exact_phases(n_components, f_max):
                 event_arcs = [float(t) for t in table.vertex_arcs[k]]
                 event_arcs += [float(ps.arc) for ps in table.passages[k]]
                 segs = _box_phases(f, event_arcs, itertools.repeat((margin, 1 - margin)))
-                segs = _intersect_intervals(segs, _own_phases(f, k, arcs, margin))
+                segs = _intersect_intervals(segs, _own_phases(f, _own_crossings(k, arcs), margin))
                 windows = _phase_windows(f, k, arcs)
                 dens = [n_grid * fj for fj in f_tuple[:k]]
                 reach = {}
@@ -435,7 +436,7 @@ def test_closed_form_phases_match_the_kink_sweep():
         for i in range(rng.randint(1, 3)):
             t1, t2 = rng.random(), rng.random()
             arcs.append((HeightConstraint(i, 0, t1, 0, t2, rng.random() < 0.5), t1, t2))
-        own = _own_phases(f, 0, arcs, margin)
+        own = _own_phases(f, _own_crossings(0, arcs), margin)
         sweep = crossing_phases(f, 0, [(0.0, 1.0)], arcs, {}, margin)
         assert _covered(own, sweep, tol) and _covered(sweep, own, tol), (f, margin, arcs)
         nonempty += bool(own)
@@ -473,7 +474,7 @@ def test_own_screen_passes_every_frequency_with_exact_phases(n_components):
         arcs = [(c, float(c.first_arc), float(c.second_arc)) for c in cons]
         for k in range(n_components):
             for f in range(1, 61):
-                if _own_phases(f, k, arcs, margin):
+                if _own_phases(f, _own_crossings(k, arcs), margin):
                     passed += 1
                 else:
                     assert not crossing_phases(f, k, [(0.0, 1.0)], arcs, {}, margin), (k, f)
@@ -494,7 +495,7 @@ def test_own_screen_passes_at_the_edges():
     for pairs in cases:
         arcs = [(HeightConstraint(i, 0, t1, 0, t2, True), t1, t2) for i, (t1, t2) in enumerate(pairs)]
         assert crossing_phases(1, 0, [(0.0, 1.0)], arcs, {}, margin), pairs
-        assert _own_phases(1, 0, arcs, margin), pairs
+        assert _own_phases(1, _own_crossings(0, arcs), margin), pairs
 
 
 def _own_crossings_with_spread(rng, f, margin, offsets):
@@ -548,7 +549,7 @@ def test_own_phases_match_the_sequential_intersection(monkeypatch):
             arcs.insert(rng.randint(0, len(arcs)), (foreign, t1, t2))
         expected = sequential_own_phases(f, 0, arcs, margin)
         built.clear()
-        assert _own_phases(f, 0, arcs, margin) == expected, (f, margin, arcs)
+        assert _own_phases(f, _own_crossings(0, arcs), margin) == expected, (f, margin, arcs)
         if kind < 4:
             assert bool(expected) == (edges[kind] < 0), (kind, f, margin)
             assert bool(built) == (kind < 3), (kind, f, margin)
@@ -703,9 +704,9 @@ def test_search_builds_each_own_phase_set_once(monkeypatch, name):
     largest frequency of the accepted tuple."""
     calls = []
 
-    def recorded(f, k, *args):
-        calls.append((f, k))
-        return _own_phases(f, k, *args)
+    def recorded(f, own, margin):
+        calls.append((f, id(own)))  # one own-crossing list per component, alive all search
+        return _own_phases(f, own, margin)
 
     monkeypatch.setattr("billiardknots.heights._own_phases", recorded)
     result = realize(RealizationSpec(pattern=PRESETS[name], preset=name))

@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import functools
 import importlib.util
 import json
@@ -14,6 +15,7 @@ from billiardknots.billiards import COLUMNS, MirrorRoomReport, mirror_room_check
 from billiardknots.braids import toric_pattern
 from billiardknots.cli import main
 from billiardknots.errors import PipelineError, SpecFileError
+from billiardknots.heights import SawtoothHeight, emit_trajectory
 from billiardknots.invariants import pattern_jones
 from billiardknots.perturbation import IndependenceResult
 from billiardknots.pipeline import RealizationSpec, realize
@@ -53,6 +55,9 @@ def test_spec_validation_errors():
             RealizationSpec.from_dict({"preset": "trefoil", "margin": margin})
     with pytest.raises(SpecFileError):
         RealizationSpec.from_dict({"preset": "trefoil", "seed": None})
+    with pytest.raises(SpecFileError, match="precision_bits must be at most 4096"):
+        RealizationSpec.from_dict({"preset": "trefoil", "precision_bits": 4097})
+    assert RealizationSpec.from_dict({"preset": "trefoil", "precision_bits": 4096}).precision_bits == 4096
 
 
 def test_spec_from_dict_defaults_and_overrides():
@@ -241,7 +246,7 @@ def test_float64_precision_realizes_every_preset(tmp_path, name):
     assert result.arcs.prec_bits == 53
     files = write_artifacts(result, tmp_path, canonical=True)
     assert verify_artifacts(files["report"]).passed
-    assert result.independence.exits  # no PrecisionError below 160 bits
+    assert result.independence.passed  # no PrecisionError below 160 bits
 
 
 def test_cli_search_exhaustion_exit_code(tmp_path, capsys):
@@ -469,6 +474,7 @@ REPORT_CORRUPTIONS = {
     "precision-zero": lambda d: d["spec"].update(precision_bits=0),
     "precision-negative": lambda d: d["spec"].update(precision_bits=-5),
     "precision-eight": lambda d: d["spec"].update(precision_bits=8),
+    "precision-above-cap": lambda d: d["spec"].update(precision_bits=4097),
     "extra-component-lines": lambda d: d["lines"].append([["1/2", "1/3"]]),
     "extra-line": lambda d: d["lines"][0].append(["1/2", "1/3"]),
 }
@@ -485,6 +491,14 @@ def test_cli_verify_malformed_report_is_a_parse_error(
     capsys.readouterr()
     assert main(["verify", str(files["report"])]) == 3
     assert "parse error" in capsys.readouterr().err
+
+
+def test_cli_verify_accepts_a_spec_echo_at_the_precision_cap(tmp_path, trefoil_result, capsys):
+    files = write_artifacts(trefoil_result, tmp_path, canonical=True)
+    data = json.loads(files["report"].read_text())
+    data["spec"]["precision_bits"] = 4096
+    files["report"].write_text(json.dumps(data))
+    assert main(["verify", str(files["report"])]) == 0
 
 
 def test_verify_artifacts_reports_checks(tmp_path, trefoil_result):
@@ -641,9 +655,7 @@ def test_independence_check_runs_only_when_read(tmp_path, monkeypatch):
     """realize, the canonical artifacts and verify never run the check;
     the result runs it once, on the first read, and its outcome moves no
     verdict."""
-    relation = IndependenceResult(
-        passed=False, component=0, witness=(1, -2, 1), steps=(3,), exits=("relation",)
-    )
+    relation = IndependenceResult(passed=False, component=0, witness=(1, -2, 1))
     calls = []
 
     def counted(*args, **kwargs):
@@ -688,7 +700,33 @@ def test_verify_rejects_forged_crossing_heights(tmp_path, trefoil_result, capsys
     out = capsys.readouterr().out
     assert "mirror_room_check: pass" in out
     assert "verify_reflection: FAIL (crossing" in out
-    assert "certify: pass" in out
+    assert "certify: FAIL (the exact heights miss conditions (a)-(c) at margin 0.001)" in out
+
+
+def test_verify_checks_the_exact_heights_at_the_margin(tmp_path, trefoil_result, capsys):
+    """At f = 76 and this phase, crossing 2's exact passage heights are
+    ordered the wrong way round, 5e-10 apart.  With its stored heights
+    swapped, the file stays within the reflection check's tolerance and its
+    floats certify a trefoil; only the exact heights at the spec's margin
+    reject it."""
+    heights = (SawtoothHeight(76, Fraction(442077659563, 2**40)),)
+    result = dataclasses.replace(
+        trefoil_result,
+        heights=heights,
+        trajectory=emit_trajectory(trefoil_result.poly, heights, trefoil_result.arcs),
+    )
+    files = write_artifacts(result, tmp_path, canonical=True)
+    data = json.loads(files["trajectory"].read_text())
+    (ch,) = [ch for ch in data["crossing_heights"] if ch["crossing"] == 2]
+    assert 0 < abs(ch["z_a"] - ch["z_b"]) < 1e-9
+    ch["z_a"], ch["z_b"] = ch["z_b"], ch["z_a"]
+    files["trajectory"].write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(files["report"])]) == 4
+    out = capsys.readouterr().out
+    assert "mirror_room_check: pass" in out
+    assert "verify_reflection: pass" in out
+    assert "certify: FAIL (the exact heights miss conditions (a)-(c) at margin 0.001)" in out
 
 
 def test_verify_rejects_a_huge_stored_frequency_without_generating_it(tmp_path, trefoil_result, capsys):
