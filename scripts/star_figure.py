@@ -5,25 +5,31 @@ Usage: python scripts/star_figure.py P Q out.svg [--plain]
 
 With the default all-positive pattern the figure shows the torus link
 T(p, q) drawn on the star, matching the classic projection pictures;
---plain draws the bare star with no crossing gaps.
+--plain draws the bare star with no crossing gaps.  A (p, q) outside the
+star's domain (q >= 2, p >= 2q + 1) prints one line and exits 2.
 """
 
 import argparse
 import sys
 
 from billiardknots.braids import toric_pattern
+from billiardknots.errors import DomainError
 from billiardknots.serialization import star_svg
 from billiardknots.stars import assign_braid_letters, build_star, over_flags_from_signs
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("p", type=int)
     parser.add_argument("q", type=int)
     parser.add_argument("outfile")
     parser.add_argument("--plain", action="store_true")
-    args = parser.parse_args()
-    star = assign_braid_letters(build_star(args.p, args.q), toric_pattern(args.q, args.p))
+    args = parser.parse_args(argv)
+    try:
+        star = assign_braid_letters(build_star(args.p, args.q), toric_pattern(args.q, args.p))
+    except DomainError as exc:
+        print(f"star_figure.py: {exc}", file=sys.stderr)
+        return 2
     svg = star_svg(star, None if args.plain else over_flags_from_signs(star))
     with open(args.outfile, "w") as handle:
         handle.write(svg)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .errors import DegenerateAngleError, DomainError, UnboundedTableError
-from .heights import KIND_NAMES, WALL, component_events, passage_heights
+from .heights import KIND_NAMES, component_events, passage_heights
 from .perturbation import PerturbedPolygon, to_mpf
 from .stars import ArcTable
 
@@ -290,22 +290,16 @@ def _all_within(stored, regenerated, limit: float) -> bool:
     return all(map(operator.le, errors, itertools.repeat(limit)))
 
 
-def _event_mirrors(comp) -> list:
-    """The mirror of each event, None off the walls."""
-    walls = iter(comp.mirrors)
-    return [next(walls, None) if kind == WALL else None for kind in comp.kinds]
-
-
 def _first_bad_event(comp, want, limit: float) -> str:
     """Name the first event of ``comp`` that is off the regenerated ``want``
-    (same lengths, one wall mirror per wall), for the failure message."""
-    rows = zip(comp.kinds, _event_mirrors(comp), comp.arc, comp.x, comp.y, comp.z)
-    wanted = zip(want.kinds, _event_mirrors(want), want.arc, want.x, want.y, want.z)
-    for i, ((kind, mirror, *got), (want_kind, want_mirror, *at)) in enumerate(zip(rows, wanted)):
-        if kind != want_kind or mirror != want_mirror:
+    (same lengths), for the failure message."""
+    rows = zip(comp.kinds, comp.arc, comp.x, comp.y, comp.z)
+    wanted = zip(want.kinds, want.arc, want.x, want.y, want.z)
+    for i, ((kind, *got), (want_kind, *at)) in enumerate(zip(rows, wanted)):
+        if kind != want_kind:
             return (
-                f"event {i}: stored {KIND_NAMES.get(kind, kind)} event (mirror {mirror}), "
-                f"closed form {KIND_NAMES[want_kind]} (mirror {want_mirror})"
+                f"event {i}: stored {KIND_NAMES.get(kind, kind)} event, "
+                f"closed form {KIND_NAMES[want_kind]}"
             )
         errors = [abs(g - a) for g, a in zip(got, at)]
         if not all(error <= limit for error in errors):
@@ -324,18 +318,17 @@ def verify_reflection(traj, arcs: ArcTable, tol: float) -> ReflectionReport:
     component fix it.  It reads the trajectory's columns, its crossing
     heights and ``traj.poly``, and ``arcs``, that polygon's arc table, at
     whose precision it works.  The wall vertices are ``traj.poly``'s exact
-    rationals in flat order, the values ``polygon_mirrors`` builds the
-    mirrors from, so wall event k sits at mirror k's vertex and no table is
-    needed.  Each component's columns are regenerated from its own
-    sawtooth (``heights.component_events``) and compared with the stored
-    ones, each in one C-level pass: the ``kinds`` strings and the
-    ``mirrors`` lists must be equal, every ``arc``, ``x``, ``y`` and ``z``
-    value within ``tol - eps`` of its regenerated one, and so must every
-    crossing's passage heights.  Only on a failure does a Python loop find
-    the first bad event to name it.  A component with other than m + 2f
-    events in any column, or other than m wall mirrors, is rejected before
-    anything is generated, and so is one whose ``eps`` is not below
-    ``tol``.
+    rationals, the values ``polygon_mirrors`` builds the mirrors from, so
+    wall event k of component c sits at the vertex of mirror (c, k) and no
+    table is needed.  Each component's columns are regenerated from its
+    own sawtooth (``heights.component_events``) and compared with the
+    stored ones, each in one C-level pass: the ``kinds`` strings must be
+    equal, every ``arc``, ``x``, ``y`` and ``z`` value within ``tol - eps``
+    of its regenerated one, and so must every crossing's passage heights.
+    Only on a failure does a Python loop find the first bad event to name
+    it.  A component with other than m + 2f events in any column is
+    rejected before anything is generated, and so is one whose ``eps`` is
+    not below ``tol``.
 
     The regeneration runs in float64, and eps = ``walk_error_bound`` =
     2^-49 (L + R + 1) bounds its distance from the exact path through the
@@ -383,18 +376,16 @@ def verify_reflection(traj, arcs: ArcTable, tol: float) -> ReflectionReport:
         return ReflectionReport(False, (f"{len(traj.components)} components, expected {n_comp}",))
     violations = []
     with mp.workprec(arcs.prec_bits):
-        end = 0
         for ci, comp in enumerate(traj.components):
             v_arcs = arcs.vertex_arcs[ci]
             m = len(v_arcs)
-            first, end = end, end + m
             vertices = traj.poly.components[ci].vertices
             saw = comp.sawtooth
             n = m + 2 * saw.frequency
             lengths = [len(comp.kinds), *map(len, (comp.arc, comp.x, comp.y, comp.z))]
-            if lengths != [n] * 5 or len(comp.mirrors) != m:
+            if lengths != [n] * 5:
                 violations.append(
-                    f"component {ci}: {len(comp.mirrors)} wall mirrors and columns of "
+                    f"component {ci}: columns of "
                     f"{'/'.join(map(str, lengths))} events (kinds/arc/x/y/z), "
                     f"expected {m} walls + {2 * saw.frequency} bounces"
                 )
@@ -408,13 +399,12 @@ def verify_reflection(traj, arcs: ArcTable, tol: float) -> ReflectionReport:
                 continue
             limit = _within(tol, eps)
             try:
-                want = component_events(vertices, v_arcs, first, saw)
+                want = component_events(vertices, v_arcs, saw)
             except DomainError as exc:
                 violations.append(f"component {ci}: {exc}")
                 continue
             if not (
                 comp.kinds == want.kinds
-                and comp.mirrors == want.mirrors
                 and all(_all_within(getattr(comp, c), getattr(want, c), limit) for c in COLUMNS)
             ):
                 violations.append(

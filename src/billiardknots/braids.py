@@ -10,6 +10,7 @@ upward.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -68,32 +69,6 @@ class QuasitoricPattern:
         )
 
 
-@dataclass(frozen=True)
-class StrandPermutation:
-    """Permutation induced on strand positions by a braid word."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.images) != list(range(len(self.images))):
-            raise DomainError(f"not a permutation of 0..{len(self.images) - 1}: {self.images}")
-
-    def cycles(self) -> tuple[tuple[int, ...], ...]:
-        seen = [False] * len(self.images)
-        out = []
-        for start in range(len(self.images)):
-            if seen[start]:
-                continue
-            cycle = []
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                cycle.append(j)
-                j = self.images[j]
-            out.append(tuple(cycle))
-        return tuple(out)
-
-
 def toric_pattern(k: int, n: int) -> QuasitoricPattern:
     """The toric braid (sigma_1 ... sigma_{k-1})^n as an all-positive pattern."""
     if k < 2:
@@ -103,26 +78,11 @@ def toric_pattern(k: int, n: int) -> QuasitoricPattern:
     return QuasitoricPattern(k, n, tuple(tuple(1 for _ in range(k - 1)) for _ in range(n)))
 
 
-def closure_permutation(pattern: QuasitoricPattern) -> StrandPermutation:
-    """Product of the transpositions under each letter (signs are irrelevant)."""
-    images = list(range(pattern.strands))
-    # images[p] = strand position where the strand currently at p ends up;
-    # build by composing transpositions left to right.
-    position_of = list(range(pattern.strands))  # position_of[s] = current position of strand s
-    strand_at = list(range(pattern.strands))
-    for letter in pattern.word():
-        p = letter.generator_index - 1
-        a, b = strand_at[p], strand_at[p + 1]
-        strand_at[p], strand_at[p + 1] = b, a
-        position_of[a], position_of[b] = p + 1, p
-    for s in range(pattern.strands):
-        images[s] = position_of[s]
-    return StrandPermutation(tuple(images))
-
-
 def component_count(pattern: QuasitoricPattern) -> int:
-    """Number of link components of the closure (cycles of the permutation)."""
-    return len(closure_permutation(pattern).cycles())
+    """Number of link components of the closure: gcd(strands, repetitions).
+    Whatever its signs, each row permutes the strands by the same k-cycle,
+    and the n-th power of a k-cycle has gcd(k, n) cycles."""
+    return math.gcd(pattern.strands, pattern.repetitions)
 
 
 def trivial_block(k: int) -> tuple[tuple[int, ...], ...]:

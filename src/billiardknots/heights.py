@@ -635,12 +635,12 @@ KIND_NAMES = {WALL: "wall", FLOOR: "floor", CEILING: "ceiling"}
 @dataclass(frozen=True)
 class TrajComponent:
     """One component's events in arc order, as columns.  ``kinds`` has one
-    letter per event (``w`` wall, ``f`` floor, ``c`` ceiling), ``mirrors``
-    the mirror of each wall event in order, and ``arc``, ``x``, ``y`` and
-    ``z`` one float per event."""
+    letter per event (``w`` wall, ``f`` floor, ``c`` ceiling), and ``arc``,
+    ``x``, ``y`` and ``z`` one float per event.  Wall event k is the bounce
+    at the component's vertex k, so its mirror is the one through that
+    vertex."""
     sawtooth: SawtoothHeight
     kinds: str
-    mirrors: list
     arc: list
     x: list
     y: list
@@ -694,7 +694,7 @@ def _float_heights(saw: SawtoothHeight, arcs) -> list[float]:
         return [float(_mpf_sawtooth(f, t, phi)) for t in arcs]
 
 
-def component_events(vertices, vertex_arcs, first_mirror: int, saw: SawtoothHeight) -> TrajComponent:
+def component_events(vertices, vertex_arcs, saw: SawtoothHeight) -> TrajComponent:
     """One component's events in arc order, as the columns of a TrajComponent.
 
     Wall vertex i sits at arc ``vertex_arcs[i]`` and height z(arc); the 2f
@@ -754,8 +754,7 @@ def component_events(vertices, vertex_arcs, first_mirror: int, saw: SawtoothHeig
         lo = hi
     if lo < len(extrema) or not 1.0 - previous > EVENT_GAP:
         raise CoincidentEventsError("a bounce coincides with wall vertex 0; margin too small")
-    mirrors = list(range(first_mirror, first_mirror + m))
-    return TrajComponent(saw, "".join(kinds), mirrors, arc, x, y, z)
+    return TrajComponent(saw, "".join(kinds), arc, x, y, z)
 
 
 def passage_heights(heights, table: ArcTable) -> tuple[CrossingHeight, ...]:
@@ -784,11 +783,10 @@ def emit_trajectory(poly: PerturbedPolygon, heights, table: ArcTable) -> Spatial
     """
     if len(heights) != len(poly.components):
         raise DomainError("one sawtooth per component required")
-    components = []
-    first_mirror = 0
     with mp.workprec(table.prec_bits):
-        for comp, saw, v_arcs in zip(poly.components, heights, table.vertex_arcs):
-            components.append(component_events(comp.vertices, v_arcs, first_mirror, saw))
-            first_mirror += len(comp.vertices)
+        components = tuple(
+            component_events(comp.vertices, v_arcs, saw)
+            for comp, saw, v_arcs in zip(poly.components, heights, table.vertex_arcs)
+        )
         crossing_heights = passage_heights(heights, table)
-    return SpatialTrajectory(tuple(components), crossing_heights, poly)
+    return SpatialTrajectory(components, crossing_heights, poly)

@@ -75,7 +75,6 @@ class PolyCrossing:
 class PerturbedPolygon:
     star: StarDiagram
     delta: Fraction            # the accepted (possibly halved) perturbation size
-    seed: int
     components: tuple[PolyComponent, ...]
     crossings: tuple[PolyCrossing, ...]
 
@@ -246,11 +245,7 @@ def perturb(
                 continue
             layout = layout_from_lines(star, lines)
             if layout is not None:
-                components, crossings = layout
-                return PerturbedPolygon(
-                    star=star, delta=current, seed=seed,
-                    components=components, crossings=crossings,
-                )
+                return PerturbedPolygon(star, current, *layout)
     raise CombinatorialCollapseError(
         f"no delta in [{delta}/2^{MAX_HALVINGS}, {delta}] preserved the star combinatorics"
     )

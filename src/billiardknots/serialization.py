@@ -4,14 +4,15 @@ JSON is the single interchange format: rationals are serialized as "num/den"
 strings to keep exactness across the boundary, and high-precision reals as
 decimal strings.  ``trajectory.json`` stores each component as columns:
 a ``kinds`` string with one letter per event (``w`` wall, ``f`` floor,
-``c`` ceiling), a ``mirrors`` array with the mirror of each wall event,
-and the float columns ``arc``, ``x``, ``y`` and ``z``, one value per event,
-each a base64 string of little-endian float64 (8 bytes per event).  The
-bytes are the floats themselves, so every value reads back bit for bit,
-and no float is turned into decimal text and back.  The crossing heights,
+``c`` ceiling) and the float columns ``arc``, ``x``, ``y`` and ``z``, one
+value per event, each a base64 string of little-endian float64 (8 bytes
+per event).  The bytes are the floats themselves, so every value reads
+back bit for bit, and no float is turned into decimal text and back.  The crossing heights,
 two per crossing, stay JSON numbers: json's C encoder writes each as
 ``float.__repr__``, its shortest round-trip decimal, and its C decoder
-reads it back bit for bit.  This module is the only one that encodes or
+reads it back bit for bit.  Wall event k of component c bounces off the
+``table.json`` mirror with ``component`` c and ``vertex_index`` k, so the
+file names no mirror.  This module is the only one that encodes or
 decodes the columns.  The prism additionally ships as an OBJ mesh and the
 diagram as an SVG with under-strand gaps, in the style of star-polygon
 projection figures.
@@ -33,7 +34,7 @@ from .billiards import COLUMNS, mirror_room_check, verify_reflection
 from .braids import QuasitoricPattern, pad_to_min_repetitions
 from .errors import DomainError, SpecFileError
 from .heights import (
-    KIND_NAMES, WALL, CrossingHeight, SawtoothHeight, SpatialTrajectory, TrajComponent,
+    KIND_NAMES, CrossingHeight, SawtoothHeight, SpatialTrajectory, TrajComponent,
     build_height_constraints, confirm_heights,
 )
 from .invariants import certify, jones_string
@@ -52,6 +53,10 @@ def _frac_str(x: Fraction) -> str:
 
 
 def _parse_frac(s: str) -> Fraction:
+    """A rational stored as a "num/den" string.  A JSON number or a bool is
+    malformed: ``Fraction()`` would convert it, and a bad value would pass."""
+    if type(s) is not str:
+        raise SpecFileError(f"expected a rational as a string, got {s!r}")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
@@ -140,7 +145,6 @@ def trajectory_json(result: RealizationResult) -> dict:
                 "frequency": comp.sawtooth.frequency,
                 "phase": _frac_str(comp.sawtooth.phase),
                 "kinds": comp.kinds,
-                "mirrors": comp.mirrors,
                 **{name: _encode_column(getattr(comp, name)) for name in COLUMNS},
             }
             for comp in result.trajectory.components
@@ -332,17 +336,23 @@ def verify_artifacts(report_path) -> Verdict:
     height within the reflection tolerance of the exact one, the stored
     heights come in the exact order.  All three checks run on every report;
     one that fails the mirror-room check fails on it first.  The
-    trajectory's ``kinds`` string and ``mirrors`` array are read as JSON,
-    each float column is decoded from its base64 string of little-endian
-    float64 and every crossing height from its JSON number, every float bit
-    for bit as it was written, and their shape is checked here: one component per polygon component, each
-    column exactly 8 bytes per letter of ``kinds``, one mirror per wall
-    event, each an existing mirror, and one height pair per crossing.  A
+    trajectory's ``kinds`` string is read as JSON, each float column is
+    decoded from its base64 string of little-endian float64 and every
+    crossing height from its JSON number, every float bit for bit as it was
+    written, and their shape is checked here: one component per polygon
+    component, each column exactly 8 bytes per letter of ``kinds``, and one
+    height pair per crossing.  Wall event k of component c is at vertex k
+    of component c, whose mirror is ``table.json``'s (c, k), so no mirror
+    is stored; the reflection check pins each wall point to that vertex
+    through the regenerated ``x`` and ``y`` columns.  An unknown key, such
+    as the ``mirrors`` array that earlier files stored, is ignored.  A
     missing column (as in a file of the earlier point-and-event layout), a
     column that is not a base64 string (as in the previous layout of JSON
     numbers, named by its column), a payload of the wrong length, a NaN or
     infinite value in a column or a crossing height, a crossing height that
-    is not a JSON number, or an unknown kind letter is a parse error."""
+    is not a JSON number, a rational (the chosen delta, a line coefficient
+    or a phase) that is not a "num/den" string, or an unknown kind letter
+    is a parse error."""
     report_path = Path(report_path)
     report = _load_json(report_path)
     try:
@@ -377,26 +387,20 @@ def verify_artifacts(report_path) -> Verdict:
     layout = layout_from_lines(star, flat_lines)
     if layout is None:
         return Verdict((("combinatorics", False, "stored lines no longer match the star"),))
-    poly = PerturbedPolygon(star, delta, spec.seed, layout[0], layout[1])
+    poly = PerturbedPolygon(star, delta, *layout)
     prec = spec.precision_bits
     mirror = mirror_room_check(poly, prec_bits=prec)
 
     traj_data = _load_json(traj_file)
-    mirror_ids = range(len(poly.all_vertices()))
     try:
         components = []
         for comp in traj_data["components"]:
             saw = SawtoothHeight(json_int(comp["frequency"]), _parse_frac(comp["phase"]))
-            kinds, mirrors = comp["kinds"], comp["mirrors"]
+            kinds = comp["kinds"]
             if type(kinds) is not str or not set(kinds) <= KIND_NAMES.keys():
                 raise ValueError(f"kinds must be a string of the letters {''.join(KIND_NAMES)}")
             columns = [_decode_column(name, comp[name], len(kinds)) for name in COLUMNS]
-            if type(mirrors) is not list or len(mirrors) != kinds.count(WALL):
-                raise ValueError("mirrors must list one mirror per wall event")
-            for m in mirrors:
-                if json_int(m) not in mirror_ids:
-                    raise ValueError(f"wall event at mirror {m!r}, not in {mirror_ids}")
-            components.append(TrajComponent(saw, kinds, mirrors, *columns))
+            components.append(TrajComponent(saw, kinds, *columns))
         crossing_heights = tuple(
             CrossingHeight(
                 json_int(ch["crossing"]),

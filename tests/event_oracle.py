@@ -30,7 +30,7 @@ from billiardknots.heights import (
 from billiardknots.perturbation import to_mpf
 
 
-def mpf_component_events(vertices, vertex_arcs, first_mirror: int, saw: SawtoothHeight) -> TrajComponent:
+def mpf_component_events(vertices, vertex_arcs, saw: SawtoothHeight) -> TrajComponent:
     """One component's events in arc order, as columns of mpf values: wall
     vertex i at arc ``vertex_arcs[i]`` and height z(arc), and the 2f
     sawtooth extrema at arcs (h/2 - phi)/f in [0, 1), at height 1 (integer
@@ -45,13 +45,12 @@ def mpf_component_events(vertices, vertex_arcs, first_mirror: int, saw: Sawtooth
         (((mp.mpf(half) / 2 - phi) / saw.frequency, half % 2 == 0) for half in itertools.count()),
     )
     t_star, ceiling = next(extrema)
-    kinds, mirrors, arc, x, y, z = [], [], [], [], [], []
+    kinds, arc, x, y, z = [], [], [], [], []
     for i in range(m):
         start = vertex_arcs[i]
         end = vertex_arcs[i + 1] if i + 1 < m else mp.mpf(1)
         (x0, y0), (x1, y1) = verts[i], verts[(i + 1) % m]
         kinds.append(WALL)
-        mirrors.append(first_mirror + i)
         arc.append(start)
         x.append(x0)
         y.append(y0)
@@ -68,10 +67,10 @@ def mpf_component_events(vertices, vertex_arcs, first_mirror: int, saw: Sawtooth
             z.append(mp.mpf(1 if ceiling else 0))
             previous = t_star
             t_star, ceiling = next(extrema)
-    return TrajComponent(saw, "".join(kinds), mirrors, arc, x, y, z)
+    return TrajComponent(saw, "".join(kinds), arc, x, y, z)
 
 
-def float_component_events(vertices, vertex_arcs, first_mirror: int, saw: SawtoothHeight) -> TrajComponent:
+def float_component_events(vertices, vertex_arcs, saw: SawtoothHeight) -> TrajComponent:
     """The float64 walk event by event: each extremum arc (h/2 - phi)/f is
     computed, tested against the previous event and placed on its segment
     in turn.  Raises CoincidentEventsError as ``heights.component_events``
@@ -86,14 +85,13 @@ def float_component_events(vertices, vertex_arcs, first_mirror: int, saw: Sawtoo
     stop = h + 2 * f
     t_star = (h / 2 - phi) / f
     previous = -1.0
-    kinds, mirrors, arc, x, y, z = [], [], [], [], [], []
+    kinds, arc, x, y, z = [], [], [], [], []
     for i in range(m):
         start, end = arcs[i], arcs[i + 1]
         if not start - previous > EVENT_GAP:
             raise CoincidentEventsError(f"wall vertex {i} coincides with a bounce; margin too small")
         (x0, y0), (x1, y1) = verts[i], verts[(i + 1) % m]
         kinds.append(WALL)
-        mirrors.append(first_mirror + i)
         arc.append(start)
         x.append(x0)
         y.append(y0)
@@ -114,4 +112,4 @@ def float_component_events(vertices, vertex_arcs, first_mirror: int, saw: Sawtoo
             t_star = (h / 2 - phi) / f
     if h < stop or not 1.0 - previous > EVENT_GAP:
         raise CoincidentEventsError("a bounce coincides with wall vertex 0; margin too small")
-    return TrajComponent(saw, "".join(kinds), mirrors, arc, x, y, z)
+    return TrajComponent(saw, "".join(kinds), arc, x, y, z)

@@ -9,6 +9,8 @@ trajectory from its closed form instead, and serves as the oracle that
 check is compared against.
 """
 
+import itertools
+
 import mpmath as mp
 from mirror_room_oracle import plain_contains_xy
 
@@ -20,12 +22,17 @@ def pointwise_reflection(traj, table: BilliardTable, tol: float, prec_bits: int 
     """Check the reflection law at every bounce and containment in the prism.
 
     ``traj`` provides per-component columns: ``kinds`` (one letter per
-    event, ``w`` wall, ``f`` floor, ``c`` ceiling), ``mirrors`` (one per
-    wall event) and the 3D points ``x``, ``y``, ``z``.  Wall bounces must
-    reflect the horizontal direction across the mirror line with z-slope
+    event, ``w`` wall, ``f`` floor, ``c`` ceiling) and the 3D points ``x``,
+    ``y``, ``z``.  Wall event k of component c bounces off the table's
+    mirror at vertex k of component c, whose index in the table's flat
+    vertex order is the number of vertices before component c plus k.
+    Wall bounces must reflect the horizontal direction across the mirror line with z-slope
     carried through; floor and ceiling bounces flip the vertical component.
     """
     violations = []
+    first_mirror = {}  # component -> flat index of its vertex 0
+    for index, mirror in enumerate(table.mirrors):
+        first_mirror.setdefault(mirror.component, index)
     with mp.workprec(prec_bits):
         tol_m = mp.mpf(tol)
         for ci, comp in enumerate(traj.components):
@@ -39,7 +46,7 @@ def pointwise_reflection(traj, table: BilliardTable, tol: float, prec_bits: int 
                     violations.append(f"component {ci} point {i}: z={mp.nstr(z, 8)} outside [0,1]")
                 if not plain_contains_xy(table, (x, y), tol_m, prec_bits):
                     violations.append(f"component {ci} point {i}: leaves the floor polygon")
-            walls = iter(comp.mirrors)
+            walls = itertools.count(first_mirror[ci])
             for i, kind in enumerate(comp.kinds):
                 mirror_index = next(walls) if kind == WALL else None
                 name = KIND_NAMES.get(kind, kind)

@@ -171,9 +171,9 @@ def test_build_table_matches_pairwise_oracle(p, q):
         assert floor == pairwise_floor(poly, prec_bits=192)
 
 
-def make_simple_traj(points, kinds, mirrors=()):
+def make_simple_traj(points, kinds):
     x, y, z = (list(column) for column in zip(*points))
-    comp = SimpleNamespace(kinds=kinds, mirrors=list(mirrors), x=x, y=y, z=z)
+    comp = SimpleNamespace(kinds=kinds, x=x, y=y, z=z)
     return SimpleNamespace(components=(comp,))
 
 
@@ -206,7 +206,7 @@ def test_verify_reflection_emitted_trajectory_and_corruption():
     pts = list(comp.points)
     x, y, z = pts[2]
     pts[2] = (x, y, z + mp.mpf("0.05"))
-    broken = make_simple_traj(pts, comp.kinds, comp.mirrors)
+    broken = make_simple_traj(pts, comp.kinds)
     report = verify_reflection(broken, table, 1e-9, prec_bits=192)
     assert not report.passed
     assert any("event 2" in v or "event 1" in v or "event 3" in v for v in report.violations)
@@ -222,7 +222,7 @@ def test_verify_reflection_names_bounce_point_outside_floor():
         pts = list(comp.points)
         x, y, z = pts[i]
         pts[i] = (x + 10, y, z)
-        report = verify_reflection(make_simple_traj(pts, comp.kinds, comp.mirrors), table, 1e-9, 192)
+        report = verify_reflection(make_simple_traj(pts, comp.kinds), table, 1e-9, 192)
         assert f"component 0 point {i}: leaves the floor polygon" in report.violations
 
 

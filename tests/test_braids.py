@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 from billiardknots.braids import (
     BraidLetter,
     QuasitoricPattern,
-    closure_permutation,
     component_count,
     pad_to_min_repetitions,
     toric_pattern,
@@ -15,6 +15,7 @@ from billiardknots.braids import (
 )
 from billiardknots.errors import DomainError
 from billiardknots.invariants import pattern_jones
+from braid_oracles import closure_permutation
 from diagram_helpers import unlink_jones
 
 
@@ -86,6 +87,18 @@ def test_component_count_gcd_exhaustive():
     for k in range(2, 7):
         for n in range(1, 31):
             assert component_count(toric_pattern(k, n)) == math.gcd(k, n), (k, n)
+
+
+def test_component_count_matches_the_closure_permutation_on_random_patterns():
+    """gcd(strands, repetitions) counts the cycles of the simulated closure
+    permutation on random sign matrices and on their padded forms."""
+    rng = random.Random(2011)
+    for _ in range(300):
+        k, n = rng.randint(2, 9), rng.randint(1, 60)
+        signs = tuple(tuple(rng.choice((1, -1)) for _ in range(k - 1)) for _ in range(n))
+        pattern = QuasitoricPattern(k, n, signs)
+        for p in (pattern, pad_to_min_repetitions(pattern)):
+            assert component_count(p) == len(closure_permutation(p).cycles()), p
 
 
 def test_pad_noop_in_regime():

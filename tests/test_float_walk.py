@@ -58,22 +58,20 @@ def test_one_input_has_a_frequency_of_at_least_3000():
 @pytest.mark.parametrize("name", sorted(INPUTS))
 def test_float_walk_is_within_its_bound_of_the_mpf_walk(name):
     result = _realized(name)
-    first = 0
     for ci, (comp, saw) in enumerate(zip(result.poly.components, result.heights)):
         v_arcs = result.arcs.vertex_arcs[ci]
         eps = walk_error_bound(comp.vertices, result.arcs.total_lengths[ci])
         assert eps < 1e-12
         with mp.workprec(192):
-            walk = component_events(comp.vertices, v_arcs, first, saw)
-            oracle = mpf_component_events(comp.vertices, v_arcs, first, saw)
+            walk = component_events(comp.vertices, v_arcs, saw)
+            oracle = mpf_component_events(comp.vertices, v_arcs, saw)
             n = len(v_arcs) + 2 * saw.frequency
             assert len(walk.kinds) == len(oracle.kinds) == n
-            assert (walk.kinds, walk.mirrors) == (oracle.kinds, oracle.mirrors)
+            assert walk.kinds == oracle.kinds
             for column in ("arc", "x", "y", "z"):
                 got, want = getattr(walk, column), getattr(oracle, column)
                 assert len(got) == len(want) == n
                 assert all(abs(a - b) <= eps for a, b in zip(got, want))
-        first += len(comp.vertices)
     with mp.workprec(192):
         exact = {
             (ps.crossing, ps.is_a_side): evaluate_sawtooth(saw, ps.arc)
@@ -90,16 +88,14 @@ def test_column_walk_equals_the_event_by_event_walk(name):
     """Slicing the sorted extremum arcs per segment gives every column bit
     for bit as the walk that places one extremum at a time."""
     result = _realized(name)
-    first = 0
     for ci, (comp, saw) in enumerate(zip(result.poly.components, result.heights)):
         v_arcs = result.arcs.vertex_arcs[ci]
-        walk = component_events(comp.vertices, v_arcs, first, saw)
-        loop = float_component_events(comp.vertices, v_arcs, first, saw)
-        assert (walk.kinds, walk.mirrors) == (loop.kinds, loop.mirrors)
+        walk = component_events(comp.vertices, v_arcs, saw)
+        loop = float_component_events(comp.vertices, v_arcs, saw)
+        assert walk.kinds == loop.kinds
         for column in ("arc", "x", "y", "z"):
             got, want = getattr(walk, column), getattr(loop, column)
             assert [v.hex() for v in got] == [v.hex() for v in want]
-        first += len(comp.vertices)
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
@@ -112,7 +108,7 @@ def test_phase_zero_puts_an_extremum_on_the_wall_at_arc_zero():
     result = _realized("trefoil")
     (comp,) = result.poly.components
     for phase in (Fraction(0), Fraction(1, 2)):
-        args = (comp.vertices, result.arcs.vertex_arcs[0], 0, SawtoothHeight(3, phase))
+        args = (comp.vertices, result.arcs.vertex_arcs[0], SawtoothHeight(3, phase))
         with pytest.raises(CoincidentEventsError) as walk_error:
             component_events(*args)
         with pytest.raises(CoincidentEventsError) as loop_error:

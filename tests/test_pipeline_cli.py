@@ -2,6 +2,7 @@ import base64
 import dataclasses
 import functools
 import importlib.util
+import itertools
 import json
 import struct
 from fractions import Fraction
@@ -187,17 +188,30 @@ def test_cli_realize_into_a_file_is_exit_3(tmp_path, capsys):
     assert taken.read_text() == "not a directory"
 
 
+def _load_script(name: str):
+    """A module of ``scripts/`` loaded by its file name."""
+    script = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    loader = importlib.util.spec_from_file_location(name, script)
+    module = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(module)
+    return module
+
+
 def test_run_presets_into_a_file_is_exit_3(tmp_path, capsys):
-    script = Path(__file__).resolve().parent.parent / "scripts" / "run_presets.py"
-    loader = importlib.util.spec_from_file_location("run_presets", script)
-    run_presets = importlib.util.module_from_spec(loader)
-    loader.loader.exec_module(run_presets)
+    run_presets = _load_script("run_presets")
     taken = tmp_path / "taken"
     taken.write_text("not a directory")
     assert run_presets.main(["--out", str(taken)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("cannot write artifacts: ") and err.count("\n") == 1
     assert taken.read_text() == "not a directory"
+
+
+def test_star_figure_outside_the_domain_is_one_line_and_exit_2(tmp_path, capsys):
+    out = tmp_path / "star.svg"
+    assert _load_script("star_figure").main(["5", "3", str(out)]) == 2
+    assert capsys.readouterr().err == "star_figure.py: p must be >= 2q+1 = 7, got 5\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -333,17 +347,19 @@ def test_cli_verify_detects_corruption(tmp_path, capsys):
     assert "reflection law violated" in printed.out + printed.err
 
 
-def test_cli_verify_detects_swapped_wall_mirrors(tmp_path, trefoil_result, capsys):
-    """Mirrors that exist but belong to other walls fail the reflection
-    check, which names the first wall event off its mirror."""
+def test_cli_verify_ignores_a_stored_mirrors_array(tmp_path, trefoil_result):
+    """A file from before the wall mirrors were dropped, which lists the
+    flat index of each wall event's mirror, still verifies: the key is
+    ignored like any other unknown key."""
     files = write_artifacts(trefoil_result, tmp_path, canonical=True)
     data = json.loads(files["trajectory"].read_text())
-    mirrors = data["components"][0]["mirrors"]
-    mirrors[0], mirrors[1] = mirrors[1], mirrors[0]
+    first = 0
+    for comp in data["components"]:
+        walls = comp["kinds"].count("w")
+        comp["mirrors"] = list(range(first, first + walls))
+        first += walls
     files["trajectory"].write_text(json.dumps(data))
-    capsys.readouterr()
-    assert main(["verify", str(files["report"])]) == 4
-    assert "event 0: stored wall event (mirror 1), closed form wall (mirror 0)" in capsys.readouterr().out
+    assert main(["verify", str(files["report"])]) == 0
 
 
 def test_cli_verify_detects_flipped_crossing(tmp_path, capsys):
@@ -387,8 +403,8 @@ def _old_layout(data):
     list of point triples and a list of event records, every value a
     decimal string."""
     names = {"w": "wall", "f": "floor", "c": "ceiling"}
+    walls = itertools.count()  # mirrors were numbered in flat vertex order
     for comp in data["components"]:
-        walls = iter(comp.pop("mirrors"))
         arc, x, y, z = (decode_column(comp.pop(column)) for column in COLUMNS)
         comp["events"] = [
             {"kind": names[k], "arc": repr(t), "mirror": next(walls) if k == "w" else None}
@@ -397,10 +413,6 @@ def _old_layout(data):
         comp["points"] = [[repr(c) for c in p] for p in zip(x, y, z)]
     for ch in data["crossing_heights"]:
         ch.update(z_a=repr(ch["z_a"]), z_b=repr(ch["z_b"]))
-
-
-def _set(column, index, value):
-    return lambda d: d["components"][0][column].__setitem__(index, value)
 
 
 def _put(index, value):
@@ -428,12 +440,8 @@ TRAJECTORY_CORRUPTIONS = {
     "number-array-column": lambda d: d["components"][0].update(x=decode_column(d["components"][0]["x"])),
     "non-base64-character": _swap_in_non_base64,
     "one-byte-payload": lambda d: d["components"][0].update(y="AA=="),
-    "mirror-999": _set("mirrors", 0, 999),
-    "mirror-null": _set("mirrors", 0, None),
-    "mirror-negative": _set("mirrors", 0, -1),
-    "mirror-float": _set("mirrors", 0, 0.0),
-    "extra-mirror": lambda d: d["components"][0]["mirrors"].append(0),
-    "dropped-mirror": lambda d: d["components"][0]["mirrors"].pop(),
+    "phase-false": lambda d: d["components"][0].update(phase=False),
+    "phase-zero": lambda d: d["components"][0].update(phase=0),
     "missing-crossing-height": lambda d: d["crossing_heights"].pop(),
     "dropped-component": lambda d: d["components"].pop(),
     "nan-point": _set_float("z", 3, float("nan")),
@@ -477,6 +485,11 @@ REPORT_CORRUPTIONS = {
     "precision-above-cap": lambda d: d["spec"].update(precision_bits=4097),
     "extra-component-lines": lambda d: d["lines"].append([["1/2", "1/3"]]),
     "extra-line": lambda d: d["lines"][0].append(["1/2", "1/3"]),
+    "chosen-delta-true": lambda d: d.update(chosen_delta=True),
+    "chosen-delta-float": lambda d: d.update(chosen_delta=0.001),
+    "line-coefficient-float": lambda d: d["lines"][0][0].__setitem__(
+        0, float(Fraction(d["lines"][0][0][0]))
+    ),
 }
 
 
@@ -587,8 +600,8 @@ def _realized_preset(name):
 
 
 def test_stored_decimals_parse_as_mpf_does_at_53_bits(tmp_path):
-    """For every preset, the stored kinds and mirrors are the ones realize
-    walked, and the crossing heights, stored as decimals, are its floats
+    """For every preset, the stored kinds are the ones realize walked, no
+    mirror is stored, and the crossing heights, stored as decimals, are its floats
     bit for bit.  Each is the shortest repr of its float, so at any working
     precision it is also what ``mp.mpf`` gives for the decimal at mpmath's
     default 53 bits.  (The float columns are bytes, pinned below.)"""
@@ -599,7 +612,7 @@ def test_stored_decimals_parse_as_mpf_does_at_53_bits(tmp_path):
         data, decimals = json.loads(text), json.loads(text, parse_float=str)
         traj = result.trajectory
         for comp, walked in zip(data["components"], traj.components):
-            assert (comp["kinds"], comp["mirrors"]) == (walked.kinds, walked.mirrors)
+            assert comp["kinds"] == walked.kinds and "mirrors" not in comp
         stored = [ch[side] for ch in data["crossing_heights"] for side in ("z_a", "z_b")]
         strings = [ch[side] for ch in decimals["crossing_heights"] for side in ("z_a", "z_b")]
         values = [z for ch in traj.crossing_heights for z in (ch.z_a, ch.z_b)]
