@@ -18,39 +18,39 @@ from billiardknots.serialization import write_artifacts
 GOLDEN = {
     "unknot": (
         "d184bc0e6e0d0446a5fe5726c8ef431d1e44ac6d21933810d55b31ec2898efa9",
-        "e0652a1dd0686e603505ea3fde1e62e1a1e350ba098f00515ae5ca29d21b8893",
+        "2618b64bb3c5a5570dccbffac1099b0472c355b7fd9c29bb0320fc4e9f830b7a",
     ),
     "trefoil": (
         "80f012867d13691fe44ef101827925c1eda1b60907f7d0625d21e9adbbf5fadc",
-        "9194763c308ad110f3f0005a559cdd94ddb57a4985492cea91e0d25928ca7d37",
+        "3cd57f43d0989594284bbb0203fa0de85871eec0940a648c4542998b8e6ae765",
     ),
     "figure-eight": (
         "f83ab8c10b83310aebe7fd9f7233e22900d3de1db3bcc54bde5165fd044364a0",
-        "70ea04fc3d13ea462b33cd6e948d23140715a31d50a94cdf94b71af49821b496",
+        "e17db2e62b434b7b5b925c90972f801e583594c71899eacd84c7f11f16efb0a7",
     ),
     "torus-2-5": (
         "04b7e2233189cebcea42378a8132c25c513e0d252425f1ffcdb647ed5ff56d5c",
-        "3f805fca704d5f9f862b16d7c207638691a38b2a0db5d0a78d9ed871573e4252",
+        "fc9b7fa486d3baf6faf170bea0a318fe84725fe99c3585d90022a0da714502bf",
     ),
     "torus-3-7": (
         "4be6622881dca8188d825bf1e173efb2dd706066acb01e85bb78f4ea7ad64a05",
-        "e5776cd3b84e0785640ce02525f3d66bdd4f8ecc63c666ba05d42d64fba41647",
+        "12dd2e8af57dc24ea6fbb63e8c0a510f066d275d755213451846223b293c1cf2",
     ),
     "star-10-3": (
         "4a9de2344efbf5718af3b1739891dc4dd23a2cf94ca55423d9b251c7140cc0ce",
-        "29e6f60cc8913bcc4a84a76b218550fb5a5d9cc713e783e383f6cb3b9ce891dc",
+        "4128de71e0284a68eea56792929bbf6bbba4f82482bd8e39fad7ac8a162cdea6",
     ),
     "star-10-2": (
         "792dd22e52c6660659e621a740658e6f16547dd74ce3badd4fbb3bfbde06d512",
-        "908394685aa3fd382837d66d0914129b010e8885f6dbe2336166c264d008dee7",
+        "92309675f5e8d18aeaf4c7a51c2252e4c93bc216a9cfd522d15a81a6c45f412a",
     ),
     "star-9-3": (
         "798145518d2595773df2bd7b06e697ba168f6c44931c37f785aabff1b8148458",
-        "0876b2ba5d0e4afaf77b3084fac76e5aa193f9687864cc66e4a9aa0c4dbf9dd6",
+        "e38413964f124388a067eced9cf608a33378017b31da803940f714d233007e5d",
     ),
     "hopf": (
         "7d5ff8dbae30231d09c9afb1c8f4b17fab906e7e61aaa4083ea9b99611ddf99a",
-        "9348df9865b3ae9fbd0875800239daf49ad96d3e5ac2c81af321624492769968",
+        "529b592de14a59d9aa28a9d3d890e20a02818e01f8f1f524e40fa24aa44b7b31",
     ),
 }
 
