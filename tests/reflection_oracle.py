@@ -26,8 +26,9 @@ def pointwise_reflection(traj, table: BilliardTable, tol: float, prec_bits: int 
     ``y``, ``z``.  Wall event k of component c bounces off the table's
     mirror at vertex k of component c, whose index in the table's flat
     vertex order is the number of vertices before component c plus k.
-    Wall bounces must reflect the horizontal direction across the mirror line with z-slope
-    carried through; floor and ceiling bounces flip the vertical component.
+    Wall bounces must reflect the horizontal direction across the mirror
+    line with z-slope carried through; floor and ceiling bounces flip the
+    vertical component.
     """
     violations = []
     first_mirror = {}  # component -> flat index of its vertex 0

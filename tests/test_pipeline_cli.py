@@ -347,6 +347,25 @@ def test_cli_verify_detects_corruption(tmp_path, capsys):
     assert "reflection law violated" in printed.out + printed.err
 
 
+def test_cli_verify_detects_swapped_wall_mirrors(tmp_path, trefoil_result, capsys):
+    """Wall event k bounces off the mirror at vertex k, so two wall points
+    swapped between their mirrors fail the reflection check, which names
+    the first wall event off its vertex."""
+    files = write_artifacts(trefoil_result, tmp_path, canonical=True)
+    data = json.loads(files["trajectory"].read_text())
+    first, second = [i for i, kind in enumerate(data["components"][0]["kinds"]) if kind == "w"][:2]
+
+    def swap(values):
+        values[first], values[second] = values[second], values[first]
+
+    edit_column(data, "x", swap)
+    edit_column(data, "y", swap)
+    files["trajectory"].write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(files["report"])]) == 4
+    assert f"component 0 event {first}: arc off the closed form by 0, point by" in capsys.readouterr().out
+
+
 def test_cli_verify_ignores_a_stored_mirrors_array(tmp_path, trefoil_result):
     """A file from before the wall mirrors were dropped, which lists the
     flat index of each wall event's mirror, still verifies: the key is
