@@ -52,7 +52,6 @@ from fractions import Fraction
 import mpmath as mp
 
 from .errors import CoincidentEventsError, DomainError, SearchExhaustedError
-from .pdcodes import DiagramTraversal
 from .perturbation import PerturbedPolygon, to_mpf
 from .stars import ArcTable
 
@@ -672,10 +671,6 @@ class SpatialTrajectory:
                 raise DomainError(f"crossing {ch.crossing} has equal passage heights")
             flags[ch.crossing] = ch.z_a > ch.z_b
         return flags
-
-    def diagram_traversal(self) -> DiagramTraversal:
-        """Planar diagram with over/under read off the realized heights."""
-        return self.poly.diagram_traversal(self.over_flags())
 
 
 # Least arc gap between consecutive events of the float walk.  Each float

@@ -166,15 +166,15 @@ class CertificationReport:
 def certify(traj, pattern: QuasitoricPattern) -> CertificationReport:
     """Compare the trajectory's diagram invariant with the intended closure.
 
-    ``traj`` provides ``diagram_traversal()`` (planar passage events with the
-    realized over/under choices); the intended side is computed from the
-    abstract braid word by an independent route.
+    The constructed side is one ``traversal_pd`` call on the strand passages
+    of ``traj.poly`` with the over-flags of ``traj``'s realized heights, and
+    its components are counted in ``traj.poly.components``; the intended
+    side is computed from the abstract braid word by an independent route.
     """
-    traversal = traj.diagram_traversal()
-    pd, sign_map = traversal_pd(traversal)
+    pd, sign_map = traversal_pd(traj.poly.passages(), traj.over_flags())
     constructed = jones(pd, sum(sign_map.values()))
     intended = pattern_jones(pattern)
-    comp_constructed = len(traversal.components)
+    comp_constructed = len(traj.poly.components)
     comp_intended = component_count(pattern)
     return CertificationReport(
         passed=(constructed == intended and comp_constructed == comp_intended),

@@ -5,11 +5,16 @@ counterclockwise order starting from the incoming under-strand.  Edge labels
 are the segments between consecutive crossing passages along the curve, so
 every label occurs exactly twice over all records.  Closed components without
 any crossing are carried separately in ``free_loops``.
+
+``braid_closure_pd`` reads the code of a quasitoric braid's closure off its
+word.  ``traversal_pd`` reads the code of a drawn diagram, in one call, off
+its strand passages and over-flags; for a realized trajectory these are
+``PerturbedPolygon.passages()`` and the over-flags of its crossing heights.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .braids import QuasitoricPattern
 from .errors import DomainError
@@ -74,82 +79,48 @@ def braid_closure_pd(pattern: QuasitoricPattern) -> PDCode:
     return PDCode(_compress_labels(merged), free_loops=free_loops)
 
 
-@dataclass(frozen=True)
-class PassageEvent:
-    """One strand passage through a crossing, in traversal order."""
-
-    crossing_id: int
-    is_over: bool
-    direction: tuple  # 2D direction of travel; any exact/high-precision numeric
-
-
-@dataclass
-class DiagramTraversal:
-    """Per-component passage events of a planar diagram, in arc order."""
-
-    components: list[list[PassageEvent]] = field(default_factory=list)
-
-
-def passage_traversal(n_components: int, passages, over_a_side: dict[int, bool]) -> DiagramTraversal:
-    """Passage events per component, each component sorted by its keys.
+def traversal_pd(passages, over_a_side: dict[int, bool]) -> tuple[PDCode, dict[int, int]]:
+    """PD code of a diagram given by its strand passages.
 
     ``passages`` holds one (component, sort key, crossing id, on chord_a,
-    direction) per strand passage; ``over_a_side[i]`` says whether the
-    chord_a strand passes over at crossing i.
-    """
-    per_comp: list[list[tuple]] = [[] for _ in range(n_components)]
-    for comp, key, crossing, on_a, direction in passages:
-        per_comp[comp].append((key, PassageEvent(crossing, over_a_side[crossing] == on_a, direction)))
-    traversal = DiagramTraversal()
-    for items in per_comp:
-        items.sort(key=lambda pair: pair[0])
-        traversal.components.append([ev for _, ev in items])
-    return traversal
-
-
-def traversal_pd(traversal: DiagramTraversal) -> tuple[PDCode, dict[int, int]]:
-    """Build the PD code of a traversed diagram.
+    direction) per strand passage, ``direction`` being the 2D direction of
+    travel (exact or high-precision); ``over_a_side[i]`` says whether the
+    chord_a strand passes over at crossing i.  Each component's passages
+    are sorted by their keys, and edge labels run along the components in
+    index order.  A component appears only through its passages (every
+    component of a star has some); a diagram without passages is one free
+    loop.
 
     Returns the code and the crossing sign map {crossing_id: +1/-1} for
     writhe bookkeeping (positive when the over direction, then the under
     direction, form a positively oriented frame).
     """
-    free_loops = 0
+    per_comp: dict[int, list[tuple]] = {}
+    for comp, key, crossing, on_a, direction in passages:
+        per_comp.setdefault(comp, []).append((key, crossing, over_a_side[crossing] == on_a, direction))
+    # per crossing: (is over, direction, incoming label, outgoing label) of each passage
+    strands: dict[int, list[tuple]] = {}
     next_edge = 0
-    # per event: incoming and outgoing edge labels
-    incoming: dict[tuple[int, int], int] = {}
-    outgoing: dict[tuple[int, int], int] = {}
-    events_by_crossing: dict[int, list[tuple[int, int]]] = {}
-    for ci, events in enumerate(traversal.components):
-        if not events:
-            free_loops += 1
-            continue
+    for comp in sorted(per_comp):
+        events = sorted(per_comp[comp], key=lambda ev: ev[0])
         m = len(events)
-        labels = list(range(next_edge, next_edge + m))
+        for i, (_, crossing, is_over, direction) in enumerate(events):
+            strands.setdefault(crossing, []).append(
+                (is_over, direction, next_edge + (i - 1) % m, next_edge + i)
+            )
         next_edge += m
-        for i, ev in enumerate(events):
-            outgoing[(ci, i)] = labels[i]
-            incoming[(ci, i)] = labels[(i - 1) % m]
-            events_by_crossing.setdefault(ev.crossing_id, []).append((ci, i))
 
     records: list[list[int]] = []
     signs: dict[int, int] = {}
-    for cid, places in sorted(events_by_crossing.items()):
-        if len(places) != 2:
-            raise DomainError(f"crossing {cid} has {len(places)} passages, expected 2")
-        ev_a = traversal.components[places[0][0]][places[0][1]]
-        ev_b = traversal.components[places[1][0]][places[1][1]]
-        if ev_a.is_over == ev_b.is_over:
+    for cid, pair in sorted(strands.items()):
+        if len(pair) != 2:
+            raise DomainError(f"crossing {cid} has {len(pair)} passages, expected 2")
+        if pair[0][0] == pair[1][0]:
             raise DomainError(f"crossing {cid} needs one over and one under passage")
-        under_place, over_place = (places[1], places[0]) if ev_a.is_over else (places[0], places[1])
-        under_ev = traversal.components[under_place[0]][under_place[1]]
-        over_ev = traversal.components[over_place[0]][over_place[1]]
-        du, do = under_ev.direction, over_ev.direction
+        (_, do, o_in, o_out), (_, du, u_in, u_out) = pair if pair[0][0] else pair[::-1]
         det = du[0] * do[1] - du[1] * do[0]
         if det == 0:
             raise DomainError(f"tangential crossing {cid}")
-        u_in, u_out = incoming[under_place], outgoing[under_place]
-        o_in, o_out = incoming[over_place], outgoing[over_place]
         if det > 0:
             records.append([u_in, o_in, u_out, o_out])
         else:
@@ -157,5 +128,5 @@ def traversal_pd(traversal: DiagramTraversal) -> tuple[PDCode, dict[int, int]]:
         signs[cid] = -1 if det > 0 else 1
 
     if not records:
-        return PDCode((), free_loops=max(free_loops, 1)), signs
-    return PDCode(_compress_labels(records), free_loops=free_loops), signs
+        return PDCode((), free_loops=1), signs
+    return PDCode(_compress_labels(records)), signs

@@ -35,7 +35,6 @@ import mpmath as mp
 from mpmath.libmp import from_rational, round_nearest
 
 from .errors import CombinatorialCollapseError, DomainError, PrecisionError
-from .pdcodes import DiagramTraversal, passage_traversal
 from .stars import ArcTable, Passage, StarDiagram, sorted_passages
 
 DENOMINATOR_BITS = 31
@@ -78,24 +77,22 @@ class PerturbedPolygon:
     components: tuple[PolyComponent, ...]
     crossings: tuple[PolyCrossing, ...]
 
-    def all_vertices(self) -> list[tuple[Fraction, Fraction]]:
-        return [v for comp in self.components for v in comp.vertices]
-
     def segment_direction(self, comp: int, seg: int) -> tuple[Fraction, Fraction]:
         component = self.components[comp]
         v0 = component.vertices[seg]
         v1 = component.vertices[(seg + 1) % len(component.vertices)]
         return (v1[0] - v0[0], v1[1] - v0[1])
 
-    def diagram_traversal(self, over_a_side: dict[int, bool]) -> DiagramTraversal:
-        """Passage events in traversal order, with exact rational directions."""
-        passages = []
+    def passages(self):
+        """One (component, sort key, crossing id, on chord_a, direction) per
+        strand passage, as ``pdcodes.traversal_pd`` reads them; the key
+        orders a component's passages along it and the direction of travel
+        is exact."""
         for pc in self.crossings:
             for (comp, seg), on_a in ((pc.a_place, True), (pc.b_place, False)):
                 direction = self.segment_direction(comp, seg)
                 key = (seg, pc.point[0] if direction[0] > 0 else -pc.point[0])
-                passages.append((comp, key, pc.index, on_a, direction))
-        return passage_traversal(len(self.components), passages, over_a_side)
+                yield comp, key, pc.index, on_a, direction
 
 
 def _star_chord_geometry(star: StarDiagram):

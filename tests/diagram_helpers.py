@@ -9,7 +9,7 @@ import mpmath as mp
 
 from billiardknots.invariants import jones
 from billiardknots.laurent import Laurent
-from billiardknots.pdcodes import DiagramTraversal, PDCode, passage_traversal, traversal_pd
+from billiardknots.pdcodes import PDCode, traversal_pd
 from billiardknots.stars import ArcTable, Passage, StarDiagram, sorted_passages
 
 
@@ -73,10 +73,9 @@ def relabel_pd(pd: PDCode, mapping: dict[int, int]) -> PDCode:
     )
 
 
-def star_traversal(diagram: StarDiagram, over_a_side: dict[int, bool]) -> DiagramTraversal:
-    """Passage events per component of the unperturbed star;
-    ``over_a_side[i]`` says whether the chord_a strand passes over at
-    crossing i."""
+def star_passages(diagram: StarDiagram) -> list[tuple]:
+    """Strand passages of the unperturbed star, as ``traversal_pd`` reads
+    them: (component, arc, crossing id, on chord_a, chord direction)."""
     passages = []
     for c in diagram.crossings:
         for comp, arc, on_a in (
@@ -86,7 +85,7 @@ def star_traversal(diagram: StarDiagram, over_a_side: dict[int, bool]) -> Diagra
             va, vb = diagram.chords[c.chord_a if on_a else c.chord_b]
             (ax, ay), (bx, by) = diagram.vertices[va], diagram.vertices[vb]
             passages.append((comp, arc, c.index, on_a, (bx - ax, by - ay)))
-    return passage_traversal(len(diagram.components), passages, over_a_side)
+    return passages
 
 
 def extract_pd(diagram: StarDiagram, over_data: dict[int, bool]) -> PDCode:
@@ -95,13 +94,13 @@ def extract_pd(diagram: StarDiagram, over_data: dict[int, bool]) -> PDCode:
     ``over_data[i]`` says whether the chord_a strand passes over at crossing
     i; arcs are labeled by traversal order.
     """
-    pd, _ = traversal_pd(star_traversal(diagram, over_data))
+    pd, _ = traversal_pd(star_passages(diagram), over_data)
     return pd
 
 
 def diagram_jones(diagram: StarDiagram, over_data: dict[int, bool]) -> Laurent:
     """Jones polynomial of a star diagram with prescribed over/under data."""
-    pd, sign_map = traversal_pd(star_traversal(diagram, over_data))
+    pd, sign_map = traversal_pd(star_passages(diagram), over_data)
     return jones(pd, sum(sign_map.values()))
 
 

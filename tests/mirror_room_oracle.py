@@ -7,7 +7,8 @@ mirror half-plane tested for a point.
 float64 and confirms the candidates at the working precision;
 ``pairwise_mirror_room`` serves as the oracle it is compared against, bit
 for bit.  ``plain_contains_xy`` is the containment test of the reference
-reflection check and of the table tests.
+reflection check and of the table tests.  ``all_vertices`` lists a
+polygon's vertices component by component.
 """
 
 import mpmath as mp
@@ -16,10 +17,15 @@ from billiardknots.billiards import MARGIN_FACTOR, MirrorRoomReport, polygon_mir
 from billiardknots.perturbation import to_mpf
 
 
+def all_vertices(poly) -> list:
+    """Every vertex of ``poly``, component by component."""
+    return [v for comp in poly.components for v in comp.vertices]
+
+
 def pairwise_mirror_room(poly, prec_bits: int = 128) -> MirrorRoomReport:
     """Strict mirror-room condition: u_k . (P_i - P_k) > margin for all i != k."""
     mirrors = polygon_mirrors(poly, prec_bits)
-    vertices = poly.all_vertices()
+    vertices = all_vertices(poly)
     with mp.workprec(prec_bits):
         pts = [(to_mpf(x), to_mpf(y)) for x, y in vertices]
         diameter = max(

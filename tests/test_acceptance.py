@@ -83,10 +83,7 @@ def test_criterion_2_pentagram_sanity():
     star = build_star(5, 2)
     comp = star.components[0]
     vertices = [star.vertices[star.chords[c][0]] for c in comp]
-    poly = SimpleNamespace(
-        components=(SimpleNamespace(vertices=tuple(vertices)),),
-        all_vertices=lambda: list(vertices),
-    )
+    poly = SimpleNamespace(components=(SimpleNamespace(vertices=tuple(vertices)),))
     check = mirror_room_check(poly)
     table = build_table(check.mirrors)
     tips_on_boundary = True
@@ -175,10 +172,7 @@ def test_criterion_6_lemma1_stability(torus25, trefoil, figure_eight, hopf):
                     ang = rng.uniform(0, 2 * math.pi)
                     vs.append((float(x) + r * math.cos(ang), float(y) + r * math.sin(ang)))
                 comps.append(SimpleNamespace(vertices=tuple(vs)))
-            fake = SimpleNamespace(
-                components=tuple(comps),
-                all_vertices=lambda cs=comps: [v for c in cs for v in c.vertices],
-            )
+            fake = SimpleNamespace(components=tuple(comps))
             if not mirror_room_check(fake, prec_bits=64).passed:
                 all_ok = False
     _report(

@@ -5,8 +5,8 @@ from types import SimpleNamespace
 
 import mpmath as mp
 import pytest
-from mirror_room_oracle import pairwise_mirror_room, plain_contains_xy
-from reflection_oracle import pointwise_reflection as verify_reflection
+from mirror_room_oracle import all_vertices, pairwise_mirror_room, plain_contains_xy
+from reflection_oracle import pointwise_reflection
 from table_oracles import pairwise_floor
 
 from billiardknots.billiards import (
@@ -27,10 +27,7 @@ from billiardknots.stars import build_star
 
 def fake_polygon(vertex_lists):
     comps = tuple(SimpleNamespace(vertices=tuple(vs)) for vs in vertex_lists)
-    return SimpleNamespace(
-        components=comps,
-        all_vertices=lambda: [v for c in comps for v in c.vertices],
-    )
+    return SimpleNamespace(components=comps)
 
 
 def pentagram_polygon(seed=42):
@@ -70,7 +67,7 @@ def test_mirror_room_check_pentagram():
     # independent recomputation of the margin
     mirrors = polygon_mirrors(poly)
     vals = []
-    pts = [(float(x), float(y)) for x, y in poly.all_vertices()]
+    pts = [(float(x), float(y)) for x, y in all_vertices(poly)]
     for k, m in enumerate(mirrors):
         vx, vy = float(m.vertex[0]), float(m.vertex[1])
         for i, (px, py) in enumerate(pts):
@@ -89,7 +86,7 @@ def test_mirror_room_check_degenerate_witness():
     k, i = report.witness
     mirrors = polygon_mirrors(bad)
     m = mirrors[k]
-    pts = bad.all_vertices()
+    pts = all_vertices(bad)
     value = float(m.direction[0]) * (float(pts[i][0]) - float(m.vertex[0])) + float(
         m.direction[1]
     ) * (float(pts[i][1]) - float(m.vertex[1]))
@@ -119,7 +116,7 @@ def test_build_table_pentagram_touches_tips():
         )
         assert -1e-12 < lam < 1 + 1e-12
     # and inside the table: vertices and crossings
-    for v in poly.all_vertices():
+    for v in all_vertices(poly):
         assert plain_contains_xy(table, v, mp.mpf("1e-20"))
     for pc in poly.crossings:
         assert plain_contains_xy(table, pc.point, mp.mpf("1e-20"))
@@ -177,7 +174,7 @@ def make_simple_traj(points, kinds):
     return SimpleNamespace(components=(comp,))
 
 
-def test_verify_reflection_floor_bounce():
+def test_pointwise_reflection_oracle_floor_bounce():
     poly = pentagram_polygon()
     table = build_table(polygon_mirrors(poly))
     # synthetic V-shaped bounce on the floor inside the table, closed by a
@@ -185,11 +182,11 @@ def test_verify_reflection_floor_bounce():
     traj = make_simple_traj(
         [(mp.mpf(0), mp.mpf(0), mp.mpf(0)), (mp.mpf(0), mp.mpf(0), mp.mpf(1))], "fc"
     )
-    report = verify_reflection(traj, table, 1e-9)
+    report = pointwise_reflection(traj, table, 1e-9)
     assert not report.passed  # degenerate 2-point component is rejected
 
 
-def test_verify_reflection_emitted_trajectory_and_corruption():
+def test_pointwise_reflection_oracle_emitted_trajectory_and_corruption():
     from fractions import Fraction as F
 
     from billiardknots.heights import SawtoothHeight, emit_trajectory
@@ -199,7 +196,7 @@ def test_verify_reflection_emitted_trajectory_and_corruption():
     table = build_table(polygon_mirrors(poly, 192), prec_bits=192)
     arcs = arc_length_table(poly, 256)
     traj = emit_trajectory(poly, (SawtoothHeight(1, F(1, 3)),), arcs)
-    assert verify_reflection(traj, table, 1e-9, prec_bits=192).passed
+    assert pointwise_reflection(traj, table, 1e-9, prec_bits=192).passed
 
     comp = traj.components[0]
     # corrupt the height of the third event; the report names it
@@ -207,12 +204,12 @@ def test_verify_reflection_emitted_trajectory_and_corruption():
     x, y, z = pts[2]
     pts[2] = (x, y, z + mp.mpf("0.05"))
     broken = make_simple_traj(pts, comp.kinds)
-    report = verify_reflection(broken, table, 1e-9, prec_bits=192)
+    report = pointwise_reflection(broken, table, 1e-9, prec_bits=192)
     assert not report.passed
     assert any("event 2" in v or "event 1" in v or "event 3" in v for v in report.violations)
 
 
-def test_verify_reflection_names_bounce_point_outside_floor():
+def test_pointwise_reflection_oracle_names_bounce_point_outside_floor():
     poly = pentagram_polygon()
     table = build_table(polygon_mirrors(poly, 192), prec_bits=192)
     arcs = arc_length_table(poly, 256)
@@ -222,7 +219,7 @@ def test_verify_reflection_names_bounce_point_outside_floor():
         pts = list(comp.points)
         x, y, z = pts[i]
         pts[i] = (x + 10, y, z)
-        report = verify_reflection(make_simple_traj(pts, comp.kinds), table, 1e-9, 192)
+        report = pointwise_reflection(make_simple_traj(pts, comp.kinds), table, 1e-9, 192)
         assert f"component 0 point {i}: leaves the floor polygon" in report.violations
 
 

@@ -134,7 +134,7 @@ def test_two_bracket_oracles_agree_on_corpus():
 def test_three_brackets_agree_on_realized_star_pds(pattern):
     """The 14- and 16-crossing PD codes read off realized trajectories."""
     result = realize(RealizationSpec(pattern=pattern))
-    pd, _ = traversal_pd(result.trajectory.diagram_traversal())
+    pd, _ = traversal_pd(result.poly.passages(), result.trajectory.over_flags())
     assert pd.crossing_count == 2 * pattern.repetitions
     assert kauffman_bracket(pd) == state_sum_bracket(pd) == skein_bracket(pd)
 

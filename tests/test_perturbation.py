@@ -23,6 +23,7 @@ from billiardknots.presets import PRESETS
 from billiardknots.serialization import report_json
 from billiardknots.stars import ArcTable, Passage, build_star
 from diagram_helpers import star_arc_table
+from mirror_room_oracle import all_vertices
 
 
 def test_crossing_abscissa_formula():
@@ -137,7 +138,7 @@ def test_to_mpf_rounds_a_rational_once():
     coords = [
         c
         for name in sorted(PRESETS)
-        for vertex in realize(RealizationSpec(pattern=PRESETS[name], preset=name)).poly.all_vertices()
+        for vertex in all_vertices(realize(RealizationSpec(pattern=PRESETS[name], preset=name)).poly)
         for c in vertex
     ]
     assert len(coords) == 130
