@@ -71,10 +71,6 @@ class QuasitoricPattern:
 
 def toric_pattern(k: int, n: int) -> QuasitoricPattern:
     """The toric braid (sigma_1 ... sigma_{k-1})^n as an all-positive pattern."""
-    if k < 2:
-        raise DomainError(f"strands must be >= 2, got {k}")
-    if n < 1:
-        raise DomainError(f"repetitions must be >= 1, got {n}")
     return QuasitoricPattern(k, n, tuple(tuple(1 for _ in range(k - 1)) for _ in range(n)))
 
 

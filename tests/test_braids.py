@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +45,15 @@ def test_toric_pattern_words():
 @pytest.mark.parametrize("k,n", [(1, 3), (0, 1), (2, 0), (3, -2)])
 def test_toric_pattern_domain_errors(k, n):
     with pytest.raises(DomainError):
+        toric_pattern(k, n)
+
+
+@pytest.mark.parametrize(
+    "k,n,message",
+    [(1, 5, "strands must be >= 2, got 1"), (2, 0, "repetitions must be >= 1, got 0")],
+)
+def test_toric_pattern_domain_error_messages(k, n, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         toric_pattern(k, n)
 
 
