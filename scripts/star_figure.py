@@ -6,7 +6,9 @@ Usage: python scripts/star_figure.py P Q out.svg [--plain]
 With the default all-positive pattern the figure shows the torus link
 T(p, q) drawn on the star, matching the classic projection pictures;
 --plain draws the bare star with no crossing gaps.  A (p, q) outside the
-star's domain (q >= 2, p >= 2q + 1) prints one line and exits 2.
+star's domain (q >= 2, p >= 2q + 1) prints one line and exits 2; an
+outfile that cannot be written (its directory is missing, say) prints one
+line and exits 3.
 """
 
 import argparse
@@ -31,8 +33,12 @@ def main(argv=None) -> int:
         print(f"star_figure.py: {exc}", file=sys.stderr)
         return 2
     svg = star_svg(star, None if args.plain else over_flags_from_signs(star))
-    with open(args.outfile, "w") as handle:
-        handle.write(svg)
+    try:
+        with open(args.outfile, "w") as handle:
+            handle.write(svg)
+    except OSError as exc:
+        print(f"star_figure.py: {exc}", file=sys.stderr)
+        return 3
     print(f"wrote {args.outfile}")
     return 0
 

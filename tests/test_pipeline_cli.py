@@ -214,6 +214,15 @@ def test_star_figure_outside_the_domain_is_one_line_and_exit_2(tmp_path, capsys)
     assert not out.exists()
 
 
+def test_star_figure_unwritable_outfile_is_one_line_and_exit_3(tmp_path, capsys):
+    out = tmp_path / "missing" / "star.svg"
+    assert _load_script("star_figure").main(["10", "3", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("star_figure.py: ") and err.count("\n") == 1
+    assert str(out) in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "pattern",
     [
