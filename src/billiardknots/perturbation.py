@@ -27,6 +27,7 @@ it on demand, on arcs of its own at the precision tol needs.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,20 +40,6 @@ from .stars import ArcTable, Passage, StarDiagram, sorted_passages
 
 DENOMINATOR_BITS = 31
 MAX_HALVINGS = 60
-
-
-def crossing_abscissa(line_i: tuple[Fraction, Fraction], line_j: tuple[Fraction, Fraction]) -> Fraction:
-    """x coordinate where y = a_i x + b_i meets y = a_j x + b_j, exactly."""
-    (a_i, b_i), (a_j, b_j) = line_i, line_j
-    if a_i == a_j:
-        raise DomainError("parallel lines have no crossing abscissa")
-    return (b_i - b_j) / (a_j - a_i)
-
-
-def line_intersection(line_i, line_j) -> tuple[Fraction, Fraction]:
-    x = crossing_abscissa(line_i, line_j)
-    a_i, b_i = line_i
-    return (x, a_i * x + b_i)
 
 
 @dataclass(frozen=True)
@@ -98,9 +85,10 @@ class PerturbedPolygon:
 def _star_chord_geometry(star: StarDiagram):
     """Slope and intercept of each (rotated) star chord, as mpf."""
     slopes, intercepts = [], []
+    vertices = star.geometry.vertices
     with mp.workprec(star.prec_bits):
         for va, vb in star.chords:
-            (x1, y1), (x2, y2) = star.vertices[va], star.vertices[vb]
+            (x1, y1), (x2, y2) = vertices[va], vertices[vb]
             if x2 == x1:
                 raise DomainError("vertical chord survived the pre-rotation")
             a = (y2 - y1) / (x2 - x1)
@@ -110,14 +98,15 @@ def _star_chord_geometry(star: StarDiagram):
 
 
 def _star_segment_orders(star: StarDiagram) -> dict[int, list[int]]:
-    """Crossing ids in passage order along every chord of the star."""
-    on_chord: dict[int, list[tuple]] = {c: [] for c in range(star.p)}
+    """Crossing ids in passage order along every chord of the star: chord c,
+    from its first vertex, meets the chords c-(q-1), ..., c-1, c+1, ...,
+    c+(q-1) in that order (the tangent-circle argument in ``stars``)."""
+    q = star.q
+    orders: dict[int, list[int]] = {ch: [0] * (2 * q - 2) for ch in range(star.p)}
     for c in star.crossings:
-        arc_a = c.first_arc if c.a_side_is_first else c.second_arc
-        arc_b = c.second_arc if c.a_side_is_first else c.first_arc
-        on_chord[c.chord_a].append((arc_a, c.index))
-        on_chord[c.chord_b].append((arc_b, c.index))
-    return {ch: [idx for _, idx in sorted(items)] for ch, items in on_chord.items()}
+        orders[c.chord_a][q - 2 + c.gap] = c.index
+        orders[c.chord_b][q - 1 - c.gap] = c.index
+    return orders
 
 
 def _rational_near(value, delta: Fraction, draw: float) -> Fraction:
@@ -130,83 +119,104 @@ def _rational_near(value, delta: Fraction, draw: float) -> Fraction:
 def layout_from_lines(star: StarDiagram, lines: list[tuple[Fraction, Fraction]]):
     """Polygon components and crossings cut out by one line per chord of the
     star, or None when their combinatorics differ from the star's, as when
-    two consecutive lines of a component are parallel and have no corner."""
+    two consecutive lines of a component are parallel and have no corner.
+
+    Every test is decided in integers: the lines are scaled to the common
+    denominator L of their coefficients, y = (A x + B) / L, so two lines
+    meet at x = N / D with N = B_i - B_j and D = A_j - A_i > 0 after a sign
+    flip, and every comparison of abscissas is a cross-multiplication.  The
+    polygon's vertices and crossing points are the only Fractions built.
+    """
+    scale = math.lcm(*(v.denominator for line in lines for v in line))
+    scaled = [
+        (a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator))
+        for a, b in lines
+    ]
+
+    def meet(i, j):
+        """(N, D) with D > 0 for the abscissa where lines i and j meet, or
+        None when they are parallel."""
+        (a_i, b_i), (a_j, b_j) = scaled[i], scaled[j]
+        den = a_j - a_i
+        if den == 0:
+            return None
+        return (b_i - b_j, den) if den > 0 else (b_j - b_i, -den)
+
+    def point(line, x):
+        """The exact point of line ``line`` at abscissa x = (N, D)."""
+        (a, b), (num, den) = scaled[line], x
+        return (Fraction(num, den), Fraction(a * num + b * den, scale * den))
+
     components = []
+    corners: list[list[tuple[int, int]]] = []   # (N, D) of each vertex abscissa
     seg_of_chord: dict[int, tuple[int, int]] = {}
     for ci, chain in enumerate(star.components):
-        comp_lines = tuple(lines[ch] for ch in chain)
         m = len(chain)
-        try:
-            vertices = tuple(
-                line_intersection(comp_lines[(i - 1) % m], comp_lines[i]) for i in range(m)
-            )
-        except DomainError:
+        xs = [meet(chain[i - 1], chain[i]) for i in range(m)]
+        if None in xs:
             return None
-        components.append(PolyComponent(tuple(chain), comp_lines, vertices))
+        corners.append(xs)
+        components.append(PolyComponent(
+            tuple(chain),
+            tuple(lines[ch] for ch in chain),
+            tuple(point(chain[i - 1], xs[i]) for i in range(m)),
+        ))
         for i, ch in enumerate(chain):
             seg_of_chord[ch] = (ci, i)
 
-    def x_interval(place):
-        ci, i = place
-        comp = components[ci]
-        x0 = comp.vertices[i][0]
-        x1 = comp.vertices[(i + 1) % len(comp.vertices)][0]
-        return (x0, x1) if x0 < x1 else (x1, x0)
+    def x_interval(chord):
+        """(lo, hi, forward): the segment's abscissa range, and whether it
+        runs towards larger x."""
+        ci, i = seg_of_chord[chord]
+        x0, x1 = corners[ci][i], corners[ci][(i + 1) % len(corners[ci])]
+        forward = x1[0] * x0[1] > x0[0] * x1[1]
+        return (x0, x1, forward) if forward else (x1, x0, forward)
+
+    intervals = {ch: x_interval(ch) for ch in range(star.p)}
+
+    def inside(x, chord, strict):
+        (lo_n, lo_d), (hi_n, hi_d), _ = intervals[chord]
+        num, den = x
+        if strict:
+            return lo_n * den < num * lo_d and num * hi_d < hi_n * den
+        return lo_n * den <= num * lo_d and num * hi_d <= hi_n * den
 
     # expected crossings must exist, strictly inside both segments
     crossings = []
+    abscissa: dict[int, tuple[int, int]] = {}
     expected_pairs = set()
     for c in star.crossings:
-        pa, pb = seg_of_chord[c.chord_a], seg_of_chord[c.chord_b]
-        expected_pairs.add(frozenset((c.chord_a, c.chord_b)))
-        try:
-            x = crossing_abscissa(lines[c.chord_a], lines[c.chord_b])
-        except DomainError:
+        expected_pairs.add((min(c.chord_a, c.chord_b), max(c.chord_a, c.chord_b)))
+        x = meet(c.chord_a, c.chord_b)
+        if x is None or not (inside(x, c.chord_a, True) and inside(x, c.chord_b, True)):
             return None
-        lo_a, hi_a = x_interval(pa)
-        lo_b, hi_b = x_interval(pb)
-        if not (lo_a < x < hi_a and lo_b < x < hi_b):
-            return None
-        point = (x, lines[c.chord_a][0] * x + lines[c.chord_a][1])
-        crossings.append(PolyCrossing(c.index, pa, pb, point))
+        abscissa[c.index] = x
+        crossings.append(PolyCrossing(
+            c.index, seg_of_chord[c.chord_a], seg_of_chord[c.chord_b], point(c.chord_a, x)
+        ))
 
     # no unexpected segment intersections
     for c1 in range(star.p):
         for c2 in range(c1 + 1, star.p):
-            if frozenset((c1, c2)) in expected_pairs:
+            if (c1, c2) in expected_pairs:
                 continue
-            if lines[c1][0] == lines[c2][0]:
+            x = meet(c1, c2)
+            if x is None or not (inside(x, c1, False) and inside(x, c2, False)):
                 continue
-            x = crossing_abscissa(lines[c1], lines[c2])
-            lo1, hi1 = x_interval(seg_of_chord[c1])
-            lo2, hi2 = x_interval(seg_of_chord[c2])
-            inside1 = lo1 <= x <= hi1
-            inside2 = lo2 <= x <= hi2
-            if inside1 and inside2:
-                # shared polygon corners are expected for consecutive chords
-                ci1, i1 = seg_of_chord[c1]
-                ci2, i2 = seg_of_chord[c2]
-                m = len(components[ci1].vertices)
-                consecutive = ci1 == ci2 and (i1 - i2) % m in (1, m - 1)
-                if not consecutive:
-                    return None
+            # shared polygon corners are expected for consecutive chords
+            ci1, i1 = seg_of_chord[c1]
+            ci2, i2 = seg_of_chord[c2]
+            m = len(corners[ci1])
+            if not (ci1 == ci2 and (i1 - i2) % m in (1, m - 1)):
+                return None
 
-    # per-segment crossing order must match the star's, with no ties
-    star_orders = _star_segment_orders(star)
-    by_place: dict[tuple[int, int], list[tuple]] = {}
-    for pc in crossings:
-        for place in (pc.a_place, pc.b_place):
-            by_place.setdefault(place, []).append((pc.point[0], pc.index))
-    for place, items in by_place.items():
-        ci, i = place
-        comp = components[ci]
-        forward = comp.vertices[(i + 1) % len(comp.vertices)][0] > comp.vertices[i][0]
-        items.sort(key=lambda pair: pair[0], reverse=not forward)
-        xs = [x for x, _ in items]
-        if len(set(xs)) != len(xs):
-            return None
-        if [idx for _, idx in items] != star_orders[comp.chord_ids[i]]:
-            return None
+    # each segment meets its crossings strictly in the star's order
+    for chord, order in _star_segment_orders(star).items():
+        forward = intervals[chord][2]
+        for before, after in zip(order, order[1:]):
+            (n0, d0), (n1, d1) = abscissa[before], abscissa[after]
+            if not (n0 * d1 < n1 * d0 if forward else n1 * d0 < n0 * d1):
+                return None
 
     return tuple(components), tuple(crossings)
 
@@ -327,7 +337,7 @@ def independence_check(table: ArcTable, max_coeff: int, tol: float) -> Independe
     lower bound on the norm of any relation, 2^prec / max|H|, is small (1-23
     on the benchmark workloads' components), so relations with every
     |lambda_i| <= max_coeff are not excluded.  Nothing gates on the result;
-    ROADMAP item 9 moves the check into the tests.
+    ROADMAP item 1 moves the check into the tests.
     """
     needed = required_precision_bits(tol)
     if table.prec_bits < needed:

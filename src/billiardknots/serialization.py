@@ -194,18 +194,21 @@ def star_svg(star, over_flags: dict[int, bool] | None = None) -> str:
     """Star-polygon figure, one path per component; with ``over_flags``
     (crossing id -> whether the chord_a strand is over) the under strand is
     broken at each crossing."""
+    geometry = star.geometry
+    vertices = geometry.vertices
     cuts: dict[int, list[float]] = {c: [] for c in range(star.p)}
     for cr in (star.crossings if over_flags is not None else ()):
         chord = cr.chord_b if over_flags[cr.index] else cr.chord_a
-        va, vb = star.vertices[chord], star.vertices[(chord + star.q) % star.p]
+        va, vb = vertices[chord], vertices[(chord + star.q) % star.p]
         dx, dy = float(vb[0] - va[0]), float(vb[1] - va[1])
-        px, py = float(cr.point[0]) - float(va[0]), float(cr.point[1]) - float(va[1])
+        point = geometry.points[cr.index]
+        px, py = float(point[0]) - float(va[0]), float(point[1]) - float(va[1])
         cuts[chord].append((px * dx + py * dy) / (dx * dx + dy * dy))
     paths = []
     for comp in star.components:
         parts = []
         for chord in comp:
-            va, vb = star.vertices[chord], star.vertices[(chord + star.q) % star.p]
+            va, vb = vertices[chord], vertices[(chord + star.q) % star.p]
             ax, ay = float(va[0]), float(va[1])
             bx, by = float(vb[0]), float(vb[1])
             spans = [(0.0, 1.0)]
@@ -323,9 +326,14 @@ def verify_artifacts(report_path) -> Verdict:
 
     The report's spec echo is parsed as a spec, and the padded pattern and
     signed star are derived from it as ``realize`` derives them; a report
-    whose ``padded_pattern`` or ``star`` disagrees is malformed.  Stored
-    lines that no longer cut out the star's combinatorics (two consecutive
-    ones parallel, say) fail as ``combinatorics``.  The reflection check
+    whose ``padded_pattern`` or ``star`` disagrees is malformed.  The star
+    is its integer combinatorics only: its geometry is never built, since
+    ``layout_from_lines`` checks the stored lines against the star in
+    integers.  Stored lines that no longer cut out the star's combinatorics
+    (two consecutive ones parallel, say) fail as ``combinatorics``.  The
+    report's ``files.trajectory`` must be a bare file name, read from the
+    report's directory; a path (absolute, with a separator, or ``.`` or
+    ``..``) is malformed, and no file is opened for it.  The reflection check
     compares the stored trajectory with the closed form its lines and
     sawtooths fix; it reads only their polygon and its arc table, so no
     floor polygon is built (``table.json`` is for viewers, not re-read).
@@ -369,7 +377,10 @@ def verify_artifacts(report_path) -> Verdict:
             raise ValueError("star does not follow from the spec")
         lines_by_comp = report["lines"]
         delta = _parse_frac(report["chosen_delta"])
-        traj_file = report_path.parent / report["files"]["trajectory"]
+        traj_name = report["files"]["trajectory"]
+        if type(traj_name) is not str or traj_name in ("", "..") or Path(traj_name).name != traj_name:
+            raise ValueError(f"trajectory {traj_name!r} is not a file name in the report's directory")
+        traj_file = report_path.parent / traj_name
         if len(lines_by_comp) != len(star.components):
             raise ValueError(
                 f"lines for {len(lines_by_comp)} components, expected {len(star.components)}"

@@ -5,6 +5,24 @@ and c' cross exactly when the cyclic gap g = (c'-c) mod p satisfies
 1 <= g <= q-1 or p-q+1 <= g <= p-1, so all crossing combinatorics is decided
 by integer arithmetic; coordinates only feed arc lengths and plot data.
 
+``build_star`` computes that combinatorics and nothing else.  Every chord
+is tangent to the circle of radius cos(pi q / p): chord c touches it at the
+angle of its midpoint, and chords c and c+g touch it 2 pi g / p apart, so
+their tangent lines meet tan(pi g / p) / tan(pi q / p) half-chords past the
+midpoint of chord c.  Chord c, run from vertex c, therefore meets chord
+c +- g at the parameter 1/2 +- tan(pi g / p) / (2 tan(pi q / p)), which is
+strictly monotone in g for 1 <= g <= q-1 (pi g / p < pi / 2).  Along chord
+c the crossings come in the order of the chords c-(q-1), ..., c-1, c+1,
+..., c+(q-1), with no ties.  A passage's arc is (j + s) / span for the
+traversal index j of its chord within the component and s in (0, 1), so
+two passages of one component are ordered by their chords' j alone.
+
+The coordinates (vertices, crossing points, passage arcs) form a
+``StarGeometry``, built at the star's precision the first time
+``StarDiagram.geometry`` is read: the perturbation reads the chord lines
+from it, and the diagram exports read points and arcs.  Checking stored
+artifacts needs none of it.
+
 The whole figure is pre-rotated by atan(1/17) so that no chord is ever
 vertical (a tangent of a rational multiple of pi is never 1/17), which the
 downstream slope/intercept perturbation relies on.
@@ -28,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import mpmath as mp
@@ -68,26 +87,36 @@ class Crossing:
     depth: int       # q - gap; 1 is the outermost ring
     braid_row: int
     braid_col: int
-    point: tuple    # (x, y) at working precision
-    first_component: int
-    first_arc: object       # mpf in (0, 1)
+    first_component: int    # of the passage earlier in (component, arc) order
     second_component: int
-    second_arc: object
     a_side_is_first: bool   # True if the first passage runs along chord_a
     sign: int | None = None
+
+
+@dataclass(frozen=True)
+class StarGeometry:
+    """Coordinates of a star at its precision, indexed like its vertices
+    and crossings."""
+
+    rotation: object         # mpf angle of the global pre-rotation
+    vertices: tuple          # p rotated unit-circle points
+    points: tuple            # (x, y) of each crossing
+    arcs: tuple              # (chord_a arc, chord_b arc) of each crossing, mpf in (0, 1)
 
 
 @dataclass(frozen=True)
 class StarDiagram:
     p: int
     q: int
-    prec_bits: int
-    rotation: object                       # mpf angle of the global pre-rotation
-    vertices: tuple                        # p rotated unit-circle points
+    prec_bits: int                         # precision of the geometry
     chords: tuple[tuple[int, int], ...]
     components: tuple[tuple[int, ...], ...]  # chord ids in traversal order
     crossings: tuple[Crossing, ...]
     signs_attached: bool = False
+
+    @cached_property
+    def geometry(self) -> StarGeometry:
+        return star_geometry(self)
 
 
 def _component_layout(p: int, q: int) -> tuple[tuple[tuple[int, ...], ...], dict[int, tuple[int, int]]]:
@@ -121,7 +150,8 @@ def _segment_intersection(a0, a1, b0, b1, prec_bits: int):
 
 
 def build_star(p: int, q: int, prec_bits: int = 128) -> StarDiagram:
-    """Construct the star {p/q} with its full crossing bookkeeping.
+    """Construct the star {p/q} with its full crossing bookkeeping, in
+    integers; ``prec_bits`` is the precision of its geometry.
 
     Requires p >= 2q+1 (the regime in which the star is the closure of the
     toric braid on q strands) and q >= 2.
@@ -131,66 +161,64 @@ def build_star(p: int, q: int, prec_bits: int = 128) -> StarDiagram:
     if p < 2 * q + 1:
         raise DomainError(f"p must be >= 2q+1 = {2 * q + 1}, got {p}")
 
+    chords = tuple((k, (k + q) % p) for k in range(p))
+    components, where = _component_layout(p, q)
+
+    crossings = []
+    for c in range(p):
+        for g in range(1, q):
+            b = (c + g) % p
+            # both arcs are (j + s) / span with s in (0, 1): the j decide
+            a_first = where[c] < where[b]
+            first, second = (where[c], where[b]) if a_first else (where[b], where[c])
+            crossings.append(
+                Crossing(
+                    index=len(crossings),
+                    chord_a=c,
+                    chord_b=b,
+                    gap=g,
+                    sector=((2 * c + g + q) // 2) % p,
+                    depth=q - g,
+                    braid_row=(c + (q + 1) // 2) % p,
+                    braid_col=g - 1,
+                    first_component=first[0],
+                    second_component=second[0],
+                    a_side_is_first=a_first,
+                )
+            )
+
+    return StarDiagram(
+        p=p,
+        q=q,
+        prec_bits=prec_bits,
+        chords=chords,
+        components=components,
+        crossings=tuple(crossings),
+    )
+
+
+def star_geometry(star: StarDiagram) -> StarGeometry:
+    """The star's vertices, crossing points and passage arcs at its
+    precision; ``StarDiagram.geometry`` builds it once per star."""
+    p, q, prec_bits = star.p, star.q, star.prec_bits
     with mp.workprec(prec_bits):
         omega = mp.atan(mp.mpf(ROTATION_TANGENT[0]) / ROTATION_TANGENT[1])
         vertices = tuple(
             (mp.cos(2 * mp.pi * k / p + omega), mp.sin(2 * mp.pi * k / p + omega))
             for k in range(p)
         )
-    chords = tuple((k, (k + q) % p) for k in range(p))
-    components, where = _component_layout(p, q)
     span = p // math.gcd(p, q)
-
-    crossings = []
-    index = 0
-    for c in range(p):
-        for g in range(1, q):
-            b = (c + g) % p
-            point, s_a, s_b = _segment_intersection(
-                vertices[c], vertices[(c + q) % p], vertices[b], vertices[(b + q) % p], prec_bits
-            )
-            comp_a, j_a = where[c]
-            comp_b, j_b = where[b]
-            with mp.workprec(prec_bits):
-                arc_a = (j_a + s_a) / span
-                arc_b = (j_b + s_b) / span
-            if comp_a == comp_b:
-                a_first = arc_a < arc_b
-            else:
-                a_first = comp_a < comp_b
-            first = (comp_a, arc_a) if a_first else (comp_b, arc_b)
-            second = (comp_b, arc_b) if a_first else (comp_a, arc_a)
-            sector = ((2 * c + g + q) // 2) % p
-            crossings.append(
-                Crossing(
-                    index=index,
-                    chord_a=c,
-                    chord_b=b,
-                    gap=g,
-                    sector=sector,
-                    depth=q - g,
-                    braid_row=(c + (q + 1) // 2) % p,
-                    braid_col=g - 1,
-                    point=point,
-                    first_component=first[0],
-                    first_arc=first[1],
-                    second_component=second[0],
-                    second_arc=second[1],
-                    a_side_is_first=a_first,
-                )
-            )
-            index += 1
-
-    return StarDiagram(
-        p=p,
-        q=q,
-        prec_bits=prec_bits,
-        rotation=omega,
-        vertices=vertices,
-        chords=chords,
-        components=components,
-        crossings=tuple(crossings),
-    )
+    position = {ch: j for chain in star.components for j, ch in enumerate(chain)}
+    points, arcs = [], []
+    for c in star.crossings:
+        point, s_a, s_b = _segment_intersection(
+            vertices[c.chord_a], vertices[(c.chord_a + q) % p],
+            vertices[c.chord_b], vertices[(c.chord_b + q) % p], prec_bits,
+        )
+        with mp.workprec(prec_bits):
+            arcs.append(((position[c.chord_a] + s_a) / span, (position[c.chord_b] + s_b) / span))
+        points.append(point)
+    return StarGeometry(omega, vertices, tuple(points), tuple(arcs))
 
 
 def sorted_passages(per_comp: list[list[Passage]]) -> tuple[tuple[Passage, ...], ...]:
@@ -246,11 +274,17 @@ def star_diagram_json(diagram: StarDiagram) -> dict:
     def num(x) -> str:
         return mp.nstr(x, JSON_DIGITS)
 
+    geometry = diagram.geometry
+
+    def arcs(c):
+        arc_a, arc_b = geometry.arcs[c.index]
+        return (arc_a, arc_b) if c.a_side_is_first else (arc_b, arc_a)
+
     return {
         "p": diagram.p,
         "q": diagram.q,
-        "rotation": num(diagram.rotation),
-        "vertices": [[num(x), num(y)] for x, y in diagram.vertices],
+        "rotation": num(geometry.rotation),
+        "vertices": [[num(x), num(y)] for x, y in geometry.vertices],
         "chords": [list(ch) for ch in diagram.chords],
         "components": [list(comp) for comp in diagram.components],
         "crossings": [
@@ -261,9 +295,9 @@ def star_diagram_json(diagram: StarDiagram) -> dict:
                 "depth": c.depth,
                 "braid_row": c.braid_row,
                 "braid_col": c.braid_col,
-                "point": [num(c.point[0]), num(c.point[1])],
-                "first": {"component": c.first_component, "arc": num(c.first_arc)},
-                "second": {"component": c.second_component, "arc": num(c.second_arc)},
+                "point": [num(x) for x in geometry.points[c.index]],
+                "first": {"component": c.first_component, "arc": num(arcs(c)[0])},
+                "second": {"component": c.second_component, "arc": num(arcs(c)[1])},
                 "sign": c.sign,
             }
             for c in diagram.crossings

@@ -19,6 +19,12 @@ def chords_cross(p: int, q: int, c1: int, c2: int) -> bool:
     return 1 <= g <= q - 1 or p - q + 1 <= g <= p - 1
 
 
+def passage_arcs(diagram: StarDiagram, crossing) -> tuple:
+    """(first arc, second arc) of a star crossing, from the star's geometry."""
+    arc_a, arc_b = diagram.geometry.arcs[crossing.index]
+    return (arc_a, arc_b) if crossing.a_side_is_first else (arc_b, arc_a)
+
+
 def star_arc_table(diagram: StarDiagram) -> ArcTable:
     """Arc table of the unperturbed star (all chords have equal length).
 
@@ -27,8 +33,9 @@ def star_arc_table(diagram: StarDiagram) -> ArcTable:
     """
     per_comp: list[list[Passage]] = [[] for _ in diagram.components]
     for c in diagram.crossings:
-        per_comp[c.first_component].append(Passage(c.index, c.first_arc, c.a_side_is_first))
-        per_comp[c.second_component].append(Passage(c.index, c.second_arc, not c.a_side_is_first))
+        first_arc, second_arc = passage_arcs(diagram, c)
+        per_comp[c.first_component].append(Passage(c.index, first_arc, c.a_side_is_first))
+        per_comp[c.second_component].append(Passage(c.index, second_arc, not c.a_side_is_first))
     span = diagram.p // math.gcd(diagram.p, diagram.q)
     with mp.workprec(diagram.prec_bits):
         chord_len = 2 * mp.sin(mp.pi * diagram.q / diagram.p)
@@ -77,13 +84,15 @@ def star_passages(diagram: StarDiagram) -> list[tuple]:
     """Strand passages of the unperturbed star, as ``traversal_pd`` reads
     them: (component, arc, crossing id, on chord_a, chord direction)."""
     passages = []
+    vertices = diagram.geometry.vertices
     for c in diagram.crossings:
+        first_arc, second_arc = passage_arcs(diagram, c)
         for comp, arc, on_a in (
-            (c.first_component, c.first_arc, c.a_side_is_first),
-            (c.second_component, c.second_arc, not c.a_side_is_first),
+            (c.first_component, first_arc, c.a_side_is_first),
+            (c.second_component, second_arc, not c.a_side_is_first),
         ):
             va, vb = diagram.chords[c.chord_a if on_a else c.chord_b]
-            (ax, ay), (bx, by) = diagram.vertices[va], diagram.vertices[vb]
+            (ax, ay), (bx, by) = vertices[va], vertices[vb]
             passages.append((comp, arc, c.index, on_a, (bx - ax, by - ay)))
     return passages
 

@@ -82,7 +82,7 @@ def test_criterion_2_pentagram_sanity():
     t0 = time.perf_counter()
     star = build_star(5, 2)
     comp = star.components[0]
-    vertices = [star.vertices[star.chords[c][0]] for c in comp]
+    vertices = [star.geometry.vertices[star.chords[c][0]] for c in comp]
     poly = SimpleNamespace(components=(SimpleNamespace(vertices=tuple(vertices)),))
     check = mirror_room_check(poly)
     table = build_table(check.mirrors)

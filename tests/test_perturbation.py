@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -7,9 +8,10 @@ from billiardknots.braids import QuasitoricPattern
 from billiardknots.errors import DomainError, PrecisionError
 from billiardknots.perturbation import (
     arc_length_table,
-    crossing_abscissa,
+    _rational_near,
+    _star_chord_geometry,
     independence_check,
-    line_intersection,
+    layout_from_lines,
     perturb,
     to_mpf,
 )
@@ -23,6 +25,8 @@ from billiardknots.presets import PRESETS
 from billiardknots.serialization import report_json
 from billiardknots.stars import ArcTable, Passage, build_star
 from diagram_helpers import star_arc_table
+import layout_oracle
+from layout_oracle import crossing_abscissa, line_intersection
 from mirror_room_oracle import all_vertices
 
 
@@ -37,6 +41,104 @@ def test_crossing_abscissa_formula():
 def test_line_intersection_point():
     x, y = line_intersection((Fraction(0), Fraction(2)), (Fraction(1), Fraction(0)))
     assert (x, y) == (2, 2)
+
+
+def assert_same_layout(star, lines):
+    """The integer layout equals the Fraction oracle's, None or a layout;
+    returns whether there was one."""
+    got = layout_from_lines(star, lines)
+    assert got == layout_oracle.layout_from_lines(star, lines)
+    return got is not None
+
+
+def test_integer_layout_matches_the_fraction_layout_on_random_lines():
+    """Lines drawn as ``perturb`` draws them; the large deltas often break
+    the combinatorics, so both outcomes are compared."""
+    outcomes = set()
+    for p, q in [(5, 2), (7, 3), (10, 3), (12, 2), (9, 4)]:
+        star = build_star(p, q)
+        slopes, intercepts = _star_chord_geometry(star)
+        for delta in (Fraction(1, 1000), Fraction(1, 30), Fraction(1, 4), Fraction(1, 2)):
+            rng = random.Random(p * 1000 + q * 100 + delta.denominator)
+            for _ in range(6):
+                lines = [
+                    (_rational_near(a, delta, rng.uniform(-1, 1)), _rational_near(b, delta, rng.uniform(-1, 1)))
+                    for a, b in zip(slopes, intercepts)
+                ]
+                outcomes.add((delta, assert_same_layout(star, lines)))
+    assert {(Fraction(1, 1000), True), (Fraction(1, 2), True), (Fraction(1, 2), False)} <= outcomes
+
+
+def stored_lines(star, denominator):
+    """The star's own lines, rounded as a report could store them."""
+    slopes, intercepts = _star_chord_geometry(star)
+    return [
+        (Fraction(round(float(a) * denominator), denominator), Fraction(round(float(b) * denominator), denominator))
+        for a, b in zip(slopes, intercepts)
+    ]
+
+
+def test_integer_layout_matches_on_parallel_lines():
+    star = build_star(10, 3)
+    lines = stored_lines(star, 1000)
+    assert assert_same_layout(star, lines)
+    # chords 0 and 5 of {10/3} are parallel, and neither cross nor meet
+    parallel = list(lines)
+    parallel[5] = (lines[0][0], lines[5][1])
+    assert assert_same_layout(star, parallel)
+    # chords 0 and 3 are consecutive: parallel lines leave no corner
+    first, second = star.components[0][:2]
+    parallel = list(lines)
+    parallel[second] = (lines[first][0], lines[second][1])
+    assert layout_from_lines(star, parallel) is None
+    assert not assert_same_layout(star, parallel)
+
+
+@pytest.mark.parametrize("p,q", [(7, 2), (7, 3)])
+def test_integer_layout_matches_with_a_line_through_a_corner(p, q):
+    """At each crossing, chord_a's line moved through either end of chord_b's
+    segment: the crossing lands on a corner, which is not strictly inside."""
+    star = build_star(p, q)
+    lines = stored_lines(star, 1000)
+    layout = layout_from_lines(star, lines)
+    assert layout is not None
+    components, crossings = layout
+    for pc in crossings:
+        chord_a = star.crossings[pc.index].chord_a
+        ci, i = pc.b_place
+        vertices = components[ci].vertices
+        for x, y in (vertices[i], vertices[(i + 1) % len(vertices)]):
+            moved = list(lines)
+            moved[chord_a] = (lines[chord_a][0], y - lines[chord_a][0] * x)
+            assert not assert_same_layout(star, moved)
+
+
+def test_integer_layout_matches_with_two_crossings_swapped():
+    """Chord 0's line of {7/3}, raised by 17/125, passes the crossing of
+    chords 1 and 6: along chord 0 the crossings with 6 and 1 swap, and
+    nothing else changes.  The lines have the "num/den" form a report
+    stores; 1/1000 less and the star's order still holds, and through that
+    crossing the two tie."""
+    star = build_star(7, 3)
+    stored = [
+        ["-167/1000", "181/500"], ["449/500", "299/1000"], ["-17", "-3789/1000"],
+        ["-353/500", "-34/125"], ["291/1000", "-29/125"], ["304/125", "-117/200"],
+        ["-899/500", "229/500"],
+    ]
+    lines = [(Fraction(a), Fraction(b)) for a, b in stored]
+    # the segment runs towards smaller x; the star meets 5, 6, 1, 2 along it
+    xs = [crossing_abscissa(lines[0], lines[other]) for other in (5, 6, 1, 2)]
+    assert xs[0] > xs[2] > xs[1] > xs[3]
+    assert not assert_same_layout(star, lines)
+    lower = list(lines)
+    lower[0] = (lines[0][0], lines[0][1] - Fraction(1, 1000))
+    assert assert_same_layout(star, lower)
+    # in between, through the crossing of chords 1 and 6, the crossings tie
+    x, y = line_intersection(lines[1], lines[6])
+    through = list(lines)
+    through[0] = (lines[0][0], y - lines[0][0] * x)
+    assert lower[0][1] < through[0][1] < lines[0][1]
+    assert not assert_same_layout(star, through)
 
 
 def test_perturb_preserves_pentagram_combinatorics():

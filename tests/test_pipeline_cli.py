@@ -11,7 +11,7 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
-from billiardknots import perturbation, pipeline
+from billiardknots import perturbation, pipeline, serialization, stars
 from billiardknots.billiards import COLUMNS, MirrorRoomReport, mirror_room_check
 from billiardknots.braids import toric_pattern
 from billiardknots.cli import main
@@ -549,6 +549,72 @@ def test_verify_artifacts_reports_checks(tmp_path, trefoil_result):
     assert [name for name, _, _ in outcome.checks] == [
         "mirror_room_check", "verify_reflection", "certify",
     ]
+
+
+@pytest.mark.parametrize("name", ["absolute", "../moved/trajectory.json", "sub/trajectory.json", ".", "..", "", 7])
+def test_cli_verify_rejects_a_trajectory_name_outside_the_report_directory(
+    tmp_path, trefoil_result, capsys, monkeypatch, name
+):
+    """``files.trajectory`` is a bare file name next to the report; any
+    other name is a parse error, raised before a file is opened for it."""
+    files = write_artifacts(trefoil_result, tmp_path / "t", canonical=True)
+    moved = tmp_path / "moved" / "trajectory.json"
+    moved.parent.mkdir()
+    files["trajectory"].rename(moved)
+    data = json.loads(files["report"].read_text())
+    data["files"]["trajectory"] = str(moved) if name == "absolute" else name
+    files["report"].write_text(json.dumps(data))
+    read = []
+
+    def load_json(path):
+        read.append(Path(path))
+        return load(path)
+
+    load = serialization._load_json
+    monkeypatch.setattr(serialization, "_load_json", load_json)
+    capsys.readouterr()
+    assert main(["verify", str(files["report"])]) == 3
+    assert "is not a file name in the report's directory" in capsys.readouterr().err
+    assert read == [files["report"]]
+
+
+@pytest.fixture(scope="module")
+def preset_reports(tmp_path_factory):
+    out = tmp_path_factory.mktemp("presets")
+    return {
+        name: write_artifacts(
+            realize(RealizationSpec(pattern=PRESETS[name], preset=name)), out / name, canonical=True
+        )["report"]
+        for name in sorted(PRESETS)
+    }
+
+
+def test_verify_builds_no_star_geometry(preset_reports, monkeypatch):
+    """Verify decides the star and the stored lines in integers: with the
+    geometry builder broken, every preset's verdict is unchanged."""
+    verdicts = {name: verify_artifacts(report) for name, report in preset_reports.items()}
+
+    def broken(star):
+        raise AssertionError("verify built the star's geometry")
+
+    monkeypatch.setattr(stars, "star_geometry", broken)
+    assert {name: verify_artifacts(report) for name, report in preset_reports.items()} == verdicts
+    assert all(verdict.passed for verdict in verdicts.values())
+
+
+def test_realize_builds_the_star_geometry_once(tmp_path, monkeypatch):
+    calls = []
+    build = stars.star_geometry
+
+    def counted(star):
+        calls.append((star.p, star.q))
+        return build(star)
+
+    monkeypatch.setattr(stars, "star_geometry", counted)
+    result = realize(RealizationSpec(pattern=PRESETS["star-10-3"], preset="star-10-3"))
+    assert calls == [(10, 3)]
+    write_artifacts(result, tmp_path, canonical=True)
+    assert calls == [(10, 3)]
 
 
 def test_integer_literals_read_as_floats(tmp_path, trefoil_result, capsys):

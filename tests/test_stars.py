@@ -15,7 +15,11 @@ from billiardknots.stars import (
     sorted_passages,
 )
 
-from diagram_helpers import chords_cross, diagram_jones, star_arc_table
+from billiardknots import stars
+from billiardknots.perturbation import _star_segment_orders
+
+from diagram_helpers import chords_cross, diagram_jones, passage_arcs, star_arc_table
+from star_oracle import passage_order, segment_orders
 
 
 def segments_intersect(p1, p2, p3, p4):
@@ -89,7 +93,7 @@ def test_sector_depth_partition():
 
 def test_rotational_symmetry_of_crossings():
     d = build_star(7, 3, prec_bits=128)
-    pts = [(float(c.point[0]), float(c.point[1])) for c in d.crossings]
+    pts = [(float(x), float(y)) for x, y in d.geometry.points]
     ang = 2 * math.pi / 7
     rotated = [
         (x * math.cos(ang) - y * math.sin(ang), x * math.sin(ang) + y * math.cos(ang))
@@ -141,9 +145,36 @@ def test_same_component_passage_order():
         d = build_star(p, q)
         for c in d.crossings:
             if c.first_component == c.second_component:
-                assert c.first_arc < c.second_arc
+                first_arc, second_arc = passage_arcs(d, c)
+                assert first_arc < second_arc
             else:
                 assert c.first_component < c.second_component
+
+
+def test_integer_star_combinatorics_match_the_geometry():
+    """The integer passage order of every crossing and crossing order along
+    every chord equal the ones read off the star's mpf arcs."""
+    chords = 0
+    for q in range(2, 9):
+        for p in range(2 * q + 1, 45):
+            d = build_star(p, q)
+            assert passage_order(d) == {
+                c.index: (c.first_component, c.second_component, c.a_side_is_first)
+                for c in d.crossings
+            }, (p, q)
+            assert _star_segment_orders(d) == segment_orders(d), (p, q)
+            chords += p
+    assert chords == 6489
+
+
+def test_build_star_makes_no_mpmath_call(monkeypatch):
+    class NoMpmath:
+        def __getattr__(self, name):
+            raise AssertionError(f"build_star called mpmath.{name}")
+
+    monkeypatch.setattr(stars, "mp", NoMpmath())
+    signed = assign_braid_letters(build_star(10, 3, prec_bits=192), toric_pattern(3, 10))
+    assert signed.signs_attached and len(signed.crossings) == 20
 
 
 def test_link_components_normalized_separately():
