@@ -208,7 +208,7 @@ def star_geometry(star: StarDiagram) -> StarGeometry:
             for k in range(p)
         )
     span = p // math.gcd(p, q)
-    position = {ch: j for chain in star.components for j, ch in enumerate(chain)}
+    _, where = _component_layout(p, q)
     points, arcs = [], []
     for c in star.crossings:
         point, s_a, s_b = _segment_intersection(
@@ -216,7 +216,7 @@ def star_geometry(star: StarDiagram) -> StarGeometry:
             vertices[c.chord_b], vertices[(c.chord_b + q) % p], prec_bits,
         )
         with mp.workprec(prec_bits):
-            arcs.append(((position[c.chord_a] + s_a) / span, (position[c.chord_b] + s_b) / span))
+            arcs.append(((where[c.chord_a][1] + s_a) / span, (where[c.chord_b][1] + s_b) / span))
         points.append(point)
     return StarGeometry(omega, vertices, tuple(points), tuple(arcs))
 
