@@ -9,16 +9,22 @@ boundary touches the trajectory at every vertex.  The prism is that floor
 times the height interval [0, 1]; its walls are vertical, so the planar
 reflection law lifts to 3D with the z-slope preserved.
 
-The mirrors are built once, each vertex rounded once to the working
-precision, by ``mirror_room_check``, which hands them to ``build_table``.
-The pairwise work of that check (the diameter and the n^2 mirror-room
-values) is screened in float64: a proven bound eps = 2^7 v (R + 1), with
-v the larger of the float64 and the working precision's unit roundoff and
-R the size of the inputs, covers how far a float value can be from its
-working-precision one.  Only the candidates the screen cannot rule out are
-evaluated in mpf, in the unscreened order, so every result is the
-unscreened loops' bit for bit.  ``build_table`` is not screened: it checks
-the floor with one exact mpf test per edge, that the edge runs
+The mirror-room check and the table build the mirrors apart:
+``build_table`` takes ``polygon_mirrors``, every vertex rounded once to the
+working precision and every bisector evaluated there, while
+``mirror_room_check`` screens in float64.  Its bisectors, the diameter and
+the n^2 mirror-room values are evaluated in float64, and a proven bound
+covers how far each float value can be from its working-precision one:
+eps = 2^7 v (R + 1) for a pair value given its bisector, with v the larger
+of the float64 and the working precision's unit roundoff and R the size of
+the inputs, plus a term for the float bisector that grows with R, with
+1/(the shorter adjacent edge) and with 1/|a + b| for the unit edge vectors
+a and b.  Only the candidates the screen cannot rule out are evaluated in
+mpf, in the unscreened order, and only their mirrors' bisectors, so every
+result is the unscreened loops' bit for bit.  A degenerate angle is ruled
+out in float64 where the test clears its bound, and is otherwise left to
+``internal_bisector``.  ``build_table`` is not screened: it checks the
+floor with one exact mpf test per edge, that the edge runs
 counterclockwise along its mirror line.
 """
 
@@ -76,7 +82,6 @@ class MirrorRoomReport:
     margin: object                        # min over (k, i) of u_k . (P_i - P_k)
     witness: tuple[int, int] | None = None  # flat (k, i) vertex indices on failure
     threshold: object = None
-    mirrors: tuple[Mirror, ...] = ()      # the checked mirrors, in flat vertex order
 
 
 def polygon_mirrors(poly: PerturbedPolygon, prec_bits: int = 128) -> list[Mirror]:
@@ -95,9 +100,9 @@ def polygon_mirrors(poly: PerturbedPolygon, prec_bits: int = 128) -> list[Mirror
 
 def _screen_bound(size: float, prec_bits: int) -> float:
     """2^7 v (size + 1), with v = 2^-min(prec_bits, 53): how far apart a
-    float64 and a working-precision evaluation of a screened value can be,
-    when ``size`` bounds its inputs as ``mirror_room_check`` derives; that
-    check is the only screened one.  The 1 covers underflow, where a
+    float64 and a working-precision evaluation of a screened pair value can
+    be, when ``size`` bounds its inputs and both take the same bisector, as
+    ``mirror_room_check`` derives.  The 1 covers underflow, where a
     rounding may be off by 2^-1074 absolutely."""
     return 2.0 ** (7 - min(prec_bits, 53)) * (size + 1.0)
 
@@ -108,27 +113,70 @@ def _near_least(values, eps: float) -> list[int]:
     return [j for j, value in enumerate(values) if value <= cut]
 
 
+def _float_bisectors(poly, floats, point, size: float, prec_bits: int, exact: dict):
+    """Per flat vertex k: its bisector (ux, uy) in float64, the bound err on
+    that bisector's distance from the working-precision one, and the flat
+    indices of its neighbours.  Where the float64 angle test or err cannot
+    be trusted, the bisector is ``internal_bisector``'s, stored in
+    ``exact[k]``, rounded to float, with err 0; that call raises
+    DegenerateAngleError for a degenerate angle.  The checks run in
+    ``polygon_mirrors``' order, so the first error raised is its first.
+    The bounds are derived in ``mirror_room_check``."""
+    v = 2.0 ** -min(prec_bits, 53)
+    r1 = size + 1.0
+    angle_bound = 2.0 ** 8 * v * r1 * r1
+    tau = 2.0 ** -(prec_bits // 2)
+    bisectors, around = [], []
+    start = 0
+    for ci, comp in enumerate(poly.components):
+        m = len(comp.vertices)
+        if m < 3:
+            raise DomainError(f"component {ci} has fewer than 3 vertices")
+        for i in range(m):
+            k, prev, next_ = start + i, start + (i - 1) % m, start + (i + 1) % m
+            around.append((prev, next_))
+            (px, py), (vx, vy), (qx, qy) = floats[prev], floats[k], floats[next_]
+            ax, ay, bx, by = px - vx, py - vy, qx - vx, qy - vy
+            na, nb = math.hypot(ax, ay), math.hypot(bx, by)
+            if abs(ax * by - ay * bx) - tau * na * nb > angle_bound:
+                wx, wy = ax / na + bx / nb, ay / na + by / nb
+                s = math.hypot(wx, wy)
+                t = 2.0 ** 7 * v * (r1 / min(na, nb) + 1.0)
+                if t <= s / 4:
+                    bisectors.append((wx / s, wy / s, t / s))
+                    continue
+            u = exact[k] = internal_bisector(point(prev), point(k), point(next_), prec_bits)
+            bisectors.append((float(u[0]), float(u[1]), 0.0))
+        start += m
+    return bisectors, around
+
+
 def mirror_room_check(poly: PerturbedPolygon, prec_bits: int = 128) -> MirrorRoomReport:
     """Strict mirror-room condition: u_k . (P_i - P_k) > margin for all i != k.
 
     The margin is ``MARGIN_FACTOR`` times the trajectory diameter, guarding
     the square roots inside the bisector normalization; everything else is
     exact.  All vertices of all components count, so for links every mirror
-    room must contain the whole union.  The report carries the mirrors it
-    checked, for ``build_table``.
+    room must contain the whole union.  u_k is ``polygon_mirrors``' mirror
+    direction, the bisector of the angle at P_k at the working precision;
+    ``build_table`` builds the table from those mirrors, not from this
+    check.
 
-    The diameter and the least value are found by a float64 screen and
-    confirmed at the working precision.  One float pass evaluates every
-    unordered pair's distance (``hypot`` is symmetric under negation, so
-    the ordered pairs add nothing) and every ordered pair's value; only
-    the candidates, the pairs within 2 eps of the float extreme, are
-    evaluated in mpf, in the unscreened (k, i) order.  With v = 2^-min(p,
-    53) for p = prec_bits, each rounding of either evaluation (a float op,
-    a rational or mpf rounded to float, a rational rounded to mpf by
-    ``to_mpf``, an mpf op) is off by at most v relative.  With R the
-    largest vertex coordinate in absolute value and u_k the stored mpf
-    bisector (|u_k| <= 1 + 4 * 2^-p), each evaluation is within 20 v R of
-    the exact value:
+    The bisectors, the diameter and the least value are found by a float64
+    screen and confirmed at the working precision.  One float pass
+    evaluates every vertex's bisector, every unordered pair's distance
+    (``hypot`` is symmetric under negation, so the ordered pairs add
+    nothing) and every ordered pair's value; only the candidates are
+    evaluated in mpf, in the unscreened (k, i) order, and only the mirrors
+    k that own a value candidate get their working-precision bisector.
+    With v = 2^-min(p, 53) for p = prec_bits, each rounding of either
+    evaluation (a float op, a rational or mpf rounded to float, a rational
+    rounded to mpf by ``to_mpf``, an mpf op) is off by at most v relative,
+    and by 2^-1074 absolutely on underflow; R is the largest vertex
+    coordinate in absolute value and R1 = R + 1.
+
+    The pair values, for a given bisector u_k with |u_k| <= 1 + 4 * 2^-p:
+    each evaluation is within 20 v R of the exact value.
       - a coordinate difference of two vertices, rounded once each (to
         float or to mpf) and then subtracted, is off by at most 4.01 v R
         and is at most 2.01 R;
@@ -141,55 +189,107 @@ def mirror_room_check(poly: PerturbedPolygon, prec_bits: int = 128) -> MirrorRoo
         2 v of at most 2.9 R in float; mp.hypot correctly rounded but for
         4 guard bits in mpf), so it is off by less than 12 v R.
     The two evaluations of a pair are thus within 40 v R of each other,
-    less than eps = ``_screen_bound(R, p)`` = 2^7 v (R + 1).  So the pair
-    that attains the mpf least value M has a float value within eps of M,
-    and M is at most the mpf value of the float least pair, within eps of
-    the float least: every pair that attains M is a candidate (for the
-    diameter likewise, with signs flipped).  The mpf values, the first
-    pair that attains M in (k, i) order, the threshold and the verdict are
-    therefore those of the unscreened loops, bit for bit.
+    less than eps = ``_screen_bound(R, p)`` = 2^7 v R1.
+
+    The bisectors.  At P_k with edge vectors a and b to its neighbours,
+    L the shorter of |a| and |b| and w = a/|a| + b/|b|, both evaluations
+    follow ``internal_bisector``: u = w/|w|.
+      - a computed edge vector is off by at most 5.7 v R1 (as above), and
+        its computed length by that plus 2.01 v of itself;
+      - so a computed unit edge vector is off by at most
+        2 * 5.7 v R1 / L + 3.5 v (|x/|x| - y/|y|| <= 2 |x - y|/|x|, and
+        the division and hypot round), and w by at most
+        e = 22.8 v R1 / L + 10 v;
+      - and u by at most 2 e / |w| + 3.5 v.
+    The float pass has Lf and s, its values of L and |w|, and takes
+    T = 2^7 v (R1 / Lf + 1).  Only where T <= s/4 is its bisector used:
+    then 5.7 v R1 < Lf / 40, so L >= 0.97 Lf, e <= T/4 and |w| >= 0.93 s,
+    and each evaluation's u is within 0.54 T/s + 3.5 v < 0.6 T/s of the
+    exact bisector (3.5 v < 0.06 T/s, as T/s >= 63 v).  The two are within
+    1.2 T/s of each other, so the float value of a pair moves by at most
+    2.9 R1 * (1.2 T/s + 1.42 v) < 4 R1 T/s against the float value from
+    the rounded mpf bisector, and its bound is eps + 8 R1 T/s, twice that.
+    A bisector the float pass does not trust is ``internal_bisector``'s,
+    rounded to float, and its pairs' bound is eps.
+
+    The angle test.  ``internal_bisector`` raises for a degenerate angle,
+    where G = |a x b| - 2^-(p//2) |a| |b|, as it evaluates it, is negative.
+    The coordinate errors move a x b by at most 4 * 4.01 v R1 * 2.02 R1 <
+    33 v R1^2, and its products and difference round by at most
+    17 v R1^2; |a| |b| is off by at most 2 * 11.5 v R1 * 2.9 R1 plus its
+    rounding, 75 v R1^2, which 2^-(p//2) <= 1/2 halves; and the
+    subtraction rounds by at most 8.2 v R1^2.  So each evaluation of G is
+    within 90 v R1^2 of the exact one.  Where the float G exceeds
+    2^8 v R1^2 the working-precision G is positive, and the angle is
+    decided in float64; elsewhere ``internal_bisector`` decides, and raises
+    as it always has.
+
+    The screen.  The mpf value of a pair lies within its bound of the
+    float value, so the least mpf value M is at most hi, the least of the
+    float values plus their bounds, and every pair that attains M has a
+    float value at most hi plus its bound: every such pair is a candidate
+    (for the diameter, with one bound eps, the pairs within 2 eps of the
+    float extreme, signs flipped).  The mpf values, the first pair that
+    attains M in (k, i) order, the threshold and the verdict are therefore
+    those of the unscreened loops, bit for bit, and ``DegenerateAngleError``
+    is raised exactly when ``polygon_mirrors`` raises it.
     """
-    mirrors = polygon_mirrors(poly, prec_bits)
-    n = len(mirrors)
-    floats = [(float(x), float(y)) for x, y in (m.vertex for m in mirrors)]
-    eps = _screen_bound(max(max(abs(x), abs(y)) for x, y in floats), prec_bits)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    far = _near_least(
-        [-math.hypot(floats[i][0] - floats[j][0], floats[i][1] - floats[j][1]) for i, j in pairs],
-        eps,
-    )
-    values = []
-    for k, mirror in enumerate(mirrors):
-        ux, uy = float(mirror.direction[0]), float(mirror.direction[1])
-        vx, vy = floats[k]
-        values.extend(ux * (px - vx) + uy * (py - vy) for px, py in floats[:k] + floats[k + 1:])
+    vertices = [v for comp in poly.components for v in comp.vertices]
+    n = len(vertices)
+    floats = [(float(x), float(y)) for x, y in vertices]
+    size = max(max(abs(x), abs(y)) for x, y in floats)
+    eps = _screen_bound(size, prec_bits)
     with mp.workprec(prec_bits):
-        pts = [m.point for m in mirrors]
+        points = {}  # flat index -> the vertex rounded once to the working precision
+
+        def point(i):
+            if i not in points:
+                points[i] = (to_mpf(vertices[i][0]), to_mpf(vertices[i][1]))
+            return points[i]
+
+        directions = {}  # flat index -> working-precision bisector
+        bisectors, around = _float_bisectors(poly, floats, point, size, prec_bits, directions)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        far = _near_least(
+            [-math.hypot(floats[i][0] - floats[j][0], floats[i][1] - floats[j][1]) for i, j in pairs],
+            eps,
+        )
+        rows, bounds = [], []
+        for k, (ux, uy, err) in enumerate(bisectors):
+            vx, vy = floats[k]
+            rows.append([ux * (px - vx) + uy * (py - vy) for px, py in floats[:k] + floats[k + 1:]])
+            bounds.append(eps + 8 * (size + 1.0) * err)
+        hi = min(min(row) + bound for row, bound in zip(rows, bounds))
         diameter = max(
-            mp.hypot(pts[i][0] - pts[j][0], pts[i][1] - pts[j][1])
+            mp.hypot(point(i)[0] - point(j)[0], point(i)[1] - point(j)[1])
             for i, j in (pairs[c] for c in far)
-            if pts[i] != pts[j]
+            if point(i) != point(j)
         )
         threshold = mp.mpf(MARGIN_FACTOR) * diameter
         margin = None
         witness = None
-        for c in _near_least(values, eps):
-            k, i = divmod(c, n - 1)
-            i += i >= k
-            vx, vy = pts[k]
-            ux, uy = mirrors[k].direction
-            px, py = pts[i]
-            value = ux * (px - vx) + uy * (py - vy)
-            if margin is None or value < margin:
-                margin = value
-                witness = (k, i)
+        for k, (row, bound) in enumerate(zip(rows, bounds)):
+            cut = hi + bound
+            for i, value in enumerate(row):
+                if value > cut:
+                    continue
+                i += i >= k
+                if k not in directions:
+                    prev, next_ = around[k]
+                    directions[k] = internal_bisector(point(prev), point(k), point(next_), prec_bits)
+                vx, vy = point(k)
+                ux, uy = directions[k]
+                px, py = point(i)
+                value = ux * (px - vx) + uy * (py - vy)
+                if margin is None or value < margin:
+                    margin = value
+                    witness = (k, i)
         passed = margin is not None and margin > threshold
         return MirrorRoomReport(
             passed=passed,
             margin=margin,
             witness=None if passed else witness,
             threshold=threshold,
-            mirrors=tuple(mirrors),
         )
 
 
@@ -203,9 +303,9 @@ class BilliardTable:
 def build_table(mirrors, prec_bits: int = 128) -> BilliardTable:
     """Intersect the mirror half-planes into the convex floor polygon.
 
-    ``mirrors`` are the ones a passed ``mirror_room_check`` returns (its
-    ``mirrors``), or ``polygon_mirrors`` at the same precision: the check
-    is the table's precondition, and the mirrors are built once for both.
+    ``mirrors`` are ``polygon_mirrors`` at the same precision, of a polygon
+    that passed ``mirror_room_check``: the check is the table's
+    precondition.
     Every trajectory vertex touches the floor, so each mirror line carries
     one edge: ordered by outward-normal angle, consecutive lines meet at the
     corners, counterclockwise from the smallest angle about their centroid.

@@ -424,14 +424,17 @@ def _interval_phases(lo: float, hi: float, n_grid: int) -> list[Fraction]:
     return [phi for phi in candidates if 0 <= phi < 1]
 
 
-def confirm_heights(heights: tuple[SawtoothHeight, ...], constraints, table: ArcTable, margin) -> bool:
-    """Conditions (a)-(c) for ``heights`` on the exact closed form, at the
-    table's precision: every passage and wall-vertex height in [margin,
-    1 - margin], and each crossing's passage heights ordered as
-    ``constraints`` prescribe, at least ``margin`` apart.  Each passage
-    height is evaluated once, for (c) and then for (a).  The search runs it
-    on every float-screened candidate, and ``verify`` on the stored heights.
-    """
+def _height_bound(f: int, prec_bits: int) -> float:
+    """(6f + 16) 2^-53 + (4f + 16) 2^-prec_bits: how far apart the float64
+    and the working-precision evaluations of a sawtooth height at frequency
+    f can be, with room for the limits' roundings, as ``confirm_heights``
+    derives."""
+    return (6 * f + 16) * 2.0 ** -53 + (4 * f + 16) * 2.0 ** -prec_bits
+
+
+def _confirm_at_precision(heights, constraints, table: ArcTable, margin) -> bool:
+    """Conditions (a)-(c) for ``heights`` on the exact closed form, every
+    height evaluated at the table's precision."""
     with mp.workprec(table.prec_bits):
         low = mp.mpf(margin)
         high = 1 - low
@@ -453,6 +456,77 @@ def confirm_heights(heights: tuple[SawtoothHeight, ...], constraints, table: Arc
             if abs(z1 - z2) < low or (z1 > z2) != c.first_over:
                 return False
     return True
+
+
+def confirm_heights(heights: tuple[SawtoothHeight, ...], constraints, table: ArcTable, margin) -> bool:
+    """Conditions (a)-(c) for ``heights`` on the exact closed form, at the
+    table's precision: every passage and wall-vertex height in [margin,
+    1 - margin], and each crossing's passage heights ordered as
+    ``constraints`` prescribe, at least ``margin`` apart.  The search runs
+    it on every float-screened candidate, and ``verify`` on the stored
+    heights.
+
+    Every condition is first decided in float64, from the float arcs and
+    phase; only when some condition lies within its bound of its limit and
+    none is decided false are all of them evaluated at the table's
+    precision (``_confirm_at_precision``, each passage height once).  The
+    result is that evaluation's, at any precision p: with u = 2^-53, a
+    float height at frequency f and the working-precision one are within
+    b = ``_height_bound(f, p)`` = (6f + 16) u + (4f + 16) 2^-p.
+      - z(t) = |2 frac(y) - 1| with y = f t + phi is 2-Lipschitz in y
+        (it is continuous at the integers), and y - floor(y), twice it and
+        the absolute value are exact in either evaluation, so only the
+        roundings of y and of the final subtraction of 1 count;
+      - in float64, t (an mpf arc below 1) and phi are rounded once, off
+        by at most u each, f t' (exact f, below 2^46) by f u more, and the
+        sum, at most f + 1, by (f + 1) u: y is within (3f + 2) u of
+        f t + phi, and z within (6f + 5) u;
+      - at the working precision phi is rounded once and f t and the sum
+        round once each, so y is off by at most (2f + 2) 2^-p, and z by
+        (4f + 5) 2^-p;
+      - the limits round too: margin is rounded once to float (exact for
+        a float) and to mpf (exact at p >= 53), and 1 - margin rounds once
+        in each; so do the float sums that place a limit, the differences
+        z1 - z2 (one rounding in each evaluation) and the sum of two
+        bounds, each by at most u or 2^-p.  The remaining 11 u + 11 2^-p
+        covers them.
+    So a height is decided inside [margin, 1 - margin] when its float value
+    is more than b inside both limits, and outside when it is more than b
+    outside one; a crossing with signed gap g = +-(z1 - z2) (+ when the
+    first passage is over) holds when g - margin > b1 + b2 and fails when
+    g - margin < -(b1 + b2).  A condition decided false decides the
+    result.  At f = 1,000 the bound is about 7e-13.  A frequency of 2^46
+    or more, which no emitted trajectory has (``component_events``), goes
+    straight to the working precision.
+    """
+    if any(saw.frequency >= 2 ** 46 for saw in heights):
+        return _confirm_at_precision(heights, constraints, table, margin)
+    low = float(margin)
+    high = 1.0 - low
+    undecided = False
+    passage_z = {}
+    for comp, saw in enumerate(heights):
+        f, phi = saw.frequency, float(saw.phase)
+        b = _height_bound(f, table.prec_bits)
+        inner_low, inner_high = low + b, high - b
+        passages = table.passages[comp]
+        walls = [_sawtooth(f, float(t), phi) for t in table.vertex_arcs[comp]]
+        crossings = [_sawtooth(f, float(ps.arc), phi) for ps in passages]
+        for z in itertools.chain(walls, crossings):
+            if not inner_low < z < inner_high:
+                if z < low - b or z > high + b:
+                    return False
+                undecided = True
+        passage_z.update(((comp, ps.arc), (z, b)) for ps, z in zip(passages, crossings))
+    for c in constraints:
+        z1, b1 = passage_z[c.first_component, c.first_arc]
+        z2, b2 = passage_z[c.second_component, c.second_arc]
+        slack = (z1 - z2 if c.first_over else z2 - z1) - low
+        if not slack > b1 + b2:
+            if slack < -(b1 + b2):
+                return False
+            undecided = True
+    return _confirm_at_precision(heights, constraints, table, margin) if undecided else True
 
 
 def search_heights(

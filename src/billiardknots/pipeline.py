@@ -2,7 +2,7 @@
 
 Stages, in order: pad the pattern into the star regime, build and sign the
 star, perturb to rational lines (redrawing until the mirror-room condition
-holds as well), assemble the prism table, compute arcs, build the crossing
+holds as well), build the mirrors and assemble the prism table, compute arcs, build the crossing
 constraints, search sawtooth heights, emit the 3D trajectory, verify the
 reflection law, and certify the knot type against the abstract closure.
 The bounded independence check of the arc lengths is not a stage: it gates
@@ -24,6 +24,7 @@ from .billiards import (
     ReflectionReport,
     build_table,
     mirror_room_check,
+    polygon_mirrors,
     verify_reflection,
 )
 from .braids import QuasitoricPattern, pad_to_min_repetitions
@@ -243,7 +244,10 @@ def realize(spec: RealizationSpec) -> RealizationResult:
 
     poly, mirror_report = timed("perturb", perturb_until_mirrors)
     table = timed(
-        "table", lambda: build_table(mirror_report.mirrors, prec_bits=spec.precision_bits)
+        "table",
+        lambda: build_table(
+            polygon_mirrors(poly, spec.precision_bits), prec_bits=spec.precision_bits
+        ),
     )
     arcs = timed("arcs", lambda: arc_length_table(poly, spec.precision_bits))
     constraints = timed("constraints", lambda: build_height_constraints(star, arcs))

@@ -14,7 +14,7 @@ import pytest
 from bracket_oracles import skein_bracket, state_sum_bracket
 from obstruction_helpers import height_pattern_feasible, signed_residue
 
-from billiardknots.billiards import build_table, mirror_room_check
+from billiardknots.billiards import build_table, mirror_room_check, polygon_mirrors
 from billiardknots.braids import QuasitoricPattern, pad_to_min_repetitions, toric_pattern
 from billiardknots.invariants import kauffman_bracket
 from billiardknots.pdcodes import braid_closure_pd
@@ -85,7 +85,7 @@ def test_criterion_2_pentagram_sanity():
     vertices = [star.geometry.vertices[star.chords[c][0]] for c in comp]
     poly = SimpleNamespace(components=(SimpleNamespace(vertices=tuple(vertices)),))
     check = mirror_room_check(poly)
-    table = build_table(check.mirrors)
+    table = build_table(polygon_mirrors(poly))
     tips_on_boundary = True
     for mirror, (e1, e2) in zip(table.mirrors, table.edge_of_mirror):
         vx, vy = float(mirror.vertex[0]), float(mirror.vertex[1])

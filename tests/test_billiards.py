@@ -102,7 +102,7 @@ def test_convex_polygon_is_its_own_trajectory():
 
 def test_build_table_pentagram_touches_tips():
     poly = pentagram_polygon()
-    table = build_table(mirror_room_check(poly).mirrors)
+    table = build_table(polygon_mirrors(poly))
     assert len(table.floor) == 5
     # every trajectory vertex lies on its mirror's edge of the table
     for mirror, (e1, e2) in zip(table.mirrors, table.edge_of_mirror):
@@ -135,9 +135,8 @@ def test_build_table_orthic_triangle_recovers_original():
 
     ha, hb, hc = foot(A, B, C), foot(B, A, C), foot(C, A, B)
     orbit = fake_polygon([[ha, hb, hc]])
-    check = mirror_room_check(orbit)
-    assert check.passed
-    table = build_table(check.mirrors)
+    assert mirror_room_check(orbit).passed
+    table = build_table(polygon_mirrors(orbit))
     assert len(table.floor) == 3
     floor = [(float(x), float(y)) for x, y in table.floor]
     expected = [(float(v[0]), float(v[1])) for v in (A, B, C)]
@@ -161,9 +160,8 @@ def test_build_table_matches_pairwise_oracle(p, q):
     star = build_star(p, q, prec_bits=192)
     for seed in (1, 2, 3):
         poly = perturb(star, Fraction(1, 1000), seed=seed)
-        check = mirror_room_check(poly, prec_bits=192)
-        assert check.passed
-        floor = build_table(check.mirrors, prec_bits=192).floor
+        assert mirror_room_check(poly, prec_bits=192).passed
+        floor = build_table(polygon_mirrors(poly, 192), prec_bits=192).floor
         assert len(floor) == p
         assert floor == pairwise_floor(poly, prec_bits=192)
 
@@ -357,11 +355,20 @@ def test_mirror_room_screen_matches_oracle_on_fake_polygons(prec):
 
 
 def test_mirror_room_check_returns_the_mirrors_it_checked():
+    """The check's margin is the least value over the mirrors that
+    ``polygon_mirrors`` builds for the table, each through its vertex
+    rounded once at the working precision."""
     poly = preset_polygon("hopf")
     report = mirror_room_check(poly, prec_bits=192)
-    assert report.mirrors == tuple(polygon_mirrors(poly, 192))
+    mirrors = tuple(polygon_mirrors(poly, 192))
     with mp.workprec(192):
-        for mirror in report.mirrors:
+        assert report.margin == min(
+            m.direction[0] * (o.point[0] - m.point[0]) + m.direction[1] * (o.point[1] - m.point[1])
+            for m in mirrors
+            for o in mirrors
+            if o is not m
+        )
+        for mirror in mirrors:
             assert mirror.point == (to_mpf(mirror.vertex[0]), to_mpf(mirror.vertex[1]))
 
 
