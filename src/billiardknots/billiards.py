@@ -125,7 +125,7 @@ def _float_bisectors(poly, floats, point, size: float, prec_bits: int, exact: di
     v = 2.0 ** -min(prec_bits, 53)
     r1 = size + 1.0
     angle_bound = 2.0 ** 8 * v * r1 * r1
-    tau = 2.0 ** -(prec_bits // 2)
+    tau = 2.0 ** (-prec_bits // 2)  # internal_bisector's, floor division first
     bisectors, around = [], []
     start = 0
     for ci, comp in enumerate(poly.components):
@@ -213,11 +213,12 @@ def mirror_room_check(poly: PerturbedPolygon, prec_bits: int = 128) -> MirrorRoo
     rounded to float, and its pairs' bound is eps.
 
     The angle test.  ``internal_bisector`` raises for a degenerate angle,
-    where G = |a x b| - 2^-(p//2) |a| |b|, as it evaluates it, is negative.
+    where G = |a x b| - tau |a| |b|, as it evaluates it, is negative, with
+    tau = 2^(-p // 2) (floor division, so 2^-27 at p = 53).
     The coordinate errors move a x b by at most 4 * 4.01 v R1 * 2.02 R1 <
     33 v R1^2, and its products and difference round by at most
     17 v R1^2; |a| |b| is off by at most 2 * 11.5 v R1 * 2.9 R1 plus its
-    rounding, 75 v R1^2, which 2^-(p//2) <= 1/2 halves; and the
+    rounding, 75 v R1^2, which tau <= 1/2 halves; and the
     subtraction rounds by at most 8.2 v R1^2.  So each evaluation of G is
     within 90 v R1^2 of the exact one.  Where the float G exceeds
     2^8 v R1^2 the working-precision G is positive, and the angle is

@@ -343,7 +343,8 @@ def verify_artifacts(report_path) -> Verdict:
     ``certify``.  With every exact gap at least the margin and every stored
     height within the reflection tolerance of the exact one, the stored
     heights come in the exact order.  All three checks run on every report;
-    one that fails the mirror-room check fails on it first.  The
+    one that fails the mirror-room check fails on it first; that check
+    screens in float64 and builds no mirror (``mirror_room_check``).  The
     trajectory's ``kinds`` string is read as JSON, each float column is
     decoded from its base64 string of little-endian float64 and every
     crossing height from its JSON number, every float bit for bit as it was

@@ -13,10 +13,17 @@ crossing at the exhaustion probe phases of every f-tuple in shell order.
 ``reach_phases`` is the link screen as one self-contained call: it sorts
 the window pairs and evaluates every half-width anew on each call, where
 the search reads them from tables built once per frequency.
+``exact_confirm_heights`` evaluates conditions (a)-(c) with every height
+at the table's precision, where ``confirm_heights`` decides them in float64
+first.
 """
 
 import itertools
 import math
+
+import mpmath as mp
+
+from billiardknots.perturbation import to_mpf
 
 
 def shell_order(d: int, top: int):
@@ -240,3 +247,36 @@ def reach_phases(f_tuple, k: int, windows, phases, margin: float):
         if not allowed:
             return []
     return allowed
+
+
+def _mpf_height(f: int, t, phi):
+    y = f * t + phi
+    return abs(2 * (y - mp.floor(y)) - 1)
+
+
+def exact_confirm_heights(heights, constraints, table, margin) -> bool:
+    """Conditions (a)-(c) for ``heights`` on the arc table, every passage
+    and wall-vertex height evaluated at the table's precision: each in
+    [margin, 1 - margin], and each crossing's passage heights ordered as
+    ``constraints`` prescribe, at least ``margin`` apart."""
+    with mp.workprec(table.prec_bits):
+        low = mp.mpf(margin)
+        high = 1 - low
+        passage_z = {}
+        for comp, saw in enumerate(heights):
+            f, phi = saw.frequency, to_mpf(saw.phase)
+            for t in table.vertex_arcs[comp]:
+                z = _mpf_height(f, t, phi)
+                if z < low or z > high:
+                    return False
+            for ps in table.passages[comp]:
+                z = _mpf_height(f, ps.arc, phi)
+                if z < low or z > high:
+                    return False
+                passage_z[comp, ps.arc] = z
+        for c in constraints:
+            z1 = passage_z[c.first_component, c.first_arc]
+            z2 = passage_z[c.second_component, c.second_arc]
+            if abs(z1 - z2) < low or (z1 > z2) != c.first_over:
+                return False
+    return True

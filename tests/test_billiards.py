@@ -9,6 +9,7 @@ from mirror_room_oracle import all_vertices, pairwise_mirror_room, plain_contain
 from reflection_oracle import pointwise_reflection
 from table_oracles import pairwise_floor
 
+from billiardknots import billiards
 from billiardknots.billiards import (
     _near_least,
     _screen_bound,
@@ -370,6 +371,93 @@ def test_mirror_room_check_returns_the_mirrors_it_checked():
         )
         for mirror in mirrors:
             assert mirror.point == (to_mpf(mirror.vertex[0]), to_mpf(mirror.vertex[1]))
+
+
+def random_line_polygons(seed):
+    """Polygons of lines drawn as ``perturb`` draws them around six stars,
+    at deltas from 1/1000 to 1/2; from 1/8 up, many fail the check."""
+    polys = []
+    for p, q in [(5, 2), (7, 3), (10, 2), (10, 3), (9, 4), (12, 2)]:
+        star = build_star(p, q, prec_bits=192)
+        for delta in (1000, 30, 8, 4, 2):
+            polys.append(perturb(star, Fraction(1, delta), seed=seed))
+    return polys
+
+
+def symmetric_pentagram():
+    """The unperturbed {5/2} star of acceptance criterion 8 at 256 bits:
+    its five mirrors tie, so every one of them owns a candidate."""
+    star = build_star(5, 2, prec_bits=256)
+    (comp,) = star.components
+    return fake_polygon([[star.geometry.vertices[star.chords[c][0]] for c in comp]])
+
+
+@pytest.fixture
+def bisector_calls(monkeypatch):
+    """The vertices ``internal_bisector`` is called at, in order."""
+    calls = []
+    real = billiards.internal_bisector
+
+    def counted(prev, at, next_, prec_bits=128):
+        calls.append(at)
+        return real(prev, at, next_, prec_bits)
+
+    monkeypatch.setattr(billiards, "internal_bisector", counted)
+    return calls
+
+
+@pytest.mark.parametrize("prec", SCREEN_PRECISIONS)
+def test_bisector_screen_matches_oracle_on_random_lines_and_the_symmetric_star(prec):
+    verdicts = set()
+    for seed in (1, 2, 3):
+        for poly in random_line_polygons(seed):
+            verdicts.add(assert_same_mirror_room(poly, prec).passed)
+    assert verdicts == {True, False}
+    assert assert_same_mirror_room(symmetric_pentagram(), prec).passed
+
+
+@pytest.mark.parametrize("prec", SCREEN_PRECISIONS)
+def test_bisector_screen_evaluates_only_the_candidate_mirrors(prec, bisector_calls):
+    """A preset's check evaluates one working-precision bisector, the
+    least pair's; the symmetric star's, whose values tie, all five."""
+    for name in PRESETS:
+        poly = preset_polygon(name)
+        bisector_calls.clear()
+        mirror_room_check(poly, prec)
+        assert len(bisector_calls) == 1
+    bisector_calls.clear()
+    mirror_room_check(symmetric_pentagram(), prec)
+    assert len(bisector_calls) == 5
+
+
+@pytest.mark.parametrize("prec", SCREEN_PRECISIONS)
+def test_bisector_screen_raises_for_a_degenerate_angle(prec, bisector_calls):
+    """A straight or coincident vertex raises DegenerateAngleError, as in
+    ``polygon_mirrors``; so does a vertex at (0, 0) whose angle test misses
+    its limit 2^(-prec // 2) by 2^-20 of it, which float64 leaves to the
+    working precision, while the same vertex clearing it by 2^-20 does
+    not."""
+    F = Fraction
+    straight = [(F(0), F(0)), (F(2), F(0)), (F(4), F(0)), (F(2), F(3))]
+    coincident = [(F(0), F(0)), (F(1), F(0)), (F(1), F(0)), (F(0), F(1))]
+    for vertices in (straight, coincident):
+        for check in (mirror_room_check, pairwise_mirror_room):
+            with pytest.raises(DegenerateAngleError):
+                check(fake_polygon([vertices]), prec)
+    tau = F(2) ** (-prec // 2)
+    for eps, degenerate in ((tau * (1 - F(1, 2**20)), True), (tau * (1 + F(1, 2**20)), False)):
+        poly = fake_polygon([[(F(-1), F(0)), (F(0), F(0)), (F(1), eps), (F(0), F(1))]])
+        bisector_calls.clear()
+        if degenerate:
+            with pytest.raises(DegenerateAngleError):
+                mirror_room_check(poly, prec)
+            assert bisector_calls == [(0, 0)]
+            with pytest.raises(DegenerateAngleError):
+                pairwise_mirror_room(poly, prec)
+        else:
+            mirror_room_check(poly, prec)
+            assert (0, 0) in bisector_calls
+            assert_same_mirror_room(poly, prec)
 
 
 @pytest.mark.parametrize("prec", SCREEN_PRECISIONS)

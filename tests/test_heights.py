@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from billiardknots.billiards import verify_reflection
 from billiardknots.braids import QuasitoricPattern, pad_to_min_repetitions, toric_pattern
 from billiardknots.errors import DomainError, SearchExhaustedError
+from billiardknots import heights as heights_module
 from billiardknots.heights import (
+    DEFAULT_MARGIN,
     KIND_NAMES,
     HeightConstraint,
     SawtoothHeight,
@@ -30,11 +32,12 @@ from billiardknots.heights import (
     _reach_phases,
     _shell,
     build_height_constraints,
+    confirm_heights,
     emit_trajectory,
     evaluate_sawtooth,
     search_heights,
 )
-from billiardknots.perturbation import arc_length_table, perturb
+from billiardknots.perturbation import arc_length_table, perturb, to_mpf
 from billiardknots.pipeline import RealizationSpec, realize
 from billiardknots.presets import PRESETS
 from billiardknots.stars import ArcTable, Passage, assign_braid_letters, build_star
@@ -42,6 +45,7 @@ from billiardknots.stars import ArcTable, Passage, assign_braid_letters, build_s
 from height_oracles import (
     accepted_phases,
     crossing_phases,
+    exact_confirm_heights,
     first_hit,
     probe_violations,
     reach_phases,
@@ -913,3 +917,104 @@ def test_density_surrogate_all_patterns_realizable():
     fractions = [sum(1 for f in found_f if f <= F) / 32 for F in (2, 10, 50, 10**5)]
     assert fractions == sorted(fractions)
     assert fractions[-1] == 1.0
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The results of ``confirm_heights``' working-precision confirmations,
+    in order."""
+    results = []
+    real = heights_module._confirm_at_precision
+
+    def recorded(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(heights_module, "_confirm_at_precision", recorded)
+    return results
+
+
+@pytest.mark.parametrize("prec", [192, 53])
+def test_confirm_heights_matches_the_working_precision_oracle(prec, trefoil_result, hopf_result, fallbacks):
+    """Seeded (f, phi), and the accepted heights with their phases moved by
+    up to 1e-4, on the trefoil's and the Hopf link's arcs: the float64
+    decision is the oracle's, and none of them needs the working
+    precision."""
+    rng = random.Random(20261019 + prec)
+    outcomes = set()
+    for result in (trefoil_result, hopf_result):
+        arcs = arc_length_table(result.poly, prec)
+        constraints = build_height_constraints(result.star, arcs)
+        cases = [result.heights]
+        for _ in range(60):
+            cases.append(tuple(
+                SawtoothHeight(rng.randint(1, 4000), Fraction(rng.randrange(2**31), 2**31))
+                for _ in result.heights
+            ))
+            cases.append(tuple(
+                SawtoothHeight(h.frequency, (h.phase + Fraction(rng.randint(-10**5, 10**5), 10**9)) % 1)
+                for h in result.heights
+            ))
+        for heights in cases:
+            got = confirm_heights(heights, constraints, arcs, DEFAULT_MARGIN)
+            assert got == exact_confirm_heights(heights, constraints, arcs, DEFAULT_MARGIN)
+            outcomes.add(got)
+    assert outcomes == {True, False}
+    assert fallbacks == []
+
+
+NEAR_F = 1024
+
+
+def near_bound_problem(kind: str, delta: float, prec_bits: int):
+    """Heights, constraints and a two-component arc table at f = 1024 whose
+    arcs (100 j + a)/1024 are dyadic, so that float64 and mpf hold them
+    exactly, with component 1's phase solved so that one condition lies
+    ``delta`` beyond its limit: kind "wall" puts the height of its wall 1
+    at margin + delta, "passage" its passage height at crossing 0, and
+    "gap" the gap at crossing 0.  Component 0 has phase 1/4, wall heights
+    1/2, 1/4 and 1/2, and passage heights 3/4 at crossing 0 (over
+    component 1) and 3/8 at crossing 1 (under it).  Every other condition
+    clears its limit by more than 0.1."""
+    F = Fraction
+    target = F(DEFAULT_MARGIN) + F(delta)
+    # component 1's wall offsets a, its passage offsets at crossings 0 and
+    # 1, and the offset whose height is solved, with that height
+    walls, passages, solved, z = {
+        "wall": ((0, F(1, 4), F(1, 2)), (F(1, 8), F(5, 8)), F(1, 4), target),
+        "passage": ((0, F(5, 16), F(1, 2)), (F(1, 4), F(5, 8)), F(1, 4), target),
+        "gap": ((0, F(1, 2)), (F(3, 8), F(1, 8)), F(3, 8), F(3, 4) - target),
+    }[kind]
+    # on the falling half of the sawtooth z = 1 - 2 frac(a + phi)
+    phase = ((1 - z) / 2 - solved) % 1
+    offsets = [((0, F(1, 8), F(1, 2)), (F(5, 8), F(1, 16))), (walls, passages)]
+    with mp.workprec(prec_bits):
+        vertex_arcs = tuple(
+            tuple(to_mpf((100 * j + a) / NEAR_F) for j, a in enumerate(w)) for w, _ in offsets
+        )
+        crossings = tuple(
+            tuple(Passage(c, to_mpf((100 * (5 + c) + a) / NEAR_F), True) for c, a in enumerate(p))
+            for _, p in offsets
+        )
+    table = ArcTable(prec_bits, crossings, vertex_arcs, (mp.mpf(1), mp.mpf(1)))
+    constraints = tuple(
+        HeightConstraint(c, 0, crossings[0][c].arc, 1, crossings[1][c].arc, c == 0) for c in (0, 1)
+    )
+    return (SawtoothHeight(NEAR_F, F(1, 4)), SawtoothHeight(NEAR_F, phase)), constraints, table
+
+
+@pytest.mark.parametrize("prec", [192, 53])
+@pytest.mark.parametrize("kind", ["wall", "passage", "gap"])
+def test_confirm_heights_confirms_at_the_working_precision_near_a_bound(prec, kind, fallbacks):
+    """Within 1e-13 of the margin, on either side, float64 decides nothing
+    at f = 1024 (its bound is about 7e-13), so the working precision
+    decides, as the oracle does; at 192 bits the sign of delta does.  At
+    1e-6 from the margin float64 decides alone."""
+    for delta in (-1e-13, -1e-16, 1e-16, 1e-13, -1e-6, 1e-6):
+        fallbacks.clear()
+        heights, constraints, table = near_bound_problem(kind, delta, prec)
+        got = confirm_heights(heights, constraints, table, DEFAULT_MARGIN)
+        assert got == exact_confirm_heights(heights, constraints, table, DEFAULT_MARGIN)
+        assert fallbacks == ([] if abs(delta) > 1e-12 else [got])
+        if prec == 192 or abs(delta) > 1e-12:
+            assert got == (delta > 0)
