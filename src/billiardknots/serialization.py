@@ -64,7 +64,9 @@ def _parse_frac(s: str) -> Fraction:
 
 
 def _num(x) -> str:
-    return mp.nstr(mp.mpf(x), MPF_DIGITS)
+    """An mpf as MPF_DIGITS significant digits of its own value, at the
+    precision it was computed at."""
+    return mp.nstr(x, MPF_DIGITS)
 
 
 # a float column's bytes are little-endian float64; array('d') holds the host's order

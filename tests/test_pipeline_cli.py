@@ -161,6 +161,20 @@ def test_cli_verify_reads_an_indented_trajectory(tmp_path, trefoil_result):
     assert main(["verify", str(paths["report"])]) == 0
 
 
+def test_stored_reals_carry_the_working_precision(tmp_path, hopf_result):
+    """report.json's mirror margin and table.json's first floor corner,
+    written with 40 significant digits, agree with the working-precision
+    values to at least 35 digits, not only to float64's 17."""
+    paths = write_artifacts(hopf_result, tmp_path, canonical=True)
+    stored_margin = json.loads(paths["report"].read_text())["mirror_check"]["margin"]
+    stored_corner = json.loads(paths["table"].read_text())["floor"][0]
+    with mp.workprec(hopf_result.spec.precision_bits):
+        margin = hopf_result.mirror_report.margin
+        assert abs(mp.mpf(stored_margin) - margin) <= mp.mpf(10) ** -35 * abs(margin)
+        for stored, value in zip(stored_corner, hopf_result.table.floor[0]):
+            assert abs(mp.mpf(stored) - value) <= mp.mpf(10) ** -35 * abs(value)
+
+
 def test_cli_spec_errors(tmp_path):
     bad = _write_spec(tmp_path, {"pattern": {"strands": 1, "repetitions": 3, "signs": []}})
     assert main(["realize", str(bad)]) == 3
