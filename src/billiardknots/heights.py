@@ -424,14 +424,6 @@ def _interval_phases(lo: float, hi: float, n_grid: int) -> list[Fraction]:
     return [phi for phi in candidates if 0 <= phi < 1]
 
 
-def _height_bound(f: int, prec_bits: int) -> float:
-    """(6f + 16) 2^-53 + (4f + 16) 2^-prec_bits: how far apart the float64
-    and the working-precision evaluations of a sawtooth height at frequency
-    f can be, with room for the limits' roundings, as ``confirm_heights``
-    derives."""
-    return (6 * f + 16) * 2.0 ** -53 + (4 * f + 16) * 2.0 ** -prec_bits
-
-
 def _confirm_at_precision(heights, constraints, table: ArcTable, margin) -> bool:
     """Conditions (a)-(c) for ``heights`` on the exact closed form, every
     height evaluated at the table's precision."""
@@ -472,7 +464,7 @@ def confirm_heights(heights: tuple[SawtoothHeight, ...], constraints, table: Arc
     precision (``_confirm_at_precision``, each passage height once).  The
     result is that evaluation's, at any precision p: with u = 2^-53, a
     float height at frequency f and the working-precision one are within
-    b = ``_height_bound(f, p)`` = (6f + 16) u + (4f + 16) 2^-p.
+    b = (6f + 16) u + (4f + 16) 2^-p.
       - z(t) = |2 frac(y) - 1| with y = f t + phi is 2-Lipschitz in y
         (it is continuous at the integers), and y - floor(y), twice it and
         the absolute value are exact in either evaluation, so only the
@@ -507,7 +499,7 @@ def confirm_heights(heights: tuple[SawtoothHeight, ...], constraints, table: Arc
     passage_z = {}
     for comp, saw in enumerate(heights):
         f, phi = saw.frequency, float(saw.phase)
-        b = _height_bound(f, table.prec_bits)
+        b = (6 * f + 16) * 2.0 ** -53 + (4 * f + 16) * 2.0 ** -table.prec_bits
         inner_low, inner_high = low + b, high - b
         passages = table.passages[comp]
         walls = [_sawtooth(f, float(t), phi) for t in table.vertex_arcs[comp]]

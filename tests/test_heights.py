@@ -963,6 +963,20 @@ def test_confirm_heights_matches_the_working_precision_oracle(prec, trefoil_resu
     assert fallbacks == []
 
 
+def test_confirm_heights_leaves_frequencies_from_2_to_the_46_to_the_working_precision(
+    trefoil_result, fallbacks
+):
+    """Such an f, which a stored trajectory may name, goes straight to the
+    working precision, 10^400 among them, which float64 cannot hold."""
+    arcs = trefoil_result.arcs
+    constraints = build_height_constraints(trefoil_result.star, arcs)
+    for f in (2**46, 10**400):
+        heights = (SawtoothHeight(f, trefoil_result.heights[0].phase),)
+        fallbacks.clear()
+        got = confirm_heights(heights, constraints, arcs, DEFAULT_MARGIN)
+        assert fallbacks == [got] == [exact_confirm_heights(heights, constraints, arcs, DEFAULT_MARGIN)]
+
+
 NEAR_F = 1024
 
 
