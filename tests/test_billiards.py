@@ -290,9 +290,14 @@ def jittered_polygons(seed):
 def tied_polygons():
     """Polygons whose pair values tie exactly: a square, a large and a tiny
     rectangle, a symmetric hexagon, the failing kite with an inner vertex,
-    and two 9-pointed stars through rational points of a circle (scaled by
+    two 9-pointed stars through rational points of a circle (scaled by
     7/11), on which a float64 screen that keeps only the float least pair
-    picks another pair than the mpf loop at 128 bits."""
+    picks another pair than the mpf loop at 128 bits, and a failing
+    pentagon whose vertex 0 is nearly straight (its edges 5/7 and 4/9 long
+    fall by 1/3,000,000 of their length), so that its float64 bisector is
+    off by about 1e-10 and splits the exact tie of pairs (0, 2) and (0, 3),
+    which a screen without the bisector's own bound gets wrong at 64
+    bits."""
     F = Fraction
     circle_stars = [
         [(F(x) * F(7, 11), F(y) * F(7, 11)) for x, y in star]
@@ -313,7 +318,10 @@ def tied_polygons():
         (F(2), F(0)), (F(1), F(2)), (F(-1), F(2)), (F(-2), F(0)), (F(-1), F(-2)), (F(1), F(-2))
     ]
     kite = [(F(0), F(0)), (F(4), F(0)), (F(2), F(3)), (F(2), F(1))]
-    return [fake_polygon([vs]) for vs in [square, big, tiny, hexagon, kite] + circle_stars]
+    x, y, e = F(1, 3), F(1, 7), F(1, 3 * 10**6)
+    flat = [(x, y), (x + F(4, 9), y - F(4, 9) * e), (x + F(1, 2), y + 2), (x - F(1, 2), y + 2),
+            (x - F(5, 7), y - F(5, 7) * e)]
+    return [fake_polygon([vs]) for vs in [square, big, tiny, hexagon, kite, flat] + circle_stars]
 
 
 def assert_same_mirror_room(poly, prec_bits):
@@ -436,7 +444,10 @@ def test_bisector_screen_raises_for_a_degenerate_angle(prec, bisector_calls):
     ``polygon_mirrors``; so does a vertex at (0, 0) whose angle test misses
     its limit 2^(-prec // 2) by 2^-20 of it, which float64 leaves to the
     working precision, while the same vertex clearing it by 2^-20 does
-    not."""
+    not.  A spike at (1/3, 1/7) whose angle test is half its limit raises
+    too, though its mirror owns no candidate: at 128 and 192 bits the
+    float64 roundings of its coordinates alone exceed the limit, so only
+    the angle test's own bound sends it to the working precision."""
     F = Fraction
     straight = [(F(0), F(0)), (F(2), F(0)), (F(4), F(0)), (F(2), F(3))]
     coincident = [(F(0), F(0)), (F(1), F(0)), (F(1), F(0)), (F(0), F(1))]
@@ -458,6 +469,11 @@ def test_bisector_screen_raises_for_a_degenerate_angle(prec, bisector_calls):
             mirror_room_check(poly, prec)
             assert (0, 0) in bisector_calls
             assert_same_mirror_room(poly, prec)
+    x, y, eta = F(1, 3), F(1, 7), F(2) ** (-prec // 2) / 2
+    spike = [(x, y), (x + 1, y + F(3, 7) + eta), (x + 3, y + 3), (x + 4, y - 1), (x + 2, y + F(6, 7))]
+    for check in (mirror_room_check, pairwise_mirror_room):
+        with pytest.raises(DegenerateAngleError):
+            check(fake_polygon([spike]), prec)
 
 
 @pytest.mark.parametrize("prec", SCREEN_PRECISIONS)
