@@ -77,17 +77,6 @@ def _sawtooth(f: int, t: float, phi: float) -> float:
     return abs(2.0 * (y - math.floor(y)) - 1.0)
 
 
-def evaluate_sawtooth(s: SawtoothHeight, t):
-    """z(t) = 2 |frac(f t + phi) - 1/2|, valid for mpf, Fraction, or float t."""
-    if isinstance(t, Fraction):
-        y = s.frequency * t + s.phase
-        fy = y - (y.numerator // y.denominator)
-        return abs(2 * fy - 1)
-    if isinstance(t, mp.mpf):
-        return _mpf_sawtooth(s.frequency, t, to_mpf(s.phase))
-    return _sawtooth(s.frequency, float(t), float(s.phase))
-
-
 def _mpf_sawtooth(f: int, t, phi):
     """z(t) for an mpf arc t, with phi already an mpf at the working
     precision: a caller evaluating many arcs converts its phase once."""
@@ -108,24 +97,25 @@ class HeightConstraint:
 def build_height_constraints(diagram, table: ArcTable) -> tuple[HeightConstraint, ...]:
     """One constraint per crossing from a sign-attached star and an arc table.
 
-    The passage listed first is the one earlier in (component, arc) order; a
-    positive crossing sign puts the chord_a passage on top.
+    The star decides in integers which passage comes first in (component,
+    arc) order (``Crossing.a_side_is_first``), and the passages' arcs are
+    looked up by (crossing, side); a positive crossing sign puts the
+    chord_a passage on top.
     """
     if not diagram.signs_attached:
         raise DomainError("diagram has no signs attached")
-    places: dict[int, list] = {}
-    for ci, passages in enumerate(table.passages):
-        for ps in passages:
-            places.setdefault(ps.crossing, []).append((ci, ps.arc, ps.is_a_side))
-    constraints = []
-    for c in diagram.crossings:
-        pair = sorted(places[c.index], key=lambda item: (item[0], item[1]))
-        if len(pair) != 2:
-            raise DomainError(f"crossing {c.index} has {len(pair)} passages")
-        (c1, a1, on_a1), (c2, a2, _) = pair
-        first_over = on_a1 == (c.sign > 0)
-        constraints.append(HeightConstraint(c.index, c1, a1, c2, a2, first_over))
-    return tuple(constraints)
+    arc = {(ps.crossing, ps.is_a_side): ps.arc for passages in table.passages for ps in passages}
+    return tuple(
+        HeightConstraint(
+            c.index,
+            c.first_component,
+            arc[c.index, c.a_side_is_first],
+            c.second_component,
+            arc[c.index, not c.a_side_is_first],
+            c.a_side_is_first == (c.sign > 0),
+        )
+        for c in diagram.crossings
+    )
 
 
 @dataclass(frozen=True)
@@ -718,25 +708,9 @@ class TrajComponent:
 
 
 @dataclass(frozen=True)
-class CrossingHeight:
-    crossing: int
-    z_a: float                  # height of the chord_a passage
-    z_b: float
-
-
-@dataclass(frozen=True)
 class SpatialTrajectory:
     components: tuple[TrajComponent, ...]
-    crossing_heights: tuple[CrossingHeight, ...]
     poly: PerturbedPolygon
-
-    def over_flags(self) -> dict[int, bool]:
-        flags = {}
-        for ch in self.crossing_heights:
-            if ch.z_a == ch.z_b:
-                raise DomainError(f"crossing {ch.crossing} has equal passage heights")
-            flags[ch.crossing] = ch.z_a > ch.z_b
-        return flags
 
 
 # Least arc gap between consecutive events of the float walk.  Each float
@@ -818,29 +792,20 @@ def component_events(vertices, vertex_arcs, saw: SawtoothHeight) -> TrajComponen
     return TrajComponent(saw, "".join(kinds), arc, x, y, z)
 
 
-def passage_heights(heights, table: ArcTable) -> tuple[CrossingHeight, ...]:
-    """Both passage heights of every crossing, by crossing index, each
-    evaluated as ``component_events`` evaluates wall heights."""
-    sides: dict[int, dict[bool, float]] = {}
-    for saw, passages in zip(heights, table.passages):
-        for ps, z in zip(passages, _float_heights(saw, [ps.arc for ps in passages])):
-            sides.setdefault(ps.crossing, {})[ps.is_a_side] = z
-    return tuple(CrossingHeight(cid, z[True], z[False]) for cid, z in sorted(sides.items()))
-
-
 def emit_trajectory(poly: PerturbedPolygon, heights, table: ArcTable) -> SpatialTrajectory:
     """Assemble the closed 3D polyline: wall vertices at sawtooth heights,
     floor/ceiling bounce points inserted at the sawtooth extrema (the
     events of ``component_events``).
 
-    ``table`` is the arc table of ``poly``.  Points, arcs and crossing
-    heights are floats.  Only the wall and passage heights are evaluated at
-    the arc table's precision (plus the bits of f), as ``verify_reflection``
-    regenerates them: O(m + n) work; the 2f bounces cost float arithmetic.
-    Projecting the result to the floor recovers the polygon to float
-    rounding; between consecutive events both the planar position and the
-    height are linear in arc length, so straight 3D segments represent the
-    trajectory.
+    ``table`` is the arc table of ``poly``.  Points and arcs are floats.
+    Only the wall heights are evaluated at the arc table's precision (plus
+    the bits of f), as ``verify_reflection`` regenerates them: O(m) work;
+    the 2f bounces cost float arithmetic.  No passage height is evaluated:
+    the star's signs fix each crossing's over/under, and ``confirm_heights``
+    has proven that the heights realize them.  Projecting the result to
+    the floor recovers the polygon to float rounding; between consecutive
+    events both the planar position and the height are linear in arc
+    length, so straight 3D segments represent the trajectory.
     """
     if len(heights) != len(poly.components):
         raise DomainError("one sawtooth per component required")
@@ -849,5 +814,4 @@ def emit_trajectory(poly: PerturbedPolygon, heights, table: ArcTable) -> Spatial
             component_events(comp.vertices, v_arcs, saw)
             for comp, saw, v_arcs in zip(poly.components, heights, table.vertex_arcs)
         )
-        crossing_heights = passage_heights(heights, table)
-    return SpatialTrajectory(components, crossing_heights, poly)
+    return SpatialTrajectory(components, poly)

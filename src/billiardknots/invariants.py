@@ -17,9 +17,10 @@ the Jones polynomial", Topology 26, 1987; the same local tangle contraction as
 Bar-Natan, arXiv:math/0606318), in time polynomial in the crossing count for
 braid closures and star diagrams.  Both sides of the certificate use it; they
 stay independent through their inputs (the abstract braid word on one side,
-the realized heights and geometry on the other).  The exponential state sum
-and skein recursion live in the tests as oracles.  Invariant equality
-certifies the construction but is evidence, not a proof of isotopy.
+the perturbed polygon and its star's signed crossings on the other).  The
+exponential state sum and skein recursion live in the tests as oracles.
+Invariant equality certifies the construction but is evidence, not a proof
+of isotopy.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 from .braids import QuasitoricPattern, component_count
 from .laurent import Laurent, lp_mul, lp_pow, lp_scale, lp_shift, lp_to_string
 from .pdcodes import PDCode, braid_closure_pd, traversal_pd
+from .stars import over_flags_from_signs
 
 
 DELTA: Laurent = {2: -1, -2: -1}  # -A^2 - A^(-2)
@@ -163,18 +165,22 @@ class CertificationReport:
         )
 
 
-def certify(traj, pattern: QuasitoricPattern) -> CertificationReport:
-    """Compare the trajectory's diagram invariant with the intended closure.
+def certify(poly, pattern: QuasitoricPattern) -> CertificationReport:
+    """Compare the realized diagram's invariant with the intended closure.
 
     The constructed side is one ``traversal_pd`` call on the strand passages
-    of ``traj.poly`` with the over-flags of ``traj``'s realized heights, and
-    its components are counted in ``traj.poly.components``; the intended
-    side is computed from the abstract braid word by an independent route.
+    of ``poly`` with the over-flags of its star's signs, and its components
+    are counted in ``poly.components``; the intended side is computed from
+    the abstract braid word by an independent route.  The signs are the
+    trajectory's over/under only once its exact heights satisfy conditions
+    (a)-(c) (``heights.confirm_heights``), so a caller certifies heights
+    that passed it: the height search returns only such heights, and
+    ``verify`` runs it on the stored ones first.
     """
-    pd, sign_map = traversal_pd(traj.poly.passages(), traj.over_flags())
+    pd, sign_map = traversal_pd(poly.passages(), over_flags_from_signs(poly.star))
     constructed = jones(pd, sum(sign_map.values()))
     intended = pattern_jones(pattern)
-    comp_constructed = len(traj.poly.components)
+    comp_constructed = len(poly.components)
     comp_intended = component_count(pattern)
     return CertificationReport(
         passed=(constructed == intended and comp_constructed == comp_intended),

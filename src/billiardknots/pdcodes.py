@@ -9,7 +9,7 @@ any crossing are carried separately in ``free_loops``.
 ``braid_closure_pd`` reads the code of a quasitoric braid's closure off its
 word.  ``traversal_pd`` reads the code of a drawn diagram, in one call, off
 its strand passages and over-flags; for a realized trajectory these are
-``PerturbedPolygon.passages()`` and the over-flags of its crossing heights.
+``PerturbedPolygon.passages()`` and the over-flags of its star's signs.
 """
 
 from __future__ import annotations

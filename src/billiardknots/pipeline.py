@@ -256,7 +256,7 @@ def realize(spec: RealizationSpec) -> RealizationResult:
     )
     trajectory = timed("emit", lambda: emit_trajectory(poly, heights, arcs))
     reflection = timed("reflection", lambda: verify_reflection(trajectory, arcs, REFLECTION_TOL))
-    certification = timed("certify", lambda: certify(trajectory, padded))
+    certification = timed("certify", lambda: certify(poly, padded))
 
     return RealizationResult(
         spec=spec,

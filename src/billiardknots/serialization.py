@@ -7,10 +7,9 @@ a ``kinds`` string with one letter per event (``w`` wall, ``f`` floor,
 ``c`` ceiling) and the float columns ``arc``, ``x``, ``y`` and ``z``, one
 value per event, each a base64 string of little-endian float64 (8 bytes
 per event).  The bytes are the floats themselves, so every value reads
-back bit for bit, and no float is turned into decimal text and back.  The crossing heights,
-two per crossing, stay JSON numbers: json's C encoder writes each as
-``float.__repr__``, its shortest round-trip decimal, and its C decoder
-reads it back bit for bit.  Wall event k of component c bounces off the
+back bit for bit, and no float is turned into decimal text and back.  No
+crossing height is stored: the star's signs decide each crossing's
+over/under.  Wall event k of component c bounces off the
 ``table.json`` mirror with ``component`` c and ``vertex_index`` k, so the
 file names no mirror.  This module is the only one that encodes or
 decodes the columns.  The prism additionally ships as an OBJ mesh and the
@@ -32,17 +31,17 @@ import mpmath as mp
 
 from .billiards import COLUMNS, mirror_room_check, verify_reflection
 from .braids import QuasitoricPattern, pad_to_min_repetitions
-from .errors import DomainError, SpecFileError
+from .errors import SpecFileError
 from .heights import (
-    KIND_NAMES, CrossingHeight, SawtoothHeight, SpatialTrajectory, TrajComponent,
-    build_height_constraints, confirm_heights,
+    KIND_NAMES, SawtoothHeight, SpatialTrajectory, TrajComponent, build_height_constraints,
+    confirm_heights,
 )
 from .invariants import certify, jones_string
 from .perturbation import PerturbedPolygon, arc_length_table, layout_from_lines
 from .pipeline import (
-    REFLECTION_TOL, RealizationResult, RealizationSpec, Verdict, json_int, json_real, verdict,
+    REFLECTION_TOL, RealizationResult, RealizationSpec, Verdict, json_int, verdict,
 )
-from .stars import assign_braid_letters, build_star, star_diagram_json
+from .stars import assign_braid_letters, build_star, over_flags_from_signs, star_diagram_json
 
 MPF_DIGITS = 40
 GAP_FRACTION = 0.035  # of a chord, cut from the under strand on each side of a crossing
@@ -150,10 +149,6 @@ def trajectory_json(result: RealizationResult) -> dict:
                 **{name: _encode_column(getattr(comp, name)) for name in COLUMNS},
             }
             for comp in result.trajectory.components
-        ],
-        "crossing_heights": [
-            {"crossing": ch.crossing, "z_a": ch.z_a, "z_b": ch.z_b}
-            for ch in result.trajectory.crossing_heights
         ],
     }
 
@@ -317,7 +312,7 @@ def write_artifacts(result: RealizationResult, outdir, canonical: bool = False) 
     _write_json(files["trajectory"], trajectory_json(result), indent=None)
     _write_json(files["table"], table_json(result))
     _write_json(files["diagram"], star_diagram_json(result.star))
-    files["diagram_svg"].write_text(star_svg(result.star, result.trajectory.over_flags()))
+    files["diagram_svg"].write_text(star_svg(result.star, over_flags_from_signs(result.star)))
     files["mesh"].write_text(prism_obj(result))
     return files
 
@@ -339,31 +334,30 @@ def verify_artifacts(report_path) -> Verdict:
     compares the stored trajectory with the closed form its lines and
     sawtooths fix; it reads only their polygon and its arc table, so no
     floor polygon is built (``table.json`` is for viewers, not re-read).
-    Before ``certify`` reads the stored crossing heights, the trajectory's
-    own (f, phi) must satisfy conditions (a)-(c) exactly, on that arc table
-    at the spec's margin (``confirm_heights``); a miss fails as
-    ``certify``.  With every exact gap at least the margin and every stored
-    height within the reflection tolerance of the exact one, the stored
-    heights come in the exact order.  All three checks run on every report;
-    one that fails the mirror-room check fails on it first; that check
-    screens in float64 and builds no mirror (``mirror_room_check``).  The
-    trajectory's ``kinds`` string is read as JSON, each float column is
-    decoded from its base64 string of little-endian float64 and every
-    crossing height from its JSON number, every float bit for bit as it was
-    written, and their shape is checked here: one component per polygon
-    component, each column exactly 8 bytes per letter of ``kinds``, and one
-    height pair per crossing.  Wall event k of component c is at vertex k
-    of component c, whose mirror is ``table.json``'s (c, k), so no mirror
-    is stored; the reflection check pins each wall point to that vertex
-    through the regenerated ``x`` and ``y`` columns.  An unknown key, such
-    as the ``mirrors`` array that earlier files stored, is ignored.  A
-    missing column (as in a file of the earlier point-and-event layout), a
-    column that is not a base64 string (as in the previous layout of JSON
-    numbers, named by its column), a payload of the wrong length, a NaN or
-    infinite value in a column or a crossing height, a crossing height that
-    is not a JSON number, a rational (the chosen delta, a line coefficient
-    or a phase) that is not a "num/den" string, or an unknown kind letter
-    is a parse error."""
+    ``certify`` runs only once the trajectory's own (f, phi) satisfy
+    conditions (a)-(c) exactly, on that arc table at the spec's margin
+    (``confirm_heights``); a miss fails as ``certify``.  With every exact
+    gap at least the margin and ordered as the star's signs prescribe, the
+    signs are the exact trajectory's over/under at every crossing, so
+    ``certify`` reads them from the star.  All three checks run on every
+    report; one that fails the mirror-room check fails on it first; that
+    check screens in float64 and builds no mirror (``mirror_room_check``).
+    The trajectory's ``kinds`` string is read as JSON and each float column
+    is decoded from its base64 string of little-endian float64, every float
+    bit for bit as it was written, and their shape is checked here: one
+    component per polygon component, and each column exactly 8 bytes per
+    letter of ``kinds``.  Wall event k of component c is at vertex k of
+    component c, whose mirror is ``table.json``'s (c, k), so no mirror is
+    stored; the reflection check pins each wall point to that vertex
+    through the regenerated ``x`` and ``y`` columns.  An unknown key is
+    ignored, such as the ``mirrors`` array and the array of passage heights
+    per crossing that earlier files stored.  A missing column (as in a file
+    of the earlier point-and-event layout), a column that is not a base64
+    string (as in the previous layout of JSON numbers, named by its
+    column), a payload of the wrong length, a NaN or infinite value in a
+    column, a rational (the chosen delta, a line coefficient or a phase)
+    that is not a "num/den" string, or an unknown kind letter is a parse
+    error."""
     report_path = Path(report_path)
     report = _load_json(report_path)
     try:
@@ -415,24 +409,13 @@ def verify_artifacts(report_path) -> Verdict:
                 raise ValueError(f"kinds must be a string of the letters {''.join(KIND_NAMES)}")
             columns = [_decode_column(name, comp[name], len(kinds)) for name in COLUMNS]
             components.append(TrajComponent(saw, kinds, *columns))
-        crossing_heights = tuple(
-            CrossingHeight(
-                json_int(ch["crossing"]),
-                *_finite([json_real(ch["z_a"]), json_real(ch["z_b"])], "a crossing height"),
-            )
-            for ch in traj_data["crossing_heights"]
-        )
         if len(components) != len(poly.components):
             raise ValueError(f"{len(components)} components, expected {len(poly.components)}")
-        if sorted(ch.crossing for ch in crossing_heights) != [c.index for c in star.crossings]:
-            raise ValueError("crossing_heights must name every crossing exactly once")
     except KeyError as exc:
         raise SpecFileError(f"malformed trajectory file: missing {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise SpecFileError(f"malformed trajectory file: {exc}") from exc
-    trajectory = SpatialTrajectory(
-        components=tuple(components), crossing_heights=crossing_heights, poly=poly
-    )
+    trajectory = SpatialTrajectory(components=tuple(components), poly=poly)
 
     arcs = arc_length_table(poly, prec)
     reflection = verify_reflection(trajectory, arcs, REFLECTION_TOL)
@@ -440,8 +423,5 @@ def verify_artifacts(report_path) -> Verdict:
     if not confirm_heights(heights, build_height_constraints(star, arcs), arcs, spec.margin):
         certification = f"the exact heights miss conditions (a)-(c) at margin {spec.margin}"
     else:
-        try:
-            certification = certify(trajectory, padded)
-        except DomainError as exc:  # equal passage heights leave a crossing without an over strand
-            certification = f"no diagram: {exc}"
+        certification = certify(poly, padded)
     return verdict(mirror, reflection, certification)

@@ -25,9 +25,10 @@ from billiardknots.heights import (
     SawtoothHeight,
     TrajComponent,
     _float_heights,
-    evaluate_sawtooth,
 )
 from billiardknots.perturbation import to_mpf
+
+from height_oracles import evaluate_sawtooth
 
 
 def mpf_component_events(vertices, vertex_arcs, saw: SawtoothHeight) -> TrajComponent:

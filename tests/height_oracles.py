@@ -15,11 +15,15 @@ the window pairs and evaluates every half-width anew on each call, where
 the search reads them from tables built once per frequency.
 ``exact_confirm_heights`` evaluates conditions (a)-(c) with every height
 at the table's precision, where ``confirm_heights`` decides them in float64
-first.
+first.  ``sorted_height_constraints`` orders each crossing's two passages
+by sorting their (component, arc) pairs, where ``build_height_constraints``
+reads the order the star decides in integers.  ``evaluate_sawtooth`` is
+the sawtooth at one arc, exact for a Fraction.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 import mpmath as mp
 
@@ -49,6 +53,37 @@ def probe_violations(constraints, n_components: int, f_max: int, margin: float):
 def sawtooth(f: int, t: float, phi: float) -> float:
     y = f * t + phi
     return abs(2.0 * (y - math.floor(y)) - 1.0)
+
+
+def evaluate_sawtooth(s, t):
+    """z(t) = 2 |frac(f t + phi) - 1/2| for the sawtooth ``s``, valid for
+    mpf, Fraction, or float t."""
+    if isinstance(t, Fraction):
+        y = s.frequency * t + s.phase
+        fy = y - (y.numerator // y.denominator)
+        return abs(2 * fy - 1)
+    if isinstance(t, mp.mpf):
+        return _mpf_height(s.frequency, t, to_mpf(s.phase))
+    return sawtooth(s.frequency, float(t), float(s.phase))
+
+
+def sorted_height_constraints(diagram, table):
+    """One (crossing, first component, first arc, second component, second
+    arc, first over) per crossing of a sign-attached star, in the order of
+    ``HeightConstraint``'s fields: a crossing's two passages, gathered from
+    the arc table, are ordered by sorting their (component, arc) pairs, and
+    a positive sign puts the chord_a passage on top."""
+    places = {}
+    for ci, passages in enumerate(table.passages):
+        for ps in passages:
+            places.setdefault(ps.crossing, []).append((ci, ps.arc, ps.is_a_side))
+    out = []
+    for c in diagram.crossings:
+        pair = sorted(places[c.index], key=lambda item: (item[0], item[1]))
+        assert len(pair) == 2, f"crossing {c.index} has {len(pair)} passages"
+        (c1, a1, on_a1), (c2, a2, _) = pair
+        out.append((c.index, c1, a1, c2, a2, on_a1 == (c.sign > 0)))
+    return out
 
 
 def _crossing_holds(c, t1, t2, heights, margin) -> bool:

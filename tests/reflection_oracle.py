@@ -15,7 +15,7 @@ import mpmath as mp
 from mirror_room_oracle import plain_contains_xy
 
 from billiardknots.billiards import BilliardTable, ReflectionReport
-from billiardknots.heights import CEILING, FLOOR, KIND_NAMES, WALL, evaluate_sawtooth
+from billiardknots.heights import CEILING, FLOOR, KIND_NAMES, WALL
 
 
 def pointwise_reflection(traj, table: BilliardTable, tol: float, prec_bits: int = 128) -> ReflectionReport:
@@ -86,16 +86,3 @@ def pointwise_reflection(traj, table: BilliardTable, tol: float, prec_bits: int 
                     )
     return ReflectionReport(passed=not violations, violations=tuple(violations))
 
-
-def crossing_heights_match(traj, arcs, tol: float, prec_bits: int = 128) -> bool:
-    """Whether every stored passage height is within ``tol`` of the
-    component's sawtooth at that passage's arc."""
-    stored = {ch.crossing: ch for ch in traj.crossing_heights}
-    with mp.workprec(prec_bits):
-        for comp, passages in zip(traj.components, arcs.passages):
-            for ps in passages:
-                ch = stored[ps.crossing]
-                z = ch.z_a if ps.is_a_side else ch.z_b
-                if abs(z - evaluate_sawtooth(comp.sawtooth, ps.arc)) > tol:
-                    return False
-    return True

@@ -17,6 +17,7 @@ from billiardknots.invariants import (
 from billiardknots.pdcodes import PDCode, braid_closure_pd, traversal_pd
 from diagram_helpers import jones_mirror, mirror_pd, relabel_pd, unlink_jones
 from billiardknots.pipeline import RealizationSpec, realize
+from billiardknots.stars import over_flags_from_signs
 
 TREFOIL = toric_pattern(2, 3)
 FIGURE_EIGHT = QuasitoricPattern(3, 2, ((1, -1), (1, -1)))
@@ -39,7 +40,7 @@ def test_pd_structure_of_braid_closure():
 
 def test_extract_pd_from_star_diagrams():
     from diagram_helpers import extract_pd
-    from billiardknots.stars import assign_braid_letters, build_star, over_flags_from_signs
+    from billiardknots.stars import assign_braid_letters, build_star
 
     signed = assign_braid_letters(build_star(5, 2), toric_pattern(2, 5))
     pd = extract_pd(signed, over_flags_from_signs(signed))
@@ -134,7 +135,7 @@ def test_two_bracket_oracles_agree_on_corpus():
 def test_three_brackets_agree_on_realized_star_pds(pattern):
     """The 14- and 16-crossing PD codes read off realized trajectories."""
     result = realize(RealizationSpec(pattern=pattern))
-    pd, _ = traversal_pd(result.poly.passages(), result.trajectory.over_flags())
+    pd, _ = traversal_pd(result.poly.passages(), over_flags_from_signs(result.star))
     assert pd.crossing_count == 2 * pattern.repetitions
     assert kauffman_bracket(pd) == state_sum_bracket(pd) == skein_bracket(pd)
 
@@ -205,12 +206,13 @@ def test_certify_passes_on_pipeline_output(torus25_result):
 
 
 def test_certify_detects_corrupted_crossing(torus25_result):
+    """Crossing 0's sign flipped in the polygon's star, the pattern left as
+    it is: certify reads the over/under from the star, and fails."""
     from dataclasses import replace
 
-    traj = torus25_result.trajectory
-    ch = traj.crossing_heights[0]
-    corrupted = replace(
-        traj, crossing_heights=(replace(ch, z_a=ch.z_b, z_b=ch.z_a),) + traj.crossing_heights[1:]
-    )
-    report = certify(corrupted, torus25_result.padded)
+    poly = torus25_result.poly
+    first, *rest = poly.star.crossings
+    star = replace(poly.star, crossings=(replace(first, sign=-first.sign), *rest))
+    assert certify(poly, torus25_result.padded).passed
+    report = certify(replace(poly, star=star), torus25_result.padded)
     assert not report.passed

@@ -16,7 +16,7 @@ from billiardknots.billiards import COLUMNS, MirrorRoomReport, mirror_room_check
 from billiardknots.braids import toric_pattern
 from billiardknots.cli import main
 from billiardknots.errors import PipelineError, SpecFileError
-from billiardknots.heights import SawtoothHeight, emit_trajectory
+from billiardknots.heights import SawtoothHeight, build_height_constraints, emit_trajectory
 from billiardknots.invariants import pattern_jones
 from billiardknots.perturbation import IndependenceResult
 from billiardknots.pipeline import RealizationSpec, realize
@@ -24,6 +24,7 @@ from billiardknots.presets import PRESETS, preset_listing
 from billiardknots.serialization import _finite, verify_artifacts, write_artifacts
 from billiardknots.stars import build_star, star_diagram_json
 
+from height_oracles import evaluate_sawtooth
 from trajectory_columns import decode_column, edit_column
 
 
@@ -90,7 +91,7 @@ def test_star_10_3_diagram_export_matches_figure():
 def test_star_10_3_realizes_and_certifies():
     result = realize(RealizationSpec(pattern=PRESETS["star-10-3"], preset="star-10-3"))
     assert result.passed
-    assert len(result.trajectory.crossing_heights) == 20
+    assert len(result.star.crossings) == 20
 
 
 def test_star_9_3_realizes_verifies_and_certifies(tmp_path):
@@ -404,40 +405,49 @@ def test_cli_verify_ignores_a_stored_mirrors_array(tmp_path, trefoil_result):
     assert main(["verify", str(files["report"])]) == 0
 
 
+def test_cli_verify_ignores_stored_crossing_heights(tmp_path, trefoil_result, capsys):
+    """A file of the layout that stored both passage heights of every
+    crossing, here with crossing 0's pair swapped, verifies as the same
+    file without them: the over/under is the star's, and the key is
+    ignored like any other unknown key."""
+    files = write_artifacts(trefoil_result, tmp_path, canonical=True)
+    capsys.readouterr()
+    assert main(["verify", str(files["report"])]) == 0
+    without = capsys.readouterr().out
+    data = json.loads(files["trajectory"].read_text())
+    sides = {}
+    with mp.workprec(192):
+        for saw, passages in zip(trefoil_result.heights, trefoil_result.arcs.passages):
+            for ps in passages:
+                sides[ps.crossing, ps.is_a_side] = float(evaluate_sawtooth(saw, ps.arc))
+    data["crossing_heights"] = [
+        {"crossing": c.index, "z_a": sides[c.index, c.index != 0], "z_b": sides[c.index, c.index == 0]}
+        for c in trefoil_result.star.crossings
+    ]
+    files["trajectory"].write_text(json.dumps(data))
+    assert main(["verify", str(files["report"])]) == 0
+    assert capsys.readouterr().out == without
+    assert without.splitlines() == [
+        "mirror_room_check: pass", "verify_reflection: pass", "certify: pass",
+    ]
+
+
 def test_cli_verify_detects_flipped_crossing(tmp_path, capsys):
+    """The stored phase moved by 1/2 turns every height z into 1 - z, so
+    every crossing's exact heights come the wrong way round."""
     spec = _write_spec(tmp_path, {"preset": "torus-2-5", "seed": 42})
     out = tmp_path / "out"
     assert main(["realize", str(spec), "--out", str(out), "--canonical"]) == 0
     traj_path = out / "trajectory.json"
     data = json.loads(traj_path.read_text())
-    ch = data["crossing_heights"][0]
-    ch["z_a"], ch["z_b"] = ch["z_b"], ch["z_a"]  # flip one over/under
+    comp = data["components"][0]
+    phase = (Fraction(comp["phase"]) + Fraction(1, 2)) % 1
+    comp["phase"] = f"{phase.numerator}/{phase.denominator}"
     traj_path.write_text(json.dumps(data))
     capsys.readouterr()
     assert main(["verify", str(out / "report.json")]) == 4
     printed = capsys.readouterr()
     assert "certify: FAIL" in printed.out
-
-
-def test_cli_verify_equal_crossing_heights_fail_certify(tmp_path, trefoil_result, capsys):
-    """A crossing whose stored passage heights are equal has no over strand:
-    the verdict keeps its three checks, certify names the crossing, and
-    verify exits 4."""
-    files = write_artifacts(trefoil_result, tmp_path, canonical=True)
-    data = json.loads(files["trajectory"].read_text())
-    ch = data["crossing_heights"][0]
-    ch["z_b"] = ch["z_a"]
-    files["trajectory"].write_text(json.dumps(data))
-    outcome = verify_artifacts(files["report"])
-    assert [name for name, _, _ in outcome.checks] == [
-        "mirror_room_check", "verify_reflection", "certify",
-    ]
-    _, certified, detail = outcome.checks[2]
-    assert not certified
-    assert f"crossing {ch['crossing']} has equal passage heights" in detail
-    capsys.readouterr()
-    assert main(["verify", str(files["report"])]) == 4
-    assert "certify: FAIL (no diagram" in capsys.readouterr().out
 
 
 def _old_layout(data):
@@ -453,8 +463,6 @@ def _old_layout(data):
             for k, t in zip(comp.pop("kinds"), arc)
         ]
         comp["points"] = [[repr(c) for c in p] for p in zip(x, y, z)]
-    for ch in data["crossing_heights"]:
-        ch.update(z_a=repr(ch["z_a"]), z_b=repr(ch["z_b"]))
 
 
 def _put(index, value):
@@ -484,22 +492,16 @@ TRAJECTORY_CORRUPTIONS = {
     "one-byte-payload": lambda d: d["components"][0].update(y="AA=="),
     "phase-false": lambda d: d["components"][0].update(phase=False),
     "phase-zero": lambda d: d["components"][0].update(phase=0),
-    "missing-crossing-height": lambda d: d["crossing_heights"].pop(),
     "dropped-component": lambda d: d["components"].pop(),
     "nan-point": _set_float("z", 3, float("nan")),
     "inf-arc": _set_float("arc", 5, float("inf")),
     "nan-last-event": _set_float("y", -1, float("nan")),
     "minus-inf-last-event": _set_float("x", -1, float("-inf")),
-    "nan-crossing-height": lambda d: d["crossing_heights"][0].update(z_a=float("nan")),
-    "string-crossing-height": lambda d: d["crossing_heights"][0].update(z_a="0.5"),
     "frequency-float": lambda d: d["components"][0].update(
         frequency=d["components"][0]["frequency"] + 0.5
     ),
     "frequency-string": lambda d: d["components"][0].update(
         frequency=str(d["components"][0]["frequency"])
-    ),
-    "crossing-float": lambda d: d["crossing_heights"][0].update(
-        crossing=d["crossing_heights"][0]["crossing"] + 0.7
     ),
 }
 
@@ -631,21 +633,6 @@ def test_realize_builds_the_star_geometry_once(tmp_path, monkeypatch):
     assert calls == [(10, 3)]
 
 
-def test_integer_literals_read_as_floats(tmp_path, trefoil_result, capsys):
-    """A JSON integer is a JSON number: a crossing height written as 1
-    reads as 1.0, so verify compares it with the sawtooth (exit 4) instead
-    of rejecting the file."""
-    files = write_artifacts(trefoil_result, tmp_path, canonical=True)
-    data = json.loads(files["trajectory"].read_text())
-    ch = data["crossing_heights"][0]
-    ch["z_a"] = 1
-    files["trajectory"].write_text(json.dumps(data))
-    assert '"z_a": 1,' in files["trajectory"].read_text()
-    capsys.readouterr()
-    assert main(["verify", str(files["report"])]) == 4
-    assert f"crossing {ch['crossing']}: passage heights off the sawtooth" in capsys.readouterr().out
-
-
 def test_old_layout_is_a_parse_error_naming_the_missing_column(tmp_path, trefoil_result, capsys):
     files = write_artifacts(trefoil_result, tmp_path, canonical=True)
     data = json.loads(files["trajectory"].read_text())
@@ -678,25 +665,17 @@ def test_finite_check_reads_every_value():
             _finite([0.5, 1.0, bad], "a column")
 
 
-@pytest.mark.parametrize("column", ["arc", "x", "y", "z", "z_a", "z_b"])
+@pytest.mark.parametrize("column", ["arc", "x", "y", "z"])
 @pytest.mark.parametrize("literal", ["1e999", "-1e999"])
 def test_overflowing_literal_is_a_parse_error(tmp_path, trefoil_result, capsys, column, literal):
     """A decimal past the float range reads as inf, which would pass a
-    tolerance comparison no more than NaN; it is malformed.  A crossing
-    height is a JSON number, so the literal itself is written there; a
-    float column holds float64 bytes, so its last event gets the infinity
-    the literal reads as."""
+    tolerance comparison no more than NaN; it is malformed.  A float column
+    holds float64 bytes, so its last event gets the infinity the literal
+    reads as."""
     files = write_artifacts(trefoil_result, tmp_path, canonical=True)
     data = json.loads(files["trajectory"].read_text())
-    if column in COLUMNS:
-        edit_column(data, column, _put(-1, float(literal)))
-        text = json.dumps(data)
-    else:
-        data["crossing_heights"][0][column] = 123456.75  # a value no height holds
-        text = json.dumps(data)
-        assert text.count("123456.75") == 1
-        text = text.replace("123456.75", literal)
-    files["trajectory"].write_text(text)
+    edit_column(data, column, _put(-1, float(literal)))
+    files["trajectory"].write_text(json.dumps(data))
     capsys.readouterr()
     assert main(["verify", str(files["report"])]) == 3
     assert "non-finite value" in capsys.readouterr().err
@@ -709,30 +688,17 @@ def _realized_preset(name):
 
 def test_stored_decimals_parse_as_mpf_does_at_53_bits(tmp_path):
     """For every preset, the stored kinds are the ones realize walked, no
-    mirror is stored, and the crossing heights, stored as decimals, are its floats
-    bit for bit.  Each is the shortest repr of its float, so at any working
-    precision it is also what ``mp.mpf`` gives for the decimal at mpmath's
-    default 53 bits.  (The float columns are bytes, pinned below.)"""
+    mirror is stored, and the file holds no decimal number for a float to
+    round-trip through: every float is in a column's bytes (pinned below),
+    and no passage height is stored."""
     for name in sorted(PRESETS):
         result = _realized_preset(name)
         files = write_artifacts(result, tmp_path / name, canonical=True)
-        text = files["trajectory"].read_text()
-        data, decimals = json.loads(text), json.loads(text, parse_float=str)
-        traj = result.trajectory
-        for comp, walked in zip(data["components"], traj.components):
+        decimals = []
+        data = json.loads(files["trajectory"].read_text(), parse_float=decimals.append)
+        for comp, walked in zip(data["components"], result.trajectory.components):
             assert comp["kinds"] == walked.kinds and "mirrors" not in comp
-        stored = [ch[side] for ch in data["crossing_heights"] for side in ("z_a", "z_b")]
-        strings = [ch[side] for ch in decimals["crossing_heights"] for side in ("z_a", "z_b")]
-        values = [z for ch in traj.crossing_heights for z in (ch.z_a, ch.z_b)]
-        assert len(stored) == len(strings) == len(values) == 2 * len(result.star.crossings)
-        assert all(type(v) is float for v in stored + values)
-        assert [v.hex() for v in stored] == [v.hex() for v in values]
-        assert [repr(v) for v in stored] == strings
-        with mp.workprec(53):
-            expected = [mp.mpf(s)._mpf_ for s in strings]
-        for prec in (53, 192):
-            with mp.workprec(prec):
-                assert [mp.mpf(v)._mpf_ for v in stored] == expected
+        assert decimals == [] and list(data) == ["components"]
 
 
 def test_stored_columns_are_little_endian_float64(tmp_path):
@@ -806,9 +772,10 @@ def test_arc_precision_is_derived_not_read_from_the_spec(tmp_path):
 
 
 def test_verify_rejects_forged_crossing_heights(tmp_path, trefoil_result, capsys):
-    """The unknot's components under the trefoil's crossing heights: the
-    same (2, 5) star and seed, so the same lines, and a trajectory that
-    certifies as a trefoil, but its heights are not its sawtooth's."""
+    """The unknot's components in the trefoil's trajectory file: the same
+    (2, 5) star and seed, so the same lines.  The components match their
+    own sawtooth, but its exact heights do not realize the trefoil's
+    signs."""
     unknot = realize(RealizationSpec(pattern=PRESETS["unknot"], preset="unknot"))
     assert unknot.heights[0].frequency == 2
     files = write_artifacts(trefoil_result, tmp_path / "trefoil", canonical=True)
@@ -820,28 +787,26 @@ def test_verify_rejects_forged_crossing_heights(tmp_path, trefoil_result, capsys
     assert main(["verify", str(files["report"])]) == 4
     out = capsys.readouterr().out
     assert "mirror_room_check: pass" in out
-    assert "verify_reflection: FAIL (crossing" in out
+    assert "verify_reflection: pass" in out
     assert "certify: FAIL (the exact heights miss conditions (a)-(c) at margin 0.001)" in out
 
 
 def test_verify_checks_the_exact_heights_at_the_margin(tmp_path, trefoil_result, capsys):
     """At f = 76 and this phase, crossing 2's exact passage heights are
-    ordered the wrong way round, 5e-10 apart.  With its stored heights
-    swapped, the file stays within the reflection check's tolerance and its
-    floats certify a trefoil; only the exact heights at the spec's margin
-    reject it."""
+    ordered the wrong way round, 5e-10 apart.  The file matches its own
+    closed form, so it passes the reflection check; only the exact heights
+    at the spec's margin reject it."""
     heights = (SawtoothHeight(76, Fraction(442077659563, 2**40)),)
     result = dataclasses.replace(
         trefoil_result,
         heights=heights,
         trajectory=emit_trajectory(trefoil_result.poly, heights, trefoil_result.arcs),
     )
+    c = build_height_constraints(trefoil_result.star, trefoil_result.arcs)[2]
+    with mp.workprec(192):
+        z1, z2 = (evaluate_sawtooth(heights[0], t) for t in (c.first_arc, c.second_arc))
+        assert 0 < (z2 - z1 if c.first_over else z1 - z2) < 1e-9
     files = write_artifacts(result, tmp_path, canonical=True)
-    data = json.loads(files["trajectory"].read_text())
-    (ch,) = [ch for ch in data["crossing_heights"] if ch["crossing"] == 2]
-    assert 0 < abs(ch["z_a"] - ch["z_b"]) < 1e-9
-    ch["z_a"], ch["z_b"] = ch["z_b"], ch["z_a"]
-    files["trajectory"].write_text(json.dumps(data))
     capsys.readouterr()
     assert main(["verify", str(files["report"])]) == 4
     out = capsys.readouterr().out
