@@ -203,10 +203,7 @@ def star_geometry(star: StarDiagram) -> StarGeometry:
     p, q, prec_bits = star.p, star.q, star.prec_bits
     with mp.workprec(prec_bits):
         omega = mp.atan(mp.mpf(ROTATION_TANGENT[0]) / ROTATION_TANGENT[1])
-        vertices = tuple(
-            (mp.cos(2 * mp.pi * k / p + omega), mp.sin(2 * mp.pi * k / p + omega))
-            for k in range(p)
-        )
+        vertices = tuple(mp.cos_sin(2 * mp.pi * k / p + omega) for k in range(p))
     span = p // math.gcd(p, q)
     _, where = _component_layout(p, q)
     points, arcs = [], []

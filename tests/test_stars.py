@@ -177,6 +177,19 @@ def test_build_star_makes_no_mpmath_call(monkeypatch):
     assert signed.signs_attached and len(signed.crossings) == 20
 
 
+@pytest.mark.parametrize("prec_bits", [53, 192, 1024])
+@pytest.mark.parametrize("p", [5, 10, 17, 31, 59])
+def test_star_vertices_match_separate_cos_and_sin(p, prec_bits):
+    vertices = build_star(p, 2, prec_bits).geometry.vertices
+    with mp.workprec(prec_bits):
+        omega = mp.atan(mp.mpf(stars.ROTATION_TANGENT[0]) / stars.ROTATION_TANGENT[1])
+        expected = tuple(
+            (mp.cos(2 * mp.pi * k / p + omega), mp.sin(2 * mp.pi * k / p + omega))
+            for k in range(p)
+        )
+    assert vertices == expected
+
+
 def test_link_components_normalized_separately():
     d = build_star(10, 2)
     star_table = star_arc_table(d)
