@@ -411,6 +411,58 @@ def _first_bad_event(comp, want, limit: float) -> str:
     raise AssertionError("no event differs")
 
 
+def _walk_limits(traj, arcs: ArcTable, tol: float) -> list[float | str]:
+    """The checks of ``verify_reflection`` that need nothing regenerated.
+
+    A trajectory with other than ``arcs``' component count gets one
+    message.  Otherwise each component gets the message of the first
+    check it fails, or else the float comparison limit for its columns:
+    each column holds m + 2f events, and the walk's error bound eps is
+    below ``tol``.
+    """
+    n_comp = arcs.component_count()
+    if len(traj.components) != n_comp:
+        return [f"{len(traj.components)} components, expected {n_comp}"]
+    limits: list[float | str] = []
+    for ci, comp in enumerate(traj.components):
+        m = len(arcs.vertex_arcs[ci])
+        f = comp.sawtooth.frequency
+        lengths = [len(comp.kinds), *map(len, (comp.arc, comp.x, comp.y, comp.z))]
+        if lengths != [m + 2 * f] * 5:
+            limits.append(
+                f"component {ci}: columns of "
+                f"{'/'.join(map(str, lengths))} events (kinds/arc/x/y/z), "
+                f"expected {m} walls + {2 * f} bounces"
+            )
+            continue
+        eps = walk_error_bound(traj.poly.components[ci].vertices, arcs.total_lengths[ci])
+        if not eps < tol:
+            limits.append(
+                f"component {ci}: the float walk's error bound {eps:.3g} "
+                f"is not below the tolerance {tol:g}"
+            )
+            continue
+        limits.append(_within(tol, eps))
+    return limits
+
+
+def check_walk(traj, arcs: ArcTable, tol: float) -> ReflectionReport:
+    """The checks of ``verify_reflection`` that can fail without
+    regenerating the trajectory, with the same messages: the component
+    count, m + 2f events in every column, and the walk's error bound
+    below ``tol``.
+
+    ``pipeline.realize`` runs only these.  Its trajectory's columns are
+    what ``heights.component_events`` returns for the same vertices, arcs
+    and sawtooth at the same precision, which is what ``verify_reflection``
+    would regenerate, so there the comparison could not fail.
+    ``serialization.verify_artifacts`` and the tests run the whole of
+    ``verify_reflection`` on stored columns.
+    """
+    violations = tuple(v for v in _walk_limits(traj, arcs, tol) if isinstance(v, str))
+    return ReflectionReport(passed=not violations, violations=violations)
+
+
 def verify_reflection(traj, arcs: ArcTable, tol: float) -> ReflectionReport:
     """Check a trajectory against its closed form.
 
@@ -428,7 +480,10 @@ def verify_reflection(traj, arcs: ArcTable, tol: float) -> ReflectionReport:
     eps`` of its regenerated one.  Only on a failure does a Python loop
     find the first bad event to name it.  A component with other than
     m + 2f events in any column is rejected before anything is generated,
-    and so is one whose ``eps`` is not below ``tol``.  No passage height is
+    and so is one whose ``eps`` is not below ``tol``; ``check_walk`` runs
+    just those checks, and is all ``pipeline.realize`` runs, since its
+    columns are the regenerated ones.  The comparison runs in
+    ``serialization.verify_artifacts`` and in the tests.  No passage height is
     compared: the over/under at each crossing is the star's
     (``invariants.certify``), and ``heights.confirm_heights`` proves the
     exact heights realize it.
@@ -474,35 +529,18 @@ def verify_reflection(traj, arcs: ArcTable, tol: float) -> ReflectionReport:
     half-plane, hence in the convex floor, and so every point of a segment
     between consecutive vertices; z is a sawtooth value in [0, 1].
     """
-    n_comp = arcs.component_count()
-    if len(traj.components) != n_comp:
-        return ReflectionReport(False, (f"{len(traj.components)} components, expected {n_comp}",))
     violations = []
+    limits = _walk_limits(traj, arcs, tol)
     with mp.workprec(arcs.prec_bits):
-        for ci, comp in enumerate(traj.components):
-            v_arcs = arcs.vertex_arcs[ci]
-            m = len(v_arcs)
-            vertices = traj.poly.components[ci].vertices
-            saw = comp.sawtooth
-            n = m + 2 * saw.frequency
-            lengths = [len(comp.kinds), *map(len, (comp.arc, comp.x, comp.y, comp.z))]
-            if lengths != [n] * 5:
-                violations.append(
-                    f"component {ci}: columns of "
-                    f"{'/'.join(map(str, lengths))} events (kinds/arc/x/y/z), "
-                    f"expected {m} walls + {2 * saw.frequency} bounces"
-                )
+        for ci, limit in enumerate(limits):
+            if isinstance(limit, str):
+                violations.append(limit)
                 continue
-            eps = walk_error_bound(vertices, arcs.total_lengths[ci])
-            if not eps < tol:
-                violations.append(
-                    f"component {ci}: the float walk's error bound {eps:.3g} "
-                    f"is not below the tolerance {tol:g}"
-                )
-                continue
-            limit = _within(tol, eps)
+            comp = traj.components[ci]
             try:
-                want = component_events(vertices, v_arcs, saw)
+                want = component_events(
+                    traj.poly.components[ci].vertices, arcs.vertex_arcs[ci], comp.sawtooth
+                )
             except DomainError as exc:
                 violations.append(f"component {ci}: {exc}")
                 continue

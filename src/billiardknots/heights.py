@@ -800,7 +800,10 @@ def emit_trajectory(poly: PerturbedPolygon, heights, table: ArcTable) -> Spatial
     ``table`` is the arc table of ``poly``.  Points and arcs are floats.
     Only the wall heights are evaluated at the arc table's precision (plus
     the bits of f), as ``verify_reflection`` regenerates them: O(m) work;
-    the 2f bounces cost float arithmetic.  No passage height is evaluated:
+    the 2f bounces cost float arithmetic.  ``realize`` checks only the
+    columns' shape and the walk's error bound (``billiards.check_walk``):
+    regenerating them there would repeat this call.  ``verify`` and the
+    tests compare them with the closed form.  No passage height is evaluated:
     the star's signs fix each crossing's over/under, and ``confirm_heights``
     has proven that the heights realize them.  Projecting the result to
     the floor recovers the polygon to float rounding; between consecutive

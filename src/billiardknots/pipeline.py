@@ -3,8 +3,13 @@
 Stages, in order: pad the pattern into the star regime, build and sign the
 star, perturb to rational lines (redrawing until the mirror-room condition
 holds as well), build the mirrors and assemble the prism table, compute arcs, build the crossing
-constraints, search sawtooth heights, emit the 3D trajectory, verify the
-reflection law, and certify the knot type against the abstract closure.
+constraints, search sawtooth heights, emit the 3D trajectory, check its
+columns, and certify the knot type against the abstract closure.  The
+``reflection`` stage checks the column shape (m + 2f events) and the float
+walk's error bound (``billiards.check_walk``).  It does not regenerate the
+columns and compare them with the closed form: emit has just built them by
+that same computation.  That comparison (``billiards.verify_reflection``)
+runs in ``verify`` on the stored files, and in the tests.
 The bounded independence check of the arc lengths is not a stage: it gates
 nothing, and ``RealizationResult.independence`` runs it on demand.
 
@@ -23,9 +28,9 @@ from .billiards import (
     MirrorRoomReport,
     ReflectionReport,
     build_table,
+    check_walk,
     mirror_room_check,
     polygon_mirrors,
-    verify_reflection,
 )
 from .braids import QuasitoricPattern, pad_to_min_repetitions
 from .errors import DomainError, PipelineError, SpecFileError
@@ -255,7 +260,7 @@ def realize(spec: RealizationSpec) -> RealizationResult:
         "heights", lambda: search_heights(constraints, arcs, spec.f_max, spec.margin)
     )
     trajectory = timed("emit", lambda: emit_trajectory(poly, heights, arcs))
-    reflection = timed("reflection", lambda: verify_reflection(trajectory, arcs, REFLECTION_TOL))
+    reflection = timed("reflection", lambda: check_walk(trajectory, arcs, REFLECTION_TOL))
     certification = timed("certify", lambda: certify(poly, padded))
 
     return RealizationResult(

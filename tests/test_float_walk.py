@@ -17,7 +17,7 @@ import mpmath as mp
 import pytest
 
 from billiardknots import pipeline
-from billiardknots.billiards import verify_reflection, walk_error_bound
+from billiardknots.billiards import check_walk, verify_reflection, walk_error_bound
 from billiardknots.braids import QuasitoricPattern
 from billiardknots.cli import EXIT_COINCIDENT, main
 from billiardknots.errors import CoincidentEventsError
@@ -140,6 +140,33 @@ def test_an_error_bound_at_the_tolerance_is_rejected_by_name():
     assert not report.passed
     assert report.violations[0].startswith("component 0: the float walk's error bound")
     assert verify_reflection(result.trajectory, result.arcs, 2 * eps).passed
+
+
+def test_realize_rejects_an_error_bound_at_the_tolerance_by_name(monkeypatch):
+    result = _realized("trefoil")
+    (comp,) = result.poly.components
+    eps = walk_error_bound(comp.vertices, result.arcs.total_lengths[0])
+    monkeypatch.setattr(pipeline, "REFLECTION_TOL", eps)
+    rerun = realize(RealizationSpec(**INPUTS["trefoil"]))
+    assert rerun.reflection.violations[0].startswith("component 0: the float walk's error bound")
+    assert not rerun.passed
+
+
+@pytest.mark.parametrize("check", [check_walk, verify_reflection])
+def test_a_short_column_or_a_missing_component_is_rejected_by_name(check):
+    result = _realized("trefoil")
+    traj, arcs = result.trajectory, result.arcs
+    (comp,) = traj.components
+    m, bounces = len(arcs.vertex_arcs[0]), 2 * comp.sawtooth.frequency
+    n = m + bounces
+    short = replace(traj, components=(replace(comp, x=comp.x[:-1]),))
+    assert check(short, arcs, REFLECTION_TOL).violations == (
+        f"component 0: columns of {n}/{n}/{n - 1}/{n}/{n} events (kinds/arc/x/y/z), "
+        f"expected {m} walls + {bounces} bounces",
+    )
+    empty = replace(traj, components=())
+    assert check(empty, arcs, REFLECTION_TOL).violations == ("0 components, expected 1",)
+    assert check(traj, arcs, REFLECTION_TOL).passed
 
 
 @pytest.mark.parametrize("shift, accepted", [(0.5e-9, True), (1.01e-9, False)])

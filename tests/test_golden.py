@@ -12,7 +12,8 @@ import hashlib
 
 import pytest
 
-from billiardknots.pipeline import RealizationSpec, realize
+from billiardknots.billiards import verify_reflection
+from billiardknots.pipeline import REFLECTION_TOL, RealizationSpec, realize
 from billiardknots.presets import PRESETS
 from billiardknots.serialization import write_artifacts
 
@@ -102,6 +103,8 @@ def test_every_preset_has_a_golden_digest():
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_canonical_artifacts_match_golden_digests(name, tmp_path):
     result = realize(RealizationSpec(pattern=PRESETS[name], preset=name))
+    # realize checks only the column shape and the walk bound; this compares the columns too
+    assert verify_reflection(result.trajectory, result.arcs, REFLECTION_TOL).passed
     paths = write_artifacts(result, tmp_path, canonical=True)
     digests = tuple(hashlib.sha256(paths[kind].read_bytes()).hexdigest() for kind in KINDS)
     assert digests == GOLDEN[name]

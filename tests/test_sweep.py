@@ -10,8 +10,9 @@ import random
 
 import pytest
 
+from billiardknots.billiards import verify_reflection
 from billiardknots.braids import QuasitoricPattern, component_count
-from billiardknots.pipeline import RealizationSpec, realize
+from billiardknots.pipeline import REFLECTION_TOL, RealizationSpec, realize
 
 SWEEP_SEED = 1
 F_MAX = 3000
@@ -40,3 +41,4 @@ def test_random_pattern_realizes(index):
     pattern = sweep_slice()[index]
     result = realize(RealizationSpec(pattern=pattern, f_max=F_MAX))
     assert result.passed, (pattern, [(h.frequency, h.phase) for h in result.heights])
+    assert verify_reflection(result.trajectory, result.arcs, REFLECTION_TOL).passed
