@@ -14,7 +14,9 @@ over/under.  Wall event k of component c bounces off the
 file names no mirror.  This module is the only one that encodes or
 decodes the columns.  The prism additionally ships as an OBJ mesh and the
 diagram as an SVG with under-strand gaps, in the style of star-polygon
-projection figures.
+projection figures.  ``report.json`` is indented; ``trajectory.json``,
+``table.json`` and ``diagram.json`` are one-line JSON, written by json's
+C encoder, which an indent would turn off.
 """
 
 from __future__ import annotations
@@ -125,7 +127,7 @@ def _pattern_json(pattern: QuasitoricPattern) -> dict:
     }
 
 
-def _write_json(path: Path, data, indent: int | None = 1) -> None:
+def _write_json(path: Path, data, indent: int | None = None) -> None:
     path.write_text(json.dumps(data, indent=indent, sort_keys=True) + "\n")
 
 
@@ -307,9 +309,9 @@ def write_artifacts(result: RealizationResult, outdir, canonical: bool = False) 
         "diagram_svg": out / "diagram.svg",
         "mesh": out / "prism.obj",
     }
-    _write_json(files["report"], report_json(result, canonical))
-    # no indent: json's C encoder, which an indent would turn off, writes the large file
-    _write_json(files["trajectory"], trajectory_json(result), indent=None)
+    # only the report is indented: an indent turns json's C encoder off
+    _write_json(files["report"], report_json(result, canonical), indent=1)
+    _write_json(files["trajectory"], trajectory_json(result))
     _write_json(files["table"], table_json(result))
     _write_json(files["diagram"], star_diagram_json(result.star))
     files["diagram_svg"].write_text(star_svg(result.star, over_flags_from_signs(result.star)))
