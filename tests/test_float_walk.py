@@ -132,7 +132,7 @@ def test_coincident_stored_phase_is_a_verification_failure(tmp_path, capsys):
     assert "verify_reflection: FAIL (component 0: " in capsys.readouterr().out
 
 
-def test_an_error_bound_at_the_tolerance_is_rejected_by_name():
+def test_an_error_bound_at_the_tolerance_is_rejected_by_name(monkeypatch):
     result = _realized("trefoil")
     (comp,) = result.poly.components
     eps = walk_error_bound(comp.vertices, result.arcs.total_lengths[0])
@@ -140,12 +140,7 @@ def test_an_error_bound_at_the_tolerance_is_rejected_by_name():
     assert not report.passed
     assert report.violations[0].startswith("component 0: the float walk's error bound")
     assert verify_reflection(result.trajectory, result.arcs, 2 * eps).passed
-
-
-def test_realize_rejects_an_error_bound_at_the_tolerance_by_name(monkeypatch):
-    result = _realized("trefoil")
-    (comp,) = result.poly.components
-    eps = walk_error_bound(comp.vertices, result.arcs.total_lengths[0])
+    # realize's own reflection stage rejects it too
     monkeypatch.setattr(pipeline, "REFLECTION_TOL", eps)
     rerun = realize(RealizationSpec(**INPUTS["trefoil"]))
     assert rerun.reflection.violations[0].startswith("component 0: the float walk's error bound")
