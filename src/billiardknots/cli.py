@@ -59,7 +59,7 @@ def cmd_realize(args) -> int:
     }
     try:
         spec = RealizationSpec.from_dict(json.loads(Path(args.spec).read_text()), overrides)
-    except (OSError, ValueError) as exc:  # JSONDecodeError, UnicodeDecodeError, SpecFileError
+    except (OSError, ValueError, RecursionError) as exc:  # bad or too deeply nested JSON, SpecFileError
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC
     try:

@@ -14,7 +14,7 @@ class CoincidentEventsError(DomainError):
 
 
 class CombinatorialCollapseError(PipelineError):
-    """No perturbation magnitude preserved the diagram combinatorics."""
+    """No perturbation size kept the star's combinatorics and passed the mirror room."""
 
 
 class PrecisionError(PipelineError):

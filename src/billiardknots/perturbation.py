@@ -12,9 +12,10 @@ binary precision:
     l_{i,j} = sqrt(1 + a_i^2) * (x_{i,j} - x_{i-1,i})
     t_{i,j} = |l_{0,1}| + ... + |l_{i-1,i}| + |l_{i,j}|
 
-The perturbed polygon must be combinatorially equivalent to the star (same
-crossing pairs, same crossing order along every segment); the perturbation
-is redrawn with halved delta until that holds.
+``perturb`` maps 2p draws to lines and their layout, or to None when the
+layout is not the star's (same crossing pairs and crossing order along
+every segment).  The one loop over delta is ``pipeline.perturb_stage``:
+draws -> lines -> layout -> mirror room, halving on either failure.
 
 Heuristic Q-independence of {1, t_i} is checked per component by
 mpmath's PSLQ at tolerance tol.  The check takes the search's first hit; it
@@ -28,18 +29,16 @@ it on demand, on arcs of its own at the precision tol needs.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
 from mpmath.libmp import from_rational, round_nearest
 
-from .errors import CombinatorialCollapseError, DomainError, PrecisionError
+from .errors import DomainError, PrecisionError
 from .stars import ArcTable, Passage, StarDiagram, sorted_passages
 
 DENOMINATOR_BITS = 31
-MAX_HALVINGS = 60
 
 
 @dataclass(frozen=True)
@@ -60,7 +59,7 @@ class PolyCrossing:
 @dataclass(frozen=True)
 class PerturbedPolygon:
     star: StarDiagram
-    delta: Fraction            # the accepted (possibly halved) perturbation size
+    delta: Fraction            # the perturbation size the lines were drawn at
     components: tuple[PolyComponent, ...]
     crossings: tuple[PolyCrossing, ...]
 
@@ -221,41 +220,27 @@ def layout_from_lines(star: StarDiagram, lines: list[tuple[Fraction, Fraction]])
     return tuple(components), tuple(crossings)
 
 
-def perturb(
-    star: StarDiagram,
-    delta: Fraction,
-    seed: int,
-    _draw_override=None,
-) -> PerturbedPolygon:
-    """Draw rational lines near the star chords, preserving the combinatorics.
+def perturb(star: StarDiagram, delta: Fraction, draws) -> PerturbedPolygon | None:
+    """The polygon of rational lines within delta of the star chords, or
+    None when two lines share a slope or their layout is not the star's.
 
-    Deterministic in (star, delta, seed).  On combinatorial failure the
-    magnitude is halved and redrawn, up to 60 times.  ``_draw_override`` is a
-    test seam: a callable replacing the uniform draw in (-1, 1).
+    ``draws`` holds 2p values in [-1, 1]: for each chord in chord order, the
+    slope's and then the intercept's offset, as a fraction of delta.
     """
     if delta <= 0:
         raise DomainError(f"delta must be positive, got {delta}")
-    delta = Fraction(delta)
+    if len(draws) != 2 * star.p:
+        raise DomainError(f"expected {2 * star.p} draws, got {len(draws)}")
     slopes, intercepts = _star_chord_geometry(star)
-
     with mp.workprec(star.prec_bits):
-        for halving in range(MAX_HALVINGS + 1):
-            current = delta / (1 << halving)
-            rng = random.Random(seed * 1_000_003 + halving)
-            draw = _draw_override if _draw_override is not None else (lambda: rng.uniform(-1.0, 1.0))
-            lines = []
-            for k in range(star.p):
-                a = _rational_near(slopes[k], current, draw())
-                b = _rational_near(intercepts[k], current, draw())
-                lines.append((a, b))
-            if len({a for a, _ in lines}) != star.p:
-                continue
-            layout = layout_from_lines(star, lines)
-            if layout is not None:
-                return PerturbedPolygon(star, current, *layout)
-    raise CombinatorialCollapseError(
-        f"no delta in [{delta}/2^{MAX_HALVINGS}, {delta}] preserved the star combinatorics"
-    )
+        lines = [
+            (_rational_near(a, delta, da), _rational_near(b, delta, db))
+            for a, b, da, db in zip(slopes, intercepts, draws[::2], draws[1::2])
+        ]
+    if len({a for a, _ in lines}) != star.p:
+        return None
+    layout = layout_from_lines(star, lines)
+    return None if layout is None else PerturbedPolygon(star, delta, *layout)
 
 
 def to_mpf(x):

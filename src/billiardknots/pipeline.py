@@ -1,10 +1,12 @@
 """End-to-end realization: pattern -> star -> perturbed polygon -> prism trajectory.
 
 Stages, in order: pad the pattern into the star regime, build and sign the
-star, perturb to rational lines (redrawing until the mirror-room condition
-holds as well), build the mirrors and assemble the prism table, compute arcs, build the crossing
-constraints, search sawtooth heights, emit the 3D trajectory, check its
-columns, and certify the knot type against the abstract closure.  The
+star, perturb to rational lines (``perturb_stage``, the one loop over delta:
+draws -> lines -> layout -> mirror room, halving on either failure, with
+one budget and one error), build the mirrors and assemble the prism table,
+compute arcs, build the crossing constraints, search sawtooth heights,
+emit the 3D trajectory, check its columns, and certify the knot type
+against the abstract closure.  The
 ``reflection`` stage checks the column shape (m + 2f events) and the float
 walk's error bound (``billiards.check_walk``).  It does not regenerate the
 columns and compare them with the closed form: emit has just built them by
@@ -18,6 +20,7 @@ Everything is deterministic in (spec, seed).
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -33,7 +36,7 @@ from .billiards import (
     polygon_mirrors,
 )
 from .braids import QuasitoricPattern, pad_to_min_repetitions
-from .errors import DomainError, PipelineError, SpecFileError
+from .errors import CombinatorialCollapseError, DomainError, SpecFileError
 from .heights import (
     DEFAULT_F_MAX,
     DEFAULT_MARGIN,
@@ -216,7 +219,27 @@ class RealizationResult:
         return perturbation.independence_check(arcs, INDEPENDENCE_MAX_COEFF, INDEPENDENCE_TOL)
 
 
-MAX_MIRROR_RETRIES = 8
+MAX_HALVINGS = 60
+
+
+def perturb_stage(
+    star: StarDiagram, delta: Fraction, seed: int
+) -> tuple[PerturbedPolygon, MirrorRoomReport]:
+    """The first polygon, with its report, that keeps the star's layout and
+    passes the mirror-room check at the star's precision.  Halving h draws
+    from ``random.Random(seed * 1_000_003 + h)`` at delta / 2^h."""
+    for halving in range(MAX_HALVINGS + 1):
+        rng = random.Random(seed * 1_000_003 + halving)
+        draws = [rng.uniform(-1.0, 1.0) for _ in range(2 * star.p)]
+        poly = perturb(star, delta / (1 << halving), draws)
+        if poly is not None:
+            report = mirror_room_check(poly, prec_bits=star.prec_bits)
+            if report.passed:
+                return poly, report
+    raise CombinatorialCollapseError(
+        f"no delta = {delta} * 2^-h for h = 0..{MAX_HALVINGS} gave lines that keep "
+        "the star's combinatorics and pass the mirror-room check"
+    )
 
 
 def realize(spec: RealizationSpec) -> RealizationResult:
@@ -237,17 +260,7 @@ def realize(spec: RealizationSpec) -> RealizationResult:
         ),
     )
 
-    def perturb_until_mirrors():
-        delta = spec.delta
-        for attempt in range(MAX_MIRROR_RETRIES):
-            poly = perturb(star, delta, spec.seed)
-            report = mirror_room_check(poly, prec_bits=spec.precision_bits)
-            if report.passed:
-                return poly, report
-            delta = delta / 2
-        raise PipelineError("mirror-room condition kept failing at shrinking delta")
-
-    poly, mirror_report = timed("perturb", perturb_until_mirrors)
+    poly, mirror_report = timed("perturb", lambda: perturb_stage(star, spec.delta, spec.seed))
     table = timed(
         "table",
         lambda: build_table(

@@ -135,7 +135,7 @@ def _load_json(path: Path) -> dict:
     """A JSON file; a NaN or Infinity token is malformed."""
     try:
         return json.loads(path.read_text(), parse_constant=_reject_constant)
-    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+    except (OSError, ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise SpecFileError(f"cannot read {path}: {exc}") from exc
 
 

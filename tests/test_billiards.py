@@ -22,6 +22,7 @@ from billiardknots.braids import pad_to_min_repetitions
 from billiardknots.errors import DegenerateAngleError, UnboundedTableError
 from billiardknots.heights import SawtoothHeight, emit_trajectory
 from billiardknots.perturbation import arc_length_table, perturb, to_mpf
+from billiardknots.pipeline import MAX_HALVINGS, perturb_stage
 from billiardknots.presets import PRESETS
 from billiardknots.stars import build_star
 
@@ -32,7 +33,7 @@ def fake_polygon(vertex_lists):
 
 
 def pentagram_polygon(seed=42):
-    return perturb(build_star(5, 2), Fraction(1, 1000), seed=seed)
+    return perturb_stage(build_star(5, 2), Fraction(1, 1000), seed)[0]
 
 
 def test_bisector_right_angle():
@@ -160,7 +161,7 @@ def test_build_table_matches_pairwise_oracle(p, q):
     the same order."""
     star = build_star(p, q, prec_bits=192)
     for seed in (1, 2, 3):
-        poly = perturb(star, Fraction(1, 1000), seed=seed)
+        poly = perturb_stage(star, Fraction(1, 1000), seed)[0]
         assert mirror_room_check(poly, prec_bits=192).passed
         floor = build_table(polygon_mirrors(poly, 192), prec_bits=192).floor
         assert len(floor) == p
@@ -246,7 +247,7 @@ STAR_SHAPES = [(5, 2), (7, 3), (10, 2), (10, 3), (9, 4)]
 def preset_polygon(name, prec_bits=192):
     padded = pad_to_min_repetitions(PRESETS[name])
     star = build_star(padded.repetitions, padded.strands, prec_bits)
-    return perturb(star, Fraction(1, 1000), seed=42)
+    return perturb_stage(star, Fraction(1, 1000), 42)[0]
 
 
 def random_polygons(seed):
@@ -269,7 +270,7 @@ def random_polygons(seed):
 def jittered_polygons(seed):
     """A perturbed star moved by up to 1/4, 2 and 20 times its margin: the
     first pass the check, the last fail it."""
-    poly = perturb(build_star(7, 3), Fraction(1, 1000), seed=seed)
+    poly = perturb_stage(build_star(7, 3), Fraction(1, 1000), seed)[0]
     margin = float(mirror_room_check(poly).margin)
     rng = random.Random(seed)
     polys = []
@@ -342,7 +343,7 @@ def test_mirror_room_screen_matches_oracle_on_presets_and_stars(prec):
     for p, q in STAR_SHAPES:
         star = build_star(p, q, prec_bits=192)
         for seed in (1, 2, 3):
-            assert_same_mirror_room(perturb(star, Fraction(1, 1000), seed=seed), prec)
+            assert_same_mirror_room(perturb_stage(star, Fraction(1, 1000), seed)[0], prec)
 
 
 @pytest.mark.parametrize("prec", SCREEN_PRECISIONS)
@@ -381,14 +382,27 @@ def test_mirror_room_check_returns_the_mirrors_it_checked():
             assert mirror.point == (to_mpf(mirror.vertex[0]), to_mpf(mirror.vertex[1]))
 
 
+def layout_polygon(star, delta, seed):
+    """The first polygon of ``perturb_stage``'s seeded draws whose layout is
+    the star's, mirror room or not: delta is halved only on a layout
+    failure."""
+    for halving in range(MAX_HALVINGS + 1):
+        rng = random.Random(seed * 1_000_003 + halving)
+        draws = [rng.uniform(-1.0, 1.0) for _ in range(2 * star.p)]
+        poly = perturb(star, delta / (1 << halving), draws)
+        if poly is not None:
+            return poly
+    raise AssertionError(f"no layout of {delta} * 2^-h matches the star")
+
+
 def random_line_polygons(seed):
-    """Polygons of lines drawn as ``perturb`` draws them around six stars,
-    at deltas from 1/1000 to 1/2; from 1/8 up, many fail the check."""
+    """Polygons of lines drawn as ``perturb_stage`` draws them around six
+    stars, at deltas from 1/1000 to 1/2; from 1/8 up, many fail the check."""
     polys = []
     for p, q in [(5, 2), (7, 3), (10, 2), (10, 3), (9, 4), (12, 2)]:
         star = build_star(p, q, prec_bits=192)
         for delta in (1000, 30, 8, 4, 2):
-            polys.append(perturb(star, Fraction(1, delta), seed=seed))
+            polys.append(layout_polygon(star, Fraction(1, delta), seed))
     return polys
 
 

@@ -36,8 +36,8 @@ from billiardknots.heights import (
     emit_trajectory,
     search_heights,
 )
-from billiardknots.perturbation import arc_length_table, perturb, to_mpf
-from billiardknots.pipeline import RealizationSpec, realize
+from billiardknots.perturbation import arc_length_table, to_mpf
+from billiardknots.pipeline import RealizationSpec, perturb_stage, realize
 from billiardknots.presets import PRESETS
 from billiardknots.stars import ArcTable, Passage, assign_braid_letters, build_star
 
@@ -124,7 +124,7 @@ def test_search_single_crossing_first_under():
 def _pentagram_setup(seed=42):
     pattern = toric_pattern(2, 5)
     star = assign_braid_letters(build_star(5, 2, prec_bits=192), pattern)
-    poly = perturb(star, Fraction(1, 1000), seed=seed)
+    poly = perturb_stage(star, Fraction(1, 1000), seed)[0]
     table = arc_length_table(poly, 256)
     return star, poly, table
 
@@ -147,7 +147,7 @@ def test_constraints_take_the_passage_order_the_star_decides():
     for seed, pattern in enumerate(patterns):
         padded = pad_to_min_repetitions(pattern)
         star = assign_braid_letters(build_star(padded.repetitions, padded.strands, 192), padded)
-        table = arc_length_table(perturb(star, Fraction(1, 1000), seed=seed), 192)
+        table = arc_length_table(perturb_stage(star, Fraction(1, 1000), seed)[0], 192)
         constraints = build_height_constraints(star, table)
         assert [astuple(c) for c in constraints] == sorted_height_constraints(star, table)
         components.add(table.component_count())

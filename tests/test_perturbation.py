@@ -19,6 +19,7 @@ from billiardknots.pipeline import (
     INDEPENDENCE_MAX_COEFF,
     INDEPENDENCE_TOL,
     RealizationSpec,
+    perturb_stage,
     realize,
 )
 from billiardknots.presets import PRESETS
@@ -143,7 +144,7 @@ def test_integer_layout_matches_with_two_crossings_swapped():
 
 def test_perturb_preserves_pentagram_combinatorics():
     star = build_star(5, 2)
-    poly = perturb(star, Fraction(1, 1000), seed=42)
+    poly = perturb_stage(star, Fraction(1, 1000), 42)[0]
     assert len(poly.components) == 1
     assert len(poly.components[0].vertices) == 5
     assert len(poly.crossings) == 5
@@ -163,44 +164,71 @@ def test_perturb_preserves_pentagram_combinatorics():
 
 def test_perturb_bigger_star_same_orders():
     star = build_star(10, 3)
-    poly = perturb(star, Fraction(1, 1000), seed=7)
+    poly = perturb_stage(star, Fraction(1, 1000), 7)[0]
     assert len(poly.crossings) == 20
     assert poly.delta == Fraction(1, 1000)
 
 
 def test_perturb_zero_draws_identity():
+    """Zero draws put every line at ``_rational_near(chord, delta, 0)``: the
+    star chord's own slope and intercept on the denominator grid."""
     star = build_star(5, 2)
-    poly = perturb(star, Fraction(1, 10**6), seed=1, _draw_override=lambda: 0.0)
+    delta = Fraction(1, 10**6)
+    poly = perturb(star, delta, [0.0] * 10)
     assert len(poly.crossings) == 5
+    slopes, intercepts = _star_chord_geometry(star)
+    with mp.workprec(star.prec_bits):
+        expected = [(_rational_near(a, delta, 0), _rational_near(b, delta, 0)) for a, b in zip(slopes, intercepts)]
+    (comp,) = poly.components
+    assert list(comp.lines) == [expected[ch] for ch in comp.chord_ids]
+
+
+def test_perturb_is_none_when_two_lines_share_a_slope():
+    """Draw 0 for chord 0's slope and the draw that moves chord 1's slope
+    onto it: the two lines are parallel, so there is no polygon."""
+    star = build_star(5, 2)
+    delta = Fraction(10)
+    slopes, _ = _star_chord_geometry(star)
+    draws = [0.0] * 10
+    draws[2] = float((slopes[0] - slopes[1]) / 10)
+    with mp.workprec(star.prec_bits):
+        assert _rational_near(slopes[0], delta, 0) == _rational_near(slopes[1], delta, draws[2])
+    assert perturb(star, delta, draws) is None
 
 
 def test_perturb_rejects_bad_delta():
     star = build_star(5, 2)
     with pytest.raises(DomainError):
-        perturb(star, Fraction(0), seed=1)
+        perturb(star, Fraction(0), [0.0] * 10)
     with pytest.raises(DomainError):
-        perturb(star, Fraction(-1, 2), seed=1)
+        perturb(star, Fraction(-1, 2), [0.0] * 10)
+
+
+@pytest.mark.parametrize("count", [0, 9, 11, 20])
+def test_perturb_rejects_the_wrong_number_of_draws(count):
+    with pytest.raises(DomainError, match=f"expected 10 draws, got {count}"):
+        perturb(build_star(5, 2), Fraction(1, 1000), [0.0] * count)
 
 
 def test_perturb_deterministic():
     star = build_star(5, 2)
-    p1 = perturb(star, Fraction(1, 1000), seed=42)
-    p2 = perturb(star, Fraction(1, 1000), seed=42)
+    p1 = perturb_stage(star, Fraction(1, 1000), 42)[0]
+    p2 = perturb_stage(star, Fraction(1, 1000), 42)[0]
     assert p1.components[0].lines == p2.components[0].lines
-    p3 = perturb(star, Fraction(1, 1000), seed=43)
+    p3 = perturb_stage(star, Fraction(1, 1000), 43)[0]
     assert p1.components[0].lines != p3.components[0].lines
 
 
 @pytest.mark.parametrize("p,q,seed", [(5, 2, 0), (7, 2, 3), (7, 3, 5), (9, 4, 9), (40, 3, 11)])
 def test_perturb_halving_always_lands(p, q, seed):
     star = build_star(p, q)
-    poly = perturb(star, Fraction(1, 100), seed=seed)
+    poly = perturb_stage(star, Fraction(1, 100), seed)[0]
     assert len(poly.crossings) == p * (q - 1)
 
 
 def test_arc_table_basic():
     star = build_star(5, 2)
-    poly = perturb(star, Fraction(1, 1000), seed=42)
+    poly = perturb_stage(star, Fraction(1, 1000), 42)[0]
     table = arc_length_table(poly, prec_bits=256)
     (passages,) = table.passages
     assert len(passages) == 10
@@ -214,7 +242,7 @@ def test_arc_table_basic():
 def test_arc_lengths_match_planar_distance():
     """|l_{i,j}| from the slope formula equals the planar distance to P_{i,j}."""
     star = build_star(7, 3, prec_bits=128)
-    poly = perturb(star, Fraction(1, 500), seed=3)
+    poly = perturb_stage(star, Fraction(1, 500), 3)[0]
     with mp.workprec(128):
         for pc in poly.crossings:
             for place in (pc.a_place, pc.b_place):
@@ -285,7 +313,7 @@ def test_independence_third_with_coeff_bound_three():
 
 def test_independence_perturbed_pentagram_passes():
     star = build_star(5, 2, prec_bits=256)
-    poly = perturb(star, Fraction(1, 1000), seed=42)
+    poly = perturb_stage(star, Fraction(1, 1000), 42)[0]
     table = arc_length_table(poly, prec_bits=256)
     assert independence_check(table, max_coeff=10, tol=1e-12).passed
 

@@ -4,6 +4,7 @@ import functools
 import importlib.util
 import itertools
 import json
+import re
 import struct
 from fractions import Fraction
 from pathlib import Path
@@ -15,7 +16,7 @@ from billiardknots import perturbation, pipeline, serialization, stars
 from billiardknots.billiards import COLUMNS, MirrorRoomReport, mirror_room_check
 from billiardknots.braids import toric_pattern
 from billiardknots.cli import main
-from billiardknots.errors import PipelineError, SpecFileError
+from billiardknots.errors import CombinatorialCollapseError, SpecFileError
 from billiardknots.heights import SawtoothHeight, build_height_constraints, emit_trajectory
 from billiardknots.invariants import pattern_jones
 from billiardknots.perturbation import IndependenceResult
@@ -163,16 +164,21 @@ def test_cli_verify_reads_an_indented_trajectory(tmp_path, trefoil_result):
 
 
 def test_stored_reals_carry_the_working_precision(tmp_path, hopf_result):
-    """report.json's mirror margin and table.json's first floor corner,
-    written with 40 significant digits, agree with the working-precision
-    values to at least 35 digits, not only to float64's 17."""
+    """report.json's mirror margin and passage arcs and table.json's first
+    floor corner, written with 40 significant digits, agree with the
+    working-precision values to at least 35 digits, not only to float64's
+    17."""
     paths = write_artifacts(hopf_result, tmp_path, canonical=True)
-    stored_margin = json.loads(paths["report"].read_text())["mirror_check"]["margin"]
+    report = json.loads(paths["report"].read_text())
     stored_corner = json.loads(paths["table"].read_text())["floor"][0]
+    arcs = {(ps.crossing, "a" if ps.is_a_side else "b"): ps.arc
+            for passages in hopf_result.arcs.passages for ps in passages}
+    pairs = [(report["mirror_check"]["margin"], hopf_result.mirror_report.margin)]
+    pairs += [(ps["arc"], arcs[c["index"], ps["side"]]) for c in report["crossings"] for ps in c["passages"]]
+    pairs += list(zip(stored_corner, hopf_result.table.floor[0]))
+    assert len(pairs) == 1 + 2 * len(hopf_result.star.crossings) + 2
     with mp.workprec(hopf_result.spec.precision_bits):
-        margin = hopf_result.mirror_report.margin
-        assert abs(mp.mpf(stored_margin) - margin) <= mp.mpf(10) ** -35 * abs(margin)
-        for stored, value in zip(stored_corner, hopf_result.table.floor[0]):
+        for stored, value in pairs:
             assert abs(mp.mpf(stored) - value) <= mp.mpf(10) ** -35 * abs(value)
 
 
@@ -227,6 +233,16 @@ def test_star_figure_outside_the_domain_is_one_line_and_exit_2(tmp_path, capsys)
     assert _load_script("star_figure").main(["5", "3", str(out)]) == 2
     assert capsys.readouterr().err == "star_figure.py: p must be >= 2q+1 = 7, got 5\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("plain", [False, True])
+def test_star_figure_writes_the_svg(tmp_path, capsys, plain):
+    out = tmp_path / "star.svg"
+    argv = ["10", "3", str(out)] + (["--plain"] if plain else [])
+    assert _load_script("star_figure").main(argv) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    svg = out.read_text()
+    assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
 
 
 def test_star_figure_unwritable_outfile_is_one_line_and_exit_3(tmp_path, capsys):
@@ -297,9 +313,9 @@ def test_cli_search_exhaustion_exit_code(tmp_path, capsys):
 
 
 def test_realize_halves_delta_after_a_failed_mirror_room_check(tmp_path, monkeypatch):
-    """At delta 1 the torus-3-7 lines (perturb halves to 1/8 for the
-    combinatorics) fail the mirror-room check; realize halves delta, passes
-    at 1/16, and the artifacts verify."""
+    """At delta 1 the torus-3-7 lines break the layout down to 1/8, where
+    they fail the mirror-room check; the perturb stage halves once more,
+    passes at 1/16, and the artifacts verify."""
     checked = []
 
     def recorded(poly, **kwargs):
@@ -316,7 +332,11 @@ def test_realize_halves_delta_after_a_failed_mirror_room_check(tmp_path, monkeyp
     assert verify_artifacts(files["report"]).passed
 
 
-def test_mirror_room_retries_exhausted_are_a_pipeline_failure(tmp_path, monkeypatch, capsys):
+def test_mirror_room_failures_spend_the_one_halving_budget(tmp_path, monkeypatch, capsys):
+    """With every mirror-room check failing, the trefoil's perturb stage
+    checks at most ``MAX_HALVINGS`` + 1 polygons, each at a smaller delta
+    than the last, and then raises the one CombinatorialCollapseError; the
+    CLI exits 4 and writes nothing."""
     deltas = []
 
     def failing(poly, **kwargs):
@@ -324,14 +344,36 @@ def test_mirror_room_retries_exhausted_are_a_pipeline_failure(tmp_path, monkeypa
         return MirrorRoomReport(passed=False, margin=None)
 
     monkeypatch.setattr(pipeline, "mirror_room_check", failing)
-    with pytest.raises(PipelineError, match="mirror-room condition kept failing"):
+    message = "no delta = 1/1000 * 2^-h for h = 0..60 gave lines that keep the star's combinatorics"
+    with pytest.raises(CombinatorialCollapseError, match=re.escape(message)):
         realize(RealizationSpec.from_dict({"preset": "trefoil"}))
-    assert len(deltas) == pipeline.MAX_MIRROR_RETRIES
+    assert 0 < len(deltas) <= pipeline.MAX_HALVINGS + 1
+    assert all(later < earlier for earlier, later in zip(deltas, deltas[1:]))
     spec = _write_spec(tmp_path, {"preset": "trefoil"})
     capsys.readouterr()
     assert main(["realize", str(spec), "--out", str(tmp_path / "x")]) == 4
-    assert "pipeline failure: mirror-room condition kept failing" in capsys.readouterr().err
+    assert f"pipeline failure: {message}" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_presets_realize_and_verify_at_delta_one(tmp_path, monkeypatch, name):
+    """At spec delta 1 every preset realizes, writes and verifies, and each
+    mirror-room check after a failed one is at a smaller delta."""
+    checked = []
+
+    def recorded(poly, **kwargs):
+        report = mirror_room_check(poly, **kwargs)
+        checked.append((poly.delta, report.passed))
+        return report
+
+    monkeypatch.setattr(pipeline, "mirror_room_check", recorded)
+    result = realize(RealizationSpec.from_dict({"preset": name, "delta": "1"}))
+    assert result.passed
+    assert [passed for _, passed in checked] == [False] * (len(checked) - 1) + [True]
+    assert all(later < earlier for (earlier, _), (later, _) in zip(checked, checked[1:]))
+    files = write_artifacts(result, tmp_path, canonical=True)
+    assert verify_artifacts(files["report"]).passed
 
 
 def _raise_intercept(lines):
@@ -369,6 +411,18 @@ def test_cli_verify_detects_corruption(tmp_path, capsys):
     assert main(["verify", str(out / "report.json")]) == 4
     printed = capsys.readouterr()
     assert "reflection law violated" in printed.out + printed.err
+
+
+def test_cli_verify_detects_a_point_moved_by_a_millionth(tmp_path, trefoil_result, capsys):
+    """One stored x moved by 1e-6, far above the reflection tolerance and
+    far below any parse check, fails the reflection check with exit 4."""
+    files = write_artifacts(trefoil_result, tmp_path, canonical=True)
+    data = json.loads(files["trajectory"].read_text())
+    edit_column(data, "x", lambda values: values.__setitem__(3, values[3] + 1e-6))
+    files["trajectory"].write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(files["report"])]) == 4
+    assert "verify_reflection: FAIL" in capsys.readouterr().out
 
 
 def test_cli_verify_detects_swapped_wall_mirrors(tmp_path, trefoil_result, capsys):
@@ -527,6 +581,7 @@ REPORT_CORRUPTIONS = {
     "precision-negative": lambda d: d["spec"].update(precision_bits=-5),
     "precision-eight": lambda d: d["spec"].update(precision_bits=8),
     "precision-above-cap": lambda d: d["spec"].update(precision_bits=4097),
+    "precision-a-million": lambda d: d["spec"].update(precision_bits=1_000_000),
     "extra-component-lines": lambda d: d["lines"].append([["1/2", "1/3"]]),
     "extra-line": lambda d: d["lines"][0].append(["1/2", "1/3"]),
     "chosen-delta-true": lambda d: d.update(chosen_delta=True),
@@ -548,6 +603,25 @@ def test_cli_verify_malformed_report_is_a_parse_error(
     capsys.readouterr()
     assert main(["verify", str(files["report"])]) == 3
     assert "parse error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["spec", "report", "trajectory"])
+def test_deeply_nested_json_is_a_parse_error(tmp_path, trefoil_result, capsys, target):
+    """100,000 nested arrays exceed the JSON parser's recursion limit; in a
+    spec, a report or a trajectory file that is exit 3, not a traceback."""
+    nested = "[" * 100_000 + "]" * 100_000
+    if target == "spec":
+        path = tmp_path / "spec.json"
+        path.write_text(nested)
+        argv = ["realize", str(path), "--out", str(tmp_path / "x")]
+    else:
+        files = write_artifacts(trefoil_result, tmp_path, canonical=True)
+        files[target].write_text(nested)
+        argv = ["verify", str(files["report"])]
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert "recursion" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_cli_verify_accepts_a_spec_echo_at_the_precision_cap(tmp_path, trefoil_result, capsys):
