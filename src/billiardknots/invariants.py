@@ -15,21 +15,22 @@ Conventions (fixed here and locked by the torus-knot tests):
 The bracket is computed by frontier contraction (Kauffman, "State models and
 the Jones polynomial", Topology 26, 1987; the same local tangle contraction as
 Bar-Natan, arXiv:math/0606318), in time polynomial in the crossing count for
-braid closures and star diagrams.  Both sides of the certificate use it; they
-stay independent through their inputs (the abstract braid word on one side,
-the perturbed polygon and its star's signed crossings on the other).  The
-exponential state sum and skein recursion live in the tests as oracles.
-Invariant equality certifies the construction but is evidence, not a proof
-of isotopy.
+braid closures and star diagrams.  The exponential state sum and skein
+recursion live in the tests as oracles.
+
+``certify`` proves that the realized diagram is the braid closure: one
+oriented diagram (``pdcodes.diagram_isomorphic``) with equal component
+counts.  The Jones polynomial is the report's invariant, not its proof.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .braids import QuasitoricPattern, component_count
 from .laurent import Laurent, lp_mul, lp_pow, lp_scale, lp_shift, lp_to_string
-from .pdcodes import PDCode, braid_closure_pd, traversal_pd
+from .pdcodes import PDCode, braid_closure_pd, diagram_isomorphic, traversal_pd
 from .stars import over_flags_from_signs
 
 
@@ -150,11 +151,22 @@ def pattern_jones(pattern: QuasitoricPattern) -> Laurent:
 
 @dataclass(frozen=True)
 class CertificationReport:
+    """The Jones polynomials are computed on first read and then kept; on
+    an isomorphism the two codes have one bracket and one writhe."""
+
     passed: bool
-    jones_constructed: Laurent
-    jones_intended: Laurent
     components_constructed: int
     components_intended: int
+    constructed: tuple[PDCode, int] = field(repr=False)  # (code, writhe)
+    intended: tuple[PDCode, int] = field(repr=False)
+
+    @cached_property
+    def jones_intended(self) -> Laurent:
+        return jones(*self.intended)
+
+    @cached_property
+    def jones_constructed(self) -> Laurent:
+        return self.jones_intended if self.passed else jones(*self.constructed)
 
     def summary(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -166,26 +178,28 @@ class CertificationReport:
 
 
 def certify(poly, pattern: QuasitoricPattern) -> CertificationReport:
-    """Compare the realized diagram's invariant with the intended closure.
+    """Certify that the realized diagram is the closure of ``pattern``.
 
     The constructed side is one ``traversal_pd`` call on the strand passages
-    of ``poly`` with the over-flags of its star's signs, and its components
-    are counted in ``poly.components``; the intended side is computed from
-    the abstract braid word by an independent route.  The signs are the
-    trajectory's over/under only once its exact heights satisfy conditions
-    (a)-(c) (``heights.confirm_heights``), so a caller certifies heights
-    that passed it: the height search returns only such heights, and
-    ``verify`` runs it on the stored ones first.
+    of ``poly`` with the over-flags of its star's signs, its components
+    counted in ``poly.components``; the intended side is ``braid_closure_pd``
+    of the braid word, with the word's signs.  The report passes only when
+    the signed codes are isomorphic and the component counts agree.  The
+    signs are the trajectory's over/under only once its exact heights
+    satisfy conditions (a)-(c) (``heights.confirm_heights``), so a caller
+    certifies heights that passed it: the height search returns only such
+    heights, and ``verify`` runs it on the stored ones first.
     """
     pd, sign_map = traversal_pd(poly.passages(), over_flags_from_signs(poly.star))
-    constructed = jones(pd, sum(sign_map.values()))
-    intended = pattern_jones(pattern)
-    comp_constructed = len(poly.components)
-    comp_intended = component_count(pattern)
+    signs = [sign_map[c] for c in sorted(sign_map)]
+    closure = braid_closure_pd(pattern)
+    word_signs = [letter.sign for letter in pattern.word()]
+    comp_constructed, comp_intended = len(poly.components), component_count(pattern)
+    isomorphic = diagram_isomorphic(pd, signs, closure, word_signs) is not None
     return CertificationReport(
-        passed=(constructed == intended and comp_constructed == comp_intended),
-        jones_constructed=constructed,
-        jones_intended=intended,
+        passed=isomorphic and comp_constructed == comp_intended,
         components_constructed=comp_constructed,
         components_intended=comp_intended,
+        constructed=(pd, sum(signs)),
+        intended=(closure, sum(word_signs)),
     )

@@ -10,6 +10,8 @@ any crossing are carried separately in ``free_loops``.
 word.  ``traversal_pd`` reads the code of a drawn diagram, in one call, off
 its strand passages and over-flags; for a realized trajectory these are
 ``PerturbedPolygon.passages()`` and the over-flags of its star's signs.
+``diagram_isomorphic`` decides whether two signed codes are one oriented
+diagram on the sphere.
 """
 
 from __future__ import annotations
@@ -130,3 +132,62 @@ def traversal_pd(passages, over_a_side: dict[int, bool]) -> tuple[PDCode, dict[i
     if not records:
         return PDCode((), free_loops=1), signs
     return PDCode(_compress_labels(records)), signs
+
+
+def _partners(records) -> list[list[tuple[int, int]]]:
+    """(record, position) of the other occurrence of each record position's label."""
+    first: dict[int, tuple[int, int]] = {}
+    partner: list[list] = [[None] * 4 for _ in records]
+    for r, rec in enumerate(records):
+        for k, label in enumerate(rec):
+            if label not in first:
+                first[label] = (r, k)
+                continue
+            r2, k2 = first.pop(label)
+            partner[r][k], partner[r2][k2] = (r2, k2), (r, k)
+    return partner
+
+
+def diagram_isomorphic(pd1: PDCode, signs1, pd2: PDCode, signs2) -> tuple[int, ...] | None:
+    """A map ``image`` of pd1's records onto pd2's, or None if none exists,
+    such that one edge relabelling sends record r to record image[r] slot by
+    slot, with ``signs1[r] == signs2[image[r]]``.  A record starts at the
+    incoming under edge and its sign fixes the over strand's direction, so
+    the codes are then one oriented diagram on the sphere.  Fixing one
+    record's image forces its neighbours' through each label's other
+    occurrence: a connected diagram costs at most n tries of O(n).  A split
+    diagram's parts map onto whole parts, and isomorphic parts are
+    interchangeable, so each part keeps the first image found for it.
+    """
+    n = pd1.crossing_count
+    if n != pd2.crossing_count or pd1.free_loops != pd2.free_loops:
+        return None
+    part1, part2 = _partners(pd1.crossings), _partners(pd2.crossings)
+    image: list[int | None] = [None] * n
+    taken = [False] * n
+
+    def grow(r: int, s: int) -> bool:
+        """Map r to s and all that forces, or nothing on a contradiction."""
+        added: list[int] = []
+        stack = [(r, s)]
+        while stack:
+            r, s = stack.pop()
+            if image[r] == s:
+                continue
+            ok = image[r] is None and not taken[s] and signs1[r] == signs2[s]
+            if ok:
+                image[r], taken[s] = s, True
+                added.append(r)
+                pairs = list(zip(part1[r], part2[s]))
+                ok = all(k == m for (_, k), (_, m) in pairs)
+                stack.extend((r2, s2) for (r2, _), (s2, _) in pairs)
+            if not ok:
+                for a in added:
+                    taken[image[a]], image[a] = False, None
+                return False
+        return True
+
+    for r in range(n):
+        if image[r] is None and not any(grow(r, s) for s in range(n)):
+            return None
+    return tuple(image)

@@ -63,20 +63,18 @@ class PerturbedPolygon:
     components: tuple[PolyComponent, ...]
     crossings: tuple[PolyCrossing, ...]
 
-    def segment_direction(self, comp: int, seg: int) -> tuple[Fraction, Fraction]:
-        component = self.components[comp]
-        v0 = component.vertices[seg]
-        v1 = component.vertices[(seg + 1) % len(component.vertices)]
-        return (v1[0] - v0[0], v1[1] - v0[1])
-
     def passages(self):
         """One (component, sort key, crossing id, on chord_a, direction) per
         strand passage, as ``pdcodes.traversal_pd`` reads them; the key
         orders a component's passages along it and the direction of travel
-        is exact."""
+        is exact.  Each segment's direction is computed once."""
+        directions = [
+            [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(vs, vs[1:] + vs[:1])]
+            for vs in (comp.vertices for comp in self.components)
+        ]
         for pc in self.crossings:
             for (comp, seg), on_a in ((pc.a_place, True), (pc.b_place, False)):
-                direction = self.segment_direction(comp, seg)
+                direction = directions[comp][seg]
                 key = (seg, pc.point[0] if direction[0] > 0 else -pc.point[0])
                 yield comp, key, pc.index, on_a, direction
 

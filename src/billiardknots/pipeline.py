@@ -5,8 +5,9 @@ star, perturb to rational lines (``perturb_stage``, the one loop over delta:
 draws -> lines -> layout -> mirror room, halving on either failure, with
 one budget and one error), build the mirrors and assemble the prism table,
 compute arcs, build the crossing constraints, search sawtooth heights,
-emit the 3D trajectory, check its columns, and certify the knot type
-against the abstract closure.  The
+emit the 3D trajectory, check its columns, and certify that the signed
+diagram is the abstract braid closure (a diagram isomorphism; the report's
+Jones polynomial is computed on first read).  The
 ``reflection`` stage checks the column shape (m + 2f events) and the float
 walk's error bound (``billiards.check_walk``).  It does not regenerate the
 columns and compare them with the closed form: emit has just built them by

@@ -341,7 +341,9 @@ def verify_artifacts(report_path) -> Verdict:
     (``confirm_heights``); a miss fails as ``certify``.  With every exact
     gap at least the margin and ordered as the star's signs prescribe, the
     signs are the exact trajectory's over/under at every crossing, so
-    ``certify`` reads them from the star.  All three checks run on every
+    ``certify`` reads them from the star and proves, by a diagram
+    isomorphism, that the signed star is the padded pattern's closure; a
+    passing verify computes no Kauffman bracket.  All three checks run on every
     report; one that fails the mirror-room check fails on it first; that
     check screens in float64 and builds no mirror (``mirror_room_check``).
     The trajectory's ``kinds`` string is read as JSON and each float column

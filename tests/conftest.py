@@ -1,5 +1,6 @@
 import pytest
 
+from billiardknots import invariants
 from billiardknots.pipeline import RealizationSpec, realize
 from billiardknots.presets import PRESETS
 
@@ -27,3 +28,12 @@ def figure_eight_result():
 @pytest.fixture(scope="session")
 def hopf_result():
     return _run("hopf")
+
+
+@pytest.fixture
+def bracket_calls(monkeypatch):
+    """The codes ``invariants.kauffman_bracket`` is called on, in order."""
+    calls = []
+    bracket = invariants.kauffman_bracket
+    monkeypatch.setattr(invariants, "kauffman_bracket", lambda pd: calls.append(pd) or bracket(pd))
+    return calls

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -14,7 +15,7 @@ from billiardknots.invariants import (
     kauffman_bracket,
     pattern_jones,
 )
-from billiardknots.pdcodes import PDCode, braid_closure_pd, traversal_pd
+from billiardknots.pdcodes import PDCode, braid_closure_pd, diagram_isomorphic, traversal_pd
 from diagram_helpers import jones_mirror, mirror_pd, relabel_pd, unlink_jones
 from billiardknots.pipeline import RealizationSpec, realize
 from billiardknots.stars import over_flags_from_signs
@@ -111,24 +112,49 @@ def _random_pattern(rng, max_crossings=10):
     return QuasitoricPattern(k, n, signs)
 
 
-def test_two_bracket_oracles_agree_on_corpus():
-    """Frontier contraction, state sum and skein recursion agree exactly."""
+def _corpus_patterns() -> list[QuasitoricPattern]:
+    """The bracket test corpus: 30 closures of at most 10 crossings."""
     corpus = [
-        braid_closure_pd(TREFOIL),
-        braid_closure_pd(toric_pattern(2, 2)),
-        braid_closure_pd(toric_pattern(2, 5)),
-        braid_closure_pd(toric_pattern(2, 10)),
-        braid_closure_pd(FIGURE_EIGHT),
-        braid_closure_pd(pad_to_min_repetitions(toric_pattern(2, 2))),
-        braid_closure_pd(QuasitoricPattern(2, 5, ((1,), (1,), (-1,), (-1,), (1,)))),
+        TREFOIL,
+        toric_pattern(2, 2),
+        toric_pattern(2, 5),
+        toric_pattern(2, 10),
+        FIGURE_EIGHT,
+        pad_to_min_repetitions(toric_pattern(2, 2)),
+        QuasitoricPattern(2, 5, ((1,), (1,), (-1,), (-1,), (1,))),
     ]
     rng = random.Random(2024)
     while len(corpus) < 30:
-        pd = braid_closure_pd(_random_pattern(rng))
-        if pd.crossing_count <= 10:
-            corpus.append(pd)
-    for pd in corpus:
+        pattern = _random_pattern(rng)
+        if pattern.repetitions * (pattern.strands - 1) <= 10:
+            corpus.append(pattern)
+    return corpus
+
+
+def test_two_bracket_oracles_agree_on_corpus():
+    """Frontier contraction, state sum and skein recursion agree exactly."""
+    for pattern in _corpus_patterns():
+        pd = braid_closure_pd(pattern)
         assert kauffman_bracket(pd) == state_sum_bracket(pd) == skein_bracket(pd)
+
+
+def test_isomorphic_codes_on_the_corpus_have_equal_jones():
+    """Every corpus closure, and the closure of its word with the rows
+    rotated by one (a conjugate braid, so the same diagram under other
+    labels and another record order), compared pairwise: isomorphic signed
+    codes have equal Jones polynomials."""
+    codes = []
+    for pattern in _corpus_patterns():
+        rotated = QuasitoricPattern(
+            pattern.strands, pattern.repetitions, pattern.signs[1:] + pattern.signs[:1]
+        )
+        for pat in (pattern, rotated):
+            codes.append((braid_closure_pd(pat), [letter.sign for letter in pat.word()]))
+    for (pd, signs), (rot, rot_signs) in zip(codes[::2], codes[1::2]):
+        assert diagram_isomorphic(pd, signs, rot, rot_signs) is not None
+    for (pd1, s1), (pd2, s2) in itertools.combinations(codes, 2):
+        if diagram_isomorphic(pd1, s1, pd2, s2) is not None:
+            assert jones(pd1, sum(s1)) == jones(pd2, sum(s2))
 
 
 @pytest.mark.parametrize("pattern", [toric_pattern(3, 7), toric_pattern(3, 8)], ids=["3-7", "3-8"])
@@ -205,9 +231,10 @@ def test_certify_passes_on_pipeline_output(torus25_result):
     assert report.components_constructed == 1
 
 
-def test_certify_detects_corrupted_crossing(torus25_result):
+def test_certify_detects_corrupted_crossing(torus25_result, bracket_calls):
     """Crossing 0's sign flipped in the polygon's star, the pattern left as
-    it is: certify reads the over/under from the star, and fails."""
+    it is: certify reads the over/under from the star, and fails.  Its
+    summary computes both Jones polynomials, one bracket each."""
     from dataclasses import replace
 
     poly = torus25_result.poly
@@ -216,3 +243,11 @@ def test_certify_detects_corrupted_crossing(torus25_result):
     assert certify(poly, torus25_result.padded).passed
     report = certify(replace(poly, star=star), torus25_result.padded)
     assert not report.passed
+    summary = report.summary()
+    assert len(bracket_calls) == 2
+    assert report.jones_constructed == pattern_jones(TREFOIL)
+    assert report.jones_intended == pattern_jones(toric_pattern(2, 5))
+    assert summary == (
+        "certify=FAIL: constructed -t^4 + t^3 + t (1 comp), "
+        "intended -t^7 + t^6 - t^5 + t^4 + t^2 (1 comp)"
+    )
