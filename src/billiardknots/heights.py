@@ -95,15 +95,13 @@ class HeightConstraint:
 
 
 def build_height_constraints(diagram, table: ArcTable) -> tuple[HeightConstraint, ...]:
-    """One constraint per crossing from a sign-attached star and an arc table.
+    """One constraint per crossing from a signed star and an arc table.
 
     The star decides in integers which passage comes first in (component,
     arc) order (``Crossing.a_side_is_first``), and the passages' arcs are
     looked up by (crossing, side); a positive crossing sign puts the
     chord_a passage on top.
     """
-    if not diagram.signs_attached:
-        raise DomainError("diagram has no signs attached")
     arc = {(ps.crossing, ps.is_a_side): ps.arc for passages in table.passages for ps in passages}
     return tuple(
         HeightConstraint(

@@ -144,11 +144,6 @@ def jones_string(poly: Laurent) -> str:
     return lp_to_string(poly, variable="t", denominator=2)
 
 
-def pattern_jones(pattern: QuasitoricPattern) -> Laurent:
-    """Jones polynomial of the closure of a quasitoric pattern."""
-    return jones(braid_closure_pd(pattern), pattern.writhe())
-
-
 @dataclass(frozen=True)
 class CertificationReport:
     """The Jones polynomials are computed on first read and then kept; on
@@ -189,6 +184,12 @@ def certify(poly, pattern: QuasitoricPattern) -> CertificationReport:
     satisfy conditions (a)-(c) (``heights.confirm_heights``), so a caller
     certifies heights that passed it: the height search returns only such
     heights, and ``verify`` runs it on the stored ones first.
+
+    The handedness comes from the polygon's exact directions of travel, so
+    this reads ``poly`` and not only the star's combinatorics: the layout
+    check cannot see a reflection of every line (a, b) to (-a, -b), which
+    keeps the star's crossings and their order, but it flips every
+    crossing of ``traversal_pd``, and a chiral closure then fails here.
     """
     pd, sign_map = traversal_pd(poly.passages(), over_flags_from_signs(poly.star))
     signs = [sign_map[c] for c in sorted(sign_map)]

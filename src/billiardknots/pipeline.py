@@ -1,7 +1,8 @@
 """End-to-end realization: pattern -> star -> perturbed polygon -> prism trajectory.
 
-Stages, in order: pad the pattern into the star regime, build and sign the
-star, perturb to rational lines (``perturb_stage``, the one loop over delta:
+Stages, in order: pad the pattern into the star regime, build the star
+with every crossing signed from the pattern (one ``build_star`` call),
+perturb to rational lines (``perturb_stage``, the one loop over delta:
 draws -> lines -> layout -> mirror room, halving on either failure, with
 one budget and one error), build the mirrors and assemble the prism table,
 compute arcs, build the crossing constraints, search sawtooth heights,
@@ -51,7 +52,7 @@ from .invariants import CertificationReport, certify
 from . import perturbation
 from .perturbation import PerturbedPolygon, arc_length_table, perturb
 from .presets import PRESETS
-from .stars import ArcTable, StarDiagram, assign_braid_letters, build_star
+from .stars import ArcTable, StarDiagram, build_star
 
 REFLECTION_TOL = 1e-9
 INDEPENDENCE_MAX_COEFF = 10
@@ -254,12 +255,7 @@ def realize(spec: RealizationSpec) -> RealizationResult:
         return out
 
     padded = timed("pad", lambda: pad_to_min_repetitions(spec.pattern))
-    star = timed(
-        "star",
-        lambda: assign_braid_letters(
-            build_star(padded.repetitions, padded.strands, spec.precision_bits), padded
-        ),
-    )
+    star = timed("star", lambda: build_star(padded, spec.precision_bits))
 
     poly, mirror_report = timed("perturb", lambda: perturb_stage(star, spec.delta, spec.seed))
     table = timed(

@@ -43,7 +43,7 @@ from .perturbation import PerturbedPolygon, arc_length_table, layout_from_lines
 from .pipeline import (
     REFLECTION_TOL, RealizationResult, RealizationSpec, Verdict, json_int, verdict,
 )
-from .stars import assign_braid_letters, build_star, over_flags_from_signs, star_diagram_json
+from .stars import build_star, over_flags_from_signs, star_diagram_json
 
 MPF_DIGITS = 40
 GAP_FRACTION = 0.035  # of a chord, cut from the under strand on each side of a crossing
@@ -369,9 +369,7 @@ def verify_artifacts(report_path) -> Verdict:
         echo.pop("preset", None)
         spec = RealizationSpec.from_dict(echo)
         padded = pad_to_min_repetitions(spec.pattern)
-        star = assign_braid_letters(
-            build_star(padded.repetitions, padded.strands, spec.precision_bits), padded
-        )
+        star = build_star(padded, spec.precision_bits)
         if report["padded_pattern"] != _pattern_json(padded):
             raise ValueError("padded_pattern does not follow from the spec")
         if report["star"] != {"p": star.p, "q": star.q}:

@@ -19,7 +19,8 @@ two passages of one component are ordered by their chords' j alone.
 
 The coordinates (vertices, crossing points, passage arcs) form a
 ``StarGeometry``, built at the star's precision the first time
-``StarDiagram.geometry`` is read: the perturbation reads the chord lines
+``StarDiagram.geometry`` is read, with every crossing placed by that
+closed form (q tangents per star): the perturbation reads the chord lines
 from it, and the diagram exports read points and arcs.  Checking stored
 artifacts needs none of it.
 
@@ -33,19 +34,23 @@ pre-rotation; the crossing of chords (c, c+g) sits at angular position
 
 Sign-matrix slots: the crossing of chords (c, c+g) reads row
 (c + ceil(q/2)) mod p, column g - 1 (generator index g, equivalently depth
-q - g mapped to generator q - depth).  Row r thus collects the q-1
-crossings that one chord makes with the chords ahead of it, which is one
-repetition of the toric word.  For q <= 3 this is exactly the angular
-sector of the crossing; for q >= 4 the two differ, and braid-word
-comparisons (Burau characteristic values over random sign matrices, all
-strand counts up to 7) confirm the chord-based row is the one that makes
-the picture the closure of the quasitoric braid with that matrix.
+q - g mapped to generator q - depth), and takes its sign from that cell
+when ``build_star`` makes it.  Row r thus collects the q-1 crossings that
+one chord makes with the chords ahead of it, which is one repetition of
+the toric word, and the map from crossings to the p (q-1) cells is a
+bijection.  For q <= 3 the row is exactly the angular sector of the
+crossing; for q >= 4 the two differ, and braid-word comparisons (Burau
+characteristic values over random sign matrices, all strand counts up to
+7) confirm the chord-based row is the one that makes the picture the
+closure of the quasitoric braid with that matrix.  A +1 means the chord_a
+strand (the one rising outward through the crossing) passes over,
+matching a positive braid letter.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -90,7 +95,7 @@ class Crossing:
     first_component: int    # of the passage earlier in (component, arc) order
     second_component: int
     a_side_is_first: bool   # True if the first passage runs along chord_a
-    sign: int | None = None
+    sign: int        # pattern.signs[braid_row][braid_col]
 
 
 @dataclass(frozen=True)
@@ -112,7 +117,6 @@ class StarDiagram:
     chords: tuple[tuple[int, int], ...]
     components: tuple[tuple[int, ...], ...]  # chord ids in traversal order
     crossings: tuple[Crossing, ...]
-    signs_attached: bool = False
 
     @cached_property
     def geometry(self) -> StarGeometry:
@@ -134,30 +138,16 @@ def _component_layout(p: int, q: int) -> tuple[tuple[tuple[int, ...], ...], dict
     return tuple(comps), where
 
 
-def _segment_intersection(a0, a1, b0, b1, prec_bits: int):
-    """Intersection point and both parameters of segments a0->a1, b0->b1."""
-    with mp.workprec(prec_bits):
-        dax, day = a1[0] - a0[0], a1[1] - a0[1]
-        dbx, dby = b1[0] - b0[0], b1[1] - b0[1]
-        den = dax * dby - day * dbx
-        if den == 0:
-            raise DomainError("parallel chords cannot cross")
-        rx, ry = b0[0] - a0[0], b0[1] - a0[1]
-        s = (rx * dby - ry * dbx) / den
-        u = (rx * day - ry * dax) / den
-        point = (a0[0] + s * dax, a0[1] + s * day)
-        return point, s, u
+def build_star(pattern: QuasitoricPattern, prec_bits: int = 128) -> StarDiagram:
+    """The signed star {p/q} of a pattern with p repetitions on q strands,
+    with its full crossing bookkeeping in integers; each crossing takes the
+    sign of its slot (see module docstring).  ``prec_bits`` is the
+    precision of its geometry.
 
-
-def build_star(p: int, q: int, prec_bits: int = 128) -> StarDiagram:
-    """Construct the star {p/q} with its full crossing bookkeeping, in
-    integers; ``prec_bits`` is the precision of its geometry.
-
-    Requires p >= 2q+1 (the regime in which the star is the closure of the
-    toric braid on q strands) and q >= 2.
+    Requires p >= 2q+1, the regime in which the star is the closure of the
+    toric braid on q strands (the pattern already has q >= 2).
     """
-    if q < 2:
-        raise DomainError(f"q must be >= 2, got {q}")
+    p, q = pattern.repetitions, pattern.strands
     if p < 2 * q + 1:
         raise DomainError(f"p must be >= 2q+1 = {2 * q + 1}, got {p}")
 
@@ -166,6 +156,7 @@ def build_star(p: int, q: int, prec_bits: int = 128) -> StarDiagram:
 
     crossings = []
     for c in range(p):
+        row = (c + (q + 1) // 2) % p
         for g in range(1, q):
             b = (c + g) % p
             # both arcs are (j + s) / span with s in (0, 1): the j decide
@@ -179,11 +170,12 @@ def build_star(p: int, q: int, prec_bits: int = 128) -> StarDiagram:
                     gap=g,
                     sector=((2 * c + g + q) // 2) % p,
                     depth=q - g,
-                    braid_row=(c + (q + 1) // 2) % p,
+                    braid_row=row,
                     braid_col=g - 1,
                     first_component=first[0],
                     second_component=second[0],
                     a_side_is_first=a_first,
+                    sign=pattern.signs[row][g - 1],
                 )
             )
 
@@ -199,22 +191,24 @@ def build_star(p: int, q: int, prec_bits: int = 128) -> StarDiagram:
 
 def star_geometry(star: StarDiagram) -> StarGeometry:
     """The star's vertices, crossing points and passage arcs at its
-    precision; ``StarDiagram.geometry`` builds it once per star."""
-    p, q, prec_bits = star.p, star.q, star.prec_bits
-    with mp.workprec(prec_bits):
-        omega = mp.atan(mp.mpf(ROTATION_TANGENT[0]) / ROTATION_TANGENT[1])
-        vertices = tuple(mp.cos_sin(2 * mp.pi * k / p + omega) for k in range(p))
+    precision; ``StarDiagram.geometry`` builds it once per star.  Chord c
+    meets chord c+g at 1/2 + offset[g] along c and at 1/2 - offset[g]
+    along c+g (the closed form of the module docstring)."""
+    p, q = star.p, star.q
     span = p // math.gcd(p, q)
     _, where = _component_layout(p, q)
-    points, arcs = [], []
-    for c in star.crossings:
-        point, s_a, s_b = _segment_intersection(
-            vertices[c.chord_a], vertices[(c.chord_a + q) % p],
-            vertices[c.chord_b], vertices[(c.chord_b + q) % p], prec_bits,
-        )
-        with mp.workprec(prec_bits):
+    with mp.workprec(star.prec_bits):
+        omega = mp.atan(mp.mpf(ROTATION_TANGENT[0]) / ROTATION_TANGENT[1])
+        vertices = tuple(mp.cos_sin(2 * mp.pi * k / p + omega) for k in range(p))
+        half = mp.mpf(1) / 2
+        scale = 2 * mp.tan(mp.pi * q / p)
+        offset = {g: mp.tan(mp.pi * g / p) / scale for g in range(1, q)}
+        points, arcs = [], []
+        for c in star.crossings:
+            s_a, s_b = half + offset[c.gap], half - offset[c.gap]
+            (x0, y0), (x1, y1) = vertices[c.chord_a], vertices[(c.chord_a + q) % p]
+            points.append((x0 + s_a * (x1 - x0), y0 + s_a * (y1 - y0)))
             arcs.append(((where[c.chord_a][1] + s_a) / span, (where[c.chord_b][1] + s_b) / span))
-        points.append(point)
     return StarGeometry(omega, vertices, tuple(points), tuple(arcs))
 
 
@@ -233,36 +227,8 @@ def sorted_passages(per_comp: list[list[Passage]]) -> tuple[tuple[Passage, ...],
     return tuple(out)
 
 
-def assign_braid_letters(diagram: StarDiagram, pattern: QuasitoricPattern) -> StarDiagram:
-    """Attach the sign matrix along the fixed slot map (see module docstring):
-    the crossing at depth m in braid_row r reads ``signs[r][col]`` where col
-    indexes the generator q - m.
-
-    A +1 means the chord_a strand (the one rising outward through the
-    crossing) passes over, matching a positive braid letter.
-    """
-    if pattern.repetitions != diagram.p or pattern.strands != diagram.q:
-        raise DomainError(
-            f"pattern of type ({pattern.strands}, {pattern.repetitions}) does not "
-            f"match star ({diagram.p}/{diagram.q})"
-        )
-    used = set()
-    signed = []
-    for c in diagram.crossings:
-        slot = (c.braid_row, c.braid_col)
-        if slot in used:
-            raise DomainError(f"duplicate sign-matrix slot {slot}")
-        used.add(slot)
-        signed.append(replace(c, sign=pattern.signs[c.braid_row][c.braid_col]))
-    if len(used) != diagram.p * (diagram.q - 1):
-        raise DomainError("sign matrix not fully consumed")
-    return replace(diagram, crossings=tuple(signed), signs_attached=True)
-
-
 def over_flags_from_signs(diagram: StarDiagram) -> dict[int, bool]:
     """Map crossing id -> whether the chord_a strand is the over strand."""
-    if not diagram.signs_attached:
-        raise DomainError("diagram has no signs attached")
     return {c.index: c.sign > 0 for c in diagram.crossings}
 
 

@@ -9,7 +9,7 @@ import mpmath as mp
 
 from billiardknots.invariants import jones
 from billiardknots.laurent import Laurent
-from billiardknots.pdcodes import PDCode, traversal_pd
+from billiardknots.pdcodes import PDCode, braid_closure_pd, traversal_pd
 from billiardknots.stars import ArcTable, Passage, StarDiagram, sorted_passages
 
 
@@ -111,6 +111,11 @@ def diagram_jones(diagram: StarDiagram, over_data: dict[int, bool]) -> Laurent:
     """Jones polynomial of a star diagram with prescribed over/under data."""
     pd, sign_map = traversal_pd(star_passages(diagram), over_data)
     return jones(pd, sum(sign_map.values()))
+
+
+def pattern_jones(pattern) -> Laurent:
+    """Jones polynomial of the closure of a quasitoric pattern."""
+    return jones(braid_closure_pd(pattern), pattern.writhe())
 
 
 def jones_mirror(poly: Laurent) -> Laurent:

@@ -63,7 +63,7 @@ def test_criterion_1_figure_combinatorics():
     t0 = time.perf_counter()
     facts = []
     for p, q, want_crossings, want_components in ((10, 3, 20, 1), (10, 2, 10, 2), (9, 3, 18, 3)):
-        d = build_star(p, q)
+        d = build_star(toric_pattern(q, p))
         facts.append(
             len(d.crossings) == want_crossings
             and len(d.components) == want_components
@@ -80,7 +80,7 @@ def test_criterion_1_figure_combinatorics():
 
 def test_criterion_2_pentagram_sanity():
     t0 = time.perf_counter()
-    star = build_star(5, 2)
+    star = build_star(toric_pattern(2, 5))
     comp = star.components[0]
     vertices = [star.geometry.vertices[star.chords[c][0]] for c in comp]
     poly = SimpleNamespace(components=(SimpleNamespace(vertices=tuple(vertices)),))
@@ -214,12 +214,12 @@ def test_criterion_8_symmetry_breaking():
     all_pass = True
     for name, pattern in PRESETS.items():
         padded = pad_to_min_repetitions(pattern)
-        star = build_star(padded.repetitions, padded.strands, prec_bits=256)
+        star = build_star(padded, prec_bits=256)
         poly = perturb_stage(star, Fraction(1, 1000), 42)[0]
         table = arc_length_table(poly, 256)
         if not independence_check(table, max_coeff=10, tol=1e-12).passed:
             all_pass = False
-    star_table = star_arc_table(build_star(5, 2, prec_bits=256))
+    star_table = star_arc_table(build_star(toric_pattern(2, 5), prec_bits=256))
     sym = independence_check(star_table, max_coeff=10, tol=1e-12)
     witness_valid = False
     if not sym.passed:

@@ -18,7 +18,7 @@ from billiardknots.billiards import (
     mirror_room_check,
     polygon_mirrors,
 )
-from billiardknots.braids import pad_to_min_repetitions
+from billiardknots.braids import pad_to_min_repetitions, toric_pattern
 from billiardknots.errors import DegenerateAngleError, UnboundedTableError
 from billiardknots.heights import SawtoothHeight, emit_trajectory
 from billiardknots.perturbation import arc_length_table, perturb, to_mpf
@@ -33,7 +33,7 @@ def fake_polygon(vertex_lists):
 
 
 def pentagram_polygon(seed=42):
-    return perturb_stage(build_star(5, 2), Fraction(1, 1000), seed)[0]
+    return perturb_stage(build_star(toric_pattern(2, 5)), Fraction(1, 1000), seed)[0]
 
 
 def test_bisector_right_angle():
@@ -159,7 +159,7 @@ def test_build_table_degenerate_raises():
 def test_build_table_matches_pairwise_oracle(p, q):
     """Consecutive mirror lines give the oracle's floor, bit for bit and in
     the same order."""
-    star = build_star(p, q, prec_bits=192)
+    star = build_star(toric_pattern(q, p), prec_bits=192)
     for seed in (1, 2, 3):
         poly = perturb_stage(star, Fraction(1, 1000), seed)[0]
         assert mirror_room_check(poly, prec_bits=192).passed
@@ -246,7 +246,7 @@ STAR_SHAPES = [(5, 2), (7, 3), (10, 2), (10, 3), (9, 4)]
 
 def preset_polygon(name, prec_bits=192):
     padded = pad_to_min_repetitions(PRESETS[name])
-    star = build_star(padded.repetitions, padded.strands, prec_bits)
+    star = build_star(padded, prec_bits)
     return perturb_stage(star, Fraction(1, 1000), 42)[0]
 
 
@@ -270,7 +270,7 @@ def random_polygons(seed):
 def jittered_polygons(seed):
     """A perturbed star moved by up to 1/4, 2 and 20 times its margin: the
     first pass the check, the last fail it."""
-    poly = perturb_stage(build_star(7, 3), Fraction(1, 1000), seed)[0]
+    poly = perturb_stage(build_star(toric_pattern(3, 7)), Fraction(1, 1000), seed)[0]
     margin = float(mirror_room_check(poly).margin)
     rng = random.Random(seed)
     polys = []
@@ -341,7 +341,7 @@ def test_mirror_room_screen_matches_oracle_on_presets_and_stars(prec):
     for name in PRESETS:
         assert_same_mirror_room(preset_polygon(name), prec)
     for p, q in STAR_SHAPES:
-        star = build_star(p, q, prec_bits=192)
+        star = build_star(toric_pattern(q, p), prec_bits=192)
         for seed in (1, 2, 3):
             assert_same_mirror_room(perturb_stage(star, Fraction(1, 1000), seed)[0], prec)
 
@@ -400,7 +400,7 @@ def random_line_polygons(seed):
     stars, at deltas from 1/1000 to 1/2; from 1/8 up, many fail the check."""
     polys = []
     for p, q in [(5, 2), (7, 3), (10, 2), (10, 3), (9, 4), (12, 2)]:
-        star = build_star(p, q, prec_bits=192)
+        star = build_star(toric_pattern(q, p), prec_bits=192)
         for delta in (1000, 30, 8, 4, 2):
             polys.append(layout_polygon(star, Fraction(1, delta), seed))
     return polys
@@ -409,7 +409,7 @@ def random_line_polygons(seed):
 def symmetric_pentagram():
     """The unperturbed {5/2} star of acceptance criterion 8 at 256 bits:
     its five mirrors tie, so every one of them owns a candidate."""
-    star = build_star(5, 2, prec_bits=256)
+    star = build_star(toric_pattern(2, 5), prec_bits=256)
     (comp,) = star.components
     return fake_polygon([[star.geometry.vertices[star.chords[c][0]] for c in comp]])
 

@@ -14,9 +14,8 @@ from billiardknots.braids import (
     trivial_block,
 )
 from billiardknots.errors import DomainError
-from billiardknots.invariants import pattern_jones
 from braid_oracles import closure_permutation
-from diagram_helpers import unlink_jones
+from diagram_helpers import pattern_jones, unlink_jones
 
 
 def patterns(max_strands=4, max_reps=8):

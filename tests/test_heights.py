@@ -39,7 +39,7 @@ from billiardknots.heights import (
 from billiardknots.perturbation import arc_length_table, to_mpf
 from billiardknots.pipeline import RealizationSpec, perturb_stage, realize
 from billiardknots.presets import PRESETS
-from billiardknots.stars import ArcTable, Passage, assign_braid_letters, build_star
+from billiardknots.stars import ArcTable, Passage, build_star
 
 from height_oracles import (
     accepted_phases,
@@ -122,8 +122,7 @@ def test_search_single_crossing_first_under():
 
 
 def _pentagram_setup(seed=42):
-    pattern = toric_pattern(2, 5)
-    star = assign_braid_letters(build_star(5, 2, prec_bits=192), pattern)
+    star = build_star(toric_pattern(2, 5), prec_bits=192)
     poly = perturb_stage(star, Fraction(1, 1000), seed)[0]
     table = arc_length_table(poly, 256)
     return star, poly, table
@@ -146,7 +145,7 @@ def test_constraints_take_the_passage_order_the_star_decides():
     components = set()
     for seed, pattern in enumerate(patterns):
         padded = pad_to_min_repetitions(pattern)
-        star = assign_braid_letters(build_star(padded.repetitions, padded.strands, 192), padded)
+        star = build_star(padded, 192)
         table = arc_length_table(perturb_stage(star, Fraction(1, 1000), seed)[0], 192)
         constraints = build_height_constraints(star, table)
         assert [astuple(c) for c in constraints] == sorted_height_constraints(star, table)

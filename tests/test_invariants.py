@@ -13,10 +13,9 @@ from billiardknots.invariants import (
     jones,
     jones_string,
     kauffman_bracket,
-    pattern_jones,
 )
 from billiardknots.pdcodes import PDCode, braid_closure_pd, diagram_isomorphic, traversal_pd
-from diagram_helpers import jones_mirror, mirror_pd, relabel_pd, unlink_jones
+from diagram_helpers import jones_mirror, mirror_pd, pattern_jones, relabel_pd, unlink_jones
 from billiardknots.pipeline import RealizationSpec, realize
 from billiardknots.stars import over_flags_from_signs
 
@@ -41,9 +40,9 @@ def test_pd_structure_of_braid_closure():
 
 def test_extract_pd_from_star_diagrams():
     from diagram_helpers import extract_pd
-    from billiardknots.stars import assign_braid_letters, build_star
+    from billiardknots.stars import build_star
 
-    signed = assign_braid_letters(build_star(5, 2), toric_pattern(2, 5))
+    signed = build_star(toric_pattern(2, 5))
     pd = extract_pd(signed, over_flags_from_signs(signed))
     assert pd.crossing_count == 5
     labels = [x for rec in pd.crossings for x in rec]
@@ -51,9 +50,7 @@ def test_extract_pd_from_star_diagrams():
     assert all(labels.count(x) == 2 for x in set(labels))
 
     padded = pad_to_min_repetitions(FIGURE_EIGHT)
-    signed8 = assign_braid_letters(
-        build_star(padded.repetitions, padded.strands), padded
-    )
+    signed8 = build_star(padded)
     pd8 = extract_pd(signed8, over_flags_from_signs(signed8))
     assert pd8.crossing_count == 16
 

@@ -18,7 +18,7 @@ from billiardknots.pdcodes import PDCode, braid_closure_pd, diagram_isomorphic, 
 from billiardknots.pipeline import RealizationSpec, perturb_stage, realize
 from billiardknots.presets import PRESETS
 from billiardknots.serialization import verify_artifacts, write_artifacts
-from billiardknots.stars import assign_braid_letters, build_star, over_flags_from_signs
+from billiardknots.stars import build_star, over_flags_from_signs
 from diagram_helpers import mirror_pd, relabel_pd
 
 TREFOIL = toric_pattern(2, 3)
@@ -150,7 +150,7 @@ def random_stars(per_q=3, seed=2605):
                 if len({s for row in signs for s in row}) == 2:
                     break
             padded = pad_to_min_repetitions(QuasitoricPattern(q, p, signs))
-            star = assign_braid_letters(build_star(padded.repetitions, q, 192), padded)
+            star = build_star(padded, 192)
             out.append((padded, star))
     return out
 
@@ -160,7 +160,7 @@ def test_random_star_certifies_by_its_letter_map_only(index):
     """Without a height search: the perturbed star certifies; its code's one
     isomorphism onto the closure sends crossing c to word letter
     braid_row * (q - 1) + braid_col (the crossing-by-crossing check of
-    ``assign_braid_letters``); and one flipped crossing fails certify."""
+    ``build_star``'s slot map); and one flipped crossing fails certify."""
     padded, star = random_stars()[index]
     q = padded.strands
     poly, _ = perturb_stage(star, Fraction(1, 1000), 42)

@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 from billiardknots.braids import QuasitoricPattern
-from billiardknots.stars import assign_braid_letters, build_star
+from billiardknots.stars import build_star
 
 
 def burau_matrix(generator, strands, sign, t):
@@ -81,9 +81,7 @@ def star_word(pattern):
     A crossing of chords (c, c+g) sits at angular position (2c+g+q)/2 in
     sector units and swaps radial strands (g, g+1); same-angle crossings
     have gaps of equal parity and commute."""
-    d = assign_braid_letters(
-        build_star(pattern.repetitions, pattern.strands), pattern
-    )
+    d = build_star(pattern)
     ordered = sorted(
         d.crossings,
         key=lambda c: ((2 * c.chord_a + c.gap + d.q) % (2 * d.p), c.gap),

@@ -4,7 +4,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from billiardknots.braids import QuasitoricPattern
+from billiardknots.braids import QuasitoricPattern, toric_pattern
 from billiardknots.errors import DomainError, PrecisionError
 from billiardknots.perturbation import (
     arc_length_table,
@@ -57,7 +57,7 @@ def test_integer_layout_matches_the_fraction_layout_on_random_lines():
     the combinatorics, so both outcomes are compared."""
     outcomes = set()
     for p, q in [(5, 2), (7, 3), (10, 3), (12, 2), (9, 4)]:
-        star = build_star(p, q)
+        star = build_star(toric_pattern(q, p))
         slopes, intercepts = _star_chord_geometry(star)
         for delta in (Fraction(1, 1000), Fraction(1, 30), Fraction(1, 4), Fraction(1, 2)):
             rng = random.Random(p * 1000 + q * 100 + delta.denominator)
@@ -80,7 +80,7 @@ def stored_lines(star, denominator):
 
 
 def test_integer_layout_matches_on_parallel_lines():
-    star = build_star(10, 3)
+    star = build_star(toric_pattern(3, 10))
     lines = stored_lines(star, 1000)
     assert assert_same_layout(star, lines)
     # chords 0 and 5 of {10/3} are parallel, and neither cross nor meet
@@ -99,7 +99,7 @@ def test_integer_layout_matches_on_parallel_lines():
 def test_integer_layout_matches_with_a_line_through_a_corner(p, q):
     """At each crossing, chord_a's line moved through either end of chord_b's
     segment: the crossing lands on a corner, which is not strictly inside."""
-    star = build_star(p, q)
+    star = build_star(toric_pattern(q, p))
     lines = stored_lines(star, 1000)
     layout = layout_from_lines(star, lines)
     assert layout is not None
@@ -120,7 +120,7 @@ def test_integer_layout_matches_with_two_crossings_swapped():
     nothing else changes.  The lines have the "num/den" form a report
     stores; 1/1000 less and the star's order still holds, and through that
     crossing the two tie."""
-    star = build_star(7, 3)
+    star = build_star(toric_pattern(3, 7))
     stored = [
         ["-167/1000", "181/500"], ["449/500", "299/1000"], ["-17", "-3789/1000"],
         ["-353/500", "-34/125"], ["291/1000", "-29/125"], ["304/125", "-117/200"],
@@ -143,7 +143,7 @@ def test_integer_layout_matches_with_two_crossings_swapped():
 
 
 def test_perturb_preserves_pentagram_combinatorics():
-    star = build_star(5, 2)
+    star = build_star(toric_pattern(2, 5))
     poly = perturb_stage(star, Fraction(1, 1000), 42)[0]
     assert len(poly.components) == 1
     assert len(poly.components[0].vertices) == 5
@@ -163,7 +163,7 @@ def test_perturb_preserves_pentagram_combinatorics():
 
 
 def test_perturb_bigger_star_same_orders():
-    star = build_star(10, 3)
+    star = build_star(toric_pattern(3, 10))
     poly = perturb_stage(star, Fraction(1, 1000), 7)[0]
     assert len(poly.crossings) == 20
     assert poly.delta == Fraction(1, 1000)
@@ -172,7 +172,7 @@ def test_perturb_bigger_star_same_orders():
 def test_perturb_zero_draws_identity():
     """Zero draws put every line at ``_rational_near(chord, delta, 0)``: the
     star chord's own slope and intercept on the denominator grid."""
-    star = build_star(5, 2)
+    star = build_star(toric_pattern(2, 5))
     delta = Fraction(1, 10**6)
     poly = perturb(star, delta, [0.0] * 10)
     assert len(poly.crossings) == 5
@@ -186,7 +186,7 @@ def test_perturb_zero_draws_identity():
 def test_perturb_is_none_when_two_lines_share_a_slope():
     """Draw 0 for chord 0's slope and the draw that moves chord 1's slope
     onto it: the two lines are parallel, so there is no polygon."""
-    star = build_star(5, 2)
+    star = build_star(toric_pattern(2, 5))
     delta = Fraction(10)
     slopes, _ = _star_chord_geometry(star)
     draws = [0.0] * 10
@@ -197,7 +197,7 @@ def test_perturb_is_none_when_two_lines_share_a_slope():
 
 
 def test_perturb_rejects_bad_delta():
-    star = build_star(5, 2)
+    star = build_star(toric_pattern(2, 5))
     with pytest.raises(DomainError):
         perturb(star, Fraction(0), [0.0] * 10)
     with pytest.raises(DomainError):
@@ -207,11 +207,11 @@ def test_perturb_rejects_bad_delta():
 @pytest.mark.parametrize("count", [0, 9, 11, 20])
 def test_perturb_rejects_the_wrong_number_of_draws(count):
     with pytest.raises(DomainError, match=f"expected 10 draws, got {count}"):
-        perturb(build_star(5, 2), Fraction(1, 1000), [0.0] * count)
+        perturb(build_star(toric_pattern(2, 5)), Fraction(1, 1000), [0.0] * count)
 
 
 def test_perturb_deterministic():
-    star = build_star(5, 2)
+    star = build_star(toric_pattern(2, 5))
     p1 = perturb_stage(star, Fraction(1, 1000), 42)[0]
     p2 = perturb_stage(star, Fraction(1, 1000), 42)[0]
     assert p1.components[0].lines == p2.components[0].lines
@@ -221,13 +221,13 @@ def test_perturb_deterministic():
 
 @pytest.mark.parametrize("p,q,seed", [(5, 2, 0), (7, 2, 3), (7, 3, 5), (9, 4, 9), (40, 3, 11)])
 def test_perturb_halving_always_lands(p, q, seed):
-    star = build_star(p, q)
+    star = build_star(toric_pattern(q, p))
     poly = perturb_stage(star, Fraction(1, 100), seed)[0]
     assert len(poly.crossings) == p * (q - 1)
 
 
 def test_arc_table_basic():
-    star = build_star(5, 2)
+    star = build_star(toric_pattern(2, 5))
     poly = perturb_stage(star, Fraction(1, 1000), 42)[0]
     table = arc_length_table(poly, prec_bits=256)
     (passages,) = table.passages
@@ -241,7 +241,7 @@ def test_arc_table_basic():
 
 def test_arc_lengths_match_planar_distance():
     """|l_{i,j}| from the slope formula equals the planar distance to P_{i,j}."""
-    star = build_star(7, 3, prec_bits=128)
+    star = build_star(toric_pattern(3, 7), prec_bits=128)
     poly = perturb_stage(star, Fraction(1, 500), 3)[0]
     with mp.workprec(128):
         for pc in poly.crossings:
@@ -312,14 +312,14 @@ def test_independence_third_with_coeff_bound_three():
 
 
 def test_independence_perturbed_pentagram_passes():
-    star = build_star(5, 2, prec_bits=256)
+    star = build_star(toric_pattern(2, 5), prec_bits=256)
     poly = perturb_stage(star, Fraction(1, 1000), 42)[0]
     table = arc_length_table(poly, prec_bits=256)
     assert independence_check(table, max_coeff=10, tol=1e-12).passed
 
 
 def test_independence_unperturbed_pentagram_fails_exactly():
-    star = build_star(5, 2, prec_bits=256)
+    star = build_star(toric_pattern(2, 5), prec_bits=256)
     table = star_arc_table(star)
     res = independence_check(table, max_coeff=10, tol=1e-12)
     assert not res.passed
@@ -329,7 +329,7 @@ def test_independence_unperturbed_pentagram_fails_exactly():
 
 
 def test_independence_precision_guard():
-    star = build_star(5, 2, prec_bits=64)
+    star = build_star(toric_pattern(2, 5), prec_bits=64)
     table = star_arc_table(star)
     with pytest.raises(PrecisionError):
         independence_check(table, max_coeff=10, tol=1e-12)

@@ -18,13 +18,13 @@ from billiardknots.braids import toric_pattern
 from billiardknots.cli import main
 from billiardknots.errors import CombinatorialCollapseError, SpecFileError
 from billiardknots.heights import SawtoothHeight, build_height_constraints, emit_trajectory
-from billiardknots.invariants import pattern_jones
 from billiardknots.perturbation import IndependenceResult
 from billiardknots.pipeline import RealizationSpec, realize
 from billiardknots.presets import PRESETS, preset_listing
 from billiardknots.serialization import _finite, verify_artifacts, write_artifacts
 from billiardknots.stars import build_star, star_diagram_json
 
+from diagram_helpers import pattern_jones
 from height_oracles import evaluate_sawtooth
 from trajectory_columns import decode_column, edit_column
 
@@ -83,7 +83,7 @@ def test_presets_listing_contents(capsys):
 
 
 def test_star_10_3_diagram_export_matches_figure():
-    data = star_diagram_json(build_star(10, 3))
+    data = star_diagram_json(build_star(toric_pattern(3, 10)))
     assert len(data["vertices"]) == 10
     assert len(data["crossings"]) == 20
     assert len(data["components"]) == 1
@@ -232,6 +232,8 @@ def test_star_figure_outside_the_domain_is_one_line_and_exit_2(tmp_path, capsys)
     out = tmp_path / "star.svg"
     assert _load_script("star_figure").main(["5", "3", str(out)]) == 2
     assert capsys.readouterr().err == "star_figure.py: p must be >= 2q+1 = 7, got 5\n"
+    assert _load_script("star_figure").main(["5", "1", str(out)]) == 2
+    assert capsys.readouterr().err == "star_figure.py: strands must be >= 2, got 1\n"
     assert not out.exists()
 
 
@@ -502,6 +504,32 @@ def test_cli_verify_detects_flipped_crossing(tmp_path, capsys):
     assert main(["verify", str(out / "report.json")]) == 4
     printed = capsys.readouterr()
     assert "certify: FAIL" in printed.out
+
+
+@pytest.mark.parametrize("name", ["trefoil", "torus-2-5", "hopf"])
+def test_cli_verify_rejects_a_mirror_reflected_report(tmp_path, capsys, name):
+    """The report reflected in the x axis: every stored line (a, b) becomes
+    (-a, -b) and every stored y becomes -y.  Abscissas, the integer layout,
+    the arcs and the mirror-room margins do not change, so the mirror-room
+    and reflection checks pass; the exact directions of travel flip every
+    crossing of the traversal code, so a chiral preset fails certify."""
+    files = write_artifacts(_realized_preset(name), tmp_path, canonical=True)
+    report = json.loads(files["report"].read_text())
+    report["lines"] = [[[str(-Fraction(v)) for v in line] for line in comp] for comp in report["lines"]]
+    files["report"].write_text(json.dumps(report))
+    data = json.loads(files["trajectory"].read_text())
+
+    def negate(values):
+        values[:] = [-y for y in values]
+
+    for component in range(len(data["components"])):
+        edit_column(data, "y", negate, component)
+    files["trajectory"].write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(files["report"])]) == 4
+    checks = capsys.readouterr().out.splitlines()
+    assert checks[:2] == ["mirror_room_check: pass", "verify_reflection: pass"]
+    assert checks[2].startswith("certify: FAIL")
 
 
 def _old_layout(data):

@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import combinations
 
 import mpmath as mp
@@ -6,20 +7,13 @@ import pytest
 
 from billiardknots.braids import QuasitoricPattern, toric_pattern
 from billiardknots.errors import DomainError
-from billiardknots.invariants import pattern_jones
-from billiardknots.stars import (
-    Passage,
-    assign_braid_letters,
-    build_star,
-    over_flags_from_signs,
-    sorted_passages,
-)
+from billiardknots.stars import Passage, build_star, over_flags_from_signs, sorted_passages
 
 from billiardknots import stars
 from billiardknots.perturbation import _star_segment_orders
 
-from diagram_helpers import chords_cross, diagram_jones, passage_arcs, star_arc_table
-from star_oracle import passage_order, segment_orders
+from diagram_helpers import chords_cross, diagram_jones, passage_arcs, pattern_jones, star_arc_table
+from star_oracle import oracle_geometry, passage_order, segment_orders
 
 
 def segments_intersect(p1, p2, p3, p4):
@@ -53,7 +47,7 @@ def brute_force_crossings(p, q):
     [(5, 2, 5, 1), (10, 3, 20, 1), (9, 3, 18, 3), (10, 2, 10, 2)],
 )
 def test_build_star_counts(p, q, crossings, components):
-    d = build_star(p, q)
+    d = build_star(toric_pattern(q, p))
     assert len(d.chords) == p
     assert len(d.crossings) == crossings
     assert len(d.components) == components
@@ -64,7 +58,7 @@ def test_build_star_counts(p, q, crossings, components):
 @pytest.mark.parametrize("p,q", [(4, 2), (6, 3), (5, 3), (2, 2)])
 def test_build_star_regime_error(p, q):
     with pytest.raises(DomainError):
-        build_star(p, q)
+        build_star(toric_pattern(q, p))
 
 
 def test_crossing_predicate_matches_geometry():
@@ -82,7 +76,7 @@ def test_crossing_predicate_matches_geometry():
 
 def test_sector_depth_partition():
     for p, q in [(5, 2), (7, 3), (9, 4), (11, 5)]:
-        d = build_star(p, q)
+        d = build_star(toric_pattern(q, p))
         by_sector = {}
         for c in d.crossings:
             by_sector.setdefault(c.sector, []).append(c.depth)
@@ -92,7 +86,7 @@ def test_sector_depth_partition():
 
 
 def test_rotational_symmetry_of_crossings():
-    d = build_star(7, 3, prec_bits=128)
+    d = build_star(toric_pattern(3, 7), prec_bits=128)
     pts = [(float(x), float(y)) for x, y in d.geometry.points]
     ang = 2 * math.pi / 7
     rotated = [
@@ -104,7 +98,7 @@ def test_rotational_symmetry_of_crossings():
 
 
 def test_pentagram_arc_lengths():
-    d = build_star(5, 2)
+    d = build_star(toric_pattern(2, 5))
     (passages,) = star_arc_table(d).passages
     assert len(passages) == 10
     arcs = [ps.arc for ps in passages]
@@ -117,7 +111,7 @@ def test_pentagram_arc_lengths():
 
 
 def test_every_crossing_has_two_passages():
-    d = build_star(10, 3)
+    d = build_star(toric_pattern(3, 10))
     seen = {}
     for passages in star_arc_table(d).passages:
         for ps in passages:
@@ -135,14 +129,14 @@ def test_coincident_passage_arcs_raise():
 
 
 def test_pentagram_total_length():
-    table = star_arc_table(build_star(5, 2))
+    table = star_arc_table(build_star(toric_pattern(2, 5)))
     expected = 5 * 2 * mp.sin(2 * mp.pi / 5)
     assert mp.almosteq(table.total_lengths[0], expected)
 
 
 def test_same_component_passage_order():
     for p, q in [(5, 2), (7, 3), (10, 3)]:
-        d = build_star(p, q)
+        d = build_star(toric_pattern(q, p))
         for c in d.crossings:
             if c.first_component == c.second_component:
                 first_arc, second_arc = passage_arcs(d, c)
@@ -157,7 +151,7 @@ def test_integer_star_combinatorics_match_the_geometry():
     chords = 0
     for q in range(2, 9):
         for p in range(2 * q + 1, 45):
-            d = build_star(p, q)
+            d = build_star(toric_pattern(q, p))
             assert passage_order(d) == {
                 c.index: (c.first_component, c.second_component, c.a_side_is_first)
                 for c in d.crossings
@@ -173,14 +167,14 @@ def test_build_star_makes_no_mpmath_call(monkeypatch):
             raise AssertionError(f"build_star called mpmath.{name}")
 
     monkeypatch.setattr(stars, "mp", NoMpmath())
-    signed = assign_braid_letters(build_star(10, 3, prec_bits=192), toric_pattern(3, 10))
-    assert signed.signs_attached and len(signed.crossings) == 20
+    signed = build_star(toric_pattern(3, 10), prec_bits=192)
+    assert len(signed.crossings) == 20 and all(c.sign == 1 for c in signed.crossings)
 
 
 @pytest.mark.parametrize("prec_bits", [53, 192, 1024])
 @pytest.mark.parametrize("p", [5, 10, 17, 31, 59])
 def test_star_vertices_match_separate_cos_and_sin(p, prec_bits):
-    vertices = build_star(p, 2, prec_bits).geometry.vertices
+    vertices = build_star(toric_pattern(2, p), prec_bits).geometry.vertices
     with mp.workprec(prec_bits):
         omega = mp.atan(mp.mpf(stars.ROTATION_TANGENT[0]) / stars.ROTATION_TANGENT[1])
         expected = tuple(
@@ -191,7 +185,7 @@ def test_star_vertices_match_separate_cos_and_sin(p, prec_bits):
 
 
 def test_link_components_normalized_separately():
-    d = build_star(10, 2)
+    d = build_star(toric_pattern(2, 10))
     star_table = star_arc_table(d)
     tables = star_table.passages
     assert len(tables) == 2
@@ -202,27 +196,45 @@ def test_link_components_normalized_separately():
     assert mp.almosteq(star_table.total_lengths[0], star_table.total_lengths[1])
 
 
-def test_assign_dimension_mismatch():
-    d = build_star(5, 2)
-    with pytest.raises(DomainError):
-        assign_braid_letters(d, toric_pattern(2, 7))
-    with pytest.raises(DomainError):
-        assign_braid_letters(d, toric_pattern(3, 5))
+def test_slot_map_is_a_bijection_that_carries_the_signs():
+    """The crossings' (braid_row, braid_col) cover the p (q-1) cells of
+    the sign matrix once each, and every crossing carries its cell's sign."""
+    rng = random.Random(3301)
+    for q in range(2, 8):
+        for p in range(2 * q + 1, 2 * q + 13):
+            signs = tuple(tuple(rng.choice((1, -1)) for _ in range(q - 1)) for _ in range(p))
+            pattern = QuasitoricPattern(q, p, signs)
+            d = build_star(pattern)
+            slots = sorted((c.braid_row, c.braid_col) for c in d.crossings)
+            assert slots == [(r, k) for r in range(p) for k in range(q - 1)], (p, q)
+            assert all(c.sign == signs[c.braid_row][c.braid_col] for c in d.crossings), (p, q)
 
 
 def test_assign_all_positive_and_single_negative():
-    d = build_star(5, 2)
-    signed = assign_braid_letters(d, toric_pattern(2, 5))
+    signed = build_star(toric_pattern(2, 5))
     assert all(c.sign == 1 for c in signed.crossings)
     pattern = QuasitoricPattern(2, 5, ((1,), (1,), (1,), (1,), (-1,)))
-    signed = assign_braid_letters(d, pattern)
+    signed = build_star(pattern)
     assert sum(1 for c in signed.crossings if c.sign == -1) == 1
 
 
+@pytest.mark.parametrize("prec_bits", [64, 128, 192, 1024])
+def test_closed_form_geometry_matches_segment_intersection(prec_bits):
+    """Every crossing point and passage arc of the closed form lies within
+    2^-(prec - 8) of the general segment intersection's."""
+    tol = mp.mpf(2) ** (8 - prec_bits)
+    for q in range(2, 6):
+        for p in range(2 * q + 1, 2 * q + 16):
+            d = build_star(toric_pattern(q, p), prec_bits)
+            points, arcs = oracle_geometry(d)
+            for (x, y), (ox, oy) in zip(d.geometry.points, points):
+                assert abs(x - ox) <= tol and abs(y - oy) <= tol, (p, q)
+            for pair, oracle_pair in zip(d.geometry.arcs, arcs):
+                assert all(abs(a - o) <= tol for a, o in zip(pair, oracle_pair)), (p, q)
+
+
 def _star_jones(pattern):
-    d = assign_braid_letters(
-        build_star(pattern.repetitions, pattern.strands), pattern
-    )
+    d = build_star(pattern)
     return diagram_jones(d, over_flags_from_signs(d))
 
 
