@@ -185,8 +185,9 @@ def certify(poly, pattern: QuasitoricPattern) -> CertificationReport:
     certifies heights that passed it: the height search returns only such
     heights, and ``verify`` runs it on the stored ones first.
 
-    The handedness comes from the polygon's exact directions of travel, so
-    this reads ``poly`` and not only the star's combinatorics: the layout
+    The handedness comes from the polygon's directions of travel (its line
+    slopes, signed by the layout's ``forward``), so this reads ``poly`` and
+    not only the star's combinatorics: the layout
     check cannot see a reflection of every line (a, b) to (-a, -b), which
     keeps the star's crossings and their order, but it flips every
     crossing of ``traversal_pd``, and a chiral closure then fails here.

@@ -86,12 +86,15 @@ def traversal_pd(passages, over_a_side: dict[int, bool]) -> tuple[PDCode, dict[i
 
     ``passages`` holds one (component, sort key, crossing id, on chord_a,
     direction) per strand passage, ``direction`` being the 2D direction of
-    travel (exact or high-precision); ``over_a_side[i]`` says whether the
-    chord_a strand passes over at crossing i.  Each component's passages
-    are sorted by their keys, and edge labels run along the components in
-    index order.  A component appears only through its passages (every
-    component of a star has some); a diagram without passages is one free
-    loop.
+    travel, or any positive multiple of it, in any exact type (integers,
+    Fractions) or at high precision; only the sign of each determinant of
+    two directions is read.  ``over_a_side[i]`` says whether the chord_a
+    strand passes over at crossing i.  Each component's passages are sorted
+    by their keys, and edge labels run along the components in index
+    order.  A realized polygon's keys are (segment, rank) integer pairs and
+    its directions integer vectors (``PerturbedPolygon.passages()``).  A
+    component appears only through its passages (every component of a star
+    has some); a diagram without passages is one free loop.
 
     Returns the code and the crossing sign map {crossing_id: +1/-1} for
     writhe bookkeeping (positive when the over direction, then the under

@@ -17,6 +17,15 @@ layout is not the star's (same crossing pairs and crossing order along
 every segment).  The one loop over delta is ``pipeline.perturb_stage``:
 draws -> lines -> layout -> mirror room, halving on either failure.
 
+The layout keeps what it has proved in integers: each segment's direction
+along x (``PolyComponent.forward``) and each crossing's place along its two
+segments in the star's order (``PolyCrossing.ranks``,
+``StarDiagram.segment_orders``), which the layout has checked is the
+polygon's.  The passages of ``certify`` and of the arc table are ordered by
+(segment, rank) and take their directions from the line slopes, so no
+Fraction is subtracted and nothing is sorted on an exact or mpf key after
+the layout.
+
 Heuristic Q-independence of {1, t_i} is checked per component by
 mpmath's PSLQ at tolerance tol.  The check takes the search's first hit; it
 reports that hit as a relation only if its coefficients are at most
@@ -36,7 +45,7 @@ import mpmath as mp
 from mpmath.libmp import from_rational, round_nearest
 
 from .errors import DomainError, PrecisionError
-from .stars import ArcTable, Passage, StarDiagram, sorted_passages
+from .stars import ArcTable, Passage, StarDiagram
 
 DENOMINATOR_BITS = 31
 
@@ -46,6 +55,7 @@ class PolyComponent:
     chord_ids: tuple[int, ...]                       # star chords in traversal order
     lines: tuple[tuple[Fraction, Fraction], ...]     # (a, b) per segment
     vertices: tuple[tuple[Fraction, Fraction], ...]  # V_i starts segment i
+    forward: tuple[bool, ...]                        # segment i runs towards larger x
 
 
 @dataclass(frozen=True)
@@ -54,6 +64,7 @@ class PolyCrossing:
     a_place: tuple[int, int]   # (component, segment) of the chord_a passage
     b_place: tuple[int, int]
     point: tuple[Fraction, Fraction]
+    ranks: tuple[int, int]     # places along the chord_a and chord_b segments
 
 
 @dataclass(frozen=True)
@@ -65,18 +76,25 @@ class PerturbedPolygon:
 
     def passages(self):
         """One (component, sort key, crossing id, on chord_a, direction) per
-        strand passage, as ``pdcodes.traversal_pd`` reads them; the key
-        orders a component's passages along it and the direction of travel
-        is exact.  Each segment's direction is computed once."""
+        strand passage, as ``pdcodes.traversal_pd`` reads them.  The key is
+        (segment, rank), the passage's place along its component in the
+        star's order, which the layout proved is the polygon's.  The
+        direction of travel along the line y = a x + b is the integer vector
+        +-(den a, num a), signed by the segment's ``forward``: a positive
+        multiple of the segment's exact vertex difference, so every
+        orientation it decides is the same."""
         directions = [
-            [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(vs, vs[1:] + vs[:1])]
-            for vs in (comp.vertices for comp in self.components)
+            [
+                (a.denominator, a.numerator) if fwd else (-a.denominator, -a.numerator)
+                for (a, _), fwd in zip(comp.lines, comp.forward)
+            ]
+            for comp in self.components
         ]
         for pc in self.crossings:
-            for (comp, seg), on_a in ((pc.a_place, True), (pc.b_place, False)):
-                direction = directions[comp][seg]
-                key = (seg, pc.point[0] if direction[0] > 0 else -pc.point[0])
-                yield comp, key, pc.index, on_a, direction
+            for (comp, seg), rank, on_a in (
+                (pc.a_place, pc.ranks[0], True), (pc.b_place, pc.ranks[1], False)
+            ):
+                yield comp, (seg, rank), pc.index, on_a, directions[comp][seg]
 
 
 def _star_chord_geometry(star: StarDiagram):
@@ -92,18 +110,6 @@ def _star_chord_geometry(star: StarDiagram):
             slopes.append(a)
             intercepts.append(y1 - a * x1)
     return slopes, intercepts
-
-
-def _star_segment_orders(star: StarDiagram) -> dict[int, list[int]]:
-    """Crossing ids in passage order along every chord of the star: chord c,
-    from its first vertex, meets the chords c-(q-1), ..., c-1, c+1, ...,
-    c+(q-1) in that order (the tangent-circle argument in ``stars``)."""
-    q = star.q
-    orders: dict[int, list[int]] = {ch: [0] * (2 * q - 2) for ch in range(star.p)}
-    for c in star.crossings:
-        orders[c.chord_a][q - 2 + c.gap] = c.index
-        orders[c.chord_b][q - 1 - c.gap] = c.index
-    return orders
 
 
 def _rational_near(value, delta: Fraction, draw: float) -> Fraction:
@@ -123,6 +129,10 @@ def layout_from_lines(star: StarDiagram, lines: list[tuple[Fraction, Fraction]])
     meet at x = N / D with N = B_i - B_j and D = A_j - A_i > 0 after a sign
     flip, and every comparison of abscissas is a cross-multiplication.  The
     polygon's vertices and crossing points are the only Fractions built.
+    What the tests decide is kept: each segment's direction along x, and
+    each crossing's rank along its two segments in the star's order
+    (``StarDiagram.segment_orders``), which the last test proves is the
+    polygon's.
     """
     scale = math.lcm(*(v.denominator for line in lines for v in line))
     scaled = [
@@ -144,20 +154,13 @@ def layout_from_lines(star: StarDiagram, lines: list[tuple[Fraction, Fraction]])
         (a, b), (num, den) = scaled[line], x
         return (Fraction(num, den), Fraction(a * num + b * den, scale * den))
 
-    components = []
     corners: list[list[tuple[int, int]]] = []   # (N, D) of each vertex abscissa
     seg_of_chord: dict[int, tuple[int, int]] = {}
     for ci, chain in enumerate(star.components):
-        m = len(chain)
-        xs = [meet(chain[i - 1], chain[i]) for i in range(m)]
+        xs = [meet(chain[i - 1], chain[i]) for i in range(len(chain))]
         if None in xs:
             return None
         corners.append(xs)
-        components.append(PolyComponent(
-            tuple(chain),
-            tuple(lines[ch] for ch in chain),
-            tuple(point(chain[i - 1], xs[i]) for i in range(m)),
-        ))
         for i, ch in enumerate(chain):
             seg_of_chord[ch] = (ci, i)
 
@@ -179,7 +182,6 @@ def layout_from_lines(star: StarDiagram, lines: list[tuple[Fraction, Fraction]])
         return lo_n * den <= num * lo_d and num * hi_d <= hi_n * den
 
     # expected crossings must exist, strictly inside both segments
-    crossings = []
     abscissa: dict[int, tuple[int, int]] = {}
     expected_pairs = set()
     for c in star.crossings:
@@ -188,9 +190,6 @@ def layout_from_lines(star: StarDiagram, lines: list[tuple[Fraction, Fraction]])
         if x is None or not (inside(x, c.chord_a, True) and inside(x, c.chord_b, True)):
             return None
         abscissa[c.index] = x
-        crossings.append(PolyCrossing(
-            c.index, seg_of_chord[c.chord_a], seg_of_chord[c.chord_b], point(c.chord_a, x)
-        ))
 
     # no unexpected segment intersections
     for c1 in range(star.p):
@@ -208,14 +207,36 @@ def layout_from_lines(star: StarDiagram, lines: list[tuple[Fraction, Fraction]])
                 return None
 
     # each segment meets its crossings strictly in the star's order
-    for chord, order in _star_segment_orders(star).items():
+    rank: dict[tuple[int, int], int] = {}   # (crossing, chord) -> place along the chord
+    for chord, order in enumerate(star.segment_orders):
         forward = intervals[chord][2]
         for before, after in zip(order, order[1:]):
             (n0, d0), (n1, d1) = abscissa[before], abscissa[after]
             if not (n0 * d1 < n1 * d0 if forward else n1 * d0 < n0 * d1):
                 return None
+        for place, crossing in enumerate(order):
+            rank[crossing, chord] = place
 
-    return tuple(components), tuple(crossings)
+    components = tuple(
+        PolyComponent(
+            tuple(chain),
+            tuple(lines[ch] for ch in chain),
+            tuple(point(chain[i - 1], xs[i]) for i in range(len(chain))),
+            tuple(intervals[ch][2] for ch in chain),
+        )
+        for chain, xs in zip(star.components, corners)
+    )
+    crossings = tuple(
+        PolyCrossing(
+            c.index,
+            seg_of_chord[c.chord_a],
+            seg_of_chord[c.chord_b],
+            point(c.chord_a, abscissa[c.index]),
+            (rank[c.index, c.chord_a], rank[c.index, c.chord_b]),
+        )
+        for c in star.crossings
+    )
+    return components, crossings
 
 
 def perturb(star: StarDiagram, delta: Fraction, draws) -> PerturbedPolygon | None:
@@ -249,40 +270,66 @@ def to_mpf(x):
     return mp.mpf(x)
 
 
+def _distance(x0: tuple[int, int], x1: tuple[int, int], prec: int):
+    """|x1 - x0| for abscissas given as (numerator, denominator), rounded
+    once to ``prec`` bits from one integer cross-multiplication: the value
+    ``to_mpf`` gives the Fraction difference."""
+    (n0, d0), (n1, d1) = x0, x1
+    return mp.mp.make_mpf(from_rational(abs(n1 * d0 - n0 * d1), d0 * d1, prec, round_nearest))
+
+
 def arc_length_table(poly: PerturbedPolygon, prec_bits: int) -> ArcTable:
-    """Passage and vertex arcs, normalized so each component has length 1."""
-    passages: list[list[Passage]] = []
+    """Passage and vertex arcs, normalized so each component has length 1.
+
+    Each |x - x0| is rounded once from integers (``_distance``), with
+    every abscissa's numerator and denominator read once.  A component's
+    passages are placed by their (segment, rank) keys, the order the
+    layout proved, so nothing is sorted; one pass then raises DomainError
+    when two consecutive passages do not have increasing arcs, as when two
+    passages of one component share a point.
+    """
+    width = 2 * (poly.star.q - 1)   # passages along every segment
+    passages: list[list] = []
     vertex_arcs = []
     totals = []
     factors: list[list] = []      # sqrt(1 + a_i^2) per segment
     cumulatives: list[list] = []  # arc length at the start of each segment
+    corners: list[list] = []      # (numerator, denominator) of each vertex abscissa
     with mp.workprec(prec_bits):
         for comp in poly.components:
             m = len(comp.lines)
             seg_factor = [mp.sqrt(1 + to_mpf(a) ** 2) for a, _ in comp.lines]
+            xs = [(x.numerator, x.denominator) for x, _ in comp.vertices]
+            corners.append(xs)
             cumulative = [mp.mpf(0)]
             for i in range(m):
-                dx = comp.vertices[(i + 1) % m][0] - comp.vertices[i][0]
-                cumulative.append(cumulative[-1] + seg_factor[i] * abs(to_mpf(dx)))
+                dx = _distance(xs[i], xs[(i + 1) % m], prec_bits)
+                cumulative.append(cumulative[-1] + seg_factor[i] * dx)
             total = cumulative[-1]
             totals.append(total)
             factors.append(seg_factor)
             cumulatives.append(cumulative)
             vertex_arcs.append(tuple(cumulative[i] / total for i in range(m)))
-            passages.append([])
+            passages.append([None] * (m * width))
 
         for pc in poly.crossings:
-            for place, on_a in ((pc.a_place, True), (pc.b_place, False)):
-                ci, i = place
-                comp = poly.components[ci]
-                dx = pc.point[0] - comp.vertices[i][0]
-                partial = factors[ci][i] * abs(to_mpf(dx))
+            x = (pc.point[0].numerator, pc.point[0].denominator)
+            for (ci, i), rank, on_a in (
+                (pc.a_place, pc.ranks[0], True), (pc.b_place, pc.ranks[1], False)
+            ):
+                partial = factors[ci][i] * _distance(corners[ci][i], x, prec_bits)
                 arc = (cumulatives[ci][i] + partial) / totals[ci]
-                passages[ci].append(Passage(pc.index, arc, on_a))
+                passages[ci][i * width + rank] = Passage(pc.index, arc, on_a)
 
+    for ordered in passages:
+        for p1, p2 in zip(ordered, ordered[1:]):
+            if not p1.arc < p2.arc:
+                raise DomainError(
+                    f"coincident passage arcs at crossings {p1.crossing}, {p2.crossing}"
+                )
     return ArcTable(
         prec_bits=prec_bits,
-        passages=sorted_passages(passages),
+        passages=tuple(map(tuple, passages)),
         vertex_arcs=tuple(vertex_arcs),
         total_lengths=tuple(totals),
     )

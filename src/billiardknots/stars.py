@@ -13,9 +13,13 @@ midpoint of chord c.  Chord c, run from vertex c, therefore meets chord
 c +- g at the parameter 1/2 +- tan(pi g / p) / (2 tan(pi q / p)), which is
 strictly monotone in g for 1 <= g <= q-1 (pi g / p < pi / 2).  Along chord
 c the crossings come in the order of the chords c-(q-1), ..., c-1, c+1,
-..., c+(q-1), with no ties.  A passage's arc is (j + s) / span for the
-traversal index j of its chord within the component and s in (0, 1), so
-two passages of one component are ordered by their chords' j alone.
+..., c+(q-1), with no ties.  ``StarDiagram.segment_orders`` holds that
+order, built once per star; the perturbation checks that its polygon keeps
+it and then orders every passage by (segment, place in that order), so no
+coordinate is compared after the layout.  A passage's arc is (j + s) / span
+for the traversal index j of its chord within the component and s in
+(0, 1), so two passages of one component are ordered by their chords' j
+alone.
 
 The coordinates (vertices, crossing points, passage arcs) form a
 ``StarGeometry``, built at the star's precision the first time
@@ -122,6 +126,19 @@ class StarDiagram:
     def geometry(self) -> StarGeometry:
         return star_geometry(self)
 
+    @cached_property
+    def segment_orders(self) -> tuple[tuple[int, ...], ...]:
+        """Crossing ids in passage order along every chord, indexed by
+        chord: chord c, from its first vertex, meets the chords c-(q-1),
+        ..., c-1, c+1, ..., c+(q-1) in that order (the tangent-circle
+        argument of the module docstring)."""
+        q = self.q
+        orders = [[0] * (2 * q - 2) for _ in range(self.p)]
+        for c in self.crossings:
+            orders[c.chord_a][q - 2 + c.gap] = c.index
+            orders[c.chord_b][q - 1 - c.gap] = c.index
+        return tuple(map(tuple, orders))
+
 
 def _component_layout(p: int, q: int) -> tuple[tuple[tuple[int, ...], ...], dict[int, tuple[int, int]]]:
     d = math.gcd(p, q)
@@ -210,21 +227,6 @@ def star_geometry(star: StarDiagram) -> StarGeometry:
             points.append((x0 + s_a * (x1 - x0), y0 + s_a * (y1 - y0)))
             arcs.append(((where[c.chord_a][1] + s_a) / span, (where[c.chord_b][1] + s_b) / span))
     return StarGeometry(omega, vertices, tuple(points), tuple(arcs))
-
-
-def sorted_passages(per_comp: list[list[Passage]]) -> tuple[tuple[Passage, ...], ...]:
-    """Each component's passages by increasing arc; raises DomainError when
-    two passages of one component share an arc."""
-    out = []
-    for passages in per_comp:
-        passages = sorted(passages, key=lambda ps: ps.arc)
-        for p1, p2 in zip(passages, passages[1:]):
-            if not p1.arc < p2.arc:
-                raise DomainError(
-                    f"coincident passage arcs at crossings {p1.crossing}, {p2.crossing}"
-                )
-        out.append(tuple(passages))
-    return tuple(out)
 
 
 def over_flags_from_signs(diagram: StarDiagram) -> dict[int, bool]:

@@ -7,10 +7,11 @@ import math
 
 import mpmath as mp
 
+from billiardknots.errors import DomainError
 from billiardknots.invariants import jones
 from billiardknots.laurent import Laurent
 from billiardknots.pdcodes import PDCode, braid_closure_pd, traversal_pd
-from billiardknots.stars import ArcTable, Passage, StarDiagram, sorted_passages
+from billiardknots.stars import ArcTable, Passage, StarDiagram
 
 
 def chords_cross(p: int, q: int, c1: int, c2: int) -> bool:
@@ -23,6 +24,21 @@ def passage_arcs(diagram: StarDiagram, crossing) -> tuple:
     """(first arc, second arc) of a star crossing, from the star's geometry."""
     arc_a, arc_b = diagram.geometry.arcs[crossing.index]
     return (arc_a, arc_b) if crossing.a_side_is_first else (arc_b, arc_a)
+
+
+def sorted_passages(per_comp: list[list[Passage]]) -> tuple[tuple[Passage, ...], ...]:
+    """Each component's passages by increasing arc; raises DomainError when
+    two passages of one component share an arc."""
+    out = []
+    for passages in per_comp:
+        passages = sorted(passages, key=lambda ps: ps.arc)
+        for p1, p2 in zip(passages, passages[1:]):
+            if not p1.arc < p2.arc:
+                raise DomainError(
+                    f"coincident passage arcs at crossings {p1.crossing}, {p2.crossing}"
+                )
+        out.append(tuple(passages))
+    return tuple(out)
 
 
 def star_arc_table(diagram: StarDiagram) -> ArcTable:

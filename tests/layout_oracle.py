@@ -4,7 +4,11 @@
 integers scaled to one common denominator.  ``layout_from_lines`` here is
 the rule it replaced, one Fraction operation at a time, with the crossing
 order along each chord taken from the star's arcs (``star_oracle``); the
-two must agree on every input, a layout or None.
+two must agree on every input, a layout or None.  Each segment's
+``forward`` is a Fraction comparison of its end abscissas, and each
+crossing's ``ranks`` are its places among its segments' crossings sorted on
+their exact abscissas in the direction of travel: an independent check that
+the star's order (``StarDiagram.segment_orders``) is the polygon's.
 """
 
 from fractions import Fraction
@@ -43,7 +47,8 @@ def layout_from_lines(star, lines: list[tuple[Fraction, Fraction]]):
             )
         except DomainError:
             return None
-        components.append(PolyComponent(tuple(chain), comp_lines, vertices))
+        forward = tuple(vertices[(i + 1) % m][0] > vertices[i][0] for i in range(m))
+        components.append(PolyComponent(tuple(chain), comp_lines, vertices, forward))
         for i, ch in enumerate(chain):
             seg_of_chord[ch] = (ci, i)
 
@@ -69,7 +74,7 @@ def layout_from_lines(star, lines: list[tuple[Fraction, Fraction]]):
         if not (lo_a < x < hi_a and lo_b < x < hi_b):
             return None
         point = (x, lines[c.chord_a][0] * x + lines[c.chord_a][1])
-        crossings.append(PolyCrossing(c.index, pa, pb, point))
+        crossings.append((c.index, pa, pb, point))
 
     # no unexpected segment intersections
     for c1 in range(star.p):
@@ -95,18 +100,22 @@ def layout_from_lines(star, lines: list[tuple[Fraction, Fraction]]):
     # per-segment crossing order must match the star's, with no ties
     star_orders = segment_orders(star)
     by_place: dict[tuple[int, int], list[tuple]] = {}
-    for pc in crossings:
-        for place in (pc.a_place, pc.b_place):
-            by_place.setdefault(place, []).append((pc.point[0], pc.index))
+    for index, pa, pb, point in crossings:
+        for place in (pa, pb):
+            by_place.setdefault(place, []).append((point[0], index))
+    rank: dict[tuple[int, tuple[int, int]], int] = {}
     for place, items in by_place.items():
         ci, i = place
         comp = components[ci]
-        forward = comp.vertices[(i + 1) % len(comp.vertices)][0] > comp.vertices[i][0]
-        items.sort(key=lambda pair: pair[0], reverse=not forward)
+        items.sort(key=lambda pair: pair[0], reverse=not comp.forward[i])
         xs = [x for x, _ in items]
         if len(set(xs)) != len(xs):
             return None
         if [idx for _, idx in items] != star_orders[comp.chord_ids[i]]:
             return None
+        rank.update(((idx, place), r) for r, (_, idx) in enumerate(items))
 
-    return tuple(components), tuple(crossings)
+    return tuple(components), tuple(
+        PolyCrossing(index, pa, pb, point, (rank[index, pa], rank[index, pb]))
+        for index, pa, pb, point in crossings
+    )

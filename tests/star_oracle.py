@@ -1,8 +1,8 @@
 """Reference star geometry and combinatorics by general segment intersection.
 
 ``billiardknots.stars.build_star`` decides which passage of a crossing
-comes first, and ``perturbation._star_segment_orders`` the crossing order
-along each chord, in integers; ``stars.star_geometry`` places every
+comes first, and ``StarDiagram.segment_orders`` the crossing order along
+each chord, in integers; ``stars.star_geometry`` places every
 crossing by the tangent-circle closed form those integer rules come from.
 These are the rules they replaced: intersect the two chords of each
 crossing as general segments, compare the two passage arcs of each

@@ -1,10 +1,11 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
-from billiardknots.braids import QuasitoricPattern, toric_pattern
+from billiardknots.braids import QuasitoricPattern, pad_to_min_repetitions, toric_pattern
 from billiardknots.errors import DomainError, PrecisionError
 from billiardknots.perturbation import (
     arc_length_table,
@@ -22,13 +23,15 @@ from billiardknots.pipeline import (
     perturb_stage,
     realize,
 )
+from billiardknots.pdcodes import traversal_pd
 from billiardknots.presets import PRESETS
 from billiardknots.serialization import report_json
-from billiardknots.stars import ArcTable, Passage, build_star
-from diagram_helpers import star_arc_table
+from billiardknots.stars import ArcTable, Passage, build_star, over_flags_from_signs
+from diagram_helpers import sorted_passages, star_arc_table
 import layout_oracle
 from layout_oracle import crossing_abscissa, line_intersection
 from mirror_room_oracle import all_vertices
+from passage_oracles import fraction_passages, sorted_arc_table
 
 
 def test_crossing_abscissa_formula():
@@ -274,6 +277,91 @@ def test_to_mpf_rounds_a_rational_once():
     assert len(coords) == 130
     with mp.workprec(53):
         assert [float(to_mpf(c)) for c in coords] == [float(c) for c in coords]
+
+
+def _oracle_inputs():
+    """The presets and 32 seeded mixed-sign patterns, 8 for each q = 2..5,
+    each as (name, padded pattern, perturbation seed)."""
+    inputs = [(name, pad_to_min_repetitions(PRESETS[name]), 42) for name in sorted(PRESETS)]
+    rng = random.Random(3401)
+    for q in (2, 3, 4, 5):
+        for index in range(8):
+            p = rng.randint(2 * q + 1, 2 * q + 5)
+            signs = tuple(tuple(rng.choice((1, -1)) for _ in range(q - 1)) for _ in range(p))
+            inputs.append((f"random-{q}-{p}-{index}", QuasitoricPattern(q, p, signs), rng.randrange(1 << 31)))
+    return inputs
+
+
+def _bits(x):
+    return x._mpf_
+
+
+def test_passages_and_arc_table_match_the_fraction_oracles_bit_for_bit():
+    """On every input, the layout equals the Fraction layout (whose ranks
+    come from sorting exact abscissas), the arc table's passages, vertex
+    arcs and totals are the sorted Fraction table's bit for bit, and
+    ``traversal_pd`` reads the same code and sign map off the (segment,
+    rank) passages with slope directions as off the exact-abscissa
+    passages with vertex-difference directions."""
+    inputs = _oracle_inputs()
+    assert len(inputs) == 41
+    for name, pattern, seed in inputs:
+        star = build_star(pattern, prec_bits=192)
+        poly = perturb_stage(star, Fraction(1, 1000), seed)[0]
+        lines = [None] * star.p
+        for comp in poly.components:
+            for chord, line in zip(comp.chord_ids, comp.lines):
+                lines[chord] = line
+        assert layout_oracle.layout_from_lines(star, lines) == (poly.components, poly.crossings), name
+        got, want = arc_length_table(poly, 192), sorted_arc_table(poly, 192)
+        assert [[(ps.crossing, _bits(ps.arc), ps.is_a_side) for ps in comp] for comp in got.passages] == [
+            [(ps.crossing, _bits(ps.arc), ps.is_a_side) for ps in comp] for comp in want.passages
+        ], name
+        assert [list(map(_bits, arcs)) for arcs in got.vertex_arcs] == [
+            list(map(_bits, arcs)) for arcs in want.vertex_arcs
+        ], name
+        assert list(map(_bits, got.total_lengths)) == list(map(_bits, want.total_lengths)), name
+        flags = over_flags_from_signs(star)
+        assert traversal_pd(poly.passages(), flags) == traversal_pd(fraction_passages(poly), flags), name
+
+
+def test_passage_directions_are_integer_multiples_of_the_vertex_differences():
+    poly = perturb_stage(build_star(toric_pattern(3, 7)), Fraction(1, 1000), 5)[0]
+    by_place = {(comp, key[0]): direction for comp, key, _, _, direction in poly.passages()}
+    for (ci, seg), (dx, dy) in by_place.items():
+        assert type(dx) is int and type(dy) is int and dx != 0
+        vertices = poly.components[ci].vertices
+        (x0, y0), (x1, y1) = vertices[seg], vertices[(seg + 1) % len(vertices)]
+        scale = (x1 - x0) / dx
+        assert scale > 0 and (y1 - y0) == scale * dy
+
+
+def test_coincident_passage_arcs_raise():
+    arc = mp.mpf(1) / 3
+    with pytest.raises(DomainError, match="coincident passage arcs at crossings 0, 1"):
+        sorted_passages(
+            [[Passage(2, mp.mpf(1) / 2, True), Passage(0, arc, False), Passage(1, arc, True)]]
+        )
+
+
+def test_arc_table_raises_on_two_passages_at_one_point():
+    """A hand-built polygon whose two crossings along one segment share a
+    point: their passages there have one arc, and the arc table raises as
+    the sorted oracle does."""
+    poly = perturb_stage(build_star(toric_pattern(2, 5)), Fraction(1, 1000), 42)[0]
+    first, second = sorted(
+        (pc for pc in poly.crossings if (0, 0) in (pc.a_place, pc.b_place)),
+        key=lambda pc: pc.ranks[pc.b_place == (0, 0)],
+    )
+    moved = dataclasses.replace(second, point=first.point)
+    broken = dataclasses.replace(
+        poly, crossings=tuple(moved if pc is second else pc for pc in poly.crossings)
+    )
+    message = f"coincident passage arcs at crossings {first.index}, {second.index}"
+    with pytest.raises(DomainError, match=message):
+        arc_length_table(broken, 192)
+    with pytest.raises(DomainError, match="coincident passage arcs"):
+        sorted_arc_table(broken, 192)
 
 
 def _toy_table(arcs, prec_bits=256):
