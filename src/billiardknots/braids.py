@@ -57,9 +57,6 @@ class QuasitoricPattern:
             for col, sign in enumerate(row)
         )
 
-    def writhe(self) -> int:
-        return sum(sum(row) for row in self.signs)
-
     def mirrored(self) -> "QuasitoricPattern":
         """Pattern with every crossing switched (closure of the mirror image)."""
         return QuasitoricPattern(

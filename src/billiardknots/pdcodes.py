@@ -91,8 +91,9 @@ def traversal_pd(passages, over_a_side: dict[int, bool]) -> tuple[PDCode, dict[i
     two directions is read.  ``over_a_side[i]`` says whether the chord_a
     strand passes over at crossing i.  Each component's passages are sorted
     by their keys, and edge labels run along the components in index
-    order.  A realized polygon's keys are (segment, rank) integer pairs and
-    its directions integer vectors (``PerturbedPolygon.passages()``).  A
+    order.  A realized polygon's keys are the passages' indices in the
+    star's ``passage_order``, already in order, and its directions integer
+    vectors (``PerturbedPolygon.passages()``).  A
     component appears only through its passages (every component of a star
     has some); a diagram without passages is one free loop.
 

@@ -17,14 +17,14 @@ layout is not the star's (same crossing pairs and crossing order along
 every segment).  The one loop over delta is ``pipeline.perturb_stage``:
 draws -> lines -> layout -> mirror room, halving on either failure.
 
-The layout keeps what it has proved in integers: each segment's direction
-along x (``PolyComponent.forward``) and each crossing's place along its two
-segments in the star's order (``PolyCrossing.ranks``,
-``StarDiagram.segment_orders``), which the layout has checked is the
-polygon's.  The passages of ``certify`` and of the arc table are ordered by
-(segment, rank) and take their directions from the line slopes, so no
-Fraction is subtracted and nothing is sorted on an exact or mpf key after
-the layout.
+The polygon holds geometry only: its lines, its vertices, each segment's
+direction along x (``PolyComponent.forward``, decided in integers by the
+layout) and one exact point per star crossing.  Its combinatorics is the
+star's, which the layout has checked: the same chords, the same crossings
+and the same order along every segment.  The passages of ``certify`` and of
+the arc table therefore run in ``StarDiagram.passage_order`` and take their
+directions from the line slopes, so no Fraction is subtracted and nothing
+is sorted on an exact or mpf key after the layout.
 
 Heuristic Q-independence of {1, t_i} is checked per component by
 mpmath's PSLQ at tolerance tol.  The check takes the search's first hit; it
@@ -52,19 +52,9 @@ DENOMINATOR_BITS = 31
 
 @dataclass(frozen=True)
 class PolyComponent:
-    chord_ids: tuple[int, ...]                       # star chords in traversal order
     lines: tuple[tuple[Fraction, Fraction], ...]     # (a, b) per segment
     vertices: tuple[tuple[Fraction, Fraction], ...]  # V_i starts segment i
     forward: tuple[bool, ...]                        # segment i runs towards larger x
-
-
-@dataclass(frozen=True)
-class PolyCrossing:
-    index: int                 # star crossing index
-    a_place: tuple[int, int]   # (component, segment) of the chord_a passage
-    b_place: tuple[int, int]
-    point: tuple[Fraction, Fraction]
-    ranks: tuple[int, int]     # places along the chord_a and chord_b segments
 
 
 @dataclass(frozen=True)
@@ -72,29 +62,24 @@ class PerturbedPolygon:
     star: StarDiagram
     delta: Fraction            # the perturbation size the lines were drawn at
     components: tuple[PolyComponent, ...]
-    crossings: tuple[PolyCrossing, ...]
+    points: tuple[tuple[Fraction, Fraction], ...]   # of each star crossing, by id
 
     def passages(self):
         """One (component, sort key, crossing id, on chord_a, direction) per
         strand passage, as ``pdcodes.traversal_pd`` reads them.  The key is
-        (segment, rank), the passage's place along its component in the
-        star's order, which the layout proved is the polygon's.  The
-        direction of travel along the line y = a x + b is the integer vector
-        +-(den a, num a), signed by the segment's ``forward``: a positive
-        multiple of the segment's exact vertex difference, so every
-        orientation it decides is the same."""
-        directions = [
-            [
+        the passage's index in ``StarDiagram.passage_order``, the star's
+        order along the component, which the layout proved is the
+        polygon's.  The direction of travel along the line y = a x + b is
+        the integer vector +-(den a, num a), signed by the segment's
+        ``forward``: a positive multiple of the segment's exact vertex
+        difference, so every orientation it decides is the same."""
+        for ci, (comp, order) in enumerate(zip(self.components, self.star.passage_order)):
+            directions = [
                 (a.denominator, a.numerator) if fwd else (-a.denominator, -a.numerator)
                 for (a, _), fwd in zip(comp.lines, comp.forward)
             ]
-            for comp in self.components
-        ]
-        for pc in self.crossings:
-            for (comp, seg), rank, on_a in (
-                (pc.a_place, pc.ranks[0], True), (pc.b_place, pc.ranks[1], False)
-            ):
-                yield comp, (seg, rank), pc.index, on_a, directions[comp][seg]
+            for key, (segment, crossing, on_a) in enumerate(order):
+                yield ci, key, crossing, on_a, directions[segment]
 
 
 def _star_chord_geometry(star: StarDiagram):
@@ -120,19 +105,20 @@ def _rational_near(value, delta: Fraction, draw: float) -> Fraction:
 
 
 def layout_from_lines(star: StarDiagram, lines: list[tuple[Fraction, Fraction]]):
-    """Polygon components and crossings cut out by one line per chord of the
-    star, or None when their combinatorics differ from the star's, as when
-    two consecutive lines of a component are parallel and have no corner.
+    """Polygon components and crossing points cut out by one line per chord
+    of the star, or None when their combinatorics differ from the star's, as
+    when two consecutive lines of a component are parallel and have no
+    corner.
 
     Every test is decided in integers: the lines are scaled to the common
     denominator L of their coefficients, y = (A x + B) / L, so two lines
     meet at x = N / D with N = B_i - B_j and D = A_j - A_i > 0 after a sign
     flip, and every comparison of abscissas is a cross-multiplication.  The
     polygon's vertices and crossing points are the only Fractions built.
-    What the tests decide is kept: each segment's direction along x, and
-    each crossing's rank along its two segments in the star's order
-    (``StarDiagram.segment_orders``), which the last test proves is the
-    polygon's.
+    The last test proves that every segment meets its crossings in the
+    star's order (``StarDiagram.segment_orders``).  Of what the tests
+    decide, each segment's direction along x is kept; the combinatorics
+    stays the star's.
     """
     scale = math.lcm(*(v.denominator for line in lines for v in line))
     scaled = [
@@ -155,19 +141,16 @@ def layout_from_lines(star: StarDiagram, lines: list[tuple[Fraction, Fraction]])
         return (Fraction(num, den), Fraction(a * num + b * den, scale * den))
 
     corners: list[list[tuple[int, int]]] = []   # (N, D) of each vertex abscissa
-    seg_of_chord: dict[int, tuple[int, int]] = {}
-    for ci, chain in enumerate(star.components):
+    for chain in star.components:
         xs = [meet(chain[i - 1], chain[i]) for i in range(len(chain))]
         if None in xs:
             return None
         corners.append(xs)
-        for i, ch in enumerate(chain):
-            seg_of_chord[ch] = (ci, i)
 
     def x_interval(chord):
         """(lo, hi, forward): the segment's abscissa range, and whether it
         runs towards larger x."""
-        ci, i = seg_of_chord[chord]
+        ci, i = star.places[chord]
         x0, x1 = corners[ci][i], corners[ci][(i + 1) % len(corners[ci])]
         forward = x1[0] * x0[1] > x0[0] * x1[1]
         return (x0, x1, forward) if forward else (x1, x0, forward)
@@ -182,14 +165,14 @@ def layout_from_lines(star: StarDiagram, lines: list[tuple[Fraction, Fraction]])
         return lo_n * den <= num * lo_d and num * hi_d <= hi_n * den
 
     # expected crossings must exist, strictly inside both segments
-    abscissa: dict[int, tuple[int, int]] = {}
+    abscissa: list[tuple[int, int]] = []   # by crossing id
     expected_pairs = set()
     for c in star.crossings:
         expected_pairs.add((min(c.chord_a, c.chord_b), max(c.chord_a, c.chord_b)))
         x = meet(c.chord_a, c.chord_b)
         if x is None or not (inside(x, c.chord_a, True) and inside(x, c.chord_b, True)):
             return None
-        abscissa[c.index] = x
+        abscissa.append(x)
 
     # no unexpected segment intersections
     for c1 in range(star.p):
@@ -200,43 +183,29 @@ def layout_from_lines(star: StarDiagram, lines: list[tuple[Fraction, Fraction]])
             if x is None or not (inside(x, c1, False) and inside(x, c2, False)):
                 continue
             # shared polygon corners are expected for consecutive chords
-            ci1, i1 = seg_of_chord[c1]
-            ci2, i2 = seg_of_chord[c2]
+            ci1, i1 = star.places[c1]
+            ci2, i2 = star.places[c2]
             m = len(corners[ci1])
             if not (ci1 == ci2 and (i1 - i2) % m in (1, m - 1)):
                 return None
 
     # each segment meets its crossings strictly in the star's order
-    rank: dict[tuple[int, int], int] = {}   # (crossing, chord) -> place along the chord
     for chord, order in enumerate(star.segment_orders):
         forward = intervals[chord][2]
         for before, after in zip(order, order[1:]):
             (n0, d0), (n1, d1) = abscissa[before], abscissa[after]
             if not (n0 * d1 < n1 * d0 if forward else n1 * d0 < n0 * d1):
                 return None
-        for place, crossing in enumerate(order):
-            rank[crossing, chord] = place
 
     components = tuple(
         PolyComponent(
-            tuple(chain),
             tuple(lines[ch] for ch in chain),
             tuple(point(chain[i - 1], xs[i]) for i in range(len(chain))),
             tuple(intervals[ch][2] for ch in chain),
         )
         for chain, xs in zip(star.components, corners)
     )
-    crossings = tuple(
-        PolyCrossing(
-            c.index,
-            seg_of_chord[c.chord_a],
-            seg_of_chord[c.chord_b],
-            point(c.chord_a, abscissa[c.index]),
-            (rank[c.index, c.chord_a], rank[c.index, c.chord_b]),
-        )
-        for c in star.crossings
-    )
-    return components, crossings
+    return components, tuple(point(c.chord_a, x) for c, x in zip(star.crossings, abscissa))
 
 
 def perturb(star: StarDiagram, delta: Fraction, draws) -> PerturbedPolygon | None:
@@ -282,44 +251,33 @@ def arc_length_table(poly: PerturbedPolygon, prec_bits: int) -> ArcTable:
     """Passage and vertex arcs, normalized so each component has length 1.
 
     Each |x - x0| is rounded once from integers (``_distance``), with
-    every abscissa's numerator and denominator read once.  A component's
-    passages are placed by their (segment, rank) keys, the order the
-    layout proved, so nothing is sorted; one pass then raises DomainError
-    when two consecutive passages do not have increasing arcs, as when two
-    passages of one component share a point.
+    every abscissa's numerator and denominator read once.  One pass per
+    component over ``StarDiagram.passage_order``, the order the layout
+    proved, builds its passages, so nothing is sorted; one more then raises
+    DomainError when two consecutive passages do not have increasing arcs,
+    as when two passages of one component share a point.
     """
-    width = 2 * (poly.star.q - 1)   # passages along every segment
-    passages: list[list] = []
+    abscissas = [(x.numerator, x.denominator) for x, _ in poly.points]
+    passages = []
     vertex_arcs = []
     totals = []
-    factors: list[list] = []      # sqrt(1 + a_i^2) per segment
-    cumulatives: list[list] = []  # arc length at the start of each segment
-    corners: list[list] = []      # (numerator, denominator) of each vertex abscissa
     with mp.workprec(prec_bits):
-        for comp in poly.components:
+        for comp, order in zip(poly.components, poly.star.passage_order):
             m = len(comp.lines)
             seg_factor = [mp.sqrt(1 + to_mpf(a) ** 2) for a, _ in comp.lines]
             xs = [(x.numerator, x.denominator) for x, _ in comp.vertices]
-            corners.append(xs)
             cumulative = [mp.mpf(0)]
             for i in range(m):
                 dx = _distance(xs[i], xs[(i + 1) % m], prec_bits)
                 cumulative.append(cumulative[-1] + seg_factor[i] * dx)
             total = cumulative[-1]
             totals.append(total)
-            factors.append(seg_factor)
-            cumulatives.append(cumulative)
             vertex_arcs.append(tuple(cumulative[i] / total for i in range(m)))
-            passages.append([None] * (m * width))
-
-        for pc in poly.crossings:
-            x = (pc.point[0].numerator, pc.point[0].denominator)
-            for (ci, i), rank, on_a in (
-                (pc.a_place, pc.ranks[0], True), (pc.b_place, pc.ranks[1], False)
-            ):
-                partial = factors[ci][i] * _distance(corners[ci][i], x, prec_bits)
-                arc = (cumulatives[ci][i] + partial) / totals[ci]
-                passages[ci][i * width + rank] = Passage(pc.index, arc, on_a)
+            ordered = []
+            for i, crossing, on_a in order:
+                partial = seg_factor[i] * _distance(xs[i], abscissas[crossing], prec_bits)
+                ordered.append(Passage(crossing, (cumulative[i] + partial) / total, on_a))
+            passages.append(tuple(ordered))
 
     for ordered in passages:
         for p1, p2 in zip(ordered, ordered[1:]):
@@ -329,7 +287,7 @@ def arc_length_table(poly: PerturbedPolygon, prec_bits: int) -> ArcTable:
                 )
     return ArcTable(
         prec_bits=prec_bits,
-        passages=tuple(map(tuple, passages)),
+        passages=tuple(passages),
         vertex_arcs=tuple(vertex_arcs),
         total_lengths=tuple(totals),
     )

@@ -14,12 +14,17 @@ c +- g at the parameter 1/2 +- tan(pi g / p) / (2 tan(pi q / p)), which is
 strictly monotone in g for 1 <= g <= q-1 (pi g / p < pi / 2).  Along chord
 c the crossings come in the order of the chords c-(q-1), ..., c-1, c+1,
 ..., c+(q-1), with no ties.  ``StarDiagram.segment_orders`` holds that
-order, built once per star; the perturbation checks that its polygon keeps
-it and then orders every passage by (segment, place in that order), so no
-coordinate is compared after the layout.  A passage's arc is (j + s) / span
-for the traversal index j of its chord within the component and s in
-(0, 1), so two passages of one component are ordered by their chords' j
-alone.
+order, built once per star.  A passage's arc is (j + s) / span for the
+traversal index j of its chord within the component and s in (0, 1), so
+two passages of one component are ordered by their chords' j alone.
+
+The star owns the combinatorics of every polygon cut out near it.
+``StarDiagram.places`` maps each chord to its (component, index), and
+``StarDiagram.passage_order`` lists each component's passages in
+traversal order as (segment, crossing id, on chord_a): segment by segment,
+each in the order of ``segment_orders``.  The perturbation checks that its
+polygon keeps that order and then walks this list, so no coordinate is
+compared after the layout.
 
 The coordinates (vertices, crossing points, passage arcs) form a
 ``StarGeometry``, built at the star's precision the first time
@@ -120,6 +125,7 @@ class StarDiagram:
     prec_bits: int                         # precision of the geometry
     chords: tuple[tuple[int, int], ...]
     components: tuple[tuple[int, ...], ...]  # chord ids in traversal order
+    places: tuple[tuple[int, int], ...]      # (component, index in it) of each chord
     crossings: tuple[Crossing, ...]
 
     @cached_property
@@ -139,20 +145,35 @@ class StarDiagram:
             orders[c.chord_b][q - 1 - c.gap] = c.index
         return tuple(map(tuple, orders))
 
+    @cached_property
+    def passage_order(self) -> tuple[tuple[tuple[int, int, bool], ...], ...]:
+        """Every component's passages in traversal order, as (segment,
+        crossing id, on chord_a): segment by segment, each in the order of
+        ``segment_orders``."""
+        return tuple(
+            tuple(
+                (segment, crossing, self.crossings[crossing].chord_a == chord)
+                for segment, chord in enumerate(chain)
+                for crossing in self.segment_orders[chord]
+            )
+            for chain in self.components
+        )
 
-def _component_layout(p: int, q: int) -> tuple[tuple[tuple[int, ...], ...], dict[int, tuple[int, int]]]:
+
+def _component_layout(p: int, q: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...]]:
+    """The components as chord chains, and each chord's (component, index)."""
     d = math.gcd(p, q)
     comps = []
-    where: dict[int, tuple[int, int]] = {}
+    places = [(0, 0)] * p
     for m in range(d):
         chain = []
         c = m
         for j in range(p // d):
             chain.append(c)
-            where[c] = (m, j)
+            places[c] = (m, j)
             c = (c + q) % p
         comps.append(tuple(chain))
-    return tuple(comps), where
+    return tuple(comps), tuple(places)
 
 
 def build_star(pattern: QuasitoricPattern, prec_bits: int = 128) -> StarDiagram:
@@ -169,7 +190,7 @@ def build_star(pattern: QuasitoricPattern, prec_bits: int = 128) -> StarDiagram:
         raise DomainError(f"p must be >= 2q+1 = {2 * q + 1}, got {p}")
 
     chords = tuple((k, (k + q) % p) for k in range(p))
-    components, where = _component_layout(p, q)
+    components, places = _component_layout(p, q)
 
     crossings = []
     for c in range(p):
@@ -177,8 +198,8 @@ def build_star(pattern: QuasitoricPattern, prec_bits: int = 128) -> StarDiagram:
         for g in range(1, q):
             b = (c + g) % p
             # both arcs are (j + s) / span with s in (0, 1): the j decide
-            a_first = where[c] < where[b]
-            first, second = (where[c], where[b]) if a_first else (where[b], where[c])
+            a_first = places[c] < places[b]
+            first, second = (places[c], places[b]) if a_first else (places[b], places[c])
             crossings.append(
                 Crossing(
                     index=len(crossings),
@@ -202,6 +223,7 @@ def build_star(pattern: QuasitoricPattern, prec_bits: int = 128) -> StarDiagram:
         prec_bits=prec_bits,
         chords=chords,
         components=components,
+        places=places,
         crossings=tuple(crossings),
     )
 
@@ -213,7 +235,7 @@ def star_geometry(star: StarDiagram) -> StarGeometry:
     along c+g (the closed form of the module docstring)."""
     p, q = star.p, star.q
     span = p // math.gcd(p, q)
-    _, where = _component_layout(p, q)
+    places = star.places
     with mp.workprec(star.prec_bits):
         omega = mp.atan(mp.mpf(ROTATION_TANGENT[0]) / ROTATION_TANGENT[1])
         vertices = tuple(mp.cos_sin(2 * mp.pi * k / p + omega) for k in range(p))
@@ -225,7 +247,7 @@ def star_geometry(star: StarDiagram) -> StarGeometry:
             s_a, s_b = half + offset[c.gap], half - offset[c.gap]
             (x0, y0), (x1, y1) = vertices[c.chord_a], vertices[(c.chord_a + q) % p]
             points.append((x0 + s_a * (x1 - x0), y0 + s_a * (y1 - y0)))
-            arcs.append(((where[c.chord_a][1] + s_a) / span, (where[c.chord_b][1] + s_b) / span))
+            arcs.append(((places[c.chord_a][1] + s_a) / span, (places[c.chord_b][1] + s_b) / span))
     return StarGeometry(omega, vertices, tuple(points), tuple(arcs))
 
 

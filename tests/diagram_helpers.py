@@ -129,9 +129,14 @@ def diagram_jones(diagram: StarDiagram, over_data: dict[int, bool]) -> Laurent:
     return jones(pd, sum(sign_map.values()))
 
 
+def writhe(pattern) -> int:
+    """Writhe of the closure of a quasitoric pattern: its sign sum."""
+    return sum(sum(row) for row in pattern.signs)
+
+
 def pattern_jones(pattern) -> Laurent:
     """Jones polynomial of the closure of a quasitoric pattern."""
-    return jones(braid_closure_pd(pattern), pattern.writhe())
+    return jones(braid_closure_pd(pattern), writhe(pattern))
 
 
 def jones_mirror(poly: Laurent) -> Laurent:

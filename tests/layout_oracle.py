@@ -6,15 +6,15 @@ the rule it replaced, one Fraction operation at a time, with the crossing
 order along each chord taken from the star's arcs (``star_oracle``); the
 two must agree on every input, a layout or None.  Each segment's
 ``forward`` is a Fraction comparison of its end abscissas, and each
-crossing's ``ranks`` are its places among its segments' crossings sorted on
-their exact abscissas in the direction of travel: an independent check that
-the star's order (``StarDiagram.segment_orders``) is the polygon's.
+segment's crossings are sorted on their exact abscissas in the direction of
+travel: an independent check that the star's order
+(``StarDiagram.segment_orders``) is the polygon's.
 """
 
 from fractions import Fraction
 
 from billiardknots.errors import DomainError
-from billiardknots.perturbation import PolyComponent, PolyCrossing
+from billiardknots.perturbation import PolyComponent
 
 from star_oracle import segment_orders
 
@@ -34,8 +34,8 @@ def line_intersection(line_i, line_j) -> tuple[Fraction, Fraction]:
 
 
 def layout_from_lines(star, lines: list[tuple[Fraction, Fraction]]):
-    """Polygon components and crossings cut out by one line per chord of the
-    star, or None when their combinatorics differ from the star's."""
+    """Polygon components and crossing points cut out by one line per chord
+    of the star, or None when their combinatorics differ from the star's."""
     components = []
     seg_of_chord: dict[int, tuple[int, int]] = {}
     for ci, chain in enumerate(star.components):
@@ -48,7 +48,7 @@ def layout_from_lines(star, lines: list[tuple[Fraction, Fraction]]):
         except DomainError:
             return None
         forward = tuple(vertices[(i + 1) % m][0] > vertices[i][0] for i in range(m))
-        components.append(PolyComponent(tuple(chain), comp_lines, vertices, forward))
+        components.append(PolyComponent(comp_lines, vertices, forward))
         for i, ch in enumerate(chain):
             seg_of_chord[ch] = (ci, i)
 
@@ -103,7 +103,6 @@ def layout_from_lines(star, lines: list[tuple[Fraction, Fraction]]):
     for index, pa, pb, point in crossings:
         for place in (pa, pb):
             by_place.setdefault(place, []).append((point[0], index))
-    rank: dict[tuple[int, tuple[int, int]], int] = {}
     for place, items in by_place.items():
         ci, i = place
         comp = components[ci]
@@ -111,11 +110,7 @@ def layout_from_lines(star, lines: list[tuple[Fraction, Fraction]]):
         xs = [x for x, _ in items]
         if len(set(xs)) != len(xs):
             return None
-        if [idx for _, idx in items] != star_orders[comp.chord_ids[i]]:
+        if [idx for _, idx in items] != star_orders[star.components[ci][i]]:
             return None
-        rank.update(((idx, place), r) for r, (_, idx) in enumerate(items))
 
-    return tuple(components), tuple(
-        PolyCrossing(index, pa, pb, point, (rank[index, pa], rank[index, pb]))
-        for index, pa, pb, point in crossings
-    )
+    return tuple(components), tuple(point for _, _, _, point in crossings)

@@ -3,7 +3,9 @@
 ``billiardknots.stars.build_star`` decides which passage of a crossing
 comes first, and ``StarDiagram.segment_orders`` the crossing order along
 each chord, in integers; ``stars.star_geometry`` places every
-crossing by the tangent-circle closed form those integer rules come from.
+crossing by the tangent-circle closed form those integer rules come from,
+and ``StarDiagram.passage_order`` lists every component's passages from
+them.
 These are the rules they replaced: intersect the two chords of each
 crossing as general segments, compare the two passage arcs of each
 crossing, and sort each chord's crossings by their arcs.  Only the star's
@@ -74,3 +76,16 @@ def segment_orders(star) -> dict[int, list[int]]:
         on_chord[c.chord_a].append((arc_a, c.index))
         on_chord[c.chord_b].append((arc_b, c.index))
     return {ch: [idx for _, idx in sorted(items)] for ch, items in on_chord.items()}
+
+
+def component_passages(star) -> list[list[tuple[int, int, bool]]]:
+    """Each component's (segment, crossing id, on chord_a) passages, sorted
+    by arc."""
+    place = {ch: (ci, i) for ci, chain in enumerate(star.components) for i, ch in enumerate(chain)}
+    _, arcs = oracle_geometry(star)
+    per_comp: list[list[tuple]] = [[] for _ in star.components]
+    for c in star.crossings:
+        for chord, arc, on_a in zip((c.chord_a, c.chord_b), arcs[c.index], (True, False)):
+            ci, segment = place[chord]
+            per_comp[ci].append((arc, (segment, c.index, on_a)))
+    return [[passage for _, passage in sorted(items)] for items in per_comp]

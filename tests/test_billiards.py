@@ -11,6 +11,7 @@ from table_oracles import pairwise_floor
 
 from billiardknots import billiards
 from billiardknots.billiards import (
+    Mirror,
     _near_least,
     _screen_bound,
     build_table,
@@ -120,8 +121,8 @@ def test_build_table_pentagram_touches_tips():
     # and inside the table: vertices and crossings
     for v in all_vertices(poly):
         assert plain_contains_xy(table, v, mp.mpf("1e-20"))
-    for pc in poly.crossings:
-        assert plain_contains_xy(table, pc.point, mp.mpf("1e-20"))
+    for point in poly.points:
+        assert plain_contains_xy(table, point, mp.mpf("1e-20"))
 
 
 def test_build_table_orthic_triangle_recovers_original():
@@ -579,3 +580,26 @@ def test_build_table_rejects_and_accepts_as_the_pairwise_oracle():
         assert build_table(mirrors, prec).floor == want
         outcomes.add(True)
     assert outcomes == {True, False}
+
+
+def _mirrors(directions):
+    """Mirrors at the origin with the given inward directions."""
+    with mp.workprec(128):
+        origin = (mp.mpf(0), mp.mpf(0))
+        return [
+            Mirror((Fraction(0), Fraction(0)), (mp.mpf(ux), mp.mpf(uy)), 0, k, origin)
+            for k, (ux, uy) in enumerate(directions)
+        ]
+
+
+@pytest.mark.parametrize(
+    "directions, message",
+    [
+        ([(1, 0), (0.8, 0.6), (0.6, 0.8)], "mirror normals span less than a half-turn"),
+        ([(1, 0), (1, 0), (0, 1), (-1, 0), (0, -1)], "consecutive mirrors 0 and 1 are parallel"),
+    ],
+    ids=["half-turn", "parallel"],
+)
+def test_build_table_raises_on_an_unbounded_mirror_set(directions, message):
+    with pytest.raises(UnboundedTableError, match=message):
+        build_table(_mirrors(directions))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from billiardknots.billiards import verify_reflection
 from billiardknots.braids import QuasitoricPattern, pad_to_min_repetitions, toric_pattern
-from billiardknots.errors import DomainError, SearchExhaustedError
+from billiardknots.errors import CoincidentEventsError, DomainError, SearchExhaustedError
 from billiardknots import heights as heights_module
 from billiardknots.heights import (
     DEFAULT_MARGIN,
@@ -1048,3 +1048,25 @@ def test_confirm_heights_confirms_at_the_working_precision_near_a_bound(prec, ki
         assert fallbacks == ([] if abs(delta) > 1e-12 else [got])
         if prec == 192 or abs(delta) > 1e-12:
             assert got == (delta > 0)
+
+
+TRIANGLE = ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)), (Fraction(1, 2), Fraction(1)))
+
+
+@pytest.mark.parametrize(
+    "arcs, saw, message",
+    [
+        ((0, Fraction(1, 2), Fraction(3, 4)), SawtoothHeight(2**46, Fraction(0)), "frequency too large"),
+        ((0, Fraction(1, 2), Fraction(3, 4)), SawtoothHeight(1, Fraction(1, 2**50)), "wall vertex 1 coincides with a bounce"),
+        ((0, Fraction(1, 4), Fraction(3, 4)), SawtoothHeight(1, Fraction(1, 2**50)), "a bounce coincides with wall vertex 0"),
+    ],
+    ids=["frequency", "wall-after-bounce", "bounce-before-closing-wall"],
+)
+def test_component_events_raises_on_coincident_events(arcs, saw, message):
+    """At phase 2^-50 and f = 1 the extrema sit at arcs 1/2 - 2^-50 and
+    1 - 2^-50: the first just before a wall at arc 1/2, the second just
+    before the closing wall at arc 1."""
+    with mp.workprec(128):
+        vertex_arcs = [to_mpf(Fraction(t)) for t in arcs]
+        with pytest.raises(CoincidentEventsError, match=message):
+            heights_module.component_events(TRIANGLE, vertex_arcs, saw)

@@ -15,7 +15,7 @@ from billiardknots.invariants import (
     kauffman_bracket,
 )
 from billiardknots.pdcodes import PDCode, braid_closure_pd, diagram_isomorphic, traversal_pd
-from diagram_helpers import jones_mirror, mirror_pd, pattern_jones, relabel_pd, unlink_jones
+from diagram_helpers import jones_mirror, mirror_pd, pattern_jones, relabel_pd, unlink_jones, writhe
 from billiardknots.pipeline import RealizationSpec, realize
 from billiardknots.stars import over_flags_from_signs
 
@@ -186,7 +186,7 @@ def test_torus_knot_jones_closed_form(q, p):
 def test_mirror_inverts_jones_variable():
     for pattern in (TREFOIL, toric_pattern(2, 5), toric_pattern(2, 2), FIGURE_EIGHT):
         pd = braid_closure_pd(pattern)
-        w = pattern.writhe()
+        w = writhe(pattern)
         direct = jones(pd, w)
         mirrored = jones(mirror_pd(pd), -w)
         assert mirrored == jones_mirror(direct)

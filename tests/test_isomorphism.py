@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from billiardknots.errors import DomainError
 from billiardknots.braids import QuasitoricPattern, pad_to_min_repetitions, toric_pattern
 from billiardknots.invariants import certify
 from billiardknots.pdcodes import PDCode, braid_closure_pd, diagram_isomorphic, traversal_pd
@@ -207,3 +208,17 @@ def test_realize_and_write_compute_one_bracket_and_verify_none(tmp_path, bracket
     assert result.certification.jones_constructed == result.certification.jones_intended
     assert verify_artifacts(files["report"]).passed
     assert len(bracket_calls) == 1
+
+
+@pytest.mark.parametrize(
+    "passages, message",
+    [
+        ([(0, 0, 0, True, (1, 0))], "crossing 0 has 1 passages, expected 2"),
+        ([(0, 0, 0, True, (1, 0)), (0, 1, 0, True, (0, 1))], "crossing 0 needs one over and one under passage"),
+        ([(0, 0, 0, True, (1, 0)), (0, 1, 0, False, (-2, 0))], "tangential crossing 0"),
+    ],
+    ids=["one-passage", "two-over", "parallel"],
+)
+def test_traversal_pd_rejects_a_malformed_crossing(passages, message):
+    with pytest.raises(DomainError, match=message):
+        traversal_pd(passages, {0: True})

@@ -31,7 +31,7 @@ from diagram_helpers import sorted_passages, star_arc_table
 import layout_oracle
 from layout_oracle import crossing_abscissa, line_intersection
 from mirror_room_oracle import all_vertices
-from passage_oracles import fraction_passages, sorted_arc_table
+from passage_oracles import crossing_places, fraction_passages, sorted_arc_table
 
 
 def test_crossing_abscissa_formula():
@@ -106,14 +106,13 @@ def test_integer_layout_matches_with_a_line_through_a_corner(p, q):
     lines = stored_lines(star, 1000)
     layout = layout_from_lines(star, lines)
     assert layout is not None
-    components, crossings = layout
-    for pc in crossings:
-        chord_a = star.crossings[pc.index].chord_a
-        ci, i = pc.b_place
+    components, _ = layout
+    for c in star.crossings:
+        ci, i = star.places[c.chord_b]
         vertices = components[ci].vertices
         for x, y in (vertices[i], vertices[(i + 1) % len(vertices)]):
             moved = list(lines)
-            moved[chord_a] = (lines[chord_a][0], y - lines[chord_a][0] * x)
+            moved[c.chord_a] = (lines[c.chord_a][0], y - lines[c.chord_a][0] * x)
             assert not assert_same_layout(star, moved)
 
 
@@ -150,25 +149,27 @@ def test_perturb_preserves_pentagram_combinatorics():
     poly = perturb_stage(star, Fraction(1, 1000), 42)[0]
     assert len(poly.components) == 1
     assert len(poly.components[0].vertices) == 5
-    assert len(poly.crossings) == 5
-    # same crossing chord-pairs as the star, recomputed by exact arithmetic
-    star_pairs = {(c.chord_a, c.chord_b) for c in star.crossings}
-    poly_pairs = set()
-    chord_of = {}
-    for comp in poly.components:
-        for i, ch in enumerate(comp.chord_ids):
-            chord_of[ch] = i
-    star_by_index = {c.index: c for c in star.crossings}
-    for pc in poly.crossings:
-        sc = star_by_index[pc.index]
-        poly_pairs.add((sc.chord_a, sc.chord_b))
-    assert poly_pairs == star_pairs
+    assert len(poly.points) == 5
+    # each crossing point lies on the lines of the star crossing's two chords
+    lines = poly_lines(poly)
+    for c, (x, y) in zip(star.crossings, poly.points):
+        for a, b in (lines[c.chord_a], lines[c.chord_b]):
+            assert a * x + b == y
+
+
+def poly_lines(poly):
+    """The polygon's line of each star chord, indexed by chord."""
+    lines = [None] * poly.star.p
+    for chain, comp in zip(poly.star.components, poly.components):
+        for chord, line in zip(chain, comp.lines):
+            lines[chord] = line
+    return lines
 
 
 def test_perturb_bigger_star_same_orders():
     star = build_star(toric_pattern(3, 10))
     poly = perturb_stage(star, Fraction(1, 1000), 7)[0]
-    assert len(poly.crossings) == 20
+    assert len(poly.points) == 20
     assert poly.delta == Fraction(1, 1000)
 
 
@@ -178,12 +179,12 @@ def test_perturb_zero_draws_identity():
     star = build_star(toric_pattern(2, 5))
     delta = Fraction(1, 10**6)
     poly = perturb(star, delta, [0.0] * 10)
-    assert len(poly.crossings) == 5
+    assert len(poly.points) == 5
     slopes, intercepts = _star_chord_geometry(star)
     with mp.workprec(star.prec_bits):
         expected = [(_rational_near(a, delta, 0), _rational_near(b, delta, 0)) for a, b in zip(slopes, intercepts)]
     (comp,) = poly.components
-    assert list(comp.lines) == [expected[ch] for ch in comp.chord_ids]
+    assert list(comp.lines) == [expected[ch] for ch in star.components[0]]
 
 
 def test_perturb_is_none_when_two_lines_share_a_slope():
@@ -226,7 +227,7 @@ def test_perturb_deterministic():
 def test_perturb_halving_always_lands(p, q, seed):
     star = build_star(toric_pattern(q, p))
     poly = perturb_stage(star, Fraction(1, 100), seed)[0]
-    assert len(poly.crossings) == p * (q - 1)
+    assert len(poly.points) == p * (q - 1)
 
 
 def test_arc_table_basic():
@@ -247,14 +248,13 @@ def test_arc_lengths_match_planar_distance():
     star = build_star(toric_pattern(3, 7), prec_bits=128)
     poly = perturb_stage(star, Fraction(1, 500), 3)[0]
     with mp.workprec(128):
-        for pc in poly.crossings:
-            for place in (pc.a_place, pc.b_place):
-                ci, i = place
+        for _, point, places in crossing_places(poly):
+            for (ci, i), _ in places:
                 comp = poly.components[ci]
                 a, _ = comp.lines[i]
                 v = comp.vertices[i]
-                dx = pc.point[0] - v[0]
-                dy = pc.point[1] - v[1]
+                dx = point[0] - v[0]
+                dy = point[1] - v[1]
                 formula = mp.sqrt(1 + (mp.mpf(a.numerator) / a.denominator) ** 2) * abs(
                     mp.mpf(dx.numerator) / dx.denominator
                 )
@@ -297,22 +297,18 @@ def _bits(x):
 
 
 def test_passages_and_arc_table_match_the_fraction_oracles_bit_for_bit():
-    """On every input, the layout equals the Fraction layout (whose ranks
-    come from sorting exact abscissas), the arc table's passages, vertex
-    arcs and totals are the sorted Fraction table's bit for bit, and
-    ``traversal_pd`` reads the same code and sign map off the (segment,
-    rank) passages with slope directions as off the exact-abscissa
+    """On every input, the layout equals the Fraction layout (which checks
+    the star's order by sorting exact abscissas), the arc table's passages,
+    vertex arcs and totals are the sorted Fraction table's bit for bit, and
+    ``traversal_pd`` reads the same code and sign map off the passages in
+    the star's order with slope directions as off the exact-abscissa
     passages with vertex-difference directions."""
     inputs = _oracle_inputs()
     assert len(inputs) == 41
     for name, pattern, seed in inputs:
         star = build_star(pattern, prec_bits=192)
         poly = perturb_stage(star, Fraction(1, 1000), seed)[0]
-        lines = [None] * star.p
-        for comp in poly.components:
-            for chord, line in zip(comp.chord_ids, comp.lines):
-                lines[chord] = line
-        assert layout_oracle.layout_from_lines(star, lines) == (poly.components, poly.crossings), name
+        assert layout_oracle.layout_from_lines(star, poly_lines(poly)) == (poly.components, poly.points), name
         got, want = arc_length_table(poly, 192), sorted_arc_table(poly, 192)
         assert [[(ps.crossing, _bits(ps.arc), ps.is_a_side) for ps in comp] for comp in got.passages] == [
             [(ps.crossing, _bits(ps.arc), ps.is_a_side) for ps in comp] for comp in want.passages
@@ -327,7 +323,8 @@ def test_passages_and_arc_table_match_the_fraction_oracles_bit_for_bit():
 
 def test_passage_directions_are_integer_multiples_of_the_vertex_differences():
     poly = perturb_stage(build_star(toric_pattern(3, 7)), Fraction(1, 1000), 5)[0]
-    by_place = {(comp, key[0]): direction for comp, key, _, _, direction in poly.passages()}
+    order = poly.star.passage_order
+    by_place = {(comp, order[comp][key][0]): direction for comp, key, _, _, direction in poly.passages()}
     for (ci, seg), (dx, dy) in by_place.items():
         assert type(dx) is int and type(dy) is int and dx != 0
         vertices = poly.components[ci].vertices
@@ -349,15 +346,11 @@ def test_arc_table_raises_on_two_passages_at_one_point():
     point: their passages there have one arc, and the arc table raises as
     the sorted oracle does."""
     poly = perturb_stage(build_star(toric_pattern(2, 5)), Fraction(1, 1000), 42)[0]
-    first, second = sorted(
-        (pc for pc in poly.crossings if (0, 0) in (pc.a_place, pc.b_place)),
-        key=lambda pc: pc.ranks[pc.b_place == (0, 0)],
-    )
-    moved = dataclasses.replace(second, point=first.point)
-    broken = dataclasses.replace(
-        poly, crossings=tuple(moved if pc is second else pc for pc in poly.crossings)
-    )
-    message = f"coincident passage arcs at crossings {first.index}, {second.index}"
+    first, second = poly.star.segment_orders[poly.star.components[0][0]]
+    points = list(poly.points)
+    points[second] = points[first]
+    broken = dataclasses.replace(poly, points=tuple(points))
+    message = f"coincident passage arcs at crossings {first}, {second}"
     with pytest.raises(DomainError, match=message):
         arc_length_table(broken, 192)
     with pytest.raises(DomainError, match="coincident passage arcs"):

@@ -182,7 +182,7 @@ def test_stored_reals_carry_the_working_precision(tmp_path, hopf_result):
             assert abs(mp.mpf(stored) - value) <= mp.mpf(10) ** -35 * abs(value)
 
 
-def test_cli_spec_errors(tmp_path):
+def test_cli_spec_errors(tmp_path, capsys):
     bad = _write_spec(tmp_path, {"pattern": {"strands": 1, "repetitions": 3, "signs": []}})
     assert main(["realize", str(bad)]) == 3
     trunc = tmp_path / "trunc.json"
@@ -197,6 +197,10 @@ def test_cli_spec_errors(tmp_path):
     binary.write_bytes(b'\xff\xfe{"preset": "trefoil"}')  # not UTF-8
     assert main(["realize", str(binary), "--out", str(tmp_path / "x")]) == 3
     assert main(["verify", str(binary)]) == 3
+    array = _write_spec(tmp_path, [], name="array.json")
+    capsys.readouterr()
+    assert main(["realize", str(array), "--out", str(tmp_path / "x")]) == 3
+    assert "spec must be a JSON object" in capsys.readouterr().err
 
 
 def test_cli_realize_into_a_file_is_exit_3(tmp_path, capsys):
@@ -933,3 +937,43 @@ def test_pipeline_records_stages(torus25_result):
             "constraints", "heights", "emit", "reflection", "certify"} <= stages
     assert "independence" not in stages
     assert torus25_result.passed
+
+
+def test_cli_realize_with_a_failed_verdict_writes_artifacts_and_is_exit_4(tmp_path, monkeypatch, capsys):
+    """A certificate that fails still leaves the artifacts, names the first
+    failed check and exits 4."""
+    real_certify = pipeline.certify
+    monkeypatch.setattr(
+        pipeline, "certify", lambda poly, pattern: dataclasses.replace(real_certify(poly, pattern), passed=False)
+    )
+    spec = _write_spec(tmp_path, {"preset": "trefoil"})
+    out = tmp_path / "out"
+    assert main(["realize", str(spec), "--out", str(out), "--canonical"]) == 4
+    printed = capsys.readouterr()
+    assert (out / "report.json").is_file() and (out / "trajectory.json").is_file()
+    assert f"wrote {out / 'report.json'}" in printed.out
+    assert "verification failure: certify: certify=FAIL" in printed.err
+
+
+def test_cli_verify_names_a_stored_event_of_the_wrong_kind(tmp_path, trefoil_result, capsys):
+    """The first two events of the trefoil swapped in ``kinds``: a wall and
+    a floor bounce, so the reflection check names event 0."""
+    files = write_artifacts(trefoil_result, tmp_path, canonical=True)
+    data = json.loads(files["trajectory"].read_text())
+    kinds = data["components"][0]["kinds"]
+    assert kinds[:2] == "wf"
+    data["components"][0]["kinds"] = kinds[1] + kinds[0] + kinds[2:]
+    files["trajectory"].write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(files["report"])]) == 4
+    assert "event 0: stored floor event, closed form wall" in capsys.readouterr().out
+
+
+def test_cli_verify_rejects_a_zero_denominator_as_a_bad_rational(tmp_path, trefoil_result, capsys):
+    files = write_artifacts(trefoil_result, tmp_path, canonical=True)
+    data = json.loads(files["report"].read_text())
+    data["chosen_delta"] = "1/0"
+    files["report"].write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(files["report"])]) == 3
+    assert "bad rational '1/0'" in capsys.readouterr().err

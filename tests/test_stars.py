@@ -12,7 +12,7 @@ from billiardknots.stars import build_star, over_flags_from_signs
 from billiardknots import stars
 
 from diagram_helpers import chords_cross, diagram_jones, passage_arcs, pattern_jones, star_arc_table
-from star_oracle import oracle_geometry, passage_order, segment_orders
+from star_oracle import component_passages, oracle_geometry, passage_order, segment_orders
 
 
 def segments_intersect(p1, p2, p3, p4):
@@ -150,6 +150,17 @@ def test_integer_star_combinatorics_match_the_geometry():
             assert dict(enumerate(map(list, d.segment_orders))) == segment_orders(d), (p, q)
             chords += p
     assert chords == 6489
+
+
+def test_passage_order_is_the_arc_order_of_every_component():
+    """``places`` inverts ``components``, and ``passage_order`` lists each
+    component's passages as its mpf arcs order them."""
+    for q in range(2, 6):
+        for p in range(2 * q + 1, 2 * q + 9):
+            d = build_star(toric_pattern(q, p))
+            assert len(d.places) == p
+            assert all(d.components[ci][i] == ch for ch, (ci, i) in enumerate(d.places)), (p, q)
+            assert list(map(list, d.passage_order)) == component_passages(d), (p, q)
 
 
 def test_build_star_makes_no_mpmath_call(monkeypatch):

@@ -72,8 +72,8 @@ class Case:
         self.report = json.loads(files["report"].read_text())
         self.trajectory = json.loads(files["trajectory"].read_text())
         self.lines = [None] * self.star.p
-        for comp in result.poly.components:
-            for chord, line in zip(comp.chord_ids, comp.lines):
+        for chain, comp in zip(self.star.components, result.poly.components):
+            for chord, line in zip(chain, comp.lines):
                 self.lines[chord] = line
         self.heights = result.heights
         self.columns = [
