@@ -27,10 +27,10 @@ window given in closed form, or off such windows:
     around the kinks (``_box_phases``).
 Their intersections are the exact phase sets.  In a link one screen,
 ``_reach_phases``, picks the phases of a component worth walking: those
-under which the next component's windows still meet pair by pair.  It
-reads tables built once per frequency: the next component's pair order
-(``_pair_order``) and the half-widths, at this component's kinks, of the
-windows whose fixed side lies on it (``_kink_table``).
+under which the next component's windows still meet pair by pair.  Each
+pair allows one cyclic window of this component's phase, or none, or all,
+in closed form; the pairs come in an order built once per frequency of
+the next component (``_pair_order``).
 
 Search conditions, with a uniform ``margin``:
   (a) each crossing's two passage heights differ by at least ``margin``,
@@ -186,10 +186,9 @@ def _box_phases(f: int, arcs, boxes):
 
 # Widening of the screens in ``_own_phases`` and ``_reach_phases``.  Their
 # bounds come from the same closed forms as the exact phase sets, by other
-# float operations (offsets between centres, interpolation between kinks,
-# sums of two half-widths), so the two differ by float rounding only, at
-# most of the order of f * 2^-52 (2e-12 at f = 10^4); 1e-8 covers that
-# many times over.
+# float operations (offsets between centres, sums of offsets and of
+# half-widths), so the two differ by float rounding only, at most of the
+# order of f * 2^-52 (2e-12 at f = 10^4); 1e-8 covers that many times over.
 _SCREEN_SLACK = 1e-8
 
 
@@ -301,7 +300,13 @@ def _pair_order(windows):
     """The pairs of ``windows``, one component's ``_phase_windows``, as
     (cyclic distance of their centres, i, l) with indices i <= l into
     ``windows``, farthest first; pairs at one distance keep the order of
-    ``itertools.combinations_with_replacement``."""
+    ``itertools.combinations_with_replacement``.
+
+    The order decides only how soon ``_reach_phases`` stops on an empty
+    screen: each pair allows a cyclic window, and intersecting windows only
+    selects among their ends, so a non-empty screen returns the same floats
+    in any order.  Far centres need the widest windows, so their pairs are
+    the likeliest to leave nothing."""
     pairs = []
     for (i, a), (l, b) in itertools.combinations_with_replacement(enumerate(windows), 2):
         d = abs(a[2] - b[2])
@@ -310,91 +315,68 @@ def _pair_order(windows):
     return pairs
 
 
-def _kink_table(f: int, k: int, windows, margin: float):
-    """For each of ``windows``, component k + 1's ``_phase_windows``, whose
-    fixed side lies on k, with k at frequency f: its kinks (-f t) mod 1 and
-    (1/2 - f t) mod 1 at its arc t on k, and a dict of its half-width
-    ((z or 1 - z) - margin)/2 + _SCREEN_SLACK at k's phase x, for x = 0, 1
-    and every kink of these windows; None for a window on an earlier
-    component.  The windows' components, arcs and sides are the same at
-    every frequency of k + 1, so one table serves them all."""
-    kinks = [((-f * t) % 1.0, (0.5 - f * t) % 1.0) if j == k else None for j, t, _, _ in windows]
-    points = {0.0, 1.0}.union(*filter(None, kinks))
-    table = []
-    for (j, t, _, below), ends in zip(windows, kinks):
-        if j != k:
-            table.append(None)
-            continue
-        halves = {}
-        for x in points:
-            z = _sawtooth(f, t, x)
-            halves[x] = ((z if below else 1.0 - z) - margin) / 2.0 + _SCREEN_SLACK
-        table.append((ends, halves))
-    return table
-
-
-def _reach_phases(f_tuple, windows, order, table, phases, margin: float):
+def _reach_phases(f_tuple, windows, order, phases, margin: float):
     """The phases of component k, as sorted disjoint intervals, outside
     which ``_fixed_phases`` finds no phase for component k + 1 once
     components 0 .. k-1 (k = len(phases)) are fixed at the float
     ``phases``.
 
-    ``windows`` are k + 1's ``_phase_windows`` at f_tuple[k + 1], ``order``
-    their ``_pair_order`` and ``table`` their ``_kink_table`` at
-    f_tuple[k].  Widened by _SCREEN_SLACK, each window has half-width h =
-    ((z or 1 - z) - margin)/2 + _SCREEN_SLACK: a constant when its fixed
-    side lies before k, and linear in k's phase between its kinks when it
-    lies on k.  Two cyclic windows meet only if h_i + h_l reaches the
-    cyclic distance of their centres (a window meets itself only if h >=
-    0), so each pair allows the phases where that piecewise linear sum
-    does, found by one sweep over the pair's kinks and widened by
-    _SCREEN_SLACK.  The pairs are taken in ``order``; the first empty
-    intersection ends the screen.
+    ``windows`` are k + 1's ``_phase_windows`` at f_tuple[k + 1] and
+    ``order`` their ``_pair_order``.  Widened by _SCREEN_SLACK = s, each
+    window has half-width h = ((z or 1 - z) - margin)/2 + s.  Two cyclic
+    windows meet only if h_i + h_l reaches the cyclic distance ``dist`` of
+    their centres (a window meets itself only if h >= 0), and each pair
+    allows the phases of k where it does, as one cyclic window widened by
+    s, or none, or all.  With T(y) = |2 frac(y) - 1|:
+      - a window whose fixed side lies before k has a constant h;
+      - one whose fixed side lies on k, at arc t, has (z or 1 - z) =
+        T(phi + a) at k's phase phi, with a = (f_k t + (0 if k + 1 passes
+        below, else 1/2)) mod 1;
+      - a pair with one constant side h needs T(phi + a) >= r, r =
+        2 (dist - h - s) + margin: the phases within (1 - r)/2 of -a;
+      - a pair with both sides on k needs T(y) + T(y + d) >= 2 - 2 L, with
+        y = phi + a_i, d = (a_l - a_i) mod 1 and L = 1 - dist - margin +
+        2 s.  The sum is a trapezoid in y between 2 d' and 2 - 2 d', d' =
+        min(d, 1 - d), with slopes +-4 and its upper plateau on the y
+        within d'/2 of -d/2 (+ 1/2 when d > 1/2).  So it holds on no phase
+        when L < d', on every phase when L >= 1 - d', and otherwise on the
+        phi within L/2 of -a_i - d/2 (+ 1/2 when d > 1/2).
+    The pairs are taken in ``order``; the first empty intersection ends
+    the screen.
     """
-    sides = []
-    for row, (j, t_j, _, below) in zip(table, windows):
-        if row is None:
+    k = len(phases)
+    f = f_tuple[k]
+    sides = []  # (a, None) for a window on k, (None, h) for one before it
+    for j, t_j, _, below in windows:
+        if j == k:
+            sides.append(((f * t_j + (0.0 if below else 0.5)) % 1.0, None))
+        else:
             z = _sawtooth(f_tuple[j], t_j, phases[j])
-            row = ((z if below else 1.0 - z) - margin) / 2.0 + _SCREEN_SLACK
-        sides.append(row)
+            sides.append((None, ((z if below else 1.0 - z) - margin) / 2.0 + _SCREEN_SLACK))
     allowed = [(0.0, 1.0)]
     for dist, i, l in order:
-        a, b = sides[i], sides[l]
-        if isinstance(a, float):
-            if isinstance(b, float):
-                if a + b - dist < 0.0:
-                    return []
-                continue  # the pair allows every phase
-            kinks = sorted({0.0, 1.0, *b[0]})
-            b = b[1]
-            gaps = [a + b[x] - dist for x in kinks]
-        elif isinstance(b, float):
-            kinks = sorted({0.0, 1.0, *a[0]})
-            a = a[1]
-            gaps = [a[x] + b - dist for x in kinks]
+        (a, h), (b, g) = sides[i], sides[l]
+        if a is None and b is None:
+            if h + g - dist < 0.0:
+                return []
+            continue  # the pair allows every phase
+        if a is None or b is None:
+            a, h = (b, h) if a is None else (a, g)
+            half = 0.5 - dist + h + _SCREEN_SLACK - margin / 2.0  # (1 - r)/2
+            if half < 0.0:
+                return []
+            window = _cyclic_window(-a % 1.0, half + _SCREEN_SLACK)
         else:
-            kinks = sorted({0.0, 1.0, *a[0], *b[0]})
-            a, b = a[1], b[1]
-            gaps = [a[x] + b[x] - dist for x in kinks]
-        good = []
-        for lo, hi, g_lo, g_hi in zip(kinks, kinks[1:], gaps, gaps[1:]):
-            if g_lo < 0.0 and g_hi < 0.0:
-                continue
-            if g_lo < 0.0:
-                lo += (hi - lo) * g_lo / (g_lo - g_hi)
-            elif g_hi < 0.0:
-                hi = lo + (hi - lo) * g_lo / (g_lo - g_hi)
-            lo -= _SCREEN_SLACK
-            hi += _SCREEN_SLACK
-            if lo < 0.0:
-                lo = 0.0
-            if hi > 1.0:
-                hi = 1.0
-            if good and lo <= good[-1][1]:
-                good[-1] = (good[-1][0], hi)
-            else:
-                good.append((lo, hi))
-        allowed = _intersect_intervals(allowed, good)
+            d = (b - a) % 1.0
+            near = d if d < 0.5 else 1.0 - d
+            reach = 1.0 - dist - margin + 2.0 * _SCREEN_SLACK
+            if reach < near:
+                return []
+            if reach >= 1.0 - near:
+                continue  # the pair allows every phase
+            centre = (-a - d / 2.0 + (0.5 if d > 0.5 else 0.0)) % 1.0
+            window = _cyclic_window(centre, reach / 2.0 + _SCREEN_SLACK)
+        allowed = _intersect_intervals(allowed, window)
         if not allowed:
             return []
     return allowed
@@ -540,14 +522,12 @@ def search_heights(
     result is the same as without it: before component k walks its grid
     points, the phases of k under which k + 1's windows still meet pair by
     pair are found as intervals (``_reach_phases``), and only the grid
-    points inside them are walked.  What the screen reads is built once:
-    per (k + 1, f), with k + 1's kept set, its pairs of windows farthest
-    centres first (``_pair_order``); per (k, f), at the first screen that
-    needs it, the kinks and half-widths of the windows whose fixed side
-    lies on k (``_kink_table``).  Per grid prefix of 0 .. k-1 the screen
-    only evaluates the constant half-widths of the windows on earlier
-    components and sweeps the pairs.  The walked grid phases are carried
-    as floats for the phase sets and the screen, and as Fractions for the
+    points inside them are walked.  The pairs of k + 1's windows, farthest
+    centres first (``_pair_order``), are built once per (k + 1, f), with
+    k + 1's kept set; per grid prefix of 0 .. k-1 the screen evaluates the
+    constant half-widths of the windows on earlier components and one
+    closed-form window per pair.  The walked grid phases are carried as
+    floats for the phase sets and the screen, and as Fractions for the
     heights.
 
     Raises SearchExhaustedError when f_max is hit, with diagnostics from a
@@ -571,9 +551,6 @@ def search_heights(
     # its _phase_windows, their _pair_order), for the f so far whose phases
     # are non-empty
     own = [{} for _ in range(n_comp)]
-    # per component k but the last, f -> the _kink_table of k + 1's windows
-    # with k at f, built at the first screen that needs it
-    tables = [{} for _ in range(n_comp - 1)]
 
     def assign(f_tuple, phases, grid):
         """The first confirmed heights at ``f_tuple`` whose components
@@ -594,10 +571,7 @@ def search_heights(
             return None
         if segs:
             _, after, order = own[k + 1][f_tuple[k + 1]]
-            if f not in tables[k]:
-                tables[k][f] = _kink_table(f, k, after, margin)
-            reach = _reach_phases(f_tuple, after, order, tables[k][f], phases, margin)
-            segs = _intersect_intervals(segs, reach)
+            segs = _intersect_intervals(segs, _reach_phases(f_tuple, after, order, phases, margin))
         for lo, hi in segs:
             for j in range(math.ceil(lo * n), math.ceil(hi * n)):
                 heights = assign(f_tuple, (*phases, j / n), (*grid, Fraction(j, n)))
@@ -623,7 +597,8 @@ def search_heights(
                         return found
     finally:
         # assign reaches itself through its closure; unbinding it frees the
-        # phase sets and tables on return, not at the next garbage collection
+        # phase sets and pair orders on return, not at the next garbage
+        # collection
         del assign
     raise SearchExhaustedError(
         f"no sawtooth parameters with f <= {f_max} satisfy all "

@@ -10,9 +10,9 @@ closed-form windows.  ``sequential_own_phases`` intersects a component's
 own-crossing windows one by one, with no screen in front, by the same float
 expressions as the search.  ``probe_violations`` counts every violated
 crossing at the exhaustion probe phases of every f-tuple in shell order.
-``reach_phases`` is the link screen as one self-contained call: it sorts
-the window pairs and evaluates every half-width anew on each call, where
-the search reads them from tables built once per frequency.
+``reach_phases`` is the link screen by a kink sweep: it sorts the window
+pairs and finds each pair's phases piece by piece between the sawtooth
+kinks, where the search takes one closed-form cyclic window per pair.
 ``exact_confirm_heights`` evaluates conditions (a)-(c) with every height
 at the table's precision, where ``confirm_heights`` decides them in float64
 first.  ``sorted_height_constraints`` orders each crossing's two passages

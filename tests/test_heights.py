@@ -23,7 +23,6 @@ from billiardknots.heights import (
     _cyclic_window,
     _fixed_phases,
     _intersect_intervals,
-    _kink_table,
     _own_crossings,
     _own_phases,
     _own_window,
@@ -48,7 +47,9 @@ from height_oracles import (
     exact_confirm_heights,
     first_hit,
     probe_violations,
+    SCREEN_SLACK,
     reach_phases,
+    sawtooth,
     sequential_own_phases,
     shell_order,
     sorted_height_constraints,
@@ -298,11 +299,19 @@ def test_phase_engine_against_grid_oracle(n_components):
     assert hits >= 4
 
 
-def _screen(f_tuple, k, windows, phases, margin):
-    """``_reach_phases`` for component k, with the pair order and the kink
-    table of k + 1's ``windows`` built for this call alone."""
-    table = _kink_table(f_tuple[k], k, windows, margin)
-    return _reach_phases(f_tuple, windows, _pair_order(windows), table, phases, margin)
+def _screen(f_tuple, windows, phases, margin):
+    """``_reach_phases`` for component k = len(phases), with the pair order
+    of k + 1's ``windows`` built for this call alone."""
+    return _reach_phases(f_tuple, windows, _pair_order(windows), phases, margin)
+
+
+def _assert_matches_oracle(got, expected, context):
+    """The screen and the kink-sweep oracle round differently: both are
+    empty or neither, with as many intervals, every end within 1e-12."""
+    assert bool(got) == bool(expected), context
+    assert len(got) == len(expected), (context, got, expected)
+    for (lo, hi), (lo_x, hi_x) in zip(got, expected):
+        assert abs(lo - lo_x) <= 1e-12 and abs(hi - hi_x) <= 1e-12, (context, got, expected)
 
 
 @pytest.mark.parametrize("n_components, f_max", [(2, 5), (3, 2)])
@@ -333,7 +342,7 @@ def test_reach_phases_hold_every_point_with_exact_phases(n_components, f_max):
                 for js in itertools.product(*map(range, dens)):
                     phases = tuple(num / den for num, den in zip(js, dens))
                     if js[:-1] not in reach:
-                        reach[js[:-1]] = _screen(f_tuple, k - 1, windows, phases[:-1], margin)
+                        reach[js[:-1]] = _screen(f_tuple, windows, phases[:-1], margin)
                     exact = _intersect_intervals(segs, _fixed_phases(f_tuple, windows, phases, margin))
                     if any(lo <= phases[-1] < hi for lo, hi in reach[js[:-1]]):
                         passed += 1
@@ -357,21 +366,20 @@ def test_reach_phases_hold_at_the_edge():
     windows = _phase_windows(1, 1, arcs)
     assert _fixed_phases((1, 1), windows, (0.0,), margin)
     assert crossing_phases(1, 1, [(0.0, 1.0)], arcs, {0: SawtoothHeight(1, Fraction(0))}, margin)
-    reach = _screen((1, 1), 0, windows, (), margin)
+    reach = _screen((1, 1), windows, (), margin)
     assert any(lo <= 0.0 < hi for lo, hi in reach), reach
-    assert reach == reach_phases((1, 1), 0, windows, (), margin)
+    _assert_matches_oracle(reach, reach_phases((1, 1), 0, windows, (), margin), reach)
 
 
 @pytest.mark.parametrize("dyadic", [False, True])
 @pytest.mark.parametrize("n_components, f_max, n_tables", [(2, 5, 8), (3, 3, 2), (4, 2, 2)])
 def test_reach_phases_match_the_oracle(n_components, f_max, n_tables, dyadic):
     """At every f-tuple, component k and grid prefix of components 0 ..
-    k-1, the screen returns the oracle's intervals, compared with ==, and
-    its pairs come farthest first by a stable sort.  As in the search, each
-    (k, f_k) kink table is built once, from k + 1's windows at the first
-    f_{k+1} met, and serves every later one.  Arcs on the grid of
-    sixteenths put windows at equal centre distances, whose order the
-    stable sort decides, and make kinks coincide."""
+    k-1, the screen returns the kink-sweep oracle's intervals up to float
+    rounding (``_assert_matches_oracle``), and its pairs come farthest
+    first by a stable sort.  Arcs on the grid of sixteenths put windows at
+    equal centre distances, whose order the stable sort decides, and make
+    kinks coincide."""
     margin = 0.05
     rng = random.Random(20261030 + 2 * n_components + dyadic)
     arc = (lambda: rng.randrange(16) / 16) if dyadic else None
@@ -380,7 +388,6 @@ def test_reach_phases_match_the_oracle(n_components, f_max, n_tables, dyadic):
         table, cons = _random_arc_table(rng, n_components, 3 + n_components // 2, arc=arc)
         arcs = [(c, float(c.first_arc), float(c.second_arc)) for c in cons]
         n_grid = 4 * len(cons)
-        tables = {}
         for f_tuple in shell_order(n_components, f_max):
             for k in range(n_components - 1):
                 windows = _phase_windows(f_tuple[k + 1], k + 1, arcs)
@@ -392,20 +399,161 @@ def test_reach_phases_match_the_oracle(n_components, f_max, n_tables, dyadic):
                 expected = sorted((-min(d, 1.0 - d), i, l) for d, (i, l) in zip(dists, pairs))
                 assert [(-d, i, l) for d, i, l in order] == expected
                 ties += sum(a[0] == b[0] > 0.0 for a, b in zip(order, order[1:]))
-                if (k, f_tuple[k]) not in tables:
-                    tables[k, f_tuple[k]] = _kink_table(f_tuple[k], k, windows, margin)
-                kink_table = tables[k, f_tuple[k]]
-                earlier += sum(row is None for row in kink_table)
+                earlier += sum(j < k for j, _, _, _ in windows)
                 dens = [n_grid * f for f in f_tuple[:k]]
                 for js in itertools.product(*map(range, dens)):
                     phases = tuple(num / den for num, den in zip(js, dens))
-                    got = _reach_phases(f_tuple, windows, order, kink_table, phases, margin)
-                    assert got == reach_phases(f_tuple, k, windows, phases, margin), (f_tuple, k, js)
+                    got = _reach_phases(f_tuple, windows, order, phases, margin)
+                    expected = reach_phases(f_tuple, k, windows, phases, margin)
+                    _assert_matches_oracle(got, expected, (f_tuple, k, js))
                     calls += 1
                     passing += bool(got)
     assert calls >= 150 and 0 < passing < calls, (calls, passing)
     assert not dyadic or ties >= 5, ties
     assert (earlier > 0) == (n_components > 2), earlier
+
+
+def _pair_sum(f_tuple, windows, phases, phi, margin):
+    """h_0 + h_1 of the two ``windows`` of component k + 1 (k =
+    len(phases)) at k's phase phi, each half-width ((z or 1 - z) - margin)/2
+    widened by the screen's slack, evaluated by the oracle's sawtooth."""
+    total = 0.0
+    for j, t, _, below in windows:
+        z = sawtooth(f_tuple[j], t, phi if j == len(phases) else phases[j])
+        total += ((z if below else 1.0 - z) - margin) / 2.0 + SCREEN_SLACK
+    return total
+
+
+def _inside(segs, phi):
+    return any(lo <= phi <= hi for lo, hi in segs)
+
+
+def test_pair_window_is_the_brute_force_set():
+    """One pair of windows of component k + 1, both on k or one on k and
+    one on an earlier component: the screen's closed-form window holds
+    every phase of k where the two half-widths reach the pair's distance,
+    at 4,096 grid phases, and its ends (narrowed back by the slack) are
+    where the sum crosses it, 1e-9 to either side.  Offsets on k are
+    dyadic, so the offset differences 0 and 1/2 are exact; differences
+    just below and above 1/2 and near 1 come too, and every case kind
+    (no phase, every phase, one window) occurs for both pair kinds."""
+    rng = random.Random(20261101)
+    deltas = [0.0, 0.5, 0.5 - 1e-9, 0.5 + 1e-9, 1.0 - 1e-9, 1.0 - 2.0 ** -20, None]
+    grid = [g / 4096 for g in range(4096)]
+    kinds = {}
+    for case in range(280):
+        margin = rng.uniform(1e-4, 0.1)
+        dist = 0.5 - 2.0 * rng.uniform(0.0, 0.5) ** 2  # in [0, 1/2], most near 1/2
+        both = case % 2 == 0
+
+        def on_k(j, a):
+            """A window on component j with offset a at frequency 1."""
+            below = rng.random() < 0.5
+            return (j, (a - (0.0 if below else 0.5)) % 1.0, 0.0, below)
+
+        a = rng.randrange(1 << 20) / (1 << 20)
+        if both:
+            delta = deltas[case // 2 % len(deltas)]
+            delta = rng.random() if delta is None else delta
+            f_tuple, phases = (1, rng.randint(1, 9)), ()
+            windows = [on_k(0, a), on_k(0, (a + delta) % 1.0)]
+        else:
+            f_tuple, phases = (rng.randint(1, 50), 1, rng.randint(1, 9)), (rng.random(),)
+            below = rng.random() < 0.5
+            t = rng.random()
+            if case % 4 == 1:  # a constant half-width near its least, -margin/2
+                t = ((0.5 if below else 0.0) - phases[0] + rng.uniform(-margin, margin) / 2) % 1.0
+                t = (t + rng.randrange(f_tuple[0])) / f_tuple[0]
+            windows = [(0, t, 0.0, below), on_k(1, a)]
+        got = _reach_phases(f_tuple, windows, [(dist, 0, 1)], phases, margin)
+        sums = [_pair_sum(f_tuple, windows, phases, phi, margin) - dist for phi in grid]
+        if not got:
+            kind = "none"
+            assert all(s < 0.0 for s in sums), (case, windows, dist)
+        elif got == [(0.0, 1.0)]:
+            kind = "every"
+            assert all(s >= -2.5 * SCREEN_SLACK for s in sums), (case, windows, dist)
+        else:
+            kind = "window"
+            for phi, s in zip(grid, sums):
+                if s >= 0.0:
+                    assert _inside(got, phi), (case, phi, got)
+                elif _inside(got, phi):  # the widening: sums fall at slope <= 2
+                    assert s >= -2.5 * SCREEN_SLACK, (case, phi, got)
+            ends = [(lo + SCREEN_SLACK, +1) for lo, _ in got if lo > 0.0]
+            ends += [(hi - SCREEN_SLACK, -1) for _, hi in got if hi < 1.0]
+            for end, inward in ends:
+                inner = _pair_sum(f_tuple, windows, phases, end + inward * 1e-9, margin)
+                outer = _pair_sum(f_tuple, windows, phases, end - inward * 1e-9, margin)
+                assert inner >= dist > outer, (case, end, got)
+        kinds[both, kind] = kinds.get((both, kind), 0) + 1
+    assert all(kinds.get((both, kind), 0) >= 5 for both in (False, True)
+               for kind in ("none", "every", "window")), kinds
+
+
+@pytest.mark.parametrize("n_components, f_max, n_tables", [(2, 6, 8), (3, 3, 3)])
+def test_pair_order_decides_only_where_the_screen_stops(n_components, f_max, n_tables):
+    """Shuffling the pair order leaves every screen result equal by ==:
+    each pair allows one cyclic window, and intersecting them only selects
+    among their ends."""
+    margin = 0.05
+    rng = random.Random(20261102 + n_components)
+    calls = nonempty = 0
+    for _ in range(n_tables):
+        table, cons = _random_arc_table(rng, n_components, rng.randint(4, 8))
+        arcs = [(c, float(c.first_arc), float(c.second_arc)) for c in cons]
+        n_grid = 4 * len(cons)
+        for f_tuple in shell_order(n_components, f_max):
+            for k in range(n_components - 1):
+                windows = _phase_windows(f_tuple[k + 1], k + 1, arcs)
+                order = _pair_order(windows)
+                dens = [n_grid * f for f in f_tuple[:k]]
+                for js in itertools.product(*map(range, dens)):
+                    phases = tuple(num / den for num, den in zip(js, dens))
+                    got = _reach_phases(f_tuple, windows, order, phases, margin)
+                    shuffled = rng.sample(order, len(order))
+                    assert _reach_phases(f_tuple, windows, shuffled, phases, margin) == got
+                    calls += 1
+                    nonempty += bool(got)
+    assert calls >= 100 and 0 < nonempty < calls, (calls, nonempty)
+
+
+def _random_link_patterns(rng):
+    """20 two-component patterns (q = 2, even p from 6 to 14) and 8
+    three-component ones (q = 3, p 9 or 12), with random signs."""
+    shapes = [(2, rng.randrange(6, 15, 2)) for _ in range(20)]
+    shapes += [(3, rng.choice((9, 12))) for _ in range(8)]
+    return [
+        QuasitoricPattern(q, p, tuple(tuple(rng.choice((1, -1)) for _ in range(q - 1)) for _ in range(p)))
+        for q, p in shapes
+    ]
+
+
+def test_search_with_the_oracle_screen_is_the_same(monkeypatch):
+    """``search_heights`` returns the same heights, or exhausts with the
+    same diagnostics, with its screen and with the kink-sweep oracle's in
+    its place, on seeded random 2- and 3-component links at small f_max."""
+
+    def oracle_screen(f_tuple, windows, order, phases, margin):
+        return reach_phases(f_tuple, len(phases), windows, phases, margin)
+
+    rng = random.Random(20261103)
+    outcomes = []
+    for seed, pattern in enumerate(_random_link_patterns(rng)):
+        star = build_star(pad_to_min_repetitions(pattern), 192)
+        table = arc_length_table(perturb_stage(star, Fraction(1, 1000), seed)[0], 192)
+        constraints = build_height_constraints(star, table)
+        f_max = 6 if pattern.strands == 2 else 3
+        results = []
+        for screen in (_reach_phases, oracle_screen):
+            monkeypatch.setattr("billiardknots.heights._reach_phases", screen)
+            try:
+                results.append(search_heights(constraints, table, f_max=f_max))
+            except SearchExhaustedError as err:
+                results.append(err.diagnostics)
+        assert results[0] == results[1], (seed, pattern)
+        outcomes.append(isinstance(results[0], tuple))
+    assert 0 < sum(outcomes) < len(outcomes), outcomes
 
 
 def _measure(segs):
@@ -744,11 +892,10 @@ def test_search_builds_each_own_phase_set_once(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name", ["hopf", "star-9-3"])
-def test_search_builds_each_kink_table_and_pair_order_once(monkeypatch, name):
-    """Each (k, f) kink table is built at most once, and the tables are
-    fewer than the screens that read them.  Each (k, f)'s windows are built
-    once, and one pair order is built from each."""
-    windows_built, keys, orders, tables, screens = [], [], [], [], []
+def test_search_builds_each_pair_order_once(monkeypatch, name):
+    """Each (k, f)'s windows are built once, one pair order is built from
+    each, and the screen runs."""
+    windows_built, keys, orders, screens = [], [], [], []
 
     def windows(f, k, *args):
         keys.append((f, k))
@@ -759,22 +906,17 @@ def test_search_builds_each_kink_table_and_pair_order_once(monkeypatch, name):
         orders.append(ws)
         return _pair_order(ws)
 
-    def table(f, k, *args):
-        tables.append((f, k))
-        return _kink_table(f, k, *args)
-
     def screen(*args):
         screens.append(args)
         return _reach_phases(*args)
 
     monkeypatch.setattr("billiardknots.heights._phase_windows", windows)
     monkeypatch.setattr("billiardknots.heights._pair_order", order)
-    monkeypatch.setattr("billiardknots.heights._kink_table", table)
     monkeypatch.setattr("billiardknots.heights._reach_phases", screen)
     realize(RealizationSpec(pattern=PRESETS[name], preset=name))
     assert len(set(keys)) == len(keys)
     assert [id(ws) for ws in orders] == [id(ws) for ws in windows_built]
-    assert len(set(tables)) == len(tables) < len(screens)
+    assert screens
 
 
 @pytest.mark.parametrize("n_components", [1, 2, 3])
