@@ -1,9 +1,10 @@
 """Command-line interface: realize, verify, presets.
 
-Exit codes: 0 success, 2 height-search exhaustion, 3 spec/parse error or
-artifacts that cannot be written (``--out`` names a file, say),
-4 verification or certification failure, 5 coincident trajectory events
-(a realized bounce on a wall vertex).
+Exit codes: 0 success, 2 height-search exhaustion (one stderr line then
+names the frequencies the search kept per component and the f-tuples it
+walked), 3 spec/parse error or artifacts that cannot be written (``--out``
+names a file, say), 4 verification or certification failure, 5 coincident
+trajectory events (a realized bounce on a wall vertex).
 """
 
 from __future__ import annotations
@@ -69,8 +70,8 @@ def cmd_realize(args) -> int:
         print(f"height search exhausted: {exc}", file=sys.stderr)
         if diag is not None:
             print(
-                f"  best attempt satisfied {diag.satisfied}/{diag.total} constraints; "
-                f"unsatisfied crossings: {list(diag.unsatisfied)}",
+                f"  of f <= {diag.f_max}: frequencies kept per component {list(diag.kept)}; "
+                f"f-tuples walked {diag.walked}",
                 file=sys.stderr,
             )
         return EXIT_SEARCH

@@ -10,7 +10,10 @@ exact phase intervals.  ``search_heights`` says in which order frequencies
 (shell order for links) and phases are tried.  It walks the shells of
 ascending maximum frequency top, computes each component's phase set under
 its own crossings and the box once, at f = top, as the shell opens, and
-walks only the f-tuples whose every component has such phases.
+walks only the f-tuples whose every component has such phases.  When it
+finds none up to f_max, that walk's counts are the diagnostics
+(``SearchDiagnostics``): the frequencies kept per component and the
+f-tuples walked.
 
 Each condition below is a sawtooth inequality, and with the heights of the
 components fixed earlier it holds for a component's phase on one cyclic
@@ -118,10 +121,13 @@ def build_height_constraints(diagram, table: ArcTable) -> tuple[HeightConstraint
 
 @dataclass(frozen=True)
 class SearchDiagnostics:
+    """What an exhausted ``search_heights`` walked: ``kept[k]`` is the
+    number of f <= ``f_max`` at which component k's own crossings and the
+    box leave a phase, and ``walked`` the number of f-tuples over kept
+    frequencies that were tried."""
     f_max: int
-    satisfied: int
-    total: int
-    unsatisfied: tuple[int, ...]
+    kept: tuple[int, ...]
+    walked: int
 
 
 def _intersect_intervals(s1, s2):
@@ -530,9 +536,9 @@ def search_heights(
     floats for the phase sets and the screen, and as Fractions for the
     heights.
 
-    Raises SearchExhaustedError when f_max is hit, with diagnostics from a
-    second walk over every shell's f-tuples (``_shell``): they describe the
-    f-tuple whose fixed probe phases violate the fewest constraints.
+    Raises SearchExhaustedError when f_max is hit, with the walk's own
+    counts as diagnostics: the frequencies kept per component and the
+    f-tuples walked.
     """
     if not 0 < margin < 0.5:  # NaN fails this too
         raise DomainError(f"margin must lie in (0, 0.5), got {margin}")
@@ -579,6 +585,7 @@ def search_heights(
                     return heights
         return None
 
+    walked = 0
     try:
         for top in range(1, f_max + 1):
             gained = False
@@ -592,6 +599,7 @@ def search_heights(
                     gained = True
             if gained:
                 for f_tuple in _shell(own, top):
+                    walked += 1
                     found = assign(f_tuple, (), ())
                     if found:
                         return found
@@ -603,34 +611,7 @@ def search_heights(
     raise SearchExhaustedError(
         f"no sawtooth parameters with f <= {f_max} satisfy all "
         f"{len(constraints)} constraints of {n_comp} components",
-        diagnostics=_probe_diagnostics(arcs, n_comp, f_max, n_grid, margin),
-    )
-
-
-def _probe_diagnostics(arcs, n_comp: int, f_max: int, n_grid: int, margin: float):
-    """The crossings violated at the probe phases 0.5 / (n_grid f) of the
-    first f-tuple, in shell order, that violates the fewest of them.  A
-    tuple's count stops once it reaches the fewest so far: only a smaller
-    one replaces them."""
-    fewest_bad = None
-    for top in range(1, f_max + 1):
-        for f_tuple in _shell([range(1, top + 1)] * n_comp, top):
-            probe = [(f, 0.5 / (n_grid * f)) for f in f_tuple]
-            bad = []
-            for c, t1, t2 in arcs:
-                (f1, phi1), (f2, phi2) = probe[c.first_component], probe[c.second_component]
-                z1, z2 = _sawtooth(f1, t1, phi1), _sawtooth(f2, t2, phi2)
-                if abs(z1 - z2) < margin or (z1 > z2) != c.first_over:
-                    bad.append(c.crossing)
-                    if fewest_bad is not None and len(bad) == len(fewest_bad):
-                        break
-            if fewest_bad is None or len(bad) < len(fewest_bad):
-                fewest_bad = bad
-    return SearchDiagnostics(
-        f_max=f_max,
-        satisfied=len(arcs) - len(fewest_bad),
-        total=len(arcs),
-        unsatisfied=tuple(fewest_bad),
+        diagnostics=SearchDiagnostics(f_max, tuple(map(len, own)), walked),
     )
 
 

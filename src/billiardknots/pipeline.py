@@ -221,7 +221,14 @@ class RealizationResult:
         return perturbation.independence_check(arcs, INDEPENDENCE_MAX_COEFF, INDEPENDENCE_TOL)
 
 
-MAX_HALVINGS = 60
+def last_halving(delta: Fraction) -> int:
+    """The first h >= 0 at which delta / 2^h falls below the grid 2^-31 that
+    ``perturb`` rounds every line coefficient to (``DENOMINATOR_BITS``):
+    2^h > delta 2^31 holds from h = bit length of floor(delta 2^31) on.
+    From it on a draw shifts each coefficient by less than one grid step,
+    so the coefficient rounds to a grid point next to the star's value, and
+    further halvings would mostly repeat line sets drawn before."""
+    return int(delta * (1 << perturbation.DENOMINATOR_BITS)).bit_length()
 
 
 def perturb_stage(
@@ -229,8 +236,10 @@ def perturb_stage(
 ) -> tuple[PerturbedPolygon, MirrorRoomReport]:
     """The first polygon, with its report, that keeps the star's layout and
     passes the mirror-room check at the star's precision.  Halving h draws
-    from ``random.Random(seed * 1_000_003 + h)`` at delta / 2^h."""
-    for halving in range(MAX_HALVINGS + 1):
+    from ``random.Random(seed * 1_000_003 + h)`` at delta / 2^h, for h = 0
+    .. ``last_halving(delta)``."""
+    last = last_halving(delta)
+    for halving in range(last + 1):
         rng = random.Random(seed * 1_000_003 + halving)
         draws = [rng.uniform(-1.0, 1.0) for _ in range(2 * star.p)]
         poly = perturb(star, delta / (1 << halving), draws)
@@ -239,7 +248,7 @@ def perturb_stage(
             if report.passed:
                 return poly, report
     raise CombinatorialCollapseError(
-        f"no delta = {delta} * 2^-h for h = 0..{MAX_HALVINGS} gave lines that keep "
+        f"no delta = {delta} * 2^-h for h = 0..{last} gave lines that keep "
         "the star's combinatorics and pass the mirror-room check"
     )
 

@@ -8,11 +8,10 @@ The kink sweep (``crossing_phases``) finds condition (a)'s exact phase
 intervals piece by piece between the sawtooth kinks, where the search uses
 closed-form windows.  ``sequential_own_phases`` intersects a component's
 own-crossing windows one by one, with no screen in front, by the same float
-expressions as the search.  ``probe_violations`` counts every violated
-crossing at the exhaustion probe phases of every f-tuple in shell order.
-``reach_phases`` is the link screen by a kink sweep: it sorts the window
-pairs and finds each pair's phases piece by piece between the sawtooth
-kinks, where the search takes one closed-form cyclic window per pair.
+expressions as the search.  ``reach_phases`` is the link screen by a kink
+sweep: it sorts the window pairs and finds each pair's phases piece by
+piece between the sawtooth kinks, where the search takes one closed-form
+cyclic window per pair.
 ``exact_confirm_heights`` evaluates conditions (a)-(c) with every height
 at the table's precision, where ``confirm_heights`` decides them in float64
 first.  ``sorted_height_constraints`` orders each crossing's two passages
@@ -37,17 +36,6 @@ def shell_order(d: int, top: int):
         for f_tuple in itertools.product(range(1, shell + 1), repeat=d):
             if max(f_tuple) == shell:
                 yield f_tuple
-
-
-def probe_violations(constraints, n_components: int, f_max: int, margin: float):
-    """For every f-tuple in ``shell_order``, the crossings violated when each
-    component k takes the probe phase 0.5 / (4 #constraints f_k), counting
-    every crossing.  ``constraints`` holds (constraint, first arc, second
-    arc) with float arcs."""
-    n = 4 * max(1, len(constraints))
-    for f_tuple in shell_order(n_components, f_max):
-        heights = {k: (f, 0.5 / (n * f)) for k, f in enumerate(f_tuple)}
-        yield [c.crossing for c, t1, t2 in constraints if not _crossing_holds(c, t1, t2, heights, margin)]
 
 
 def sawtooth(f: int, t: float, phi: float) -> float:

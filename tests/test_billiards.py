@@ -23,7 +23,7 @@ from billiardknots.braids import pad_to_min_repetitions, toric_pattern
 from billiardknots.errors import DegenerateAngleError, UnboundedTableError
 from billiardknots.heights import SawtoothHeight, emit_trajectory
 from billiardknots.perturbation import arc_length_table, perturb, to_mpf
-from billiardknots.pipeline import MAX_HALVINGS, perturb_stage
+from billiardknots.pipeline import last_halving, perturb_stage
 from billiardknots.presets import PRESETS
 from billiardknots.stars import build_star
 
@@ -387,7 +387,7 @@ def layout_polygon(star, delta, seed):
     """The first polygon of ``perturb_stage``'s seeded draws whose layout is
     the star's, mirror room or not: delta is halved only on a layout
     failure."""
-    for halving in range(MAX_HALVINGS + 1):
+    for halving in range(last_halving(delta) + 1):
         rng = random.Random(seed * 1_000_003 + halving)
         draws = [rng.uniform(-1.0, 1.0) for _ in range(2 * star.p)]
         poly = perturb(star, delta / (1 << halving), draws)

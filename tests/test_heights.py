@@ -46,7 +46,6 @@ from height_oracles import (
     evaluate_sawtooth,
     exact_confirm_heights,
     first_hit,
-    probe_violations,
     SCREEN_SLACK,
     reach_phases,
     sawtooth,
@@ -176,9 +175,9 @@ def test_search_exhaustion_diagnostics():
     )
     with pytest.raises(SearchExhaustedError) as err:
         search_heights(cons, table, f_max=12, margin=1e-3)
-    assert err.value.diagnostics == SearchDiagnostics(
-        f_max=12, satisfied=1, total=2, unsatisfied=(0,)
-    )
+    # the two windows of the one component's own crossings never meet, so
+    # no frequency is kept and no f-tuple is walked
+    assert err.value.diagnostics == SearchDiagnostics(f_max=12, kept=(0,), walked=0)
 
 
 def test_search_margin_validation():
@@ -224,9 +223,9 @@ def test_joint_search_exhaustion_diagnostics():
     )
     with pytest.raises(SearchExhaustedError) as err:
         search_heights(cons, table, f_max=4, margin=1e-3)
-    assert err.value.diagnostics == SearchDiagnostics(
-        f_max=4, satisfied=1, total=2, unsatisfied=(1,)
-    )
+    # neither component has a crossing of its own, so the box keeps every
+    # frequency and all 4 x 4 f-tuples fail between the components
+    assert err.value.diagnostics == SearchDiagnostics(f_max=4, kept=(4, 4), walked=16)
 
 
 def _random_arc_table(rng, n_components, n_crossings, prec_bits=256, arc=None):
@@ -846,15 +845,14 @@ def test_four_component_link_exhaustion_is_pinned():
     (one ``choice((1, -1))`` per sign, row by row) and perturbation seed 42:
     its 36 crossings all join two components, so its screens at k = 1 and
     2 hold windows on earlier components.  Exhausting f_max 3 takes about
-    0.4 s (2-core x86-64, CPython 3.11)."""
+    0.16 s (2-core x86-64, CPython 3.11); it keeps 3 frequencies per
+    component and walks all 81 f-tuples."""
     rng = random.Random("4/12")
     signs = tuple(tuple(rng.choice((1, -1)) for _ in range(3)) for _ in range(12))
     spec = RealizationSpec(pattern=QuasitoricPattern(4, 12, signs), seed=42, f_max=3)
     with pytest.raises(SearchExhaustedError) as err:
         realize(spec)
-    assert err.value.diagnostics == SearchDiagnostics(
-        f_max=3, satisfied=24, total=36, unsatisfied=(2, 4, 6, 8, 10, 14, 15, 16, 19, 20, 27, 29)
-    )
+    assert err.value.diagnostics == SearchDiagnostics(f_max=3, kept=(3, 3, 3, 3), walked=81)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -920,29 +918,41 @@ def test_search_builds_each_pair_order_once(monkeypatch, name):
 
 
 @pytest.mark.parametrize("n_components", [1, 2, 3])
-def test_probe_diagnostics_match_the_full_count(n_components):
+def test_exhaustion_diagnostics_count_the_walk(n_components):
     """On unsatisfiable tables (a crossing and its reverse on the same two
-    passages) the exhaustion diagnostics name the first f-tuple in shell
-    order whose probe phases violate the fewest crossings, as counted in
-    full by the oracle, and ties for the fewest occur."""
+    passages) the exhaustion diagnostics give, per component, the number of
+    f <= f_max whose own-crossing windows, intersected one by one, meet
+    the box, and the number of f-tuples in shell order over those
+    frequencies.  In a knot the reversed crossing is the knot's own, so
+    nothing is kept; in a link both zero and non-zero walks occur."""
     margin = 0.05
     rng = random.Random(20261025 + n_components)
-    tied = 0
+    walked_some = walked_none = 0
     for _ in range(6):
         table, cons = _random_arc_table(rng, n_components, rng.randint(2, 6))
         flipped = rng.choice(cons)
         cons += (replace(flipped, crossing=len(cons), first_over=not flipped.first_over),)
         f_max = rng.randint(9 - 2 * n_components, 8)
         arcs = [(c, float(c.first_arc), float(c.second_arc)) for c in cons]
-        counts = list(probe_violations(arcs, n_components, f_max, margin))
-        fewest = min(counts, key=len)
-        tied += sum(len(bad) == len(fewest) for bad in counts) > 1
+        kept = []
+        for k in range(n_components):
+            events = [float(t) for t in table.vertex_arcs[k]] + [float(ps.arc) for ps in table.passages[k]]
+            kept.append({
+                f for f in range(1, f_max + 1)
+                if _intersect_intervals(
+                    sequential_own_phases(f, k, arcs, margin),
+                    _box_phases(f, events, itertools.repeat((margin, 1 - margin))),
+                )
+            })
+        walked = sum(all(f in fs for f, fs in zip(t, kept)) for t in shell_order(n_components, f_max))
         with pytest.raises(SearchExhaustedError) as err:
             search_heights(cons, table, f_max=f_max, margin=margin)
         assert err.value.diagnostics == SearchDiagnostics(
-            f_max=f_max, satisfied=len(cons) - len(fewest), total=len(cons), unsatisfied=tuple(fewest)
+            f_max=f_max, kept=tuple(map(len, kept)), walked=walked
         )
-    assert tied >= 3, tied
+        walked_some += walked > 0
+        walked_none += walked == 0
+    assert walked_none and (walked_some > 0) == (n_components > 1), (walked_some, walked_none)
 
 
 def test_emit_frequency_one_has_two_bounces():

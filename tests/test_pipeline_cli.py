@@ -315,7 +315,8 @@ def test_cli_search_exhaustion_exit_code(tmp_path, capsys):
     spec = _write_spec(tmp_path, {"preset": "torus-2-5", "seed": 42, "margin": 0.45, "f_max": 3})
     assert main(["realize", str(spec), "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
-    assert "best attempt satisfied 1/5 constraints; unsatisfied crossings: [0, 1, 2, 4]" in err
+    # the knot's own crossings leave no phase at any f, so nothing is walked
+    assert "of f <= 3: frequencies kept per component [0]; f-tuples walked 0" in err
 
 
 def test_realize_halves_delta_after_a_failed_mirror_room_check(tmp_path, monkeypatch):
@@ -338,11 +339,10 @@ def test_realize_halves_delta_after_a_failed_mirror_room_check(tmp_path, monkeyp
     assert verify_artifacts(files["report"]).passed
 
 
-def test_mirror_room_failures_spend_the_one_halving_budget(tmp_path, monkeypatch, capsys):
-    """With every mirror-room check failing, the trefoil's perturb stage
-    checks at most ``MAX_HALVINGS`` + 1 polygons, each at a smaller delta
-    than the last, and then raises the one CombinatorialCollapseError; the
-    CLI exits 4 and writes nothing."""
+@pytest.fixture
+def failing_mirror_room(monkeypatch):
+    """Every mirror-room check of the perturb stage fails; the list holds
+    the delta of each polygon checked, in order."""
     deltas = []
 
     def failing(poly, **kwargs):
@@ -350,16 +350,37 @@ def test_mirror_room_failures_spend_the_one_halving_budget(tmp_path, monkeypatch
         return MirrorRoomReport(passed=False, margin=None)
 
     monkeypatch.setattr(pipeline, "mirror_room_check", failing)
-    message = "no delta = 1/1000 * 2^-h for h = 0..60 gave lines that keep the star's combinatorics"
+    return deltas
+
+
+def test_mirror_room_failures_spend_the_one_halving_budget(tmp_path, failing_mirror_room, capsys):
+    """With every mirror-room check failing, the trefoil's perturb stage
+    at delta 1/1000 checks h = 0 .. 22, the first h with delta / 2^h below
+    the 2^-31 grid of the line coefficients (delta / 2^21 is not), and then
+    raises the one CombinatorialCollapseError; the CLI exits 4 and writes
+    nothing."""
+    message = "no delta = 1/1000 * 2^-h for h = 0..22 gave lines that keep the star's combinatorics"
     with pytest.raises(CombinatorialCollapseError, match=re.escape(message)):
         realize(RealizationSpec.from_dict({"preset": "trefoil"}))
-    assert 0 < len(deltas) <= pipeline.MAX_HALVINGS + 1
-    assert all(later < earlier for earlier, later in zip(deltas, deltas[1:]))
+    assert failing_mirror_room == [Fraction(1, 1000) / 2**h for h in range(23)]
     spec = _write_spec(tmp_path, {"preset": "trefoil"})
     capsys.readouterr()
     assert main(["realize", str(spec), "--out", str(tmp_path / "x")]) == 4
     assert f"pipeline failure: {message}" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+def test_halving_stops_at_the_coefficient_grid(failing_mirror_room):
+    """The perturb stage halves delta until it first falls below the 2^-31
+    grid of the line coefficients: a delta already below the grid is tried
+    once, and one on the grid twice."""
+    grid = Fraction(1, 1 << perturbation.DENOMINATOR_BITS)
+    for delta, last in [(grid / 3, 0), (grid, 1)]:
+        failing_mirror_room.clear()
+        message = f"no delta = {delta} * 2^-h for h = 0..{last} gave lines"
+        with pytest.raises(CombinatorialCollapseError, match=re.escape(message)):
+            realize(RealizationSpec.from_dict({"preset": "trefoil", "delta": str(delta)}))
+        assert failing_mirror_room == [delta / 2**h for h in range(last + 1)]
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
