@@ -23,9 +23,12 @@ a and b.  Only the candidates the screen cannot rule out are evaluated in
 mpf, in the unscreened order, and only their mirrors' bisectors, so every
 result is the unscreened loops' bit for bit.  A degenerate angle is ruled
 out in float64 where the test clears its bound, and is otherwise left to
-``internal_bisector``.  ``build_table`` is not screened: it checks the
-floor with one exact mpf test per edge, that the edge runs
-counterclockwise along its mirror line.
+``internal_bisector``.  ``polygon_mirrors`` shares each edge between the
+bisectors at its two ends.  ``build_table`` checks the floor with one exact
+mpf test per edge, that the edge runs counterclockwise along its mirror
+line, and screens its two angle orders: float64 decides them where a 2^-40
+separation proves them, and ``mp.atan2`` elsewhere, so every table value is
+the unscreened one, bit for bit.
 """
 
 from __future__ import annotations
@@ -45,26 +48,39 @@ from .stars import ArcTable
 MARGIN_FACTOR = 1e-12  # of the trajectory diameter
 
 
+def _edge(p, q):
+    """The edge from p to q (mpf pairs): its vector, its ``hypot`` length and,
+    unless that is 0, its unit vector."""
+    dx, dy = q[0] - p[0], q[1] - p[1]
+    length = mp.hypot(dx, dy)
+    return (dx, dy, length, dx / length, dy / length) if length else (dx, dy, length, None, None)
+
+
+def _bisector(into, out_of, tau):
+    """Unit internal bisector where ``_edge`` ``into`` ends and ``out_of``
+    starts, with the collinearity limit tau.  Rounding to nearest commutes
+    with negation and ``hypot`` ignores signs, so with a = prev - at = -into
+    every value is that of the formula on a and b = out_of, bit for bit
+    (the cross product up to the sign that ``abs`` drops)."""
+    ax, ay, na, aux, auy = into
+    bx, by, nb, bux, buy = out_of
+    if na == 0 or nb == 0:
+        raise DegenerateAngleError("coincident points give no angle")
+    if abs(ax * by - ay * bx) < tau * na * nb:
+        raise DegenerateAngleError("collinear points give a degenerate angle")
+    ux, uy = bux - aux, buy - auy
+    norm = mp.hypot(ux, uy)
+    return (ux / norm, uy / norm)
+
+
 def internal_bisector(prev, at, next_, prec_bits: int = 128):
     """Unit vector along the internal bisector of the angle prev-at-next.
 
     Points into the angle: u = normalize(normalize(prev-at) + normalize(next-at)).
     """
     with mp.workprec(prec_bits):
-        ax = to_mpf(prev[0]) - to_mpf(at[0])
-        ay = to_mpf(prev[1]) - to_mpf(at[1])
-        bx = to_mpf(next_[0]) - to_mpf(at[0])
-        by = to_mpf(next_[1]) - to_mpf(at[1])
-        na, nb = mp.hypot(ax, ay), mp.hypot(bx, by)
-        if na == 0 or nb == 0:
-            raise DegenerateAngleError("coincident points give no angle")
-        eps = mp.mpf(2) ** (-prec_bits // 2)
-        if abs(ax * by - ay * bx) < eps * na * nb:
-            raise DegenerateAngleError("collinear points give a degenerate angle")
-        ux = ax / na + bx / nb
-        uy = ay / na + by / nb
-        norm = mp.hypot(ux, uy)
-        return (ux / norm, uy / norm)
+        prev, at, next_ = ((to_mpf(x), to_mpf(y)) for x, y in (prev, at, next_))
+        return _bisector(_edge(prev, at), _edge(at, next_), mp.mpf(2) ** (-prec_bits // 2))
 
 
 @dataclass(frozen=True)
@@ -85,15 +101,19 @@ class MirrorRoomReport:
 
 
 def polygon_mirrors(poly: PerturbedPolygon, prec_bits: int = 128) -> list[Mirror]:
+    """The mirror at every vertex, each edge computed once for the two
+    bisectors that share it, which are ``internal_bisector``'s bit for bit."""
     mirrors = []
     with mp.workprec(prec_bits):
+        tau = mp.mpf(2) ** (-prec_bits // 2)
         for ci, comp in enumerate(poly.components):
             m = len(comp.vertices)
             if m < 3:
                 raise DomainError(f"component {ci} has fewer than 3 vertices")
             points = [(to_mpf(x), to_mpf(y)) for x, y in comp.vertices]
+            edges = [_edge(points[i - 1], points[i]) for i in range(m)]  # edges[i] ends at vertex i
             for i in range(m):
-                u = internal_bisector(points[i - 1], points[i], points[(i + 1) % m], prec_bits)
+                u = _bisector(edges[i], edges[(i + 1) % m], tau)
                 mirrors.append(Mirror(comp.vertices[i], u, ci, i, points[i]))
     return mirrors
 
@@ -301,6 +321,48 @@ class BilliardTable:
     edge_of_mirror: tuple[tuple[tuple, tuple], ...]  # edge endpoints per mirror
 
 
+SEP = 2.0 ** -40  # the float64 angle separation that decides an order
+
+
+def _order_and_gaps(angle, pi):
+    """Indices in increasing angle (a stable sort) and the gaps between
+    consecutive angles, the last one around the full turn."""
+    order = sorted(range(len(angle)), key=angle.__getitem__)
+    gaps = [angle[b] - angle[a] for a, b in zip(order, order[1:])]
+    gaps.append(angle[order[0]] + 2 * pi - angle[order[-1]])
+    return order, gaps
+
+
+def _float_order(vectors):
+    """``_order_and_gaps`` of the float64 angles of ``vectors`` (float
+    pairs), or None unless the screen of ``build_table`` proves that order
+    is the working precision's: every vector's larger coordinate is finite
+    and at least 2^-960, no angle is within SEP of +-pi, and consecutive
+    angles are more than SEP apart."""
+    angle = []
+    for x, y in vectors:
+        if not 2.0 ** -960 <= max(abs(x), abs(y)) < math.inf:
+            return None
+        angle.append(math.atan2(y, x))
+    order, gaps = _order_and_gaps(angle, math.pi)
+    if SEP - math.pi < angle[order[0]] and angle[order[-1]] < math.pi - SEP:
+        if all(gap > SEP for gap in gaps[:-1]):
+            return order, gaps
+    return None
+
+
+def _normal_order(mirrors):
+    """The mirrors in increasing outward-normal angle, and whether some gap
+    between consecutive normals is a half-turn or more."""
+    directions = [m.direction for m in mirrors]
+    screened = _float_order([(-float(ux), -float(uy)) for ux, uy in directions])
+    if screened and all(abs(gap - math.pi) > SEP for gap in screened[1]):
+        order, gaps = screened
+        return order, max(gaps) > math.pi
+    order, gaps = _order_and_gaps([mp.atan2(-uy, -ux) for ux, uy in directions], mp.pi)
+    return order, max(gaps) >= mp.pi
+
+
 def build_table(mirrors, prec_bits: int = 128) -> BilliardTable:
     """Intersect the mirror half-planes into the convex floor polygon.
 
@@ -319,18 +381,45 @@ def build_table(mirrors, prec_bits: int = 128) -> BilliardTable:
     positive-length edges turns once through a full turn, so it is a
     convex polygon, and a convex polygon is the intersection of its edges'
     half-planes.
+
+    The two orders, of the normals (with the half-turn test) and of the
+    corners about their centroid (for the start), are those of the
+    working-precision angles ``mp.atan2`` gives, but are decided from
+    float64 ``math.atan2`` where a screen proves them; elsewhere the whole
+    order is decided by ``mp.atan2``.  With p = prec_bits >= 53, take an
+    mpf vector, a normal -u or a corner minus the centroid, and its exact
+    angle t:
+      - rounding each coordinate to float64 moves the vector by at most
+        2^-53 of its length, or by 2^-1074 absolutely on underflow, which
+        is below 2^-114 of it when its larger coordinate is at least
+        2^-960; so its angle moves by less than 2^-52.9;
+      - ``math.atan2`` is within 2 ulp of the angle of its arguments (as
+        the C libraries' are), 2^-50 for an angle in [-pi, pi];
+      - ``mp.atan2`` rounds atan(y/x), evaluated at p + 4 bits and
+        shifted by pi at p + 4 bits for x < 0, once to p bits: within
+        1 ulp, 2^-51, of t.
+    So the float and working-precision angles are within d = 2^-48 of each
+    other.  Where consecutive float angles are more than SEP = 2^-40 > 2d
+    apart, the working-precision angles are distinct and come in the same
+    order, which is then the stable sort's; where no float angle is within
+    SEP of +-pi, no working-precision angle is on the other side of the
+    cut at pi.  A gap is a difference of two angles, or of two angles and
+    2 pi: its float and working-precision values are within 2d plus their
+    few roundings, less than 2^-46, and ``mp.pi`` is within 2^-52 of pi,
+    so a float gap more than SEP from pi lies on the same side of pi as
+    the working-precision gap of ``mp.pi``, and the half-turn verdict is
+    the same.  Every stored value is therefore the unscreened order's, bit
+    for bit.
     """
     mirrors = tuple(mirrors)
     n = len(mirrors)
     with mp.workprec(prec_bits):
         # boundedness: outward normals (-u) must not fit in an open half-plane
-        angle = [mp.atan2(-uy, -ux) for ux, uy in (m.direction for m in mirrors)]
-        order = sorted(range(n), key=angle.__getitem__)
-        gaps = [angle[order[k + 1]] - angle[order[k]] for k in range(n - 1)]
-        gaps.append(angle[order[0]] + 2 * mp.pi - angle[order[-1]])
-        if max(gaps) >= mp.pi:
+        order, unbounded = _normal_order(mirrors)
+        if unbounded:
             raise UnboundedTableError("mirror normals span less than a half-turn")
 
+        tau = mp.mpf(2) ** (-prec_bits // 2)
         offsets = [m.direction[0] * m.point[0] + m.direction[1] * m.point[1] for m in mirrors]
         corners = []  # corners[k] is where the lines of order[k] and order[k + 1] meet
         for k in range(n):
@@ -338,7 +427,7 @@ def build_table(mirrors, prec_bits: int = 128) -> BilliardTable:
             (ax, ay), a_off = mirrors[i].direction, offsets[i]
             (bx, by), b_off = mirrors[j].direction, offsets[j]
             den = ax * by - ay * bx
-            if abs(den) < mp.mpf(2) ** (-prec_bits // 2):
+            if abs(den) < tau:
                 raise UnboundedTableError(f"consecutive mirrors {i} and {j} are parallel")
             corners.append(((a_off * by - b_off * ay) / den, (ax * b_off - bx * a_off) / den))
 
@@ -352,7 +441,12 @@ def build_table(mirrors, prec_bits: int = 128) -> BilliardTable:
 
         cx = mp.fsum(x for x, _ in corners) / n
         cy = mp.fsum(y for _, y in corners) / n
-        start = min(range(n), key=lambda k: mp.atan2(corners[k][1] - cy, corners[k][0] - cx))
+        about = [(x - cx, y - cy) for x, y in corners]
+        screened = _float_order([(float(x), float(y)) for x, y in about])
+        if screened:
+            start = screened[0][0]
+        else:
+            start = min(range(n), key=lambda k: mp.atan2(about[k][1], about[k][0]))
     return BilliardTable(
         floor=tuple(corners[start:] + corners[:start]),
         mirrors=mirrors,

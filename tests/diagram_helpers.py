@@ -4,13 +4,16 @@ in ``billiardknots``.
 """
 
 import math
+import random
 
 import mpmath as mp
 
+from billiardknots.braids import QuasitoricPattern, pad_to_min_repetitions
 from billiardknots.errors import DomainError
 from billiardknots.invariants import jones
 from billiardknots.laurent import Laurent
 from billiardknots.pdcodes import PDCode, braid_closure_pd, traversal_pd
+from billiardknots.presets import PRESETS
 from billiardknots.stars import ArcTable, Passage, StarDiagram
 
 
@@ -147,3 +150,16 @@ def jones_mirror(poly: Laurent) -> Laurent:
 def unlink_jones(components: int) -> Laurent:
     """Jones polynomial of the crossing-free unlink."""
     return jones(PDCode((), free_loops=components), 0)
+
+
+def seeded_inputs():
+    """The presets and 32 seeded mixed-sign patterns, 8 for each q = 2..5,
+    each as (name, padded pattern, perturbation seed)."""
+    inputs = [(name, pad_to_min_repetitions(PRESETS[name]), 42) for name in sorted(PRESETS)]
+    rng = random.Random(3401)
+    for q in (2, 3, 4, 5):
+        for index in range(8):
+            p = rng.randint(2 * q + 1, 2 * q + 5)
+            signs = tuple(tuple(rng.choice((1, -1)) for _ in range(q - 1)) for _ in range(p))
+            inputs.append((f"random-{q}-{p}-{index}", QuasitoricPattern(q, p, signs), rng.randrange(1 << 31)))
+    return inputs

@@ -1,13 +1,18 @@
+import functools
+import importlib.util
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import mpmath as mp
 import pytest
+from diagram_helpers import seeded_inputs
 from mirror_room_oracle import all_vertices, pairwise_mirror_room, plain_contains_xy
 from reflection_oracle import pointwise_reflection
-from table_oracles import pairwise_floor
+from table_oracles import atan2_table, normalized_sum_bisector, pairwise_floor
 
 from billiardknots import billiards
 from billiardknots.billiards import (
@@ -603,3 +608,207 @@ def _mirrors(directions):
 def test_build_table_raises_on_an_unbounded_mirror_set(directions, message):
     with pytest.raises(UnboundedTableError, match=message):
         build_table(_mirrors(directions))
+
+
+@functools.lru_cache(maxsize=None)
+def shared_edge_polygons():
+    """The presets and the 32 seeded mixed-sign patterns of
+    ``seeded_inputs`` as ``perturb_stage`` perturbs them, then
+    ``random_line_polygons`` of seeds 1-3 (deltas up to 1/2)."""
+    seeded = [
+        perturb_stage(build_star(pattern, prec_bits=192), Fraction(1, 1000), seed)[0]
+        for _, pattern, seed in seeded_inputs()
+    ]
+    lines = [poly for seed in (1, 2, 3) for poly in random_line_polygons(seed)]
+    assert (len(seeded), len(lines)) == (41, 90)
+    return tuple(seeded + lines)
+
+
+def _bits(values):
+    """The ``_mpf_`` of every mpf in nested tuples."""
+    if isinstance(values, tuple):
+        return tuple(_bits(v) for v in values)
+    return values._mpf_
+
+
+def per_vertex(poly, bisector, prec):
+    """``bisector`` at every vertex from its two neighbours, component by
+    component: the bisectors, or the flat index and message of the first
+    DegenerateAngleError."""
+    directions = []
+    for comp in poly.components:
+        vs, m = comp.vertices, len(comp.vertices)
+        for i in range(m):
+            try:
+                directions.append(bisector(vs[i - 1], vs[i], vs[(i + 1) % m], prec))
+            except DegenerateAngleError as exc:
+                return len(directions), str(exc)
+    return directions
+
+
+@pytest.mark.parametrize("prec", (53, 128, 192))
+def test_polygon_mirrors_match_internal_bisector_bit_for_bit(prec):
+    """The shared edges of ``polygon_mirrors`` give every vertex the bits of
+    ``internal_bisector`` and of the per-vertex formula."""
+    for poly in shared_edge_polygons():
+        got = [_bits(m.direction) for m in polygon_mirrors(poly, prec)]
+        for bisector in (internal_bisector, normalized_sum_bisector):
+            assert got == [_bits(u) for u in per_vertex(poly, bisector, prec)]
+
+
+@pytest.mark.parametrize("prec", (53, 128, 192))
+def test_polygon_mirrors_raise_at_the_first_degenerate_vertex(prec, monkeypatch):
+    """A straight or coincident vertex raises the per-vertex formula's
+    DegenerateAngleError, at its first degenerate vertex: the bisector
+    kernel is called once per vertex up to that one, across components and
+    across the wrap-around edge."""
+    calls = []
+    kernel = billiards._bisector
+    monkeypatch.setattr(billiards, "_bisector", lambda *args: calls.append(args) or kernel(*args))
+    F = Fraction
+    straight = [(F(0), F(0)), (F(2), F(0)), (F(4), F(0)), (F(2), F(3))]
+    coincident = [(F(0), F(0)), (F(1), F(0)), (F(1), F(0)), (F(0), F(1))]
+    straight_at_0 = [(F(1), F(0)), (F(2), F(0)), (F(0), F(1)), (F(0), F(0))]
+    triangle = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1))]
+    firsts = []
+    for comps in ([straight], [coincident], [straight_at_0], [triangle, straight], [triangle, coincident]):
+        poly = fake_polygon(comps)
+        calls.clear()
+        with pytest.raises(DegenerateAngleError) as info:
+            polygon_mirrors(poly, prec)
+        firsts.append((len(calls) - 1, str(info.value)))
+        assert firsts[-1] == per_vertex(poly, normalized_sum_bisector, prec)
+    assert [k for k, _ in firsts] == [1, 1, 0, 4, 4]
+
+
+@pytest.fixture
+def atan2_calls(monkeypatch):
+    """The arguments of every ``mp.atan2`` call, in order."""
+    calls = []
+    atan2 = mp.atan2
+    monkeypatch.setattr(mp, "atan2", lambda y, x: calls.append((y, x)) or atan2(y, x))
+    return calls
+
+
+def assert_same_table(mirrors, prec, atan2_calls) -> tuple[str, int]:
+    """``build_table`` gives the ``mp.atan2``-ordered table's floor and
+    edges bit for bit, or raises its UnboundedTableError message; returns
+    "built" or that message, and the number of ``mp.atan2`` calls
+    ``build_table`` made."""
+    try:
+        want = atan2_table(mirrors, prec)
+    except UnboundedTableError as exc:
+        atan2_calls.clear()
+        with pytest.raises(UnboundedTableError) as info:
+            build_table(mirrors, prec)
+        assert str(info.value) == str(exc)
+        return str(exc), len(atan2_calls)
+    atan2_calls.clear()
+    got = build_table(mirrors, prec)
+    assert _bits(got.floor) == _bits(want.floor)
+    assert _bits(got.edge_of_mirror) == _bits(want.edge_of_mirror)
+    return "built", len(atan2_calls)
+
+
+def benchmark_polygons():
+    """The perturbed polygons of every benchmark input of the torus, knots
+    and links workloads at benchmark seeds 1-3."""
+    path = Path(__file__).resolve().parents[1] / "benchmark" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclass looks its module up there
+    spec.loader.exec_module(workloads)
+    polys = []
+    for name in ("torus", "knots", "links"):
+        for seed in (1, 2, 3):
+            for s in workloads.build_specs(name, seed)[1]:
+                star = build_star(pad_to_min_repetitions(s.pattern), s.precision_bits)
+                polys.append((s.precision_bits, perturb_stage(star, s.delta, s.seed)[0]))
+    return polys
+
+
+def test_build_table_orders_need_no_atan2_on_presets_and_benchmark_inputs(atan2_calls):
+    """Every preset, at 53 to 256 bits, and every benchmark input takes both
+    orders from the float64 screen, with the ``mp.atan2`` table's bits."""
+    inputs = [(prec, preset_polygon(name)) for name in PRESETS for prec in (53, 64, 128, 192, 256)]
+    inputs += benchmark_polygons()
+    assert len(inputs) == 45 + 39
+    for prec, poly in inputs:
+        assert assert_same_table(polygon_mirrors(poly, prec), prec, atan2_calls) == ("built", 0)
+
+
+@pytest.mark.parametrize("prec", SCREEN_PRECISIONS)
+def test_build_table_matches_the_atan2_oracle_bit_for_bit(prec, atan2_calls):
+    """On the seeded patterns, the random lines and random closed polygons,
+    the screened orders give the ``mp.atan2`` table's floor and edges or its
+    error; some of the polygons that fail the mirror-room check bound no
+    table."""
+    built = set()
+    for poly in list(shared_edge_polygons()) + random_closed_polygons(19, 100):
+        try:
+            mirrors = polygon_mirrors(poly, prec)
+        except DegenerateAngleError:
+            continue
+        built.add(assert_same_table(mirrors, prec, atan2_calls)[0] == "built")
+    assert built == {True, False}
+
+
+def _tangent_mirrors(normals, points, prec):
+    """Mirrors with the given outward normals (``build_table`` takes
+    -normal as the direction, unit or not) through the given points."""
+    with mp.workprec(prec):
+        return [
+            Mirror((Fraction(0), Fraction(0)), (-mp.mpf(nx), -mp.mpf(ny)), 0, k, (mp.mpf(x), mp.mpf(y)))
+            for k, ((nx, ny), (x, y)) in enumerate(zip(normals, points))
+        ]
+
+
+def _circle_mirrors(angles, prec):
+    """Mirrors tangent to the unit circle where the outward normal has the
+    given angle."""
+    with mp.workprec(prec):
+        units = [(mp.cos(a), mp.sin(a)) for a in angles]
+    return _tangent_mirrors(units, units, prec)
+
+
+def _fallback_mirror_sets(prec):
+    """Mirror sets on which the screen must leave an order to ``mp.atan2``,
+    with the number of ``mp.atan2`` calls the fallback makes (None: at
+    least one)."""
+    with mp.workprec(prec):
+        pentagon = [mp.mpf(3) / 10 + 2 * mp.pi * k / 5 for k in range(5)]
+        close = pentagon + [pentagon[0] + mp.mpf(2) ** -45]
+        tilt = mp.pi / 2 - mp.mpf(2) ** -52
+        over = [-tilt, mp.mpf(0), tilt]
+    square = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    diamond = [(1, 1), (-1, 1), (-1, -1), (1, -1)]
+    tilted = [(2, 1), (-1, 2), (-2, -1), (1, -2)]
+    return {
+        # two normals 2^-45 apart: the normal order falls back
+        "close normals": (_circle_mirrors(close, prec), None),
+        # the normal (-1, 0) is at angle pi, and -0.0 puts its float angle at -pi
+        "normal at pi": (_tangent_mirrors(square, square, prec), None),
+        # the diamond's normals are screened; its corner (-1, 0) is at pi about
+        # the centroid (0, 0), so only the start corner falls back, n calls
+        "corner at pi": (_tangent_mirrors(diamond, [(x / 2, y / 2) for x, y in diamond], prec), 4),
+        # normals at -pi/2, 0 and pi/2: the gap around the turn is exactly pi
+        "gap of pi": (_tangent_mirrors(square[1:], square[1:], prec), None),
+        # a tilted square with corners such as (2^1100, 3 * 2^1100), past the
+        # float64 range: only the start corner falls back
+        "huge corners": (_tangent_mirrors(tilted, [(x << 1100, y << 1100) for x, y in tilted], prec), 4),
+        # normals at -+(pi/2 - 2^-52): the gap around the turn exceeds pi by
+        # 2^-51, which the float64 angles round away
+        "gap over pi": (_circle_mirrors(over, prec), None),
+    }
+
+
+@pytest.mark.parametrize("prec", SCREEN_PRECISIONS)
+def test_build_table_falls_back_to_atan2_where_the_screen_cannot_decide(prec, atan2_calls):
+    outcomes = {}
+    for name, (mirrors, want_calls) in _fallback_mirror_sets(prec).items():
+        outcomes[name], calls = assert_same_table(mirrors, prec, atan2_calls)
+        assert calls > 0 if want_calls is None else calls == want_calls, name
+    assert outcomes["normal at pi"] == outcomes["corner at pi"] == outcomes["huge corners"] == "built"
+    assert outcomes["gap of pi"].startswith(("mirror normals", "consecutive mirrors"))
+    assert outcomes["gap over pi"] == "mirror normals span less than a half-turn"
+    assert outcomes["close normals"] == ("built" if prec >= 128 else "consecutive mirrors 0 and 5 are parallel")

@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from billiardknots.braids import QuasitoricPattern, pad_to_min_repetitions, toric_pattern
+from billiardknots.braids import QuasitoricPattern, toric_pattern
 from billiardknots.errors import DomainError, PrecisionError
 from billiardknots.perturbation import (
     arc_length_table,
@@ -27,7 +27,7 @@ from billiardknots.pdcodes import traversal_pd
 from billiardknots.presets import PRESETS
 from billiardknots.serialization import report_json
 from billiardknots.stars import ArcTable, Passage, build_star, over_flags_from_signs
-from diagram_helpers import sorted_passages, star_arc_table
+from diagram_helpers import seeded_inputs, sorted_passages, star_arc_table
 import layout_oracle
 from layout_oracle import crossing_abscissa, line_intersection
 from mirror_room_oracle import all_vertices
@@ -279,19 +279,6 @@ def test_to_mpf_rounds_a_rational_once():
         assert [float(to_mpf(c)) for c in coords] == [float(c) for c in coords]
 
 
-def _oracle_inputs():
-    """The presets and 32 seeded mixed-sign patterns, 8 for each q = 2..5,
-    each as (name, padded pattern, perturbation seed)."""
-    inputs = [(name, pad_to_min_repetitions(PRESETS[name]), 42) for name in sorted(PRESETS)]
-    rng = random.Random(3401)
-    for q in (2, 3, 4, 5):
-        for index in range(8):
-            p = rng.randint(2 * q + 1, 2 * q + 5)
-            signs = tuple(tuple(rng.choice((1, -1)) for _ in range(q - 1)) for _ in range(p))
-            inputs.append((f"random-{q}-{p}-{index}", QuasitoricPattern(q, p, signs), rng.randrange(1 << 31)))
-    return inputs
-
-
 def _bits(x):
     return x._mpf_
 
@@ -303,7 +290,7 @@ def test_passages_and_arc_table_match_the_fraction_oracles_bit_for_bit():
     ``traversal_pd`` reads the same code and sign map off the passages in
     the star's order with slope directions as off the exact-abscissa
     passages with vertex-difference directions."""
-    inputs = _oracle_inputs()
+    inputs = seeded_inputs()
     assert len(inputs) == 41
     for name, pattern, seed in inputs:
         star = build_star(pattern, prec_bits=192)
