@@ -1,22 +1,25 @@
 """Artifact files written by a realization run and re-read by verification.
 
 JSON is the single interchange format: rationals are serialized as "num/den"
-strings to keep exactness across the boundary, and high-precision reals as
-decimal strings.  ``trajectory.json`` stores each component as columns:
-a ``kinds`` string with one letter per event (``w`` wall, ``f`` floor,
-``c`` ceiling) and the float columns ``arc``, ``x``, ``y`` and ``z``, one
-value per event, each a base64 string of little-endian float64 (8 bytes
-per event).  The bytes are the floats themselves, so every value reads
-back bit for bit, and no float is turned into decimal text and back.  No
-crossing height is stored: the star's signs decide each crossing's
-over/under.  Wall event k of component c bounces off the
-``table.json`` mirror with ``component`` c and ``vertex_index`` k, so the
-file names no mirror.  This module is the only one that encodes or
-decodes the columns.  The prism additionally ships as an OBJ mesh and the
-diagram as an SVG with under-strand gaps, in the style of star-polygon
-projection figures.  ``report.json`` is indented; ``trajectory.json``,
-``table.json`` and ``diagram.json`` are one-line JSON, written by json's
-C encoder, which an indent would turn off.
+strings to keep exactness across the boundary, high-precision reals as
+decimal strings, and the float64 reals of ``diagram.json`` as JSON numbers,
+each the shortest repr that reads back bit for bit.  ``trajectory.json``
+stores each component as columns: a ``kinds`` string with one letter per
+event (``w`` wall, ``f`` floor, ``c`` ceiling) and the float columns
+``arc``, ``x``, ``y`` and ``z``, one value per event, each a base64 string
+of little-endian float64 (8 bytes per event).  The bytes are the floats
+themselves, so every value reads back bit for bit, and no float is turned
+into decimal text and back.  No crossing height is stored: the star's
+signs decide each crossing's over/under.  Wall event k of component c
+bounces off the ``table.json`` mirror with ``component`` c and
+``vertex_index`` k, so the file names no mirror.  This module is the only
+one that encodes or decodes the columns.  The prism additionally ships as
+an OBJ mesh and the diagram as an SVG with under-strand gaps, in the style
+of star-polygon projection figures; ``diagram.json`` and ``diagram.svg``
+both draw from the star's float64 ``StarDiagram.picture``.
+``report.json`` is indented; ``trajectory.json``, ``table.json`` and
+``diagram.json`` are one-line JSON, written by json's C encoder, which an
+indent would turn off.
 """
 
 from __future__ import annotations
@@ -190,26 +193,21 @@ def prism_obj(result: RealizationResult) -> str:
 
 
 def star_svg(star, over_flags: dict[int, bool] | None = None) -> str:
-    """Star-polygon figure, one path per component; with ``over_flags``
-    (crossing id -> whether the chord_a strand is over) the under strand is
-    broken at each crossing."""
-    geometry = star.geometry
-    vertices = geometry.vertices
+    """Star-polygon figure from the star's float64 picture, one path per
+    component; with ``over_flags`` (crossing id -> whether the chord_a
+    strand is over) the under strand is broken at each crossing."""
+    vertices, points = star.picture.vertices, star.picture.points
     cuts: dict[int, list[float]] = {c: [] for c in range(star.p)}
     for cr in (star.crossings if over_flags is not None else ()):
         chord = cr.chord_b if over_flags[cr.index] else cr.chord_a
-        va, vb = vertices[chord], vertices[(chord + star.q) % star.p]
-        dx, dy = float(vb[0] - va[0]), float(vb[1] - va[1])
-        point = geometry.points[cr.index]
-        px, py = float(point[0]) - float(va[0]), float(point[1]) - float(va[1])
-        cuts[chord].append((px * dx + py * dy) / (dx * dx + dy * dy))
+        (ax, ay), (bx, by) = vertices[chord], vertices[(chord + star.q) % star.p]
+        (x, y), dx, dy = points[cr.index], bx - ax, by - ay
+        cuts[chord].append(((x - ax) * dx + (y - ay) * dy) / (dx * dx + dy * dy))
     paths = []
     for comp in star.components:
         parts = []
         for chord in comp:
-            va, vb = vertices[chord], vertices[(chord + star.q) % star.p]
-            ax, ay = float(va[0]), float(va[1])
-            bx, by = float(vb[0]), float(vb[1])
+            (ax, ay), (bx, by) = vertices[chord], vertices[(chord + star.q) % star.p]
             spans = [(0.0, 1.0)]
             for lam in sorted(cuts[chord]):
                 new = []

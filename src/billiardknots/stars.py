@@ -3,7 +3,7 @@
 The star has p vertices e^(2 pi i k / p) and chords (k, k+q).  Two chords c
 and c' cross exactly when the cyclic gap g = (c'-c) mod p satisfies
 1 <= g <= q-1 or p-q+1 <= g <= p-1, so all crossing combinatorics is decided
-by integer arithmetic; coordinates only feed arc lengths and plot data.
+by integer arithmetic; coordinates only feed the chord lines and plot data.
 
 ``build_star`` computes that combinatorics and nothing else.  Every chord
 is tangent to the circle of radius cos(pi q / p): chord c touches it at the
@@ -26,12 +26,13 @@ each in the order of ``segment_orders``.  The perturbation checks that its
 polygon keeps that order and then walks this list, so no coordinate is
 compared after the layout.
 
-The coordinates (vertices, crossing points, passage arcs) form a
-``StarGeometry``, built at the star's precision the first time
-``StarDiagram.geometry`` is read, with every crossing placed by that
-closed form (q tangents per star): the perturbation reads the chord lines
-from it, and the diagram exports read points and arcs.  Checking stored
-artifacts needs none of it.
+The rotated vertices form a ``StarGeometry`` at the star's precision,
+built the first time ``StarDiagram.geometry`` is read: the perturbation
+rounds the chord lines through them to its 2^-31 grid, so they stay mpf.
+The plot exports read ``StarDiagram.picture``, the star in float64:
+``float()`` of each vertex, and every crossing point and passage arc by
+that closed form (q - 1 ``math.tan`` offsets per star), within 2^-44 of
+it in mpf.  Checking stored artifacts needs neither.
 
 The whole figure is pre-rotated by atan(1/17) so that no chord is ever
 vertical (a tangent of a rational multiple of pi is never 1/17), which the
@@ -69,7 +70,6 @@ from .braids import QuasitoricPattern
 from .errors import DomainError
 
 ROTATION_TANGENT = (1, 17)
-JSON_DIGITS = 17  # round-trips a float64
 
 
 class Passage(NamedTuple):
@@ -109,13 +109,20 @@ class Crossing:
 
 @dataclass(frozen=True)
 class StarGeometry:
-    """Coordinates of a star at its precision, indexed like its vertices
-    and crossings."""
+    """The star's vertices at its precision, for the perturbation's chord lines."""
 
     rotation: object         # mpf angle of the global pre-rotation
-    vertices: tuple          # p rotated unit-circle points
+    vertices: tuple          # p rotated unit-circle points, mpf
+
+
+@dataclass(frozen=True)
+class StarPicture:
+    """The star in float64 for the plot exports, built once per star."""
+
+    rotation: float
+    vertices: tuple          # float() of each mpf vertex
     points: tuple            # (x, y) of each crossing
-    arcs: tuple              # (chord_a arc, chord_b arc) of each crossing, mpf in (0, 1)
+    arcs: tuple              # (chord_a arc, chord_b arc) of each crossing, in (0, 1)
 
 
 @dataclass(frozen=True)
@@ -131,6 +138,23 @@ class StarDiagram:
     @cached_property
     def geometry(self) -> StarGeometry:
         return star_geometry(self)
+
+    @cached_property
+    def picture(self) -> StarPicture:
+        """Chord c meets chord c+g at 1/2 + offset[g] along c and at
+        1/2 - offset[g] along c+g (the closed form of the module docstring)."""
+        p, q, places = self.p, self.q, self.places
+        span = p // math.gcd(p, q)
+        vertices = tuple((float(x), float(y)) for x, y in self.geometry.vertices)
+        scale = 2 * math.tan(math.pi * q / p)
+        offset = {g: math.tan(math.pi * g / p) / scale for g in range(1, q)}
+        points, arcs = [], []
+        for c in self.crossings:
+            s_a, s_b = 0.5 + offset[c.gap], 0.5 - offset[c.gap]
+            (x0, y0), (x1, y1) = vertices[c.chord_a], vertices[(c.chord_a + q) % p]
+            points.append((x0 + s_a * (x1 - x0), y0 + s_a * (y1 - y0)))
+            arcs.append(((places[c.chord_a][1] + s_a) / span, (places[c.chord_b][1] + s_b) / span))
+        return StarPicture(float(self.geometry.rotation), vertices, tuple(points), tuple(arcs))
 
     @cached_property
     def segment_orders(self) -> tuple[tuple[int, ...], ...]:
@@ -229,26 +253,11 @@ def build_star(pattern: QuasitoricPattern, prec_bits: int = 128) -> StarDiagram:
 
 
 def star_geometry(star: StarDiagram) -> StarGeometry:
-    """The star's vertices, crossing points and passage arcs at its
-    precision; ``StarDiagram.geometry`` builds it once per star.  Chord c
-    meets chord c+g at 1/2 + offset[g] along c and at 1/2 - offset[g]
-    along c+g (the closed form of the module docstring)."""
-    p, q = star.p, star.q
-    span = p // math.gcd(p, q)
-    places = star.places
+    """The star's rotated vertices at its precision, built once per star."""
     with mp.workprec(star.prec_bits):
         omega = mp.atan(mp.mpf(ROTATION_TANGENT[0]) / ROTATION_TANGENT[1])
-        vertices = tuple(mp.cos_sin(2 * mp.pi * k / p + omega) for k in range(p))
-        half = mp.mpf(1) / 2
-        scale = 2 * mp.tan(mp.pi * q / p)
-        offset = {g: mp.tan(mp.pi * g / p) / scale for g in range(1, q)}
-        points, arcs = [], []
-        for c in star.crossings:
-            s_a, s_b = half + offset[c.gap], half - offset[c.gap]
-            (x0, y0), (x1, y1) = vertices[c.chord_a], vertices[(c.chord_a + q) % p]
-            points.append((x0 + s_a * (x1 - x0), y0 + s_a * (y1 - y0)))
-            arcs.append(((places[c.chord_a][1] + s_a) / span, (places[c.chord_b][1] + s_b) / span))
-    return StarGeometry(omega, vertices, tuple(points), tuple(arcs))
+        vertices = tuple(mp.cos_sin(2 * mp.pi * k / star.p + omega) for k in range(star.p))
+    return StarGeometry(omega, vertices)
 
 
 def over_flags_from_signs(diagram: StarDiagram) -> dict[int, bool]:
@@ -257,21 +266,14 @@ def over_flags_from_signs(diagram: StarDiagram) -> dict[int, bool]:
 
 
 def star_diagram_json(diagram: StarDiagram) -> dict:
-    """Plot/debug export: vertices, chords, crossings with labels and arcs."""
-    def num(x) -> str:
-        return mp.nstr(x, JSON_DIGITS)
-
-    geometry = diagram.geometry
-
-    def arcs(c):
-        arc_a, arc_b = geometry.arcs[c.index]
-        return (arc_a, arc_b) if c.a_side_is_first else (arc_b, arc_a)
-
+    """Plot/debug export: chords, labelled crossings and the star's picture."""
+    picture = diagram.picture
+    arcs = picture.arcs  # (chord_a arc, chord_b arc): chord_a's is first when a_side_is_first
     return {
         "p": diagram.p,
         "q": diagram.q,
-        "rotation": num(geometry.rotation),
-        "vertices": [[num(x), num(y)] for x, y in geometry.vertices],
+        "rotation": picture.rotation,
+        "vertices": [list(v) for v in picture.vertices],
         "chords": [list(ch) for ch in diagram.chords],
         "components": [list(comp) for comp in diagram.components],
         "crossings": [
@@ -282,9 +284,9 @@ def star_diagram_json(diagram: StarDiagram) -> dict:
                 "depth": c.depth,
                 "braid_row": c.braid_row,
                 "braid_col": c.braid_col,
-                "point": [num(x) for x in geometry.points[c.index]],
-                "first": {"component": c.first_component, "arc": num(arcs(c)[0])},
-                "second": {"component": c.second_component, "arc": num(arcs(c)[1])},
+                "point": list(picture.points[c.index]),
+                "first": {"component": c.first_component, "arc": arcs[c.index][not c.a_side_is_first]},
+                "second": {"component": c.second_component, "arc": arcs[c.index][c.a_side_is_first]},
                 "sign": c.sign,
             }
             for c in diagram.crossings

@@ -16,6 +16,8 @@ from billiardknots.pdcodes import PDCode, braid_closure_pd, traversal_pd
 from billiardknots.presets import PRESETS
 from billiardknots.stars import ArcTable, Passage, StarDiagram
 
+from star_oracle import closed_form_geometry
+
 
 def chords_cross(p: int, q: int, c1: int, c2: int) -> bool:
     """Exact crossing predicate from the cyclic gap rule."""
@@ -24,8 +26,8 @@ def chords_cross(p: int, q: int, c1: int, c2: int) -> bool:
 
 
 def passage_arcs(diagram: StarDiagram, crossing) -> tuple:
-    """(first arc, second arc) of a star crossing, from the star's geometry."""
-    arc_a, arc_b = diagram.geometry.arcs[crossing.index]
+    """(first arc, second arc) of a star crossing, from the mpf closed form."""
+    arc_a, arc_b = closed_form_geometry(diagram)[1][crossing.index]
     return (arc_a, arc_b) if crossing.a_side_is_first else (arc_b, arc_a)
 
 

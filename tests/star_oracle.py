@@ -1,18 +1,19 @@
-"""Reference star geometry and combinatorics by general segment intersection.
+"""Reference star geometry and combinatorics at any precision.
 
 ``billiardknots.stars.build_star`` decides which passage of a crossing
 comes first, and ``StarDiagram.segment_orders`` the crossing order along
-each chord, in integers; ``stars.star_geometry`` places every
-crossing by the tangent-circle closed form those integer rules come from,
-and ``StarDiagram.passage_order`` lists every component's passages from
-them.
-These are the rules they replaced: intersect the two chords of each
-crossing as general segments, compare the two passage arcs of each
-crossing, and sort each chord's crossings by their arcs.  Only the star's
-vertices are read from ``StarDiagram.geometry``.
+each chord, in integers; ``StarDiagram.passage_order`` lists every
+component's passages from them, and ``StarDiagram.picture`` places every
+crossing in float64 by the tangent-circle closed form those integer rules
+come from.  ``closed_form_geometry`` is that closed form in mpf, at the
+star's precision.  The rest are the rules it replaced: intersect the two
+chords of each crossing as general segments, compare the two passage arcs
+of each crossing, and sort each chord's crossings by their arcs.  Only
+the star's vertices are read from ``StarDiagram.geometry``.
 """
 
 import math
+from functools import cache
 
 import mpmath as mp
 
@@ -32,6 +33,28 @@ def _segment_intersection(a0, a1, b0, b1, prec_bits: int):
         u = (rx * day - ry * dax) / den
         point = (a0[0] + s * dax, a0[1] + s * day)
         return point, s, u
+
+
+@cache
+def closed_form_geometry(star) -> tuple[tuple, tuple]:
+    """(points, arcs) of every crossing at the star's precision, indexed
+    like ``star.crossings``: chord c meets chord c+g at 1/2 + offset[g]
+    along c and at 1/2 - offset[g] along c+g."""
+    p, q = star.p, star.q
+    span = p // math.gcd(p, q)
+    places = star.places
+    vertices = star.geometry.vertices
+    with mp.workprec(star.prec_bits):
+        half = mp.mpf(1) / 2
+        scale = 2 * mp.tan(mp.pi * q / p)
+        offset = {g: mp.tan(mp.pi * g / p) / scale for g in range(1, q)}
+        points, arcs = [], []
+        for c in star.crossings:
+            s_a, s_b = half + offset[c.gap], half - offset[c.gap]
+            (x0, y0), (x1, y1) = vertices[c.chord_a], vertices[(c.chord_a + q) % p]
+            points.append((x0 + s_a * (x1 - x0), y0 + s_a * (y1 - y0)))
+            arcs.append(((places[c.chord_a][1] + s_a) / span, (places[c.chord_b][1] + s_b) / span))
+    return tuple(points), tuple(arcs)
 
 
 def oracle_geometry(star) -> tuple[tuple, tuple]:

@@ -4,6 +4,7 @@ import functools
 import importlib.util
 import itertools
 import json
+import math
 import re
 import struct
 from fractions import Fraction
@@ -83,10 +84,47 @@ def test_presets_listing_contents(capsys):
 
 
 def test_star_10_3_diagram_export_matches_figure():
+    """Every crossing point lies on both of its chords' float lines, and
+    every passage arc is in (0, 1)."""
     data = star_diagram_json(build_star(toric_pattern(3, 10)))
-    assert len(data["vertices"]) == 10
+    vertices = data["vertices"]
+    assert len(vertices) == 10
     assert len(data["crossings"]) == 20
     assert len(data["components"]) == 1
+    for crossing in data["crossings"]:
+        x, y = crossing["point"]
+        for chord in crossing["chords"]:
+            (ax, ay), (bx, by) = (vertices[v] for v in data["chords"][chord])
+            distance = abs((bx - ax) * (y - ay) - (by - ay) * (x - ax)) / math.hypot(bx - ax, by - ay)
+            assert distance <= 2.0 ** -44, crossing["index"]
+        assert 0 < crossing["first"]["arc"] < 1 and 0 < crossing["second"]["arc"] < 1
+
+
+def _float_bits(data):
+    """A JSON tree with every float replaced by its exact hex string."""
+    if isinstance(data, float):
+        return data.hex()
+    if isinstance(data, dict):
+        return {key: _float_bits(value) for key, value in data.items()}
+    if isinstance(data, (list, tuple)):
+        return [_float_bits(value) for value in data]
+    return data
+
+
+def test_written_diagram_json_reads_back_the_picture_bit_for_bit(tmp_path, torus25_result):
+    """Every real of a written ``diagram.json`` is a JSON number that reads
+    back as the picture's float64, bit for bit."""
+    files = write_artifacts(torus25_result, tmp_path, canonical=True)
+    stored = json.loads(files["diagram"].read_text())
+    star = torus25_result.star
+    picture = star.picture
+    assert _float_bits(stored) == _float_bits(star_diagram_json(star))
+    assert stored["rotation"].hex() == picture.rotation.hex()
+    assert _float_bits(stored["vertices"]) == _float_bits(picture.vertices)
+    for c, written in zip(star.crossings, stored["crossings"]):
+        arcs = picture.arcs[c.index] if c.a_side_is_first else picture.arcs[c.index][::-1]
+        assert _float_bits(written["point"]) == _float_bits(picture.points[c.index])
+        assert _float_bits([written["first"]["arc"], written["second"]["arc"]]) == _float_bits(arcs)
 
 
 def test_star_10_3_realizes_and_certifies():

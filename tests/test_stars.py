@@ -12,7 +12,9 @@ from billiardknots.stars import build_star, over_flags_from_signs
 from billiardknots import stars
 
 from diagram_helpers import chords_cross, diagram_jones, passage_arcs, pattern_jones, star_arc_table
-from star_oracle import component_passages, oracle_geometry, passage_order, segment_orders
+from star_oracle import (
+    closed_form_geometry, component_passages, oracle_geometry, passage_order, segment_orders,
+)
 
 
 def segments_intersect(p1, p2, p3, p4):
@@ -86,7 +88,7 @@ def test_sector_depth_partition():
 
 def test_rotational_symmetry_of_crossings():
     d = build_star(toric_pattern(3, 7), prec_bits=128)
-    pts = [(float(x), float(y)) for x, y in d.geometry.points]
+    pts = [(float(x), float(y)) for x, y in closed_form_geometry(d)[0]]
     ang = 2 * math.pi / 7
     rotated = [
         (x * math.cos(ang) - y * math.sin(ang), x * math.sin(ang) + y * math.cos(ang))
@@ -228,11 +230,31 @@ def test_closed_form_geometry_matches_segment_intersection(prec_bits):
     for q in range(2, 6):
         for p in range(2 * q + 1, 2 * q + 16):
             d = build_star(toric_pattern(q, p), prec_bits)
-            points, arcs = oracle_geometry(d)
-            for (x, y), (ox, oy) in zip(d.geometry.points, points):
+            (closed_points, closed_arcs), (points, arcs) = closed_form_geometry(d), oracle_geometry(d)
+            for (x, y), (ox, oy) in zip(closed_points, points):
                 assert abs(x - ox) <= tol and abs(y - oy) <= tol, (p, q)
-            for pair, oracle_pair in zip(d.geometry.arcs, arcs):
+            for pair, oracle_pair in zip(closed_arcs, arcs):
                 assert all(abs(a - o) <= tol for a, o in zip(pair, oracle_pair)), (p, q)
+
+
+PICTURE_TOLERANCE = 2.0 ** -44
+
+
+def test_float_picture_matches_the_mpf_closed_form():
+    """The picture's vertices are ``float()`` of the mpf vertices exactly,
+    and its points and arcs lie within 2^-44 of the mpf closed form's."""
+    worst = 0.0
+    for q in range(2, 7):
+        for p in range(2 * q + 1, 2 * q + 20):
+            d = build_star(toric_pattern(q, p), prec_bits=192)
+            picture = d.picture
+            assert picture.rotation == float(d.geometry.rotation)
+            assert picture.vertices == tuple((float(x), float(y)) for x, y in d.geometry.vertices)
+            points, arcs = closed_form_geometry(d)
+            assert len(picture.points) == len(picture.arcs) == len(d.crossings)
+            for floats, exact in zip(picture.points + picture.arcs, points + arcs):
+                worst = max([worst] + [float(abs(mp.mpf(f) - e)) for f, e in zip(floats, exact)])
+    assert 0 < worst <= PICTURE_TOLERANCE
 
 
 def _star_jones(pattern):
