@@ -29,6 +29,11 @@ mpf test per edge, that the edge runs counterclockwise along its mirror
 line, and screens its two angle orders: float64 decides them where a 2^-40
 separation proves them, and ``mp.atan2`` elsewhere, so every table value is
 the unscreened one, bit for bit.
+
+``verify`` needs only pass or fail, and first tries to prove a pass in
+float64 alone: from the screen (``mirror_room_proven``) and from the walk
+on a float64 arc table (``reflection_proven``), each bound derived there.
+Where either cannot decide, it runs the checks at the working precision.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .errors import DegenerateAngleError, DomainError, UnboundedTableError
-from .heights import KIND_NAMES, component_events
+from .heights import EVENT_GAP, KIND_NAMES, component_events
 from .perturbation import PerturbedPolygon, to_mpf
 from .stars import ArcTable
 
@@ -171,6 +176,43 @@ def _float_bisectors(poly, floats, point, size: float, prec_bits: int, exact: di
     return bisectors, around
 
 
+class _RoomScreen:
+    """The float64 pass of ``mirror_room_check``, shared with
+    ``mirror_room_proven``: each unordered pair's negated float distance,
+    and per mirror a row of its pairs' float values with the row's bound.
+    ``point(i)`` is vertex i rounded once to the working precision, and
+    ``directions`` holds the working-precision bisectors made so far."""
+
+    def __init__(self, poly: PerturbedPolygon, prec_bits: int):
+        self.prec_bits = prec_bits
+        self.vertices = vertices = [v for comp in poly.components for v in comp.vertices]
+        n = len(vertices)
+        floats = [(float(x), float(y)) for x, y in vertices]
+        size = max(max(abs(x), abs(y)) for x, y in floats)
+        self.eps = eps = _screen_bound(size, prec_bits)
+        self._points = {}
+        self.directions = {}
+        with mp.workprec(prec_bits):
+            bisectors, self.around = _float_bisectors(
+                poly, floats, self.point, size, prec_bits, self.directions
+            )
+        self.pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        self.distances = [
+            -math.hypot(floats[i][0] - floats[j][0], floats[i][1] - floats[j][1]) for i, j in self.pairs
+        ]
+        self.rows, self.bounds = [], []
+        for k, (ux, uy, err) in enumerate(bisectors):
+            vx, vy = floats[k]
+            self.rows.append([ux * (px - vx) + uy * (py - vy) for px, py in floats[:k] + floats[k + 1:]])
+            self.bounds.append(eps + 8 * (size + 1.0) * err)
+
+    def point(self, i):
+        if i not in self._points:
+            with mp.workprec(self.prec_bits):
+                self._points[i] = (to_mpf(self.vertices[i][0]), to_mpf(self.vertices[i][1]))
+        return self._points[i]
+
+
 def mirror_room_check(poly: PerturbedPolygon, prec_bits: int = 128) -> MirrorRoomReport:
     """Strict mirror-room condition: u_k . (P_i - P_k) > margin for all i != k.
 
@@ -253,37 +295,16 @@ def mirror_room_check(poly: PerturbedPolygon, prec_bits: int = 128) -> MirrorRoo
     float extreme, signs flipped).  The mpf values, the first pair that
     attains M in (k, i) order, the threshold and the verdict are therefore
     those of the unscreened loops, bit for bit, and ``DegenerateAngleError``
-    is raised exactly when ``polygon_mirrors`` raises it.
+    is raised exactly when ``polygon_mirrors`` raises it.  The float pass
+    is ``_RoomScreen``, which ``mirror_room_proven`` shares.
     """
-    vertices = [v for comp in poly.components for v in comp.vertices]
-    n = len(vertices)
-    floats = [(float(x), float(y)) for x, y in vertices]
-    size = max(max(abs(x), abs(y)) for x, y in floats)
-    eps = _screen_bound(size, prec_bits)
+    screen = _RoomScreen(poly, prec_bits)
+    rows, bounds, point, directions = screen.rows, screen.bounds, screen.point, screen.directions
     with mp.workprec(prec_bits):
-        points = {}  # flat index -> the vertex rounded once to the working precision
-
-        def point(i):
-            if i not in points:
-                points[i] = (to_mpf(vertices[i][0]), to_mpf(vertices[i][1]))
-            return points[i]
-
-        directions = {}  # flat index -> working-precision bisector
-        bisectors, around = _float_bisectors(poly, floats, point, size, prec_bits, directions)
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        far = _near_least(
-            [-math.hypot(floats[i][0] - floats[j][0], floats[i][1] - floats[j][1]) for i, j in pairs],
-            eps,
-        )
-        rows, bounds = [], []
-        for k, (ux, uy, err) in enumerate(bisectors):
-            vx, vy = floats[k]
-            rows.append([ux * (px - vx) + uy * (py - vy) for px, py in floats[:k] + floats[k + 1:]])
-            bounds.append(eps + 8 * (size + 1.0) * err)
         hi = min(min(row) + bound for row, bound in zip(rows, bounds))
         diameter = max(
             mp.hypot(point(i)[0] - point(j)[0], point(i)[1] - point(j)[1])
-            for i, j in (pairs[c] for c in far)
+            for i, j in (screen.pairs[c] for c in _near_least(screen.distances, screen.eps))
             if point(i) != point(j)
         )
         threshold = mp.mpf(MARGIN_FACTOR) * diameter
@@ -296,7 +317,7 @@ def mirror_room_check(poly: PerturbedPolygon, prec_bits: int = 128) -> MirrorRoo
                     continue
                 i += i >= k
                 if k not in directions:
-                    prev, next_ = around[k]
+                    prev, next_ = screen.around[k]
                     directions[k] = internal_bisector(point(prev), point(k), point(next_), prec_bits)
                 vx, vy = point(k)
                 ux, uy = directions[k]
@@ -312,6 +333,29 @@ def mirror_room_check(poly: PerturbedPolygon, prec_bits: int = 128) -> MirrorRoo
             witness=None if passed else witness,
             threshold=threshold,
         )
+
+
+def mirror_room_proven(poly: PerturbedPolygon, prec_bits: int = 128) -> bool:
+    """Whether the float64 screen of ``mirror_room_check`` alone proves
+    that the check passes at ``prec_bits``; False when it cannot, whatever
+    the check would say.  It raises what the check raises, at the same
+    point (the screen is the check's first step), and reports no margin.
+
+    Every pair's working-precision value is at least its float value less
+    its row's bound (``mirror_room_check``), so the margin M is at least
+    the least row value less the row's bound, and computing that
+    difference rounds by far less than another bound: a row whose least
+    value less twice its bound exceeds T_up holds only values above T_up.
+    The threshold is ``MARGIN_FACTOR`` times the working-precision
+    diameter, which is at most the largest float distance D plus eps, and
+    the product rounds once at the working precision; so with
+    T_up = ``MARGIN_FACTOR`` (D + 2 eps), the extra eps covering the
+    roundings of both products and of the sum, M > T_up proves
+    M > threshold, the check's verdict.
+    """
+    screen = _RoomScreen(poly, prec_bits)
+    limit = MARGIN_FACTOR * (-min(screen.distances) + 2 * screen.eps)
+    return all(min(row) - 2 * bound > limit for row, bound in zip(screen.rows, screen.bounds))
 
 
 @dataclass(frozen=True)
@@ -577,8 +621,10 @@ def verify_reflection(traj, arcs: ArcTable, tol: float) -> ReflectionReport:
     and so is one whose ``eps`` is not below ``tol``; ``check_walk`` runs
     just those checks, and is all ``pipeline.realize`` runs, since its
     columns are the regenerated ones.  The comparison runs in
-    ``serialization.verify_artifacts`` and in the tests.  No passage height is
-    compared: the over/under at each crossing is the star's
+    ``serialization.verify_artifacts`` and in the tests; ``verify`` first
+    tries ``reflection_proven``, the same comparison on a float64 arc table
+    within a bound derived there, and runs this where that cannot prove a
+    pass.  No passage height is compared: the over/under at each crossing is the star's
     (``invariants.certify``), and ``heights.confirm_heights`` proves the
     exact heights realize it.
 
@@ -646,3 +692,88 @@ def verify_reflection(traj, arcs: ArcTable, tol: float) -> ReflectionReport:
                     f"reflection law violated at component {ci} {_first_bad_event(comp, want, limit)}"
                 )
     return ReflectionReport(passed=not violations, violations=tuple(violations))
+
+
+def float_walk_bound(vertices, length: float, frequency: int, delta: float) -> float:
+    """eps' = 4 eps + 2^-51 (f + 2) + 2.01 delta (L + f + 1), with eps =
+    ``walk_error_bound``: the bound ``reflection_proven`` holds the stored
+    columns to, as it derives, for a component whose float arcs are within
+    ``delta`` of the working-precision ones and whose float length is L."""
+    eps = walk_error_bound(vertices, length)
+    return 4 * eps + 2.0 ** -51 * (frequency + 2) + 2.01 * delta * (length + frequency + 1)
+
+
+def reflection_proven(traj, table: ArcTable, deltas, tol: float) -> bool:
+    """Whether the float walk on a float64 arc table proves that
+    ``verify_reflection`` passes on the working-precision table; False
+    when it cannot, whatever that check would say.
+
+    ``table`` and ``deltas`` are ``perturbation.float_arc_table``'s: each
+    arc within delta_c of its working-precision arc, which is rounded to
+    float for the walk.  Each component is regenerated by
+    ``heights.component_events`` on the float arcs, with the wall heights
+    as float sawtooth values, and proves the check for it when its
+    columns have m + 2f events, every segment spans at least 2^10 delta_c
+    in arc, its events (the closing wall at arc 1 included) are more than
+    EVENT_GAP + 2 delta_c apart (the walk's ``gap``, with the extrema's
+    own spacing 1/(2f) - 2^-51 checked against it), the kinds are equal
+    and every stored value is within ``tol - eps'`` of the regenerated one
+    (``_within``), where, with eps the walk's bound
+    (``walk_error_bound``), L the float total length, u = 2^-53 and
+    d = delta_c, eps' is ``float_walk_bound``:
+        eps' = 4 eps + 2^-51 (f + 2) + 2.01 d (L + f + 1) < tol.
+
+    Why.  Let W be ``verify_reflection``'s walk, on the working-precision
+    arcs, and W' this one, and E and E' the exact closed forms through
+    the same arcs.
+      - W's vertex arcs are W''s moved by at most d each, and its
+        extremum arcs are the same floats, so with the gaps above W's
+        events come in the same order with the same kinds, more than
+        EVENT_GAP apart: W raises nothing.
+      - W is within eps of E (``verify_reflection``).  So is W' of E',
+        but for its wall heights: the float sawtooth at the float arc t
+        rounds f t, phi and their sum, (2f + 2) u in y, and the final
+        subtraction, so it is within (4f + 5) u of z(t).
+      - E and E' share every vertex and extremum arc t.  A wall arc moves
+        by at most d, a wall height by at most 2 f d (z is 2f-Lipschitz
+        in t).  An extremum on a segment of span S (at least 2^10 d)
+        sits at the fraction c = (t - s) / (e - s) of the segment, which
+        moves by at most 2 d / (S - 2 d) as s and e move by d; times the
+        segment's length, at most (S + 2 d) L, the point moves by at
+        most 2 d L (1 + 2^-9) / (1 - 2^-9) < 2.01 d L.
+    So W and W' are within D = 2 eps + (4f + 5) u + 2.01 d (L + f + 1)
+    of each other in every value, and eps' - eps - D >= eps >= 2^-49: a
+    stored value whose float distance from W' is within ``_within(tol,
+    eps')`` has a float distance from W within ``_within(tol, eps)``, the
+    leftover eps covering the roundings of both limits and differences
+    and the difference of L from the working-precision length.  With
+    eps' < tol, eps < tol too, and W's columns have W''s lengths.  So
+    ``verify_reflection`` finds no violation.
+    """
+    if len(traj.components) != table.component_count():
+        return False
+    for ci, (comp, delta) in enumerate(zip(traj.components, deltas)):
+        vertices = traj.poly.components[ci].vertices
+        vertex_arcs = table.vertex_arcs[ci]
+        m, f = len(vertex_arcs), comp.sawtooth.frequency
+        if [len(comp.kinds), *map(len, (comp.arc, comp.x, comp.y, comp.z))] != [m + 2 * f] * 5:
+            return False
+        if not min(map(operator.sub, (*vertex_arcs[1:], 1.0), vertex_arcs)) >= 2.0 ** 10 * delta:
+            return False
+        bound = float_walk_bound(vertices, table.total_lengths[ci], f, delta)
+        if not bound < tol:
+            return False
+        gap = EVENT_GAP + 2 * delta
+        if not 1 / (2 * f) - 2.0 ** -51 > gap:
+            return False
+        try:
+            want = component_events(vertices, vertex_arcs, comp.sawtooth, gap)
+        except DomainError:
+            return False
+        limit = _within(tol, bound)
+        if not (
+            comp.kinds == want.kinds
+            and all(_all_within(getattr(comp, c), getattr(want, c), limit) for c in COLUMNS)
+        ):
+            return False
+    return True

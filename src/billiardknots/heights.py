@@ -465,17 +465,46 @@ def confirm_heights(heights: tuple[SawtoothHeight, ...], constraints, table: Arc
     g - margin < -(b1 + b2).  A condition decided false decides the
     result.  At f = 1,000 the bound is about 7e-13.  A frequency of 2^46
     or more, which no emitted trajectory has (``component_events``), goes
-    straight to the working precision.
+    straight to the working precision.  The float pass is
+    ``_screen_heights``, which ``heights_proven`` shares.
     """
+    decided = _screen_heights(heights, constraints, table, margin, (0.0,) * len(heights))
+    return _confirm_at_precision(heights, constraints, table, margin) if decided is None else decided
+
+
+def heights_proven(heights: tuple[SawtoothHeight, ...], constraints, table: ArcTable, deltas, margin) -> bool:
+    """Whether ``confirm_heights``' float screen, run on a float64 arc
+    table and its bounds (``perturbation.float_arc_table``), proves that
+    ``confirm_heights`` passes on the working-precision table; False when
+    it cannot, whatever that check would say.  ``constraints`` are
+    ``build_height_constraints`` on the float table.
+
+    The float table says 53 bits, so each height's bound b is the one at
+    p = 53, at least the one at any working precision.  A float arc t is
+    within delta_c of the working-precision arc, and z is 2f-Lipschitz in
+    t, so the float height at t and the working-precision height at its
+    arc are within b + 2 f delta_c, and the screen widens each b by
+    2 f delta_c.  Conditions (a)-(c) decided true on every height and
+    crossing with the widened bounds hold at the working precision, so
+    ``confirm_heights`` returns True there."""
+    return _screen_heights(heights, constraints, table, margin, deltas) is True
+
+
+def _screen_heights(heights, constraints, table: ArcTable, margin, deltas) -> bool | None:
+    """Conditions (a)-(c) decided in float64, as ``confirm_heights``
+    derives, with each component's bound b widened by 2 f delta_c: True or
+    False where the bounds decide, None where some condition lies within
+    its bound of its limit and none is decided false, or f is 2^46 or
+    more."""
     if any(saw.frequency >= 2 ** 46 for saw in heights):
-        return _confirm_at_precision(heights, constraints, table, margin)
+        return None
     low = float(margin)
     high = 1.0 - low
     undecided = False
     passage_z = {}
-    for comp, saw in enumerate(heights):
+    for comp, (saw, delta) in enumerate(zip(heights, deltas)):
         f, phi = saw.frequency, float(saw.phase)
-        b = (6 * f + 16) * 2.0 ** -53 + (4 * f + 16) * 2.0 ** -table.prec_bits
+        b = (6 * f + 16) * 2.0 ** -53 + (4 * f + 16) * 2.0 ** -table.prec_bits + 2 * f * delta
         inner_low, inner_high = low + b, high - b
         passages = table.passages[comp]
         walls = [_sawtooth(f, float(t), phi) for t in table.vertex_arcs[comp]]
@@ -494,7 +523,7 @@ def confirm_heights(heights: tuple[SawtoothHeight, ...], constraints, table: Arc
             if slack < -(b1 + b2):
                 return False
             undecided = True
-    return _confirm_at_precision(heights, constraints, table, margin) if undecided else True
+    return None if undecided else True
 
 
 def search_heights(
@@ -676,14 +705,19 @@ EVENT_GAP = 2.0 ** -48
 
 def _float_heights(saw: SawtoothHeight, arcs) -> list[float]:
     """z at each mpf arc, at the working precision plus the bits of f, rounded
-    once to float: the error of f t then stays below 2^-53 whatever f is."""
+    once to float: the error of f t then stays below 2^-53 whatever f is.
+    Float arcs (``perturbation.float_arc_table``'s) take the float
+    sawtooth, within (4f + 5) 2^-53 of z at the arc."""
     f = saw.frequency
+    if isinstance(arcs[0], float):
+        phi = float(saw.phase)
+        return [_sawtooth(f, t, phi) for t in arcs]
     with mp.workprec(mp.mp.prec + f.bit_length()):
         phi = to_mpf(saw.phase)
         return [float(_mpf_sawtooth(f, t, phi)) for t in arcs]
 
 
-def component_events(vertices, vertex_arcs, saw: SawtoothHeight) -> TrajComponent:
+def component_events(vertices, vertex_arcs, saw: SawtoothHeight, gap: float = EVENT_GAP) -> TrajComponent:
     """One component's events in arc order, as the columns of a TrajComponent.
 
     Wall vertex i sits at arc ``vertex_arcs[i]`` and height z(arc); the 2f
@@ -697,11 +731,16 @@ def component_events(vertices, vertex_arcs, saw: SawtoothHeight) -> TrajComponen
     float.  The m wall heights are evaluated at the caller's working
     precision plus the bits of f and rounded once.  So every arc, point
     and height is within ``billiards.walk_error_bound`` of the exact path,
-    however large f is.  Raises CoincidentEventsError when two consecutive
-    events come within EVENT_GAP in arc (the closing wall sits at arc 1).
-    Consecutive extrema are 1/(2f) apart up to 4 units of 2^-53, more than
-    EVENT_GAP for f below 2^46, so only the first extremum after each wall
-    is tested against the event before it.
+    however large f is.  Float vertex arcs (``verify``'s float table) take
+    float wall heights instead, whose error grows with f
+    (``billiards.reflection_proven``).
+
+    Raises CoincidentEventsError when two consecutive events come within
+    ``gap`` in arc (the closing wall sits at arc 1).  Consecutive extrema
+    are 1/(2f) apart up to 4 units of 2^-53, more than EVENT_GAP for f
+    below 2^46, so only the first extremum after each wall is tested
+    against the event before it; a caller that asks for a wider gap
+    checks that spacing against it.
     """
     m = len(vertices)
     f = saw.frequency
@@ -721,11 +760,11 @@ def component_events(vertices, vertex_arcs, saw: SawtoothHeight) -> TrajComponen
     lo = 0
     for i in range(m):
         start, end = arcs[i], arcs[i + 1]
-        if not start - previous > EVENT_GAP:
+        if not start - previous > gap:
             raise CoincidentEventsError(f"wall vertex {i} coincides with a bounce; margin too small")
         hi = bisect.bisect_left(extrema, end, lo)
         seg = extrema[lo:hi]
-        if seg and not seg[0] - start > EVENT_GAP:
+        if seg and not seg[0] - start > gap:
             raise CoincidentEventsError("coincident trajectory events; margin too small")
         (x0, y0), (x1, y1) = verts[i], verts[(i + 1) % m]
         span, dx, dy = end - start, x1 - x0, y1 - y0
@@ -741,7 +780,7 @@ def component_events(vertices, vertex_arcs, saw: SawtoothHeight) -> TrajComponen
         z += extremum_z[lo:hi]
         previous = seg[-1] if seg else start
         lo = hi
-    if lo < len(extrema) or not 1.0 - previous > EVENT_GAP:
+    if lo < len(extrema) or not 1.0 - previous > gap:
         raise CoincidentEventsError("a bounce coincides with wall vertex 0; margin too small")
     return TrajComponent(saw, "".join(kinds), arc, x, y, z)
 

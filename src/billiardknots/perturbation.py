@@ -26,6 +26,10 @@ the arc table therefore run in ``StarDiagram.passage_order`` and take their
 directions from the line slopes, so no Fraction is subtracted and nothing
 is sorted on an exact or mpf key after the layout.
 
+``verify`` reads the arcs in float64 first (``float_arc_table``, with a
+proven bound per component on their distance from the working-precision
+ones) and builds ``arc_length_table`` only where that cannot decide.
+
 Heuristic Q-independence of {1, t_i} is checked per component by
 mpmath's PSLQ at tolerance tol.  The check takes the search's first hit; it
 reports that hit as a relation only if its coefficients are at most
@@ -247,50 +251,126 @@ def _distance(x0: tuple[int, int], x1: tuple[int, int], prec: int):
     return mp.mp.make_mpf(from_rational(abs(n1 * d0 - n0 * d1), d0 * d1, prec, round_nearest))
 
 
+def _arc_walk(poly: PerturbedPolygon, factor, distance):
+    """Per component, its vertex arcs, its passages and its length, in the
+    table's arithmetic: ``factor(a)`` is sqrt(1 + a^2) for a slope a and
+    ``distance(x0, x1)`` is |x1 - x0| for abscissas given as (numerator,
+    denominator), with every abscissa's numerator and denominator read
+    once.  One pass per component over ``StarDiagram.passage_order``, the
+    order the layout proved, builds its passages, so nothing is sorted."""
+    abscissas = [(x.numerator, x.denominator) for x, _ in poly.points]
+    for comp, order in zip(poly.components, poly.star.passage_order):
+        m = len(comp.lines)
+        seg_factor = [factor(a) for a, _ in comp.lines]
+        xs = [(x.numerator, x.denominator) for x, _ in comp.vertices]
+        cumulative = [0]
+        for i in range(m):
+            cumulative.append(cumulative[-1] + seg_factor[i] * distance(xs[i], xs[(i + 1) % m]))
+        total = cumulative[-1]
+        passages = []
+        for i, crossing, on_a in order:
+            partial = seg_factor[i] * distance(xs[i], abscissas[crossing])
+            passages.append(Passage(crossing, (cumulative[i] + partial) / total, on_a))
+        yield tuple(cumulative[i] / total for i in range(m)), tuple(passages), total
+
+
 def arc_length_table(poly: PerturbedPolygon, prec_bits: int) -> ArcTable:
     """Passage and vertex arcs, normalized so each component has length 1.
 
-    Each |x - x0| is rounded once from integers (``_distance``), with
-    every abscissa's numerator and denominator read once.  One pass per
-    component over ``StarDiagram.passage_order``, the order the layout
-    proved, builds its passages, so nothing is sorted; one more then raises
-    DomainError when two consecutive passages do not have increasing arcs,
-    as when two passages of one component share a point.
+    Each |x - x0| is rounded once from integers (``_distance``), in the
+    passage walk of ``_arc_walk``; one more pass then raises DomainError
+    when two consecutive passages do not have increasing arcs, as when two
+    passages of one component share a point.
     """
-    abscissas = [(x.numerator, x.denominator) for x, _ in poly.points]
-    passages = []
-    vertex_arcs = []
-    totals = []
     with mp.workprec(prec_bits):
-        for comp, order in zip(poly.components, poly.star.passage_order):
-            m = len(comp.lines)
-            seg_factor = [mp.sqrt(1 + to_mpf(a) ** 2) for a, _ in comp.lines]
-            xs = [(x.numerator, x.denominator) for x, _ in comp.vertices]
-            cumulative = [mp.mpf(0)]
-            for i in range(m):
-                dx = _distance(xs[i], xs[(i + 1) % m], prec_bits)
-                cumulative.append(cumulative[-1] + seg_factor[i] * dx)
-            total = cumulative[-1]
-            totals.append(total)
-            vertex_arcs.append(tuple(cumulative[i] / total for i in range(m)))
-            ordered = []
-            for i, crossing, on_a in order:
-                partial = seg_factor[i] * _distance(xs[i], abscissas[crossing], prec_bits)
-                ordered.append(Passage(crossing, (cumulative[i] + partial) / total, on_a))
-            passages.append(tuple(ordered))
-
+        vertex_arcs, passages, totals = zip(*_arc_walk(
+            poly, lambda a: mp.sqrt(1 + to_mpf(a) ** 2), lambda x0, x1: _distance(x0, x1, prec_bits)
+        ))
     for ordered in passages:
         for p1, p2 in zip(ordered, ordered[1:]):
             if not p1.arc < p2.arc:
                 raise DomainError(
                     f"coincident passage arcs at crossings {p1.crossing}, {p2.crossing}"
                 )
-    return ArcTable(
-        prec_bits=prec_bits,
-        passages=tuple(passages),
-        vertex_arcs=tuple(vertex_arcs),
-        total_lengths=tuple(totals),
-    )
+    return ArcTable(prec_bits, passages, vertex_arcs, totals)
+
+
+def _float_distance(x0: tuple[int, int], x1: tuple[int, int]) -> float:
+    """|x1 - x0| for abscissas given as (numerator, denominator), as one
+    int/int true division, which Python rounds once, to the nearest; NaN
+    below 2^-900, out of the range ``float_arc_table``'s bound covers."""
+    (n0, d0), (n1, d1) = x0, x1
+    distance = abs(n1 * d0 - n0 * d1) / (d0 * d1)
+    return distance if distance >= 2.0 ** -900 else math.nan
+
+
+def _float_factor(a: Fraction) -> float:
+    a = float(a)
+    return math.sqrt(1.0 + a * a)
+
+
+def float_arc_table(poly: PerturbedPolygon, prec_bits: int) -> tuple[ArcTable, tuple[float, ...]] | None:
+    """``arc_length_table``'s arcs in float64, with a bound delta_c per
+    component on how far each of its arcs is from the one
+    ``arc_length_table(poly, prec_bits)`` gives; None where float64 cannot
+    stand in for that table.
+
+    The walk is ``arc_length_table``'s (``_arc_walk``), each segment factor
+    sqrt(1 + a^2) from float(a) and each |x - x0| one int/int true division
+    (``_float_distance``).  The table says ``prec_bits`` 53, so
+    ``heights.confirm_heights``' bound read from it is the float64 one,
+    which covers every working precision.
+
+    The bound.  Take one evaluation with unit roundoff v, each rounding
+    (float(a), a Fraction or an integer quotient rounded to the nearest;
+    a product, sum, quotient or square root) off by at most v relative:
+    v = u = 2^-53 in float64, v = w = 2^-p at p = ``prec_bits`` in mpf, where
+    ``to_mpf``, ``_distance`` and mpmath's arithmetic and square root round
+    to nearest.  With m < 2^20 the component's segment count, m v < 2^-30,
+    so the products of the (1 + v) factors below exceed their first-order
+    terms by less than 2^-29 of them, and the bounds carry one v of slack
+    for that:
+      - sqrt(1 + a^2): a^2 is off by at most 3 v relative, 1 + a^2 by 4 v
+        (a^2 / (1 + a^2) < 1, then its own rounding), and the square root
+        halves that and rounds once: 3 v; a segment length
+        l_i = sqrt(1 + a_i^2) |dx_i| adds the rounding of |dx_i| and of the
+        product: 5 v;
+      - the cumulative length C_k, k positive segment lengths summed left
+        to right with k - 1 roundings, is off by at most (k + 4) v C_k, and
+        the total T by (m + 4) v T;
+      - a vertex arc C_k / T (k < m, the arc at most 1) is off by at most
+        (k + 4) v + (m + 4) v from the two and v from the quotient, below
+        (2m + 9) v;
+      - a passage arc (C_i + l) / T, l the partial length of segment i < m
+        (5 v), has a numerator off by at most ((m + 3) + 1) v of itself
+        after the sum rounds, so it is off by at most (2m + 9) v too.
+    With the slack, the float64 arc and the ``prec_bits`` arc are each
+    within (2m + 10) v of the exact one, so within (2m + 10) (2^-53 + 2^-p)
+    of each other, and within delta_c = (2m + 11) (2^-53 + 2^-p) after the
+    working-precision arc is rounded to float64 (one more u).
+
+    Every operand is kept in float64's normal range: the table is None
+    when a float conversion overflows, or a length or an arc is not finite
+    (a distance below 2^-900 is NaN, which also fails the passage gaps
+    below); a quotient that underflows adds at most 2^-1074, far below
+    delta_c.  It is also None when two consecutive
+    passages of a component are not more than 2 delta_c apart: the
+    working-precision arcs might then not increase, and
+    ``arc_length_table`` raises DomainError there.
+    """
+    if max(len(comp.lines) for comp in poly.components) >= 2 ** 20:
+        return None
+    try:
+        vertex_arcs, passages, totals = zip(*_arc_walk(poly, _float_factor, _float_distance))
+    except OverflowError:
+        return None
+    deltas = tuple((2 * len(arcs) + 11) * (2.0 ** -53 + 2.0 ** -prec_bits) for arcs in vertex_arcs)
+    for arcs, ordered, total, delta in zip(vertex_arcs, passages, totals, deltas):
+        if not (math.isfinite(total) and all(map(math.isfinite, arcs))):
+            return None
+        if not all(p2.arc - p1.arc > 2 * delta for p1, p2 in zip(ordered, ordered[1:])):
+            return None
+    return ArcTable(53, passages, vertex_arcs, totals), deltas
 
 
 @dataclass(frozen=True)

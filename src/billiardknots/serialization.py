@@ -34,15 +34,18 @@ from pathlib import Path
 
 import mpmath as mp
 
-from .billiards import COLUMNS, mirror_room_check, verify_reflection
+from .billiards import (
+    COLUMNS, MirrorRoomReport, ReflectionReport, mirror_room_check, mirror_room_proven,
+    reflection_proven, verify_reflection,
+)
 from .braids import QuasitoricPattern, pad_to_min_repetitions
 from .errors import SpecFileError
 from .heights import (
     KIND_NAMES, SawtoothHeight, SpatialTrajectory, TrajComponent, build_height_constraints,
-    confirm_heights,
+    confirm_heights, heights_proven,
 )
 from .invariants import certify, jones_string
-from .perturbation import PerturbedPolygon, arc_length_table, layout_from_lines
+from .perturbation import PerturbedPolygon, arc_length_table, float_arc_table, layout_from_lines
 from .pipeline import (
     REFLECTION_TOL, RealizationResult, RealizationSpec, Verdict, json_int, verdict,
 )
@@ -195,14 +198,13 @@ def prism_obj(result: RealizationResult) -> str:
 def star_svg(star, over_flags: dict[int, bool] | None = None) -> str:
     """Star-polygon figure from the star's float64 picture, one path per
     component; with ``over_flags`` (crossing id -> whether the chord_a
-    strand is over) the under strand is broken at each crossing."""
-    vertices, points = star.picture.vertices, star.picture.points
+    strand is over) the under strand is broken at each crossing, around
+    the crossing's closed-form parameter along it (``StarPicture.params``)."""
+    vertices, params = star.picture.vertices, star.picture.params
     cuts: dict[int, list[float]] = {c: [] for c in range(star.p)}
     for cr in (star.crossings if over_flags is not None else ()):
-        chord = cr.chord_b if over_flags[cr.index] else cr.chord_a
-        (ax, ay), (bx, by) = vertices[chord], vertices[(chord + star.q) % star.p]
-        (x, y), dx, dy = points[cr.index], bx - ax, by - ay
-        cuts[chord].append(((x - ax) * dx + (y - ay) * dy) / (dx * dx + dy * dy))
+        under_b = over_flags[cr.index]
+        cuts[cr.chord_b if under_b else cr.chord_a].append(params[cr.index][under_b])
     paths = []
     for comp in star.components:
         parts = []
@@ -344,6 +346,18 @@ def verify_artifacts(report_path) -> Verdict:
     passing verify computes no Kauffman bracket.  All three checks run on every
     report; one that fails the mirror-room check fails on it first; that
     check screens in float64 and builds no mirror (``mirror_room_check``).
+
+    The mirror-room check, the reflection check and conditions (a)-(c) are
+    first tried in float64 alone, each proven to pass at the working
+    precision by a bound derived where it is computed:
+    ``mirror_room_proven`` (run where the check runs, so it raises what
+    the check raises), then on the float arc table
+    (``perturbation.float_arc_table``) ``reflection_proven`` and
+    ``heights_proven``.  When all pass, so do the three checks, and no
+    margin is computed.  Otherwise the working-precision checks run for
+    the whole report as they always have, so every verdict, detail string
+    and exception is theirs.  ``certify`` runs exactly when conditions
+    (a)-(c) hold on either path.
     The trajectory's ``kinds`` string is read as JSON and each float column
     is decoded from its base64 string of little-endian float64, every float
     bit for bit as it was written, and their shape is checked here: one
@@ -397,7 +411,7 @@ def verify_artifacts(report_path) -> Verdict:
         return Verdict((("combinatorics", False, "stored lines no longer match the star"),))
     poly = PerturbedPolygon(star, delta, *layout)
     prec = spec.precision_bits
-    mirror = mirror_room_check(poly, prec_bits=prec)
+    room_proven = mirror_room_proven(poly, prec_bits=prec)
 
     traj_data = _load_json(traj_file)
     try:
@@ -416,12 +430,31 @@ def verify_artifacts(report_path) -> Verdict:
     except (TypeError, ValueError) as exc:
         raise SpecFileError(f"malformed trajectory file: {exc}") from exc
     trajectory = SpatialTrajectory(components=tuple(components), poly=poly)
-
-    arcs = arc_length_table(poly, prec)
-    reflection = verify_reflection(trajectory, arcs, REFLECTION_TOL)
     heights = tuple(comp.sawtooth for comp in components)
-    if not confirm_heights(heights, build_height_constraints(star, arcs), arcs, spec.margin):
-        certification = f"the exact heights miss conditions (a)-(c) at margin {spec.margin}"
+
+    if room_proven and _passes_in_float64(trajectory, heights, spec.margin, prec):
+        mirror, reflection, confirmed = MirrorRoomReport(True, None), ReflectionReport(True, ()), True
     else:
+        mirror = mirror_room_check(poly, prec_bits=prec)
+        arcs = arc_length_table(poly, prec)
+        reflection = verify_reflection(trajectory, arcs, REFLECTION_TOL)
+        confirmed = confirm_heights(heights, build_height_constraints(star, arcs), arcs, spec.margin)
+    if confirmed:
         certification = certify(poly, padded)
+    else:
+        certification = f"the exact heights miss conditions (a)-(c) at margin {spec.margin}"
     return verdict(mirror, reflection, certification)
+
+
+def _passes_in_float64(trajectory: SpatialTrajectory, heights, margin: float, prec: int) -> bool:
+    """Whether float64 proves the reflection check and conditions (a)-(c)
+    pass at the working precision ``prec``: on the float arc table
+    (``float_arc_table``), the float walk (``reflection_proven``) and the
+    float screen of ``confirm_heights`` (``heights_proven``)."""
+    floats = float_arc_table(trajectory.poly, prec)
+    if floats is None:
+        return False
+    table, deltas = floats
+    return reflection_proven(trajectory, table, deltas, REFLECTION_TOL) and heights_proven(
+        heights, build_height_constraints(trajectory.poly.star, table), table, deltas, margin
+    )

@@ -30,9 +30,10 @@ The rotated vertices form a ``StarGeometry`` at the star's precision,
 built the first time ``StarDiagram.geometry`` is read: the perturbation
 rounds the chord lines through them to its 2^-31 grid, so they stay mpf.
 The plot exports read ``StarDiagram.picture``, the star in float64:
-``float()`` of each vertex, and every crossing point and passage arc by
-that closed form (q - 1 ``math.tan`` offsets per star), within 2^-44 of
-it in mpf.  Checking stored artifacts needs neither.
+``float()`` of each vertex, and every crossing's parameters along its two
+chords, its point and its passage arcs by that closed form (q - 1
+``math.tan`` offsets per star), within 2^-44 of it in mpf.  Checking
+stored artifacts needs neither.
 
 The whole figure is pre-rotated by atan(1/17) so that no chord is ever
 vertical (a tangent of a rational multiple of pi is never 1/17), which the
@@ -80,12 +81,14 @@ class Passage(NamedTuple):
 
 @dataclass(frozen=True)
 class ArcTable:
-    """Normalized passage and vertex arcs of a closed diagram, per component."""
+    """Normalized passage and vertex arcs of a closed diagram, per component,
+    as mpf at ``prec_bits``, or as float64 with ``prec_bits`` 53
+    (``perturbation.float_arc_table``)."""
 
     prec_bits: int
     passages: tuple[tuple[Passage, ...], ...]   # sorted by arc within each component
     vertex_arcs: tuple[tuple, ...]              # polygon corners, per component
-    total_lengths: tuple                        # unnormalized lengths (mpf)
+    total_lengths: tuple                        # unnormalized lengths
 
     def component_count(self) -> int:
         return len(self.passages)
@@ -123,6 +126,7 @@ class StarPicture:
     vertices: tuple          # float() of each mpf vertex
     points: tuple            # (x, y) of each crossing
     arcs: tuple              # (chord_a arc, chord_b arc) of each crossing, in (0, 1)
+    params: tuple            # (along chord_a, along chord_b) of each crossing, in (0, 1)
 
 
 @dataclass(frozen=True)
@@ -148,13 +152,16 @@ class StarDiagram:
         vertices = tuple((float(x), float(y)) for x, y in self.geometry.vertices)
         scale = 2 * math.tan(math.pi * q / p)
         offset = {g: math.tan(math.pi * g / p) / scale for g in range(1, q)}
-        points, arcs = [], []
+        points, arcs, params = [], [], []
         for c in self.crossings:
             s_a, s_b = 0.5 + offset[c.gap], 0.5 - offset[c.gap]
             (x0, y0), (x1, y1) = vertices[c.chord_a], vertices[(c.chord_a + q) % p]
             points.append((x0 + s_a * (x1 - x0), y0 + s_a * (y1 - y0)))
             arcs.append(((places[c.chord_a][1] + s_a) / span, (places[c.chord_b][1] + s_b) / span))
-        return StarPicture(float(self.geometry.rotation), vertices, tuple(points), tuple(arcs))
+            params.append((s_a, s_b))
+        return StarPicture(
+            float(self.geometry.rotation), vertices, tuple(points), tuple(arcs), tuple(params)
+        )
 
     @cached_property
     def segment_orders(self) -> tuple[tuple[int, ...], ...]:

@@ -242,7 +242,8 @@ PICTURE_TOLERANCE = 2.0 ** -44
 
 def test_float_picture_matches_the_mpf_closed_form():
     """The picture's vertices are ``float()`` of the mpf vertices exactly,
-    and its points and arcs lie within 2^-44 of the mpf closed form's."""
+    and its points and arcs lie within 2^-44 of the mpf closed form's; so
+    do the points its parameters place along both chords of a crossing."""
     worst = 0.0
     for q in range(2, 7):
         for p in range(2 * q + 1, 2 * q + 20):
@@ -252,7 +253,12 @@ def test_float_picture_matches_the_mpf_closed_form():
             assert picture.vertices == tuple((float(x), float(y)) for x, y in d.geometry.vertices)
             points, arcs = closed_form_geometry(d)
             assert len(picture.points) == len(picture.arcs) == len(d.crossings)
-            for floats, exact in zip(picture.points + picture.arcs, points + arcs):
+            placed = []
+            for c, (s_a, s_b) in zip(d.crossings, picture.params):
+                for chord, s in ((c.chord_a, s_a), (c.chord_b, s_b)):
+                    (x0, y0), (x1, y1) = picture.vertices[chord], picture.vertices[(chord + q) % p]
+                    placed.append(((x0 + s * (x1 - x0), y0 + s * (y1 - y0)), points[c.index]))
+            for floats, exact in list(zip(picture.points + picture.arcs, points + arcs)) + placed:
                 worst = max([worst] + [float(abs(mp.mpf(f) - e)) for f, e in zip(floats, exact)])
     assert 0 < worst <= PICTURE_TOLERANCE
 

@@ -8,18 +8,33 @@ the files store, as a hand or a fault could:
     columns re-emitted, and once with only the stored number moved;
   - ``line``: one stored line coefficient moved by 2^-31, either way;
   - ``column``: one stored column value moved by 3 tol, past the walk's
-    bound, and by tol / 4, inside it.
+    bound, and by tol / 4, inside it;
+  - ``column-band``: one stored column value moved to the middle of the
+    band between ``tol - eps'`` (the float walk's bound on the float arc
+    table, ``billiards.float_walk_bound``) and ``tol - 4 eps``, so float64
+    cannot decide it and the working precision must;
+  - ``phase-band``: one component's phase moved from an edge of its
+    window into the window, to half the least nudge that the float screen
+    of ``confirm_heights``, widened for the float arc table
+    (``heights.heights_proven``), decides, with the columns re-emitted;
+  - ``mirrored``: the report reflected in the x axis, every line (a, b)
+    to (-a, -b) and every stored y to -y: the layout, the mirror rooms,
+    the arcs, the walk and the heights all stay, and only the diagram
+    oracle rejects it.
 Which component, coefficient or value is drawn from a generator seeded by
-the preset's name.
+the preset's name.  Each case is verified twice, once as it is and once
+with the float64 decision of ``verify`` forced off, and the two verdicts'
+checks must be equal.
 
 The expected verdict comes from the test oracles, never from the code
 ``verify`` runs: the Fraction layout (``layout_oracle``), the pairwise
 mirror room, the sorted Fraction arc table (``passage_oracles``), the
 closed form walked in mpf (``event_oracle``, every stored value within tol
 of it), conditions (a)-(c) at the table's precision on constraints
-ordered by sorting (``height_oracles``), and the Jones polynomial of the
-diagram read off the exact-abscissa passages against the pattern's.
-``verify`` must pass exactly when all of them do.
+ordered by sorting (``height_oracles``), and the diagram read off the
+exact-abscissa passages: its Jones polynomial against the pattern's, and
+every crossing's sign against its braid letter's.  ``verify`` must pass
+exactly when all of them do.
 """
 
 import functools
@@ -27,17 +42,22 @@ import json
 import random
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
+from unittest import mock
 
 import mpmath as mp
 import pytest
 
-from billiardknots.billiards import walk_error_bound
+from billiardknots import serialization
+from billiardknots.billiards import float_walk_bound, walk_error_bound
 from billiardknots.braids import component_count, pad_to_min_repetitions
 from billiardknots.errors import CoincidentEventsError
-from billiardknots.heights import HeightConstraint, SawtoothHeight, emit_trajectory
+from billiardknots.heights import (
+    HeightConstraint, SawtoothHeight, build_height_constraints, emit_trajectory, heights_proven,
+)
 from billiardknots.invariants import jones
 from billiardknots.pdcodes import traversal_pd
-from billiardknots.perturbation import PerturbedPolygon
+from billiardknots.perturbation import PerturbedPolygon, float_arc_table
 from billiardknots.pipeline import REFLECTION_TOL, RealizationSpec, realize
 from billiardknots.presets import PRESETS
 from billiardknots.serialization import verify_artifacts, write_artifacts
@@ -150,21 +170,34 @@ class Case:
         return True
 
     def diagram_holds(self, poly) -> bool:
+        """The diagram of the exact passages has the pattern's component
+        count and Jones polynomial, and every crossing the sign of its
+        braid letter, as in the closure of a braid (a mirror image flips
+        them all, and an amphichiral knot keeps its Jones polynomial)."""
         pd, signs = traversal_pd(fraction_passages(poly), over_flags_from_signs(self.star))
         return (
             len(poly.components) == component_count(self.padded)
             and jones(pd, sum(signs.values())) == pattern_jones(self.padded)
+            and all(signs[c.index] == c.sign for c in self.star.crossings)
         )
 
-    def oracle(self, lines, heights, columns) -> bool:
+    def geometry_oracle(self, lines, heights, columns):
+        """The oracle polygon when every oracle but the diagram's accepts
+        (the layout, the mirror rooms, the closed form, the heights), else
+        None."""
         poly, table = self.oracle_table(lines)
-        return (
+        if (
             poly is not None
             and pairwise_mirror_room(poly, self.prec).passed
             and self.closed_form_holds(poly, table, heights, columns)
             and self.heights_hold(table, heights)
-            and self.diagram_holds(poly)
-        )
+        ):
+            return poly
+        return None
+
+    def oracle(self, lines, heights, columns) -> bool:
+        poly = self.geometry_oracle(lines, heights, columns)
+        return poly is not None and self.diagram_holds(poly)
 
 
 def _with(seq, index, value):
@@ -228,21 +261,91 @@ def mutations(case, rng):
     index = rng.randrange(len(columns[ci][column]))
     sign = rng.choice((1, -1))
     for size in (3 * REFLECTION_TOL, REFLECTION_TOL / 4):
-        values = _with(columns[ci][column], index, columns[ci][column][index] + sign * size)
-        edited = _with(columns, ci, {**columns[ci], column: values})
-        yield "column", lines, heights, edited
+        yield "column", lines, heights, _moved_value(columns, ci, column, index, sign * size)
+
+    poly, arcs = case.result.poly, case.result.arcs
+    floats, deltas = float_arc_table(poly, case.prec)
+    ci = rng.randrange(len(columns))
+    column = rng.choice(COLUMNS)
+    index = rng.randrange(len(columns[ci][column]))
+    vertices = poly.components[ci].vertices
+    proven = float_walk_bound(vertices, floats.total_lengths[ci], heights[ci].frequency, deltas[ci])
+    size = REFLECTION_TOL - (proven + 4 * walk_error_bound(vertices, arcs.total_lengths[ci])) / 2
+    yield "column-band", lines, heights, _moved_value(columns, ci, column, index, rng.choice((1, -1)) * size)
+
+    k = rng.randrange(len(heights))
+    direction = rng.choice((1, -1))
+    edge = _window_edge(case, table, k, direction)
+    constraints = build_height_constraints(case.star, floats)
+
+    def inward(offset):
+        saw = SawtoothHeight(heights[k].frequency, (edge - direction * offset) % 1)
+        return tuple(_with(heights, k, saw))
+
+    undecided, decided = Fraction(0), NUDGE
+    assert heights_proven(inward(decided), constraints, floats, deltas, case.margin)
+    while decided - undecided > NUDGE / 2**20:
+        middle = (undecided + decided) / 2
+        if heights_proven(inward(middle), constraints, floats, deltas, case.margin):
+            decided = middle
+        else:
+            undecided = middle
+    moved = inward(undecided / 2)
+    emitted = case.emitted(moved)
+    if emitted is not None:
+        yield "phase-band", lines, moved, emitted
+
+    reflected = [(-a, -b) for a, b in lines]
+    flipped = [{**cols, "y": [-y for y in cols["y"]]} for cols in columns]
+    yield "mirrored", reflected, heights, flipped
+
+
+def _moved_value(columns, ci, column, index, by):
+    """``columns`` with value ``index`` of component ci's ``column`` moved
+    by ``by``."""
+    values = _with(columns[ci][column], index, columns[ci][column][index] + by)
+    return _with(columns, ci, {**columns[ci], column: values})
+
+
+class Outcome(NamedTuple):
+    family: str
+    want: bool      # the oracles' verdict
+    geometry: bool  # every oracle but the diagram's accepts
+    got: bool       # verify's verdict
+    decided: bool   # verify decided it in float64
+    same: bool      # verify's checks with the float64 decision forced off are the same
+
+
+def _verified(report):
+    """(passed, checks, whether float64 decided, the checks with the
+    float64 decision forced off) of ``verify`` on a report."""
+    decided = []
+    decide = serialization._passes_in_float64
+
+    def spy(*args):
+        decided.append(decide(*args))
+        return decided[-1]
+
+    with mock.patch.object(serialization, "_passes_in_float64", spy):
+        verdict = verify_artifacts(report)
+    with mock.patch.object(serialization, "_passes_in_float64", lambda *args: False):
+        forced = verify_artifacts(report)
+    return verdict.passed, verdict.checks, decided == [True], forced.checks
 
 
 @functools.lru_cache(maxsize=None)
 def _outcomes(name, tmp_root):
-    """(family, oracle verdict, verify verdict) of every mutation of a preset."""
+    """The ``Outcome`` of every mutation of a preset."""
     root = Path(tmp_root)
     case = Case(name, root / "base")
     assert case.oracle(case.lines, case.heights, case.columns)
     outcomes = []
     for i, (family, lines, heights, columns) in enumerate(mutations(case, random.Random(f"mutate:{name}"))):
         report = case.write(root / f"{i}-{family}", lines, heights, columns)
-        outcomes.append((family, case.oracle(lines, heights, columns), verify_artifacts(report).passed))
+        passed, checks, decided, forced = _verified(report)
+        poly = case.geometry_oracle(lines, heights, columns)
+        want = poly is not None and case.diagram_holds(poly)
+        outcomes.append(Outcome(family, want, poly is not None, passed, decided, forced == checks))
     return tuple(outcomes)
 
 
@@ -254,8 +357,8 @@ def mutation_root(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_verify_decides_every_mutation_as_the_oracles_do(name, mutation_root):
     outcomes = _outcomes(name, f"{mutation_root}/{name}")
-    assert len(outcomes) >= 8
-    wrong = [(family, want) for family, want, got in outcomes if want != got]
+    assert len(outcomes) >= 10
+    wrong = [(o.family, o.want) for o in outcomes if o.want != o.got]
     assert not wrong, (name, wrong)
 
 
@@ -263,12 +366,37 @@ def test_the_suite_has_accepted_and_rejected_mutations(mutation_root):
     """Across the presets, the oracles accept and reject some phase, line
     and column mutations, so the suite tests both verdicts; every phase
     edge splits its two nudges.  No frequency moved by one keeps its phase
-    in the window."""
+    in the window.  The band cases are accepted, and every mirrored report
+    is rejected, by the diagram oracle alone."""
     outcomes = {name: _outcomes(name, f"{mutation_root}/{name}") for name in sorted(PRESETS)}
-    seen = {(family, want) for cases in outcomes.values() for family, want, _ in cases}
+    seen = {(o.family, o.want) for cases in outcomes.values() for o in cases}
     assert seen == {
         ("phase", True), ("phase", False), ("line", True), ("line", False),
         ("column", True), ("column", False), ("frequency", False),
+        ("column-band", True), ("phase-band", True), ("mirrored", False),
     }
     for name, cases in outcomes.items():
-        assert sorted(want for family, want, _ in cases if family == "phase") == [False, True], name
+        assert sorted(o.want for o in cases if o.family == "phase") == [False, True], name
+        mirrored = [o for o in cases if o.family == "mirrored"]
+        assert len(mirrored) == 1 and mirrored[0].geometry, name
+
+
+def test_band_mutations_reach_the_working_precision(mutation_root):
+    """No band case is decided in float64: each one runs the
+    working-precision checks, which decide it as the oracles do.  Every
+    preset has one case of each band."""
+    outcomes = {name: _outcomes(name, f"{mutation_root}/{name}") for name in sorted(PRESETS)}
+    bands = [(name, o.family, o.decided) for name, cases in outcomes.items()
+             for o in cases if o.family.endswith("-band")]
+    assert not [band for band in bands if band[2]], bands
+    assert sorted(band[:2] for band in bands) == [
+        (name, family) for name in sorted(PRESETS) for family in ("column-band", "phase-band")
+    ]
+
+
+def test_the_float64_decision_changes_no_verdict(mutation_root):
+    """With ``verify``'s float64 decision forced off, every mutation of
+    every preset gets the same checks, detail strings included."""
+    outcomes = {name: _outcomes(name, f"{mutation_root}/{name}") for name in sorted(PRESETS)}
+    differ = [(name, o.family) for name, cases in outcomes.items() for o in cases if not o.same]
+    assert not differ
