@@ -9,31 +9,28 @@ boundary touches the trajectory at every vertex.  The prism is that floor
 times the height interval [0, 1]; its walls are vertical, so the planar
 reflection law lifts to 3D with the z-slope preserved.
 
-The mirror-room check and the table build the mirrors apart:
-``build_table`` takes ``polygon_mirrors``, every vertex rounded once to the
-working precision and every bisector evaluated there, while
-``mirror_room_check`` screens in float64.  Its bisectors, the diameter and
-the n^2 mirror-room values are evaluated in float64, and a proven bound
-covers how far each float value can be from its working-precision one:
-eps = 2^7 v (R + 1) for a pair value given its bisector, with v the larger
-of the float64 and the working precision's unit roundoff and R the size of
-the inputs, plus a term for the float bisector that grows with R, with
-1/(the shorter adjacent edge) and with 1/|a + b| for the unit edge vectors
-a and b.  Only the candidates the screen cannot rule out are evaluated in
-mpf, in the unscreened order, and only their mirrors' bisectors, so every
-result is the unscreened loops' bit for bit.  A degenerate angle is ruled
-out in float64 where the test clears its bound, and is otherwise left to
-``internal_bisector``.  ``polygon_mirrors`` shares each edge between the
-bisectors at its two ends.  ``build_table`` checks the floor with one exact
-mpf test per edge, that the edge runs counterclockwise along its mirror
-line, and screens its two angle orders: float64 decides them where a 2^-40
-separation proves them, and ``mp.atan2`` elsewhere, so every table value is
-the unscreened one, bit for bit.
+One mirror set serves the check and the table: ``polygon_mirrors`` rounds
+every vertex once to the working precision and evaluates every bisector
+there, sharing each edge between the bisectors at its two ends, and
+``mirror_room_check`` and ``build_table`` both read those mirrors.  The
+check screens the n^2 mirror-room values and the diameter in float64, from
+each mirror's direction rounded to float, and a proven bound
+eps = 2^7 v (R + 1) covers how far each float value can be from its
+working-precision one, with v the larger of the float64 and the working
+precision's unit roundoff and R the size of the inputs.  Only the
+candidates the screen cannot rule out are evaluated in mpf, in the
+unscreened order, so every result is the unscreened loops' bit for bit.
+``build_table`` checks the floor with one exact mpf test per edge, that
+the edge runs counterclockwise along its mirror line, and screens its two
+angle orders: float64 decides them where a 2^-40 separation proves them,
+and ``mp.atan2`` elsewhere, so every table value is the unscreened one,
+bit for bit.
 
 ``verify`` needs only pass or fail, and first tries to prove a pass in
-float64 alone: from the screen (``mirror_room_proven``) and from the walk
-on a float64 arc table (``reflection_proven``), each bound derived there.
-Where either cannot decide, it runs the checks at the working precision.
+float64 alone: from float64 bisectors with their own bound
+(``mirror_room_proven``) and from the walk on a float64 arc table
+(``reflection_proven``), each bound derived there.  Where either cannot
+decide, it builds the mirrors and runs the checks at the working precision.
 """
 
 from __future__ import annotations
@@ -78,16 +75,6 @@ def _bisector(into, out_of, tau):
     return (ux / norm, uy / norm)
 
 
-def internal_bisector(prev, at, next_, prec_bits: int = 128):
-    """Unit vector along the internal bisector of the angle prev-at-next.
-
-    Points into the angle: u = normalize(normalize(prev-at) + normalize(next-at)).
-    """
-    with mp.workprec(prec_bits):
-        prev, at, next_ = ((to_mpf(x), to_mpf(y)) for x, y in (prev, at, next_))
-        return _bisector(_edge(prev, at), _edge(at, next_), mp.mpf(2) ** (-prec_bits // 2))
-
-
 @dataclass(frozen=True)
 class Mirror:
     vertex: tuple                    # exact rational trajectory vertex
@@ -105,9 +92,11 @@ class MirrorRoomReport:
     threshold: object = None
 
 
-def polygon_mirrors(poly: PerturbedPolygon, prec_bits: int = 128) -> list[Mirror]:
-    """The mirror at every vertex, each edge computed once for the two
-    bisectors that share it, which are ``internal_bisector``'s bit for bit."""
+def polygon_mirrors(poly: PerturbedPolygon, prec_bits: int) -> list[Mirror]:
+    """The mirror at every vertex, component by component, at the working
+    precision ``prec_bits``: each vertex rounded once, and each edge
+    computed once for the two bisectors that share it.  Raises
+    DegenerateAngleError at the first coincident or collinear vertex."""
     mirrors = []
     with mp.workprec(prec_bits):
         tau = mp.mpf(2) ** (-prec_bits // 2)
@@ -138,107 +127,31 @@ def _near_least(values, eps: float) -> list[int]:
     return [j for j, value in enumerate(values) if value <= cut]
 
 
-def _float_bisectors(poly, floats, point, size: float, prec_bits: int, exact: dict):
-    """Per flat vertex k: its bisector (ux, uy) in float64, the bound err on
-    that bisector's distance from the working-precision one, and the flat
-    indices of its neighbours.  Where the float64 angle test or err cannot
-    be trusted, the bisector is ``internal_bisector``'s, stored in
-    ``exact[k]``, rounded to float, with err 0; that call raises
-    DegenerateAngleError for a degenerate angle.  The checks run in
-    ``polygon_mirrors``' order, so the first error raised is its first.
-    The bounds are derived in ``mirror_room_check``."""
-    v = 2.0 ** -min(prec_bits, 53)
-    r1 = size + 1.0
-    angle_bound = 2.0 ** 8 * v * r1 * r1
-    tau = 2.0 ** (-prec_bits // 2)  # internal_bisector's, floor division first
-    bisectors, around = [], []
-    start = 0
-    for ci, comp in enumerate(poly.components):
-        m = len(comp.vertices)
-        if m < 3:
-            raise DomainError(f"component {ci} has fewer than 3 vertices")
-        for i in range(m):
-            k, prev, next_ = start + i, start + (i - 1) % m, start + (i + 1) % m
-            around.append((prev, next_))
-            (px, py), (vx, vy), (qx, qy) = floats[prev], floats[k], floats[next_]
-            ax, ay, bx, by = px - vx, py - vy, qx - vx, qy - vy
-            na, nb = math.hypot(ax, ay), math.hypot(bx, by)
-            if abs(ax * by - ay * bx) - tau * na * nb > angle_bound:
-                wx, wy = ax / na + bx / nb, ay / na + by / nb
-                s = math.hypot(wx, wy)
-                t = 2.0 ** 7 * v * (r1 / min(na, nb) + 1.0)
-                if t <= s / 4:
-                    bisectors.append((wx / s, wy / s, t / s))
-                    continue
-            u = exact[k] = internal_bisector(point(prev), point(k), point(next_), prec_bits)
-            bisectors.append((float(u[0]), float(u[1]), 0.0))
-        start += m
-    return bisectors, around
-
-
-class _RoomScreen:
-    """The float64 pass of ``mirror_room_check``, shared with
-    ``mirror_room_proven``: each unordered pair's negated float distance,
-    and per mirror a row of its pairs' float values with the row's bound.
-    ``point(i)`` is vertex i rounded once to the working precision, and
-    ``directions`` holds the working-precision bisectors made so far."""
-
-    def __init__(self, poly: PerturbedPolygon, prec_bits: int):
-        self.prec_bits = prec_bits
-        self.vertices = vertices = [v for comp in poly.components for v in comp.vertices]
-        n = len(vertices)
-        floats = [(float(x), float(y)) for x, y in vertices]
-        size = max(max(abs(x), abs(y)) for x, y in floats)
-        self.eps = eps = _screen_bound(size, prec_bits)
-        self._points = {}
-        self.directions = {}
-        with mp.workprec(prec_bits):
-            bisectors, self.around = _float_bisectors(
-                poly, floats, self.point, size, prec_bits, self.directions
-            )
-        self.pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        self.distances = [
-            -math.hypot(floats[i][0] - floats[j][0], floats[i][1] - floats[j][1]) for i, j in self.pairs
-        ]
-        self.rows, self.bounds = [], []
-        for k, (ux, uy, err) in enumerate(bisectors):
-            vx, vy = floats[k]
-            self.rows.append([ux * (px - vx) + uy * (py - vy) for px, py in floats[:k] + floats[k + 1:]])
-            self.bounds.append(eps + 8 * (size + 1.0) * err)
-
-    def point(self, i):
-        if i not in self._points:
-            with mp.workprec(self.prec_bits):
-                self._points[i] = (to_mpf(self.vertices[i][0]), to_mpf(self.vertices[i][1]))
-        return self._points[i]
-
-
-def mirror_room_check(poly: PerturbedPolygon, prec_bits: int = 128) -> MirrorRoomReport:
+def mirror_room_check(mirrors, prec_bits: int) -> MirrorRoomReport:
     """Strict mirror-room condition: u_k . (P_i - P_k) > margin for all i != k.
 
-    The margin is ``MARGIN_FACTOR`` times the trajectory diameter, guarding
-    the square roots inside the bisector normalization; everything else is
-    exact.  All vertices of all components count, so for links every mirror
-    room must contain the whole union.  u_k is ``polygon_mirrors``' mirror
-    direction, the bisector of the angle at P_k at the working precision;
-    ``build_table`` builds the table from those mirrors, not from this
-    check.
+    ``mirrors`` are ``polygon_mirrors`` at ``prec_bits``: u_k is mirror k's
+    direction, the bisector of the angle at its vertex at the working
+    precision, and P_k its point, the vertex rounded once to that
+    precision.  The margin is ``MARGIN_FACTOR`` times the trajectory
+    diameter, guarding the square roots inside the bisector normalization;
+    everything else is exact.  All vertices of all components count, so for
+    links every mirror room must contain the whole union.  ``build_table``
+    builds the table from the same mirrors.
 
-    The bisectors, the diameter and the least value are found by a float64
-    screen and confirmed at the working precision.  One float pass
-    evaluates every vertex's bisector, every unordered pair's distance
-    (``hypot`` is symmetric under negation, so the ordered pairs add
-    nothing) and every ordered pair's value; only the candidates are
-    evaluated in mpf, in the unscreened (k, i) order, and only the mirrors
-    k that own a value candidate get their working-precision bisector.
-    With v = 2^-min(p, 53) for p = prec_bits, each rounding of either
-    evaluation (a float op, a rational or mpf rounded to float, a rational
-    rounded to mpf by ``to_mpf``, an mpf op) is off by at most v relative,
-    and by 2^-1074 absolutely on underflow; R is the largest vertex
-    coordinate in absolute value and R1 = R + 1.
+    The diameter and the least value are found by a float64 screen and
+    confirmed at the working precision.  One float pass evaluates every
+    unordered pair's distance (``hypot`` is symmetric under negation, so the
+    ordered pairs add nothing) and every ordered pair's value, with u_k
+    rounded to float; only the candidates are evaluated in mpf, in the
+    unscreened (k, i) order.  With v = 2^-min(p, 53) for p = prec_bits,
+    each rounding of either evaluation (a float op, a rational or mpf
+    rounded to float, a rational rounded to mpf by ``to_mpf``, an mpf op)
+    is off by at most v relative, and by 2^-1074 absolutely on underflow;
+    R is the largest vertex coordinate in absolute value and R1 = R + 1.
 
-    The pair values, for a given bisector u_k with |u_k| <= 1 + 4 * 2^-p:
-    each evaluation is within 20 v R of the exact value.
+    The pair values, with |u_k| <= 1 + 4 * 2^-p: each evaluation is within
+    20 v R of the exact value.
       - a coordinate difference of two vertices, rounded once each (to
         float or to mpf) and then subtracted, is off by at most 4.01 v R
         and is at most 2.01 R;
@@ -253,11 +166,96 @@ def mirror_room_check(poly: PerturbedPolygon, prec_bits: int = 128) -> MirrorRoo
     The two evaluations of a pair are thus within 40 v R of each other,
     less than eps = ``_screen_bound(R, p)`` = 2^7 v R1.
 
+    The screen.  The mpf value of a pair lies within eps of its float
+    value, so the least mpf value M is at most the least float value plus
+    eps, and every pair that attains M has a float value within 2 eps of
+    the least: every such pair is a candidate (``_near_least``; for the
+    diameter the same with signs flipped).  The mpf values, the first pair
+    that attains M in (k, i) order, the threshold and the verdict are
+    therefore those of the unscreened loops, bit for bit.
+    """
+    n = len(mirrors)
+    floats = [(float(x), float(y)) for x, y in (m.vertex for m in mirrors)]
+    eps = _screen_bound(max(max(abs(x), abs(y)) for x, y in floats), prec_bits)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    distances = [-math.hypot(floats[i][0] - floats[j][0], floats[i][1] - floats[j][1]) for i, j in pairs]
+    values = []
+    for k, (vx, vy) in enumerate(floats):
+        ux, uy = map(float, mirrors[k].direction)
+        values += [ux * (px - vx) + uy * (py - vy) for px, py in floats[:k] + floats[k + 1:]]
+    points = [m.point for m in mirrors]
+    with mp.workprec(prec_bits):
+        diameter = max(
+            mp.hypot(points[i][0] - points[j][0], points[i][1] - points[j][1])
+            for i, j in (pairs[c] for c in _near_least(distances, eps))
+            if points[i] != points[j]
+        )
+        threshold = mp.mpf(MARGIN_FACTOR) * diameter
+        margin = witness = None
+        for c in _near_least(values, eps):
+            k, i = divmod(c, n - 1)
+            i += i >= k
+            (ux, uy), (vx, vy), (px, py) = mirrors[k].direction, points[k], points[i]
+            value = ux * (px - vx) + uy * (py - vy)
+            if margin is None or value < margin:
+                margin, witness = value, (k, i)
+        passed = margin > threshold
+        return MirrorRoomReport(
+            passed=passed,
+            margin=margin,
+            witness=None if passed else witness,
+            threshold=threshold,
+        )
+
+
+def _float_bisectors(poly, floats, size: float, prec_bits: int):
+    """Per flat vertex, its bisector (ux, uy) in float64 and the bound err
+    on that bisector's distance from ``polygon_mirrors``' at ``prec_bits``;
+    None where a component has fewer than 3 vertices or, at some vertex,
+    the float64 angle test or err cannot be trusted.  The bounds are derived
+    in ``mirror_room_proven``."""
+    v = 2.0 ** -min(prec_bits, 53)
+    r1 = size + 1.0
+    angle_bound = 2.0 ** 8 * v * r1 * r1
+    tau = 2.0 ** (-prec_bits // 2)  # polygon_mirrors', floor division first
+    bisectors = []
+    start = 0
+    for comp in poly.components:
+        m = len(comp.vertices)
+        if m < 3:
+            return None
+        points = floats[start:start + m]
+        for i, (vx, vy) in enumerate(points):
+            (px, py), (qx, qy) = points[i - 1], points[(i + 1) % m]
+            ax, ay, bx, by = px - vx, py - vy, qx - vx, qy - vy
+            na, nb = math.hypot(ax, ay), math.hypot(bx, by)
+            if not abs(ax * by - ay * bx) - tau * na * nb > angle_bound:
+                return None
+            wx, wy = ax / na + bx / nb, ay / na + by / nb
+            s = math.hypot(wx, wy)
+            t = 2.0 ** 7 * v * (r1 / min(na, nb) + 1.0)
+            if not t <= s / 4:
+                return None
+            bisectors.append((wx / s, wy / s, t / s))
+        start += m
+    return bisectors
+
+
+def mirror_room_proven(poly: PerturbedPolygon, prec_bits: int) -> bool:
+    """Whether float64 alone proves that ``mirror_room_check`` passes on
+    ``polygon_mirrors(poly, prec_bits)``; False when it cannot, whatever
+    the check would say.  It builds no mirror and makes no mpf call, so it
+    raises nothing for a degenerate angle: where the float64 angle test or
+    a bisector's bound cannot decide (``_float_bisectors``), it returns
+    False, and ``polygon_mirrors`` decides, raising as it always has.  With
+    v, R, R1 and eps as in ``mirror_room_check``:
+
     The bisectors.  At P_k with edge vectors a and b to its neighbours,
-    L the shorter of |a| and |b| and w = a/|a| + b/|b|, both evaluations
-    follow ``internal_bisector``: u = w/|w|.
-      - a computed edge vector is off by at most 5.7 v R1 (as above), and
-        its computed length by that plus 2.01 v of itself;
+    L the shorter of |a| and |b| and w = a/|a| + b/|b|, both the float pass
+    and ``polygon_mirrors`` evaluate u = w/|w|.
+      - a computed edge vector is off by at most 5.7 v R1 (as a distance's
+        argument is in ``mirror_room_check``), and its computed length by
+        that plus 2.01 v of itself;
       - so a computed unit edge vector is off by at most
         2 * 5.7 v R1 / L + 3.5 v (|x/|x| - y/|y|| <= 2 |x - y|/|x|, and
         the division and hypot round), and w by at most
@@ -269,12 +267,12 @@ def mirror_room_check(poly: PerturbedPolygon, prec_bits: int = 128) -> MirrorRoo
     and each evaluation's u is within 0.54 T/s + 3.5 v < 0.6 T/s of the
     exact bisector (3.5 v < 0.06 T/s, as T/s >= 63 v).  The two are within
     1.2 T/s of each other, so the float value of a pair moves by at most
-    2.9 R1 * (1.2 T/s + 1.42 v) < 4 R1 T/s against the float value from
-    the rounded mpf bisector, and its bound is eps + 8 R1 T/s, twice that.
-    A bisector the float pass does not trust is ``internal_bisector``'s,
-    rounded to float, and its pairs' bound is eps.
+    2.9 R1 * (1.2 T/s + 1.42 v) < 4 R1 T/s against the check's float
+    value, from the working-precision bisector rounded to float, which is
+    within eps of the working-precision value.  The row's bound
+    eps + 8 R1 T/s, with twice that term, covers every pair of the row.
 
-    The angle test.  ``internal_bisector`` raises for a degenerate angle,
+    The angle test.  ``polygon_mirrors`` raises for a degenerate angle,
     where G = |a x b| - tau |a| |b|, as it evaluates it, is negative, with
     tau = 2^(-p // 2) (floor division, so 2^-27 at p = 53).
     The coordinate errors move a x b by at most 4 * 4.01 v R1 * 2.02 R1 <
@@ -283,79 +281,38 @@ def mirror_room_check(poly: PerturbedPolygon, prec_bits: int = 128) -> MirrorRoo
     rounding, 75 v R1^2, which tau <= 1/2 halves; and the
     subtraction rounds by at most 8.2 v R1^2.  So each evaluation of G is
     within 90 v R1^2 of the exact one.  Where the float G exceeds
-    2^8 v R1^2 the working-precision G is positive, and the angle is
-    decided in float64; elsewhere ``internal_bisector`` decides, and raises
-    as it always has.
+    2^8 v R1^2 the working-precision G is positive, and ``polygon_mirrors``
+    does not raise at that vertex; elsewhere the proof gives up.
 
-    The screen.  The mpf value of a pair lies within its bound of the
-    float value, so the least mpf value M is at most hi, the least of the
-    float values plus their bounds, and every pair that attains M has a
-    float value at most hi plus its bound: every such pair is a candidate
-    (for the diameter, with one bound eps, the pairs within 2 eps of the
-    float extreme, signs flipped).  The mpf values, the first pair that
-    attains M in (k, i) order, the threshold and the verdict are therefore
-    those of the unscreened loops, bit for bit, and ``DegenerateAngleError``
-    is raised exactly when ``polygon_mirrors`` raises it.  The float pass
-    is ``_RoomScreen``, which ``mirror_room_proven`` shares.
+    The margin.  Every pair's working-precision value is at least its float
+    value less its row's bound, so the margin M is at least the least row
+    value less the row's bound, and computing that difference rounds by
+    far less than another bound: a row whose least value less twice its
+    bound exceeds T_up holds only values above T_up.  The threshold is
+    ``MARGIN_FACTOR`` times the working-precision diameter, which is at
+    most the largest float distance D plus eps, and the product rounds
+    once at the working precision; so with T_up = ``MARGIN_FACTOR``
+    (D + 2 eps), the extra eps covering the roundings of both products and
+    of the sum, M > T_up proves M > threshold, the check's verdict.
     """
-    screen = _RoomScreen(poly, prec_bits)
-    rows, bounds, point, directions = screen.rows, screen.bounds, screen.point, screen.directions
-    with mp.workprec(prec_bits):
-        hi = min(min(row) + bound for row, bound in zip(rows, bounds))
-        diameter = max(
-            mp.hypot(point(i)[0] - point(j)[0], point(i)[1] - point(j)[1])
-            for i, j in (screen.pairs[c] for c in _near_least(screen.distances, screen.eps))
-            if point(i) != point(j)
-        )
-        threshold = mp.mpf(MARGIN_FACTOR) * diameter
-        margin = None
-        witness = None
-        for k, (row, bound) in enumerate(zip(rows, bounds)):
-            cut = hi + bound
-            for i, value in enumerate(row):
-                if value > cut:
-                    continue
-                i += i >= k
-                if k not in directions:
-                    prev, next_ = screen.around[k]
-                    directions[k] = internal_bisector(point(prev), point(k), point(next_), prec_bits)
-                vx, vy = point(k)
-                ux, uy = directions[k]
-                px, py = point(i)
-                value = ux * (px - vx) + uy * (py - vy)
-                if margin is None or value < margin:
-                    margin = value
-                    witness = (k, i)
-        passed = margin is not None and margin > threshold
-        return MirrorRoomReport(
-            passed=passed,
-            margin=margin,
-            witness=None if passed else witness,
-            threshold=threshold,
-        )
-
-
-def mirror_room_proven(poly: PerturbedPolygon, prec_bits: int = 128) -> bool:
-    """Whether the float64 screen of ``mirror_room_check`` alone proves
-    that the check passes at ``prec_bits``; False when it cannot, whatever
-    the check would say.  It raises what the check raises, at the same
-    point (the screen is the check's first step), and reports no margin.
-
-    Every pair's working-precision value is at least its float value less
-    its row's bound (``mirror_room_check``), so the margin M is at least
-    the least row value less the row's bound, and computing that
-    difference rounds by far less than another bound: a row whose least
-    value less twice its bound exceeds T_up holds only values above T_up.
-    The threshold is ``MARGIN_FACTOR`` times the working-precision
-    diameter, which is at most the largest float distance D plus eps, and
-    the product rounds once at the working precision; so with
-    T_up = ``MARGIN_FACTOR`` (D + 2 eps), the extra eps covering the
-    roundings of both products and of the sum, M > T_up proves
-    M > threshold, the check's verdict.
-    """
-    screen = _RoomScreen(poly, prec_bits)
-    limit = MARGIN_FACTOR * (-min(screen.distances) + 2 * screen.eps)
-    return all(min(row) - 2 * bound > limit for row, bound in zip(screen.rows, screen.bounds))
+    floats = [(float(x), float(y)) for comp in poly.components for x, y in comp.vertices]
+    size = max(max(abs(x), abs(y)) for x, y in floats)
+    bisectors = _float_bisectors(poly, floats, size, prec_bits)
+    if bisectors is None:
+        return False
+    eps = _screen_bound(size, prec_bits)
+    n = len(floats)
+    diameter = max(
+        math.hypot(floats[i][0] - floats[j][0], floats[i][1] - floats[j][1])
+        for i in range(n)
+        for j in range(i + 1, n)
+    )
+    limit = MARGIN_FACTOR * (diameter + 2 * eps)
+    for k, ((vx, vy), (ux, uy, err)) in enumerate(zip(floats, bisectors)):
+        least = min(ux * (px - vx) + uy * (py - vy) for px, py in floats[:k] + floats[k + 1:])
+        if not least - 2 * (eps + 8 * (size + 1.0) * err) > limit:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -407,7 +364,7 @@ def _normal_order(mirrors):
     return order, max(gaps) >= mp.pi
 
 
-def build_table(mirrors, prec_bits: int = 128) -> BilliardTable:
+def build_table(mirrors, prec_bits: int) -> BilliardTable:
     """Intersect the mirror half-planes into the convex floor polygon.
 
     ``mirrors`` are ``polygon_mirrors`` at the same precision, of a polygon

@@ -3,12 +3,13 @@
 Stages, in order: pad the pattern into the star regime, build the star
 with every crossing signed from the pattern (one ``build_star`` call),
 perturb to rational lines (``perturb_stage``, the one loop over delta:
-draws -> lines -> layout -> mirror room, halving on either failure, with
-one budget and one error), build the mirrors and assemble the prism table,
-compute arcs, build the crossing constraints, search sawtooth heights,
-emit the 3D trajectory, check its columns, and certify that the signed
-diagram is the abstract braid closure (a diagram isomorphism; the report's
-Jones polynomial is computed on first read).  The
+draws -> lines -> layout -> mirrors -> mirror room, halving on either
+failure, with one budget and one error), assemble the prism table from the
+mirrors the check read (so each polygon's mirrors are built once), compute
+arcs, build the crossing constraints, search sawtooth heights, emit the 3D
+trajectory, check its columns, and certify that the signed diagram is the
+abstract braid closure (a diagram isomorphism; the report's Jones
+polynomial is computed on first read).  The
 ``reflection`` stage checks the column shape (m + 2f events) and the float
 walk's error bound (``billiards.check_walk``).  It does not regenerate the
 columns and compare them with the closed form: emit has just built them by
@@ -30,6 +31,7 @@ from functools import cached_property
 
 from .billiards import (
     BilliardTable,
+    Mirror,
     MirrorRoomReport,
     ReflectionReport,
     build_table,
@@ -233,9 +235,10 @@ def last_halving(delta: Fraction) -> int:
 
 def perturb_stage(
     star: StarDiagram, delta: Fraction, seed: int
-) -> tuple[PerturbedPolygon, MirrorRoomReport]:
-    """The first polygon, with its report, that keeps the star's layout and
-    passes the mirror-room check at the star's precision.  Halving h draws
+) -> tuple[PerturbedPolygon, list[Mirror], MirrorRoomReport]:
+    """The first polygon that keeps the star's layout and whose mirrors
+    (``polygon_mirrors`` at the star's precision) pass the mirror-room
+    check, with those mirrors and the check's report.  Halving h draws
     from ``random.Random(seed * 1_000_003 + h)`` at delta / 2^h, for h = 0
     .. ``last_halving(delta)``."""
     last = last_halving(delta)
@@ -244,9 +247,10 @@ def perturb_stage(
         draws = [rng.uniform(-1.0, 1.0) for _ in range(2 * star.p)]
         poly = perturb(star, delta / (1 << halving), draws)
         if poly is not None:
-            report = mirror_room_check(poly, prec_bits=star.prec_bits)
+            mirrors = polygon_mirrors(poly, star.prec_bits)
+            report = mirror_room_check(mirrors, star.prec_bits)
             if report.passed:
-                return poly, report
+                return poly, mirrors, report
     raise CombinatorialCollapseError(
         f"no delta = {delta} * 2^-h for h = 0..{last} gave lines that keep "
         "the star's combinatorics and pass the mirror-room check"
@@ -266,13 +270,8 @@ def realize(spec: RealizationSpec) -> RealizationResult:
     padded = timed("pad", lambda: pad_to_min_repetitions(spec.pattern))
     star = timed("star", lambda: build_star(padded, spec.precision_bits))
 
-    poly, mirror_report = timed("perturb", lambda: perturb_stage(star, spec.delta, spec.seed))
-    table = timed(
-        "table",
-        lambda: build_table(
-            polygon_mirrors(poly, spec.precision_bits), prec_bits=spec.precision_bits
-        ),
-    )
+    poly, mirrors, mirror_report = timed("perturb", lambda: perturb_stage(star, spec.delta, spec.seed))
+    table = timed("table", lambda: build_table(mirrors, spec.precision_bits))
     arcs = timed("arcs", lambda: arc_length_table(poly, spec.precision_bits))
     constraints = timed("constraints", lambda: build_height_constraints(star, arcs))
     heights = timed(

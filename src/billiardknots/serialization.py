@@ -36,7 +36,7 @@ import mpmath as mp
 
 from .billiards import (
     COLUMNS, MirrorRoomReport, ReflectionReport, mirror_room_check, mirror_room_proven,
-    reflection_proven, verify_reflection,
+    polygon_mirrors, reflection_proven, verify_reflection,
 )
 from .braids import QuasitoricPattern, pad_to_min_repetitions
 from .errors import SpecFileError
@@ -344,20 +344,21 @@ def verify_artifacts(report_path) -> Verdict:
     ``certify`` reads them from the star and proves, by a diagram
     isomorphism, that the signed star is the padded pattern's closure; a
     passing verify computes no Kauffman bracket.  All three checks run on every
-    report; one that fails the mirror-room check fails on it first; that
-    check screens in float64 and builds no mirror (``mirror_room_check``).
+    report; one that fails the mirror-room check fails on it first.
 
     The mirror-room check, the reflection check and conditions (a)-(c) are
     first tried in float64 alone, each proven to pass at the working
     precision by a bound derived where it is computed:
-    ``mirror_room_proven`` (run where the check runs, so it raises what
-    the check raises), then on the float arc table
+    ``mirror_room_proven``, then on the float arc table
     (``perturbation.float_arc_table``) ``reflection_proven`` and
     ``heights_proven``.  When all pass, so do the three checks, and no
-    margin is computed.  Otherwise the working-precision checks run for
-    the whole report as they always have, so every verdict, detail string
-    and exception is theirs.  ``certify`` runs exactly when conditions
-    (a)-(c) hold on either path.
+    mirror and no margin is computed.  Otherwise the working-precision
+    checks run for the whole report as they always have, so every verdict,
+    detail string and exception is theirs: ``mirror_room_check`` on
+    ``polygon_mirrors``.  Where ``mirror_room_proven`` fails, the mirrors
+    are built before the trajectory file is read, so a degenerate angle
+    raises DegenerateAngleError first.  ``certify`` runs exactly when
+    conditions (a)-(c) hold on either path.
     The trajectory's ``kinds`` string is read as JSON and each float column
     is decoded from its base64 string of little-endian float64, every float
     bit for bit as it was written, and their shape is checked here: one
@@ -411,7 +412,7 @@ def verify_artifacts(report_path) -> Verdict:
         return Verdict((("combinatorics", False, "stored lines no longer match the star"),))
     poly = PerturbedPolygon(star, delta, *layout)
     prec = spec.precision_bits
-    room_proven = mirror_room_proven(poly, prec_bits=prec)
+    mirrors = None if mirror_room_proven(poly, prec) else polygon_mirrors(poly, prec)
 
     traj_data = _load_json(traj_file)
     try:
@@ -432,10 +433,10 @@ def verify_artifacts(report_path) -> Verdict:
     trajectory = SpatialTrajectory(components=tuple(components), poly=poly)
     heights = tuple(comp.sawtooth for comp in components)
 
-    if room_proven and _passes_in_float64(trajectory, heights, spec.margin, prec):
+    if mirrors is None and _passes_in_float64(trajectory, heights, spec.margin, prec):
         mirror, reflection, confirmed = MirrorRoomReport(True, None), ReflectionReport(True, ()), True
     else:
-        mirror = mirror_room_check(poly, prec_bits=prec)
+        mirror = mirror_room_check(mirrors or polygon_mirrors(poly, prec), prec)
         arcs = arc_length_table(poly, prec)
         reflection = verify_reflection(trajectory, arcs, REFLECTION_TOL)
         confirmed = confirm_heights(heights, build_height_constraints(star, arcs), arcs, spec.margin)

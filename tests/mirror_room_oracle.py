@@ -1,20 +1,34 @@
-"""Reference mirror-room check and half-plane test, all in mpf.
+"""Reference mirror-room check, bisector and half-plane test, all in mpf.
 
 These are the unscreened loops: the trajectory diameter over all ordered
 vertex pairs, the margin over all n^2 values u_k . (P_i - P_k), and every
 mirror half-plane tested for a point.
 ``billiardknots.billiards.mirror_room_check`` screens the first two in
-float64 and confirms the candidates at the working precision;
-``pairwise_mirror_room`` serves as the oracle it is compared against, bit
-for bit.  ``plain_contains_xy`` is the containment test of the reference
-reflection check and of the table tests.  ``all_vertices`` lists a
-polygon's vertices component by component.
+float64 and confirms the candidates at the working precision, on the
+mirrors of ``polygon_mirrors``; ``pairwise_mirror_room`` builds the same
+mirrors and serves as the oracle the check is compared against, bit for
+bit.  ``internal_bisector`` is one vertex's bisector, from its two
+neighbours alone: ``polygon_mirrors``, which shares each edge between the
+two bisectors at its ends, is compared against it.  ``plain_contains_xy``
+is the containment test of the reference reflection check and of the
+table tests.  ``all_vertices`` lists a polygon's vertices component by
+component.
 """
 
 import mpmath as mp
 
-from billiardknots.billiards import MARGIN_FACTOR, MirrorRoomReport, polygon_mirrors
+from billiardknots.billiards import MARGIN_FACTOR, MirrorRoomReport, _bisector, _edge, polygon_mirrors
 from billiardknots.perturbation import to_mpf
+
+
+def internal_bisector(prev, at, next_, prec_bits: int = 128):
+    """Unit vector along the internal bisector of the angle prev-at-next:
+    u = normalize(normalize(prev-at) + normalize(next-at)), with the edges
+    of this vertex alone.  Raises DegenerateAngleError for a coincident or
+    collinear angle."""
+    with mp.workprec(prec_bits):
+        prev, at, next_ = ((to_mpf(x), to_mpf(y)) for x, y in (prev, at, next_))
+        return _bisector(_edge(prev, at), _edge(at, next_), mp.mpf(2) ** (-prec_bits // 2))
 
 
 def all_vertices(poly) -> list:

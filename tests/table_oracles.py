@@ -25,7 +25,7 @@ from billiardknots.perturbation import to_mpf
 def normalized_sum_bisector(prev, at, next_, prec_bits: int = 128):
     """normalize(normalize(prev - at) + normalize(next - at)), each edge
     computed from its own two points; raises DegenerateAngleError for a
-    coincident or collinear angle as ``internal_bisector`` does."""
+    coincident or collinear angle as ``polygon_mirrors`` does."""
     with mp.workprec(prec_bits):
         ax = to_mpf(prev[0]) - to_mpf(at[0])
         ay = to_mpf(prev[1]) - to_mpf(at[1])

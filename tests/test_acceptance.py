@@ -84,8 +84,9 @@ def test_criterion_2_pentagram_sanity():
     comp = star.components[0]
     vertices = [star.geometry.vertices[star.chords[c][0]] for c in comp]
     poly = SimpleNamespace(components=(SimpleNamespace(vertices=tuple(vertices)),))
-    check = mirror_room_check(poly)
-    table = build_table(polygon_mirrors(poly))
+    mirrors = polygon_mirrors(poly, 128)
+    check = mirror_room_check(mirrors, 128)
+    table = build_table(mirrors, 128)
     tips_on_boundary = True
     for mirror, (e1, e2) in zip(table.mirrors, table.edge_of_mirror):
         vx, vy = float(mirror.vertex[0]), float(mirror.vertex[1])
@@ -173,7 +174,7 @@ def test_criterion_6_lemma1_stability(torus25, trefoil, figure_eight, hopf):
                     vs.append((float(x) + r * math.cos(ang), float(y) + r * math.sin(ang)))
                 comps.append(SimpleNamespace(vertices=tuple(vs)))
             fake = SimpleNamespace(components=tuple(comps))
-            if not mirror_room_check(fake, prec_bits=64).passed:
+            if not mirror_room_check(polygon_mirrors(fake, 64), 64).passed:
                 all_ok = False
     _report(
         6,

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import mpmath as mp
 import pytest
 from diagram_helpers import seeded_inputs
-from mirror_room_oracle import all_vertices, pairwise_mirror_room, plain_contains_xy
+from mirror_room_oracle import all_vertices, internal_bisector, pairwise_mirror_room, plain_contains_xy
 from reflection_oracle import pointwise_reflection
 from table_oracles import atan2_table, normalized_sum_bisector, pairwise_floor
 
@@ -20,8 +20,8 @@ from billiardknots.billiards import (
     _near_least,
     _screen_bound,
     build_table,
-    internal_bisector,
     mirror_room_check,
+    mirror_room_proven,
     polygon_mirrors,
 )
 from billiardknots.braids import pad_to_min_repetitions, toric_pattern
@@ -36,6 +36,11 @@ from billiardknots.stars import build_star
 def fake_polygon(vertex_lists):
     comps = tuple(SimpleNamespace(vertices=tuple(vs)) for vs in vertex_lists)
     return SimpleNamespace(components=comps)
+
+
+def room_check(poly, prec_bits):
+    """``mirror_room_check`` on the polygon's ``polygon_mirrors``."""
+    return mirror_room_check(polygon_mirrors(poly, prec_bits), prec_bits)
 
 
 def pentagram_polygon(seed=42):
@@ -58,7 +63,7 @@ def test_bisector_rejects_collinear():
 
 def test_pentagram_bisectors_point_to_center():
     poly = pentagram_polygon()
-    for mirror in polygon_mirrors(poly):
+    for mirror in polygon_mirrors(poly, 128):
         vx, vy = float(mirror.vertex[0]), float(mirror.vertex[1])
         ux, uy = float(mirror.direction[0]), float(mirror.direction[1])
         inward = (-vx, -vy)
@@ -70,10 +75,10 @@ def test_pentagram_bisectors_point_to_center():
 
 def test_mirror_room_check_pentagram():
     poly = pentagram_polygon()
-    report = mirror_room_check(poly)
+    report = room_check(poly, 128)
     assert report.passed
     # independent recomputation of the margin
-    mirrors = polygon_mirrors(poly)
+    mirrors = polygon_mirrors(poly, 128)
     vals = []
     pts = [(float(x), float(y)) for x, y in all_vertices(poly)]
     for k, m in enumerate(mirrors):
@@ -89,10 +94,10 @@ def test_mirror_room_check_degenerate_witness():
     # one vertex strictly inside the triangle of the others: not a trajectory
     bad = fake_polygon([[(Fraction(0), Fraction(0)), (Fraction(4), Fraction(0)),
                          (Fraction(2), Fraction(3)), (Fraction(2), Fraction(1))]])
-    report = mirror_room_check(bad)
+    report = room_check(bad, 128)
     assert not report.passed
     k, i = report.witness
-    mirrors = polygon_mirrors(bad)
+    mirrors = polygon_mirrors(bad, 128)
     m = mirrors[k]
     pts = all_vertices(bad)
     value = float(m.direction[0]) * (float(pts[i][0]) - float(m.vertex[0])) + float(
@@ -105,12 +110,12 @@ def test_convex_polygon_is_its_own_trajectory():
     # a convex quadrilateral traversed in order satisfies the condition
     square = fake_polygon([[(Fraction(0), Fraction(0)), (Fraction(3), Fraction(1)),
                             (Fraction(2), Fraction(4)), (Fraction(-1), Fraction(2))]])
-    assert mirror_room_check(square).passed
+    assert room_check(square, 128).passed
 
 
 def test_build_table_pentagram_touches_tips():
     poly = pentagram_polygon()
-    table = build_table(polygon_mirrors(poly))
+    table = build_table(polygon_mirrors(poly, 128), 128)
     assert len(table.floor) == 5
     # every trajectory vertex lies on its mirror's edge of the table
     for mirror, (e1, e2) in zip(table.mirrors, table.edge_of_mirror):
@@ -143,8 +148,8 @@ def test_build_table_orthic_triangle_recovers_original():
 
     ha, hb, hc = foot(A, B, C), foot(B, A, C), foot(C, A, B)
     orbit = fake_polygon([[ha, hb, hc]])
-    assert mirror_room_check(orbit).passed
-    table = build_table(polygon_mirrors(orbit))
+    assert room_check(orbit, 128).passed
+    table = build_table(polygon_mirrors(orbit, 128), 128)
     assert len(table.floor) == 3
     floor = [(float(x), float(y)) for x, y in table.floor]
     expected = [(float(v[0]), float(v[1])) for v in (A, B, C)]
@@ -156,7 +161,7 @@ def test_build_table_degenerate_raises():
     bad = fake_polygon([[(Fraction(0), Fraction(0)), (Fraction(4), Fraction(0)),
                          (Fraction(2), Fraction(3)), (Fraction(2), Fraction(1))]])
     with pytest.raises(UnboundedTableError):
-        build_table(polygon_mirrors(bad))
+        build_table(polygon_mirrors(bad, 128), 128)
     with pytest.raises(UnboundedTableError):
         pairwise_floor(bad)
 
@@ -168,7 +173,7 @@ def test_build_table_matches_pairwise_oracle(p, q):
     star = build_star(toric_pattern(q, p), prec_bits=192)
     for seed in (1, 2, 3):
         poly = perturb_stage(star, Fraction(1, 1000), seed)[0]
-        assert mirror_room_check(poly, prec_bits=192).passed
+        assert room_check(poly, 192).passed
         floor = build_table(polygon_mirrors(poly, 192), prec_bits=192).floor
         assert len(floor) == p
         assert floor == pairwise_floor(poly, prec_bits=192)
@@ -182,7 +187,7 @@ def make_simple_traj(points, kinds):
 
 def test_pointwise_reflection_oracle_floor_bounce():
     poly = pentagram_polygon()
-    table = build_table(polygon_mirrors(poly))
+    table = build_table(polygon_mirrors(poly, 128), 128)
     # synthetic V-shaped bounce on the floor inside the table, closed by a
     # ceiling bounce directly above
     traj = make_simple_traj(
@@ -231,7 +236,7 @@ def test_pointwise_reflection_oracle_names_bounce_point_outside_floor():
 
 def test_lemma1_jitter_stability_pentagram():
     poly = pentagram_polygon()
-    report = mirror_room_check(poly)
+    report = room_check(poly, 128)
     m = float(report.margin)
     rng = random.Random(7)
     for _ in range(100):
@@ -243,7 +248,7 @@ def test_lemma1_jitter_stability_pentagram():
                 ang = rng.uniform(0, 2 * math.pi)
                 vs.append((float(x) + r * math.cos(ang), float(y) + r * math.sin(ang)))
             jittered.append(vs)
-        assert mirror_room_check(fake_polygon(jittered), prec_bits=64).passed
+        assert room_check(fake_polygon(jittered), 64).passed
 
 
 SCREEN_PRECISIONS = (53, 64, 128, 192)
@@ -277,7 +282,7 @@ def jittered_polygons(seed):
     """A perturbed star moved by up to 1/4, 2 and 20 times its margin: the
     first pass the check, the last fail it."""
     poly = perturb_stage(build_star(toric_pattern(3, 7)), Fraction(1, 1000), seed)[0]
-    margin = float(mirror_room_check(poly).margin)
+    margin = float(room_check(poly, 128).margin)
     rng = random.Random(seed)
     polys = []
     for scale in (0.25, 2.0, 20.0):
@@ -334,7 +339,7 @@ def tied_polygons():
 def assert_same_mirror_room(poly, prec_bits):
     """The screened check's verdict, margin, witness and threshold are the
     unscreened loops', bit for bit."""
-    got = mirror_room_check(poly, prec_bits)
+    got = room_check(poly, prec_bits)
     want = pairwise_mirror_room(poly, prec_bits)
     assert (got.passed, got.witness) == (want.passed, want.witness)
     assert got.margin._mpf_ == want.margin._mpf_
@@ -363,7 +368,7 @@ def test_mirror_room_screen_matches_oracle_on_fake_polygons(prec):
                 want = pairwise_mirror_room(poly, prec)
             except DegenerateAngleError:
                 with pytest.raises(DegenerateAngleError):
-                    mirror_room_check(poly, prec)
+                    room_check(poly, prec)
                 continue
             verdicts.append(assert_same_mirror_room(poly, prec).passed)
             assert verdicts[-1] == want.passed
@@ -371,12 +376,11 @@ def test_mirror_room_screen_matches_oracle_on_fake_polygons(prec):
 
 
 def test_mirror_room_check_returns_the_mirrors_it_checked():
-    """The check's margin is the least value over the mirrors that
-    ``polygon_mirrors`` builds for the table, each through its vertex
-    rounded once at the working precision."""
-    poly = preset_polygon("hopf")
-    report = mirror_room_check(poly, prec_bits=192)
-    mirrors = tuple(polygon_mirrors(poly, 192))
+    """The check's margin is the least value over the mirrors it is given,
+    ``polygon_mirrors``' for the table, each through its vertex rounded
+    once at the working precision."""
+    mirrors = tuple(polygon_mirrors(preset_polygon("hopf"), 192))
+    report = mirror_room_check(mirrors, 192)
     with mp.workprec(192):
         assert report.margin == min(
             m.direction[0] * (o.point[0] - m.point[0]) + m.direction[1] * (o.point[1] - m.point[1])
@@ -420,20 +424,6 @@ def symmetric_pentagram():
     return fake_polygon([[star.geometry.vertices[star.chords[c][0]] for c in comp]])
 
 
-@pytest.fixture
-def bisector_calls(monkeypatch):
-    """The vertices ``internal_bisector`` is called at, in order."""
-    calls = []
-    real = billiards.internal_bisector
-
-    def counted(prev, at, next_, prec_bits=128):
-        calls.append(at)
-        return real(prev, at, next_, prec_bits)
-
-    monkeypatch.setattr(billiards, "internal_bisector", counted)
-    return calls
-
-
 @pytest.mark.parametrize("prec", SCREEN_PRECISIONS)
 def test_bisector_screen_matches_oracle_on_random_lines_and_the_symmetric_star(prec):
     verdicts = set()
@@ -444,56 +434,73 @@ def test_bisector_screen_matches_oracle_on_random_lines_and_the_symmetric_star(p
     assert assert_same_mirror_room(symmetric_pentagram(), prec).passed
 
 
-@pytest.mark.parametrize("prec", SCREEN_PRECISIONS)
-def test_bisector_screen_evaluates_only_the_candidate_mirrors(prec, bisector_calls):
-    """A preset's check evaluates one working-precision bisector, the
-    least pair's; the symmetric star's, whose values tie, all five."""
-    for name in PRESETS:
-        poly = preset_polygon(name)
-        bisector_calls.clear()
-        mirror_room_check(poly, prec)
-        assert len(bisector_calls) == 1
-    bisector_calls.clear()
-    mirror_room_check(symmetric_pentagram(), prec)
-    assert len(bisector_calls) == 5
-
-
-@pytest.mark.parametrize("prec", SCREEN_PRECISIONS)
-def test_bisector_screen_raises_for_a_degenerate_angle(prec, bisector_calls):
-    """A straight or coincident vertex raises DegenerateAngleError, as in
-    ``polygon_mirrors``; so does a vertex at (0, 0) whose angle test misses
-    its limit 2^(-prec // 2) by 2^-20 of it, which float64 leaves to the
-    working precision, while the same vertex clearing it by 2^-20 does
-    not.  A spike at (1/3, 1/7) whose angle test is half its limit raises
-    too, though its mirror owns no candidate: at 128 and 192 bits the
-    float64 roundings of its coordinates alone exceed the limit, so only
-    the angle test's own bound sends it to the working precision."""
+def near_degenerate_polygons(prec):
+    """Polygons with one degenerate vertex at ``prec``: a straight one, a
+    coincident one, one at (0, 0) whose angle test misses its limit
+    2^(-prec // 2) by 2^-20 of it, and a spike at (1/3, 1/7) whose angle
+    test is half its limit (at 128 and 192 bits the float64 roundings of
+    its coordinates alone exceed the limit); then the polygon whose vertex
+    at (0, 0) clears the limit by 2^-20, which is not degenerate."""
     F = Fraction
+    tau = F(2) ** (-prec // 2)
+
+    def corner(eps):
+        return fake_polygon([[(F(-1), F(0)), (F(0), F(0)), (F(1), eps), (F(0), F(1))]])
+
     straight = [(F(0), F(0)), (F(2), F(0)), (F(4), F(0)), (F(2), F(3))]
     coincident = [(F(0), F(0)), (F(1), F(0)), (F(1), F(0)), (F(0), F(1))]
-    for vertices in (straight, coincident):
-        for check in (mirror_room_check, pairwise_mirror_room):
+    x, y = F(1, 3), F(1, 7)
+    spike = [(x, y), (x + 1, y + F(3, 7) + tau / 2), (x + 3, y + 3), (x + 4, y - 1), (x + 2, y + F(6, 7))]
+    degenerate = [fake_polygon([straight]), fake_polygon([coincident]), corner(tau * (1 - F(1, 2**20))),
+                  fake_polygon([spike])]
+    return degenerate, corner(tau * (1 + F(1, 2**20)))
+
+
+@pytest.mark.parametrize("prec", SCREEN_PRECISIONS)
+def test_bisector_screen_raises_for_a_degenerate_angle(prec):
+    """Each degenerate vertex of ``near_degenerate_polygons`` raises
+    DegenerateAngleError where the check's mirrors are built, as in the
+    oracle; the vertex clearing its limit does not, and there the check is
+    the oracle's bit for bit."""
+    degenerate, clear = near_degenerate_polygons(prec)
+    for poly in degenerate:
+        for check in (room_check, pairwise_mirror_room):
             with pytest.raises(DegenerateAngleError):
-                check(fake_polygon([vertices]), prec)
-    tau = F(2) ** (-prec // 2)
-    for eps, degenerate in ((tau * (1 - F(1, 2**20)), True), (tau * (1 + F(1, 2**20)), False)):
-        poly = fake_polygon([[(F(-1), F(0)), (F(0), F(0)), (F(1), eps), (F(0), F(1))]])
-        bisector_calls.clear()
-        if degenerate:
-            with pytest.raises(DegenerateAngleError):
-                mirror_room_check(poly, prec)
-            assert bisector_calls == [(0, 0)]
-            with pytest.raises(DegenerateAngleError):
-                pairwise_mirror_room(poly, prec)
-        else:
-            mirror_room_check(poly, prec)
-            assert (0, 0) in bisector_calls
-            assert_same_mirror_room(poly, prec)
-    x, y, eta = F(1, 3), F(1, 7), F(2) ** (-prec // 2) / 2
-    spike = [(x, y), (x + 1, y + F(3, 7) + eta), (x + 3, y + 3), (x + 4, y - 1), (x + 2, y + F(6, 7))]
-    for check in (mirror_room_check, pairwise_mirror_room):
+                check(poly, prec)
+    assert_same_mirror_room(clear, prec)
+
+
+def float64_proofs(polys, prec, monkeypatch):
+    """``mirror_room_proven`` on each polygon, with mpmath taken away from
+    ``billiards``: the proof makes no mpf call."""
+    with monkeypatch.context() as patch:
+        patch.setattr(billiards, "mp", None)
+        return [mirror_room_proven(poly, prec) for poly in polys]
+
+
+@pytest.mark.parametrize("prec", SCREEN_PRECISIONS)
+def test_mirror_room_proof_gives_up_near_a_degenerate_angle(prec, monkeypatch):
+    """``mirror_room_proven`` returns False, raising nothing, on every
+    degenerate polygon of ``near_degenerate_polygons``, on which
+    ``polygon_mirrors`` raises, and on the vertex clearing its limit by
+    2^-20, which float64 cannot tell from a degenerate one."""
+    degenerate, clear = near_degenerate_polygons(prec)
+    assert float64_proofs(degenerate + [clear], prec, monkeypatch) == [False] * 5
+    for poly in degenerate:
         with pytest.raises(DegenerateAngleError):
-            check(fake_polygon([spike]), prec)
+            polygon_mirrors(poly, prec)
+
+
+@pytest.mark.parametrize("prec", SCREEN_PRECISIONS)
+def test_mirror_room_proof_implies_the_check(prec, monkeypatch):
+    """Wherever ``mirror_room_proven`` holds, the check passes; it holds on
+    every preset, and never on a polygon that fails the check."""
+    polys = [preset_polygon(name) for name in PRESETS] + tied_polygons() + jittered_polygons(1)
+    polys += random_line_polygons(1)
+    proven = float64_proofs(polys, prec, monkeypatch)
+    for poly, proof in zip(polys, proven):
+        assert room_check(poly, prec).passed or not proof
+    assert all(proven[:len(PRESETS)]) and not all(proven)
 
 
 @pytest.mark.parametrize("prec", SCREEN_PRECISIONS)
@@ -607,7 +614,7 @@ def _mirrors(directions):
 )
 def test_build_table_raises_on_an_unbounded_mirror_set(directions, message):
     with pytest.raises(UnboundedTableError, match=message):
-        build_table(_mirrors(directions))
+        build_table(_mirrors(directions), 128)
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,5 +1,5 @@
 """``verify`` decided in float64: the float arc table's bound, and a
-passing report checked without any working-precision arc or bisector.
+passing report checked without any working-precision arc or mirror.
 
 ``perturbation.float_arc_table`` claims each float arc is within delta_c
 of ``arc_length_table``'s at the working precision; the bound test checks
@@ -15,7 +15,7 @@ from unittest import mock
 import mpmath as mp
 import pytest
 
-from billiardknots import billiards, serialization
+from billiardknots import serialization
 from billiardknots.braids import QuasitoricPattern, pad_to_min_repetitions
 from billiardknots.perturbation import arc_length_table, float_arc_table, perturb
 from billiardknots.pipeline import RealizationSpec, perturb_stage, realize
@@ -95,13 +95,13 @@ def reports(tmp_path_factory):
 
 def test_a_passing_verify_computes_no_working_precision_arc_or_bisector(reports, monkeypatch):
     """Every preset and sweep report passes with the arc table and the
-    working-precision bisector broken: float64 decides them all."""
+    working-precision mirrors broken: float64 decides them all."""
 
     def broken(*args, **kwargs):
         raise AssertionError("verify left float64")
 
     monkeypatch.setattr(serialization, "arc_length_table", broken)
-    monkeypatch.setattr(billiards, "internal_bisector", broken)
+    monkeypatch.setattr(serialization, "polygon_mirrors", broken)
     assert all(verify_artifacts(report).passed for report in reports)
 
 

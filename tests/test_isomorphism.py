@@ -164,7 +164,7 @@ def test_random_star_certifies_by_its_letter_map_only(index):
     ``build_star``'s slot map); and one flipped crossing fails certify."""
     padded, star = random_stars()[index]
     q = padded.strands
-    poly, _ = perturb_stage(star, Fraction(1, 1000), 42)
+    poly = perturb_stage(star, Fraction(1, 1000), 42)[0]
     assert certify(poly, padded).passed
 
     pd, sign_map = traversal_pd(poly.passages(), over_flags_from_signs(star))

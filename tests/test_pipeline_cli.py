@@ -14,7 +14,7 @@ import mpmath as mp
 import pytest
 
 from billiardknots import perturbation, pipeline, serialization, stars
-from billiardknots.billiards import COLUMNS, MirrorRoomReport, mirror_room_check
+from billiardknots.billiards import COLUMNS, MirrorRoomReport, mirror_room_check, polygon_mirrors
 from billiardknots.braids import toric_pattern
 from billiardknots.cli import main
 from billiardknots.errors import CombinatorialCollapseError, SpecFileError
@@ -357,18 +357,35 @@ def test_cli_search_exhaustion_exit_code(tmp_path, capsys):
     assert "of f <= 3: frequencies kept per component [0]; f-tuples walked 0" in err
 
 
+def record_checks(monkeypatch, check=mirror_room_check):
+    """Put ``check`` in place of the perturb stage's mirror-room check and
+    record, per call in order, the delta of the polygon whose mirrors it
+    was given and its verdict.  The check reads only the mirrors, so each
+    is matched to the polygon ``polygon_mirrors`` built it from."""
+    built, checked = [], []
+
+    def mirrors_of(poly, prec_bits):
+        mirrors = polygon_mirrors(poly, prec_bits)
+        built.append((poly, mirrors))
+        return mirrors
+
+    def recorded(mirrors, prec_bits):
+        poly, built_mirrors = built[-1]
+        assert mirrors is built_mirrors
+        report = check(mirrors, prec_bits)
+        checked.append((poly.delta, report.passed))
+        return report
+
+    monkeypatch.setattr(pipeline, "polygon_mirrors", mirrors_of)
+    monkeypatch.setattr(pipeline, "mirror_room_check", recorded)
+    return checked
+
+
 def test_realize_halves_delta_after_a_failed_mirror_room_check(tmp_path, monkeypatch):
     """At delta 1 the torus-3-7 lines break the layout down to 1/8, where
     they fail the mirror-room check; the perturb stage halves once more,
     passes at 1/16, and the artifacts verify."""
-    checked = []
-
-    def recorded(poly, **kwargs):
-        report = mirror_room_check(poly, **kwargs)
-        checked.append((poly.delta, report.passed))
-        return report
-
-    monkeypatch.setattr(pipeline, "mirror_room_check", recorded)
+    checked = record_checks(monkeypatch)
     result = realize(RealizationSpec.from_dict({"preset": "torus-3-7", "delta": "1"}))
     assert checked == [(Fraction(1, 8), False), (Fraction(1, 16), True)]
     assert result.passed
@@ -377,18 +394,40 @@ def test_realize_halves_delta_after_a_failed_mirror_room_check(tmp_path, monkeyp
     assert verify_artifacts(files["report"]).passed
 
 
+def test_the_table_is_built_from_the_mirrors_the_check_read(monkeypatch):
+    """``realize`` builds each checked polygon's mirrors once: the table's
+    mirrors are the objects the passing mirror-room check read, and equal
+    ``polygon_mirrors(result.poly, 192)`` bit for bit."""
+    built, read = [], []
+
+    def mirrors_of(poly, prec_bits):
+        built.append(poly)
+        return polygon_mirrors(poly, prec_bits)
+
+    def recorded(mirrors, prec_bits):
+        read.append(mirrors)
+        return mirror_room_check(mirrors, prec_bits)
+
+    monkeypatch.setattr(pipeline, "polygon_mirrors", mirrors_of)
+    monkeypatch.setattr(pipeline, "mirror_room_check", recorded)
+    result = realize(RealizationSpec.from_dict({"preset": "torus-3-7", "delta": "1"}))
+    assert len(built) == len(read) == 2 and built[-1] is result.poly
+    assert all(a is b for a, b in zip(result.table.mirrors, read[-1], strict=True))
+
+    def bits(mirrors):
+        return [
+            (m.vertex, m.component, m.vertex_index, [c._mpf_ for c in (*m.direction, *m.point)])
+            for m in mirrors
+        ]
+
+    assert bits(result.table.mirrors) == bits(polygon_mirrors(result.poly, 192))
+
+
 @pytest.fixture
 def failing_mirror_room(monkeypatch):
     """Every mirror-room check of the perturb stage fails; the list holds
-    the delta of each polygon checked, in order."""
-    deltas = []
-
-    def failing(poly, **kwargs):
-        deltas.append(poly.delta)
-        return MirrorRoomReport(passed=False, margin=None)
-
-    monkeypatch.setattr(pipeline, "mirror_room_check", failing)
-    return deltas
+    (delta, False) for each polygon checked, in order."""
+    return record_checks(monkeypatch, lambda mirrors, prec_bits: MirrorRoomReport(False, None))
 
 
 def test_mirror_room_failures_spend_the_one_halving_budget(tmp_path, failing_mirror_room, capsys):
@@ -400,7 +439,7 @@ def test_mirror_room_failures_spend_the_one_halving_budget(tmp_path, failing_mir
     message = "no delta = 1/1000 * 2^-h for h = 0..22 gave lines that keep the star's combinatorics"
     with pytest.raises(CombinatorialCollapseError, match=re.escape(message)):
         realize(RealizationSpec.from_dict({"preset": "trefoil"}))
-    assert failing_mirror_room == [Fraction(1, 1000) / 2**h for h in range(23)]
+    assert failing_mirror_room == [(Fraction(1, 1000) / 2**h, False) for h in range(23)]
     spec = _write_spec(tmp_path, {"preset": "trefoil"})
     capsys.readouterr()
     assert main(["realize", str(spec), "--out", str(tmp_path / "x")]) == 4
@@ -418,21 +457,14 @@ def test_halving_stops_at_the_coefficient_grid(failing_mirror_room):
         message = f"no delta = {delta} * 2^-h for h = 0..{last} gave lines"
         with pytest.raises(CombinatorialCollapseError, match=re.escape(message)):
             realize(RealizationSpec.from_dict({"preset": "trefoil", "delta": str(delta)}))
-        assert failing_mirror_room == [delta / 2**h for h in range(last + 1)]
+        assert failing_mirror_room == [(delta / 2**h, False) for h in range(last + 1)]
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_presets_realize_and_verify_at_delta_one(tmp_path, monkeypatch, name):
     """At spec delta 1 every preset realizes, writes and verifies, and each
     mirror-room check after a failed one is at a smaller delta."""
-    checked = []
-
-    def recorded(poly, **kwargs):
-        report = mirror_room_check(poly, **kwargs)
-        checked.append((poly.delta, report.passed))
-        return report
-
-    monkeypatch.setattr(pipeline, "mirror_room_check", recorded)
+    checked = record_checks(monkeypatch)
     result = realize(RealizationSpec.from_dict({"preset": name, "delta": "1"}))
     assert result.passed
     assert [passed for _, passed in checked] == [False] * (len(checked) - 1) + [True]
