@@ -6,7 +6,7 @@ Usage: python scripts/star_figure.py P Q out.svg [--plain]
 With the default all-positive pattern the figure shows the torus link
 T(p, q) drawn on the star, matching the classic projection pictures;
 --plain draws the bare star with no crossing gaps.  The star is
-``build_star(toric_pattern(q, p))``, so a (p, q) outside the star's domain
+``build_star(toric_pattern(q, p), 128)``, so a (p, q) outside the star's domain
 prints that call's one-line error and exits 2: a q below 2 with the
 pattern's message ("strands must be >= 2, ..."), a p below 2q + 1 with the
 star's.  An outfile that cannot be written (its directory is missing, say)
@@ -30,7 +30,7 @@ def main(argv=None) -> int:
     parser.add_argument("--plain", action="store_true")
     args = parser.parse_args(argv)
     try:
-        star = build_star(toric_pattern(args.q, args.p))
+        star = build_star(toric_pattern(args.q, args.p), 128)
     except DomainError as exc:
         print(f"star_figure.py: {exc}", file=sys.stderr)
         return 2

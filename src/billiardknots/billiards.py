@@ -20,11 +20,11 @@ working-precision one, with v the larger of the float64 and the working
 precision's unit roundoff and R the size of the inputs.  Only the
 candidates the screen cannot rule out are evaluated in mpf, in the
 unscreened order, so every result is the unscreened loops' bit for bit.
-``build_table`` checks the floor with one exact mpf test per edge, that
-the edge runs counterclockwise along its mirror line, and screens its two
-angle orders: float64 decides them where a 2^-40 separation proves them,
-and ``mp.atan2`` elsewhere, so every table value is the unscreened one,
-bit for bit.
+``build_table`` builds the floor, which nothing downstream reads, in
+float64 from the same mirrors: the check proves any two normals more
+than 2e-12 apart, far above float64's error in their angles, so the
+float order is the exact one, and one test per edge, that it runs
+counterclockwise along its mirror line, checks the floor.
 
 ``verify`` needs only pass or fail, and first tries to prove a pass in
 float64 alone: from float64 bisectors with their own bound
@@ -317,137 +317,75 @@ def mirror_room_proven(poly: PerturbedPolygon, prec_bits: int) -> bool:
 
 @dataclass(frozen=True)
 class BilliardTable:
-    floor: tuple                       # convex polygon vertices, CCW (mpf pairs)
+    floor: tuple                       # convex polygon corners, CCW (float pairs)
     mirrors: tuple[Mirror, ...]
     edge_of_mirror: tuple[tuple[tuple, tuple], ...]  # edge endpoints per mirror
 
 
-SEP = 2.0 ** -40  # the float64 angle separation that decides an order
+def build_table(mirrors) -> BilliardTable:
+    """Intersect the mirror half-planes into the convex floor polygon, in
+    float64.
 
-
-def _order_and_gaps(angle, pi):
-    """Indices in increasing angle (a stable sort) and the gaps between
-    consecutive angles, the last one around the full turn."""
-    order = sorted(range(len(angle)), key=angle.__getitem__)
-    gaps = [angle[b] - angle[a] for a, b in zip(order, order[1:])]
-    gaps.append(angle[order[0]] + 2 * pi - angle[order[-1]])
-    return order, gaps
-
-
-def _float_order(vectors):
-    """``_order_and_gaps`` of the float64 angles of ``vectors`` (float
-    pairs), or None unless the screen of ``build_table`` proves that order
-    is the working precision's: every vector's larger coordinate is finite
-    and at least 2^-960, no angle is within SEP of +-pi, and consecutive
-    angles are more than SEP apart."""
-    angle = []
-    for x, y in vectors:
-        if not 2.0 ** -960 <= max(abs(x), abs(y)) < math.inf:
-            return None
-        angle.append(math.atan2(y, x))
-    order, gaps = _order_and_gaps(angle, math.pi)
-    if SEP - math.pi < angle[order[0]] and angle[order[-1]] < math.pi - SEP:
-        if all(gap > SEP for gap in gaps[:-1]):
-            return order, gaps
-    return None
-
-
-def _normal_order(mirrors):
-    """The mirrors in increasing outward-normal angle, and whether some gap
-    between consecutive normals is a half-turn or more."""
-    directions = [m.direction for m in mirrors]
-    screened = _float_order([(-float(ux), -float(uy)) for ux, uy in directions])
-    if screened and all(abs(gap - math.pi) > SEP for gap in screened[1]):
-        order, gaps = screened
-        return order, max(gaps) > math.pi
-    order, gaps = _order_and_gaps([mp.atan2(-uy, -ux) for ux, uy in directions], mp.pi)
-    return order, max(gaps) >= mp.pi
-
-
-def build_table(mirrors, prec_bits: int) -> BilliardTable:
-    """Intersect the mirror half-planes into the convex floor polygon.
-
-    ``mirrors`` are ``polygon_mirrors`` at the same precision, of a polygon
-    that passed ``mirror_room_check``: the check is the table's
-    precondition.
+    ``mirrors`` are ``polygon_mirrors`` of a polygon that passed
+    ``mirror_room_check``, the table's precondition and the certificate
+    that the polygon is a billiard path; the floor is for viewers.  Each
+    line takes its mirror's direction and exact vertex, rounded to float.
     Every trajectory vertex touches the floor, so each mirror line carries
-    one edge: ordered by outward-normal angle, consecutive lines meet at the
-    corners, counterclockwise from the smallest angle about their centroid.
-    Raises UnboundedTableError (a failed precondition in disguise) when the
-    normals span less than a half-turn, two consecutive lines are parallel,
-    or a mirror's edge, from the corner before it to its own, does not run
-    counterclockwise along its line (that mirror would carry no edge).  The
-    last is the edge-order test, exact and O(n), in mpf: with every gap
-    between consecutive normal angles below a half-turn, a closed chain of
-    positive-length edges turns once through a full turn, so it is a
-    convex polygon, and a convex polygon is the intersection of its edges'
-    half-planes.
+    one edge: ordered by outward-normal angle, consecutive lines meet at
+    the corners, counterclockwise from the corner of least angle about
+    their centroid.  Raises UnboundedTableError (a failed precondition in
+    disguise) when the normals span less than a half-turn, two consecutive
+    lines are parallel to float64 (a cross product of at most 2^-48), or
+    a mirror's edge, from the corner before it to its own, does not run
+    counterclockwise along its line.  With every gap between consecutive
+    normal angles below a half-turn, a closed chain of positive-length
+    edges turns once through a full turn, so it is a convex polygon, the
+    intersection of its edges' half-planes.
 
-    The two orders, of the normals (with the half-turn test) and of the
-    corners about their centroid (for the start), are those of the
-    working-precision angles ``mp.atan2`` gives, but are decided from
-    float64 ``math.atan2`` where a screen proves them; elsewhere the whole
-    order is decided by ``mp.atan2``.  With p = prec_bits >= 53, take an
-    mpf vector, a normal -u or a corner minus the centroid, and its exact
-    angle t:
-      - rounding each coordinate to float64 moves the vector by at most
-        2^-53 of its length, or by 2^-1074 absolutely on underflow, which
-        is below 2^-114 of it when its larger coordinate is at least
-        2^-960; so its angle moves by less than 2^-52.9;
-      - ``math.atan2`` is within 2 ulp of the angle of its arguments (as
-        the C libraries' are), 2^-50 for an angle in [-pi, pi];
-      - ``mp.atan2`` rounds atan(y/x), evaluated at p + 4 bits and
-        shifted by pi at p + 4 bits for x < 0, once to p bits: within
-        1 ulp, 2^-51, of t.
-    So the float and working-precision angles are within d = 2^-48 of each
-    other.  Where consecutive float angles are more than SEP = 2^-40 > 2d
-    apart, the working-precision angles are distinct and come in the same
-    order, which is then the stable sort's; where no float angle is within
-    SEP of +-pi, no working-precision angle is on the other side of the
-    cut at pi.  A gap is a difference of two angles, or of two angles and
-    2 pi: its float and working-precision values are within 2d plus their
-    few roundings, less than 2^-46, and ``mp.pi`` is within 2^-52 of pi,
-    so a float gap more than SEP from pi lies on the same side of pi as
-    the working-precision gap of ``mp.pi``, and the half-turn verdict is
-    the same.  Every stored value is therefore the unscreened order's, bit
-    for bit.
+    The float order is the exact one.  Let t = ``MARGIN_FACTOR`` D, with
+    D the polygon's diameter.  For any two vertices the check gives
+    u_k . (P_i - P_k) > t and u_i . (P_k - P_i) > t; adding the two,
+    |u_k - u_i| > 2 ``MARGIN_FACTOR``, so any two normals are more than
+    2e-12 apart.  And P_k is more than t from the line through P_i, so
+    every edge reaches more than t past its vertex on each side.  Both are
+    far above the 2^-48 float error in the angles.  The only exception is
+    an angle within 2^-48 of +-pi: it may move to the other end of the
+    list, which changes only which corner the floor lists first.
     """
     mirrors = tuple(mirrors)
     n = len(mirrors)
-    with mp.workprec(prec_bits):
-        # boundedness: outward normals (-u) must not fit in an open half-plane
-        order, unbounded = _normal_order(mirrors)
-        if unbounded:
-            raise UnboundedTableError("mirror normals span less than a half-turn")
+    lines = []  # (ux, uy, u . P) per mirror
+    for m in mirrors:
+        (ux, uy), (vx, vy) = map(float, m.direction), map(float, m.vertex)
+        lines.append((ux, uy, ux * vx + uy * vy))
+    # boundedness: outward normals (-u) must not fit in an open half-plane
+    angle = [math.atan2(-uy, -ux) for ux, uy, _ in lines]
+    order = sorted(range(n), key=angle.__getitem__)
+    gaps = [angle[b] - angle[a] for a, b in zip(order, order[1:])]
+    gaps.append(angle[order[0]] + 2 * math.pi - angle[order[-1]])
+    if max(gaps) >= math.pi:
+        raise UnboundedTableError("mirror normals span less than a half-turn")
 
-        tau = mp.mpf(2) ** (-prec_bits // 2)
-        offsets = [m.direction[0] * m.point[0] + m.direction[1] * m.point[1] for m in mirrors]
-        corners = []  # corners[k] is where the lines of order[k] and order[k + 1] meet
-        for k in range(n):
-            i, j = sorted((order[k], order[(k + 1) % n]))
-            (ax, ay), a_off = mirrors[i].direction, offsets[i]
-            (bx, by), b_off = mirrors[j].direction, offsets[j]
-            den = ax * by - ay * bx
-            if abs(den) < tau:
-                raise UnboundedTableError(f"consecutive mirrors {i} and {j} are parallel")
-            corners.append(((a_off * by - b_off * ay) / den, (ax * b_off - bx * a_off) / den))
+    corners = []  # corners[k] is where the lines of order[k] and order[k + 1] meet
+    for k in range(n):
+        i, j = sorted((order[k], order[(k + 1) % n]))
+        (ax, ay, a_off), (bx, by, b_off) = lines[i], lines[j]
+        den = ax * by - ay * bx
+        if not abs(den) > 2.0 ** -48:
+            raise UnboundedTableError(f"consecutive mirrors {i} and {j} are parallel")
+        corners.append(((a_off * by - b_off * ay) / den, (ax * b_off - bx * a_off) / den))
 
-        edge_of_mirror = [None] * n
-        for k in range(n):
-            ux, uy = mirrors[order[k]].direction
-            (x0, y0), (x1, y1) = corners[k - 1], corners[k]
-            if not uy * (x1 - x0) - ux * (y1 - y0) > 0:
-                raise UnboundedTableError("a mirror carries no edge of the floor polygon")
-            edge_of_mirror[order[k]] = (corners[k - 1], corners[k])
+    edge_of_mirror = [None] * n
+    for k in range(n):
+        ux, uy, _ = lines[order[k]]
+        (x0, y0), (x1, y1) = corners[k - 1], corners[k]
+        if not uy * (x1 - x0) - ux * (y1 - y0) > 0:
+            raise UnboundedTableError("a mirror carries no edge of the floor polygon")
+        edge_of_mirror[order[k]] = (corners[k - 1], corners[k])
 
-        cx = mp.fsum(x for x, _ in corners) / n
-        cy = mp.fsum(y for _, y in corners) / n
-        about = [(x - cx, y - cy) for x, y in corners]
-        screened = _float_order([(float(x), float(y)) for x, y in about])
-        if screened:
-            start = screened[0][0]
-        else:
-            start = min(range(n), key=lambda k: mp.atan2(about[k][1], about[k][0]))
+    cx = math.fsum(x for x, _ in corners) / n
+    cy = math.fsum(y for _, y in corners) / n
+    start = min(range(n), key=lambda k: math.atan2(corners[k][1] - cy, corners[k][0] - cx))
     return BilliardTable(
         floor=tuple(corners[start:] + corners[:start]),
         mirrors=mirrors,

@@ -4,8 +4,9 @@ Stages, in order: pad the pattern into the star regime, build the star
 with every crossing signed from the pattern (one ``build_star`` call),
 perturb to rational lines (``perturb_stage``, the one loop over delta:
 draws -> lines -> layout -> mirrors -> mirror room, halving on either
-failure, with one budget and one error), assemble the prism table from the
-mirrors the check read (so each polygon's mirrors are built once), compute
+failure, with one budget and one error), assemble the prism table in
+float64 from the mirrors the check read (so each polygon's mirrors are
+built once, and the check is the table's certificate), compute
 arcs, build the crossing constraints, search sawtooth heights, emit the 3D
 trajectory, check its columns, and certify that the signed diagram is the
 abstract braid closure (a diagram isomorphism; the report's Jones
@@ -271,7 +272,7 @@ def realize(spec: RealizationSpec) -> RealizationResult:
     star = timed("star", lambda: build_star(padded, spec.precision_bits))
 
     poly, mirrors, mirror_report = timed("perturb", lambda: perturb_stage(star, spec.delta, spec.seed))
-    table = timed("table", lambda: build_table(mirrors, spec.precision_bits))
+    table = timed("table", lambda: build_table(mirrors))
     arcs = timed("arcs", lambda: arc_length_table(poly, spec.precision_bits))
     constraints = timed("constraints", lambda: build_height_constraints(star, arcs))
     heights = timed(

@@ -2,8 +2,9 @@
 
 JSON is the single interchange format: rationals are serialized as "num/den"
 strings to keep exactness across the boundary, high-precision reals as
-decimal strings, and the float64 reals of ``diagram.json`` as JSON numbers,
-each the shortest repr that reads back bit for bit.  ``trajectory.json``
+decimal strings, and the float64 reals of ``diagram.json`` and of
+``table.json``'s floor as JSON numbers, each the shortest repr that reads
+back bit for bit.  ``trajectory.json``
 stores each component as columns: a ``kinds`` string with one letter per
 event (``w`` wall, ``f`` floor, ``c`` ceiling) and the float columns
 ``arc``, ``x``, ``y`` and ``z``, one value per event, each a base64 string
@@ -52,6 +53,7 @@ from .pipeline import (
 from .stars import build_star, over_flags_from_signs, star_diagram_json
 
 MPF_DIGITS = 40
+FLOAT64_MAX = Fraction(sys.float_info.max)
 GAP_FRACTION = 0.035  # of a chord, cut from the under strand on each side of a crossing
 
 
@@ -163,7 +165,7 @@ def trajectory_json(result: RealizationResult) -> dict:
 
 def table_json(result: RealizationResult) -> dict:
     return {
-        "floor": [[_num(x), _num(y)] for x, y in result.table.floor],
+        "floor": [list(corner) for corner in result.table.floor],
         "height": [0, 1],
         "mirrors": [
             {
@@ -178,7 +180,7 @@ def table_json(result: RealizationResult) -> dict:
 
 
 def prism_obj(result: RealizationResult) -> str:
-    floor = [(float(x), float(y)) for x, y in result.table.floor]
+    floor = result.table.floor
     n = len(floor)
     lines = ["# convex prism (floor polygon x [0,1])"]
     for x, y in floor:
@@ -329,7 +331,10 @@ def verify_artifacts(report_path) -> Verdict:
     is its integer combinatorics only: its geometry is never built, since
     ``layout_from_lines`` checks the stored lines against the star in
     integers.  Stored lines that no longer cut out the star's combinatorics
-    (two consecutive ones parallel, say) fail as ``combinatorics``.  The
+    (two consecutive ones parallel, say) fail as ``combinatorics``.  A
+    layout with a vertex beyond the float64 range is malformed: its wall
+    points could not be stored as finite float64 columns (crossing points
+    lie on the segments, so checking the vertices is enough).  The
     report's ``files.trajectory`` must be a bare file name, read from the
     report's directory; a path (absolute, with a separator, or ``.`` or
     ``..``) is malformed, and no file is opened for it.  The reflection check
@@ -411,6 +416,11 @@ def verify_artifacts(report_path) -> Verdict:
     if layout is None:
         return Verdict((("combinatorics", False, "stored lines no longer match the star"),))
     poly = PerturbedPolygon(star, delta, *layout)
+    if any(abs(c) > FLOAT64_MAX for comp in poly.components for v in comp.vertices for c in v):
+        raise SpecFileError(
+            "malformed report: a polygon vertex lies beyond the float64 range, "
+            "so its wall points cannot be stored as finite float64 columns"
+        )
     prec = spec.precision_bits
     mirrors = None if mirror_room_proven(poly, prec) else polygon_mirrors(poly, prec)
 

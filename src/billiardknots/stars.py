@@ -207,7 +207,7 @@ def _component_layout(p: int, q: int) -> tuple[tuple[tuple[int, ...], ...], tupl
     return tuple(comps), tuple(places)
 
 
-def build_star(pattern: QuasitoricPattern, prec_bits: int = 128) -> StarDiagram:
+def build_star(pattern: QuasitoricPattern, prec_bits: int) -> StarDiagram:
     """The signed star {p/q} of a pattern with p repetitions on q strands,
     with its full crossing bookkeeping in integers; each crossing takes the
     sign of its slot (see module docstring).  ``prec_bits`` is the

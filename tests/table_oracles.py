@@ -8,8 +8,9 @@ then support exactly two floor vertices.  This is O(n^3) and shares no
 floor logic with ``build_table``; it serves as the oracle its
 consecutive-line construction is compared against, in value and in order.
 
-``atan2_table`` is ``build_table`` with both of its orders decided by
-``mp.atan2`` alone, the oracle of its float64 order screen, and
+``atan2_table`` is ``build_table``'s construction at the working
+precision, with both of its orders decided by ``mp.atan2`` and the
+corners in mpf, the reference for the float64 floor, and
 ``normalized_sum_bisector`` is the bisector formula evaluated per vertex
 from its two neighbours, the oracle of the shared edges of
 ``polygon_mirrors``.
@@ -44,8 +45,9 @@ def normalized_sum_bisector(prev, at, next_, prec_bits: int = 128):
 
 
 def atan2_table(mirrors, prec_bits: int = 128) -> BilliardTable:
-    """``build_table`` with the outward normals and the start corner about
-    the centroid ordered by ``mp.atan2`` at the working precision."""
+    """``build_table``'s table at the working precision: the corners in
+    mpf, and the outward normals and the start corner about the centroid
+    ordered by ``mp.atan2``."""
     mirrors = tuple(mirrors)
     n = len(mirrors)
     with mp.workprec(prec_bits):

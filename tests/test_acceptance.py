@@ -63,7 +63,7 @@ def test_criterion_1_figure_combinatorics():
     t0 = time.perf_counter()
     facts = []
     for p, q, want_crossings, want_components in ((10, 3, 20, 1), (10, 2, 10, 2), (9, 3, 18, 3)):
-        d = build_star(toric_pattern(q, p))
+        d = build_star(toric_pattern(q, p), 128)
         facts.append(
             len(d.crossings) == want_crossings
             and len(d.components) == want_components
@@ -80,13 +80,13 @@ def test_criterion_1_figure_combinatorics():
 
 def test_criterion_2_pentagram_sanity():
     t0 = time.perf_counter()
-    star = build_star(toric_pattern(2, 5))
+    star = build_star(toric_pattern(2, 5), 128)
     comp = star.components[0]
     vertices = [star.geometry.vertices[star.chords[c][0]] for c in comp]
     poly = SimpleNamespace(components=(SimpleNamespace(vertices=tuple(vertices)),))
     mirrors = polygon_mirrors(poly, 128)
     check = mirror_room_check(mirrors, 128)
-    table = build_table(mirrors, 128)
+    table = build_table(mirrors)
     tips_on_boundary = True
     for mirror, (e1, e2) in zip(table.mirrors, table.edge_of_mirror):
         vx, vy = float(mirror.vertex[0]), float(mirror.vertex[1])

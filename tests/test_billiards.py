@@ -16,6 +16,7 @@ from table_oracles import atan2_table, normalized_sum_bisector, pairwise_floor
 
 from billiardknots import billiards
 from billiardknots.billiards import (
+    MARGIN_FACTOR,
     Mirror,
     _near_least,
     _screen_bound,
@@ -44,7 +45,7 @@ def room_check(poly, prec_bits):
 
 
 def pentagram_polygon(seed=42):
-    return perturb_stage(build_star(toric_pattern(2, 5)), Fraction(1, 1000), seed)[0]
+    return perturb_stage(build_star(toric_pattern(2, 5), 128), Fraction(1, 1000), seed)[0]
 
 
 def test_bisector_right_angle():
@@ -115,7 +116,7 @@ def test_convex_polygon_is_its_own_trajectory():
 
 def test_build_table_pentagram_touches_tips():
     poly = pentagram_polygon()
-    table = build_table(polygon_mirrors(poly, 128), 128)
+    table = build_table(polygon_mirrors(poly, 128))
     assert len(table.floor) == 5
     # every trajectory vertex lies on its mirror's edge of the table
     for mirror, (e1, e2) in zip(table.mirrors, table.edge_of_mirror):
@@ -149,7 +150,7 @@ def test_build_table_orthic_triangle_recovers_original():
     ha, hb, hc = foot(A, B, C), foot(B, A, C), foot(C, A, B)
     orbit = fake_polygon([[ha, hb, hc]])
     assert room_check(orbit, 128).passed
-    table = build_table(polygon_mirrors(orbit, 128), 128)
+    table = build_table(polygon_mirrors(orbit, 128))
     assert len(table.floor) == 3
     floor = [(float(x), float(y)) for x, y in table.floor]
     expected = [(float(v[0]), float(v[1])) for v in (A, B, C)]
@@ -161,22 +162,32 @@ def test_build_table_degenerate_raises():
     bad = fake_polygon([[(Fraction(0), Fraction(0)), (Fraction(4), Fraction(0)),
                          (Fraction(2), Fraction(3)), (Fraction(2), Fraction(1))]])
     with pytest.raises(UnboundedTableError):
-        build_table(polygon_mirrors(bad, 128), 128)
+        build_table(polygon_mirrors(bad, 128))
     with pytest.raises(UnboundedTableError):
         pairwise_floor(bad)
 
 
+def assert_close_floor(got, want):
+    """The float64 floor ``got`` has the working-precision floor ``want``'s
+    corners in the same order, each within 2^-40 (R + 1) of its own, with R
+    the largest coordinate."""
+    assert len(got) == len(want)
+    tol = 2.0 ** -40 * (max(abs(float(c)) for corner in want for c in corner) + 1)
+    for (gx, gy), (wx, wy) in zip(got, want):
+        assert type(gx) is type(gy) is float
+        assert abs(gx - float(wx)) <= tol and abs(gy - float(wy)) <= tol
+
+
 @pytest.mark.parametrize("p,q", [(5, 2), (7, 3), (10, 2), (10, 3), (9, 4)])
 def test_build_table_matches_pairwise_oracle(p, q):
-    """Consecutive mirror lines give the oracle's floor, bit for bit and in
-    the same order."""
+    """Consecutive mirror lines give the oracle's floor, in the same order."""
     star = build_star(toric_pattern(q, p), prec_bits=192)
     for seed in (1, 2, 3):
         poly = perturb_stage(star, Fraction(1, 1000), seed)[0]
         assert room_check(poly, 192).passed
-        floor = build_table(polygon_mirrors(poly, 192), prec_bits=192).floor
+        floor = build_table(polygon_mirrors(poly, 192)).floor
         assert len(floor) == p
-        assert floor == pairwise_floor(poly, prec_bits=192)
+        assert_close_floor(floor, pairwise_floor(poly, prec_bits=192))
 
 
 def make_simple_traj(points, kinds):
@@ -187,7 +198,7 @@ def make_simple_traj(points, kinds):
 
 def test_pointwise_reflection_oracle_floor_bounce():
     poly = pentagram_polygon()
-    table = build_table(polygon_mirrors(poly, 128), 128)
+    table = build_table(polygon_mirrors(poly, 128))
     # synthetic V-shaped bounce on the floor inside the table, closed by a
     # ceiling bounce directly above
     traj = make_simple_traj(
@@ -204,7 +215,7 @@ def test_pointwise_reflection_oracle_emitted_trajectory_and_corruption():
     from billiardknots.perturbation import arc_length_table
 
     poly = pentagram_polygon()
-    table = build_table(polygon_mirrors(poly, 192), prec_bits=192)
+    table = build_table(polygon_mirrors(poly, 192))
     arcs = arc_length_table(poly, 256)
     traj = emit_trajectory(poly, (SawtoothHeight(1, F(1, 3)),), arcs)
     assert pointwise_reflection(traj, table, 1e-9, prec_bits=192).passed
@@ -222,7 +233,7 @@ def test_pointwise_reflection_oracle_emitted_trajectory_and_corruption():
 
 def test_pointwise_reflection_oracle_names_bounce_point_outside_floor():
     poly = pentagram_polygon()
-    table = build_table(polygon_mirrors(poly, 192), prec_bits=192)
+    table = build_table(polygon_mirrors(poly, 192))
     arcs = arc_length_table(poly, 256)
     comp = emit_trajectory(poly, (SawtoothHeight(1, Fraction(1, 3)),), arcs).components[0]
     for kind in ("floor", "ceiling"):
@@ -281,7 +292,7 @@ def random_polygons(seed):
 def jittered_polygons(seed):
     """A perturbed star moved by up to 1/4, 2 and 20 times its margin: the
     first pass the check, the last fail it."""
-    poly = perturb_stage(build_star(toric_pattern(3, 7)), Fraction(1, 1000), seed)[0]
+    poly = perturb_stage(build_star(toric_pattern(3, 7), 128), Fraction(1, 1000), seed)[0]
     margin = float(room_check(poly, 128).margin)
     rng = random.Random(seed)
     polys = []
@@ -571,8 +582,8 @@ def random_closed_polygons(seed, count):
 
 def test_build_table_rejects_and_accepts_as_the_pairwise_oracle():
     """On random polygons the edge-order test raises exactly when the
-    pairwise half-plane intersection does, and otherwise gives its floor
-    bit for bit, at 53, 64, 128 and 192 bits."""
+    pairwise half-plane intersection does, and otherwise gives its floor,
+    on mirrors at 53, 64, 128 and 192 bits."""
     outcomes = set()
     for index, poly in enumerate(random_closed_polygons(19, 200)):
         prec = SCREEN_PRECISIONS[index % 4]
@@ -586,10 +597,10 @@ def test_build_table_rejects_and_accepts_as_the_pairwise_oracle():
             want = pairwise_floor(poly, prec)
         except UnboundedTableError:
             with pytest.raises(UnboundedTableError):
-                build_table(mirrors, prec)
+                build_table(mirrors)
             outcomes.add(False)
             continue
-        assert build_table(mirrors, prec).floor == want
+        assert_close_floor(build_table(mirrors).floor, want)
         outcomes.add(True)
     assert outcomes == {True, False}
 
@@ -609,12 +620,14 @@ def _mirrors(directions):
     [
         ([(1, 0), (0.8, 0.6), (0.6, 0.8)], "mirror normals span less than a half-turn"),
         ([(1, 0), (1, 0), (0, 1), (-1, 0), (0, -1)], "consecutive mirrors 0 and 1 are parallel"),
+        # outward normals at -pi/2, pi and pi/2: the gap around the turn is exactly pi
+        ([(0, -1), (1, 0), (0, 1)], "mirror normals span less than a half-turn"),
     ],
-    ids=["half-turn", "parallel"],
+    ids=["half-turn", "parallel", "gap of pi"],
 )
 def test_build_table_raises_on_an_unbounded_mirror_set(directions, message):
     with pytest.raises(UnboundedTableError, match=message):
-        build_table(_mirrors(directions), 128)
+        build_table(_mirrors(directions))
 
 
 @functools.lru_cache(maxsize=None)
@@ -688,35 +701,6 @@ def test_polygon_mirrors_raise_at_the_first_degenerate_vertex(prec, monkeypatch)
     assert [k for k, _ in firsts] == [1, 1, 0, 4, 4]
 
 
-@pytest.fixture
-def atan2_calls(monkeypatch):
-    """The arguments of every ``mp.atan2`` call, in order."""
-    calls = []
-    atan2 = mp.atan2
-    monkeypatch.setattr(mp, "atan2", lambda y, x: calls.append((y, x)) or atan2(y, x))
-    return calls
-
-
-def assert_same_table(mirrors, prec, atan2_calls) -> tuple[str, int]:
-    """``build_table`` gives the ``mp.atan2``-ordered table's floor and
-    edges bit for bit, or raises its UnboundedTableError message; returns
-    "built" or that message, and the number of ``mp.atan2`` calls
-    ``build_table`` made."""
-    try:
-        want = atan2_table(mirrors, prec)
-    except UnboundedTableError as exc:
-        atan2_calls.clear()
-        with pytest.raises(UnboundedTableError) as info:
-            build_table(mirrors, prec)
-        assert str(info.value) == str(exc)
-        return str(exc), len(atan2_calls)
-    atan2_calls.clear()
-    got = build_table(mirrors, prec)
-    assert _bits(got.floor) == _bits(want.floor)
-    assert _bits(got.edge_of_mirror) == _bits(want.edge_of_mirror)
-    return "built", len(atan2_calls)
-
-
 def benchmark_polygons():
     """The perturbed polygons of every benchmark input of the torus, knots
     and links workloads at benchmark seeds 1-3."""
@@ -734,88 +718,46 @@ def benchmark_polygons():
     return polys
 
 
-def test_build_table_orders_need_no_atan2_on_presets_and_benchmark_inputs(atan2_calls):
-    """Every preset, at 53 to 256 bits, and every benchmark input takes both
-    orders from the float64 screen, with the ``mp.atan2`` table's bits."""
+@functools.lru_cache(maxsize=None)
+def table_inputs():
+    """(precision, polygon) for every preset at 53 to 256 bits and every
+    benchmark input at its own precision."""
     inputs = [(prec, preset_polygon(name)) for name in PRESETS for prec in (53, 64, 128, 192, 256)]
     inputs += benchmark_polygons()
     assert len(inputs) == 45 + 39
+    return tuple(inputs)
+
+
+def test_build_table_matches_the_atan2_table_on_presets_and_benchmark_inputs():
+    """Every preset, on mirrors at 53 to 256 bits, and every benchmark input
+    gets the ``mp.atan2``-ordered working-precision table's floor."""
+    for prec, poly in table_inputs():
+        mirrors = polygon_mirrors(poly, prec)
+        assert_close_floor(build_table(mirrors).floor, atan2_table(mirrors, prec).floor)
+
+
+def test_checked_normals_and_floor_edges_clear_the_margin():
+    """The facts ``build_table``'s float64 order rests on: on every polygon
+    that passes the mirror-room check, any two outward normals are more
+    than 2 ``MARGIN_FACTOR`` apart in angle, and every floor edge is longer
+    than 2 ``MARGIN_FACTOR`` D, with D the polygon's diameter."""
+    inputs = list(table_inputs())
+    inputs += [(SCREEN_PRECISIONS[i % 4], poly) for i, poly in enumerate(random_closed_polygons(19, 200))]
+    checked = 0
     for prec, poly in inputs:
-        assert assert_same_table(polygon_mirrors(poly, prec), prec, atan2_calls) == ("built", 0)
-
-
-@pytest.mark.parametrize("prec", SCREEN_PRECISIONS)
-def test_build_table_matches_the_atan2_oracle_bit_for_bit(prec, atan2_calls):
-    """On the seeded patterns, the random lines and random closed polygons,
-    the screened orders give the ``mp.atan2`` table's floor and edges or its
-    error; some of the polygons that fail the mirror-room check bound no
-    table."""
-    built = set()
-    for poly in list(shared_edge_polygons()) + random_closed_polygons(19, 100):
         try:
             mirrors = polygon_mirrors(poly, prec)
         except DegenerateAngleError:
             continue
-        built.add(assert_same_table(mirrors, prec, atan2_calls)[0] == "built")
-    assert built == {True, False}
-
-
-def _tangent_mirrors(normals, points, prec):
-    """Mirrors with the given outward normals (``build_table`` takes
-    -normal as the direction, unit or not) through the given points."""
-    with mp.workprec(prec):
-        return [
-            Mirror((Fraction(0), Fraction(0)), (-mp.mpf(nx), -mp.mpf(ny)), 0, k, (mp.mpf(x), mp.mpf(y)))
-            for k, ((nx, ny), (x, y)) in enumerate(zip(normals, points))
-        ]
-
-
-def _circle_mirrors(angles, prec):
-    """Mirrors tangent to the unit circle where the outward normal has the
-    given angle."""
-    with mp.workprec(prec):
-        units = [(mp.cos(a), mp.sin(a)) for a in angles]
-    return _tangent_mirrors(units, units, prec)
-
-
-def _fallback_mirror_sets(prec):
-    """Mirror sets on which the screen must leave an order to ``mp.atan2``,
-    with the number of ``mp.atan2`` calls the fallback makes (None: at
-    least one)."""
-    with mp.workprec(prec):
-        pentagon = [mp.mpf(3) / 10 + 2 * mp.pi * k / 5 for k in range(5)]
-        close = pentagon + [pentagon[0] + mp.mpf(2) ** -45]
-        tilt = mp.pi / 2 - mp.mpf(2) ** -52
-        over = [-tilt, mp.mpf(0), tilt]
-    square = [(1, 0), (0, 1), (-1, 0), (0, -1)]
-    diamond = [(1, 1), (-1, 1), (-1, -1), (1, -1)]
-    tilted = [(2, 1), (-1, 2), (-2, -1), (1, -2)]
-    return {
-        # two normals 2^-45 apart: the normal order falls back
-        "close normals": (_circle_mirrors(close, prec), None),
-        # the normal (-1, 0) is at angle pi, and -0.0 puts its float angle at -pi
-        "normal at pi": (_tangent_mirrors(square, square, prec), None),
-        # the diamond's normals are screened; its corner (-1, 0) is at pi about
-        # the centroid (0, 0), so only the start corner falls back, n calls
-        "corner at pi": (_tangent_mirrors(diamond, [(x / 2, y / 2) for x, y in diamond], prec), 4),
-        # normals at -pi/2, 0 and pi/2: the gap around the turn is exactly pi
-        "gap of pi": (_tangent_mirrors(square[1:], square[1:], prec), None),
-        # a tilted square with corners such as (2^1100, 3 * 2^1100), past the
-        # float64 range: only the start corner falls back
-        "huge corners": (_tangent_mirrors(tilted, [(x << 1100, y << 1100) for x, y in tilted], prec), 4),
-        # normals at -+(pi/2 - 2^-52): the gap around the turn exceeds pi by
-        # 2^-51, which the float64 angles round away
-        "gap over pi": (_circle_mirrors(over, prec), None),
-    }
-
-
-@pytest.mark.parametrize("prec", SCREEN_PRECISIONS)
-def test_build_table_falls_back_to_atan2_where_the_screen_cannot_decide(prec, atan2_calls):
-    outcomes = {}
-    for name, (mirrors, want_calls) in _fallback_mirror_sets(prec).items():
-        outcomes[name], calls = assert_same_table(mirrors, prec, atan2_calls)
-        assert calls > 0 if want_calls is None else calls == want_calls, name
-    assert outcomes["normal at pi"] == outcomes["corner at pi"] == outcomes["huge corners"] == "built"
-    assert outcomes["gap of pi"].startswith(("mirror normals", "consecutive mirrors"))
-    assert outcomes["gap over pi"] == "mirror normals span less than a half-turn"
-    assert outcomes["close normals"] == ("built" if prec >= 128 else "consecutive mirrors 0 and 5 are parallel")
+        report = mirror_room_check(mirrors, prec)
+        if not report.passed:
+            continue
+        checked += 1
+        with mp.workprec(prec):
+            angles = sorted(mp.atan2(-uy, -ux) for ux, uy in (m.direction for m in mirrors))
+            gaps = [b - a for a, b in zip(angles, angles[1:])] + [angles[0] + 2 * mp.pi - angles[-1]]
+            assert min(gaps) > 2 * MARGIN_FACTOR
+        floor = build_table(mirrors).floor
+        edges = [math.hypot(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(floor, floor[1:] + floor[:1])]
+        assert min(edges) > 2 * float(report.threshold)
+    assert checked > 84

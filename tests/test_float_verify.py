@@ -37,7 +37,7 @@ def _random_polygons(count: int, seed: int):
         q = (2, 3)[len(polys)] if len(polys) < 2 else rng.randint(2, 4)
         p = (61, 59)[len(polys)] if len(polys) < 2 else rng.randint(2 * q + 1, 61)
         signs = tuple(tuple(rng.choice((1, -1)) for _ in range(q - 1)) for _ in range(p))
-        star = build_star(QuasitoricPattern(q, p, signs))
+        star = build_star(QuasitoricPattern(q, p, signs), 128)
         delta = Fraction(1, 10 ** rng.randint(1, 4))
         poly = perturb(star, delta, [rng.uniform(-1, 1) for _ in range(2 * p)])
         if poly is not None:
@@ -47,7 +47,7 @@ def _random_polygons(count: int, seed: int):
 
 def _polygons():
     star_polys = [
-        perturb_stage(build_star(pad_to_min_repetitions(pattern)), Fraction(1, 1000), 42)[0]
+        perturb_stage(build_star(pad_to_min_repetitions(pattern), 128), Fraction(1, 1000), 42)[0]
         for pattern in [PRESETS[name] for name in sorted(PRESETS)] + sweep_slice()
     ]
     return star_polys + _random_polygons(12, 4001)

@@ -42,7 +42,7 @@ def test_extract_pd_from_star_diagrams():
     from diagram_helpers import extract_pd
     from billiardknots.stars import build_star
 
-    signed = build_star(toric_pattern(2, 5))
+    signed = build_star(toric_pattern(2, 5), 128)
     pd = extract_pd(signed, over_flags_from_signs(signed))
     assert pd.crossing_count == 5
     labels = [x for rec in pd.crossings for x in rec]
@@ -50,7 +50,7 @@ def test_extract_pd_from_star_diagrams():
     assert all(labels.count(x) == 2 for x in set(labels))
 
     padded = pad_to_min_repetitions(FIGURE_EIGHT)
-    signed8 = build_star(padded)
+    signed8 = build_star(padded, 128)
     pd8 = extract_pd(signed8, over_flags_from_signs(signed8))
     assert pd8.crossing_count == 16
 

@@ -81,7 +81,7 @@ def star_word(pattern):
     A crossing of chords (c, c+g) sits at angular position (2c+g+q)/2 in
     sector units and swaps radial strands (g, g+1); same-angle crossings
     have gaps of equal parity and commute."""
-    d = build_star(pattern)
+    d = build_star(pattern, 128)
     ordered = sorted(
         d.crossings,
         key=lambda c: ((2 * c.chord_a + c.gap + d.q) % (2 * d.p), c.gap),

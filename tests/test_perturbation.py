@@ -60,7 +60,7 @@ def test_integer_layout_matches_the_fraction_layout_on_random_lines():
     the combinatorics, so both outcomes are compared."""
     outcomes = set()
     for p, q in [(5, 2), (7, 3), (10, 3), (12, 2), (9, 4)]:
-        star = build_star(toric_pattern(q, p))
+        star = build_star(toric_pattern(q, p), 128)
         slopes, intercepts = _star_chord_geometry(star)
         for delta in (Fraction(1, 1000), Fraction(1, 30), Fraction(1, 4), Fraction(1, 2)):
             rng = random.Random(p * 1000 + q * 100 + delta.denominator)
@@ -83,7 +83,7 @@ def stored_lines(star, denominator):
 
 
 def test_integer_layout_matches_on_parallel_lines():
-    star = build_star(toric_pattern(3, 10))
+    star = build_star(toric_pattern(3, 10), 128)
     lines = stored_lines(star, 1000)
     assert assert_same_layout(star, lines)
     # chords 0 and 5 of {10/3} are parallel, and neither cross nor meet
@@ -102,7 +102,7 @@ def test_integer_layout_matches_on_parallel_lines():
 def test_integer_layout_matches_with_a_line_through_a_corner(p, q):
     """At each crossing, chord_a's line moved through either end of chord_b's
     segment: the crossing lands on a corner, which is not strictly inside."""
-    star = build_star(toric_pattern(q, p))
+    star = build_star(toric_pattern(q, p), 128)
     lines = stored_lines(star, 1000)
     layout = layout_from_lines(star, lines)
     assert layout is not None
@@ -122,7 +122,7 @@ def test_integer_layout_matches_with_two_crossings_swapped():
     nothing else changes.  The lines have the "num/den" form a report
     stores; 1/1000 less and the star's order still holds, and through that
     crossing the two tie."""
-    star = build_star(toric_pattern(3, 7))
+    star = build_star(toric_pattern(3, 7), 128)
     stored = [
         ["-167/1000", "181/500"], ["449/500", "299/1000"], ["-17", "-3789/1000"],
         ["-353/500", "-34/125"], ["291/1000", "-29/125"], ["304/125", "-117/200"],
@@ -145,7 +145,7 @@ def test_integer_layout_matches_with_two_crossings_swapped():
 
 
 def test_perturb_preserves_pentagram_combinatorics():
-    star = build_star(toric_pattern(2, 5))
+    star = build_star(toric_pattern(2, 5), 128)
     poly = perturb_stage(star, Fraction(1, 1000), 42)[0]
     assert len(poly.components) == 1
     assert len(poly.components[0].vertices) == 5
@@ -167,7 +167,7 @@ def poly_lines(poly):
 
 
 def test_perturb_bigger_star_same_orders():
-    star = build_star(toric_pattern(3, 10))
+    star = build_star(toric_pattern(3, 10), 128)
     poly = perturb_stage(star, Fraction(1, 1000), 7)[0]
     assert len(poly.points) == 20
     assert poly.delta == Fraction(1, 1000)
@@ -176,7 +176,7 @@ def test_perturb_bigger_star_same_orders():
 def test_perturb_zero_draws_identity():
     """Zero draws put every line at ``_rational_near(chord, delta, 0)``: the
     star chord's own slope and intercept on the denominator grid."""
-    star = build_star(toric_pattern(2, 5))
+    star = build_star(toric_pattern(2, 5), 128)
     delta = Fraction(1, 10**6)
     poly = perturb(star, delta, [0.0] * 10)
     assert len(poly.points) == 5
@@ -190,7 +190,7 @@ def test_perturb_zero_draws_identity():
 def test_perturb_is_none_when_two_lines_share_a_slope():
     """Draw 0 for chord 0's slope and the draw that moves chord 1's slope
     onto it: the two lines are parallel, so there is no polygon."""
-    star = build_star(toric_pattern(2, 5))
+    star = build_star(toric_pattern(2, 5), 128)
     delta = Fraction(10)
     slopes, _ = _star_chord_geometry(star)
     draws = [0.0] * 10
@@ -201,7 +201,7 @@ def test_perturb_is_none_when_two_lines_share_a_slope():
 
 
 def test_perturb_rejects_bad_delta():
-    star = build_star(toric_pattern(2, 5))
+    star = build_star(toric_pattern(2, 5), 128)
     with pytest.raises(DomainError):
         perturb(star, Fraction(0), [0.0] * 10)
     with pytest.raises(DomainError):
@@ -211,11 +211,11 @@ def test_perturb_rejects_bad_delta():
 @pytest.mark.parametrize("count", [0, 9, 11, 20])
 def test_perturb_rejects_the_wrong_number_of_draws(count):
     with pytest.raises(DomainError, match=f"expected 10 draws, got {count}"):
-        perturb(build_star(toric_pattern(2, 5)), Fraction(1, 1000), [0.0] * count)
+        perturb(build_star(toric_pattern(2, 5), 128), Fraction(1, 1000), [0.0] * count)
 
 
 def test_perturb_deterministic():
-    star = build_star(toric_pattern(2, 5))
+    star = build_star(toric_pattern(2, 5), 128)
     p1 = perturb_stage(star, Fraction(1, 1000), 42)[0]
     p2 = perturb_stage(star, Fraction(1, 1000), 42)[0]
     assert p1.components[0].lines == p2.components[0].lines
@@ -225,13 +225,13 @@ def test_perturb_deterministic():
 
 @pytest.mark.parametrize("p,q,seed", [(5, 2, 0), (7, 2, 3), (7, 3, 5), (9, 4, 9), (40, 3, 11)])
 def test_perturb_halving_always_lands(p, q, seed):
-    star = build_star(toric_pattern(q, p))
+    star = build_star(toric_pattern(q, p), 128)
     poly = perturb_stage(star, Fraction(1, 100), seed)[0]
     assert len(poly.points) == p * (q - 1)
 
 
 def test_arc_table_basic():
-    star = build_star(toric_pattern(2, 5))
+    star = build_star(toric_pattern(2, 5), 128)
     poly = perturb_stage(star, Fraction(1, 1000), 42)[0]
     table = arc_length_table(poly, prec_bits=256)
     (passages,) = table.passages
@@ -309,7 +309,7 @@ def test_passages_and_arc_table_match_the_fraction_oracles_bit_for_bit():
 
 
 def test_passage_directions_are_integer_multiples_of_the_vertex_differences():
-    poly = perturb_stage(build_star(toric_pattern(3, 7)), Fraction(1, 1000), 5)[0]
+    poly = perturb_stage(build_star(toric_pattern(3, 7), 128), Fraction(1, 1000), 5)[0]
     order = poly.star.passage_order
     by_place = {(comp, order[comp][key][0]): direction for comp, key, _, _, direction in poly.passages()}
     for (ci, seg), (dx, dy) in by_place.items():
@@ -332,7 +332,7 @@ def test_arc_table_raises_on_two_passages_at_one_point():
     """A hand-built polygon whose two crossings along one segment share a
     point: their passages there have one arc, and the arc table raises as
     the sorted oracle does."""
-    poly = perturb_stage(build_star(toric_pattern(2, 5)), Fraction(1, 1000), 42)[0]
+    poly = perturb_stage(build_star(toric_pattern(2, 5), 128), Fraction(1, 1000), 42)[0]
     first, second = poly.star.segment_orders[poly.star.components[0][0]]
     points = list(poly.points)
     points[second] = points[first]

@@ -86,7 +86,7 @@ def test_presets_listing_contents(capsys):
 def test_star_10_3_diagram_export_matches_figure():
     """Every crossing point lies on both of its chords' float lines, and
     every passage arc is in (0, 1)."""
-    data = star_diagram_json(build_star(toric_pattern(3, 10)))
+    data = star_diagram_json(build_star(toric_pattern(3, 10), 128))
     vertices = data["vertices"]
     assert len(vertices) == 10
     assert len(data["crossings"]) == 20
@@ -202,19 +202,19 @@ def test_cli_verify_reads_an_indented_trajectory(tmp_path, trefoil_result):
 
 
 def test_stored_reals_carry_the_working_precision(tmp_path, hopf_result):
-    """report.json's mirror margin and passage arcs and table.json's first
-    floor corner, written with 40 significant digits, agree with the
-    working-precision values to at least 35 digits, not only to float64's
-    17."""
+    """report.json's mirror margin and passage arcs, written with 40
+    significant digits, agree with the working-precision values to at least
+    35 digits, not only to float64's 17; table.json's float64 floor reads
+    back as the table's floor bit for bit."""
     paths = write_artifacts(hopf_result, tmp_path, canonical=True)
     report = json.loads(paths["report"].read_text())
-    stored_corner = json.loads(paths["table"].read_text())["floor"][0]
+    stored_floor = json.loads(paths["table"].read_text())["floor"]
+    assert _float_bits(stored_floor) == _float_bits(hopf_result.table.floor)
     arcs = {(ps.crossing, "a" if ps.is_a_side else "b"): ps.arc
             for passages in hopf_result.arcs.passages for ps in passages}
     pairs = [(report["mirror_check"]["margin"], hopf_result.mirror_report.margin)]
     pairs += [(ps["arc"], arcs[c["index"], ps["side"]]) for c in report["crossings"] for ps in c["passages"]]
-    pairs += list(zip(stored_corner, hopf_result.table.floor[0]))
-    assert len(pairs) == 1 + 2 * len(hopf_result.star.crossings) + 2
+    assert len(pairs) == 1 + 2 * len(hopf_result.star.crossings)
     with mp.workprec(hopf_result.spec.precision_bits):
         for stored, value in pairs:
             assert abs(mp.mpf(stored) - value) <= mp.mpf(10) ** -35 * abs(value)
@@ -745,6 +745,36 @@ def test_deeply_nested_json_is_a_parse_error(tmp_path, trefoil_result, capsys, t
     assert main(argv) == 3
     assert "recursion" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+def scale_intercepts(report_path, factor: int) -> None:
+    """Multiply every stored line's intercept by ``factor``: y = a x + b
+    becomes y = a x + factor b, a homothety of the whole layout."""
+    data = json.loads(report_path.read_text())
+    data["lines"] = [
+        [[a, f"{Fraction(b).numerator * factor}/{Fraction(b).denominator}"] for a, b in comp]
+        for comp in data["lines"]
+    ]
+    report_path.write_text(json.dumps(data))
+
+
+def test_verify_artifacts_rejects_a_layout_beyond_the_float64_range(tmp_path, trefoil_result):
+    """Intercepts scaled by 2^1100 keep the star's layout, but put every
+    vertex beyond the float64 range: a parse error, not an OverflowError."""
+    files = write_artifacts(trefoil_result, tmp_path, canonical=True)
+    scale_intercepts(files["report"], 2 ** 1100)
+    with pytest.raises(SpecFileError, match="beyond the float64 range"):
+        verify_artifacts(files["report"])
+
+
+def test_cli_verify_of_a_layout_beyond_the_float64_range_is_exit_3(tmp_path, trefoil_result, capsys):
+    files = write_artifacts(trefoil_result, tmp_path, canonical=True)
+    scale_intercepts(files["report"], 2 ** 1100)
+    capsys.readouterr()
+    assert main(["verify", str(files["report"])]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and "beyond the float64 range" in err
+    assert "Traceback" not in err
 
 
 def test_cli_verify_accepts_a_spec_echo_at_the_precision_cap(tmp_path, trefoil_result, capsys):

@@ -48,7 +48,7 @@ def brute_force_crossings(p, q):
     [(5, 2, 5, 1), (10, 3, 20, 1), (9, 3, 18, 3), (10, 2, 10, 2)],
 )
 def test_build_star_counts(p, q, crossings, components):
-    d = build_star(toric_pattern(q, p))
+    d = build_star(toric_pattern(q, p), 128)
     assert len(d.chords) == p
     assert len(d.crossings) == crossings
     assert len(d.components) == components
@@ -59,7 +59,7 @@ def test_build_star_counts(p, q, crossings, components):
 @pytest.mark.parametrize("p,q", [(4, 2), (6, 3), (5, 3), (2, 2)])
 def test_build_star_regime_error(p, q):
     with pytest.raises(DomainError):
-        build_star(toric_pattern(q, p))
+        build_star(toric_pattern(q, p), 128)
 
 
 def test_crossing_predicate_matches_geometry():
@@ -77,7 +77,7 @@ def test_crossing_predicate_matches_geometry():
 
 def test_sector_depth_partition():
     for p, q in [(5, 2), (7, 3), (9, 4), (11, 5)]:
-        d = build_star(toric_pattern(q, p))
+        d = build_star(toric_pattern(q, p), 128)
         by_sector = {}
         for c in d.crossings:
             by_sector.setdefault(c.sector, []).append(c.depth)
@@ -99,7 +99,7 @@ def test_rotational_symmetry_of_crossings():
 
 
 def test_pentagram_arc_lengths():
-    d = build_star(toric_pattern(2, 5))
+    d = build_star(toric_pattern(2, 5), 128)
     (passages,) = star_arc_table(d).passages
     assert len(passages) == 10
     arcs = [ps.arc for ps in passages]
@@ -112,7 +112,7 @@ def test_pentagram_arc_lengths():
 
 
 def test_every_crossing_has_two_passages():
-    d = build_star(toric_pattern(3, 10))
+    d = build_star(toric_pattern(3, 10), 128)
     seen = {}
     for passages in star_arc_table(d).passages:
         for ps in passages:
@@ -122,14 +122,14 @@ def test_every_crossing_has_two_passages():
 
 
 def test_pentagram_total_length():
-    table = star_arc_table(build_star(toric_pattern(2, 5)))
+    table = star_arc_table(build_star(toric_pattern(2, 5), 128))
     expected = 5 * 2 * mp.sin(2 * mp.pi / 5)
     assert mp.almosteq(table.total_lengths[0], expected)
 
 
 def test_same_component_passage_order():
     for p, q in [(5, 2), (7, 3), (10, 3)]:
-        d = build_star(toric_pattern(q, p))
+        d = build_star(toric_pattern(q, p), 128)
         for c in d.crossings:
             if c.first_component == c.second_component:
                 first_arc, second_arc = passage_arcs(d, c)
@@ -144,7 +144,7 @@ def test_integer_star_combinatorics_match_the_geometry():
     chords = 0
     for q in range(2, 9):
         for p in range(2 * q + 1, 45):
-            d = build_star(toric_pattern(q, p))
+            d = build_star(toric_pattern(q, p), 128)
             assert passage_order(d) == {
                 c.index: (c.first_component, c.second_component, c.a_side_is_first)
                 for c in d.crossings
@@ -159,7 +159,7 @@ def test_passage_order_is_the_arc_order_of_every_component():
     component's passages as its mpf arcs order them."""
     for q in range(2, 6):
         for p in range(2 * q + 1, 2 * q + 9):
-            d = build_star(toric_pattern(q, p))
+            d = build_star(toric_pattern(q, p), 128)
             assert len(d.places) == p
             assert all(d.components[ci][i] == ch for ch, (ci, i) in enumerate(d.places)), (p, q)
             assert list(map(list, d.passage_order)) == component_passages(d), (p, q)
@@ -189,7 +189,7 @@ def test_star_vertices_match_separate_cos_and_sin(p, prec_bits):
 
 
 def test_link_components_normalized_separately():
-    d = build_star(toric_pattern(2, 10))
+    d = build_star(toric_pattern(2, 10), 128)
     star_table = star_arc_table(d)
     tables = star_table.passages
     assert len(tables) == 2
@@ -208,17 +208,17 @@ def test_slot_map_is_a_bijection_that_carries_the_signs():
         for p in range(2 * q + 1, 2 * q + 13):
             signs = tuple(tuple(rng.choice((1, -1)) for _ in range(q - 1)) for _ in range(p))
             pattern = QuasitoricPattern(q, p, signs)
-            d = build_star(pattern)
+            d = build_star(pattern, 128)
             slots = sorted((c.braid_row, c.braid_col) for c in d.crossings)
             assert slots == [(r, k) for r in range(p) for k in range(q - 1)], (p, q)
             assert all(c.sign == signs[c.braid_row][c.braid_col] for c in d.crossings), (p, q)
 
 
 def test_assign_all_positive_and_single_negative():
-    signed = build_star(toric_pattern(2, 5))
+    signed = build_star(toric_pattern(2, 5), 128)
     assert all(c.sign == 1 for c in signed.crossings)
     pattern = QuasitoricPattern(2, 5, ((1,), (1,), (1,), (1,), (-1,)))
-    signed = build_star(pattern)
+    signed = build_star(pattern, 128)
     assert sum(1 for c in signed.crossings if c.sign == -1) == 1
 
 
@@ -264,7 +264,7 @@ def test_float_picture_matches_the_mpf_closed_form():
 
 
 def _star_jones(pattern):
-    d = build_star(pattern)
+    d = build_star(pattern, 128)
     return diagram_jones(d, over_flags_from_signs(d))
 
 
