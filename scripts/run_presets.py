@@ -40,7 +40,7 @@ def main(argv=None) -> int:
         fs = ",".join(str(h.frequency) for h in result.heights)
         print(
             f"{name:14s} {fs:>18s} {str(result.poly.delta):>8s} "
-            f"{float(result.mirror_report.margin):8.3f} "
+            f"{result.mirror_report.margin:8.3f} "
             f"{str(result.certification.passed):>9s} {elapsed:6.1f}s"
         )
         if not result.passed:

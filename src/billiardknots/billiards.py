@@ -9,28 +9,14 @@ boundary touches the trajectory at every vertex.  The prism is that floor
 times the height interval [0, 1]; its walls are vertical, so the planar
 reflection law lifts to 3D with the z-slope preserved.
 
-One mirror set serves the check and the table: ``polygon_mirrors`` rounds
-every vertex once to the working precision and evaluates every bisector
-there, sharing each edge between the bisectors at its two ends, and
-``mirror_room_check`` and ``build_table`` both read those mirrors.  The
-check screens the n^2 mirror-room values and the diameter in float64, from
-each mirror's direction rounded to float, and a proven bound
-eps = 2^7 v (R + 1) covers how far each float value can be from its
-working-precision one, with v the larger of the float64 and the working
-precision's unit roundoff and R the size of the inputs.  Only the
-candidates the screen cannot rule out are evaluated in mpf, in the
-unscreened order, so every result is the unscreened loops' bit for bit.
-``build_table`` builds the floor, which nothing downstream reads, in
-float64 from the same mirrors: the check proves any two normals more
-than 2e-12 apart, far above float64's error in their angles, so the
-float order is the exact one, and one test per edge, that it runs
-counterclockwise along its mirror line, checks the floor.
-
-``verify`` needs only pass or fail, and first tries to prove a pass in
-float64 alone: from float64 bisectors with their own bound
-(``mirror_room_proven``) and from the walk on a float64 arc table
-(``reflection_proven``), each bound derived there.  Where either cannot
-decide, it builds the mirrors and runs the checks at the working precision.
+The mirror-room check (``mirror_room_check``) is stated at the working
+precision, on the mirrors of ``polygon_mirrors``.  One float64 proof,
+``mirror_room_proven``, decides it for ``realize`` and ``verify`` alike,
+or gives up: ``realize`` keeps the first polygon it proves and builds the
+floor, for viewers, from its float64 bisectors (``build_table``);
+``verify`` runs the check itself, a plain loop, only where it gives up,
+and likewise ``verify_reflection`` where the float64 walk
+(``reflection_proven``) cannot decide.
 """
 
 from __future__ import annotations
@@ -78,18 +64,17 @@ def _bisector(into, out_of, tau):
 @dataclass(frozen=True)
 class Mirror:
     vertex: tuple                    # exact rational trajectory vertex
-    direction: tuple                 # unit internal bisector (mpf), points inward
+    direction: tuple                 # unit internal bisector, points inward (float64 or mpf)
     component: int
     vertex_index: int
-    point: tuple                     # the vertex as mpf, rounded once at the working precision
 
 
 @dataclass(frozen=True)
 class MirrorRoomReport:
     passed: bool
-    margin: object                        # min over (k, i) of u_k . (P_i - P_k)
+    margin: object                        # min of u_k . (P_i - P_k), or a float64 lower bound on it
     witness: tuple[int, int] | None = None  # flat (k, i) vertex indices on failure
-    threshold: object = None
+    threshold: object = None              # MARGIN_FACTOR times the diameter, or a float64 upper bound
 
 
 def polygon_mirrors(poly: PerturbedPolygon, prec_bits: int) -> list[Mirror]:
@@ -108,119 +93,58 @@ def polygon_mirrors(poly: PerturbedPolygon, prec_bits: int) -> list[Mirror]:
             edges = [_edge(points[i - 1], points[i]) for i in range(m)]  # edges[i] ends at vertex i
             for i in range(m):
                 u = _bisector(edges[i], edges[(i + 1) % m], tau)
-                mirrors.append(Mirror(comp.vertices[i], u, ci, i, points[i]))
+                mirrors.append(Mirror(comp.vertices[i], u, ci, i))
     return mirrors
 
 
+def mirror_room_check(poly: PerturbedPolygon, prec_bits: int) -> MirrorRoomReport:
+    """Strict mirror-room condition at the working precision ``prec_bits``:
+    u_k . (P_i - P_k) > threshold for all i != k, with u_k the direction of
+    ``polygon_mirrors``' mirror k and P_k its vertex rounded once to that
+    precision.  The threshold is ``MARGIN_FACTOR`` times the trajectory
+    diameter, guarding the square roots inside the bisector normalization;
+    everything else is exact.  All vertices of all components count, so for
+    links every mirror room must contain the whole union.  The margin is
+    the least value, and on a failure the witness is the first (k, i) that
+    attains it.  Raises DegenerateAngleError where ``polygon_mirrors``
+    does.  ``verify`` runs this where ``mirror_room_proven`` gives up."""
+    mirrors = polygon_mirrors(poly, prec_bits)
+    with mp.workprec(prec_bits):
+        points = [(to_mpf(x), to_mpf(y)) for x, y in (m.vertex for m in mirrors)]
+        diameter = max(mp.hypot(px - qx, py - qy) for (px, py), (qx, qy) in itertools.combinations(points, 2))
+        threshold = mp.mpf(MARGIN_FACTOR) * diameter
+        margin = witness = None
+        for k, (mirror, (vx, vy)) in enumerate(zip(mirrors, points)):
+            ux, uy = mirror.direction
+            for i, (px, py) in enumerate(points):
+                if i != k:
+                    value = ux * (px - vx) + uy * (py - vy)
+                    if margin is None or value < margin:
+                        margin, witness = value, (k, i)
+        passed = margin > threshold
+        return MirrorRoomReport(passed, margin, None if passed else witness, threshold)
+
+
 def _screen_bound(size: float, prec_bits: int) -> float:
-    """2^7 v (size + 1), with v = 2^-min(prec_bits, 53): how far apart a
-    float64 and a working-precision evaluation of a screened pair value can
-    be, when ``size`` bounds its inputs and both take the same bisector, as
-    ``mirror_room_check`` derives.  The 1 covers underflow, where a
-    rounding may be off by 2^-1074 absolutely."""
+    """2^7 v (size + 1), with v = 2^-min(prec_bits, 53): the bound eps that
+    ``mirror_room_proven`` derives on how far apart a pair value's float64
+    and working-precision evaluations can be (the 1 covers underflow)."""
     return 2.0 ** (7 - min(prec_bits, 53)) * (size + 1.0)
 
 
-def _near_least(values, eps: float) -> list[int]:
-    """Indices, in order, of the values within 2 eps of the least."""
-    cut = min(values) + 2 * eps
-    return [j for j, value in enumerate(values) if value <= cut]
-
-
-def mirror_room_check(mirrors, prec_bits: int) -> MirrorRoomReport:
-    """Strict mirror-room condition: u_k . (P_i - P_k) > margin for all i != k.
-
-    ``mirrors`` are ``polygon_mirrors`` at ``prec_bits``: u_k is mirror k's
-    direction, the bisector of the angle at its vertex at the working
-    precision, and P_k its point, the vertex rounded once to that
-    precision.  The margin is ``MARGIN_FACTOR`` times the trajectory
-    diameter, guarding the square roots inside the bisector normalization;
-    everything else is exact.  All vertices of all components count, so for
-    links every mirror room must contain the whole union.  ``build_table``
-    builds the table from the same mirrors.
-
-    The diameter and the least value are found by a float64 screen and
-    confirmed at the working precision.  One float pass evaluates every
-    unordered pair's distance (``hypot`` is symmetric under negation, so the
-    ordered pairs add nothing) and every ordered pair's value, with u_k
-    rounded to float; only the candidates are evaluated in mpf, in the
-    unscreened (k, i) order.  With v = 2^-min(p, 53) for p = prec_bits,
-    each rounding of either evaluation (a float op, a rational or mpf
-    rounded to float, a rational rounded to mpf by ``to_mpf``, an mpf op)
-    is off by at most v relative, and by 2^-1074 absolutely on underflow;
-    R is the largest vertex coordinate in absolute value and R1 = R + 1.
-
-    The pair values, with |u_k| <= 1 + 4 * 2^-p: each evaluation is within
-    20 v R of the exact value.
-      - a coordinate difference of two vertices, rounded once each (to
-        float or to mpf) and then subtracted, is off by at most 4.01 v R
-        and is at most 2.01 R;
-      - a product u . d adds its own rounding and, in float, the rounding
-        of u (1.01 v times 2.01 R): either way it is off by at most
-        8.2 v R, and the sum, at most 2.9 R, is rounded once more:
-        2 * 8.2 v R + 2.9 v R < 20 v R;
-      - a distance has an argument off by at most sqrt(2) * 4.01 v R <
-        5.7 v R, and hypot rounds once more (math.hypot within one ulp,
-        2 v of at most 2.9 R in float; mp.hypot correctly rounded but for
-        4 guard bits in mpf), so it is off by less than 12 v R.
-    The two evaluations of a pair are thus within 40 v R of each other,
-    less than eps = ``_screen_bound(R, p)`` = 2^7 v R1.
-
-    The screen.  The mpf value of a pair lies within eps of its float
-    value, so the least mpf value M is at most the least float value plus
-    eps, and every pair that attains M has a float value within 2 eps of
-    the least: every such pair is a candidate (``_near_least``; for the
-    diameter the same with signs flipped).  The mpf values, the first pair
-    that attains M in (k, i) order, the threshold and the verdict are
-    therefore those of the unscreened loops, bit for bit.
-    """
-    n = len(mirrors)
-    floats = [(float(x), float(y)) for x, y in (m.vertex for m in mirrors)]
-    eps = _screen_bound(max(max(abs(x), abs(y)) for x, y in floats), prec_bits)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    distances = [-math.hypot(floats[i][0] - floats[j][0], floats[i][1] - floats[j][1]) for i, j in pairs]
-    values = []
-    for k, (vx, vy) in enumerate(floats):
-        ux, uy = map(float, mirrors[k].direction)
-        values += [ux * (px - vx) + uy * (py - vy) for px, py in floats[:k] + floats[k + 1:]]
-    points = [m.point for m in mirrors]
-    with mp.workprec(prec_bits):
-        diameter = max(
-            mp.hypot(points[i][0] - points[j][0], points[i][1] - points[j][1])
-            for i, j in (pairs[c] for c in _near_least(distances, eps))
-            if points[i] != points[j]
-        )
-        threshold = mp.mpf(MARGIN_FACTOR) * diameter
-        margin = witness = None
-        for c in _near_least(values, eps):
-            k, i = divmod(c, n - 1)
-            i += i >= k
-            (ux, uy), (vx, vy), (px, py) = mirrors[k].direction, points[k], points[i]
-            value = ux * (px - vx) + uy * (py - vy)
-            if margin is None or value < margin:
-                margin, witness = value, (k, i)
-        passed = margin > threshold
-        return MirrorRoomReport(
-            passed=passed,
-            margin=margin,
-            witness=None if passed else witness,
-            threshold=threshold,
-        )
-
-
 def _float_bisectors(poly, floats, size: float, prec_bits: int):
-    """Per flat vertex, its bisector (ux, uy) in float64 and the bound err
-    on that bisector's distance from ``polygon_mirrors``' at ``prec_bits``;
-    None where a component has fewer than 3 vertices or, at some vertex,
-    the float64 angle test or err cannot be trusted.  The bounds are derived
-    in ``mirror_room_proven``."""
+    """Per flat vertex, its mirror with the float64 bisector and T/s, where
+    0.6 T/s bounds that bisector's distance from the exact one; None where a
+    component has fewer than 3 vertices or, at some vertex, the float64
+    angle test or T/s cannot be trusted.  The bounds are derived in
+    ``mirror_room_proven``."""
     v = 2.0 ** -min(prec_bits, 53)
     r1 = size + 1.0
     angle_bound = 2.0 ** 8 * v * r1 * r1
     tau = 2.0 ** (-prec_bits // 2)  # polygon_mirrors', floor division first
     bisectors = []
     start = 0
-    for comp in poly.components:
+    for ci, comp in enumerate(poly.components):
         m = len(comp.vertices)
         if m < 3:
             return None
@@ -236,26 +160,49 @@ def _float_bisectors(poly, floats, size: float, prec_bits: int):
             t = 2.0 ** 7 * v * (r1 / min(na, nb) + 1.0)
             if not t <= s / 4:
                 return None
-            bisectors.append((wx / s, wy / s, t / s))
+            bisectors.append((Mirror(comp.vertices[i], (wx / s, wy / s), ci, i), t / s))
         start += m
     return bisectors
 
 
-def mirror_room_proven(poly: PerturbedPolygon, prec_bits: int) -> bool:
-    """Whether float64 alone proves that ``mirror_room_check`` passes on
-    ``polygon_mirrors(poly, prec_bits)``; False when it cannot, whatever
-    the check would say.  It builds no mirror and makes no mpf call, so it
-    raises nothing for a degenerate angle: where the float64 angle test or
-    a bisector's bound cannot decide (``_float_bisectors``), it returns
-    False, and ``polygon_mirrors`` decides, raising as it always has.  With
-    v, R, R1 and eps as in ``mirror_room_check``:
+def mirror_room_proven(poly: PerturbedPolygon, prec_bits: int):
+    """Whether float64 alone proves that ``mirror_room_check(poly,
+    prec_bits)`` passes: if so, the float64 mirrors, component by component
+    as ``polygon_mirrors`` lists them, and a passing report whose margin is
+    a lower bound on the check's margin and whose threshold an upper bound
+    on its threshold; None when it cannot prove it, whatever the check
+    would say.  It makes no mpf call and raises nothing: where a vertex
+    lies beyond the float64 range, or the float64 angle test or a
+    bisector's bound cannot decide (``_float_bisectors``), it gives up.
+    With v = 2^-min(p, 53) for p = prec_bits, each rounding (a float op, a
+    rational or mpf rounded to float, a rational rounded to mpf by
+    ``to_mpf``, an mpf op) is off by at most v relative, and by 2^-1074
+    absolutely on underflow; R is the largest vertex coordinate in absolute
+    value and R1 = R + 1.
+
+    The pair values.  A value u . (P_i - P_k) or a distance |P_i - P_k|,
+    evaluated in float64 from the vertices rounded to float or at the
+    working precision from the vertices rounded there, with the same
+    bisector (|u| <= 1 + 4 * 2^-p), is within 20 v R of the exact value:
+      - a coordinate difference of two vertices, rounded once each and
+        then subtracted, is off by at most 4.01 v R and is at most 2.01 R;
+      - a product u . d adds its own rounding and, in float, the rounding
+        of u (1.01 v times 2.01 R): either way it is off by at most
+        8.2 v R, and the sum, at most 2.9 R, is rounded once more:
+        2 * 8.2 v R + 2.9 v R < 20 v R;
+      - a distance has an argument off by at most sqrt(2) * 4.01 v R <
+        5.7 v R, and hypot rounds once more (math.hypot within one ulp,
+        2 v of at most 2.9 R in float; mp.hypot correctly rounded but for
+        4 guard bits in mpf), so it is off by less than 12 v R.
+    The two evaluations are thus within 40 v R of each other, less than
+    eps = ``_screen_bound(R, p)`` = 2^7 v R1.
 
     The bisectors.  At P_k with edge vectors a and b to its neighbours,
     L the shorter of |a| and |b| and w = a/|a| + b/|b|, both the float pass
     and ``polygon_mirrors`` evaluate u = w/|w|.
       - a computed edge vector is off by at most 5.7 v R1 (as a distance's
-        argument is in ``mirror_room_check``), and its computed length by
-        that plus 2.01 v of itself;
+        argument is), and its computed length by that plus 2.01 v of
+        itself;
       - so a computed unit edge vector is off by at most
         2 * 5.7 v R1 / L + 3.5 v (|x/|x| - y/|y|| <= 2 |x - y|/|x|, and
         the division and hypot round), and w by at most
@@ -267,10 +214,10 @@ def mirror_room_proven(poly: PerturbedPolygon, prec_bits: int) -> bool:
     and each evaluation's u is within 0.54 T/s + 3.5 v < 0.6 T/s of the
     exact bisector (3.5 v < 0.06 T/s, as T/s >= 63 v).  The two are within
     1.2 T/s of each other, so the float value of a pair moves by at most
-    2.9 R1 * (1.2 T/s + 1.42 v) < 4 R1 T/s against the check's float
-    value, from the working-precision bisector rounded to float, which is
-    within eps of the working-precision value.  The row's bound
-    eps + 8 R1 T/s, with twice that term, covers every pair of the row.
+    2.9 R1 * (1.2 T/s + 1.42 v) < 4 R1 T/s against its float value from
+    the working-precision bisector rounded to float, which is within eps
+    of the working-precision value.  The row's bound eps + 8 R1 T/s, with
+    twice that term, covers every pair of the row.
 
     The angle test.  ``polygon_mirrors`` raises for a degenerate angle,
     where G = |a x b| - tau |a| |b|, as it evaluates it, is negative, with
@@ -287,32 +234,39 @@ def mirror_room_proven(poly: PerturbedPolygon, prec_bits: int) -> bool:
     The margin.  Every pair's working-precision value is at least its float
     value less its row's bound, so the margin M is at least the least row
     value less the row's bound, and computing that difference rounds by
-    far less than another bound: a row whose least value less twice its
-    bound exceeds T_up holds only values above T_up.  The threshold is
-    ``MARGIN_FACTOR`` times the working-precision diameter, which is at
-    most the largest float distance D plus eps, and the product rounds
-    once at the working precision; so with T_up = ``MARGIN_FACTOR``
-    (D + 2 eps), the extra eps covering the roundings of both products and
-    of the sum, M > T_up proves M > threshold, the check's verdict.
+    far less than another bound: the least row value less twice its bound,
+    the report's margin once minimized over the rows, is below M.  The
+    threshold is ``MARGIN_FACTOR`` times the working-precision diameter,
+    which is at most the largest float distance D plus eps, and the
+    product rounds once at the working precision; so with T_up =
+    ``MARGIN_FACTOR`` (D + 2 eps), the extra eps covering the roundings of
+    both products and of the sum, a bound above T_up proves M > threshold,
+    the check's verdict.
+
+    The float64 mirrors clear the margin themselves: with their bisector u
+    and the exact vertices, u . (P_i - P_k) is within eps of its float
+    value, so above T_up, which exceeds ``MARGIN_FACTOR`` times the exact
+    diameter (``build_table`` rests on this).
     """
-    floats = [(float(x), float(y)) for comp in poly.components for x, y in comp.vertices]
+    try:
+        floats = [(float(x), float(y)) for comp in poly.components for x, y in comp.vertices]
+    except OverflowError:  # a vertex beyond the float64 range
+        return None
     size = max(max(abs(x), abs(y)) for x, y in floats)
     bisectors = _float_bisectors(poly, floats, size, prec_bits)
     if bisectors is None:
-        return False
+        return None
     eps = _screen_bound(size, prec_bits)
-    n = len(floats)
-    diameter = max(
-        math.hypot(floats[i][0] - floats[j][0], floats[i][1] - floats[j][1])
-        for i in range(n)
-        for j in range(i + 1, n)
-    )
+    diameter = max(math.hypot(px - qx, py - qy) for (px, py), (qx, qy) in itertools.combinations(floats, 2))
     limit = MARGIN_FACTOR * (diameter + 2 * eps)
-    for k, ((vx, vy), (ux, uy, err)) in enumerate(zip(floats, bisectors)):
+    rows = []
+    for k, ((vx, vy), (mirror, err)) in enumerate(zip(floats, bisectors)):
+        ux, uy = mirror.direction
         least = min(ux * (px - vx) + uy * (py - vy) for px, py in floats[:k] + floats[k + 1:])
-        if not least - 2 * (eps + 8 * (size + 1.0) * err) > limit:
-            return False
-    return True
+        rows.append(least - 2 * (eps + 8 * (size + 1.0) * err))
+        if not rows[-1] > limit:
+            return None
+    return tuple(mirror for mirror, _ in bisectors), MirrorRoomReport(True, min(rows), threshold=limit)
 
 
 @dataclass(frozen=True)
@@ -326,31 +280,32 @@ def build_table(mirrors) -> BilliardTable:
     """Intersect the mirror half-planes into the convex floor polygon, in
     float64.
 
-    ``mirrors`` are ``polygon_mirrors`` of a polygon that passed
-    ``mirror_room_check``, the table's precondition and the certificate
-    that the polygon is a billiard path; the floor is for viewers.  Each
-    line takes its mirror's direction and exact vertex, rounded to float.
-    Every trajectory vertex touches the floor, so each mirror line carries
-    one edge: ordered by outward-normal angle, consecutive lines meet at
-    the corners, counterclockwise from the corner of least angle about
-    their centroid.  Raises UnboundedTableError (a failed precondition in
-    disguise) when the normals span less than a half-turn, two consecutive
-    lines are parallel to float64 (a cross product of at most 2^-48), or
-    a mirror's edge, from the corner before it to its own, does not run
-    counterclockwise along its line.  With every gap between consecutive
-    normal angles below a half-turn, a closed chain of positive-length
-    edges turns once through a full turn, so it is a convex polygon, the
-    intersection of its edges' half-planes.
+    ``mirrors`` are the float64 mirrors of a polygon that
+    ``mirror_room_proven`` proved, the certificate that the polygon is a
+    billiard path; the floor is for viewers.  Each line takes its mirror's
+    direction and exact vertex, rounded to float.  Every trajectory vertex
+    touches the floor, so each mirror line carries one edge: ordered by
+    outward-normal angle, consecutive lines meet at the corners,
+    counterclockwise from the corner of least angle about their centroid.
+    Raises UnboundedTableError (a failed precondition in disguise) when the
+    normals span less than a half-turn, two consecutive lines are parallel
+    to float64 (a cross product of at most 2^-48), or a mirror's edge, from
+    the corner before it to its own, does not run counterclockwise along
+    its line.  With every gap between consecutive normal angles below a
+    half-turn, a closed chain of positive-length edges turns once through
+    a full turn, so it is a convex polygon, the intersection of its edges'
+    half-planes.
 
     The float order is the exact one.  Let t = ``MARGIN_FACTOR`` D, with
-    D the polygon's diameter.  For any two vertices the check gives
-    u_k . (P_i - P_k) > t and u_i . (P_k - P_i) > t; adding the two,
-    |u_k - u_i| > 2 ``MARGIN_FACTOR``, so any two normals are more than
-    2e-12 apart.  And P_k is more than t from the line through P_i, so
-    every edge reaches more than t past its vertex on each side.  Both are
-    far above the 2^-48 float error in the angles.  The only exception is
-    an angle within 2^-48 of +-pi: it may move to the other end of the
-    list, which changes only which corner the floor lists first.
+    D the polygon's diameter.  The proof shows, for its float64 bisectors
+    themselves, u_k . (P_i - P_k) > t and u_i . (P_k - P_i) > t for any two
+    vertices; adding the two, |u_k - u_i| > 2 ``MARGIN_FACTOR``, so any
+    two normals are more than 2e-12 apart.  And P_k is more than t from
+    the line through P_i, so every edge reaches more than t past its
+    vertex on each side.  Both are far above the 2^-48 float error in the
+    angles.  The only exception is an angle within 2^-48 of +-pi: it may
+    move to the other end of the list, which changes only which corner the
+    floor lists first.
     """
     mirrors = tuple(mirrors)
     n = len(mirrors)

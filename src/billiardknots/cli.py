@@ -88,7 +88,7 @@ def cmd_realize(args) -> int:
         print(f"cannot write artifacts: {exc}", file=sys.stderr)
         return EXIT_SPEC
     print(f"wrote {files['report']}")
-    print(f"mirror margin: {result.mirror_report.margin}")
+    print(f"mirror margin >= {result.mirror_report.margin}")
     print(
         "heights: "
         + ", ".join(f"f={h.frequency} phi={h.phase}" for h in result.heights)

@@ -15,7 +15,7 @@ binary precision:
 ``perturb`` maps 2p draws to lines and their layout, or to None when the
 layout is not the star's (same crossing pairs and crossing order along
 every segment).  The one loop over delta is ``pipeline.perturb_stage``:
-draws -> lines -> layout -> mirror room, halving on either failure.
+draws -> lines -> layout -> mirror-room proof, halving on either failure.
 
 The polygon holds geometry only: its lines, its vertices, each segment's
 direction along x (``PolyComponent.forward``, decided in integers by the

@@ -3,10 +3,10 @@
 Stages, in order: pad the pattern into the star regime, build the star
 with every crossing signed from the pattern (one ``build_star`` call),
 perturb to rational lines (``perturb_stage``, the one loop over delta:
-draws -> lines -> layout -> mirrors -> mirror room, halving on either
-failure, with one budget and one error), assemble the prism table in
-float64 from the mirrors the check read (so each polygon's mirrors are
-built once, and the check is the table's certificate), compute
+draws -> lines -> layout -> float64 mirror-room proof, halving where
+either fails or the proof cannot decide, with one budget and one error),
+assemble the prism table in float64 from the proof's mirrors (the proof
+is the table's certificate, and no mpf bisector is built), compute
 arcs, build the crossing constraints, search sawtooth heights, emit the 3D
 trajectory, check its columns, and certify that the signed diagram is the
 abstract braid closure (a diagram isomorphism; the report's Jones
@@ -37,8 +37,7 @@ from .billiards import (
     ReflectionReport,
     build_table,
     check_walk,
-    mirror_room_check,
-    polygon_mirrors,
+    mirror_room_proven,
 )
 from .braids import QuasitoricPattern, pad_to_min_repetitions
 from .errors import CombinatorialCollapseError, DomainError, SpecFileError
@@ -74,10 +73,14 @@ def json_int(x) -> int:
 
 def json_real(x) -> float:
     """A JSON number, integer or not.  A string or a bool is malformed:
-    ``float()`` would convert it, and a bad value would pass."""
+    ``float()`` would convert it, and a bad value would pass.  So is an
+    integer beyond the float64 range."""
     if type(x) not in (int, float):
         raise ValueError(f"expected a number, got {x!r}")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError("expected a number in the float64 range") from None
 
 
 @dataclass(frozen=True)
@@ -236,22 +239,22 @@ def last_halving(delta: Fraction) -> int:
 
 def perturb_stage(
     star: StarDiagram, delta: Fraction, seed: int
-) -> tuple[PerturbedPolygon, list[Mirror], MirrorRoomReport]:
-    """The first polygon that keeps the star's layout and whose mirrors
-    (``polygon_mirrors`` at the star's precision) pass the mirror-room
-    check, with those mirrors and the check's report.  Halving h draws
-    from ``random.Random(seed * 1_000_003 + h)`` at delta / 2^h, for h = 0
-    .. ``last_halving(delta)``."""
+) -> tuple[PerturbedPolygon, tuple[Mirror, ...], MirrorRoomReport]:
+    """The first polygon that keeps the star's layout and that
+    ``mirror_room_proven`` proves at the star's precision, with the proof's
+    float64 mirrors and report; one the proof gives up on (a degenerate
+    angle, a vertex beyond the float64 range, a margin too thin to tell)
+    counts as failing.  Halving h draws from ``random.Random(seed *
+    1_000_003 + h)`` at delta / 2^h, for h = 0 .. ``last_halving(delta)``."""
     last = last_halving(delta)
     for halving in range(last + 1):
         rng = random.Random(seed * 1_000_003 + halving)
         draws = [rng.uniform(-1.0, 1.0) for _ in range(2 * star.p)]
         poly = perturb(star, delta / (1 << halving), draws)
         if poly is not None:
-            mirrors = polygon_mirrors(poly, star.prec_bits)
-            report = mirror_room_check(mirrors, star.prec_bits)
-            if report.passed:
-                return poly, mirrors, report
+            proof = mirror_room_proven(poly, star.prec_bits)
+            if proof is not None:
+                return poly, *proof
     raise CombinatorialCollapseError(
         f"no delta = {delta} * 2^-h for h = 0..{last} gave lines that keep "
         "the star's combinatorics and pass the mirror-room check"

@@ -2,8 +2,9 @@
 
 JSON is the single interchange format: rationals are serialized as "num/den"
 strings to keep exactness across the boundary, high-precision reals as
-decimal strings, and the float64 reals of ``diagram.json`` and of
-``table.json``'s floor as JSON numbers, each the shortest repr that reads
+decimal strings, and the float64 reals of ``diagram.json``, of
+``table.json``'s floor and mirror directions and of ``report.json``'s
+mirror-margin bound as JSON numbers, each the shortest repr that reads
 back bit for bit.  ``trajectory.json``
 stores each component as columns: a ``kinds`` string with one letter per
 event (``w`` wall, ``f`` floor, ``c`` ceiling) and the float columns
@@ -36,8 +37,8 @@ from pathlib import Path
 import mpmath as mp
 
 from .billiards import (
-    COLUMNS, MirrorRoomReport, ReflectionReport, mirror_room_check, mirror_room_proven,
-    polygon_mirrors, reflection_proven, verify_reflection,
+    COLUMNS, ReflectionReport, mirror_room_check, mirror_room_proven, reflection_proven,
+    verify_reflection,
 )
 from .braids import QuasitoricPattern, pad_to_min_repetitions
 from .errors import SpecFileError
@@ -170,7 +171,7 @@ def table_json(result: RealizationResult) -> dict:
         "mirrors": [
             {
                 "vertex": [_frac_str(m.vertex[0]), _frac_str(m.vertex[1])],
-                "direction": [_num(m.direction[0]), _num(m.direction[1])],
+                "direction": list(m.direction),
                 "component": m.component,
                 "vertex_index": m.vertex_index,
             }
@@ -264,7 +265,7 @@ def report_json(result: RealizationResult, canonical: bool = False) -> dict:
         ],
         "mirror_check": {
             "passed": result.mirror_report.passed,
-            "margin": _num(result.mirror_report.margin),
+            "margin_lower_bound": result.mirror_report.margin,
         },
         "crossings": [
             {
@@ -354,16 +355,15 @@ def verify_artifacts(report_path) -> Verdict:
     The mirror-room check, the reflection check and conditions (a)-(c) are
     first tried in float64 alone, each proven to pass at the working
     precision by a bound derived where it is computed:
-    ``mirror_room_proven``, then on the float arc table
-    (``perturbation.float_arc_table``) ``reflection_proven`` and
-    ``heights_proven``.  When all pass, so do the three checks, and no
-    mirror and no margin is computed.  Otherwise the working-precision
-    checks run for the whole report as they always have, so every verdict,
-    detail string and exception is theirs: ``mirror_room_check`` on
-    ``polygon_mirrors``.  Where ``mirror_room_proven`` fails, the mirrors
-    are built before the trajectory file is read, so a degenerate angle
-    raises DegenerateAngleError first.  ``certify`` runs exactly when
-    conditions (a)-(c) hold on either path.
+    ``mirror_room_proven``, the proof ``realize`` accepted the polygon on,
+    then on the float arc table (``perturbation.float_arc_table``)
+    ``reflection_proven`` and ``heights_proven``.  When all pass, so do the
+    three checks.  Otherwise the working-precision checks run for the whole
+    report, so every verdict, detail string and exception is theirs; where
+    the mirror-room proof gives up, ``mirror_room_check`` runs before the
+    trajectory file is read, so a degenerate angle raises
+    DegenerateAngleError first.  ``certify`` runs exactly when conditions
+    (a)-(c) hold on either path.
     The trajectory's ``kinds`` string is read as JSON and each float column
     is decoded from its base64 string of little-endian float64, every float
     bit for bit as it was written, and their shape is checked here: one
@@ -422,7 +422,8 @@ def verify_artifacts(report_path) -> Verdict:
             "so its wall points cannot be stored as finite float64 columns"
         )
     prec = spec.precision_bits
-    mirrors = None if mirror_room_proven(poly, prec) else polygon_mirrors(poly, prec)
+    proof = mirror_room_proven(poly, prec)
+    mirror = None if proof else mirror_room_check(poly, prec)
 
     traj_data = _load_json(traj_file)
     try:
@@ -443,10 +444,10 @@ def verify_artifacts(report_path) -> Verdict:
     trajectory = SpatialTrajectory(components=tuple(components), poly=poly)
     heights = tuple(comp.sawtooth for comp in components)
 
-    if mirrors is None and _passes_in_float64(trajectory, heights, spec.margin, prec):
-        mirror, reflection, confirmed = MirrorRoomReport(True, None), ReflectionReport(True, ()), True
+    if mirror is None and _passes_in_float64(trajectory, heights, spec.margin, prec):
+        mirror, reflection, confirmed = proof[1], ReflectionReport(True, ()), True
     else:
-        mirror = mirror_room_check(mirrors or polygon_mirrors(poly, prec), prec)
+        mirror = mirror or mirror_room_check(poly, prec)
         arcs = arc_length_table(poly, prec)
         reflection = verify_reflection(trajectory, arcs, REFLECTION_TOL)
         confirmed = confirm_heights(heights, build_height_constraints(star, arcs), arcs, spec.margin)

@@ -1,13 +1,11 @@
 """Reference mirror-room check, bisector and half-plane test, all in mpf.
 
-These are the unscreened loops: the trajectory diameter over all ordered
+These are the plain loops: the trajectory diameter over all ordered
 vertex pairs, the margin over all n^2 values u_k . (P_i - P_k), and every
 mirror half-plane tested for a point.
-``billiardknots.billiards.mirror_room_check`` screens the first two in
-float64 and confirms the candidates at the working precision, on the
-mirrors of ``polygon_mirrors``; ``pairwise_mirror_room`` builds the same
-mirrors and serves as the oracle the check is compared against, bit for
-bit.  ``internal_bisector`` is one vertex's bisector, from its two
+``pairwise_mirror_room`` builds the mirrors of ``polygon_mirrors`` and
+serves as the oracle ``billiardknots.billiards.mirror_room_check`` is
+compared against, bit for bit.  ``internal_bisector`` is one vertex's bisector, from its two
 neighbours alone: ``polygon_mirrors``, which shares each edge between the
 two bisectors at its ends, is compared against it.  ``plain_contains_xy``
 is the containment test of the reference reflection check and of the
@@ -73,7 +71,7 @@ def plain_contains_xy(table, point, tol, prec_bits: int = 128) -> bool:
     with mp.workprec(prec_bits):
         px, py = to_mpf(point[0]), to_mpf(point[1])
         for mirror in table.mirrors:
-            (ux, uy), (vx, vy) = mirror.direction, mirror.point
+            (ux, uy), (vx, vy) = mirror.direction, (to_mpf(mirror.vertex[0]), to_mpf(mirror.vertex[1]))
             if ux * px + uy * py < ux * vx + uy * vy - tol:
                 return False
         return True

@@ -58,7 +58,7 @@ def atan2_table(mirrors, prec_bits: int = 128) -> BilliardTable:
         if max(gaps) >= mp.pi:
             raise UnboundedTableError("mirror normals span less than a half-turn")
 
-        offsets = [m.direction[0] * m.point[0] + m.direction[1] * m.point[1] for m in mirrors]
+        offsets = [m.direction[0] * to_mpf(m.vertex[0]) + m.direction[1] * to_mpf(m.vertex[1]) for m in mirrors]
         corners = []
         for k in range(n):
             i, j = sorted((order[k], order[(k + 1) % n]))

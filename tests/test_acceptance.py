@@ -84,9 +84,8 @@ def test_criterion_2_pentagram_sanity():
     comp = star.components[0]
     vertices = [star.geometry.vertices[star.chords[c][0]] for c in comp]
     poly = SimpleNamespace(components=(SimpleNamespace(vertices=tuple(vertices)),))
-    mirrors = polygon_mirrors(poly, 128)
-    check = mirror_room_check(mirrors, 128)
-    table = build_table(mirrors)
+    check = mirror_room_check(poly, 128)
+    table = build_table(polygon_mirrors(poly, 128))
     tips_on_boundary = True
     for mirror, (e1, e2) in zip(table.mirrors, table.edge_of_mirror):
         vx, vy = float(mirror.vertex[0]), float(mirror.vertex[1])
@@ -174,7 +173,7 @@ def test_criterion_6_lemma1_stability(torus25, trefoil, figure_eight, hopf):
                     vs.append((float(x) + r * math.cos(ang), float(y) + r * math.sin(ang)))
                 comps.append(SimpleNamespace(vertices=tuple(vs)))
             fake = SimpleNamespace(components=tuple(comps))
-            if not mirror_room_check(polygon_mirrors(fake, 64), 64).passed:
+            if not mirror_room_check(fake, 64).passed:
                 all_ok = False
     _report(
         6,

@@ -18,7 +18,7 @@ from billiardknots import billiards
 from billiardknots.billiards import (
     MARGIN_FACTOR,
     Mirror,
-    _near_least,
+    _float_bisectors,
     _screen_bound,
     build_table,
     mirror_room_check,
@@ -37,11 +37,6 @@ from billiardknots.stars import build_star
 def fake_polygon(vertex_lists):
     comps = tuple(SimpleNamespace(vertices=tuple(vs)) for vs in vertex_lists)
     return SimpleNamespace(components=comps)
-
-
-def room_check(poly, prec_bits):
-    """``mirror_room_check`` on the polygon's ``polygon_mirrors``."""
-    return mirror_room_check(polygon_mirrors(poly, prec_bits), prec_bits)
 
 
 def pentagram_polygon(seed=42):
@@ -76,7 +71,7 @@ def test_pentagram_bisectors_point_to_center():
 
 def test_mirror_room_check_pentagram():
     poly = pentagram_polygon()
-    report = room_check(poly, 128)
+    report = mirror_room_check(poly, 128)
     assert report.passed
     # independent recomputation of the margin
     mirrors = polygon_mirrors(poly, 128)
@@ -95,7 +90,7 @@ def test_mirror_room_check_degenerate_witness():
     # one vertex strictly inside the triangle of the others: not a trajectory
     bad = fake_polygon([[(Fraction(0), Fraction(0)), (Fraction(4), Fraction(0)),
                          (Fraction(2), Fraction(3)), (Fraction(2), Fraction(1))]])
-    report = room_check(bad, 128)
+    report = mirror_room_check(bad, 128)
     assert not report.passed
     k, i = report.witness
     mirrors = polygon_mirrors(bad, 128)
@@ -111,7 +106,7 @@ def test_convex_polygon_is_its_own_trajectory():
     # a convex quadrilateral traversed in order satisfies the condition
     square = fake_polygon([[(Fraction(0), Fraction(0)), (Fraction(3), Fraction(1)),
                             (Fraction(2), Fraction(4)), (Fraction(-1), Fraction(2))]])
-    assert room_check(square, 128).passed
+    assert mirror_room_check(square, 128).passed
 
 
 def test_build_table_pentagram_touches_tips():
@@ -149,7 +144,7 @@ def test_build_table_orthic_triangle_recovers_original():
 
     ha, hb, hc = foot(A, B, C), foot(B, A, C), foot(C, A, B)
     orbit = fake_polygon([[ha, hb, hc]])
-    assert room_check(orbit, 128).passed
+    assert mirror_room_check(orbit, 128).passed
     table = build_table(polygon_mirrors(orbit, 128))
     assert len(table.floor) == 3
     floor = [(float(x), float(y)) for x, y in table.floor]
@@ -184,7 +179,7 @@ def test_build_table_matches_pairwise_oracle(p, q):
     star = build_star(toric_pattern(q, p), prec_bits=192)
     for seed in (1, 2, 3):
         poly = perturb_stage(star, Fraction(1, 1000), seed)[0]
-        assert room_check(poly, 192).passed
+        assert mirror_room_check(poly, 192).passed
         floor = build_table(polygon_mirrors(poly, 192)).floor
         assert len(floor) == p
         assert_close_floor(floor, pairwise_floor(poly, prec_bits=192))
@@ -247,7 +242,7 @@ def test_pointwise_reflection_oracle_names_bounce_point_outside_floor():
 
 def test_lemma1_jitter_stability_pentagram():
     poly = pentagram_polygon()
-    report = room_check(poly, 128)
+    report = mirror_room_check(poly, 128)
     m = float(report.margin)
     rng = random.Random(7)
     for _ in range(100):
@@ -259,7 +254,7 @@ def test_lemma1_jitter_stability_pentagram():
                 ang = rng.uniform(0, 2 * math.pi)
                 vs.append((float(x) + r * math.cos(ang), float(y) + r * math.sin(ang)))
             jittered.append(vs)
-        assert room_check(fake_polygon(jittered), 64).passed
+        assert mirror_room_check(fake_polygon(jittered), 64).passed
 
 
 SCREEN_PRECISIONS = (53, 64, 128, 192)
@@ -293,7 +288,7 @@ def jittered_polygons(seed):
     """A perturbed star moved by up to 1/4, 2 and 20 times its margin: the
     first pass the check, the last fail it."""
     poly = perturb_stage(build_star(toric_pattern(3, 7), 128), Fraction(1, 1000), seed)[0]
-    margin = float(room_check(poly, 128).margin)
+    margin = float(mirror_room_check(poly, 128).margin)
     rng = random.Random(seed)
     polys = []
     for scale in (0.25, 2.0, 20.0):
@@ -348,9 +343,9 @@ def tied_polygons():
 
 
 def assert_same_mirror_room(poly, prec_bits):
-    """The screened check's verdict, margin, witness and threshold are the
-    unscreened loops', bit for bit."""
-    got = room_check(poly, prec_bits)
+    """The check's verdict, margin, witness and threshold are the oracle's,
+    bit for bit."""
+    got = mirror_room_check(poly, prec_bits)
     want = pairwise_mirror_room(poly, prec_bits)
     assert (got.passed, got.witness) == (want.passed, want.witness)
     assert got.margin._mpf_ == want.margin._mpf_
@@ -379,7 +374,7 @@ def test_mirror_room_screen_matches_oracle_on_fake_polygons(prec):
                 want = pairwise_mirror_room(poly, prec)
             except DegenerateAngleError:
                 with pytest.raises(DegenerateAngleError):
-                    room_check(poly, prec)
+                    mirror_room_check(poly, prec)
                 continue
             verdicts.append(assert_same_mirror_room(poly, prec).passed)
             assert verdicts[-1] == want.passed
@@ -387,20 +382,20 @@ def test_mirror_room_screen_matches_oracle_on_fake_polygons(prec):
 
 
 def test_mirror_room_check_returns_the_mirrors_it_checked():
-    """The check's margin is the least value over the mirrors it is given,
-    ``polygon_mirrors``' for the table, each through its vertex rounded
-    once at the working precision."""
-    mirrors = tuple(polygon_mirrors(preset_polygon("hopf"), 192))
-    report = mirror_room_check(mirrors, 192)
+    """The check's margin is the least value over the polygon's
+    ``polygon_mirrors``, each through its vertex rounded once at the
+    working precision."""
+    poly = preset_polygon("hopf")
+    mirrors = polygon_mirrors(poly, 192)
+    report = mirror_room_check(poly, 192)
     with mp.workprec(192):
+        points = [(to_mpf(x), to_mpf(y)) for x, y in (m.vertex for m in mirrors)]
         assert report.margin == min(
-            m.direction[0] * (o.point[0] - m.point[0]) + m.direction[1] * (o.point[1] - m.point[1])
-            for m in mirrors
-            for o in mirrors
-            if o is not m
+            m.direction[0] * (px - vx) + m.direction[1] * (py - vy)
+            for k, (m, (vx, vy)) in enumerate(zip(mirrors, points))
+            for i, (px, py) in enumerate(points)
+            if i != k
         )
-        for mirror in mirrors:
-            assert mirror.point == (to_mpf(mirror.vertex[0]), to_mpf(mirror.vertex[1]))
 
 
 def layout_polygon(star, delta, seed):
@@ -475,7 +470,7 @@ def test_bisector_screen_raises_for_a_degenerate_angle(prec):
     the oracle's bit for bit."""
     degenerate, clear = near_degenerate_polygons(prec)
     for poly in degenerate:
-        for check in (room_check, pairwise_mirror_room):
+        for check in (mirror_room_check, pairwise_mirror_room):
             with pytest.raises(DegenerateAngleError):
                 check(poly, prec)
     assert_same_mirror_room(clear, prec)
@@ -483,7 +478,7 @@ def test_bisector_screen_raises_for_a_degenerate_angle(prec):
 
 def float64_proofs(polys, prec, monkeypatch):
     """``mirror_room_proven`` on each polygon, with mpmath taken away from
-    ``billiards``: the proof makes no mpf call."""
+    ``billiards``: the proof makes no mpf call.  None where it gives up."""
     with monkeypatch.context() as patch:
         patch.setattr(billiards, "mp", None)
         return [mirror_room_proven(poly, prec) for poly in polys]
@@ -491,12 +486,12 @@ def float64_proofs(polys, prec, monkeypatch):
 
 @pytest.mark.parametrize("prec", SCREEN_PRECISIONS)
 def test_mirror_room_proof_gives_up_near_a_degenerate_angle(prec, monkeypatch):
-    """``mirror_room_proven`` returns False, raising nothing, on every
+    """``mirror_room_proven`` gives up, raising nothing, on every
     degenerate polygon of ``near_degenerate_polygons``, on which
     ``polygon_mirrors`` raises, and on the vertex clearing its limit by
     2^-20, which float64 cannot tell from a degenerate one."""
     degenerate, clear = near_degenerate_polygons(prec)
-    assert float64_proofs(degenerate + [clear], prec, monkeypatch) == [False] * 5
+    assert float64_proofs(degenerate + [clear], prec, monkeypatch) == [None] * 5
     for poly in degenerate:
         with pytest.raises(DegenerateAngleError):
             polygon_mirrors(poly, prec)
@@ -504,42 +499,44 @@ def test_mirror_room_proof_gives_up_near_a_degenerate_angle(prec, monkeypatch):
 
 @pytest.mark.parametrize("prec", SCREEN_PRECISIONS)
 def test_mirror_room_proof_implies_the_check(prec, monkeypatch):
-    """Wherever ``mirror_room_proven`` holds, the check passes; it holds on
-    every preset, and never on a polygon that fails the check."""
+    """Wherever ``mirror_room_proven`` holds, the check passes, with a
+    margin and a threshold within the proof's bounds; it holds on every
+    preset, and never on a polygon that fails the check."""
     polys = [preset_polygon(name) for name in PRESETS] + tied_polygons() + jittered_polygons(1)
     polys += random_line_polygons(1)
     proven = float64_proofs(polys, prec, monkeypatch)
     for poly, proof in zip(polys, proven):
-        assert room_check(poly, prec).passed or not proof
-    assert all(proven[:len(PRESETS)]) and not all(proven)
+        report = mirror_room_check(poly, prec)
+        assert report.passed or proof is None
+        if proof is not None:
+            bound = proof[1]
+            assert bound.passed and bound.margin > bound.threshold > 0
+            assert report.margin > bound.margin and report.threshold < bound.threshold
+    assert all(proven[:len(PRESETS)]) and None in proven
 
 
 @pytest.mark.parametrize("prec", SCREEN_PRECISIONS)
 def test_screen_bound_covers_float_and_mpf_evaluations(prec):
     """Every pair's float64 distance and value are within the screen's
     bound of the working-precision ones (the derivation in
-    ``mirror_room_check``)."""
+    ``mirror_room_proven``)."""
     polys = [preset_polygon(name) for name in PRESETS] + tied_polygons() + jittered_polygons(3)
     for poly in polys:
         mirrors = polygon_mirrors(poly, prec)
         floats = [(float(x), float(y)) for x, y in (m.vertex for m in mirrors)]
         eps = _screen_bound(max(max(abs(x), abs(y)) for x, y in floats), prec)
         with mp.workprec(prec):
+            points = [(to_mpf(x), to_mpf(y)) for x, y in (m.vertex for m in mirrors)]
             for k, mirror in enumerate(mirrors):
                 ux, uy = mirror.direction
                 fx, fy = float(ux), float(uy)
-                (vx, vy), (gx, gy) = mirror.point, floats[k]
-                for i, other in enumerate(mirrors):
-                    (px, py), (hx, hy) = other.point, floats[i]
+                (vx, vy), (gx, gy) = points[k], floats[k]
+                for i in range(len(mirrors)):
+                    (px, py), (hx, hy) = points[i], floats[i]
                     value = ux * (px - vx) + uy * (py - vy)
                     assert abs(fx * (hx - gx) + fy * (hy - gy) - value) <= eps
                     dist = mp.hypot(px - vx, py - vy)
                     assert abs(math.hypot(hx - gx, hy - gy) - dist) <= eps
-
-
-def test_near_least_keeps_everything_within_twice_the_bound():
-    assert _near_least([3.0, 1.0, 3.0, 2.0, 1.5], 0.5) == [1, 3, 4]
-    assert _near_least([0.0, 0.0], 0.0) == [0, 1]
 
 
 def random_closed_polygons(seed, count):
@@ -607,12 +604,7 @@ def test_build_table_rejects_and_accepts_as_the_pairwise_oracle():
 
 def _mirrors(directions):
     """Mirrors at the origin with the given inward directions."""
-    with mp.workprec(128):
-        origin = (mp.mpf(0), mp.mpf(0))
-        return [
-            Mirror((Fraction(0), Fraction(0)), (mp.mpf(ux), mp.mpf(uy)), 0, k, origin)
-            for k, (ux, uy) in enumerate(directions)
-        ]
+    return [Mirror((Fraction(0), Fraction(0)), (ux, uy), 0, k) for k, (ux, uy) in enumerate(directions)]
 
 
 @pytest.mark.parametrize(
@@ -740,24 +732,74 @@ def test_checked_normals_and_floor_edges_clear_the_margin():
     """The facts ``build_table``'s float64 order rests on: on every polygon
     that passes the mirror-room check, any two outward normals are more
     than 2 ``MARGIN_FACTOR`` apart in angle, and every floor edge is longer
-    than 2 ``MARGIN_FACTOR`` D, with D the polygon's diameter."""
+    than 2 ``MARGIN_FACTOR`` D, with D the polygon's diameter; so too for
+    the float64 mirrors of every polygon ``mirror_room_proven`` proves."""
     inputs = list(table_inputs())
     inputs += [(SCREEN_PRECISIONS[i % 4], poly) for i, poly in enumerate(random_closed_polygons(19, 200))]
-    checked = 0
+    checked = proven = 0
     for prec, poly in inputs:
         try:
-            mirrors = polygon_mirrors(poly, prec)
+            report = mirror_room_check(poly, prec)
         except DegenerateAngleError:
             continue
-        report = mirror_room_check(mirrors, prec)
         if not report.passed:
             continue
-        checked += 1
-        with mp.workprec(prec):
-            angles = sorted(mp.atan2(-uy, -ux) for ux, uy in (m.direction for m in mirrors))
-            gaps = [b - a for a, b in zip(angles, angles[1:])] + [angles[0] + 2 * mp.pi - angles[-1]]
-            assert min(gaps) > 2 * MARGIN_FACTOR
-        floor = build_table(mirrors).floor
-        edges = [math.hypot(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(floor, floor[1:] + floor[:1])]
-        assert min(edges) > 2 * float(report.threshold)
-    assert checked > 84
+        proof = mirror_room_proven(poly, prec)
+        mirror_sets = [polygon_mirrors(poly, prec)] + ([proof[0]] if proof else [])
+        checked, proven = checked + 1, proven + bool(proof)
+        for mirrors in mirror_sets:
+            with mp.workprec(prec):
+                angles = sorted(mp.atan2(-uy, -ux) for ux, uy in (m.direction for m in mirrors))
+                gaps = [b - a for a, b in zip(angles, angles[1:])] + [angles[0] + 2 * mp.pi - angles[-1]]
+                assert min(gaps) > 2 * MARGIN_FACTOR
+            floor = build_table(mirrors).floor
+            edges = [math.hypot(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(floor, floor[1:] + floor[:1])]
+            assert min(edges) > 2 * float(report.threshold)
+    assert checked == proven > 84
+
+
+def bisector_polygons():
+    """The presets and the tied, jittered and random-line polygons."""
+    polys = [preset_polygon(name) for name in PRESETS] + tied_polygons()
+    polys += jittered_polygons(1) + jittered_polygons(2)
+    return polys + [poly for seed in (1, 2, 3) for poly in random_line_polygons(seed)]
+
+
+@pytest.mark.parametrize("prec", SCREEN_PRECISIONS)
+def test_float_bisectors_lie_within_their_bound_of_the_working_precision_ones(prec):
+    """Every float64 mirror ``_float_bisectors`` hands the proof has
+    ``polygon_mirrors``' vertex, component and index, and its bisector lies
+    within its bound 0.6 T/s (derived in ``mirror_room_proven``) of
+    ``polygon_mirrors``' bisector at the working precision; where the
+    proof holds, it returns those mirrors."""
+    kept = proven = 0
+    for poly in bisector_polygons():
+        floats = [(float(x), float(y)) for comp in poly.components for x, y in comp.vertices]
+        size = max(max(abs(x), abs(y)) for x, y in floats)
+        bisectors = _float_bisectors(poly, floats, size, prec)
+        if bisectors is None:
+            continue
+        kept += 1
+        mirrors = polygon_mirrors(poly, prec)
+        for (got, t_over_s), want in zip(bisectors, mirrors, strict=True):
+            assert (got.vertex, got.component, got.vertex_index) == (want.vertex, want.component, want.vertex_index)
+            assert all(type(c) is float for c in got.direction)
+            with mp.workprec(prec):
+                assert mp.hypot(want.direction[0] - got.direction[0], want.direction[1] - got.direction[1]) <= 0.6 * t_over_s
+        proof = mirror_room_proven(poly, prec)
+        if proof is not None:
+            proven += 1
+            assert proof[0] == tuple(mirror for mirror, _ in bisectors)
+    assert kept > proven > len(PRESETS)
+
+
+def test_mirror_room_proof_gives_up_beyond_the_float64_range(monkeypatch):
+    """A polygon with a vertex beyond the float64 range, where ``float``
+    raises OverflowError, and one whose coordinates are finite but whose
+    products overflow are given up on, raising nothing."""
+    F = Fraction
+    square = [(F(0), F(0)), (F(3), F(1)), (F(2), F(4)), (F(-1), F(2))]
+    polys = [fake_polygon([[(x * 2**1100, y) for x, y in square]]),
+             fake_polygon([[(x * 2**1000, y * 2**1000) for x, y in square]]),
+             fake_polygon([square])]
+    assert [proof is None for proof in float64_proofs(polys, 192, monkeypatch)] == [True, True, False]

@@ -1,5 +1,6 @@
-"""``verify`` decided in float64: the float arc table's bound, and a
-passing report checked without any working-precision arc or mirror.
+"""``verify`` decided in float64: the float arc table's bound, a passing
+report checked without any working-precision arc or mirror, and
+``realize`` run without any working-precision mirror.
 
 ``perturbation.float_arc_table`` claims each float arc is within delta_c
 of ``arc_length_table``'s at the working precision; the bound test checks
@@ -15,7 +16,7 @@ from unittest import mock
 import mpmath as mp
 import pytest
 
-from billiardknots import serialization
+from billiardknots import billiards, serialization
 from billiardknots.braids import QuasitoricPattern, pad_to_min_repetitions
 from billiardknots.perturbation import arc_length_table, float_arc_table, perturb
 from billiardknots.pipeline import RealizationSpec, perturb_stage, realize
@@ -81,27 +82,46 @@ def test_float_arc_table_stays_within_its_bound(capsys):
         print(f"\nfloat arc table: largest difference / delta_c = {worst:.3g}")
 
 
+def preset_and_sweep_specs():
+    specs = [RealizationSpec(pattern=PRESETS[name], preset=name) for name in sorted(PRESETS)]
+    return specs + [RealizationSpec(pattern=pattern, f_max=F_MAX) for pattern in sweep_slice()]
+
+
 @pytest.fixture(scope="module")
 def reports(tmp_path_factory):
     """The written reports of every preset and sweep-slice input."""
     root = tmp_path_factory.mktemp("float-verify")
-    specs = [RealizationSpec(pattern=PRESETS[name], preset=name) for name in sorted(PRESETS)]
-    specs += [RealizationSpec(pattern=pattern, f_max=F_MAX) for pattern in sweep_slice()]
     return [
         write_artifacts(realize(spec), root / str(i), canonical=True)["report"]
-        for i, spec in enumerate(specs)
+        for i, spec in enumerate(preset_and_sweep_specs())
     ]
+
+
+def _left_float64(*args, **kwargs):
+    raise AssertionError("left float64")
+
+
+def _break_working_precision_mirrors(monkeypatch):
+    """``polygon_mirrors``, ``mirror_room_check`` and ``_bisector``, the
+    kernel of every working-precision bisector whatever name its caller
+    imported, all raise."""
+    for name in ("polygon_mirrors", "mirror_room_check", "_bisector"):
+        monkeypatch.setattr(billiards, name, _left_float64)
+
+
+def test_realize_builds_no_working_precision_bisector(monkeypatch):
+    """Every preset and sweep-slice input realizes with the
+    working-precision mirrors and mirror-room check broken: the float64
+    proof accepts every polygon, and the table is built from its mirrors."""
+    _break_working_precision_mirrors(monkeypatch)
+    assert all(realize(spec).passed for spec in preset_and_sweep_specs())
 
 
 def test_a_passing_verify_computes_no_working_precision_arc_or_bisector(reports, monkeypatch):
     """Every preset and sweep report passes with the arc table and the
     working-precision mirrors broken: float64 decides them all."""
-
-    def broken(*args, **kwargs):
-        raise AssertionError("verify left float64")
-
-    monkeypatch.setattr(serialization, "arc_length_table", broken)
-    monkeypatch.setattr(serialization, "polygon_mirrors", broken)
+    monkeypatch.setattr(serialization, "arc_length_table", _left_float64)
+    _break_working_precision_mirrors(monkeypatch)
     assert all(verify_artifacts(report).passed for report in reports)
 
 

@@ -26,73 +26,73 @@ KINDS = ("report", "trajectory", "table", "diagram", "diagram_svg", "mesh")
 
 GOLDEN = {
     "unknot": (
-        "3c608029bb865d55996671d61de61ddcef16ccb341f5c5e97a1f7ad23d213f2c",
+        "9f4c533c6b8a92f8a084672807573c3e3c90b2929089bf33c958163d52ea2cc9",
         "8455d01940c25d049889a3df05128441e9ba860138e259a8aeebc65dccaa16b4",
-        "30fa0636e754c21f0abd5cdce72b90f915c70edc76f93e53538a54fa425fc928",
+        "76501beb64554bca442a1e0912729088772edcc05c06053215161997fc837514",
         "9e515de235f7dc813449c07563a07971dbad93f7feecb29238c9920cad3c736e",
         "d13720fb56faa3abee8da526d75a2b8012cbde7998ad90ab7a2d0f3789d2f3c2",
         "6dd8ca6f620238a2c8d3df09b180661a391f100c6caf8227372e9044d309007c",
     ),
     "trefoil": (
-        "f1e83d43cd550e9c89a9062aa79804b9336e5a31276c2d97681288f509644a09",
+        "528a34287906f848cd161b6c5364191de1eb6bd9c7882f927543094ab5acf4cf",
         "27eef837af94aacce1cc412b24ab99d3baf3432376a76e190733450ec01759f5",
-        "30fa0636e754c21f0abd5cdce72b90f915c70edc76f93e53538a54fa425fc928",
+        "76501beb64554bca442a1e0912729088772edcc05c06053215161997fc837514",
         "d10751bdaa43fd4401737b33487f06809e89e4cfffcd8b948ab3620dae5ca045",
         "c287e3405a6813ceb6e38298710ce49b9e698b0bc6424f0c29da15211bc21af9",
         "6dd8ca6f620238a2c8d3df09b180661a391f100c6caf8227372e9044d309007c",
     ),
     "figure-eight": (
-        "87a39ccbb06b3cba67992ec151e7e910ed3d26b7ea4cb91d6635b2c0d3622403",
+        "55e34229f77135693f23906c4d9613956f279b976d66f810f52dc0b99a4cc35a",
         "421dab3ef96d938fe392f34509c48fcabab64fcea2bc8794393e2d0e9e1707c5",
-        "eae3633bb1c391aedc8e5ae2699fdba2affd80d61988165717c499dacab16fe4",
+        "c1b8540d47cf52f28cb14c5b391eb8d5a8eec6fa1e520e4b46f74f8ca15f8145",
         "1895b144b155c03dd64aa61191ede29d50e11a2d7550a3bc9a91903374229109",
         "40c5f6e4ef4b9c1a8108fefb9f77dfce974560ebf7e09f502bebdc8d53232716",
         "daca5f1e1c481a9f1877bb2ef3aca0ff1c1433f09db828b745cd0a447522941d",
     ),
     "torus-2-5": (
-        "cd2a9b54095faf769e5ba939b9d011d31d7e4b379ce70a2eca1301a34c9e68dd",
+        "4058c73a890f1c5203b5b22ef300cc53d8eff6e521769e4ea05c5c593ec1e6a1",
         "12043086f9079f3dc12e8fa35509b9aff24714d87d5d9c17e1a2e82b3e75f474",
-        "30fa0636e754c21f0abd5cdce72b90f915c70edc76f93e53538a54fa425fc928",
+        "76501beb64554bca442a1e0912729088772edcc05c06053215161997fc837514",
         "5ed2cd2a4b38acf3a34672108bfa7c8b2aa3502bced6dab9afb018bdb4e920e7",
         "5fc475e0478f1bd469997094d5b8e8c3bcea3fdf57fe4066357d6f090a243c8a",
         "6dd8ca6f620238a2c8d3df09b180661a391f100c6caf8227372e9044d309007c",
     ),
     "torus-3-7": (
-        "4c555dbcdf959de9ffd714c7afecf3e4513770a44d628ee94949f6c9fb18a320",
+        "68616846b7f634cfdad711fdc7ff15a26d3379ac42bc00e3352e7e4c340356cb",
         "33fb291f23f722db2b47d7ea6c94cca8e6d71e041713841b94e26e9316589f0f",
-        "e95567520f25ca626c93f39f56f6b3df3ca100092e57adea7d914b91f0cd6dfc",
+        "9ae855aaccac2b0692cee05039a515911498f1283243b072eae551079d7a934b",
         "5b1cecc22cd58b5ad657a5538369cda314583774585709cb401120672a4f9784",
         "8666158cb4d7ab06fcbefd6c5e3a792b268323b73c4bca2e473e59fdb9a6282f",
         "2fb1e1d5007458346fe3d1c4cbdc2765ba851fd00e964e7347ad9ffff9dd198e",
     ),
     "star-10-3": (
-        "b1b0fbf41bc73f7e2e6d0ea6e1710d6298b3867f27f34e48d796a1966d925524",
+        "5c58953a35e14e8562221d711c3fe125a9e688660a9936a8b123170d9713ebf2",
         "c3d19a8ce82973e7e1366072a6058d32bbeb7577b73f872f2769c2680d4fd2c1",
-        "d16385a6828373f6a48d706e021f9788882027ff13c350e691f2608838708ce8",
+        "771b20fd1f826e8d584ea880b5ec9ac8f28d76497aa62b27b000b7bcec84aeb2",
         "e2ed0fac8d0b3e41019226715b4519bb2b5bae789fe6f776855f326735ae3544",
         "313c4c894612b10fad367ed9b196abf874e21b1b5f41ed7517cd6d23af5ebc0d",
         "86c45d461fba12d8894b27d89ca9c6bf7787b02b29dabf388209774c5a551016",
     ),
     "star-10-2": (
-        "9b5db602b5cd7a263f8d5dfc952c8506e5e74372b400a8c50884951eba3bf099",
+        "98cfbbd22cf967a522c8e49bd9c32786e1bb33a8e6fdc774535b81eae0e76fc9",
         "32393476ba28ddf7f1b59204c703d0437d7f56d1bc5c05f33c7e3aa829eb9280",
-        "10ffd901c9e161010ecbac075751664cdf528067ffb1a3315decd063d0cd00e1",
+        "9889917570d6051353f3266fe40acd46169774ec5212cf87e7ddf71c14a4f7a2",
         "88b188d266b923fbd010e527fcc1ef2bdd599f79e11da93fc6a363165d8ecb71",
         "0f259c9bfaefd0cccf01f9c648e25a7fa5007d08f0d2ed28db735757c78327d4",
         "0fb95466f85900cf6691c99a4ae738e8b8a667613522526df7db4aeee45bd8a1",
     ),
     "star-9-3": (
-        "746b3ab13c155bb5f344dcc39a63b422878a911ab74249f8642e371de2d4b333",
+        "feb48a0313b0c0d88e717f6fdf65b6a937441e410d29b26d64b01d20e33e1065",
         "7c601b18ed6976f02349e5787a2d7a9cdc36a31ec5e938c1dc874bfd98361bcb",
-        "af9755c81c3c3c8a42f18af0ac695e108af81486624d85c3ee556ef4bea1f09d",
+        "45bfeed56573ec995002529c574561e594ec32389b5a6b2450774dbdb041c07f",
         "f494729d100a0f3931c283a35e2b521b02a3e14e7e0ed5a8c8c5ab8d5af56a70",
         "97ef63760636705d8060dc10138fa309b25eb9d2c98d682960dc6ffaa6cf6364",
         "8ac1ca356621fceae5ee3c6a3d70babe97e12c27644321098e591a8fc43e8b0d",
     ),
     "hopf": (
-        "8ffe5aeeda77598b6756a7eecc588cb9bcaf24dd9c970ddec6703c4e85326de7",
+        "feecfe84a23bf76cb49c2b29eeea3627c71fe17ef75962d91fc0bde3961fe99d",
         "4239a77fb4f24928d6aa90be38f5e64e8424a0c6b408536d450f879810caeb6a",
-        "77f330789ba1fcfdb7851600de56b9d341ec1a17c7d15b669fa66c00c8070869",
+        "7cd5f61447ed94b8b901b95347d2e9dc3e81d95e76aa32e634ca71a8895e2fe6",
         "ba232f430c00fe424748f622916bc8ce7a28bcdf4b7ae90431195d5bdab24048",
         "cdf8ff08462284cbc8ca7b83cb3e89d63bd4eeea75c75ac6e414194fe0699df5",
         "e8055bd1912fd9f9de6681eb66f59c6fc4faf610504e69fbea09f2574be9739b",

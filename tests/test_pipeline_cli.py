@@ -14,7 +14,7 @@ import mpmath as mp
 import pytest
 
 from billiardknots import perturbation, pipeline, serialization, stars
-from billiardknots.billiards import COLUMNS, MirrorRoomReport, mirror_room_check, polygon_mirrors
+from billiardknots.billiards import COLUMNS, mirror_room_proven
 from billiardknots.braids import toric_pattern
 from billiardknots.cli import main
 from billiardknots.errors import CombinatorialCollapseError, SpecFileError
@@ -202,19 +202,23 @@ def test_cli_verify_reads_an_indented_trajectory(tmp_path, trefoil_result):
 
 
 def test_stored_reals_carry_the_working_precision(tmp_path, hopf_result):
-    """report.json's mirror margin and passage arcs, written with 40
-    significant digits, agree with the working-precision values to at least
-    35 digits, not only to float64's 17; table.json's float64 floor reads
-    back as the table's floor bit for bit."""
+    """report.json's passage arcs, written with 40 significant digits,
+    agree with the working-precision values to at least 35 digits, not
+    only to float64's 17; table.json's float64 floor and mirror directions
+    and report.json's float64 bound on the mirror margin read back bit for
+    bit."""
     paths = write_artifacts(hopf_result, tmp_path, canonical=True)
     report = json.loads(paths["report"].read_text())
-    stored_floor = json.loads(paths["table"].read_text())["floor"]
-    assert _float_bits(stored_floor) == _float_bits(hopf_result.table.floor)
+    table = json.loads(paths["table"].read_text())
+    assert _float_bits(table["floor"]) == _float_bits(hopf_result.table.floor)
+    directions = [m.direction for m in hopf_result.table.mirrors]
+    assert _float_bits([m["direction"] for m in table["mirrors"]]) == _float_bits(directions)
+    bound = report["mirror_check"]["margin_lower_bound"]
+    assert bound.hex() == hopf_result.mirror_report.margin.hex()
     arcs = {(ps.crossing, "a" if ps.is_a_side else "b"): ps.arc
             for passages in hopf_result.arcs.passages for ps in passages}
-    pairs = [(report["mirror_check"]["margin"], hopf_result.mirror_report.margin)]
-    pairs += [(ps["arc"], arcs[c["index"], ps["side"]]) for c in report["crossings"] for ps in c["passages"]]
-    assert len(pairs) == 1 + 2 * len(hopf_result.star.crossings)
+    pairs = [(ps["arc"], arcs[c["index"], ps["side"]]) for c in report["crossings"] for ps in c["passages"]]
+    assert len(pairs) == 2 * len(hopf_result.star.crossings)
     with mp.workprec(hopf_result.spec.precision_bits):
         for stored, value in pairs:
             assert abs(mp.mpf(stored) - value) <= mp.mpf(10) ** -35 * abs(value)
@@ -313,6 +317,30 @@ def test_cli_realize_rejects_non_integer_pattern_fields(tmp_path, pattern, capsy
     assert not (tmp_path / "x").exists()
 
 
+def test_cli_realize_rejects_a_margin_beyond_the_float64_range(tmp_path, capsys):
+    """A margin given as a 401-digit JSON integer is a spec error, not an
+    OverflowError traceback."""
+    spec = _write_spec(tmp_path, {"preset": "trefoil", "margin": 10**400})
+    assert main(["realize", str(spec), "--out", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("spec error: malformed numeric field: expected a number in the float64 range")
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("delta", ["1e300", "1e3000"])
+def test_cli_realizes_and_verifies_a_huge_delta(tmp_path, capsys, delta):
+    """A huge delta halves until the mirror-room proof holds: at 1e300 the
+    first polygons have degenerate angles, and at 1e3000 vertices beyond
+    the float64 range, which the proof gives up on instead of raising."""
+    spec = _write_spec(tmp_path, {"preset": "trefoil", "delta": delta})
+    out = tmp_path / "out"
+    assert main(["realize", str(spec), "--out", str(out), "--canonical"]) == 0
+    assert main(["verify", str(out / "report.json")]) == 0
+    assert "mirror_room_check: pass" in capsys.readouterr().out
+    halvings = Fraction(delta) / Fraction(json.loads((out / "report.json").read_text())["chosen_delta"])
+    assert halvings.denominator == 1 and halvings.numerator.bit_count() == 1 and halvings > 2**900
+
+
 @pytest.mark.parametrize("field, value", [("seed", 42.9), ("f_max", "10000"), ("precision_bits", True)])
 def test_cli_verify_rejects_a_non_integer_spec_echo(tmp_path, trefoil_result, capsys, field, value):
     files = write_artifacts(trefoil_result, tmp_path, canonical=True)
@@ -324,7 +352,7 @@ def test_cli_verify_rejects_a_non_integer_spec_echo(tmp_path, trefoil_result, ca
     assert "expected an integer" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["0.01", True])
+@pytest.mark.parametrize("value", ["0.01", True, 10**400])
 def test_cli_verify_rejects_a_non_numeric_margin_echo(tmp_path, trefoil_result, capsys, value):
     files = write_artifacts(trefoil_result, tmp_path, canonical=True)
     data = json.loads(files["report"].read_text())
@@ -357,27 +385,18 @@ def test_cli_search_exhaustion_exit_code(tmp_path, capsys):
     assert "of f <= 3: frequencies kept per component [0]; f-tuples walked 0" in err
 
 
-def record_checks(monkeypatch, check=mirror_room_check):
-    """Put ``check`` in place of the perturb stage's mirror-room check and
-    record, per call in order, the delta of the polygon whose mirrors it
-    was given and its verdict.  The check reads only the mirrors, so each
-    is matched to the polygon ``polygon_mirrors`` built it from."""
-    built, checked = [], []
+def record_checks(monkeypatch, proof=mirror_room_proven):
+    """Put ``proof`` in place of the perturb stage's mirror-room proof and
+    record, per call in order, the delta of the polygon it was given and
+    whether it proved the check (a polygon it gives up on fails)."""
+    checked = []
 
-    def mirrors_of(poly, prec_bits):
-        mirrors = polygon_mirrors(poly, prec_bits)
-        built.append((poly, mirrors))
-        return mirrors
+    def recorded(poly, prec_bits):
+        outcome = proof(poly, prec_bits)
+        checked.append((poly.delta, outcome is not None))
+        return outcome
 
-    def recorded(mirrors, prec_bits):
-        poly, built_mirrors = built[-1]
-        assert mirrors is built_mirrors
-        report = check(mirrors, prec_bits)
-        checked.append((poly.delta, report.passed))
-        return report
-
-    monkeypatch.setattr(pipeline, "polygon_mirrors", mirrors_of)
-    monkeypatch.setattr(pipeline, "mirror_room_check", recorded)
+    monkeypatch.setattr(pipeline, "mirror_room_proven", recorded)
     return checked
 
 
@@ -394,40 +413,45 @@ def test_realize_halves_delta_after_a_failed_mirror_room_check(tmp_path, monkeyp
     assert verify_artifacts(files["report"]).passed
 
 
-def test_the_table_is_built_from_the_mirrors_the_check_read(monkeypatch):
-    """``realize`` builds each checked polygon's mirrors once: the table's
-    mirrors are the objects the passing mirror-room check read, and equal
-    ``polygon_mirrors(result.poly, 192)`` bit for bit."""
-    built, read = [], []
+def test_the_table_is_built_from_the_mirrors_the_proof_returned(monkeypatch):
+    """``realize`` builds the table from the float64 mirrors of the proof
+    that accepted its polygon: the table's mirrors and the result's mirror
+    report are the objects that proof returned."""
+    proofs = []
 
-    def mirrors_of(poly, prec_bits):
-        built.append(poly)
-        return polygon_mirrors(poly, prec_bits)
+    def recorded(poly, prec_bits):
+        proofs.append((poly, mirror_room_proven(poly, prec_bits)))
+        return proofs[-1][1]
 
-    def recorded(mirrors, prec_bits):
-        read.append(mirrors)
-        return mirror_room_check(mirrors, prec_bits)
-
-    monkeypatch.setattr(pipeline, "polygon_mirrors", mirrors_of)
-    monkeypatch.setattr(pipeline, "mirror_room_check", recorded)
+    monkeypatch.setattr(pipeline, "mirror_room_proven", recorded)
     result = realize(RealizationSpec.from_dict({"preset": "torus-3-7", "delta": "1"}))
-    assert len(built) == len(read) == 2 and built[-1] is result.poly
-    assert all(a is b for a, b in zip(result.table.mirrors, read[-1], strict=True))
+    assert [outcome is not None for _, outcome in proofs] == [False, True]
+    poly, (mirrors, report) = proofs[-1]
+    assert poly is result.poly and report is result.mirror_report
+    assert all(a is b for a, b in zip(result.table.mirrors, mirrors, strict=True))
+    assert all(type(c) is float for m in mirrors for c in m.direction)
 
-    def bits(mirrors):
-        return [
-            (m.vertex, m.component, m.vertex_index, [c._mpf_ for c in (*m.direction, *m.point)])
-            for m in mirrors
-        ]
 
-    assert bits(result.table.mirrors) == bits(polygon_mirrors(result.poly, 192))
+def test_a_polygon_the_proof_cannot_decide_halves_delta(tmp_path, monkeypatch):
+    """The perturb stage counts a polygon the proof gives up on as a failed
+    check: with the proof forced undecided at h = 0, the trefoil takes
+    h = 1, at delta 1/2000, and its artifacts verify."""
+    checked = record_checks(
+        monkeypatch,
+        lambda poly, prec_bits: None if poly.delta == Fraction(1, 1000) else mirror_room_proven(poly, prec_bits),
+    )
+    result = realize(RealizationSpec.from_dict({"preset": "trefoil"}))
+    assert checked == [(Fraction(1, 1000), False), (Fraction(1, 2000), True)]
+    files = write_artifacts(result, tmp_path, canonical=True)
+    assert json.loads(files["report"].read_text())["chosen_delta"] == "1/2000"
+    assert verify_artifacts(files["report"]).passed
 
 
 @pytest.fixture
 def failing_mirror_room(monkeypatch):
-    """Every mirror-room check of the perturb stage fails; the list holds
-    (delta, False) for each polygon checked, in order."""
-    return record_checks(monkeypatch, lambda mirrors, prec_bits: MirrorRoomReport(False, None))
+    """Every mirror-room proof of the perturb stage gives up; the list
+    holds (delta, False) for each polygon tried, in order."""
+    return record_checks(monkeypatch, lambda poly, prec_bits: None)
 
 
 def test_mirror_room_failures_spend_the_one_halving_budget(tmp_path, failing_mirror_room, capsys):
